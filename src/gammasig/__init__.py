@@ -13,8 +13,10 @@ Subpackage layout (one module per concern):
 
 * :mod:`gammasig.tensor` -- exact words/polynomials, shuffle, quasi-shuffle,
   group inverse, scheme-conversion functionals.
-* :mod:`gammasig.signature` -- sampled paths, bracket augmentation,
-  gamma-signatures, feature matrices, CSV I/O.
+* :mod:`gammasig.signature` -- sampled paths, Follmer brackets and bracket
+  augmentation, gamma-signatures from one batched level step, feature
+  matrices, path/signature CSV I/O, and the package's one accumulation
+  primitive.
 * :mod:`gammasig.models` -- seeded simulators (Heston, two-asset Heston,
   Cantor-clock SDE) with per-path reproducible random streams.
 * :mod:`gammasig.regress` -- lasso and ridge solvers on signature features.
@@ -51,7 +53,6 @@ from .signature import (
     functional_matrix,
     gamma_signature,
     gamma_signature_chen,
-    grid_p_variation,
     quadratic_variation,
     read_path_csv,
     sig_increment,
@@ -80,9 +81,7 @@ from .payoffs import (
     evaluate,
     realized_stats,
     realized_stats_batch,
-    resolve_strikes,
     statistic_key,
-    write_payoff_csv,
 )
 from .experiments import (
     PAYOFF_ORDER,
@@ -121,7 +120,6 @@ __all__ = [
     "functional_matrix",
     "gamma_signature",
     "gamma_signature_chen",
-    "grid_p_variation",
     "quadratic_variation",
     "read_path_csv",
     "sig_increment",
@@ -153,9 +151,7 @@ __all__ = [
     "evaluate",
     "realized_stats",
     "realized_stats_batch",
-    "resolve_strikes",
     "statistic_key",
-    "write_payoff_csv",
     # experiments
     "PAYOFF_ORDER",
     "ExperimentConfig",

@@ -43,6 +43,7 @@ from .signature import (
     SamplePath,
     SigTrajectory,
     augment_path,
+    bracket_columns,
     endpoint_signature_batch,
     functional_matrix,
     gamma_signature,
@@ -103,12 +104,21 @@ class ExperimentConfig:
                 raise ValueError("model parameters required")
             if self.grid_T <= 0 or self.grid_n < 1:
                 raise ValueError("grid needs T > 0 and n >= 1")
+            if self.experiment in CALIBRATION_IDS and self.grid_n < 2:
+                raise ValueError("calibration needs grid n >= 2: the out-of-sample "
+                                 "grid on [0, T/2] has n // 2 steps")
+            if self.experiment.startswith("cantor") and self.grid_T > 1.0:
+                raise ValueError("the Cantor clock is defined on [0, 1]; "
+                                 "need grid T <= 1")
             if self.trunc_level < 1:
                 raise ValueError("trunc_level must be >= 1")
             if self.alpha < 0:
                 raise ValueError("alpha must be >= 0")
             if min(self.n_train, self.n_test, self.n_mc) < 1:
                 raise ValueError("sample sizes must be >= 1")
+            if self.experiment in PRICING_IDS and self.n_mc < 2:
+                raise ValueError("pricing needs N_MC >= 2 for the Monte Carlo "
+                                 "confidence interval")
             if self.regression_kind not in ("lasso", "ridge"):
                 raise ValueError("regression_kind must be 'lasso' or 'ridge'")
         if not (0 <= int(self.master_seed) < 2 ** 64):
@@ -379,30 +389,14 @@ def run_calibration(config: ExperimentConfig) -> dict:
 # Pricing
 # ---------------------------------------------------------------------------
 
-def _cumqv_columns(x: np.ndarray) -> np.ndarray:
-    """Cumulative pathwise covariation columns of a log-price batch.
-
-    ``x``: (B, n+1, d) -> (B, n+1, d(d+1)/2) in the bracket order
-    (1,1),(1,2),..,(d,d)."""
-    B, n_plus_1, d = x.shape
-    dX = np.diff(x, axis=1)
-    cols = []
-    for i in range(d):
-        for j in range(i, d):
-            prod = dX[:, :, i] * dX[:, :, j]
-            cum = np.cumsum(prod, axis=1, dtype=np.longdouble).astype(np.float64)
-            cols.append(np.concatenate([np.zeros((B, 1)), cum], axis=1))
-    return np.stack(cols, axis=2)
-
-
-def _endpoint_features(times: np.ndarray, x: np.ndarray, gamma: float,
-                       with_brackets: bool, trunc_level: int) -> np.ndarray:
+def _endpoint_features(times: np.ndarray, x: np.ndarray, brackets: np.ndarray | None,
+                       gamma: float, trunc_level: int) -> np.ndarray:
     """Feature rows [1, level-1 coords, level-2 coords, ...] of end-point
-    signatures of (t, x...) or (t, x..., brackets...)."""
+    signatures of (t, x...) or, given bracket columns, (t, x..., brackets...)."""
     B, n_plus_1, d = x.shape
     cols = [np.broadcast_to(times, (B, n_plus_1))[:, :, None], x]
-    if with_brackets:
-        cols.append(_cumqv_columns(x))
+    if brackets is not None:
+        cols.append(brackets)
     values = np.concatenate(cols, axis=2)
     ends = endpoint_signature_batch(values, gamma, trunc_level)
     return np.concatenate([np.ones((B, 1))] + ends, axis=1)
@@ -427,11 +421,12 @@ def _pricing_log_paths(config: ExperimentConfig, indices: Sequence[int]) \
     return x, ok
 
 
-_PRICING_FAMILIES = ("1", "2", "12")
-
-
-def _family_slices(family: str) -> list[int]:
-    return [int(c) - 1 for c in family]
+#: Feature family -> (log-price columns, slice of the two-asset bracket block
+#: (1,1),(1,2),(2,2) that belongs to the family).  The bracket slice is a
+#: basic slice so the block stays in C order: the end-point contraction sums
+#: in an order set by its input's memory layout, and so do its last bits.
+_PRICING_FAMILIES = {"1": ([0], slice(0, 1)), "2": ([1], slice(2, 3)),
+                     "12": ([0, 1], slice(0, 3))}
 
 
 def run_pricing(config: ExperimentConfig) -> dict:
@@ -470,11 +465,15 @@ def run_pricing(config: ExperimentConfig) -> dict:
         chunk_stats = realized_stats_batch(x)
         for key, arr in chunk_stats.items():
             stats.setdefault(key, np.empty(total))[sl] = arr
-        for family in _PRICING_FAMILIES:
-            sub = x[:, :, _family_slices(family)]
+        brackets = bracket_columns(x)
+        for family, (assets, bracket_cols) in _PRICING_FAMILIES.items():
+            sub = x[:, :, assets]
             for scheme in SCHEMES:
                 feats[(family, scheme)][sl] = _endpoint_features(
-                    times, sub, GAMMAS[scheme], scheme == "ito", N)
+                    times, sub, brackets[:, :, bracket_cols] if scheme == "ito" else None,
+                    GAMMAS[scheme], N)
+        # free this chunk's brackets before the next chunk is simulated
+        del brackets, sub
 
     cohorts = {
         "train": np.zeros(total, dtype=bool),

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signature import SamplePath
+from .signature import SamplePath, cumsum0
 from .tensor import Alphabet
 
 __all__ = [
@@ -343,11 +343,9 @@ def _heston_euler(params: HestonParams, grid: SimGrid,
     else:
         dBQ = np.zeros_like(dV)
         deg_count = np.full(B, n)
-    cum = lambda d: np.concatenate(
-        [np.zeros((B, 1)), np.cumsum(d, axis=1, dtype=np.longdouble).astype(np.float64)],
-        axis=1)
-    return {"S": S, "V": V, "W": cum(dW), "B": cum(dB),
-            "W_Q": cum(dWQ), "B_Q": cum(dBQ), "degenerate_steps": deg_count}
+    return {"S": S, "V": V, "W": cumsum0(dW, axis=1), "B": cumsum0(dB, axis=1),
+            "W_Q": cumsum0(dWQ, axis=1), "B_Q": cumsum0(dBQ, axis=1),
+            "degenerate_steps": deg_count}
 
 
 _HESTON_NAMES = ("S", "V", "W", "B", "W_Q", "B_Q")
@@ -452,10 +450,7 @@ def _cantor_euler(params: CantorParams, grid: SimGrid, z: np.ndarray,
     for k in range(n):
         for i in range(n_assets):
             S[:, k + 1, i] = S[:, k, i] + params.vol(S[:, k, i], i) * dWC[:, k, i]
-    WC = np.concatenate(
-        [np.zeros((B, 1, n_assets)),
-         np.cumsum(dWC, axis=1, dtype=np.longdouble).astype(np.float64)], axis=1)
-    return {"S": S, "W_C": WC, "C": C}
+    return {"S": S, "W_C": cumsum0(dWC, axis=1), "C": C}
 
 
 def simulate_cantor_sde_batch(params: CantorParams, grid: SimGrid,

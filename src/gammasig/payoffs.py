@@ -1,6 +1,5 @@
 """Path functionals on log-price paths: realized variance/volatility,
-covariance, correlation, and swap/call payoffs with strikes resolved from a
-training sample.
+covariance, correlation, and swap/call payoffs on them.
 
 Conventions: paths carry log-prices X^i = log S^i as base columns on the
 payoff grid.  Realized statistics are plain sums over grid increments:
@@ -11,25 +10,26 @@ payoff grid.  Realized statistics are plain sums over grid increments:
 Swap payoffs pay statistic - strike, calls pay (statistic - strike)^+.
 Note the variance/volatility split: RVswap settles on RVar (variance),
 RVcall settles on RV (volatility); their strikes are resolved separately.
+The sums are the end values of the signature module's Follmer bracket
+columns (the same accumulation primitive), so RVar equals the left-point
+quadratic variation bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .signature import SamplePath
+from .signature import SamplePath, bracket_columns, bracket_pairs, cumsum0
 
 __all__ = [
     "PAYOFF_KINDS",
     "PayoffSpec",
     "realized_stats",
     "realized_stats_batch",
-    "resolve_strikes",
     "evaluate",
     "statistic_key",
-    "write_payoff_csv",
 ]
 
 PAYOFF_KINDS = ("RVswap", "RVcall", "CovSwap", "CovCall", "CorrSwap", "CorrCall")
@@ -87,10 +87,9 @@ def _log_increments(path: SamplePath, asset: int) -> np.ndarray:
 
 
 def _sum_products(a: np.ndarray, b: np.ndarray) -> float:
-    """sum_k a_k b_k with the same extended-precision sequential accumulation
-    as the signature module's Follmer sums, so RVar matches the left-point
-    quadratic variation end value bit for bit."""
-    return float(np.cumsum(a * b, dtype=np.longdouble)[-1])
+    """sum_k a_k b_k, accumulated like the signature module's Follmer sums,
+    so RVar matches the left-point quadratic variation end value bit for bit."""
+    return float(cumsum0(a * b)[-1])
 
 
 def realized_stats(path: SamplePath, i: int, j: int) -> tuple[float, float, float, float]:
@@ -120,43 +119,24 @@ def realized_stats_batch(log_values: np.ndarray) -> dict[str, np.ndarray]:
     to treat degenerate paths).
     """
     log_values = np.asarray(log_values, dtype=np.float64)
-    dX = np.diff(log_values, axis=1)
-    B, n, d = dX.shape
-
-    def sums(a, b):
-        return np.cumsum(a * b, axis=1, dtype=np.longdouble)[:, -1].astype(np.float64)
+    d = log_values.shape[2]
+    # copy the end row so the cumulative columns are freed on return
+    sums = dict(zip(bracket_pairs(d), bracket_columns(log_values)[:, -1].T.copy()))
 
     out: dict[str, np.ndarray] = {}
     for i in range(d):
-        rvar = sums(dX[:, :, i], dX[:, :, i])
+        rvar = sums[(i, i)]
         out[f"RVar_{i + 1}"] = rvar
         out[f"RV_{i + 1}"] = np.sqrt(rvar)
     for i in range(d):
         for j in range(i + 1, d):
-            cov = sums(dX[:, :, i], dX[:, :, j])
+            cov = sums[(i, j)]
             out[f"Cov_{i + 1}{j + 1}"] = cov
             denom = out[f"RV_{i + 1}"] * out[f"RV_{j + 1}"]
             with np.errstate(divide="ignore", invalid="ignore"):
                 corr = np.where(denom > 0.0, cov / denom, np.nan)
             out[f"Corr_{i + 1}{j + 1}"] = corr
     return out
-
-
-def resolve_strikes(training_paths: Sequence[SamplePath]) -> dict[str, float]:
-    """At-the-money strikes: mean of each statistic over the training sample.
-
-    Keys follow :func:`statistic_key`: "RVar_i", "RV_i" per asset and
-    "Cov_ij", "Corr_ij" per pair.  Paths where a correlation is undefined
-    are skipped for that entry.
-    """
-    if not training_paths:
-        raise ValueError("need a non-empty training sample")
-    for p in training_paths:
-        if p.alphabet.has_time or p.alphabet.has_brackets:
-            raise ValueError("strike resolution expects pure log-price paths")
-    values = np.stack([p.values for p in training_paths], axis=0)
-    stats = realized_stats_batch(values)
-    return {key: float(np.nanmean(arr)) for key, arr in stats.items()}
 
 
 def _statistic(spec: PayoffSpec, path: SamplePath) -> float:
@@ -176,21 +156,3 @@ def evaluate(spec: PayoffSpec, path: SamplePath) -> float:
     """Payoff value: statistic - strike for swaps, its positive part for calls."""
     value = _statistic(spec, path) - spec.strike
     return max(value, 0.0) if spec.is_call else value
-
-
-def write_payoff_csv(rows: Sequence[tuple[int, str, float]], file,
-                     header_comment: str | None = None) -> None:
-    """Payoff table CSV with columns ``path_id,payoff_kind,value``."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        if header_comment:
-            file.write(f"# {header_comment}\n")
-        file.write("path_id,payoff_kind,value\n")
-        for path_id, kind, value in rows:
-            file.write(f"{path_id},{kind},{repr(float(value))}\n")
-    finally:
-        if close:
-            file.close()

@@ -5,22 +5,24 @@ Riemann sums evaluated at ``X_{t_k} + gamma * (X_{t_{k+1}} - X_{t_k})``:
 ``gamma = 0`` is the left-point (Ito) sum, ``gamma = 1/2`` the mid-point
 (Stratonovich) sum, ``gamma = 1`` the right-point (backward Ito) sum.
 
-The module provides the level-by-level recursion, an independent per-step
-Chen-product oracle, pathwise quadratic variation along the grid, time and
-bracket augmentation of a path, signature increments via the group inverse,
-a grid p-variation diagnostic, and design-matrix helpers for regression on
-signature coordinates.
+The module provides one batched level step of the recursion (behind both
+the running trajectory of one path and the end points of a batch), an
+independent per-step Chen-product oracle, the cumulative pathwise (Follmer)
+bracket columns of a path batch and the quadratic-variation matrix built on
+them, time and bracket augmentation of a path, signature increments via the
+group inverse, and design-matrix helpers for regression on signature
+coordinates.
 
-Accumulation note: cumulative sums for the signature levels and the
-quadratic variation run in extended precision (``np.longdouble``) and are
-cast back to float64, so the exact on-grid identities hold to near machine
-precision even on long grids.
+Accumulation note: every cumulative sum in the package -- signature levels,
+brackets, simulator drivers and realized statistics -- goes through
+:func:`cumsum0`, which accumulates in extended precision and casts back to
+float64, so the exact on-grid identities hold to near machine precision even
+on long grids.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .tensor import (
     Word,
     concat,
     enumerate_words,
-    graded_lex_key,
     group_inverse,
     word_str,
 )
@@ -39,12 +40,14 @@ __all__ = [
     "SamplePath",
     "BracketMatrix",
     "SigTrajectory",
+    "cumsum0",
+    "bracket_pairs",
+    "bracket_columns",
     "quadratic_variation",
     "augment_path",
     "gamma_signature",
     "gamma_signature_chen",
     "sig_increment",
-    "grid_p_variation",
     "feature_matrix",
     "functional_matrix",
     "endpoint_signature_batch",
@@ -54,12 +57,17 @@ __all__ = [
 ]
 
 
-def _cumsum0(increments: np.ndarray) -> np.ndarray:
-    """Cumulative sum along axis 0 with a leading zero row, accumulated in
-    extended precision and cast back to float64."""
-    total = np.cumsum(increments, axis=0, dtype=np.longdouble).astype(np.float64)
-    zero = np.zeros((1,) + increments.shape[1:], dtype=np.float64)
-    return np.concatenate([zero, total], axis=0)
+def cumsum0(increments: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Cumulative sum along ``axis`` with a leading zero, accumulated in
+    extended precision and cast back to float64.
+
+    The one accumulation primitive of the package: the last entry along
+    ``axis`` is the sequential sum of all increments.
+    """
+    total = np.cumsum(increments, axis=axis, dtype=np.longdouble).astype(np.float64)
+    shape = list(total.shape)
+    shape[axis] = 1
+    return np.concatenate([np.zeros(shape), total], axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +158,30 @@ class BracketMatrix:
         return self.qv[-1]
 
 
+def bracket_pairs(d: int) -> list[tuple[int, int]]:
+    """0-based index pairs (i, j), i <= j, in the bracket column order
+    (1,1),(1,2),..,(d,d)."""
+    return [(i, j) for i in range(d) for j in range(i, d)]
+
+
+def bracket_columns(values: np.ndarray) -> np.ndarray:
+    """Cumulative Follmer sums sum_k dX^i_k dX^j_k of a batch of paths.
+
+    ``values`` has shape (B, n+1, d); returns (B, n+1, d(d+1)/2) with columns
+    in the bracket order (1,1),(1,2),..,(d,d) and a zero first row.  Each
+    pair is accumulated on its own, so no d-column extended-precision
+    temporary is formed.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    B, n_plus_1, d = values.shape
+    dX = np.diff(values, axis=1)
+    pairs = bracket_pairs(d)
+    out = np.empty((B, n_plus_1, len(pairs)))
+    for p, (i, j) in enumerate(pairs):
+        out[:, :, p] = cumsum0(dX[:, :, i] * dX[:, :, j], axis=1)
+    return out
+
+
 def quadratic_variation(path: SamplePath, gamma: float) -> BracketMatrix:
     """Pathwise bracket [X^i, X^j] = (1 - 2*gamma) * sum_k dX^i_k dX^j_k,
     cumulatively on the path's own grid.
@@ -158,10 +190,13 @@ def quadratic_variation(path: SamplePath, gamma: float) -> BracketMatrix:
     0.0 in floating point).
     """
     _check_gamma(gamma)
-    dX = path.increments()
-    outer = dX[:, :, None] * dX[:, None, :]
-    qv = (1.0 - 2.0 * gamma) * _cumsum0(outer)
-    return BracketMatrix(times=path.times, qv=qv, gamma=float(gamma))
+    cols = bracket_columns(path.values[None])[0]
+    d = path.dim
+    qv = np.empty((len(path.times), d, d))
+    for p, (i, j) in enumerate(bracket_pairs(d)):
+        qv[:, i, j] = qv[:, j, i] = cols[:, p]
+    return BracketMatrix(times=path.times, qv=(1.0 - 2.0 * gamma) * qv,
+                         gamma=float(gamma))
 
 
 def augment_path(path: SamplePath, gamma: float, include_time: bool,
@@ -186,16 +221,15 @@ def augment_path(path: SamplePath, gamma: float, include_time: bool,
     names.extend(path.names if path.names is not None
                  else tuple(f"x{i}" for i in range(1, d + 1)))
     if include_brackets:
-        if scaled_brackets:
-            qv = quadratic_variation(path, gamma).qv
-        elif gamma == 0.5:
-            qv = np.zeros((len(path.times), d, d))
+        pairs = bracket_pairs(d)
+        if gamma == 0.5 and not scaled_brackets:
+            brackets = np.zeros((len(path.times), len(pairs)))
         else:
-            qv = quadratic_variation(path, 0.0).qv
-        for i in range(d):
-            for j in range(i, d):
-                cols.append(qv[:, i, j][:, None])
-                names.append(f"[{i + 1},{j + 1}]")
+            brackets = bracket_columns(path.values[None])[0]
+            if scaled_brackets:
+                brackets = (1.0 - 2.0 * gamma) * brackets
+        cols.append(brackets)
+        names.extend(f"[{i + 1},{j + 1}]" for i, j in pairs)
     alphabet = Alphabet(d, has_time=include_time, has_brackets=include_brackets)
     return SamplePath(path.times, np.concatenate(cols, axis=1), alphabet,
                       tuple(names), dict(path.meta))
@@ -257,15 +291,32 @@ class SigTrajectory:
     def end(self) -> TensorPoly:
         return self.sig_at(self.n_steps)
 
-    @property
-    def sigs(self) -> tuple[TensorPoly, ...]:
-        """One sparse signature per grid point (intended for small paths)."""
-        return tuple(self.sig_at(k) for k in range(len(self.times)))
-
 
 def _check_gamma(gamma: float) -> None:
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+
+
+def _gamma_points(prev: np.ndarray, gamma: float) -> np.ndarray:
+    """Level-(m-1) integrand read at the gamma-point of each step:
+    (B, n+1, P) -> (B, n, P)."""
+    return prev[:, :-1] + gamma * (prev[:, 1:] - prev[:, :-1])
+
+
+def _level_step(prev: np.ndarray | None, dX: np.ndarray, gamma: float) -> np.ndarray:
+    """Level-m trajectory (B, n+1, L**m) from the level-(m-1) trajectory
+    ``prev`` (B, n+1, L**(m-1)) and the increments ``dX`` (B, n, L).
+
+    ``prev = None`` stands for the constant-unit level 0, whose gamma-points
+    are exactly 1, so level 1 is the running sum of the increments.
+    """
+    if prev is None:
+        return cumsum0(dX, axis=1)
+    B, n, L = dX.shape
+    evals = _gamma_points(prev, gamma)
+    P = prev.shape[2]
+    contrib = (evals[:, :, :, None] * dX[:, :, None, :]).reshape(B, n, P * L)
+    return cumsum0(contrib, axis=1)
 
 
 def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTrajectory:
@@ -284,21 +335,13 @@ def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTraj
     _check_gamma(gamma)
     if trunc_level < 0:
         raise ValueError("trunc_level must be >= 0")
-    n = path.n_steps
-    L = path.dim
-    dX = path.increments()
+    # the batched level step on a batch of one path
+    dX = path.increments()[None]
+    prev = None
     levels: list[np.ndarray] = []
-    prev: np.ndarray | None = None
-    for m in range(1, trunc_level + 1):
-        if m == 1:
-            cur = _cumsum0(dX)
-        else:
-            # evaluation point of the level-(m-1) integrand at step k
-            evals = prev[:-1] + gamma * (prev[1:] - prev[:-1])
-            contrib = (evals[:, :, None] * dX[:, None, :]).reshape(n, L ** m)
-            cur = _cumsum0(contrib)
-        levels.append(cur)
-        prev = cur
+    for _ in range(trunc_level):
+        prev = _level_step(prev, dX, gamma)
+        levels.append(prev[0])
     return SigTrajectory(times=path.times, alphabet=path.alphabet,
                          gamma=float(gamma), trunc_level=trunc_level,
                          levels=tuple(levels))
@@ -355,24 +398,6 @@ def sig_increment(traj: SigTrajectory, k: int, m: int) -> TensorPoly:
     if k > m:
         raise ValueError(f"need k <= m, got k={k}, m={m}")
     return concat(group_inverse(traj.sig_at(k)), traj.sig_at(m))
-
-
-def grid_p_variation(path: SamplePath, p: float) -> float:
-    """Exact p-variation over subpartitions of the sample grid.
-
-    Dynamic programming V(j) = max_{i<j} V(i) + |X_{t_j} - X_{t_i}|^p
-    (Euclidean norm on increments), O(n^2); returns V(n)**(1/p).
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    values = path.values
-    n = path.n_steps
-    V = np.zeros(n + 1)
-    for j in range(1, n + 1):
-        diffs = values[j] - values[:j]
-        norms = np.sqrt(np.sum(diffs * diffs, axis=1))
-        V[j] = np.max(V[:j] + norms ** p)
-    return float(V[n] ** (1.0 / p))
 
 
 def _common_alphabet(trajs: Sequence[SigTrajectory]) -> Alphabet:
@@ -461,36 +486,26 @@ def endpoint_signature_batch(values: np.ndarray, gamma: float,
     """End-point gamma-signature coefficients for a batch of paths.
 
     ``values`` has shape (B, n+1, L).  Returns one array per level m with
-    shape (B, L**m).  Same recursion as :func:`gamma_signature`, vectorized
-    over the batch; trajectories of intermediate levels are materialized,
-    the final level is contracted over time directly.
+    shape (B, L**m).  Levels below the top take the same level step as
+    :func:`gamma_signature` and are materialized along the grid; a top level
+    above 1 is contracted over time directly.
     """
     _check_gamma(gamma)
     if trunc_level < 1:
         raise ValueError("trunc_level must be >= 1")
     values = np.asarray(values, dtype=np.float64)
-    B, n_plus_1, L = values.shape
-    n = n_plus_1 - 1
+    B, _, L = values.shape
     dX = np.diff(values, axis=1)
     ends: list[np.ndarray] = []
-    prev = None  # trajectory of previous level: (B, n+1, L**(m-1))
+    prev = None
     for m in range(1, trunc_level + 1):
-        if m == 1:
-            total = np.cumsum(dX, axis=1, dtype=np.longdouble).astype(np.float64)
-            cur = np.concatenate([np.zeros((B, 1, L)), total], axis=1)
-            ends.append(cur[:, -1, :])
-            prev = cur
-            continue
-        evals = prev[:, :-1] + gamma * (prev[:, 1:] - prev[:, :-1])
-        if m < trunc_level:
-            contrib = (evals[:, :, :, None] * dX[:, :, None, :]).reshape(B, n, L ** m)
-            total = np.cumsum(contrib, axis=1, dtype=np.longdouble).astype(np.float64)
-            cur = np.concatenate([np.zeros((B, 1, total.shape[2])), total], axis=1)
-            ends.append(cur[:, -1, :])
-            prev = cur
+        if m == trunc_level and m > 1:
+            # top level: contracted over time, no trajectory
+            end = np.einsum("bkp,bkl->bpl", _gamma_points(prev, gamma), dX)
+            ends.append(end.reshape(B, L ** m))
         else:
-            end = np.einsum("bkp,bkl->bpl", evals, dX).reshape(B, L ** m)
-            ends.append(end)
+            prev = _level_step(prev, dX, gamma)
+            ends.append(prev[:, -1, :])
     return ends
 
 

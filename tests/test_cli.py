@@ -114,6 +114,38 @@ def test_invalid_field_value(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_calibration_grid_too_coarse_for_test_grid(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "heston-calib",
+        "grid": {"n": 1},
+    })
+    assert main(["calibrate", "--config", cfg]) == 2
+    assert "grid n >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,experiment", [
+    ("calibrate", "cantor-calib"),
+    ("price", "cantor2-pricing"),
+])
+def test_cantor_grid_beyond_unit_interval(tmp_path, capsys, command, experiment):
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment,
+        "grid": {"T": 2.0, "n": 40},
+    })
+    assert main([command, "--config", cfg]) == 2
+    assert "grid T <= 1" in capsys.readouterr().err
+
+
+def test_pricing_needs_two_monte_carlo_paths(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "heston2-pricing",
+        "grid": {"n": 20},
+        "samples": {"N_train": 50, "N_test": 20, "N_MC": 1},
+    })
+    assert main(["price", "--config", cfg]) == 2
+    assert "N_MC >= 2" in capsys.readouterr().err
+
+
 def test_no_arguments_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

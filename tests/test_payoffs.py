@@ -5,7 +5,6 @@ cross-checks against the quadratic-variation module.
 """
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -21,10 +20,9 @@ from gammasig import (
     quadratic_variation,
     realized_stats,
     realized_stats_batch,
-    resolve_strikes,
     statistic_key,
-    write_payoff_csv,
 )
+from gammasig.signature import bracket_columns
 from conftest import make_random_path
 
 
@@ -85,6 +83,12 @@ def test_rvar_bitwise_equals_quadratic_variation(rng):
     assert rvar1 == qv_end[0, 0]
     assert rvar2 == qv_end[1, 1]
     assert cov == qv_end[0, 1]
+    batch = realized_stats_batch(p.values[None])
+    assert batch["RVar_1"][0] == rvar1
+    assert batch["RVar_2"][0] == rvar2
+    assert batch["Cov_12"][0] == cov
+    # bracket columns in the order (1,1), (1,2), (2,2)
+    assert list(bracket_columns(p.values[None])[0, -1]) == [rvar1, cov, rvar2]
 
 
 def test_realized_stats_degenerate_and_bad_column(rng):
@@ -122,57 +126,6 @@ def test_realized_stats_batch_nan_for_degenerate():
     assert np.isfinite(batch["Corr_12"][0])
     assert np.isnan(batch["Corr_12"][1])
     assert batch["RVar_1"][1] == 0.0
-
-
-# ---------------------------------------------------------------------------
-# Strike resolution
-# ---------------------------------------------------------------------------
-
-
-def one_col_path(increments) -> SamplePath:
-    vals = np.concatenate([[0.0], np.cumsum(increments)])
-    return SamplePath(np.arange(len(vals), dtype=float), vals, Alphabet(1))
-
-
-def test_resolve_strikes_means():
-    p1 = one_col_path([math.sqrt(0.02)])
-    p2 = one_col_path([math.sqrt(0.04)])
-    strikes = resolve_strikes([p1, p2])
-    assert strikes["RVar_1"] == pytest.approx(0.03, rel=1e-12)
-    assert strikes["RV_1"] == pytest.approx(
-        (math.sqrt(0.02) + math.sqrt(0.04)) / 2, rel=1e-12)
-
-
-def test_resolve_strikes_pair_keys_and_identical_swap(rng):
-    col = np.cumsum(rng.normal(size=10) * 0.1)
-    col[0] = 0.0
-    p = two_col_path(col, col)
-    strikes = resolve_strikes([p])
-    assert set(strikes) == {"RVar_1", "RV_1", "RVar_2", "RV_2",
-                            "Cov_12", "Corr_12"}
-    assert strikes["Corr_12"] == pytest.approx(1.0, abs=1e-14)
-    spec = PayoffSpec("CorrSwap", (1, 2),
-                      strikes[statistic_key("CorrSwap", (1, 2))])
-    assert evaluate(spec, p) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_resolve_strikes_skips_degenerate_corr(rng):
-    col = np.cumsum(rng.normal(size=8) * 0.1)
-    col[0] = 0.0
-    good = two_col_path(col, col * 2.0)
-    degen = two_col_path(col, np.zeros(8))
-    corr_good = realized_stats(good, 1, 2)[3]
-    strikes = resolve_strikes([good, degen])
-    assert strikes["Corr_12"] == pytest.approx(corr_good, rel=1e-12)
-
-
-def test_resolve_strikes_input_validation(rng):
-    with pytest.raises(ValueError):
-        resolve_strikes([])
-    timed = augment_path(make_random_path(rng, 5, 1), 0.0,
-                         include_time=True, include_brackets=False)
-    with pytest.raises(ValueError, match="log-price"):
-        resolve_strikes([timed])
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +194,3 @@ def test_payoff_spec_labels_and_calls():
     assert statistic_key("RVswap", (2,)) == "RVar_2"
     assert statistic_key("CovSwap", (1, 2)) == "Cov_12"
     assert statistic_key("CorrCall", (1, 2)) == "Corr_12"
-
-
-def test_write_payoff_csv(tmp_path):
-    rows = [(0, "RVswap_1", 0.25), (1, "CovCall_12", -0.5)]
-    buf = io.StringIO()
-    write_payoff_csv(rows, buf, header_comment="run=a")
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "# run=a"
-    assert lines[1] == "path_id,payoff_kind,value"
-    assert lines[2] == "0,RVswap_1,0.25"
-    assert lines[3] == "1,CovCall_12,-0.5"
-    target = tmp_path / "payoffs.csv"
-    write_payoff_csv(rows, str(target))
-    assert target.read_text().startswith("path_id,payoff_kind,value\n")

@@ -25,7 +25,6 @@ from gammasig import (
     functional_matrix,
     gamma_signature,
     gamma_signature_chen,
-    grid_p_variation,
     pair,
     quadratic_variation,
     read_path_csv,
@@ -314,35 +313,6 @@ def test_chen_multiplicativity_every_split(rng):
 
 
 # ---------------------------------------------------------------------------
-# p-variation
-# ---------------------------------------------------------------------------
-
-
-def test_grid_p_variation_examples():
-    mono = SamplePath([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.6, 2.0], Alphabet(1))
-    assert grid_p_variation(mono, 1.0) == pytest.approx(2.0)
-    swing = SamplePath([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], Alphabet(1))
-    assert grid_p_variation(swing, 2.0) == pytest.approx(math.sqrt(2.0))
-    with pytest.raises(ValueError):
-        grid_p_variation(swing, 0.5)
-
-
-def test_grid_p_variation_matches_exhaustive_subsets(rng):
-    p = make_random_path(rng, 11, 1)
-    pv = grid_p_variation(p, 2.5)
-    x = p.values[:, 0]
-    best = 0.0
-    interior = range(1, 11)
-    for r in range(0, 11):
-        for subset in itertools.combinations(interior, r):
-            pts = [0, *subset, 11]
-            total = sum(abs(x[b] - a_) ** 2.5
-                        for a_, b in zip(x[pts[:-1]], pts[1:]))
-            best = max(best, total)
-    assert pv == pytest.approx(best ** (1 / 2.5), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # Feature matrices
 # ---------------------------------------------------------------------------
 
@@ -404,6 +374,22 @@ def test_endpoint_batch_matches_per_path(rng):
                 ref = traj.levels[m][-1]
                 scale = max(1.0, np.abs(ref).max())
                 assert np.abs(ends[m][b] - ref).max() <= 1e-10 * scale
+
+
+def test_endpoint_batch_lower_levels_bitwise_equal_per_path(rng):
+    # levels below the top take the same level step as gamma_signature, so
+    # they agree bit for bit; only the top level is contracted differently
+    B, n, L = 4, 15, 2
+    values = np.cumsum(rng.normal(size=(B, n + 1, L)), axis=1)
+    times = np.arange(n + 1, dtype=float)
+    for N in (2, 3, 4):
+        for gamma in (0.0, 0.25, 0.5, 1.0):
+            ends = endpoint_signature_batch(values, gamma, N)
+            for b in range(B):
+                traj = gamma_signature(SamplePath(times, values[b], Alphabet(L)),
+                                       gamma, N - 1)
+                for m in range(N - 1):
+                    assert np.array_equal(ends[m][b], traj.levels[m][-1])
 
 
 # ---------------------------------------------------------------------------
