@@ -44,7 +44,6 @@ from .tensor import (
     word_str,
 )
 from .signature import (
-    BracketMatrix,
     SamplePath,
     SigTrajectory,
     augment_path,
@@ -79,6 +78,7 @@ from .payoffs import (
     PAYOFF_KINDS,
     PayoffSpec,
     evaluate,
+    payoff_values,
     realized_stats,
     realized_stats_batch,
     statistic_key,
@@ -111,7 +111,6 @@ __all__ = [
     "shuffle",
     "word_str",
     # signature
-    "BracketMatrix",
     "SamplePath",
     "SigTrajectory",
     "augment_path",
@@ -149,6 +148,7 @@ __all__ = [
     "PAYOFF_KINDS",
     "PayoffSpec",
     "evaluate",
+    "payoff_values",
     "realized_stats",
     "realized_stats_batch",
     "statistic_key",

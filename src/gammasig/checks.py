@@ -231,7 +231,7 @@ def _signature_gamma1_symmetry(fault: str | None) -> CheckResult:
         path = _random_path(rng, 25, 2)
         back = gamma_signature(path, 1.0, 2).levels[1]
         ito = gamma_signature(path, 0.0, 2).levels[1]
-        qv = signature.quadratic_variation(path, 0.0).qv.reshape(len(path.times), -1)
+        qv = signature.quadratic_variation(path, 0.0).reshape(len(path.times), -1)
         scale = max(1.0, float(np.max(np.abs(back))))
         worst = max(worst, float(np.max(np.abs(back - (ito + qv)))) / scale)
     ok = worst <= 1e-12
@@ -303,20 +303,22 @@ def _models_determinism(fault: str | None) -> CheckResult:
     if not np.array_equal(a.values, b.values):
         return False, "repeated Heston call not bit-identical"
     batch = models.simulate_heston_batch(heston, grid, [5, 3, 9])
-    if not np.array_equal(batch[1].values, a.values):
+    if not all(np.array_equal(batch[name][1], a.by_name(name)) for name in a.names):
         return False, "batched path differs from single-path call"
     cantor = CantorParams(s0=(0.0,), vol_kind="tanh")
     c1 = models.simulate_cantor_sde(cantor, grid, 7)
-    c2 = models.simulate_cantor_sde_batch(cantor, grid, [8, 7])[1]
-    if not np.array_equal(c1.values, c2.values):
+    c2 = models.simulate_cantor_sde_batch(cantor, grid, [8, 7])
+    if not (np.array_equal(c2["S"][1, :, 0], c1.by_name("S"))
+            and np.array_equal(c2["W_C"][1, :, 0], c1.by_name("W_C"))
+            and np.array_equal(c2["C"], c1.by_name("C"))):
         return False, "Cantor path depends on batch composition"
     h2 = Heston2Params.build(
         HestonParams(100.0, 0.04, 0.0, 2.0, 0.04, 0.5, -0.6),
         HestonParams(80.0, 0.09, 0.0, 1.8, 0.09, 0.6, -0.5),
         corr_b1b2=0.3, corr_w1w2=0.5, corr_b1w1=-0.6, corr_b2w2=-0.5)
     p1 = models.simulate_heston2(h2, grid, 2)
-    p2 = models.simulate_heston2_batch(h2, grid, [0, 2])[1]
-    if not np.array_equal(p1.values, p2.values):
+    p2 = models.simulate_heston2_batch(h2, grid, [0, 2])
+    if not all(np.array_equal(p2[name][1], p1.by_name(name)) for name in p1.names):
         return False, "two-asset Heston path depends on batch composition"
     return True, "per-path streams: repeat/batch/order all bit-identical"
 
@@ -325,9 +327,9 @@ def _models_heston_positivity(fault: str | None) -> CheckResult:
     grid = SimGrid(1.0, 500, 11)
     for sigma in (0.25, 1.5):
         params = HestonParams(1.0, 0.04, 0.0, 0.5, 0.15, sigma, -0.5)
-        for path in models.simulate_heston_batch(params, grid, range(50)):
-            if float(np.min(path.by_name("V"))) < 0.0:
-                return False, f"stored variance dipped below 0 at sigma={sigma}"
+        V = models.simulate_heston_batch(params, grid, range(50))["V"]
+        if float(np.min(V)) < 0.0:
+            return False, f"stored variance dipped below 0 at sigma={sigma}"
     return True, "100 paths x 500 steps, sigma up to 1.5: stored V >= 0 throughout"
 
 
@@ -488,10 +490,10 @@ def _payoffs_corr_bound(fault: str | None) -> CheckResult:
 def _payoffs_rvar_qv(fault: str | None) -> CheckResult:
     rng = np.random.default_rng(333)
     for path in _payoff_paths(rng, 50):
-        qv = signature.quadratic_variation(path, 0.0)
+        qv_end = signature.quadratic_variation(path, 0.0)[-1]
         for i in (1, 2):
             rvar = payoffs.realized_stats(path, i, 3 - i)[0]
-            if rvar != qv.final[i - 1, i - 1]:
+            if rvar != qv_end[i - 1, i - 1]:
                 return False, f"RVar_{i} != left-point QV end value"
     return True, "50 paths: RVar equals the left-point Follmer QV end value exactly"
 

@@ -10,7 +10,8 @@ Subcommands::
 Config files are JSON.  For ``calibrate``/``price``/``check`` the file is
 merged over the named experiment's reference configuration, so a minimal
 file like ``{"experiment": "heston-calib"}`` runs the full default setup and
-any present key overrides it.  ``--seed`` overrides ``master_seed`` and
+any present key overrides it.  A key the reference configuration does not
+have is a configuration error.  ``--seed`` overrides ``master_seed`` and
 ``--out`` the output directory.
 
 ``sigdump`` reads a sampled path (CSV columns ``t,x1,..,xd``), optionally
@@ -66,6 +67,18 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _unknown_keys(data: dict, base: dict, prefix: str = "") -> list[str]:
+    """Dotted paths of the keys in ``data`` that ``base`` does not have; a
+    key whose default is not a dict accepts any value."""
+    unknown = []
+    for key, value in data.items():
+        if key not in base:
+            unknown.append(prefix + key)
+        elif isinstance(base[key], dict) and isinstance(value, dict):
+            unknown += _unknown_keys(value, base[key], f"{prefix}{key}.")
+    return unknown
+
+
 def _experiment_config(args, fallback_experiment: str | None = None) -> ExperimentConfig:
     """Config file merged over the experiment's reference defaults."""
     data: dict = {}
@@ -80,6 +93,10 @@ def _experiment_config(args, fallback_experiment: str | None = None) -> Experime
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {EXPERIMENT_IDS}")
     base = default_config(experiment).to_json_dict()
+    unknown = _unknown_keys(data, base)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) for {experiment!r}: "
+                          f"{', '.join(unknown)}")
     merged = _deep_merge(base, data)
     try:
         config = ExperimentConfig.from_json_dict(merged)

@@ -27,28 +27,26 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import models
 from .models import (
     CantorParams,
     Heston2Params,
     HestonParams,
     SimGrid,
-    cantor_function,
     simulate_cantor_sde_batch,
+    simulate_heston2_batch,
     simulate_heston_batch,
 )
-from .payoffs import PAYOFF_KINDS, PayoffSpec, realized_stats_batch, statistic_key
-from .regress import RegressionFit, lasso_fit, mse, predict, ridge_fit
+from .payoffs import PayoffSpec, payoff_values, realized_stats_batch, statistic_key
+from .regress import lasso_fit, mse, predict, ridge_fit
 from .signature import (
     SamplePath,
-    SigTrajectory,
     augment_path,
     bracket_columns,
     endpoint_signature_batch,
     functional_matrix,
     gamma_signature,
 )
-from .tensor import Alphabet, TensorPoly, Word, enumerate_words, word_str
+from .tensor import Alphabet, TensorPoly, Word, enumerate_words
 
 __all__ = [
     "ExperimentConfig",
@@ -243,20 +241,26 @@ def default_config(experiment: str, master_seed: int = 0, **overrides) -> Experi
 # Calibration
 # ---------------------------------------------------------------------------
 
+#: Simulated calibration columns: name -> (B, n+1) array, or (n+1,) for a
+#: column shared by every path (the Cantor clock "C").
+_Columns = dict[str, np.ndarray]
+
+
 @dataclass(frozen=True)
 class _SchemePlan:
-    """How one scheme turns a simulated path into regression features."""
+    """How one scheme turns row b of the simulated columns into regression
+    features: ``driver(times, columns, b)`` builds the path whose signature
+    is paired with the functionals."""
 
     gamma: float
     sig_level: int
-    driver: Callable[[SamplePath], SamplePath]
+    driver: Callable[[np.ndarray, _Columns, int], SamplePath]
     functionals: tuple[TensorPoly, ...]
     labels: tuple[Word, ...]
 
 
-def _heston_driver(path: SamplePath) -> SamplePath:
-    base = SamplePath(path.times,
-                      np.column_stack([path.by_name("W_Q"), path.by_name("B_Q")]),
+def _heston_driver(times: np.ndarray, cols: _Columns, b: int) -> SamplePath:
+    base = SamplePath(times, np.column_stack([cols["W_Q"][b], cols["B_Q"][b]]),
                       Alphabet(2), ("W_Q", "B_Q"))
     return augment_path(base, 0.0, include_time=True, include_brackets=False)
 
@@ -300,19 +304,18 @@ def _calibration_plans(config: ExperimentConfig) -> dict[str, _SchemePlan]:
         strat_labels = enumerate_words(strat_alphabet, N)
         strat_fn = tuple(TensorPoly.basis(strat_alphabet, N, w) for w in strat_labels)
 
-        def strat_driver(path: SamplePath) -> SamplePath:
-            base = SamplePath(path.times, path.by_name("W_C"), Alphabet(1), ("W_C",))
+        def strat_driver(times: np.ndarray, cols: _Columns, b: int) -> SamplePath:
+            base = SamplePath(times, cols["W_C"][b], Alphabet(1), ("W_C",))
             return augment_path(base, 0.5, include_time=True, include_brackets=False)
 
         ito_alphabet = Alphabet(1, has_time=True, has_brackets=True)
         ito_labels = enumerate_words(Alphabet(1, has_time=True, has_brackets=True), N - 1)
         ito_fn = tuple(TensorPoly.basis(ito_alphabet, N, I + (1,)) for I in ito_labels)
 
-        def ito_driver(path: SamplePath) -> SamplePath:
+        def ito_driver(times: np.ndarray, cols: _Columns, b: int) -> SamplePath:
             # bracket column is the exact clock C(t): [W_C]_t = C(t)
-            values = np.column_stack([path.times, path.by_name("W_C"),
-                                      path.by_name("C")])
-            return SamplePath(path.times, values, ito_alphabet, ("t", "W_C", "C"))
+            values = np.column_stack([times, cols["W_C"][b], cols["C"]])
+            return SamplePath(times, values, ito_alphabet, ("t", "W_C", "C"))
 
         return {
             "strat": _SchemePlan(0.5, N, strat_driver, strat_fn, strat_labels),
@@ -321,15 +324,17 @@ def _calibration_plans(config: ExperimentConfig) -> dict[str, _SchemePlan]:
     raise ValueError(f"{config.experiment!r} is not a calibration experiment")
 
 
-def _simulate_calibration_paths(config: ExperimentConfig, grid: SimGrid,
-                                indices: Sequence[int]) -> list[SamplePath]:
+def _simulate_calibration_columns(config: ExperimentConfig, grid: SimGrid,
+                                  indices: Sequence[int]) -> _Columns:
     if config.experiment == "heston-calib":
         return simulate_heston_batch(config.model, grid, indices)
-    return simulate_cantor_sde_batch(config.model, grid, indices, n_assets=1)
+    res = simulate_cantor_sde_batch(config.model, grid, indices, n_assets=1)
+    return {"S": res["S"][:, :, 0], "W_C": res["W_C"][:, :, 0], "C": res["C"]}
 
 
-def _scheme_features(plan: _SchemePlan, path: SamplePath) -> np.ndarray:
-    traj = gamma_signature(plan.driver(path), plan.gamma, plan.sig_level)
+def _scheme_features(plan: _SchemePlan, times: np.ndarray, cols: _Columns,
+                     b: int) -> np.ndarray:
+    traj = gamma_signature(plan.driver(times, cols, b), plan.gamma, plan.sig_level)
     return functional_matrix([traj], plan.functionals, at_end=False)
 
 
@@ -340,15 +345,15 @@ def run_calibration(config: ExperimentConfig) -> dict:
     if config.experiment not in CALIBRATION_IDS:
         raise ValueError(f"{config.experiment!r} is not a calibration experiment")
     plans = _calibration_plans(config)
-    target_name = "S"
     s0 = (config.model.s0 if config.experiment == "heston-calib"
           else config.model.s0[0])
 
-    train_path = _simulate_calibration_paths(config, config.grid(), [0])[0]
-    y_train = train_path.by_name(target_name)
+    train_grid = config.grid()
+    train = _simulate_calibration_columns(config, train_grid, [0])
+    y_train = train["S"][0]
 
     test_grid = config.test_grid()
-    test_paths = _simulate_calibration_paths(
+    test = _simulate_calibration_columns(
         config, test_grid, range(1, config.n_test + 1))
 
     report: dict = {
@@ -360,18 +365,18 @@ def run_calibration(config: ExperimentConfig) -> dict:
     trajectory: dict[str, list[float]] = {}
     for scheme in SCHEMES:
         plan = plans[scheme]
-        X_train = _scheme_features(plan, train_path)
+        X_train = _scheme_features(plan, train_grid.times, train, 0)
         fit = lasso_fit(X_train, y_train, config.alpha, words=plan.labels,
                         intercept=s0)
         in_mse = mse(predict(fit, X_train), y_train)
         out_mses = []
-        for i, path in enumerate(test_paths):
-            X_test = _scheme_features(plan, path)
-            y_test = path.by_name(target_name)
+        for i in range(config.n_test):
+            X_test = _scheme_features(plan, test_grid.times, test, i)
+            y_test = test["S"][i]
             pred = predict(fit, X_test)
             out_mses.append(mse(pred, y_test))
             if i == 0:
-                trajectory.setdefault("t", list(path.times))
+                trajectory.setdefault("t", list(test_grid.times))
                 trajectory.setdefault("target", [float(v) for v in y_test])
                 trajectory[f"pred_{scheme}"] = [float(v) for v in pred]
         report["schemes"][scheme] = {
@@ -407,14 +412,11 @@ def _pricing_log_paths(config: ExperimentConfig, indices: Sequence[int]) \
     """Simulate a chunk and return (x, ok): shifted log-prices (B, n+1, 2)
     and a row mask of paths with strictly positive prices."""
     grid = config.grid()
-    z_width = 4 if config.experiment == "heston2-pricing" else 2
-    z = models._stack_draws(grid, indices, z_width)
     if config.experiment == "heston2-pricing":
-        res = models._heston2_euler(config.model, grid, z)
+        res = simulate_heston2_batch(config.model, grid, indices)
         S = np.stack([res["S1"], res["S2"]], axis=2)
     else:
-        res = models._cantor_euler(config.model, grid, z, n_assets=2)
-        S = res["S"]
+        S = simulate_cantor_sde_batch(config.model, grid, indices, n_assets=2)["S"]
     ok = np.all(S > 0.0, axis=(1, 2))
     safe = np.where(S > 0.0, S, 1.0)
     x = np.log(safe) - np.log(safe[:, :1, :])
@@ -444,7 +446,6 @@ def run_pricing(config: ExperimentConfig) -> dict:
     total = config.n_train + config.n_test + config.n_mc
     times = config.grid().times
 
-    n_feats = {}
     feats: dict[tuple[str, str], np.ndarray] = {}
     for family in _PRICING_FAMILIES:
         d = len(family)
@@ -452,7 +453,6 @@ def run_pricing(config: ExperimentConfig) -> dict:
             L = 1 + d + (d * (d + 1) // 2 if scheme == "ito" else 0)
             width = (L ** (N + 1) - 1) // (L - 1)
             feats[(family, scheme)] = np.empty((total, width))
-            n_feats[(family, scheme)] = width
     stats: dict[str, np.ndarray] = {}
     ok_all = np.empty(total, dtype=bool)
 
@@ -514,10 +514,7 @@ def run_pricing(config: ExperimentConfig) -> dict:
         family = "".join(str(a) for a in assets)
         strike = strikes[statistic_key(kind, assets)]
         spec = PayoffSpec(kind, assets, strike)
-        stat = stats[statistic_key(kind, assets)]
-        values = stat - strike
-        if spec.is_call:
-            values = np.maximum(values, 0.0)
+        values = payoff_values(spec, stats[statistic_key(kind, assets)])
         y_mc = values[cohorts["mc"]]
         mc_price = float(np.mean(y_mc))
         stderr = float(np.std(y_mc, ddof=1) / math.sqrt(len(y_mc)))

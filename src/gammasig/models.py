@@ -4,9 +4,11 @@ correlated Gaussian draws, and the Cantor function.
 Reproducibility model: every path gets its own counter-based RNG stream,
 ``numpy.random.Philox`` keyed by ``(master_seed, path_index)``.  A path is a
 pure function of (params, grid, path_index, master_seed), independent of how
-many paths are drawn together or in what order; the batched simulators below
-apply identical elementwise arithmetic and are bit-identical to the
-single-path API.
+many paths are drawn together or in what order.
+
+The batched simulators return the arrays of their Euler kernel, one row per
+path.  The per-path simulators run the same kernel on a batch of one and
+wrap row 0 in a :class:`SamplePath`, so both are bit-identical.
 """
 from __future__ import annotations
 
@@ -351,19 +353,20 @@ def _heston_euler(params: HestonParams, grid: SimGrid,
 _HESTON_NAMES = ("S", "V", "W", "B", "W_Q", "B_Q")
 
 
+def _first_path(grid: SimGrid, names: tuple[str, ...], columns: Sequence[np.ndarray],
+                meta: dict | None = None) -> SamplePath:
+    """The per-path API's :class:`SamplePath`: batch row 0 of a simulator's
+    arrays, one column per name."""
+    return SamplePath(grid.times, np.column_stack(columns), Alphabet(len(names)),
+                      names, meta or {})
+
+
 def simulate_heston_batch(params: HestonParams, grid: SimGrid,
-                          path_indices: Sequence[int]) -> list[SamplePath]:
-    """Batched :func:`simulate_heston`; bit-identical to per-path calls."""
-    z = _stack_draws(grid, path_indices, 2)
-    res = _heston_euler(params, grid, z)
-    times = grid.times
-    alphabet = Alphabet(len(_HESTON_NAMES))
-    out = []
-    for b in range(len(path_indices)):
-        values = np.column_stack([res[name][b] for name in _HESTON_NAMES])
-        out.append(SamplePath(times, values, alphabet, _HESTON_NAMES,
-                              {"degenerate_steps": int(res["degenerate_steps"][b])}))
-    return out
+                          path_indices: Sequence[int]) -> dict[str, np.ndarray]:
+    """Batched :func:`simulate_heston` as arrays: "S", "V", "W", "B", "W_Q",
+    "B_Q" of shape (B, n+1) and "degenerate_steps" of shape (B,); row b is
+    bit-identical to a per-path call with ``path_indices[b]``."""
+    return _heston_euler(params, grid, _stack_draws(grid, path_indices, 2))
 
 
 def simulate_heston(params: HestonParams, grid: SimGrid, path_index: int) -> SamplePath:
@@ -375,7 +378,9 @@ def simulate_heston(params: HestonParams, grid: SimGrid, path_index: int) -> Sam
     (sqrt(V) <= 1e-12) skipped, carried forward, and counted in
     ``meta["degenerate_steps"]``.
     """
-    return simulate_heston_batch(params, grid, [path_index])[0]
+    res = simulate_heston_batch(params, grid, [path_index])
+    return _first_path(grid, _HESTON_NAMES, [res[name][0] for name in _HESTON_NAMES],
+                       {"degenerate_steps": int(res["degenerate_steps"][0])})
 
 
 def _heston2_euler(params: Heston2Params, grid: SimGrid,
@@ -409,20 +414,16 @@ _HESTON2_NAMES = ("S1", "S2", "V1", "V2")
 
 
 def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
-                           path_indices: Sequence[int]) -> list[SamplePath]:
-    z = _stack_draws(grid, path_indices, 4)
-    res = _heston2_euler(params, grid, z)
-    times = grid.times
-    alphabet = Alphabet(len(_HESTON2_NAMES))
-    return [SamplePath(times,
-                       np.column_stack([res[name][b] for name in _HESTON2_NAMES]),
-                       alphabet, _HESTON2_NAMES)
-            for b in range(len(path_indices))]
+                           path_indices: Sequence[int]) -> dict[str, np.ndarray]:
+    """Batched :func:`simulate_heston2` as arrays: "S1", "S2", "V1", "V2" of
+    shape (B, n+1), row b bit-identical to a per-path call."""
+    return _heston2_euler(params, grid, _stack_draws(grid, path_indices, 4))
 
 
 def simulate_heston2(params: Heston2Params, grid: SimGrid, path_index: int) -> SamplePath:
     """One two-asset Heston path with columns (S1, S2, V1, V2)."""
-    return simulate_heston2_batch(params, grid, [path_index])[0]
+    res = simulate_heston2_batch(params, grid, [path_index])
+    return _first_path(grid, _HESTON2_NAMES, [res[name][0] for name in _HESTON2_NAMES])
 
 
 # ---------------------------------------------------------------------------
@@ -455,26 +456,16 @@ def _cantor_euler(params: CantorParams, grid: SimGrid, z: np.ndarray,
 
 def simulate_cantor_sde_batch(params: CantorParams, grid: SimGrid,
                               path_indices: Sequence[int],
-                              n_assets: int = 1) -> list[SamplePath]:
+                              n_assets: int = 1) -> dict[str, np.ndarray]:
+    """Batched :func:`simulate_cantor_sde` as arrays: "S" and "W_C" of shape
+    (B, n+1, n_assets) and the shared clock "C" of shape (n+1,); row b is
+    bit-identical to a per-path call."""
     if n_assets not in (1, 2):
         raise ValueError("n_assets must be 1 or 2")
     if len(params.s0) != n_assets:
         raise ValueError(f"params carry {len(params.s0)} assets, requested {n_assets}")
-    z = _stack_draws(grid, path_indices, n_assets)
-    res = _cantor_euler(params, grid, z, n_assets)
-    times = grid.times
-    if n_assets == 1:
-        names: tuple[str, ...] = ("S", "W_C", "C")
-    else:
-        names = ("S1", "S2", "W_C1", "W_C2", "C")
-    alphabet = Alphabet(2 * n_assets + 1)
-    out = []
-    for b in range(len(path_indices)):
-        cols = [res["S"][b, :, i] for i in range(n_assets)]
-        cols += [res["W_C"][b, :, i] for i in range(n_assets)]
-        cols.append(res["C"])
-        out.append(SamplePath(times, np.column_stack(cols), alphabet, names))
-    return out
+    return _cantor_euler(params, grid, _stack_draws(grid, path_indices, n_assets),
+                         n_assets)
 
 
 def simulate_cantor_sde(params: CantorParams, grid: SimGrid, path_index: int,
@@ -487,4 +478,11 @@ def simulate_cantor_sde(params: CantorParams, grid: SimGrid, path_index: int,
     N(0, dC), correlated across assets by rho; prices follow the Euler step
     S_{k+1} = S_k + sigma(S_k) * dW_C.
     """
-    return simulate_cantor_sde_batch(params, grid, [path_index], n_assets)[0]
+    res = simulate_cantor_sde_batch(params, grid, [path_index], n_assets)
+    if n_assets == 1:
+        names: tuple[str, ...] = ("S", "W_C", "C")
+    else:
+        names = ("S1", "S2", "W_C1", "W_C2", "C")
+    columns = [res["S"][0, :, i] for i in range(n_assets)]
+    columns += [res["W_C"][0, :, i] for i in range(n_assets)]
+    return _first_path(grid, names, columns + [res["C"]])

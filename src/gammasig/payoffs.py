@@ -13,6 +13,11 @@ RVcall settles on RV (volatility); their strikes are resolved separately.
 The sums are the end values of the signature module's Follmer bracket
 columns (the same accumulation primitive), so RVar equals the left-point
 quadratic variation bit for bit.
+
+There is one implementation of each: :func:`realized_stats_batch` for the
+statistics and :func:`payoff_values` for the payoffs, both on batches.  The
+per-path :func:`realized_stats` and :func:`evaluate` run them on a batch of
+one.
 """
 from __future__ import annotations
 
@@ -21,13 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .signature import SamplePath, bracket_columns, bracket_pairs, cumsum0
+from .signature import SamplePath, bracket_columns, bracket_pairs
 
 __all__ = [
     "PAYOFF_KINDS",
     "PayoffSpec",
     "realized_stats",
     "realized_stats_batch",
+    "payoff_values",
     "evaluate",
     "statistic_key",
 ]
@@ -80,34 +86,11 @@ def statistic_key(kind: str, assets: Sequence[int]) -> str:
     return _KIND_STAT[kind] + "_" + "".join(str(a) for a in assets)
 
 
-def _log_increments(path: SamplePath, asset: int) -> np.ndarray:
-    if not path.alphabet.is_base(asset):
-        raise ValueError(f"asset index {asset} is not a base column of the path")
-    return np.diff(path.column(asset))
-
-
-def _sum_products(a: np.ndarray, b: np.ndarray) -> float:
-    """sum_k a_k b_k, accumulated like the signature module's Follmer sums,
-    so RVar matches the left-point quadratic variation end value bit for bit."""
-    return float(cumsum0(a * b)[-1])
-
-
-def realized_stats(path: SamplePath, i: int, j: int) -> tuple[float, float, float, float]:
-    """(RVar_i, RV_i, Cov_ij, Corr_ij) over the path's grid increments.
-
-    Correlation is undefined (domain error) when either realized variance
-    vanishes; identical columns give Corr = 1 up to roundoff.
-    """
-    dxi = _log_increments(path, i)
-    dxj = dxi if j == i else _log_increments(path, j)
-    rvar_i = _sum_products(dxi, dxi)
-    rvar_j = rvar_i if j == i else _sum_products(dxj, dxj)
-    cov = _sum_products(dxi, dxj)
-    if rvar_i == 0.0 or rvar_j == 0.0:
-        raise ValueError(
-            f"correlation undefined: zero realized variance (assets {i}, {j})")
-    corr = cov / np.sqrt(rvar_i * rvar_j)
-    return rvar_i, float(np.sqrt(rvar_i)), cov, float(corr)
+def payoff_values(spec: PayoffSpec, stat: np.ndarray) -> np.ndarray:
+    """Payoff values of a batch of settlement statistics: stat - strike for
+    swaps, its positive part for calls."""
+    values = np.asarray(stat, dtype=np.float64) - spec.strike
+    return np.maximum(values, 0.0) if spec.is_call else values
 
 
 def realized_stats_batch(log_values: np.ndarray) -> dict[str, np.ndarray]:
@@ -139,20 +122,36 @@ def realized_stats_batch(log_values: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
-def _statistic(spec: PayoffSpec, path: SamplePath) -> float:
-    kind = _KIND_STAT[spec.kind]
-    if kind in ("RVar", "RV"):
-        i = spec.assets[0]
-        dx = _log_increments(path, i)
-        rvar = _sum_products(dx, dx)
-        return rvar if kind == "RVar" else float(np.sqrt(rvar))
-    i, j = spec.assets
-    if kind == "Cov":
-        return _sum_products(_log_increments(path, i), _log_increments(path, j))
-    return realized_stats(path, i, j)[3]
+def _path_stats(path: SamplePath, assets: Sequence[int]) -> dict[str, float]:
+    """:func:`realized_stats_batch` on a batch of one: the path's base columns
+    ``assets``, renumbered 1, 2, ... in the keys."""
+    for asset in assets:
+        if not path.alphabet.is_base(asset):
+            raise ValueError(f"asset index {asset} is not a base column of the path")
+    values = np.stack([path.column(asset) for asset in assets], axis=1)[None]
+    return {key: float(arr[0]) for key, arr in realized_stats_batch(values).items()}
+
+
+def _undefined_corr(i: int, j: int) -> ValueError:
+    return ValueError(f"correlation undefined: zero realized variance (assets {i}, {j})")
+
+
+def realized_stats(path: SamplePath, i: int, j: int) -> tuple[float, float, float, float]:
+    """(RVar_i, RV_i, Cov_ij, Corr_ij) over the path's grid increments.
+
+    Correlation is undefined (domain error) when either realized variance
+    vanishes; identical columns give Corr = 1 up to roundoff.
+    """
+    stats = _path_stats(path, (i, j))
+    if np.isnan(stats["Corr_12"]):
+        raise _undefined_corr(i, j)
+    return stats["RVar_1"], stats["RV_1"], stats["Cov_12"], stats["Corr_12"]
 
 
 def evaluate(spec: PayoffSpec, path: SamplePath) -> float:
     """Payoff value: statistic - strike for swaps, its positive part for calls."""
-    value = _statistic(spec, path) - spec.strike
-    return max(value, 0.0) if spec.is_call else value
+    stats = _path_stats(path, spec.assets)
+    stat = stats[statistic_key(spec.kind, range(1, len(spec.assets) + 1))]
+    if _KIND_STAT[spec.kind] == "Corr" and np.isnan(stat):
+        raise _undefined_corr(*spec.assets)
+    return float(payoff_values(spec, stat))

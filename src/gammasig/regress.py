@@ -19,8 +19,7 @@ Two objectives, matching the experiments that use them:
   in closed form via the SPD system (X'X/N + alpha I) l = X'y/N.  No
   column is excluded from the penalty.
 
-Features are not standardized; an optional flag rescales columns internally
-and maps coefficients back.
+Features are used as given: columns are neither centred nor rescaled.
 """
 from __future__ import annotations
 
@@ -116,8 +115,7 @@ def _validate_design(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
               max_iter: int = 100_000, tol: float = 1e-10,
               words: Sequence[Word] | None = None,
-              intercept: float = 0.0,
-              standardize: bool = False) -> RegressionFit:
+              intercept: float = 0.0) -> RegressionFit:
     """Cyclic coordinate descent for the sum-of-squares lasso objective.
 
     Coordinate update: beta_j <- S(x_j . r + ||x_j||^2 beta_j, alpha/2) /
@@ -131,11 +129,6 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     n, p = X.shape
-    scales = np.ones(p)
-    if standardize:
-        scales = np.sqrt((X * X).mean(axis=0))
-        scales[scales == 0.0] = 1.0
-        X = X / scales
     col_sq = np.einsum("ij,ij->j", X, X)
     active = [j for j in range(p) if col_sq[j] > 0.0]
     threshold = 0.5 * alpha
@@ -165,9 +158,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
         if max_delta < tol:
             converged = True
             break
-    beta = np.asarray(beta) / scales
-    if standardize:
-        X = X * scales
+    beta = np.asarray(beta)
     pred = X @ beta + intercept
     fit_words = tuple(tuple(w) for w in words) if words is not None else _default_words(p)
     return RegressionFit(

@@ -38,7 +38,6 @@ from .tensor import (
 
 __all__ = [
     "SamplePath",
-    "BracketMatrix",
     "SigTrajectory",
     "cumsum0",
     "bracket_pairs",
@@ -136,28 +135,6 @@ class SamplePath:
                           self.alphabet, self.names, dict(self.meta))
 
 
-@dataclass(frozen=True, eq=False)
-class BracketMatrix:
-    """Cumulative pathwise quadratic variation along the grid.
-
-    ``qv[k]`` is the symmetric d x d matrix of partial sums up to t_k;
-    ``qv[0] = 0``.  ``gamma`` records the scaling used: the stored values are
-    ``(1 - 2*gamma) * sum of increment products`` (the unscaled Follmer sums
-    correspond to ``gamma = 0``).
-    """
-
-    times: np.ndarray
-    qv: np.ndarray
-    gamma: float
-
-    def at(self, k: int) -> np.ndarray:
-        return self.qv[k]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.qv[-1]
-
-
 def bracket_pairs(d: int) -> list[tuple[int, int]]:
     """0-based index pairs (i, j), i <= j, in the bracket column order
     (1,1),(1,2),..,(d,d)."""
@@ -182,12 +159,14 @@ def bracket_columns(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def quadratic_variation(path: SamplePath, gamma: float) -> BracketMatrix:
+def quadratic_variation(path: SamplePath, gamma: float) -> np.ndarray:
     """Pathwise bracket [X^i, X^j] = (1 - 2*gamma) * sum_k dX^i_k dX^j_k,
     cumulatively on the path's own grid.
 
-    ``gamma = 1/2`` gives the zero matrix exactly (the prefactor is exactly
-    0.0 in floating point).
+    Returns an array of shape (n+1, d, d): entry k is the symmetric matrix
+    of partial sums up to t_k, and entry 0 is zero.  ``gamma = 1/2`` gives
+    the zero matrix exactly (the prefactor is exactly 0.0 in floating
+    point); the unscaled Follmer sums correspond to ``gamma = 0``.
     """
     _check_gamma(gamma)
     cols = bracket_columns(path.values[None])[0]
@@ -195,8 +174,7 @@ def quadratic_variation(path: SamplePath, gamma: float) -> BracketMatrix:
     qv = np.empty((len(path.times), d, d))
     for p, (i, j) in enumerate(bracket_pairs(d)):
         qv[:, i, j] = qv[:, j, i] = cols[:, p]
-    return BracketMatrix(times=path.times, qv=(1.0 - 2.0 * gamma) * qv,
-                         gamma=float(gamma))
+    return (1.0 - 2.0 * gamma) * qv
 
 
 def augment_path(path: SamplePath, gamma: float, include_time: bool,

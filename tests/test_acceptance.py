@@ -224,7 +224,7 @@ def test_criterion_3_exact_grid_identities():
                         worst_chen, err / max(1.0, abs(total.coeff(w))))
 
         # (b) level-2 midpoint minus left-point equals half the bracket
-        qv = quadratic_variation(p, 0.0).qv.reshape(101, 4)
+        qv = quadratic_variation(p, 0.0).reshape(101, 4)
         strat = gamma_signature(p, 0.5, 2)
         ito = gamma_signature(p, 0.0, 2)
         diff = strat.levels[1] - ito.levels[1] - 0.5 * qv
@@ -512,7 +512,7 @@ def test_criterion_9_simulator_statistics():
     for lo in range(0, 100_000, 10_000):
         batch = simulate_cantor_sde_batch(params, grid,
                                           range(lo, lo + 10_000))
-        ends[lo:lo + 10_000] = [p.by_name("W_C")[-1] for p in batch]
+        ends[lo:lo + 10_000] = batch["W_C"][:, -1, 0]
     var_wc = float(np.var(ends))
 
     # (c) empirical bracket of W_C approaches the clock under refinement

@@ -146,6 +146,19 @@ def test_pricing_needs_two_monte_carlo_paths(tmp_path, capsys):
     assert "N_MC >= 2" in capsys.readouterr().err
 
 
+def test_unknown_config_key_names_its_path(tmp_path, capsys):
+    cases = [
+        ({"experiment": "cantor-calib", "sample": {"N_test": 3}}, "sample"),
+        ({"experiment": "cantor-calib", "samples": {"N_tset": 3}}, "samples.N_tset"),
+        ({"experiment": "heston-calib", "model": {"rhoo": -0.5}}, "model.rhoo"),
+    ]
+    for payload, dotted in cases:
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["calibrate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and dotted in err
+
+
 def test_no_arguments_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

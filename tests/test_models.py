@@ -209,9 +209,11 @@ def test_heston_columns_and_determinism():
 def test_heston_batch_matches_single():
     grid = SimGrid(T=1.0, n=10, master_seed=9)
     batch = simulate_heston_batch(HP, grid, [0, 5, 7])
-    for idx, b in zip([0, 5, 7], batch):
+    for b, idx in enumerate([0, 5, 7]):
         single = simulate_heston(HP, grid, idx)
-        assert np.array_equal(b.values, single.values)
+        for name in single.names:
+            assert np.array_equal(batch[name][b], single.by_name(name))
+        assert batch["degenerate_steps"][b] == single.meta["degenerate_steps"]
 
 
 def test_heston_matches_manual_euler():
@@ -284,9 +286,10 @@ def test_heston2_columns_and_determinism():
     assert np.array_equal(p.values,
                           simulate_heston2(heston2_params(), grid, 1).values)
     batch = simulate_heston2_batch(heston2_params(), grid, [1, 4])
-    assert np.array_equal(batch[0].values, p.values)
-    assert np.array_equal(batch[1].values,
-                          simulate_heston2(heston2_params(), grid, 4).values)
+    q = simulate_heston2(heston2_params(), grid, 4)
+    for name in p.names:
+        assert np.array_equal(batch[name][0], p.by_name(name))
+        assert np.array_equal(batch[name][1], q.by_name(name))
 
 
 def test_heston2_uncorrelated_matches_manual_euler():
@@ -355,9 +358,10 @@ def test_cantor_sde_determinism_and_batch():
     p = simulate_cantor_sde(params, grid, 6)
     assert np.array_equal(p.values, simulate_cantor_sde(params, grid, 6).values)
     batch = simulate_cantor_sde_batch(params, grid, [6, 9])
-    assert np.array_equal(batch[0].values, p.values)
-    assert np.array_equal(batch[1].values,
-                          simulate_cantor_sde(params, grid, 9).values)
+    for b, single in enumerate([p, simulate_cantor_sde(params, grid, 9)]):
+        assert np.array_equal(batch["S"][b, :, 0], single.by_name("S"))
+        assert np.array_equal(batch["W_C"][b, :, 0], single.by_name("W_C"))
+        assert np.array_equal(batch["C"], single.by_name("C"))
 
 
 def test_cantor_sde_matches_manual_euler():
@@ -393,7 +397,7 @@ def test_cantor_sde_terminal_driver_variance():
     grid = SimGrid(T=1.0, n=27, master_seed=3)
     batch = simulate_cantor_sde_batch(CantorParams(s0=1.0), grid,
                                       range(2000))
-    ends = np.array([b.by_name("W_C")[-1] for b in batch])
+    ends = batch["W_C"][:, -1, 0]
     assert abs(np.var(ends) - 1.0) < 0.15
     assert abs(np.mean(ends)) < 0.1
 

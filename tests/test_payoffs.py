@@ -76,7 +76,7 @@ def test_realized_stats_matches_plain_loop_oracle(rng):
 
 def test_rvar_bitwise_equals_quadratic_variation(rng):
     p = make_random_path(rng, 35, 2)
-    qv_end = quadratic_variation(p, 0.0).final
+    qv_end = quadratic_variation(p, 0.0)[-1]
     rvar1 = realized_stats(p, 1, 1)[0]
     rvar2 = realized_stats(p, 2, 2)[0]
     cov = realized_stats(p, 1, 2)[2]

@@ -109,25 +109,26 @@ def path_013() -> SamplePath:
 
 def test_quadratic_variation_scalar_examples():
     p = path_013()
-    assert quadratic_variation(p, 0.0).final[0, 0] == 5.0
-    assert quadratic_variation(p, 0.5).final[0, 0] == 0.0
-    assert quadratic_variation(p, 1.0).final[0, 0] == -5.0
+    assert quadratic_variation(p, 0.0)[-1][0, 0] == 5.0
+    assert quadratic_variation(p, 0.5)[-1][0, 0] == 0.0
+    assert quadratic_variation(p, 1.0)[-1][0, 0] == -5.0
     qv = quadratic_variation(p, 0.0)
-    assert np.array_equal(qv.at(0), np.zeros((1, 1)))
-    assert qv.at(1)[0, 0] == 1.0
+    assert qv.shape == (3, 1, 1)
+    assert np.array_equal(qv[0], np.zeros((1, 1)))
+    assert qv[1][0, 0] == 1.0
 
 
 def test_quadratic_variation_matrix_properties(rng):
     p = make_random_path(rng, 30, 3)
     qv0 = quadratic_variation(p, 0.0)
     for k in range(31):
-        m = qv0.at(k)
+        m = qv0[k]
         assert np.array_equal(m, m.T)
-    diag = np.stack([np.diag(qv0.at(k)) for k in range(31)])
+    diag = np.stack([np.diag(qv0[k]) for k in range(31)])
     assert np.all(np.diff(diag, axis=0) >= 0)
     qv_g = quadratic_variation(p, 0.25)
-    assert np.allclose(qv_g.qv, 0.5 * qv0.qv, rtol=0, atol=1e-15)
-    assert np.all(quadratic_variation(p, 0.5).qv == 0.0)
+    assert np.allclose(qv_g, 0.5 * qv0, rtol=0, atol=1e-15)
+    assert np.all(quadratic_variation(p, 0.5) == 0.0)
     with pytest.raises(ValueError):
         quadratic_variation(p, 1.5)
 
@@ -146,9 +147,9 @@ def test_augment_path_layout():
     assert full.alphabet == Alphabet(2, has_time=True, has_brackets=True)
     assert np.array_equal(full.column(0), p.times)
     qv = quadratic_variation(p, 0.0)
-    assert np.array_equal(full.column(3), qv.qv[:, 0, 0])
-    assert np.array_equal(full.column(4), qv.qv[:, 0, 1])
-    assert np.array_equal(full.column(5), qv.qv[:, 1, 1])
+    assert np.array_equal(full.column(3), qv[:, 0, 0])
+    assert np.array_equal(full.column(4), qv[:, 0, 1])
+    assert np.array_equal(full.column(5), qv[:, 1, 1])
 
 
 def test_augment_path_scalar_example():
@@ -236,7 +237,7 @@ def test_single_step_end_is_step_element(rng):
 def test_level2_scheme_differences_equal_qv(rng):
     for _ in range(10):
         p = make_random_path(rng, 25, 2)
-        qv = quadratic_variation(p, 0.0).qv
+        qv = quadratic_variation(p, 0.0)
         flat = qv.reshape(len(p.times), 4)
         strat = gamma_signature(p, 0.5, 2).levels[1]
         ito = gamma_signature(p, 0.0, 2).levels[1]
