@@ -48,7 +48,6 @@ from .signature import (
     SigTrajectory,
     augment_path,
     endpoint_signature_batch,
-    feature_matrix,
     functional_matrix,
     gamma_signature,
     gamma_signature_chen,
@@ -115,7 +114,6 @@ __all__ = [
     "SigTrajectory",
     "augment_path",
     "endpoint_signature_batch",
-    "feature_matrix",
     "functional_matrix",
     "gamma_signature",
     "gamma_signature_chen",

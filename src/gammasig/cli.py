@@ -11,14 +11,16 @@ Config files are JSON.  For ``calibrate``/``price``/``check`` the file is
 merged over the named experiment's reference configuration, so a minimal
 file like ``{"experiment": "heston-calib"}`` runs the full default setup and
 any present key overrides it.  A key the reference configuration does not
-have is a configuration error.  ``--seed`` overrides ``master_seed`` and
-``--out`` the output directory.
+have, or a non-object value where it has an object, is a configuration
+error.  ``--seed`` overrides ``master_seed`` and ``--out`` the output
+directory.
 
 ``sigdump`` reads a sampled path (CSV columns ``t,x1,..,xd``), optionally
 extends it by time/bracket columns, and dumps the gamma-signature as
-``t,word,coeff`` rows.  Its config keys: ``path_csv`` (required), ``gamma``
-(default 0), ``trunc_level`` (default 2), ``augment``: {"time": bool,
-"brackets": bool, "scaled_brackets": bool}.
+``t,word,coeff`` rows.  Its config, merged the same way over its reference:
+``path_csv`` (required), ``gamma`` (default 0), ``trunc_level`` (default 2),
+``augment``: {"time": bool, "brackets": bool, "scaled_brackets": bool} (all
+default false), ``master_seed`` (default 0), ``out_dir`` (default stdout).
 
 Exit codes: 0 success, 1 check failure, 2 configuration error.
 """
@@ -57,26 +59,22 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """``override`` merged over the reference ``base``.  A key ``base`` does
+    not have, or a non-object value where ``base`` has an object, is a
+    configuration error naming its dotted path; a key whose reference value
+    is not an object accepts any value."""
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-def _unknown_keys(data: dict, base: dict, prefix: str = "") -> list[str]:
-    """Dotted paths of the keys in ``data`` that ``base`` does not have; a
-    key whose default is not a dict accepts any value."""
-    unknown = []
-    for key, value in data.items():
+        dotted = prefix + key
         if key not in base:
-            unknown.append(prefix + key)
-        elif isinstance(base[key], dict) and isinstance(value, dict):
-            unknown += _unknown_keys(value, base[key], f"{prefix}{key}.")
-    return unknown
+            raise ConfigError(f"unknown config key {dotted!r}")
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {dotted!r} must be a JSON object")
+            value = _deep_merge(base[key], value, dotted + ".")
+        out[key] = value
+    return out
 
 
 def _experiment_config(args, fallback_experiment: str | None = None) -> ExperimentConfig:
@@ -92,12 +90,7 @@ def _experiment_config(args, fallback_experiment: str | None = None) -> Experime
     if experiment not in EXPERIMENT_IDS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {EXPERIMENT_IDS}")
-    base = default_config(experiment).to_json_dict()
-    unknown = _unknown_keys(data, base)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) for {experiment!r}: "
-                          f"{', '.join(unknown)}")
-    merged = _deep_merge(base, data)
+    merged = _deep_merge(default_config(experiment).to_json_dict(), data)
     try:
         config = ExperimentConfig.from_json_dict(merged)
     except (ValueError, TypeError, KeyError) as exc:
@@ -173,29 +166,53 @@ def _cmd_price(args) -> int:
     return 0
 
 
+#: Reference configuration of ``sigdump``; ``path_csv`` is required.
+_SIGDUMP_DEFAULTS = {
+    "path_csv": None,
+    "gamma": 0.0,
+    "trunc_level": 2,
+    "augment": {"time": False, "brackets": False, "scaled_brackets": False},
+    "master_seed": 0,
+    "out_dir": None,
+}
+
+
+def _config_value(config: dict, key: str, kind):
+    """``kind(config[key])``, a conversion failure being a configuration
+    error that names the key."""
+    try:
+        return kind(config[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
 def _cmd_sigdump(args) -> int:
     if args.config is None:
         raise ConfigError("sigdump requires --config with a \"path_csv\" key")
     data = _load_json(args.config)
-    if not isinstance(data, dict) or "path_csv" not in data:
-        raise ConfigError("sigdump config must contain \"path_csv\"")
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    config = _deep_merge(_SIGDUMP_DEFAULTS, data)
+    if not isinstance(config["path_csv"], str):
+        raise ConfigError("sigdump config must contain 'path_csv', a file name")
+    if not isinstance(config["out_dir"], (str, type(None))):
+        raise ConfigError("config key 'out_dir' must be a directory name or null")
     from .signature import augment_path, gamma_signature, read_path_csv, write_sig_csv
     try:
-        path = read_path_csv(data["path_csv"])
+        path = read_path_csv(config["path_csv"])
     except OSError as exc:
         raise ConfigError(f"cannot read path CSV: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed path CSV: {exc}") from exc
-    gamma = float(data.get("gamma", 0.0))
-    trunc_level = int(data.get("trunc_level", 2))
-    seed = int(args.seed) if args.seed is not None else int(data.get("master_seed", 0))
-    augment = data.get("augment")
+    gamma = _config_value(config, "gamma", float)
+    trunc_level = _config_value(config, "trunc_level", int)
+    seed = int(args.seed) if args.seed is not None else _config_value(config, "master_seed", int)
+    augment = config["augment"]
     try:
-        if augment:
-            path = augment_path(path, gamma,
-                                include_time=bool(augment.get("time", False)),
-                                include_brackets=bool(augment.get("brackets", False)),
-                                scaled_brackets=bool(augment.get("scaled_brackets", False)))
+        path = augment_path(path, gamma,
+                            include_time=bool(augment["time"]),
+                            include_brackets=bool(augment["brackets"]),
+                            scaled_brackets=bool(augment["scaled_brackets"]))
         traj = gamma_signature(path, gamma, trunc_level)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -205,7 +222,7 @@ def _cmd_sigdump(args) -> int:
         json.dumps(stamp_source, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
     comment = f"config_hash={digest} master_seed={seed}"
-    out_dir = args.out if args.out is not None else data.get("out_dir")
+    out_dir = args.out if args.out is not None else config["out_dir"]
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         target = os.path.join(out_dir, "signature.csv")

@@ -446,13 +446,11 @@ def run_pricing(config: ExperimentConfig) -> dict:
     total = config.n_train + config.n_test + config.n_mc
     times = config.grid().times
 
-    feats: dict[tuple[str, str], np.ndarray] = {}
-    for family in _PRICING_FAMILIES:
-        d = len(family)
-        for scheme in SCHEMES:
-            L = 1 + d + (d * (d + 1) // 2 if scheme == "ito" else 0)
-            width = (L ** (N + 1) - 1) // (L - 1)
-            feats[(family, scheme)] = np.empty((total, width))
+    words_cache = {
+        (family, scheme): _pricing_words(family, scheme, N)
+        for family in _PRICING_FAMILIES for scheme in SCHEMES
+    }
+    feats = {key: np.empty((total, len(words))) for key, words in words_cache.items()}
     stats: dict[str, np.ndarray] = {}
     ok_all = np.empty(total, dtype=bool)
 
@@ -505,10 +503,6 @@ def run_pricing(config: ExperimentConfig) -> dict:
         "rejected_paths": rejected,
         "degenerate_corr_paths": degenerate_corr,
         "payoffs": [],
-    }
-    words_cache = {
-        (family, scheme): _pricing_words(family, scheme, N)
-        for family in _PRICING_FAMILIES for scheme in SCHEMES
     }
     for kind, assets in PAYOFF_ORDER:
         family = "".join(str(a) for a in assets)

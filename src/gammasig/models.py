@@ -312,6 +312,24 @@ def _stack_draws(grid: SimGrid, path_indices: Sequence[int], width: int) -> np.n
     return draws
 
 
+def _heston_sv(params: HestonParams, dt: float, d_price: np.ndarray,
+               d_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full-truncation Euler of one Heston asset for a batch: price S and
+    variance V of shape (B, n+1) from driver increments (B, n)."""
+    B, n = d_price.shape
+    S = np.empty((B, n + 1))
+    V = np.empty((B, n + 1))
+    S[:, 0] = params.s0
+    V[:, 0] = params.v0
+    for k in range(n):
+        sqv = np.sqrt(V[:, k])  # stored V is already floored at 0
+        S[:, k + 1] = S[:, k] + params.mu * S[:, k] * dt + S[:, k] * sqv * d_price[:, k]
+        V[:, k + 1] = np.maximum(
+            V[:, k] + params.kappa * (params.theta - V[:, k]) * dt
+            + params.sigma * sqv * d_var[:, k], 0.0)
+    return S, V
+
+
 def _heston_euler(params: HestonParams, grid: SimGrid,
                   z: np.ndarray) -> dict[str, np.ndarray]:
     """Full-truncation Euler for a batch; z has shape (B, n, 2)."""
@@ -321,16 +339,7 @@ def _heston_euler(params: HestonParams, grid: SimGrid,
     rho = params.rho
     dW = sqdt * z[:, :, 0]
     dB = sqdt * (rho * z[:, :, 0] + np.sqrt(1.0 - rho * rho) * z[:, :, 1])
-    S = np.empty((B, n + 1))
-    V = np.empty((B, n + 1))
-    S[:, 0] = params.s0
-    V[:, 0] = params.v0
-    for k in range(n):
-        sqv = np.sqrt(V[:, k])  # stored V is already floored at 0
-        S[:, k + 1] = S[:, k] + params.mu * S[:, k] * dt + S[:, k] * sqv * dW[:, k]
-        V[:, k + 1] = np.maximum(
-            V[:, k] + params.kappa * (params.theta - V[:, k]) * dt
-            + params.sigma * sqv * dB[:, k], 0.0)
+    S, V = _heston_sv(params, dt, dW, dB)
     # driver recovery from the simulated series: dW_Q = dS/(S*sqrt(V)),
     # dB_Q = dV/(sigma*sqrt(V)), left-point S and V, degenerate steps skipped
     sqv_left = np.sqrt(V[:, :-1])
@@ -386,27 +395,13 @@ def simulate_heston(params: HestonParams, grid: SimGrid, path_index: int) -> Sam
 def _heston2_euler(params: Heston2Params, grid: SimGrid,
                    z: np.ndarray) -> dict[str, np.ndarray]:
     """z has shape (B, n, 4); driver order (B1, B2, W1, W2)."""
-    B, n, _ = z.shape
     dt = grid.dt
     L = _corr_factor(params.corr_matrix)
     dD = np.sqrt(dt) * np.einsum("bnk,jk->bnj", z, L)
-    a = (params.asset1, params.asset2)
     out: dict[str, np.ndarray] = {}
-    for i, p in enumerate(a):
-        dB = dD[:, :, i]       # price driver B^i
-        dW = dD[:, :, 2 + i]   # variance driver W^i
-        S = np.empty((B, n + 1))
-        V = np.empty((B, n + 1))
-        S[:, 0] = p.s0
-        V[:, 0] = p.v0
-        for k in range(n):
-            sqv = np.sqrt(V[:, k])
-            S[:, k + 1] = S[:, k] + p.mu * S[:, k] * dt + S[:, k] * sqv * dB[:, k]
-            V[:, k + 1] = np.maximum(
-                V[:, k] + p.kappa * (p.theta - V[:, k]) * dt
-                + p.sigma * sqv * dW[:, k], 0.0)
-        out[f"S{i + 1}"] = S
-        out[f"V{i + 1}"] = V
+    for i, p in enumerate((params.asset1, params.asset2)):
+        # price driver B^i, variance driver W^i
+        out[f"S{i + 1}"], out[f"V{i + 1}"] = _heston_sv(p, dt, dD[:, :, i], dD[:, :, 2 + i])
     return out
 
 

@@ -10,8 +10,8 @@ the running trajectory of one path and the end points of a batch), an
 independent per-step Chen-product oracle, the cumulative pathwise (Follmer)
 bracket columns of a path batch and the quadratic-variation matrix built on
 them, time and bracket augmentation of a path, signature increments via the
-group inverse, and design-matrix helpers for regression on signature
-coordinates.
+group inverse, and the design matrix of linear functionals paired with
+signatures for regression.
 
 Accumulation note: every cumulative sum in the package -- signature levels,
 brackets, simulator drivers and realized statistics -- goes through
@@ -21,6 +21,7 @@ on long grids.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -47,7 +48,6 @@ __all__ = [
     "gamma_signature",
     "gamma_signature_chen",
     "sig_increment",
-    "feature_matrix",
     "functional_matrix",
     "endpoint_signature_batch",
     "write_path_csv",
@@ -250,20 +250,9 @@ class SigTrajectory:
 
     def sig_at(self, k: int) -> TensorPoly:
         """Sparse signature at grid point k (scalar coefficient 1)."""
-        terms: dict[Word, float] = {(): 1.0}
-        L = self.alphabet.total_letters
-        letters = self.alphabet.letters
-        for m, arr in enumerate(self.levels, start=1):
-            row = arr[k]
-            for flat, coeff in enumerate(row):
-                if coeff != 0.0:
-                    word = []
-                    rem = flat
-                    for _ in range(m):
-                        word.append(letters[rem % L])
-                        rem //= L
-                    terms[tuple(reversed(word))] = float(coeff)
-        return TensorPoly(self.alphabet, self.trunc_level, terms)
+        words = enumerate_words(self.alphabet, self.trunc_level)
+        return TensorPoly(self.alphabet, self.trunc_level,
+                          {w: float(self.coeff_path(w)[k]) for w in words})
 
     @property
     def end(self) -> TensorPoly:
@@ -388,44 +377,15 @@ def _common_alphabet(trajs: Sequence[SigTrajectory]) -> Alphabet:
     return alphabet
 
 
-def feature_matrix(trajs: Sequence[SigTrajectory], words: Sequence[Word],
-                   at_end: bool) -> np.ndarray:
-    """Design matrix of signature coordinates <e_I, sig>.
-
-    One row per trajectory end point if ``at_end``; otherwise rows stack
-    every grid point of every trajectory in order.
-    """
-    alphabet = _common_alphabet(trajs)
-    words = [tuple(w) for w in words]
-    for w in words:
-        alphabet.validate_word(w)
-    max_len = max((len(w) for w in words), default=0)
-    for traj in trajs:
-        if max_len > traj.trunc_level:
-            raise ValueError(
-                f"word length {max_len} exceeds trajectory level {traj.trunc_level}")
-    if at_end:
-        rows = np.empty((len(trajs), len(words)))
-        for i, traj in enumerate(trajs):
-            k = traj.n_steps
-            for j, w in enumerate(words):
-                rows[i, j] = 1.0 if not w else traj.levels[len(w) - 1][k, traj._word_index(w)]
-        return rows
-    blocks = []
-    for traj in trajs:
-        block = np.empty((len(traj.times), len(words)))
-        for j, w in enumerate(words):
-            block[:, j] = traj.coeff_path(w)
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
-
-
 def functional_matrix(trajs: Sequence[SigTrajectory], functionals: Sequence[TensorPoly],
                       at_end: bool) -> np.ndarray:
-    """Design matrix of pairings <ell, sig> for general linear functionals.
+    """Design matrix of pairings <ell, sig> for linear functionals.
 
     Each column is the corresponding linear combination of signature
-    coordinates; alphabets of functionals and trajectories must match.
+    coordinates (a basis functional gives one coordinate <e_I, sig>);
+    alphabets of functionals and trajectories must match.  Rows stack every
+    grid point of every trajectory in order, or only each trajectory's end
+    point if ``at_end``.
     """
     alphabet = _common_alphabet(trajs)
     for ell in functionals:
@@ -438,24 +398,13 @@ def functional_matrix(trajs: Sequence[SigTrajectory], functionals: Sequence[Tens
             raise ValueError(
                 f"functional word length {max_len} exceeds trajectory level "
                 f"{traj.trunc_level}")
-    if at_end:
-        rows = np.empty((len(trajs), len(functionals)))
-        for i, traj in enumerate(trajs):
-            k = traj.n_steps
-            for j, terms in enumerate(expanded):
-                total = 0.0
-                for w, c in terms:
-                    coord = 1.0 if not w else traj.levels[len(w) - 1][k, traj._word_index(w)]
-                    total += float(c) * coord
-                rows[i, j] = total
-        return rows
     blocks = []
     for traj in trajs:
         block = np.zeros((len(traj.times), len(functionals)))
         for j, terms in enumerate(expanded):
             for w, c in terms:
                 block[:, j] += float(c) * traj.coeff_path(w)
-        blocks.append(block)
+        blocks.append(block[-1:] if at_end else block)
     return np.concatenate(blocks, axis=0)
 
 
@@ -495,23 +444,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def _text_file(file, mode: str):
+    """An open text stream as is, or a named file opened in ``mode`` as
+    UTF-8 (untranslated newlines when writing) and closed afterwards."""
+    if not isinstance(file, (str, bytes)):
+        yield file
+        return
+    with open(file, mode, encoding="utf-8", newline="" if mode == "w" else None) as fh:
+        yield fh
+
+
 def write_path_csv(path: SamplePath, file, header_comment: str | None = None) -> None:
     """Write a path as CSV with header ``t,x1,...,xd`` ('.' decimal, UTF-8)."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w", encoding="utf-8", newline="")
-        close = True
-    try:
+    with _text_file(file, "w") as fh:
         if header_comment:
-            file.write(f"# {header_comment}\n")
+            fh.write(f"# {header_comment}\n")
         d = path.dim
-        file.write("t," + ",".join(f"x{i}" for i in range(1, d + 1)) + "\n")
+        fh.write("t," + ",".join(f"x{i}" for i in range(1, d + 1)) + "\n")
         for k in range(len(path.times)):
             row = [_fmt(path.times[k])] + [_fmt(v) for v in path.values[k]]
-            file.write(",".join(row) + "\n")
-    finally:
-        if close:
-            file.close()
+            fh.write(",".join(row) + "\n")
 
 
 def read_path_csv(file, alphabet: Alphabet | None = None) -> SamplePath:
@@ -519,14 +472,10 @@ def read_path_csv(file, alphabet: Alphabet | None = None) -> SamplePath:
 
     Columns beyond ``t`` become base letters unless an alphabet is given.
     """
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "r", encoding="utf-8")
-        close = True
-    try:
-        rows = []
-        header = None
-        for line in file:
+    rows = []
+    header = None
+    with _text_file(file, "r") as fh:
+        for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -534,9 +483,6 @@ def read_path_csv(file, alphabet: Alphabet | None = None) -> SamplePath:
                 header = line.split(",")
                 continue
             rows.append([float(part) for part in line.split(",")])
-    finally:
-        if close:
-            file.close()
     if header is None or not rows:
         raise ValueError("empty path CSV")
     data = np.asarray(rows)
@@ -552,21 +498,13 @@ def write_sig_csv(traj: SigTrajectory, file, header_comment: str | None = None) 
     Words are dot-joined letters in graded-lex order (empty word first with
     coefficient 1), repeated for every grid point in time order.
     """
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w", encoding="utf-8", newline="")
-        close = True
-    try:
+    words = enumerate_words(traj.alphabet, traj.trunc_level)
+    columns = [traj.coeff_path(w) for w in words]
+    with _text_file(file, "w") as fh:
         if header_comment:
-            file.write(f"# {header_comment}\n")
-        file.write("t,word,coeff\n")
-        words = enumerate_words(traj.alphabet, traj.trunc_level)
-        columns = [np.ones(len(traj.times)) if not w else traj.coeff_path(w)
-                   for w in words]
+            fh.write(f"# {header_comment}\n")
+        fh.write("t,word,coeff\n")
         for k in range(len(traj.times)):
             t = _fmt(traj.times[k])
             for w, col in zip(words, columns):
-                file.write(f"{t},{word_str(w)},{_fmt(col[k])}\n")
-    finally:
-        if close:
-            file.close()
+                fh.write(f"{t},{word_str(w)},{_fmt(col[k])}\n")

@@ -1,14 +1,28 @@
 """The benchmark's tracer wraps gammasig attributes by name; every name it
-wraps must still exist, or a traced benchmark run fails."""
+wraps must still exist and still be called, or a traced benchmark run fails
+or reports a layer metric that has silently lost its meaning."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
 
 import gammasig
 import gammasig.cli  # noqa: F401  (entry_points reads gammasig.cli)
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+#: Tiny runs of every calibration and pricing experiment.
+TINY_RUNS = [
+    ("calibrate", {"experiment": "heston-calib", "grid": {"n": 20},
+                   "samples": {"N_test": 2}}),
+    ("calibrate", {"experiment": "cantor-calib", "grid": {"n": 20},
+                   "samples": {"N_test": 2}}),
+    ("price", {"experiment": "heston2-pricing", "grid": {"n": 10},
+               "samples": {"N_train": 20, "N_test": 5, "N_MC": 5}}),
+    ("price", {"experiment": "cantor2-pricing", "grid": {"n": 10},
+               "samples": {"N_train": 20, "N_test": 5, "N_MC": 5}}),
+]
 
 
 def load_tracer():
@@ -23,3 +37,26 @@ def test_tracer_entry_points_resolve():
     assert rows
     for owner, attr, layer, _ in rows:
         assert attr in vars(owner), f"{owner.__name__}.{attr} ({layer}) is gone"
+
+
+def test_tracer_entry_points_are_called(tmp_path, capsys):
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install(gammasig)
+    try:
+        for i, (command, payload) in enumerate(TINY_RUNS):
+            cfg = tmp_path / f"c{i}.json"
+            cfg.write_text(json.dumps(payload))
+            assert gammasig.cli.main([command, "--config", str(cfg)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = tmp_path / "spans.jsonl"
+    tracer.write_spans(str(spans), {})
+    lines = spans.read_text().splitlines()
+    entry_col = module.SPAN_FIELDS.index("entry")
+    hit = {json.loads(line)[entry_col] for line in lines[1:]}
+    entries = json.loads(lines[0])["entries"]
+    assert len(entries) == len(module.entry_points(gammasig))
+    missed = [name for i, name in enumerate(entries) if i not in hit]
+    assert not missed, f"wrapped but never called: {missed}"

@@ -159,6 +159,25 @@ def test_unknown_config_key_names_its_path(tmp_path, capsys):
         assert "unknown config key" in err and dotted in err
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    ("calibrate", {"experiment": "cantor-calib", "grid": 5}, "grid"),
+    ("calibrate", {"experiment": "cantor-calib", "samples": [1]}, "samples"),
+    ("sigdump", {"augment": True}, "augment"),
+    ("sigdump", {"gamma": "abc"}, "gamma"),
+    ("sigdump", {"trunc_level": "x"}, "trunc_level"),
+    ("sigdump", {"path_csv": 5}, "path_csv"),
+    ("sigdump", {"trunc_levle": 3}, "trunc_levle"),
+])
+def test_config_error_names_its_key(tmp_path, capsys, command, payload, key):
+    if command == "sigdump":
+        payload = {"path_csv": make_path_csv(tmp_path), **payload}
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert f"'{key}'" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
 def test_no_arguments_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

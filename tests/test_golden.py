@@ -28,6 +28,17 @@ CALIBRATE_SHA256 = {
     "trajectory.csv": "c6813b3e4a12ecdb620e8a5b7cf80e8749bc970021849ea48bd9260603c133e0",
 }
 
+# the only experiment with multi-term (rho-corrected) functionals: pins the
+# multi-term pairing of functional_matrix and the Heston S/V Euler output
+HESTON_CALIBRATE_CONFIG = {"experiment": "heston-calib", "grid": {"n": 100},
+                           "samples": {"N_test": 3}}
+HESTON_CALIBRATE_SHA256 = {
+    "fit_ito.json": "14d6aae8654eeed0e08002040783b332338409bf9f41bf8aaec0383b9d448ef7",
+    "fit_strat.json": "a4ce923ce0658e5f8fef0c2a7e9cbe458a251644b534a5f466cfbe009ae03069",
+    "mse_summary.csv": "92a5f185ef7879a3c4571f390354fefbde61d952203f713af21bc0912160255e",
+    "trajectory.csv": "7556f1971aea65e1b18160ee8fd93e249769a8563c889a5cdedc39c6a8294f66",
+}
+
 # level 3 covers the intermediate-level trajectory of the batched kernel
 PRICE_CONFIG = {"experiment": "heston2-pricing", "grid": {"n": 30},
                 "signature": {"trunc_level": 3},
@@ -74,6 +85,8 @@ def test_golden_outputs_and_bits(tmp_path, capsys):
                             CALIBRATE_CONFIG, seed=1) == CALIBRATE_SHA256
     assert _stamped_digests(tmp_path / "price", "price",
                             PRICE_CONFIG, seed=1) == PRICE_SHA256
+    assert _stamped_digests(tmp_path / "heston", "calibrate",
+                            HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
     capsys.readouterr()
     assert _endpoint_bits() == {
         0.0: ["0x1.4e5075dc02deap-1", "0x1.ab80de2bc16a7p-6", "0x1.5cf1a4052603ep-4"],

@@ -21,7 +21,6 @@ from gammasig import (
     concat,
     endpoint_signature_batch,
     enumerate_words,
-    feature_matrix,
     functional_matrix,
     gamma_signature,
     gamma_signature_chen,
@@ -318,27 +317,48 @@ def test_chen_multiplicativity_every_split(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_feature_matrix_examples(rng):
+def basis(traj, words):
+    return [TensorPoly.basis(traj.alphabet, traj.trunc_level, w) for w in words]
+
+
+def test_basis_functional_matrix_examples(rng):
     p = path_013()
     traj = gamma_signature(p, 0.0, 2)
-    row = feature_matrix([traj], [(), (1,), (1, 1)], at_end=True)
+    row = functional_matrix([traj], basis(traj, [(), (1,), (1, 1)]), at_end=True)
     assert np.allclose(row, [[1.0, 3.0, 2.0]])
-    stacked = feature_matrix([traj], [(), (1,)], at_end=False)
+    stacked = functional_matrix([traj], basis(traj, [(), (1,)]), at_end=False)
     assert stacked.shape == (3, 2)
     assert np.allclose(stacked[:, 0], 1.0)
     assert np.allclose(stacked[:, 1], [0.0, 1.0, 3.0])
     with pytest.raises(ValueError):
-        feature_matrix([traj], [(1, 1, 1)], at_end=True)
+        functional_matrix([traj], [TensorPoly.basis(p.alphabet, 3, (1, 1, 1))],
+                          at_end=True)
     with pytest.raises(ValueError):
-        feature_matrix([], [()], at_end=True)
+        functional_matrix([], [TensorPoly.basis(p.alphabet, 0, ())], at_end=True)
 
 
-def test_feature_matrix_level1_columns_are_increments(rng):
+def test_basis_functional_matrix_level1_columns_are_increments(rng):
     trajs = [gamma_signature(make_random_path(rng, 12, 2), 0.5, 2)
              for _ in range(4)]
-    ends = feature_matrix(trajs, [(1,), (2,)], at_end=True)
+    ends = functional_matrix(trajs, basis(trajs[0], [(1,), (2,)]), at_end=True)
     for i, traj in enumerate(trajs):
         assert np.allclose(ends[i], traj.levels[0][-1])
+
+
+def test_functional_matrix_end_rows_are_last_trajectory_rows(rng):
+    paths = [make_random_path(rng, n, 2) for n in (1, 6, 13)]
+    trajs = [gamma_signature(p, gamma, 3) for p, gamma in zip(paths, (0.0, 0.5, 1.0))]
+    a = paths[0].alphabet
+    ells = [
+        TensorPoly(a, 3, {(): 0.25, (1,): 2.0, (2, 1): -0.5, (1, 2, 2): 1.5}),
+        TensorPoly(a, 3, {(2,): -1.0, (1, 1): 0.3, (2, 2, 1): -2.0}),
+        TensorPoly.basis(a, 3, (1, 2)),
+    ]
+    ends = functional_matrix(trajs, ells, at_end=True)
+    stacked = functional_matrix(trajs, ells, at_end=False)
+    last_rows = np.cumsum([len(t.times) for t in trajs]) - 1
+    assert ends.shape == (3, 3)
+    assert np.array_equal(ends, stacked[last_rows])
 
 
 def test_functional_matrix_matches_pairing(rng):
