@@ -26,136 +26,21 @@ Subpackage layout (one module per concern):
   with stamped CSV/JSON outputs.
 * :mod:`gammasig.checks` -- self-contained invariant suites per module.
 * :mod:`gammasig.cli` -- ``gammasig`` command line entry point.
+
+The package namespace is the union of the ``__all__`` lists of the first
+six modules.
 """
 from __future__ import annotations
 
-from .tensor import (
-    Alphabet,
-    TensorPoly,
-    concat,
-    enumerate_words,
-    graded_lex_key,
-    group_inverse,
-    ito_strat_functional,
-    pair,
-    parse_word,
-    quasi_shuffle,
-    shuffle,
-    word_str,
-)
-from .signature import (
-    SamplePath,
-    SigTrajectory,
-    augment_path,
-    endpoint_signature_batch,
-    functional_matrix,
-    gamma_signature,
-    gamma_signature_chen,
-    quadratic_variation,
-    read_path_csv,
-    sig_increment,
-    write_path_csv,
-    write_sig_csv,
-)
-from .models import (
-    CantorParams,
-    Heston2Params,
-    HestonParams,
-    SimGrid,
-    cantor_function,
-    correlated_normals,
-    path_rng,
-    simulate_cantor_sde,
-    simulate_cantor_sde_batch,
-    simulate_heston,
-    simulate_heston_batch,
-    simulate_heston2,
-    simulate_heston2_batch,
-)
-from .regress import RegressionFit, lasso_fit, mse, predict, ridge_fit
-from .payoffs import (
-    PAYOFF_KINDS,
-    PayoffSpec,
-    evaluate,
-    payoff_values,
-    realized_stats,
-    realized_stats_batch,
-    statistic_key,
-)
-from .experiments import (
-    PAYOFF_ORDER,
-    ExperimentConfig,
-    config_hash,
-    default_config,
-    run_calibration,
-    run_checks,
-    run_pricing,
-)
+from . import experiments, models, payoffs, regress, signature, tensor
+from .experiments import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .payoffs import *  # noqa: F401,F403
+from .regress import *  # noqa: F401,F403
+from .signature import *  # noqa: F401,F403
+from .tensor import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # tensor
-    "Alphabet",
-    "TensorPoly",
-    "concat",
-    "enumerate_words",
-    "graded_lex_key",
-    "group_inverse",
-    "ito_strat_functional",
-    "pair",
-    "parse_word",
-    "quasi_shuffle",
-    "shuffle",
-    "word_str",
-    # signature
-    "SamplePath",
-    "SigTrajectory",
-    "augment_path",
-    "endpoint_signature_batch",
-    "functional_matrix",
-    "gamma_signature",
-    "gamma_signature_chen",
-    "quadratic_variation",
-    "read_path_csv",
-    "sig_increment",
-    "write_path_csv",
-    "write_sig_csv",
-    # models
-    "CantorParams",
-    "Heston2Params",
-    "HestonParams",
-    "SimGrid",
-    "cantor_function",
-    "correlated_normals",
-    "path_rng",
-    "simulate_cantor_sde",
-    "simulate_cantor_sde_batch",
-    "simulate_heston",
-    "simulate_heston_batch",
-    "simulate_heston2",
-    "simulate_heston2_batch",
-    # regress
-    "RegressionFit",
-    "lasso_fit",
-    "mse",
-    "predict",
-    "ridge_fit",
-    # payoffs
-    "PAYOFF_KINDS",
-    "PayoffSpec",
-    "evaluate",
-    "payoff_values",
-    "realized_stats",
-    "realized_stats_batch",
-    "statistic_key",
-    # experiments
-    "PAYOFF_ORDER",
-    "ExperimentConfig",
-    "config_hash",
-    "default_config",
-    "run_calibration",
-    "run_checks",
-    "run_pricing",
-]
+__all__ = ["__version__", *tensor.__all__, *signature.__all__, *models.__all__,
+           *regress.__all__, *payoffs.__all__, *experiments.__all__]

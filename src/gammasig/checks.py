@@ -345,7 +345,7 @@ def _models_cantor_qv(fault: str | None) -> CheckResult:
             C = models.cantor_function(grid.times)
             dC = np.clip(np.diff(C), 0.0, None)
             sum_sq[n] = float(np.sum(dC * dC))
-            z = models._stack_draws(grid, range(B), 1)[:, :, 0]
+            z = np.stack([models.path_rng(seed, i).standard_normal(n) for i in range(B)])
             qv = np.cumsum((np.sqrt(dC)[None, :] * z) ** 2, axis=1)
             qv = np.concatenate([np.zeros((B, 1)), qv], axis=1)
             errs[n] = float(np.max(np.abs(qv.mean(axis=0) - C)))

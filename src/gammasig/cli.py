@@ -10,10 +10,11 @@ Subcommands::
 Config files are JSON.  For ``calibrate``/``price``/``check`` the file is
 merged over the named experiment's reference configuration, so a minimal
 file like ``{"experiment": "heston-calib"}`` runs the full default setup and
-any present key overrides it.  A key the reference configuration does not
-have, or a non-object value where it has an object, is a configuration
-error.  ``--seed`` overrides ``master_seed`` and ``--out`` the output
-directory.
+any present key overrides it.  The reference configuration is the schema:
+a key it does not have is a configuration error, and every value must have
+the JSON type of the reference value (an integer is not a bool or a
+fractional number, a float is finite).  ``--seed`` overrides ``master_seed``
+and ``--out`` the output directory.
 
 ``sigdump`` reads a sampled path (CSV columns ``t,x1,..,xd``), optionally
 extends it by time/bracket columns, and dumps the gamma-signature as
@@ -27,7 +28,6 @@ Exit codes: 0 success, 1 check failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -59,26 +59,51 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
 
 
+#: JSON name of each reference leaf type, for error messages.
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a finite number",
+               str: "a string", list: "an array", tuple: "an array",
+               dict: "an object"}
+
+
 def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
-    """``override`` merged over the reference ``base``.  A key ``base`` does
-    not have, or a non-object value where ``base`` has an object, is a
-    configuration error naming its dotted path; a key whose reference value
-    is not an object accepts any value."""
+    """``override`` merged over the reference ``base``, which is the schema:
+    a key ``base`` does not have is a configuration error, and every value
+    must have the JSON type of the reference value (see :func:`_typed`)."""
     out = dict(base)
     for key, value in override.items():
         dotted = prefix + key
         if key not in base:
             raise ConfigError(f"unknown config key {dotted!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {dotted!r} must be a JSON object")
-            value = _deep_merge(base[key], value, dotted + ".")
-        out[key] = value
+        out[key] = _typed(base[key], value, dotted)
     return out
 
 
+def _typed(ref, value, dotted: str):
+    """``value`` checked against the reference value ``ref`` at ``dotted``:
+    an object is merged, an array's items match the reference's first item,
+    an integer must be a JSON integer (not a bool, ``2.0`` or ``2.7``), a
+    float is any finite number (returned as a float), and a null reference
+    accepts anything (it is checked where it is used)."""
+    if ref is None:
+        return value
+    kind = type(ref)
+    if kind is dict and isinstance(value, dict):
+        return _deep_merge(ref, value, dotted + ".")
+    if kind in (list, tuple) and isinstance(value, list):
+        return [_typed(ref[0], item, f"{dotted}[{i}]") for i, item in enumerate(value)]
+    if kind is float:
+        # the comparison is exact for ints of any size and false for NaN
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is kind:
+        return value
+    raise ConfigError(f"config key {dotted!r} must be {_JSON_TYPES[kind]}, "
+                      f"got {json.dumps(value)}")
+
+
 def _experiment_config(args, fallback_experiment: str | None = None) -> ExperimentConfig:
-    """Config file merged over the experiment's reference defaults."""
+    """Config file merged over the experiment's reference defaults, with
+    ``--seed``, ``--out`` and ``--filter`` applied on top."""
     data: dict = {}
     if args.config is not None:
         data = _load_json(args.config)
@@ -91,17 +116,16 @@ def _experiment_config(args, fallback_experiment: str | None = None) -> Experime
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {EXPERIMENT_IDS}")
     merged = _deep_merge(default_config(experiment).to_json_dict(), data)
+    if args.seed is not None:
+        merged["master_seed"] = args.seed
+    if args.out is not None:
+        merged["out_dir"] = args.out
+    if getattr(args, "filter", None) is not None:
+        merged["check"] = {**merged["check"], "filter": args.filter}
     try:
-        config = ExperimentConfig.from_json_dict(merged)
+        return ExperimentConfig.from_json_dict(merged)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    if args.out is not None:
-        config = config.with_out_dir(args.out)
-    if getattr(args, "filter", None) is not None:
-        config = dataclasses.replace(config, check_filter=args.filter)
-    return config
 
 
 def _cmd_check(args) -> int:
@@ -177,15 +201,6 @@ _SIGDUMP_DEFAULTS = {
 }
 
 
-def _config_value(config: dict, key: str, kind):
-    """``kind(config[key])``, a conversion failure being a configuration
-    error that names the key."""
-    try:
-        return kind(config[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
 def _cmd_sigdump(args) -> int:
     if args.config is None:
         raise ConfigError("sigdump requires --config with a \"path_csv\" key")
@@ -193,10 +208,18 @@ def _cmd_sigdump(args) -> int:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     config = _deep_merge(_SIGDUMP_DEFAULTS, data)
+    if args.seed is not None:
+        config["master_seed"] = args.seed
+    if args.out is not None:
+        config["out_dir"] = args.out
     if not isinstance(config["path_csv"], str):
         raise ConfigError("sigdump config must contain 'path_csv', a file name")
     if not isinstance(config["out_dir"], (str, type(None))):
         raise ConfigError("config key 'out_dir' must be a directory name or null")
+    seed = config["master_seed"]
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError("config key 'master_seed' must fit in an unsigned "
+                          f"64-bit integer, got {seed}")
     from .signature import augment_path, gamma_signature, read_path_csv, write_sig_csv
     try:
         path = read_path_csv(config["path_csv"])
@@ -204,16 +227,13 @@ def _cmd_sigdump(args) -> int:
         raise ConfigError(f"cannot read path CSV: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed path CSV: {exc}") from exc
-    gamma = _config_value(config, "gamma", float)
-    trunc_level = _config_value(config, "trunc_level", int)
-    seed = int(args.seed) if args.seed is not None else _config_value(config, "master_seed", int)
     augment = config["augment"]
     try:
-        path = augment_path(path, gamma,
-                            include_time=bool(augment["time"]),
-                            include_brackets=bool(augment["brackets"]),
-                            scaled_brackets=bool(augment["scaled_brackets"]))
-        traj = gamma_signature(path, gamma, trunc_level)
+        path = augment_path(path, config["gamma"],
+                            include_time=augment["time"],
+                            include_brackets=augment["brackets"],
+                            scaled_brackets=augment["scaled_brackets"])
+        traj = gamma_signature(path, config["gamma"], config["trunc_level"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     stamp_source = dict(data)
@@ -222,10 +242,9 @@ def _cmd_sigdump(args) -> int:
         json.dumps(stamp_source, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
     comment = f"config_hash={digest} master_seed={seed}"
-    out_dir = args.out if args.out is not None else config["out_dir"]
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        target = os.path.join(out_dir, "signature.csv")
+    if config["out_dir"]:
+        os.makedirs(config["out_dir"], exist_ok=True)
+        target = os.path.join(config["out_dir"], "signature.csv")
         write_sig_csv(traj, target, header_comment=comment)
         print(f"wrote {target}")
     else:

@@ -84,7 +84,6 @@ class ExperimentConfig:
     grid_n: int
     trunc_level: int
     alpha: float
-    regression_kind: str
     n_train: int
     n_test: int
     n_mc: int
@@ -97,7 +96,11 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {EXPERIMENT_IDS}")
-        if self.experiment != "check":
+        if self.experiment == "check":
+            if self.model is not None:
+                raise ValueError("the check experiment takes no model: "
+                                 "'model' must be null")
+        else:
             if self.model is None:
                 raise ValueError("model parameters required")
             if self.grid_T <= 0 or self.grid_n < 1:
@@ -105,22 +108,43 @@ class ExperimentConfig:
             if self.experiment in CALIBRATION_IDS and self.grid_n < 2:
                 raise ValueError("calibration needs grid n >= 2: the out-of-sample "
                                  "grid on [0, T/2] has n // 2 steps")
-            if self.experiment.startswith("cantor") and self.grid_T > 1.0:
-                raise ValueError("the Cantor clock is defined on [0, 1]; "
-                                 "need grid T <= 1")
+            if self.experiment.startswith("cantor"):
+                if self.grid_T > 1.0:
+                    raise ValueError("the Cantor clock is defined on [0, 1]; "
+                                     "need grid T <= 1")
+                assets = 1 if self.experiment in CALIBRATION_IDS else 2
+                if len(self.model.s0) != assets:
+                    raise ValueError(f"{self.experiment} needs 'model.s0' with "
+                                     f"{assets} asset(s), got {list(self.model.s0)}")
             if self.trunc_level < 1:
                 raise ValueError("trunc_level must be >= 1")
             if self.alpha < 0:
                 raise ValueError("alpha must be >= 0")
             if min(self.n_train, self.n_test, self.n_mc) < 1:
                 raise ValueError("sample sizes must be >= 1")
+            if self.experiment in CALIBRATION_IDS and (self.n_train, self.n_mc) != (1, 1):
+                raise ValueError("calibration fits one training path and has no "
+                                 "Monte Carlo cohort: 'samples.N_train' and "
+                                 f"'samples.N_MC' must be 1, got {self.n_train} "
+                                 f"and {self.n_mc}")
             if self.experiment in PRICING_IDS and self.n_mc < 2:
                 raise ValueError("pricing needs N_MC >= 2 for the Monte Carlo "
                                  "confidence interval")
-            if self.regression_kind not in ("lasso", "ridge"):
-                raise ValueError("regression_kind must be 'lasso' or 'ridge'")
-        if not (0 <= int(self.master_seed) < 2 ** 64):
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValueError("'master_seed' must fit in an unsigned 64-bit "
+                             f"integer, got {self.master_seed}")
+        for key, value in (("out_dir", self.out_dir), ("check.filter", self.check_filter),
+                           ("check.inject_fault", self.inject_fault)):
+            if not isinstance(value, (str, type(None))):
+                raise ValueError(f"{key!r} must be a string or null, got {value!r}")
+        if self.inject_fault not in (None, "lasso-threshold"):
+            raise ValueError("'check.inject_fault' must be null or "
+                             f"'lasso-threshold', got {self.inject_fault!r}")
+
+    @property
+    def regression_kind(self) -> str:
+        """Ridge for the pricing experiments, lasso otherwise."""
+        return "ridge" if self.experiment in PRICING_IDS else "lasso"
 
     def grid(self) -> SimGrid:
         return SimGrid(self.grid_T, self.grid_n, self.master_seed)
@@ -130,10 +154,9 @@ class ExperimentConfig:
         return SimGrid(self.grid_T / 2.0, self.grid_n // 2, self.master_seed)
 
     def to_json_dict(self) -> dict:
-        model = None if self.model is None else self.model.to_json_dict()
         return {
             "experiment": self.experiment,
-            "model": model,
+            "model": None if self.model is None else dataclasses.asdict(self.model),
             "grid": {"T": self.grid_T, "n": self.grid_n},
             "signature": {"trunc_level": self.trunc_level},
             "regression": {"alpha": self.alpha, "kind": self.regression_kind},
@@ -146,36 +169,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        experiment = data["experiment"]
-        model_data = data.get("model")
-        model = None
+        """Inverse of :meth:`to_json_dict`.  ``data`` must be complete and
+        typed: the CLI merges a config file over the reference first."""
+        experiment, model = data["experiment"], data["model"]
         if experiment == "heston-calib":
-            model = HestonParams.from_json_dict(model_data)
+            model = HestonParams(**model)
         elif experiment == "heston2-pricing":
-            model = Heston2Params.from_json_dict(model_data)
+            model = Heston2Params(HestonParams(**model["asset1"]),
+                                  HestonParams(**model["asset2"]), model["corr4"])
         elif experiment in ("cantor-calib", "cantor2-pricing"):
-            model = CantorParams.from_json_dict(model_data)
-        grid = data.get("grid", {})
-        sig = data.get("signature", {})
-        reg = data.get("regression", {})
-        samples = data.get("samples", {})
-        check = data.get("check", {})
-        return cls(
+            model = CantorParams(**model)
+        config = cls(
             experiment=experiment,
             model=model,
-            grid_T=float(grid.get("T", 1.0)),
-            grid_n=int(grid.get("n", 1)),
-            trunc_level=int(sig.get("trunc_level", 2)),
-            alpha=float(reg.get("alpha", 0.0)),
-            regression_kind=reg.get("kind", "lasso"),
-            n_train=int(samples.get("N_train", 1)),
-            n_test=int(samples.get("N_test", 1)),
-            n_mc=int(samples.get("N_MC", 1)),
-            master_seed=int(data.get("master_seed", 0)),
-            out_dir=data.get("out_dir"),
-            check_filter=check.get("filter"),
-            inject_fault=check.get("inject_fault"),
+            grid_T=data["grid"]["T"],
+            grid_n=data["grid"]["n"],
+            trunc_level=data["signature"]["trunc_level"],
+            alpha=data["regression"]["alpha"],
+            n_train=data["samples"]["N_train"],
+            n_test=data["samples"]["N_test"],
+            n_mc=data["samples"]["N_MC"],
+            master_seed=data["master_seed"],
+            out_dir=data["out_dir"],
+            check_filter=data["check"]["filter"],
+            inject_fault=data["check"]["inject_fault"],
         )
+        kind = data["regression"]["kind"]
+        if kind != config.regression_kind:
+            raise ValueError(f"{experiment} fits with {config.regression_kind}: "
+                             f"'regression.kind' must be {config.regression_kind!r}, "
+                             f"got {kind!r}")
+        return config
 
     def with_seed(self, master_seed: int) -> "ExperimentConfig":
         return dataclasses.replace(self, master_seed=int(master_seed))
@@ -202,13 +226,11 @@ def default_config(experiment: str, master_seed: int = 0, **overrides) -> Experi
     if experiment == "heston-calib":
         base = dict(model=HestonParams(**_REFERENCE_HESTON),
                     grid_T=1.0, grid_n=2000, trunc_level=2,
-                    alpha=1e-5, regression_kind="lasso",
-                    n_train=1, n_test=1000, n_mc=1)
+                    alpha=1e-5, n_train=1, n_test=1000, n_mc=1)
     elif experiment == "cantor-calib":
         base = dict(model=CantorParams(s0=(0.0,), vol_kind="tanh"),
                     grid_T=1.0, grid_n=2000, trunc_level=2,
-                    alpha=1e-5, regression_kind="lasso",
-                    n_train=1, n_test=1000, n_mc=1)
+                    alpha=1e-5, n_train=1, n_test=1000, n_mc=1)
     elif experiment == "heston2-pricing":
         asset1 = HestonParams(s0=100.0, v0=0.04, mu=0.0, kappa=2.0,
                               theta=0.04, sigma=0.5, rho=-0.6)
@@ -218,18 +240,15 @@ def default_config(experiment: str, master_seed: int = 0, **overrides) -> Experi
                                     corr_w1w2=0.5, corr_b1w1=-0.6,
                                     corr_b2w2=-0.5)
         base = dict(model=model, grid_T=1.0, grid_n=252, trunc_level=2,
-                    alpha=1e-6, regression_kind="ridge",
-                    n_train=15000, n_test=5000, n_mc=25000)
+                    alpha=1e-6, n_train=15000, n_test=5000, n_mc=25000)
     elif experiment == "cantor2-pricing":
         base = dict(model=CantorParams(s0=(100.0, 80.0), vol_kind="linear",
                                        nu=(0.20, 0.30), rho=0.6),
                     grid_T=1.0, grid_n=252, trunc_level=2,
-                    alpha=1e-6, regression_kind="ridge",
-                    n_train=15000, n_test=5000, n_mc=25000)
+                    alpha=1e-6, n_train=15000, n_test=5000, n_mc=25000)
     elif experiment == "check":
         base = dict(model=None, grid_T=1.0, grid_n=1, trunc_level=1,
-                    alpha=0.0, regression_kind="lasso",
-                    n_train=1, n_test=1, n_mc=1)
+                    alpha=0.0, n_train=1, n_test=1, n_mc=1)
     else:
         raise ValueError(f"unknown experiment {experiment!r}")
     base.update(experiment=experiment, master_seed=master_seed)

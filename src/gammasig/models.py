@@ -65,14 +65,6 @@ class SimGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n + 1)
 
-    def to_json_dict(self) -> dict:
-        return {"T": self.T, "n": self.n, "master_seed": self.master_seed}
-
-    @classmethod
-    def from_json_dict(cls, data) -> "SimGrid":
-        return cls(T=float(data["T"]), n=int(data["n"]),
-                   master_seed=int(data["master_seed"]))
-
 
 @dataclass(frozen=True)
 class HestonParams:
@@ -95,15 +87,6 @@ class HestonParams:
                 raise ValueError(f"{name} must be >= 0")
         if abs(self.rho) > 1:
             raise ValueError("rho must lie in [-1, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("s0", "v0", "mu", "kappa", "theta", "sigma", "rho")}
-
-    @classmethod
-    def from_json_dict(cls, data) -> "HestonParams":
-        return cls(**{k: float(data[k]) for k in
-                      ("s0", "v0", "mu", "kappa", "theta", "sigma", "rho")})
 
 
 @dataclass(frozen=True)
@@ -148,17 +131,6 @@ class Heston2Params:
         ])
         return cls(asset1, asset2, tuple(map(tuple, corr)))
 
-    def to_json_dict(self) -> dict:
-        return {"asset1": self.asset1.to_json_dict(),
-                "asset2": self.asset2.to_json_dict(),
-                "corr4": [list(row) for row in self.corr4]}
-
-    @classmethod
-    def from_json_dict(cls, data) -> "Heston2Params":
-        return cls(HestonParams.from_json_dict(data["asset1"]),
-                   HestonParams.from_json_dict(data["asset2"]),
-                   tuple(tuple(float(x) for x in row) for row in data["corr4"]))
-
 
 @dataclass(frozen=True)
 class CantorParams:
@@ -196,18 +168,6 @@ class CantorParams:
         if self.vol_kind == "tanh":
             return 1.0 + 0.3 * np.tanh(s)
         return self.nu[asset] * s
-
-    def to_json_dict(self) -> dict:
-        return {"s0": list(self.s0), "vol_kind": self.vol_kind,
-                "nu": None if self.nu is None else list(self.nu),
-                "rho": self.rho, "cantor_depth": self.cantor_depth}
-
-    @classmethod
-    def from_json_dict(cls, data) -> "CantorParams":
-        return cls(s0=tuple(data["s0"]), vol_kind=data["vol_kind"],
-                   nu=None if data.get("nu") is None else tuple(data["nu"]),
-                   rho=float(data.get("rho", 0.0)),
-                   cantor_depth=int(data.get("cantor_depth", 40)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ Features are used as given: columns are neither centred nor rescaled.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -68,9 +67,6 @@ class RegressionFit:
             "diagnostics": self.diagnostics,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
     @classmethod
     def from_json_dict(cls, data) -> "RegressionFit":
         return cls(words=tuple(parse_word(w) for w in data["words"]),
@@ -79,10 +75,6 @@ class RegressionFit:
                    alpha=float(data["alpha"]),
                    objective_kind=data["objective_kind"],
                    diagnostics=dict(data.get("diagnostics", {})))
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegressionFit":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _soft_threshold(value: float, threshold: float) -> float:

@@ -19,11 +19,25 @@ in exact arithmetic; floating point enters only through path signatures.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
+
+__all__ = [
+    "Alphabet",
+    "TensorPoly",
+    "word_str",
+    "parse_word",
+    "graded_lex_key",
+    "enumerate_words",
+    "concat",
+    "pair",
+    "shuffle",
+    "quasi_shuffle",
+    "group_inverse",
+    "ito_strat_functional",
+]
 
 Word = tuple[int, ...]
 
@@ -307,18 +321,11 @@ class TensorPoly:
             "terms": [{"word": list(w), "coeff": float(c)} for w, c in self.items()],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TensorPoly":
         alphabet = Alphabet.from_json_dict(data["alphabet"])
         terms = {tuple(t["word"]): t["coeff"] for t in data["terms"]}
         return cls(alphabet, int(data["trunc_level"]), terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TensorPoly":
-        return cls.from_json_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,107 @@ def test_config_error_names_its_key(tmp_path, capsys, command, payload, key):
     assert "Traceback" not in captured.err and not captured.out
 
 
+#: Small sizes, so that a case the contract fails to reject ends quickly.
+_SMALL = {"grid": {"n": 40}, "samples": {"N_test": 2}}
+_SMALL_PRICE = {"grid": {"n": 20}, "samples": {"N_train": 30, "N_test": 10, "N_MC": 30}}
+
+
+@pytest.mark.parametrize("command, payload, argv, key", [
+    # Cantor asset count
+    ("calibrate", {"experiment": "cantor-calib", "model": {"s0": [0.0, 1.0]}}, [],
+     "model.s0"),
+    ("price", {"experiment": "cantor2-pricing", **_SMALL_PRICE,
+               "model": {"s0": [100.0], "nu": [0.2]}}, [], "model.s0"),
+    # --seed and out_dir go through the same validation as the file
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL}, ["--seed", "-1"],
+     "master_seed"),
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL, "out_dir": 5}, [], "out_dir"),
+    ("check", {"experiment": "check", "check": {"inject_fault": "lasso-treshold"}}, [],
+     "check.inject_fault"),
+    ("check", {"experiment": "check", "model": {"s0": 1.0}}, [], "model"),
+    ("sigdump", {"master_seed": -1}, [], "master_seed"),
+    ("sigdump", {"master_seed": 2 ** 64}, [], "master_seed"),
+    ("sigdump", {}, ["--seed", "-1"], "master_seed"),
+    # keys no run reads are fixed
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL, "regression": {"kind": "ridge"}},
+     [], "regression.kind"),
+    ("price", {"experiment": "cantor2-pricing", **_SMALL_PRICE,
+               "regression": {"kind": "lasso"}}, [], "regression.kind"),
+    ("calibrate", {"experiment": "heston-calib", "grid": {"n": 40},
+                   "samples": {"N_test": 2, "N_train": 5}}, [], "samples.N_train"),
+    ("calibrate", {"experiment": "cantor-calib", "grid": {"n": 40},
+                   "samples": {"N_test": 2, "N_MC": 5}}, [], "samples.N_MC"),
+    # type rule: bool
+    ("sigdump", {"augment": {"time": "no"}}, [], "augment.time"),
+    ("sigdump", {"augment": {"brackets": 1}}, [], "augment.brackets"),
+    # type rule: int (no bool, no fractional or integral float)
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL, "grid": {"n": 40.7}}, [],
+     "grid.n"),
+    ("calibrate", {"experiment": "cantor-calib", "grid": {"n": 40},
+                   "samples": {"N_test": 1.9}}, [], "samples.N_test"),
+    ("calibrate", {"experiment": "cantor-calib", "grid": {"n": 40},
+                   "samples": {"N_test": 2.0}}, [], "samples.N_test"),
+    ("calibrate", {"experiment": "cantor-calib", "grid": {"n": 40},
+                   "samples": {"N_test": True}}, [], "samples.N_test"),
+    ("sigdump", {"trunc_level": 2.5}, [], "trunc_level"),
+    ("sigdump", {"trunc_level": True}, [], "trunc_level"),
+    ("sigdump", {"master_seed": 1.5}, [], "master_seed"),
+    # type rule: float (finite number, not bool)
+    ("calibrate", {"experiment": "cantor-calib", "grid": {"T": float("nan"), "n": 40}}, [],
+     "grid.T"),
+    ("calibrate", {"experiment": "cantor-calib", "grid": {"T": float("inf"), "n": 40}}, [],
+     "grid.T"),
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL,
+                   "regression": {"alpha": float("nan")}}, [], "regression.alpha"),
+    ("calibrate", {"experiment": "heston-calib", **_SMALL, "model": {"rho": True}}, [],
+     "model.rho"),
+    ("sigdump", {"gamma": float("inf")}, [], "gamma"),
+    # type rule: str
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL, "model": {"vol_kind": 1}}, [],
+     "model.vol_kind"),
+    # type rule: list, items typed like the reference's first item
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL, "model": {"s0": 0.0}}, [],
+     "model.s0"),
+    ("price", {"experiment": "cantor2-pricing", **_SMALL_PRICE,
+               "model": {"nu": [0.2, "x"]}}, [], "model.nu[1]"),
+    ("price", {"experiment": "heston2-pricing", **_SMALL_PRICE,
+               "model": {"corr4": [1.0, 0.0]}}, [], "model.corr4[0]"),
+])
+def test_config_contract_exits_2_naming_the_key(tmp_path, capsys, command, payload,
+                                                argv, key):
+    if command == "sigdump":
+        payload = {"path_csv": make_path_csv(tmp_path), **payload}
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, *argv]) == 2
+    captured = capsys.readouterr()
+    assert f"'{key}'" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_out_option_overrides_a_bad_out_dir(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"experiment": "check", "out_dir": 5})
+    out_dir = tmp_path / "reports"
+    assert main(["check", "--config", cfg, "--filter", "payoffs",
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert (out_dir / "check_report.json").is_file()
+
+
+def test_typed_walk_stores_numbers_as_their_reference_type():
+    from gammasig.cli import _deep_merge
+    from gammasig.experiments import ExperimentConfig, config_hash, default_config
+
+    reference = default_config("heston2-pricing").to_json_dict()
+    identity = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    merged = _deep_merge(reference, {"grid": {"T": 1},
+                                     "model": {"corr4": identity}})
+    assert type(merged["grid"]["T"]) is float
+    assert all(type(x) is float for row in merged["model"]["corr4"] for x in row)
+    assert type(merged["grid"]["n"]) is int
+    config = ExperimentConfig.from_json_dict(_deep_merge(reference, {"grid": {"T": 1}}))
+    assert config_hash(config) == config_hash(default_config("heston2-pricing"))
+
+
 def test_no_arguments_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

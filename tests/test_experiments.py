@@ -46,8 +46,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         dataclasses.replace(base, alpha=-1.0)
     with pytest.raises(ValueError):
-        dataclasses.replace(base, regression_kind="ols")
-    with pytest.raises(ValueError):
         dataclasses.replace(base, n_test=0)
     with pytest.raises(ValueError):
         dataclasses.replace(base, master_seed=-3)

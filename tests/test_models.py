@@ -36,7 +36,6 @@ def test_sim_grid_basics():
     g = SimGrid(T=2.0, n=4, master_seed=7)
     assert g.dt == 0.5
     assert np.allclose(g.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert SimGrid.from_json_dict(g.to_json_dict()) == g
     with pytest.raises(ValueError):
         SimGrid(T=0.0, n=4, master_seed=7)
     with pytest.raises(ValueError):
@@ -50,7 +49,6 @@ def test_sim_grid_basics():
 def test_heston_params_validation():
     p = HestonParams(s0=1.0, v0=0.04, mu=0.05, kappa=1.5, theta=0.04,
                      sigma=0.3, rho=-0.7)
-    assert HestonParams.from_json_dict(p.to_json_dict()) == p
     with pytest.raises(ValueError):
         HestonParams(s0=0.0, v0=0.04, mu=0.0, kappa=1.0, theta=0.04,
                      sigma=0.3, rho=0.0)
@@ -69,7 +67,6 @@ def test_heston2_params_validation():
                             corr_b1w1=-0.5, corr_b2w2=-0.4)
     assert p.corr_matrix[0, 1] == 0.3
     assert p.corr_matrix[0, 3] == 0.0  # unspecified cross term
-    assert Heston2Params.from_json_dict(p.to_json_dict()) == p
     with pytest.raises(ValueError):
         Heston2Params(a, a, ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="eigenvalue"):
@@ -84,7 +81,6 @@ def test_cantor_params_validation():
     assert p.vol(np.array([0.0]), 0)[0] == 1.0
     lin = CantorParams(s0=(1.0, 2.0), vol_kind="linear", nu=(0.5, 0.25))
     assert lin.vol(np.array([2.0]), 1)[0] == 0.5
-    assert CantorParams.from_json_dict(lin.to_json_dict()) == lin
     with pytest.raises(ValueError):
         CantorParams(s0=1.0, vol_kind="cubic")
     with pytest.raises(ValueError):

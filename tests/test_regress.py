@@ -6,6 +6,8 @@ coefficients, and closed-form solutions for identity designs.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -241,7 +243,7 @@ def test_regression_fit_serialization(rng):
     y = rng.normal(size=12)
     fit = lasso_fit(X, y, 0.4, words=[(1,), (1, 2)])
     assert fit.words == ((1,), (1, 2))
-    back = RegressionFit.from_json(fit.to_json())
+    back = RegressionFit.from_json_dict(json.loads(json.dumps(fit.to_json_dict())))
     assert back.words == fit.words
     assert np.allclose(back.coeffs, fit.coeffs)
     assert back.alpha == fit.alpha
