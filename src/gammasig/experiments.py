@@ -44,6 +44,7 @@ from .signature import (
     bracket_columns,
     endpoint_signature_batch,
     functional_matrix,
+    functional_paths,
     gamma_signature,
 )
 from .tensor import Alphabet, TensorPoly, Word, enumerate_words
@@ -74,6 +75,14 @@ PAYOFF_ORDER: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
+#: (JSON key, field, value) of the sizes the check experiment reads none of;
+#: they are fixed at its reference values.
+_CHECK_FIXED = (("grid.T", "grid_T", 1.0), ("grid.n", "grid_n", 1),
+                ("signature.trunc_level", "trunc_level", 1),
+                ("regression.alpha", "alpha", 0.0), ("samples.N_train", "n_train", 1),
+                ("samples.N_test", "n_test", 1), ("samples.N_MC", "n_mc", 1))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment run."""
@@ -100,6 +109,10 @@ class ExperimentConfig:
             if self.model is not None:
                 raise ValueError("the check experiment takes no model: "
                                  "'model' must be null")
+            for key, name, ref in _CHECK_FIXED:
+                if getattr(self, name) != ref:
+                    raise ValueError(f"the check experiment reads no {key!r}: it "
+                                     f"must be {ref!r}, got {getattr(self, name)!r}")
         else:
             if self.model is None:
                 raise ValueError("model parameters required")
@@ -201,12 +214,6 @@ class ExperimentConfig:
                              f"got {kind!r}")
         return config
 
-    def with_seed(self, master_seed: int) -> "ExperimentConfig":
-        return dataclasses.replace(self, master_seed=int(master_seed))
-
-    def with_out_dir(self, out_dir: str | None) -> "ExperimentConfig":
-        return dataclasses.replace(self, out_dir=out_dir)
-
 
 def config_hash(config: ExperimentConfig) -> str:
     """Stable short hash of the canonical config JSON (out_dir excluded)."""
@@ -247,8 +254,7 @@ def default_config(experiment: str, master_seed: int = 0, **overrides) -> Experi
                     grid_T=1.0, grid_n=252, trunc_level=2,
                     alpha=1e-6, n_train=15000, n_test=5000, n_mc=25000)
     elif experiment == "check":
-        base = dict(model=None, grid_T=1.0, grid_n=1, trunc_level=1,
-                    alpha=0.0, n_train=1, n_test=1, n_mc=1)
+        base = dict(model=None, **{name: ref for _, name, ref in _CHECK_FIXED})
     else:
         raise ValueError(f"unknown experiment {experiment!r}")
     base.update(experiment=experiment, master_seed=master_seed)
@@ -269,7 +275,8 @@ _Columns = dict[str, np.ndarray]
 class _SchemePlan:
     """How one scheme turns row b of the simulated columns into regression
     features: ``driver(times, columns, b)`` builds the path whose signature
-    is paired with the functionals."""
+    is paired with the functionals.  Its column names ("t", a simulated
+    column, or the shared clock "C") also lay out the batched test paths."""
 
     gamma: float
     sig_level: int
@@ -351,16 +358,32 @@ def _simulate_calibration_columns(config: ExperimentConfig, grid: SimGrid,
     return {"S": res["S"][:, :, 0], "W_C": res["W_C"][:, :, 0], "C": res["C"]}
 
 
-def _scheme_features(plan: _SchemePlan, times: np.ndarray, cols: _Columns,
-                     b: int) -> np.ndarray:
-    traj = gamma_signature(plan.driver(times, cols, b), plan.gamma, plan.sig_level)
-    return functional_matrix([traj], plan.functionals, at_end=False)
+def _driver_values(times: np.ndarray, cols: _Columns, names: Sequence[str],
+                   start: int, stop: int) -> np.ndarray:
+    """Driver values (B, n+1, L) of paths ``start..stop-1`` with the columns
+    ``names`` of a scheme's driver: "t" is the grid, a shared column is
+    broadcast and any other column is each path's own row."""
+    out = np.empty((stop - start, len(times), len(names)))
+    for i, name in enumerate(names):
+        col = times if name == "t" else cols[name]
+        out[:, :, i] = col if col.ndim == 1 else col[start:stop]
+    return out
+
+
+#: Test paths per batched signature pass of a calibration.
+_TEST_CHUNK = 100
 
 
 def run_calibration(config: ExperimentConfig) -> dict:
     """Fit both schemes on one training trajectory, evaluate in-sample and on
     fresh out-of-sample paths over [0, T/2]; returns (and optionally writes)
-    the MSE summary, fitted functionals, and a test-path trajectory table."""
+    the MSE summary, fitted functionals, and a test-path trajectory table.
+
+    The training design goes through :func:`gamma_signature` and
+    :func:`functional_matrix`; the test paths are paired with the same
+    functionals by :func:`functional_paths` in chunks of ``_TEST_CHUNK``,
+    which gives the same bits per path.
+    """
     if config.experiment not in CALIBRATION_IDS:
         raise ValueError(f"{config.experiment!r} is not a calibration experiment")
     plans = _calibration_plans(config)
@@ -384,20 +407,27 @@ def run_calibration(config: ExperimentConfig) -> dict:
     trajectory: dict[str, list[float]] = {}
     for scheme in SCHEMES:
         plan = plans[scheme]
-        X_train = _scheme_features(plan, train_grid.times, train, 0)
+        driver = plan.driver(train_grid.times, train, 0)
+        traj = gamma_signature(driver, plan.gamma, plan.sig_level)
+        X_train = functional_matrix([traj], plan.functionals, at_end=False)
         fit = lasso_fit(X_train, y_train, config.alpha, words=plan.labels,
                         intercept=s0)
         in_mse = mse(predict(fit, X_train), y_train)
         out_mses = []
-        for i in range(config.n_test):
-            X_test = _scheme_features(plan, test_grid.times, test, i)
-            y_test = test["S"][i]
-            pred = predict(fit, X_test)
-            out_mses.append(mse(pred, y_test))
-            if i == 0:
-                trajectory.setdefault("t", list(test_grid.times))
-                trajectory.setdefault("target", [float(v) for v in y_test])
-                trajectory[f"pred_{scheme}"] = [float(v) for v in pred]
+        for start in range(0, config.n_test, _TEST_CHUNK):
+            stop = min(start + _TEST_CHUNK, config.n_test)
+            values = _driver_values(test_grid.times, test, driver.names, start, stop)
+            features = functional_paths(values, plan.gamma, plan.functionals)
+            # predict on each path's own (n+1, p) block: one stacked BLAS
+            # call over the chunk may sum in another order
+            for i, X_test in enumerate(features, start):
+                y_test = test["S"][i]
+                pred = predict(fit, X_test)
+                out_mses.append(mse(pred, y_test))
+                if i == 0:
+                    trajectory.setdefault("t", list(test_grid.times))
+                    trajectory.setdefault("target", [float(v) for v in y_test])
+                    trajectory[f"pred_{scheme}"] = [float(v) for v in pred]
         report["schemes"][scheme] = {
             "in_sample_mse": in_mse,
             "out_sample_mse": float(np.mean(out_mses)),

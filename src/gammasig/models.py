@@ -159,6 +159,9 @@ class CantorParams:
                 (self.nu,) if np.isscalar(self.nu) else self.nu)))
             if len(self.nu) != len(self.s0):
                 raise ValueError("nu must have one entry per asset")
+        elif self.nu is not None:
+            raise ValueError("vol_kind 'tanh' reads no 'nu': it must be None, "
+                             f"got {self.nu!r}")
         if self.cantor_depth < 20:
             raise ValueError("cantor_depth must be >= 20")
         if abs(self.rho) > 1:

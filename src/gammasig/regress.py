@@ -77,14 +77,6 @@ class RegressionFit:
                    diagnostics=dict(data.get("diagnostics", {})))
 
 
-def _soft_threshold(value: float, threshold: float) -> float:
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
-
-
 def _default_words(p: int) -> tuple[Word, ...]:
     # anonymous single-letter labels when the caller supplies none
     return tuple((j,) for j in range(1, p + 1))
@@ -124,33 +116,46 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     col_sq = np.einsum("ij,ij->j", X, X)
     active = [j for j in range(p) if col_sq[j] > 0.0]
     threshold = 0.5 * alpha
+    neg_threshold = -threshold
     # Gram form of the cyclic update: x_j.r = c_j - (G beta)_j with
     # G = X'X maintained incrementally; O(p) per changed coordinate
-    # instead of O(n) regardless of n.
-    gram = (X.T @ X).tolist()
-    c = (X.T @ (y - intercept)).tolist()
-    sq = col_sq.tolist()
-    beta = [0.0] * p
-    grad = [0.0] * p  # (G beta)_j
+    # instead of O(n) regardless of n.  Only active columns are ever read,
+    # so every list is restricted to them (position a <-> column active[a]).
+    gram = (X.T @ X)[np.ix_(active, active)].tolist()
+    c = (X.T @ (y - intercept))[active].tolist()
+    sq = col_sq[active].tolist()
+    positions = range(len(active))
+    beta_active = [0.0] * len(active)
+    grad = [0.0] * len(active)  # (G beta)_j
     converged = False
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
         max_delta = 0.0
-        for j in active:
-            old = beta[j]
-            rho = c[j] - grad[j] + sq[j] * old
-            new = _soft_threshold(rho, threshold) / sq[j]
+        for a in positions:
+            old = beta_active[a]
+            rho = c[a] - grad[a] + sq[a] * old
+            # soft threshold S(rho, alpha/2), divided by ||x_j||^2
+            if rho > threshold:
+                new = (rho - threshold) / sq[a]
+            elif rho < neg_threshold:
+                new = (rho + threshold) / sq[a]
+            else:
+                new = 0.0
             if new != old:
                 delta = new - old
-                row = gram[j]
-                for k in active:
+                row = gram[a]
+                for k in positions:
                     grad[k] += row[k] * delta
-                beta[j] = new
-                max_delta = max(max_delta, abs(delta))
+                beta_active[a] = new
+                if delta > max_delta:
+                    max_delta = delta
+                elif -delta > max_delta:
+                    max_delta = -delta
         if max_delta < tol:
             converged = True
             break
-    beta = np.asarray(beta)
+    beta = np.zeros(p)
+    beta[active] = beta_active
     pred = X @ beta + intercept
     fit_words = tuple(tuple(w) for w in words) if words is not None else _default_words(p)
     return RegressionFit(

@@ -10,8 +10,9 @@ the running trajectory of one path and the end points of a batch), an
 independent per-step Chen-product oracle, the cumulative pathwise (Follmer)
 bracket columns of a path batch and the quadratic-variation matrix built on
 them, time and bracket augmentation of a path, signature increments via the
-group inverse, and the design matrix of linear functionals paired with
-signatures for regression.
+group inverse, and the pairings of linear functionals with signatures for
+regression: the design matrix of given trajectories, and a batched route
+that computes only the coordinates the functionals read.
 
 Accumulation note: every cumulative sum in the package -- signature levels,
 brackets, simulator drivers and realized statistics -- goes through
@@ -33,6 +34,7 @@ from .tensor import (
     Word,
     concat,
     enumerate_words,
+    graded_lex_key,
     group_inverse,
     word_str,
 )
@@ -49,6 +51,7 @@ __all__ = [
     "gamma_signature_chen",
     "sig_increment",
     "functional_matrix",
+    "functional_paths",
     "endpoint_signature_batch",
     "write_path_csv",
     "read_path_csv",
@@ -270,13 +273,27 @@ def _gamma_points(prev: np.ndarray, gamma: float) -> np.ndarray:
     return prev[:, :-1] + gamma * (prev[:, 1:] - prev[:, :-1])
 
 
-def _level_step(prev: np.ndarray | None, dX: np.ndarray, gamma: float) -> np.ndarray:
+def _level_step(prev: np.ndarray | None, dX: np.ndarray, gamma: float,
+                select: tuple[Sequence[int], Sequence[int]] | None = None) -> np.ndarray:
     """Level-m trajectory (B, n+1, L**m) from the level-(m-1) trajectory
     ``prev`` (B, n+1, L**(m-1)) and the increments ``dX`` (B, n, L).
 
     ``prev = None`` stands for the constant-unit level 0, whose gamma-points
     are exactly 1, so level 1 is the running sum of the increments.
+
+    ``select = (prefix, letter)`` computes only the level-m words ``w + (a,)``
+    with ``w`` the ``prefix[c]``-th column of ``prev`` and ``a`` the
+    ``letter[c]``-th letter, as column c of a (B, n+1, C) result (``prefix``
+    is ignored at level 1).  Each column takes the same elementwise products
+    and the same sequential accumulation as in the full step, so its bits
+    equal the full step's.
     """
+    if select is not None:
+        prefix, letter = select
+        dX = dX[:, :, letter]
+        if prev is None:
+            return cumsum0(dX, axis=1)
+        return cumsum0(_gamma_points(prev[:, :, prefix], gamma) * dX, axis=1)
     if prev is None:
         return cumsum0(dX, axis=1)
     B, n, L = dX.shape
@@ -406,6 +423,54 @@ def functional_matrix(trajs: Sequence[SigTrajectory], functionals: Sequence[Tens
                 block[:, j] += float(c) * traj.coeff_path(w)
         blocks.append(block[-1:] if at_end else block)
     return np.concatenate(blocks, axis=0)
+
+
+def functional_paths(values: np.ndarray, gamma: float,
+                     functionals: Sequence[TensorPoly]) -> np.ndarray:
+    """Pairings <ell_j, S_{0,t_k}> at every grid point of a batch of paths.
+
+    ``values`` has shape (B, n+1, L) with columns in the letter layout of the
+    functionals' common alphabet; returns (B, n+1, p) for p functionals.
+    Only the words the functionals read and their prefixes are computed,
+    level by level through the column-selective :func:`_level_step`, and
+    each pairing is summed in the term order of :func:`functional_matrix`,
+    so row block b equals ``functional_matrix([gamma_signature(path_b,
+    gamma, level)], functionals, at_end=False)`` bit for bit.
+    """
+    _check_gamma(gamma)
+    if not functionals:
+        raise ValueError("need at least one functional")
+    alphabet = functionals[0].alphabet
+    for ell in functionals:
+        if ell.alphabet != alphabet:
+            raise ValueError("functional alphabet mismatch")
+    values = np.asarray(values, dtype=np.float64)
+    B, n_plus_1, L = values.shape
+    if L != alphabet.total_letters:
+        raise ValueError(f"value columns ({L}) must match alphabet letters "
+                         f"({alphabet.total_letters})")
+    expanded = [list(ell.items()) for ell in functionals]
+    needed = sorted({w[:m] for terms in expanded for w, _ in terms
+                     for m in range(1, len(w) + 1)}, key=graded_lex_key)
+    dX = np.diff(values, axis=1)
+    # word -> (level trajectory, column) of every needed word
+    where: dict[Word, tuple[np.ndarray, int]] = {}
+    prev = None
+    for m in range(1, max((len(w) for w in needed), default=0) + 1):
+        words = [w for w in needed if len(w) == m]
+        prefix = [where[w[:-1]][1] for w in words] if m > 1 else [0] * len(words)
+        letter = [alphabet.index(w[-1]) for w in words]
+        prev = _level_step(prev, dX, gamma, (prefix, letter))
+        where.update((w, (prev, c)) for c, w in enumerate(words))
+    out = np.zeros((B, n_plus_1, len(functionals)))
+    for j, terms in enumerate(expanded):
+        for w, c in terms:
+            if w:
+                level, col = where[w]
+                out[:, :, j] += float(c) * level[:, :, col]
+            else:
+                out[:, :, j] += float(c)
+    return out
 
 
 def endpoint_signature_batch(values: np.ndarray, gamma: float,

@@ -243,6 +243,20 @@ _SMALL_PRICE = {"grid": {"n": 20}, "samples": {"N_train": 30, "N_test": 10, "N_M
                "model": {"nu": [0.2, "x"]}}, [], "model.nu[1]"),
     ("price", {"experiment": "heston2-pricing", **_SMALL_PRICE,
                "model": {"corr4": [1.0, 0.0]}}, [], "model.corr4[0]"),
+    # the check experiment reads no sizes: they stay at its reference
+    ("check", {"experiment": "check", "grid": {"n": 5, "T": 3.0},
+               "samples": {"N_MC": 7}}, [], "grid.T"),
+    ("check", {"experiment": "check", "grid": {"n": 5}}, [], "grid.n"),
+    ("check", {"experiment": "check", "signature": {"trunc_level": 2}}, [],
+     "signature.trunc_level"),
+    ("check", {"experiment": "check", "regression": {"alpha": 1e-5}}, [],
+     "regression.alpha"),
+    ("check", {"experiment": "check", "samples": {"N_test": 3}}, [], "samples.N_test"),
+    # a Cantor tanh volatility reads no nu
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL, "model": {"nu": "x"}}, [],
+     "nu"),
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL, "model": {"nu": [0.2]}}, [],
+     "nu"),
 ])
 def test_config_contract_exits_2_naming_the_key(tmp_path, capsys, command, payload,
                                                 argv, key):

@@ -10,8 +10,13 @@ from gammasig import (
     CantorParams,
     ExperimentConfig,
     PAYOFF_ORDER,
+    RegressionFit,
     config_hash,
     default_config,
+    functional_matrix,
+    gamma_signature,
+    mse,
+    predict,
     run_calibration,
     run_checks,
     run_pricing,
@@ -52,11 +57,12 @@ def test_config_validation():
 
 
 def test_config_hash_scope():
+    import dataclasses
     cfg = default_config("cantor-calib")
-    assert config_hash(cfg.with_out_dir("/tmp/anywhere")) == config_hash(cfg)
-    assert config_hash(cfg.with_seed(5)) != config_hash(cfg)
-    assert cfg.with_seed(5).master_seed == 5
-    assert cfg.with_out_dir("x").out_dir == "x"
+    assert config_hash(dataclasses.replace(cfg, out_dir="/tmp/anywhere")) == config_hash(cfg)
+    assert config_hash(dataclasses.replace(cfg, master_seed=5)) != config_hash(cfg)
+    assert dataclasses.replace(cfg, master_seed=5).master_seed == 5
+    assert dataclasses.replace(cfg, out_dir="x").out_dir == "x"
     assert len(config_hash(cfg)) == 16
 
 
@@ -126,6 +132,30 @@ def test_run_calibration_constant_target_is_exact():
         assert all(c == 0.0 for c in entry["fit"]["coeffs"])
         assert entry["fit"]["intercept"] == 2.0
     assert report["trajectory"]["target"] == [2.0] * 61
+
+
+@pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
+def test_run_calibration_batches_equal_per_path_loop(experiment):
+    # the test paths go through functional_paths in chunks; one more chunk
+    # than fits evenly must give what one signature per path gives
+    from gammasig import experiments
+    cfg = default_config(experiment, grid_n=40, n_test=experiments._TEST_CHUNK + 3)
+    report = run_calibration(cfg)
+    test_grid = cfg.test_grid()
+    test = experiments._simulate_calibration_columns(
+        cfg, test_grid, range(1, cfg.n_test + 1))
+    for scheme, plan in experiments._calibration_plans(cfg).items():
+        fit = RegressionFit.from_json_dict(report["schemes"][scheme]["fit"])
+        out_mses = []
+        for i in range(cfg.n_test):
+            traj = gamma_signature(plan.driver(test_grid.times, test, i),
+                                   plan.gamma, plan.sig_level)
+            pred = predict(fit, functional_matrix([traj], plan.functionals,
+                                                  at_end=False))
+            out_mses.append(mse(pred, test["S"][i]))
+            if i == 0:
+                assert report["trajectory"][f"pred_{scheme}"] == [float(v) for v in pred]
+        assert report["schemes"][scheme]["out_sample_mse"] == float(np.mean(out_mses))
 
 
 def test_run_calibration_rejects_wrong_experiment():

@@ -22,6 +22,7 @@ from gammasig import (
     endpoint_signature_batch,
     enumerate_words,
     functional_matrix,
+    functional_paths,
     gamma_signature,
     gamma_signature_chen,
     pair,
@@ -31,6 +32,7 @@ from gammasig import (
     write_path_csv,
     write_sig_csv,
 )
+from gammasig.signature import _level_step
 from conftest import make_random_path
 
 
@@ -411,6 +413,64 @@ def test_endpoint_batch_lower_levels_bitwise_equal_per_path(rng):
                                        gamma, N - 1)
                 for m in range(N - 1):
                     assert np.array_equal(ends[m][b], traj.levels[m][-1])
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("alphabet", [
+    Alphabet(2),
+    Alphabet(1, has_time=True),
+    Alphabet(1, has_time=True, has_brackets=True),
+    Alphabet(2, has_time=True, has_brackets=True),
+])
+def test_functional_paths_bitwise_equal_functional_matrix(rng, alphabet):
+    B, n = 3, 12
+    L = alphabet.total_letters
+    times = np.arange(n + 1, dtype=float)
+    values = np.cumsum(rng.normal(size=(B, n + 1, L)), axis=1)
+    for N in (1, 2, 3, 4):
+        words = enumerate_words(alphabet, N)
+        top = [w for w in words if len(w) == N]
+        ells = [
+            TensorPoly.basis(alphabet, N, top[-1]),
+            TensorPoly(alphabet, N, {(): 0.75, top[0]: -1.5}),
+            TensorPoly(alphabet, N, {w: float(rng.normal()) for w in
+                                     (words[i] for i in rng.choice(len(words), 4))}),
+            TensorPoly(alphabet, N, {(): 1.0}),
+        ]
+        for gamma in (0.0, 0.5, 1.0):
+            batch = functional_paths(values, gamma, ells)
+            assert batch.shape == (B, n + 1, len(ells))
+            for b in range(B):
+                traj = gamma_signature(SamplePath(times, values[b], alphabet), gamma, N)
+                ref = functional_matrix([traj], ells, at_end=False)
+                assert np.array_equal(_bits(batch[b]), _bits(ref)), (N, gamma, b)
+
+
+def test_functional_paths_validation(rng):
+    values = rng.normal(size=(2, 5, 2))
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        functional_paths(values, 0.5, [TensorPoly.basis(Alphabet(2), 1, (1,)),
+                                       TensorPoly.basis(Alphabet(1, has_time=True), 1, (1,))])
+    with pytest.raises(ValueError, match="letters"):
+        functional_paths(values, 0.5, [TensorPoly.basis(Alphabet(3), 1, (1,))])
+    with pytest.raises(ValueError, match="gamma"):
+        functional_paths(values, 1.5, [TensorPoly.basis(Alphabet(2), 1, (1,))])
+
+
+def test_level_step_full_selection_equals_broadcast(rng):
+    B, n, L = 3, 10, 3
+    dX = rng.normal(size=(B, n, L))
+    for gamma in (0.0, 0.25, 0.5, 1.0):
+        prev = None
+        for _ in range(3):
+            P = 1 if prev is None else prev.shape[2]
+            select = (np.repeat(np.arange(P), L), np.tile(np.arange(L), P))
+            full = _level_step(prev, dX, gamma)
+            assert np.array_equal(_bits(_level_step(prev, dX, gamma, select)), _bits(full))
+            prev = full
 
 
 # ---------------------------------------------------------------------------
