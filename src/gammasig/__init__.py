@@ -17,11 +17,12 @@ Subpackage layout (one module per concern):
   augmentation, gamma-signatures from one batched level step, feature
   matrices, path/signature CSV I/O, and the package's one accumulation
   primitive.
-* :mod:`gammasig.models` -- seeded simulators (Heston, two-asset Heston,
-  Cantor-clock SDE) with per-path reproducible random streams.
+* :mod:`gammasig.models` -- seeded batch simulators (Heston, two-asset
+  Heston, Cantor-clock SDE) returning arrays with one row per path, each
+  path drawn from its own reproducible random stream.
 * :mod:`gammasig.regress` -- lasso and ridge solvers on signature features.
 * :mod:`gammasig.payoffs` -- realized variance/covariance/correlation
-  statistics and swap/call payoffs on them.
+  statistics of path batches and swap/call payoffs on them.
 * :mod:`gammasig.experiments` -- configured calibration and pricing runs
   with stamped CSV/JSON outputs.
 * :mod:`gammasig.checks` -- self-contained invariant suites per module.

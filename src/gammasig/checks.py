@@ -21,6 +21,7 @@ import numpy as np
 
 from . import models, payoffs, regress, signature, tensor
 from .models import CantorParams, Heston2Params, HestonParams, SimGrid
+from .payoffs import PayoffSpec
 from .signature import SamplePath, augment_path, gamma_signature, gamma_signature_chen
 from .tensor import Alphabet, TensorPoly, concat, group_inverse, ito_strat_functional
 from .tensor import enumerate_words, quasi_shuffle, shuffle
@@ -28,10 +29,6 @@ from .tensor import enumerate_words, quasi_shuffle, shuffle
 __all__ = ["run_all", "MODULES"]
 
 CheckResult = tuple[bool, str]
-
-
-def _rel_residual(diff: float, scale: float) -> float:
-    return abs(diff) / max(1.0, abs(scale))
 
 
 def _random_int_poly(rng: np.random.Generator, alphabet: Alphabet,
@@ -166,13 +163,13 @@ def _signature_chen_exactness(fault: str | None) -> CheckResult:
         for gamma in (0.0, 0.25, 0.5, 1.0):
             full = gamma_signature(path, gamma, 4)
             end = full.end
-            scale = max(abs(c) for _, c in end.items())
+            scale = np.max(np.abs([c for _, c in end.items()]))
             for s in range(path.n_steps + 1):
                 left = gamma_signature(path.sub_path(0, s), gamma, 4).end
                 right = gamma_signature(path.sub_path(s, path.n_steps), gamma, 4).end
                 glued = concat(left, right)
-                diff = max((abs(c) for _, c in (glued - end).items()), default=0.0)
-                worst = max(worst, diff / max(1.0, scale))
+                diff = np.max(np.abs([c for _, c in (glued - end).items()]), initial=0.0)
+                worst = np.maximum(worst, diff / max(1.0, scale))
     ok = worst <= 1e-12
     return ok, f"max relative splice residual {worst:.3e} (tol 1e-12)"
 
@@ -191,7 +188,7 @@ def _signature_oracle_equivalence(fault: str | None) -> CheckResult:
         for m in range(N):
             a, b = fast.levels[m], slow.levels[m]
             scale = max(1.0, float(np.max(np.abs(b))))
-            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
+            worst = np.maximum(worst, float(np.max(np.abs(a - b))) / scale)
     ok = worst <= 1e-10
     return ok, f"200 random paths (n<=50, d<=3, N<=4): max rel err {worst:.3e} (tol 1e-10)"
 
@@ -210,7 +207,7 @@ def _signature_degree2_identities(fault: str | None) -> CheckResult:
                 rhs = (S0.coeff_path((i, j)) + S0.coeff_path((j, i))
                        + S0.coeff_path((eps,)))
                 scale = max(1.0, float(np.max(np.abs(lhs))))
-                worst_qs = max(worst_qs, float(np.max(np.abs(lhs - rhs))) / scale)
+                worst_qs = np.maximum(worst_qs, float(np.max(np.abs(lhs - rhs))) / scale)
         half = augment_path(path, 0.5, include_time=True, include_brackets=False)
         Sh = gamma_signature(half, 0.5, 2)
         for i in (1, 2):
@@ -218,7 +215,7 @@ def _signature_degree2_identities(fault: str | None) -> CheckResult:
                 lhs = Sh.coeff_path((i,)) * Sh.coeff_path((j,))
                 rhs = Sh.coeff_path((i, j)) + Sh.coeff_path((j, i))
                 scale = max(1.0, float(np.max(np.abs(lhs))))
-                worst_sh = max(worst_sh, float(np.max(np.abs(lhs - rhs))) / scale)
+                worst_sh = np.maximum(worst_sh, float(np.max(np.abs(lhs - rhs))) / scale)
     ok = worst_qs <= 1e-12 and worst_sh <= 1e-12
     return ok, (f"100 paths: quasi-shuffle residual {worst_qs:.3e}, "
                 f"shuffle residual {worst_sh:.3e} (tol 1e-12)")
@@ -233,7 +230,7 @@ def _signature_gamma1_symmetry(fault: str | None) -> CheckResult:
         ito = gamma_signature(path, 0.0, 2).levels[1]
         qv = signature.quadratic_variation(path, 0.0).reshape(len(path.times), -1)
         scale = max(1.0, float(np.max(np.abs(back))))
-        worst = max(worst, float(np.max(np.abs(back - (ito + qv)))) / scale)
+        worst = np.maximum(worst, float(np.max(np.abs(back - (ito + qv)))) / scale)
     ok = worst <= 1e-12
     return ok, f"100 paths: level-2 backward = level-2 left + QV, residual {worst:.3e}"
 
@@ -263,7 +260,7 @@ def _quasi_shuffle_deg3_residual(n: int) -> float:
             lhs = end.coeff(I) * end.coeff(J)
             rhs = sum(float(c) * end.coeff(w)
                       for w, c in quasi_shuffle(I, J, aug.alphabet).items())
-            worst = max(worst, abs(lhs - rhs))
+            worst = np.maximum(worst, abs(lhs - rhs))
     return worst
 
 
@@ -277,7 +274,7 @@ def _conversion_residual(n: int) -> float:
         lhs = S_ito.coeff(I)
         rhs = sum(float(c) * S_strat.coeff(w)
                   for w, c in ito_strat_functional(I, aug.alphabet).items())
-        worst = max(worst, abs(lhs - rhs))
+        worst = np.maximum(worst, abs(lhs - rhs))
     return worst
 
 
@@ -298,27 +295,27 @@ def _signature_refinement_order(fault: str | None) -> CheckResult:
 def _models_determinism(fault: str | None) -> CheckResult:
     heston = HestonParams(1.0, 0.08, 0.001, 0.5, 0.15, 0.25, -0.5)
     grid = SimGrid(1.0, 64, 42)
-    a = models.simulate_heston(heston, grid, 3)
-    b = models.simulate_heston(heston, grid, 3)
-    if not np.array_equal(a.values, b.values):
+    a = models.simulate_heston_batch(heston, grid, [3])
+    b = models.simulate_heston_batch(heston, grid, [3])
+    if not all(np.array_equal(a[name], b[name]) for name in a):
         return False, "repeated Heston call not bit-identical"
     batch = models.simulate_heston_batch(heston, grid, [5, 3, 9])
-    if not all(np.array_equal(batch[name][1], a.by_name(name)) for name in a.names):
-        return False, "batched path differs from single-path call"
+    if not all(np.array_equal(batch[name][1], a[name][0]) for name in a):
+        return False, "Heston path depends on batch composition"
     cantor = CantorParams(s0=(0.0,), vol_kind="tanh")
-    c1 = models.simulate_cantor_sde(cantor, grid, 7)
+    c1 = models.simulate_cantor_sde_batch(cantor, grid, [7])
     c2 = models.simulate_cantor_sde_batch(cantor, grid, [8, 7])
-    if not (np.array_equal(c2["S"][1, :, 0], c1.by_name("S"))
-            and np.array_equal(c2["W_C"][1, :, 0], c1.by_name("W_C"))
-            and np.array_equal(c2["C"], c1.by_name("C"))):
+    if not (np.array_equal(c2["S"][1], c1["S"][0])
+            and np.array_equal(c2["W_C"][1], c1["W_C"][0])
+            and np.array_equal(c2["C"], c1["C"])):
         return False, "Cantor path depends on batch composition"
     h2 = Heston2Params.build(
         HestonParams(100.0, 0.04, 0.0, 2.0, 0.04, 0.5, -0.6),
         HestonParams(80.0, 0.09, 0.0, 1.8, 0.09, 0.6, -0.5),
         corr_b1b2=0.3, corr_w1w2=0.5, corr_b1w1=-0.6, corr_b2w2=-0.5)
-    p1 = models.simulate_heston2(h2, grid, 2)
+    p1 = models.simulate_heston2_batch(h2, grid, [2])
     p2 = models.simulate_heston2_batch(h2, grid, [0, 2])
-    if not all(np.array_equal(p2[name][1], p1.by_name(name)) for name in p1.names):
+    if not all(np.array_equal(p2[name][1], p1[name][0]) for name in p1):
         return False, "two-asset Heston path depends on batch composition"
     return True, "per-path streams: repeat/batch/order all bit-identical"
 
@@ -353,10 +350,11 @@ def _models_cantor_qv(fault: str | None) -> CheckResult:
         err_fine.append(errs[2000])
     med_ratio = float(np.median(ratios))
     theo_ratio = math.sqrt(sum_sq[2000] / sum_sq[500])
-    ok = med_ratio <= 0.85 and max(err_fine) <= 0.01 and theo_ratio <= 0.75
+    max_fine = float(np.max(err_fine))
+    ok = med_ratio <= 0.85 and max_fine <= 0.01 and theo_ratio <= 0.75
     return ok, (f"QV of W_C vs C(t), {B} paths x 5 seeds: median error ratio "
                 f"(n=2000 vs 500) {med_ratio:.2f} (<= 0.85), max fine-grid error "
-                f"{max(err_fine):.4f} (<= 0.01), noise-scale ratio {theo_ratio:.2f} "
+                f"{max_fine:.4f} (<= 0.01), noise-scale ratio {theo_ratio:.2f} "
                 f"(<= 0.75; the Cantor occupation measure decays slower than "
                 f"Brownian, so exact halving is not attainable)")
 
@@ -434,7 +432,7 @@ def _regress_alpha_zero_oracle(fault: str | None) -> CheckResult:
     worst = 0.0
     for fit in (regress.lasso_fit(X, y, 0.0), regress.ridge_fit(X, y, 0.0)):
         pred = regress.predict(fit, X)
-        worst = max(worst, float(np.max(np.abs(pred - oracle))) / scale)
+        worst = np.maximum(worst, float(np.max(np.abs(pred - oracle))) / scale)
     ok = worst <= 1e-8
     return ok, f"alpha=0 fits vs lstsq oracle: max rel prediction error {worst:.3e}"
 
@@ -454,24 +452,32 @@ def _payoff_paths(rng: np.random.Generator, count: int):
     return out
 
 
+def _one_path_stats(path: SamplePath) -> dict[str, float]:
+    """Realized statistics of one path's base columns."""
+    stats = payoffs.realized_stats_batch(path.values[None])
+    return {key: arr[0] for key, arr in stats.items()}
+
+
 def _payoffs_call_swap(fault: str | None) -> CheckResult:
     """Each call equals the positive part of statistic - strike, the swap on
     the call's own settlement statistic.  CovCall/CorrCall pair with the swap
     kinds directly; RVcall settles on volatility while RVswap settles on
-    variance, so its swap side is built from realized_stats."""
+    variance, so its swap side is built from the realized volatility."""
     rng = np.random.default_rng(111)
     pairs = (("CovSwap", "CovCall", (1, 2)), ("CorrSwap", "CorrCall", (1, 2)))
     for path in _payoff_paths(rng, 40):
+        stats = _one_path_stats(path)
         for strike in (-0.5, 0.0, 0.02, 0.5):
             for swap_kind, call_kind, assets in pairs:
-                swap = payoffs.evaluate(payoffs.PayoffSpec(swap_kind, assets, strike), path)
-                call = payoffs.evaluate(payoffs.PayoffSpec(call_kind, assets, strike), path)
+                stat = stats[payoffs.statistic_key(swap_kind, assets)]
+                swap = payoffs.payoff_values(PayoffSpec(swap_kind, assets, strike), stat)
+                call = payoffs.payoff_values(PayoffSpec(call_kind, assets, strike), stat)
                 if call != max(swap, 0.0):
                     return False, (f"{call_kind} != max({swap_kind}, 0) at "
                                    f"strike {strike}")
             for i in (1, 2):
-                rv = payoffs.realized_stats(path, i, 3 - i)[1]
-                call = payoffs.evaluate(payoffs.PayoffSpec("RVcall", (i,), strike), path)
+                rv = stats[f"RV_{i}"]
+                call = payoffs.payoff_values(PayoffSpec("RVcall", (i,), strike), rv)
                 if call != max(rv - strike, 0.0):
                     return False, f"RVcall_{i} != (RV - strike)^+ at strike {strike}"
     return True, "40 paths x 3 statistic pairs x 4 strikes, exact"
@@ -481,8 +487,7 @@ def _payoffs_corr_bound(fault: str | None) -> CheckResult:
     rng = np.random.default_rng(222)
     worst = 0.0
     for path in _payoff_paths(rng, 100):
-        stats = payoffs.realized_stats(path, 1, 2)
-        worst = max(worst, abs(stats[3]))
+        worst = np.maximum(worst, abs(_one_path_stats(path)["Corr_12"]))
     ok = worst <= 1.0 + 1e-12
     return ok, f"100 paths: max |Corr| = {worst:.12f} (Cauchy-Schwarz bound 1)"
 
@@ -491,9 +496,9 @@ def _payoffs_rvar_qv(fault: str | None) -> CheckResult:
     rng = np.random.default_rng(333)
     for path in _payoff_paths(rng, 50):
         qv_end = signature.quadratic_variation(path, 0.0)[-1]
+        stats = _one_path_stats(path)
         for i in (1, 2):
-            rvar = payoffs.realized_stats(path, i, 3 - i)[0]
-            if rvar != qv_end[i - 1, i - 1]:
+            if stats[f"RVar_{i}"] != qv_end[i - 1, i - 1]:
                 return False, f"RVar_{i} != left-point QV end value"
     return True, "50 paths: RVar equals the left-point Follmer QV end value exactly"
 

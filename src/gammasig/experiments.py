@@ -409,7 +409,7 @@ def run_calibration(config: ExperimentConfig) -> dict:
         plan = plans[scheme]
         driver = plan.driver(train_grid.times, train, 0)
         traj = gamma_signature(driver, plan.gamma, plan.sig_level)
-        X_train = functional_matrix([traj], plan.functionals, at_end=False)
+        X_train = functional_matrix(traj, plan.functionals)
         fit = lasso_fit(X_train, y_train, config.alpha, words=plan.labels,
                         intercept=s0)
         in_mse = mse(predict(fit, X_train), y_train)

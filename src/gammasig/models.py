@@ -1,14 +1,13 @@
 """Reproducible path simulators: Heston (1 and 2 assets), Cantor-clock SDEs,
-correlated Gaussian draws, and the Cantor function.
+and the Cantor function.
 
 Reproducibility model: every path gets its own counter-based RNG stream,
 ``numpy.random.Philox`` keyed by ``(master_seed, path_index)``.  A path is a
 pure function of (params, grid, path_index, master_seed), independent of how
 many paths are drawn together or in what order.
 
-The batched simulators return the arrays of their Euler kernel, one row per
-path.  The per-path simulators run the same kernel on a batch of one and
-wrap row 0 in a :class:`SamplePath`, so both are bit-identical.
+Each simulator takes a batch of path indices and returns the arrays of its
+Euler kernel, one row per path.
 """
 from __future__ import annotations
 
@@ -17,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signature import SamplePath, cumsum0
-from .tensor import Alphabet
+from .signature import cumsum0
 
 __all__ = [
     "SimGrid",
@@ -27,12 +25,8 @@ __all__ = [
     "CantorParams",
     "path_rng",
     "cantor_function",
-    "correlated_normals",
-    "simulate_heston",
     "simulate_heston_batch",
-    "simulate_heston2",
     "simulate_heston2_batch",
-    "simulate_cantor_sde",
     "simulate_cantor_sde_batch",
 ]
 
@@ -174,7 +168,7 @@ class CantorParams:
 
 
 # ---------------------------------------------------------------------------
-# RNG streams and correlated draws
+# RNG streams and the correlation factor
 # ---------------------------------------------------------------------------
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
@@ -208,26 +202,6 @@ def _corr_factor(corr: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(corr)
         return V * np.sqrt(np.clip(w, 0.0, None))
-
-
-def correlated_normals(corr: np.ndarray, count: int,
-                       seed: int | tuple[int, int] | np.random.Generator) -> np.ndarray:
-    """``count`` i.i.d. rows of N(0, corr) via the lower-triangular factor.
-
-    ``seed`` may be a Generator, a plain integer, or a (master_seed,
-    stream_index) pair for a dedicated Philox stream.  A matrix that is not
-    PSD within 1e-10 raises (no silent repair).
-    """
-    corr = np.asarray(corr, dtype=np.float64)
-    L = _corr_factor(corr)
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    elif isinstance(seed, tuple):
-        rng = path_rng(*seed)
-    else:
-        rng = path_rng(int(seed), 0)
-    z = rng.standard_normal((int(count), corr.shape[0]))
-    return z @ L.T
 
 
 # ---------------------------------------------------------------------------
@@ -322,37 +296,18 @@ def _heston_euler(params: HestonParams, grid: SimGrid,
             "degenerate_steps": deg_count}
 
 
-_HESTON_NAMES = ("S", "V", "W", "B", "W_Q", "B_Q")
-
-
-def _first_path(grid: SimGrid, names: tuple[str, ...], columns: Sequence[np.ndarray],
-                meta: dict | None = None) -> SamplePath:
-    """The per-path API's :class:`SamplePath`: batch row 0 of a simulator's
-    arrays, one column per name."""
-    return SamplePath(grid.times, np.column_stack(columns), Alphabet(len(names)),
-                      names, meta or {})
-
-
 def simulate_heston_batch(params: HestonParams, grid: SimGrid,
                           path_indices: Sequence[int]) -> dict[str, np.ndarray]:
-    """Batched :func:`simulate_heston` as arrays: "S", "V", "W", "B", "W_Q",
-    "B_Q" of shape (B, n+1) and "degenerate_steps" of shape (B,); row b is
-    bit-identical to a per-path call with ``path_indices[b]``."""
-    return _heston_euler(params, grid, _stack_draws(grid, path_indices, 2))
-
-
-def simulate_heston(params: HestonParams, grid: SimGrid, path_index: int) -> SamplePath:
-    """One Heston path with columns (S, V, W, B, W_Q, B_Q).
+    """Heston paths, one row per entry of ``path_indices``: "S", "V", "W",
+    "B", "W_Q", "B_Q" of shape (B, n+1) and "degenerate_steps" of shape (B,).
 
     W, B are the cumulated input drivers; W_Q, B_Q are the drivers recovered
     from the simulated series by dW_Q = dS/(S*sqrt(V)), dB_Q =
     dV/(sigma*sqrt(V)) (left-point evaluation), with degenerate steps
     (sqrt(V) <= 1e-12) skipped, carried forward, and counted in
-    ``meta["degenerate_steps"]``.
+    "degenerate_steps".
     """
-    res = simulate_heston_batch(params, grid, [path_index])
-    return _first_path(grid, _HESTON_NAMES, [res[name][0] for name in _HESTON_NAMES],
-                       {"degenerate_steps": int(res["degenerate_steps"][0])})
+    return _heston_euler(params, grid, _stack_draws(grid, path_indices, 2))
 
 
 def _heston2_euler(params: Heston2Params, grid: SimGrid,
@@ -368,20 +323,11 @@ def _heston2_euler(params: Heston2Params, grid: SimGrid,
     return out
 
 
-_HESTON2_NAMES = ("S1", "S2", "V1", "V2")
-
-
 def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
                            path_indices: Sequence[int]) -> dict[str, np.ndarray]:
-    """Batched :func:`simulate_heston2` as arrays: "S1", "S2", "V1", "V2" of
-    shape (B, n+1), row b bit-identical to a per-path call."""
+    """Two-asset Heston paths, one row per entry of ``path_indices``: "S1",
+    "S2", "V1", "V2" of shape (B, n+1)."""
     return _heston2_euler(params, grid, _stack_draws(grid, path_indices, 4))
-
-
-def simulate_heston2(params: Heston2Params, grid: SimGrid, path_index: int) -> SamplePath:
-    """One two-asset Heston path with columns (S1, S2, V1, V2)."""
-    res = simulate_heston2_batch(params, grid, [path_index])
-    return _first_path(grid, _HESTON2_NAMES, [res[name][0] for name in _HESTON2_NAMES])
 
 
 # ---------------------------------------------------------------------------
@@ -415,32 +361,18 @@ def _cantor_euler(params: CantorParams, grid: SimGrid, z: np.ndarray,
 def simulate_cantor_sde_batch(params: CantorParams, grid: SimGrid,
                               path_indices: Sequence[int],
                               n_assets: int = 1) -> dict[str, np.ndarray]:
-    """Batched :func:`simulate_cantor_sde` as arrays: "S" and "W_C" of shape
-    (B, n+1, n_assets) and the shared clock "C" of shape (n+1,); row b is
-    bit-identical to a per-path call."""
+    """Cantor-clock paths, one row per entry of ``path_indices``: "S" and
+    "W_C" of shape (B, n+1, n_assets) and the shared clock "C" of shape (n+1,).
+
+    The clock C(t) is exact (ternary-digit evaluation), so it can serve
+    directly as the bracket column of W_C in Ito augmentation ([W_C]_t = C(t)
+    in the refinement limit).  Increments of W_C are N(0, dC), correlated
+    across assets by rho; prices follow the Euler step
+    S_{k+1} = S_k + sigma(S_k) * dW_C.
+    """
     if n_assets not in (1, 2):
         raise ValueError("n_assets must be 1 or 2")
     if len(params.s0) != n_assets:
         raise ValueError(f"params carry {len(params.s0)} assets, requested {n_assets}")
     return _cantor_euler(params, grid, _stack_draws(grid, path_indices, n_assets),
                          n_assets)
-
-
-def simulate_cantor_sde(params: CantorParams, grid: SimGrid, path_index: int,
-                        n_assets: int = 1) -> SamplePath:
-    """One Cantor-clock path: columns (S..., W_C..., C).
-
-    The clock column C(t) is exact (ternary-digit evaluation), so it can
-    serve directly as the bracket column of W_C in Ito augmentation
-    ([W_C]_t = C(t) in the refinement limit).  Increments of W_C are
-    N(0, dC), correlated across assets by rho; prices follow the Euler step
-    S_{k+1} = S_k + sigma(S_k) * dW_C.
-    """
-    res = simulate_cantor_sde_batch(params, grid, [path_index], n_assets)
-    if n_assets == 1:
-        names: tuple[str, ...] = ("S", "W_C", "C")
-    else:
-        names = ("S1", "S2", "W_C1", "W_C2", "C")
-    columns = [res["S"][0, :, i] for i in range(n_assets)]
-    columns += [res["W_C"][0, :, i] for i in range(n_assets)]
-    return _first_path(grid, names, columns + [res["C"]])

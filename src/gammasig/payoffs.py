@@ -14,10 +14,9 @@ The sums are the end values of the signature module's Follmer bracket
 columns (the same accumulation primitive), so RVar equals the left-point
 quadratic variation bit for bit.
 
-There is one implementation of each: :func:`realized_stats_batch` for the
-statistics and :func:`payoff_values` for the payoffs, both on batches.  The
-per-path :func:`realized_stats` and :func:`evaluate` run them on a batch of
-one.
+There is one implementation of each, both on batches:
+:func:`realized_stats_batch` for the statistics and :func:`payoff_values`
+for the payoffs.
 """
 from __future__ import annotations
 
@@ -26,15 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .signature import SamplePath, bracket_columns, bracket_pairs
+from .signature import bracket_columns, bracket_pairs
 
 __all__ = [
     "PAYOFF_KINDS",
     "PayoffSpec",
-    "realized_stats",
     "realized_stats_batch",
     "payoff_values",
-    "evaluate",
     "statistic_key",
 ]
 
@@ -120,38 +117,3 @@ def realized_stats_batch(log_values: np.ndarray) -> dict[str, np.ndarray]:
                 corr = np.where(denom > 0.0, cov / denom, np.nan)
             out[f"Corr_{i + 1}{j + 1}"] = corr
     return out
-
-
-def _path_stats(path: SamplePath, assets: Sequence[int]) -> dict[str, float]:
-    """:func:`realized_stats_batch` on a batch of one: the path's base columns
-    ``assets``, renumbered 1, 2, ... in the keys."""
-    for asset in assets:
-        if not path.alphabet.is_base(asset):
-            raise ValueError(f"asset index {asset} is not a base column of the path")
-    values = np.stack([path.column(asset) for asset in assets], axis=1)[None]
-    return {key: float(arr[0]) for key, arr in realized_stats_batch(values).items()}
-
-
-def _undefined_corr(i: int, j: int) -> ValueError:
-    return ValueError(f"correlation undefined: zero realized variance (assets {i}, {j})")
-
-
-def realized_stats(path: SamplePath, i: int, j: int) -> tuple[float, float, float, float]:
-    """(RVar_i, RV_i, Cov_ij, Corr_ij) over the path's grid increments.
-
-    Correlation is undefined (domain error) when either realized variance
-    vanishes; identical columns give Corr = 1 up to roundoff.
-    """
-    stats = _path_stats(path, (i, j))
-    if np.isnan(stats["Corr_12"]):
-        raise _undefined_corr(i, j)
-    return stats["RVar_1"], stats["RV_1"], stats["Cov_12"], stats["Corr_12"]
-
-
-def evaluate(spec: PayoffSpec, path: SamplePath) -> float:
-    """Payoff value: statistic - strike for swaps, its positive part for calls."""
-    stats = _path_stats(path, spec.assets)
-    stat = stats[statistic_key(spec.kind, range(1, len(spec.assets) + 1))]
-    if _KIND_STAT[spec.kind] == "Corr" and np.isnan(stat):
-        raise _undefined_corr(*spec.assets)
-    return float(payoff_values(spec, stat))

@@ -11,8 +11,8 @@ independent per-step Chen-product oracle, the cumulative pathwise (Follmer)
 bracket columns of a path batch and the quadratic-variation matrix built on
 them, time and bracket augmentation of a path, signature increments via the
 group inverse, and the pairings of linear functionals with signatures for
-regression: the design matrix of given trajectories, and a batched route
-that computes only the coordinates the functionals read.
+regression: the design matrix of one trajectory along its grid, and a
+batched route that computes only the coordinates the functionals read.
 
 Accumulation note: every cumulative sum in the package -- signature levels,
 brackets, simulator drivers and realized statistics -- goes through
@@ -23,7 +23,7 @@ on long grids.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -78,15 +78,13 @@ class SamplePath:
 
     ``values`` has one row per grid point; columns follow the letter layout
     of ``alphabet`` (time, base, brackets).  ``names`` optionally documents
-    column meaning for simulator outputs; ``meta`` carries bookkeeping such
-    as degenerate-step counts.
+    column meaning.
     """
 
     times: np.ndarray
     values: np.ndarray
     alphabet: Alphabet
     names: tuple[str, ...] | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)
@@ -125,17 +123,12 @@ class SamplePath:
         """Column of the given alphabet letter."""
         return self.values[:, self.alphabet.index(letter)]
 
-    def by_name(self, name: str) -> np.ndarray:
-        if self.names is None or name not in self.names:
-            raise KeyError(f"no column named {name!r}")
-        return self.values[:, self.names.index(name)]
-
     def sub_path(self, k: int, m: int) -> "SamplePath":
         """Restriction to grid points k..m inclusive."""
         if not (0 <= k <= m <= self.n_steps):
             raise ValueError(f"invalid slice [{k}, {m}] for {self.n_steps} steps")
         return SamplePath(self.times[k:m + 1], self.values[k:m + 1],
-                          self.alphabet, self.names, dict(self.meta))
+                          self.alphabet, self.names)
 
 
 def bracket_pairs(d: int) -> list[tuple[int, int]]:
@@ -213,7 +206,7 @@ def augment_path(path: SamplePath, gamma: float, include_time: bool,
         names.extend(f"[{i + 1},{j + 1}]" for i, j in pairs)
     alphabet = Alphabet(d, has_time=include_time, has_brackets=include_brackets)
     return SamplePath(path.times, np.concatenate(cols, axis=1), alphabet,
-                      tuple(names), dict(path.meta))
+                      tuple(names))
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,45 +377,28 @@ def sig_increment(traj: SigTrajectory, k: int, m: int) -> TensorPoly:
     return concat(group_inverse(traj.sig_at(k)), traj.sig_at(m))
 
 
-def _common_alphabet(trajs: Sequence[SigTrajectory]) -> Alphabet:
-    if not trajs:
-        raise ValueError("need at least one trajectory")
-    alphabet = trajs[0].alphabet
-    for traj in trajs[1:]:
-        if traj.alphabet != alphabet:
-            raise ValueError("trajectories must share one alphabet")
-    return alphabet
-
-
-def functional_matrix(trajs: Sequence[SigTrajectory], functionals: Sequence[TensorPoly],
-                      at_end: bool) -> np.ndarray:
-    """Design matrix of pairings <ell, sig> for linear functionals.
+def functional_matrix(traj: SigTrajectory, functionals: Sequence[TensorPoly]) -> np.ndarray:
+    """Design matrix of pairings <ell, sig> for linear functionals: one row
+    per grid point of the trajectory, one column per functional.
 
     Each column is the corresponding linear combination of signature
     coordinates (a basis functional gives one coordinate <e_I, sig>);
-    alphabets of functionals and trajectories must match.  Rows stack every
-    grid point of every trajectory in order, or only each trajectory's end
-    point if ``at_end``.
+    alphabets of functionals and trajectory must match.
     """
-    alphabet = _common_alphabet(trajs)
     for ell in functionals:
-        if ell.alphabet != alphabet:
+        if ell.alphabet != traj.alphabet:
             raise ValueError("functional alphabet mismatch")
     expanded = [list(ell.items()) for ell in functionals]
     max_len = max((len(w) for terms in expanded for w, _ in terms), default=0)
-    for traj in trajs:
-        if max_len > traj.trunc_level:
-            raise ValueError(
-                f"functional word length {max_len} exceeds trajectory level "
-                f"{traj.trunc_level}")
-    blocks = []
-    for traj in trajs:
-        block = np.zeros((len(traj.times), len(functionals)))
-        for j, terms in enumerate(expanded):
-            for w, c in terms:
-                block[:, j] += float(c) * traj.coeff_path(w)
-        blocks.append(block[-1:] if at_end else block)
-    return np.concatenate(blocks, axis=0)
+    if max_len > traj.trunc_level:
+        raise ValueError(
+            f"functional word length {max_len} exceeds trajectory level "
+            f"{traj.trunc_level}")
+    out = np.zeros((len(traj.times), len(functionals)))
+    for j, terms in enumerate(expanded):
+        for w, c in terms:
+            out[:, j] += float(c) * traj.coeff_path(w)
+    return out
 
 
 def functional_paths(values: np.ndarray, gamma: float,
@@ -434,8 +410,8 @@ def functional_paths(values: np.ndarray, gamma: float,
     Only the words the functionals read and their prefixes are computed,
     level by level through the column-selective :func:`_level_step`, and
     each pairing is summed in the term order of :func:`functional_matrix`,
-    so row block b equals ``functional_matrix([gamma_signature(path_b,
-    gamma, level)], functionals, at_end=False)`` bit for bit.
+    so row block b equals ``functional_matrix(gamma_signature(path_b,
+    gamma, level), functionals)`` bit for bit.
     """
     _check_gamma(gamma)
     if not functionals:

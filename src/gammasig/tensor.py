@@ -156,14 +156,6 @@ class Alphabet:
             if not self.is_valid_letter(letter):
                 raise ValueError(f"word {word} contains letter {letter} not in {self}")
 
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "has_time": self.has_time, "has_brackets": self.has_brackets}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Alphabet":
-        return cls(d=int(data["d"]), has_time=bool(data["has_time"]),
-                   has_brackets=bool(data["has_brackets"]))
-
 
 @lru_cache(maxsize=None)
 def enumerate_words(alphabet: Alphabet, max_level: int) -> tuple[Word, ...]:
@@ -311,21 +303,6 @@ class TensorPoly:
         if self.trunc_level != other.trunc_level:
             raise ValueError(
                 f"truncation level mismatch: {self.trunc_level} vs {other.trunc_level}")
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trunc_level": self.trunc_level,
-            "alphabet": self.alphabet.to_json_dict(),
-            "terms": [{"word": list(w), "coeff": float(c)} for w, c in self.items()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "TensorPoly":
-        alphabet = Alphabet.from_json_dict(data["alphabet"])
-        terms = {tuple(t["word"]): t["coeff"] for t in data["terms"]}
-        return cls(alphabet, int(data["trunc_level"]), terms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ import numpy as np
 
 from gammasig import (
     Alphabet,
+    Heston2Params,
+    HestonParams,
     SamplePath,
     TensorPoly,
     augment_path,
     concat,
-    correlated_normals,
     default_config,
     enumerate_words,
     gamma_signature,
@@ -38,6 +39,7 @@ from gammasig import (
     run_pricing,
     shuffle,
     simulate_cantor_sde_batch,
+    simulate_heston2_batch,
 )
 from gammasig.models import SimGrid, CantorParams, cantor_function
 from conftest import make_random_path
@@ -185,7 +187,7 @@ def test_criterion_2_two_constructions_agree():
         b = gamma_signature_chen(p, gamma, 4)
         for la, lb in zip(a.levels, b.levels):
             scale = max(1.0, float(np.abs(la).max()))
-            worst = max(worst, float(np.abs(la - lb).max()) / scale)
+            worst = np.maximum(worst, float(np.abs(la - lb).max()) / scale)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 30.0
     _report(2, ok, elapsed,
@@ -220,7 +222,7 @@ def test_criterion_3_exact_grid_identities():
                 prod = concat(traj.sig_at(s), right)
                 for w in words3:
                     err = abs(prod.coeff(w) - total.coeff(w))
-                    worst_chen = max(
+                    worst_chen = np.maximum(
                         worst_chen, err / max(1.0, abs(total.coeff(w))))
 
         # (b) level-2 midpoint minus left-point equals half the bracket
@@ -228,8 +230,8 @@ def test_criterion_3_exact_grid_identities():
         strat = gamma_signature(p, 0.5, 2)
         ito = gamma_signature(p, 0.0, 2)
         diff = strat.levels[1] - ito.levels[1] - 0.5 * qv
-        worst_lvl2 = max(worst_lvl2,
-                         float(np.abs(diff).max()) / max(1.0, float(np.abs(qv).max())))
+        worst_lvl2 = np.maximum(
+            worst_lvl2, float(np.abs(diff).max()) / max(1.0, float(np.abs(qv).max())))
 
         # (c) degree-2 product identities on the grid
         s_end = strat.end
@@ -237,18 +239,18 @@ def test_criterion_3_exact_grid_identities():
             for j in (1, 2):
                 prod = s_end.coeff((i,)) * s_end.coeff((j,))
                 lhs = float(pair(shuffle((i,), (j,), p.alphabet), s_end))
-                worst_shuf = max(worst_shuf,
-                                 abs(lhs - prod) / max(1.0, abs(prod)))
+                worst_shuf = np.maximum(worst_shuf,
+                                        abs(lhs - prod) / max(1.0, abs(prod)))
         aug = augment_path(p, 0.0, include_time=False, include_brackets=True)
         i_end = gamma_signature(aug, 0.0, 2).end
         for i in (1, 2):
             for j in (1, 2):
                 prod = i_end.coeff((i,)) * i_end.coeff((j,))
                 lhs = float(pair(quasi_shuffle((i,), (j,), aug.alphabet), i_end))
-                worst_qshuf = max(worst_qshuf,
-                                  abs(lhs - prod) / max(1.0, abs(prod)))
+                worst_qshuf = np.maximum(worst_qshuf,
+                                         abs(lhs - prod) / max(1.0, abs(prod)))
     elapsed = time.perf_counter() - start
-    ok = max(worst_chen, worst_lvl2, worst_shuf, worst_qshuf) <= 1e-12
+    ok = bool(np.max([worst_chen, worst_lvl2, worst_shuf, worst_qshuf]) <= 1e-12)
     _report(3, ok, elapsed,
             f"100 paths (n=100, d=2): Chen splits {worst_chen:.3e}, "
             f"level-2 scheme difference vs half-bracket {worst_lvl2:.3e}, "
@@ -293,7 +295,7 @@ def _qshuffle_deg3_residual(n: int) -> float:
             lhs = end.coeff(I) * end.coeff(J)
             rhs = sum(float(c) * end.coeff(w)
                       for w, c in quasi_shuffle(I, J, aug.alphabet).items())
-            worst = max(worst, abs(lhs - rhs))
+            worst = np.maximum(worst, abs(lhs - rhs))
     return worst
 
 
@@ -307,7 +309,7 @@ def _conversion_residual(n: int) -> float:
         lhs = s_ito.coeff(I)
         rhs = sum(float(c) * s_strat.coeff(w)
                   for w, c in ito_strat_functional(I, aug.alphabet).items())
-        worst = max(worst, abs(lhs - rhs))
+        worst = np.maximum(worst, abs(lhs - rhs))
     return worst
 
 
@@ -467,7 +469,7 @@ def test_criterion_8_regression_suites():
         got = lasso_fit(Q, y2, a).coeffs
         v = Q.T @ y2
         want = np.sign(v) * np.maximum(np.abs(v) - a / 2.0, 0.0)
-        ortho_err = max(ortho_err, float(np.abs(got - want).max()))
+        ortho_err = np.maximum(ortho_err, float(np.abs(got - want).max()))
 
     # ridge normal-equation residual
     X3 = rng.normal(size=(80, 10))
@@ -500,9 +502,17 @@ def test_criterion_8_regression_suites():
 def test_criterion_9_simulator_statistics():
     start = time.perf_counter()
 
-    # (a) driver-correlation recovery at 1e5 draws
+    # (a) driver-correlation recovery at 1e5 draws: one Euler step of unit
+    # assets gives S_i(1) = 1 + dB_i and V_i(1) = 1 + 1e-3 dW_i
     target = default_config("heston2-pricing").model.corr_matrix
-    draws = correlated_normals(target, 100_000, 909)
+    unit = HestonParams(s0=1.0, v0=1.0, mu=0.0, kappa=0.0, theta=0.0,
+                        sigma=1e-3, rho=0.0)
+    step = simulate_heston2_batch(Heston2Params(unit, unit, tuple(map(tuple, target))),
+                                  SimGrid(1.0, 1, 909), range(100_000))
+    draws = np.column_stack([step["S1"][:, 1] - 1.0, step["S2"][:, 1] - 1.0,
+                             (step["V1"][:, 1] - 1.0) / 1e-3,
+                             (step["V2"][:, 1] - 1.0) / 1e-3])
+    assert min(step["V1"].min(), step["V2"].min()) > 0.0  # V never truncated
     corr_err = float(np.max(np.abs(np.corrcoef(draws.T) - target)))
 
     # (b) terminal driver variance of the clocked Brownian motion
@@ -531,7 +541,7 @@ def test_criterion_9_simulator_statistics():
         ratios.append(errs[2000] / errs[500])
         fine_errs.append(errs[2000])
     med_ratio = float(np.median(ratios))
-    max_fine = max(fine_errs)
+    max_fine = float(np.max(fine_errs))
 
     elapsed = time.perf_counter() - start
     ok = (corr_err <= 0.02 and abs(var_wc - 1.0) <= 0.02

@@ -1,6 +1,7 @@
 """Tests for experiment configuration, runners, and their output files."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -150,8 +151,7 @@ def test_run_calibration_batches_equal_per_path_loop(experiment):
         for i in range(cfg.n_test):
             traj = gamma_signature(plan.driver(test_grid.times, test, i),
                                    plan.gamma, plan.sig_level)
-            pred = predict(fit, functional_matrix([traj], plan.functionals,
-                                                  at_end=False))
+            pred = predict(fit, functional_matrix(traj, plan.functionals))
             out_mses.append(mse(pred, test["S"][i]))
             if i == 0:
                 assert report["trajectory"][f"pred_{scheme}"] == [float(v) for v in pred]
@@ -270,6 +270,52 @@ def test_run_checks_unknown_filter():
     cfg = default_config("check", check_filter="nonsense")
     with pytest.raises(ValueError, match="unknown module"):
         run_checks(cfg)
+
+
+def _check(module: str, name: str):
+    from gammasig import checks
+    return dict(checks.MODULES[module])[name]
+
+
+def test_signature_checks_fail_on_nan_levels(monkeypatch):
+    # a NaN residual must fail a check, not be skipped by the reduction
+    from gammasig import checks, signature
+
+    def nan_signature(path, gamma, trunc_level):
+        traj = signature.gamma_signature(path, gamma, trunc_level)
+        return dataclasses.replace(
+            traj, levels=tuple(np.full_like(level, np.nan) for level in traj.levels))
+
+    monkeypatch.setattr(checks, "gamma_signature", nan_signature)
+    for name in ("oracle-equivalence", "backward-symmetry", "degree2-identities"):
+        ok, detail = _check("signature", name)(None)
+        assert not ok, (name, detail)
+
+
+def test_payoff_checks_fail_on_nan_statistics(monkeypatch):
+    from gammasig import payoffs
+    real = payoffs.realized_stats_batch
+
+    def nan_stats(log_values):
+        return {key: np.full_like(arr, np.nan) for key, arr in real(log_values).items()}
+
+    monkeypatch.setattr(payoffs, "realized_stats_batch", nan_stats)
+    for name in ("call-swap-consistency", "corr-bound", "rvar-qv-consistency"):
+        ok, detail = _check("payoffs", name)(None)
+        assert not ok, (name, detail)
+
+
+def test_models_determinism_fails_on_batch_mismatch(monkeypatch):
+    from gammasig import models
+    real = models.simulate_heston_batch
+
+    def shifted(params, grid, path_indices):
+        # row b drawn from stream path_indices[b] + b: a batch-dependent path
+        return real(params, grid, [i + b for b, i in enumerate(path_indices)])
+
+    monkeypatch.setattr(models, "simulate_heston_batch", shifted)
+    ok, detail = _check("models", "determinism")(None)
+    assert not ok and "batch composition" in detail
 
 
 def test_run_checks_fault_injection():

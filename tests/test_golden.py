@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from gammasig import HestonParams, SimGrid, endpoint_signature_batch, simulate_heston
+from gammasig import HestonParams, SimGrid, endpoint_signature_batch, simulate_heston_batch
 from gammasig.cli import main
 from gammasig.models import path_rng
 
@@ -76,8 +76,8 @@ def _endpoint_bits() -> dict[float, list[str]]:
 def _heston_driver_bits() -> list[str]:
     params = HestonParams(s0=1.0, v0=0.08, mu=0.001, kappa=0.5, theta=0.15,
                           sigma=0.25, rho=-0.5)
-    path = simulate_heston(params, SimGrid(1.0, 50, 3), 2)
-    return [float(path.by_name(k)[-1]).hex() for k in ("W", "B", "W_Q", "B_Q")]
+    path = simulate_heston_batch(params, SimGrid(1.0, 50, 3), [2])
+    return [float(path[k][0][-1]).hex() for k in ("W", "B", "W_Q", "B_Q")]
 
 
 def test_golden_outputs_and_bits(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 Oracles: plain-Python Euler loops re-deriving each simulator from its own
 drawn normals, exact ternary identities for the Cantor function, and
-sample statistics for the correlated draws.
+sample statistics of the correlated two-asset Heston drivers.
 """
 from __future__ import annotations
 
@@ -10,19 +10,14 @@ import numpy as np
 import pytest
 
 from gammasig import (
-    Alphabet,
     CantorParams,
     Heston2Params,
     HestonParams,
     SimGrid,
     cantor_function,
-    correlated_normals,
     path_rng,
-    simulate_cantor_sde,
     simulate_cantor_sde_batch,
-    simulate_heston,
     simulate_heston_batch,
-    simulate_heston2,
     simulate_heston2_batch,
 )
 
@@ -108,38 +103,6 @@ def test_path_rng_deterministic_and_distinct():
     assert not np.array_equal(a, d)
 
 
-def test_correlated_normals_shapes_and_seeding():
-    corr = np.eye(3)
-    x = correlated_normals(corr, 10, 5)
-    assert x.shape == (10, 3)
-    assert np.array_equal(x, correlated_normals(corr, 10, (5, 0)))
-    assert np.array_equal(x, correlated_normals(corr, 10, path_rng(5, 0)))
-    # identity correlation leaves the raw draws untouched
-    raw = path_rng(5, 0).standard_normal((10, 3))
-    assert np.allclose(x, raw)
-
-
-def test_correlated_normals_statistics():
-    corr = np.array([[1.0, -0.5], [-0.5, 1.0]])
-    x = correlated_normals(corr, 200_000, 11)
-    emp = np.corrcoef(x.T)
-    assert abs(emp[0, 1] + 0.5) < 0.01
-    assert abs(np.var(x[:, 0]) - 1.0) < 0.02
-    assert abs(np.var(x[:, 1]) - 1.0) < 0.02
-
-
-def test_correlated_normals_singular_and_invalid():
-    ones = np.ones((2, 2))
-    x = correlated_normals(ones, 50, 1)
-    assert np.allclose(x[:, 0], x[:, 1])
-    with pytest.raises(ValueError, match="eigenvalue"):
-        correlated_normals(np.array([[1.0, 2.0], [2.0, 1.0]]), 5, 1)
-    with pytest.raises(ValueError, match="symmetric"):
-        correlated_normals(np.array([[1.0, 0.5], [0.2, 1.0]]), 5, 1)
-    with pytest.raises(ValueError, match="unit diagonal"):
-        correlated_normals(np.array([[2.0, 0.0], [0.0, 2.0]]), 5, 1)
-
-
 # ---------------------------------------------------------------------------
 # Cantor function
 # ---------------------------------------------------------------------------
@@ -189,32 +152,35 @@ HP = HestonParams(s0=1.0, v0=0.04, mu=0.05, kappa=1.5, theta=0.04,
                   sigma=0.3, rho=-0.7)
 
 
+HESTON_NAMES = ("S", "V", "W", "B", "W_Q", "B_Q")
+
+
 def test_heston_columns_and_determinism():
     grid = SimGrid(T=1.0, n=16, master_seed=100)
-    p = simulate_heston(HP, grid, 2)
-    assert p.names == ("S", "V", "W", "B", "W_Q", "B_Q")
-    assert p.alphabet == Alphabet(6)
-    assert np.array_equal(p.times, grid.times)
-    assert "degenerate_steps" in p.meta
-    q = simulate_heston(HP, grid, 2)
-    assert np.array_equal(p.values, q.values)
-    r = simulate_heston(HP, grid, 3)
-    assert not np.array_equal(p.values, r.values)
+    p = simulate_heston_batch(HP, grid, [2])
+    assert set(p) == {*HESTON_NAMES, "degenerate_steps"}
+    for name in HESTON_NAMES:
+        assert p[name].shape == (1, 17)
+    assert p["degenerate_steps"].shape == (1,)
+    q = simulate_heston_batch(HP, grid, [2])
+    r = simulate_heston_batch(HP, grid, [3])
+    for name in HESTON_NAMES:
+        assert np.array_equal(p[name], q[name])
+    assert not np.array_equal(p["S"], r["S"])
 
 
 def test_heston_batch_matches_single():
     grid = SimGrid(T=1.0, n=10, master_seed=9)
     batch = simulate_heston_batch(HP, grid, [0, 5, 7])
     for b, idx in enumerate([0, 5, 7]):
-        single = simulate_heston(HP, grid, idx)
-        for name in single.names:
-            assert np.array_equal(batch[name][b], single.by_name(name))
-        assert batch["degenerate_steps"][b] == single.meta["degenerate_steps"]
+        single = simulate_heston_batch(HP, grid, [idx])
+        for name in single:
+            assert np.array_equal(batch[name][b], single[name][0])
 
 
 def test_heston_matches_manual_euler():
     grid = SimGrid(T=0.5, n=6, master_seed=31)
-    p = simulate_heston(HP, grid, 3)
+    p = {name: arr[0] for name, arr in simulate_heston_batch(HP, grid, [3]).items()}
     z = path_rng(31, 3).standard_normal((6, 2))
     dt = grid.dt
     rho = HP.rho
@@ -226,11 +192,11 @@ def test_heston_matches_manual_euler():
         S.append(S[-1] + HP.mu * S[-1] * dt + S[-1] * sq * dW[k])
         V.append(max(V[-1] + HP.kappa * (HP.theta - V[-1]) * dt
                      + HP.sigma * sq * dB[k], 0.0))
-    assert np.allclose(p.by_name("S"), S, rtol=1e-13, atol=0)
-    assert np.allclose(p.by_name("V"), V, rtol=1e-13, atol=1e-18)
-    assert np.allclose(p.by_name("W"), np.concatenate([[0.0], np.cumsum(dW)]),
+    assert np.allclose(p["S"], S, rtol=1e-13, atol=0)
+    assert np.allclose(p["V"], V, rtol=1e-13, atol=1e-18)
+    assert np.allclose(p["W"], np.concatenate([[0.0], np.cumsum(dW)]),
                        rtol=1e-13, atol=1e-16)
-    assert np.allclose(p.by_name("B"), np.concatenate([[0.0], np.cumsum(dB)]),
+    assert np.allclose(p["B"], np.concatenate([[0.0], np.cumsum(dB)]),
                        rtol=1e-13, atol=1e-16)
 
 
@@ -238,27 +204,26 @@ def test_heston_constant_variance_limit():
     flat = HestonParams(s0=2.0, v0=0.09, mu=0.0, kappa=0.0, theta=0.0,
                         sigma=0.0, rho=0.0)
     grid = SimGrid(T=1.0, n=20, master_seed=5)
-    p = simulate_heston(flat, grid, 0)
-    assert np.all(p.by_name("V") == 0.09)
+    p = {name: arr[0] for name, arr in simulate_heston_batch(flat, grid, [0]).items()}
+    assert np.all(p["V"] == 0.09)
     # with mu = 0 the price recursion is S_{k+1} = S_k (1 + 0.3 dW)
-    S = p.by_name("S")
-    dW = np.diff(p.by_name("W"))
+    S = p["S"]
+    dW = np.diff(p["W"])
     assert np.allclose(S[1:] / S[:-1], 1.0 + 0.3 * dW, rtol=1e-12)
     # recovered price driver coincides with the input driver
-    assert np.allclose(p.by_name("W_Q"), p.by_name("W"), atol=1e-12)
+    assert np.allclose(p["W_Q"], p["W"], atol=1e-12)
     # sigma = 0 leaves the variance driver unrecoverable: all steps degenerate
-    assert p.meta["degenerate_steps"] == 20
-    assert np.all(p.by_name("B_Q") == 0.0)
+    assert p["degenerate_steps"] == 20
+    assert np.all(p["B_Q"] == 0.0)
 
 
 def test_heston_variance_stays_nonnegative():
     rough = HestonParams(s0=1.0, v0=0.0001, mu=0.0, kappa=0.1, theta=0.0001,
                          sigma=2.0, rho=0.0)
     grid = SimGrid(T=1.0, n=50, master_seed=77)
-    for idx in range(5):
-        p = simulate_heston(rough, grid, idx)
-        assert np.all(p.by_name("V") >= 0.0)
-        assert p.meta["degenerate_steps"] >= 0
+    p = simulate_heston_batch(rough, grid, range(5))
+    assert np.all(p["V"] >= 0.0)
+    assert np.all(p["degenerate_steps"] >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +240,21 @@ def heston2_params() -> Heston2Params:
                                corr_b1w1=-0.5, corr_b2w2=-0.4)
 
 
+HESTON2_NAMES = ("S1", "S2", "V1", "V2")
+
+
 def test_heston2_columns_and_determinism():
     grid = SimGrid(T=1.0, n=12, master_seed=200)
-    p = simulate_heston2(heston2_params(), grid, 1)
-    assert p.names == ("S1", "S2", "V1", "V2")
-    assert np.array_equal(p.values,
-                          simulate_heston2(heston2_params(), grid, 1).values)
+    p = simulate_heston2_batch(heston2_params(), grid, [1])
+    assert set(p) == set(HESTON2_NAMES)
+    again = simulate_heston2_batch(heston2_params(), grid, [1])
     batch = simulate_heston2_batch(heston2_params(), grid, [1, 4])
-    q = simulate_heston2(heston2_params(), grid, 4)
-    for name in p.names:
-        assert np.array_equal(batch[name][0], p.by_name(name))
-        assert np.array_equal(batch[name][1], q.by_name(name))
+    q = simulate_heston2_batch(heston2_params(), grid, [4])
+    for name in HESTON2_NAMES:
+        assert p[name].shape == (1, 13)
+        assert np.array_equal(p[name], again[name])
+        assert np.array_equal(batch[name][0], p[name][0])
+        assert np.array_equal(batch[name][1], q[name][0])
 
 
 def test_heston2_uncorrelated_matches_manual_euler():
@@ -295,7 +264,7 @@ def test_heston2_uncorrelated_matches_manual_euler():
                       sigma=0.1, rho=0.0)
     params = Heston2Params(a1, a2, tuple(map(tuple, np.eye(4))))
     grid = SimGrid(T=0.5, n=5, master_seed=88)
-    p = simulate_heston2(params, grid, 2)
+    p = simulate_heston2_batch(params, grid, [2])
     z = path_rng(88, 2).standard_normal((5, 4))
     dt = grid.dt
     for i, prm in enumerate((a1, a2)):
@@ -307,17 +276,70 @@ def test_heston2_uncorrelated_matches_manual_euler():
             S.append(S[-1] + prm.mu * S[-1] * dt + S[-1] * sq * dB[k])
             V.append(max(V[-1] + prm.kappa * (prm.theta - V[-1]) * dt
                          + prm.sigma * sq * dWv[k], 0.0))
-        assert np.allclose(p.by_name(f"S{i + 1}"), S, rtol=1e-13)
-        assert np.allclose(p.by_name(f"V{i + 1}"), V, rtol=1e-13)
+        assert np.allclose(p[f"S{i + 1}"][0], S, rtol=1e-13)
+        assert np.allclose(p[f"V{i + 1}"][0], V, rtol=1e-13)
 
 
 def test_heston2_zero_vol_of_vol():
     a = HestonParams(s0=1.0, v0=0.04, mu=0.0, kappa=0.0, theta=0.0,
                      sigma=0.0, rho=0.0)
     params = Heston2Params(a, a, tuple(map(tuple, np.eye(4))))
-    p = simulate_heston2(params, SimGrid(T=1.0, n=8, master_seed=1), 0)
-    assert np.all(p.by_name("V1") == 0.04)
-    assert np.all(p.by_name("V2") == 0.04)
+    p = simulate_heston2_batch(params, SimGrid(T=1.0, n=8, master_seed=1), [0])
+    assert np.all(p["V1"] == 0.04)
+    assert np.all(p["V2"] == 0.04)
+
+
+def heston2_drivers(corr4, count: int, seed: int) -> np.ndarray:
+    """(count, 4) driver draws in the order (B1, B2, W1, W2), read off one
+    Euler step of unit assets: S_i(1) = 1 + dB_i, V_i(1) = 1 + 1e-3 dW_i."""
+    unit = HestonParams(s0=1.0, v0=1.0, mu=0.0, kappa=0.0, theta=0.0,
+                        sigma=1e-3, rho=0.0)
+    p = simulate_heston2_batch(Heston2Params(unit, unit, corr4),
+                               SimGrid(1.0, 1, seed), range(count))
+    return np.column_stack([p["S1"][:, 1] - 1.0, p["S2"][:, 1] - 1.0,
+                            (p["V1"][:, 1] - 1.0) / 1e-3,
+                            (p["V2"][:, 1] - 1.0) / 1e-3])
+
+
+def test_heston2_identity_correlation_uses_raw_draws():
+    # path b draws from its own stream; the identity factor leaves the draws as is
+    x = heston2_drivers(np.eye(4), 10, 5)
+    raw = np.stack([path_rng(5, b).standard_normal(4) for b in range(10)])
+    assert x.shape == (10, 4)
+    assert np.allclose(x, raw, rtol=0, atol=1e-12)
+
+
+def test_heston2_driver_statistics():
+    a = heston2_params().asset1
+    target = Heston2Params.build(a, a, corr_b1b2=-0.5, corr_w1w2=0.3,
+                                 corr_b1w1=-0.6, corr_b2w2=-0.4).corr_matrix
+    x = heston2_drivers(target, 200_000, 11)
+    assert np.max(np.abs(np.corrcoef(x.T) - target)) < 0.01
+    assert np.all(np.abs(np.var(x, axis=0) - 1.0) < 0.02)
+
+
+def test_heston2_singular_and_invalid_correlation():
+    a = heston2_params().asset1
+    # B1 = B2 and W1 = W2: PSD but singular, so the Cholesky factor fails
+    # and the eigenvalue square root drives both assets identically
+    params = Heston2Params.build(a, a, corr_b1b2=1.0, corr_w1w2=1.0,
+                                 corr_b1w1=0.0, corr_b2w2=0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(params.corr_matrix)
+    p = simulate_heston2_batch(params, SimGrid(T=1.0, n=20, master_seed=1), range(5))
+    assert np.allclose(p["S1"], p["S2"], rtol=1e-12, atol=0)
+    assert np.allclose(p["V1"], p["V2"], rtol=1e-12, atol=0)
+    assert not np.allclose(p["S1"][:, 1:], a.s0)
+    bad = np.eye(4)
+    bad[0, 1] = bad[1, 0] = 2.0
+    with pytest.raises(ValueError, match="eigenvalue"):
+        Heston2Params(a, a, tuple(map(tuple, bad)))
+    bad = np.eye(4)
+    bad[0, 1], bad[1, 0] = 0.5, 0.2
+    with pytest.raises(ValueError, match="symmetric"):
+        Heston2Params(a, a, tuple(map(tuple, bad)))
+    with pytest.raises(ValueError, match="unit diagonal"):
+        Heston2Params(a, a, tuple(map(tuple, 2.0 * np.eye(4))))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +349,10 @@ def test_heston2_zero_vol_of_vol():
 
 def test_cantor_sde_columns_and_clock():
     grid = SimGrid(T=1.0, n=81, master_seed=12)
-    p = simulate_cantor_sde(CantorParams(s0=1.0), grid, 0)
-    assert p.names == ("S", "W_C", "C")
-    assert p.alphabet == Alphabet(3)
-    C = p.by_name("C")
+    p = simulate_cantor_sde_batch(CantorParams(s0=1.0), grid, [0])
+    assert set(p) == {"S", "W_C", "C"}
+    assert p["S"].shape == p["W_C"].shape == (1, 82, 1)
+    C = p["C"]
     assert np.array_equal(C, cantor_function(grid.times))
     dC = np.diff(C)
     assert np.all(dC >= 0.0)
@@ -340,52 +362,53 @@ def test_cantor_sde_columns_and_clock():
 
 def test_cantor_sde_constant_on_plateaus():
     grid = SimGrid(T=1.0, n=81, master_seed=12)
-    p = simulate_cantor_sde(CantorParams(s0=1.0), grid, 1)
-    dC = np.diff(p.by_name("C"))
+    p = simulate_cantor_sde_batch(CantorParams(s0=1.0), grid, [1])
+    dC = np.diff(p["C"])
     flat = dC == 0.0
     assert flat.sum() >= 20  # middle-third plateau alone spans ~27 steps
-    assert np.all(np.diff(p.by_name("W_C"))[flat] == 0.0)
-    assert np.all(np.diff(p.by_name("S"))[flat] == 0.0)
+    assert np.all(np.diff(p["W_C"][0, :, 0])[flat] == 0.0)
+    assert np.all(np.diff(p["S"][0, :, 0])[flat] == 0.0)
 
 
 def test_cantor_sde_determinism_and_batch():
     grid = SimGrid(T=1.0, n=27, master_seed=4)
     params = CantorParams(s0=1.0)
-    p = simulate_cantor_sde(params, grid, 6)
-    assert np.array_equal(p.values, simulate_cantor_sde(params, grid, 6).values)
+    p = simulate_cantor_sde_batch(params, grid, [6])
+    again = simulate_cantor_sde_batch(params, grid, [6])
     batch = simulate_cantor_sde_batch(params, grid, [6, 9])
-    for b, single in enumerate([p, simulate_cantor_sde(params, grid, 9)]):
-        assert np.array_equal(batch["S"][b, :, 0], single.by_name("S"))
-        assert np.array_equal(batch["W_C"][b, :, 0], single.by_name("W_C"))
-        assert np.array_equal(batch["C"], single.by_name("C"))
+    q = simulate_cantor_sde_batch(params, grid, [9])
+    for name in ("S", "W_C"):
+        assert np.array_equal(p[name], again[name])
+        assert np.array_equal(batch[name][0], p[name][0])
+        assert np.array_equal(batch[name][1], q[name][0])
+    assert np.array_equal(batch["C"], p["C"])
 
 
 def test_cantor_sde_matches_manual_euler():
     grid = SimGrid(T=1.0, n=9, master_seed=55)
-    p = simulate_cantor_sde(CantorParams(s0=1.5), grid, 2)
+    p = simulate_cantor_sde_batch(CantorParams(s0=1.5), grid, [2])
     z = path_rng(55, 2).standard_normal((9, 1))[:, 0]
     C = cantor_function(grid.times)
     dW = np.sqrt(np.clip(np.diff(C), 0.0, None)) * z
     S = [1.5]
     for k in range(9):
         S.append(S[-1] + (1.0 + 0.3 * np.tanh(S[-1])) * dW[k])
-    assert np.allclose(p.by_name("S"), S, rtol=1e-13)
-    assert np.allclose(p.by_name("W_C"), np.concatenate([[0.0], np.cumsum(dW)]),
+    assert np.allclose(p["S"][0, :, 0], S, rtol=1e-13)
+    assert np.allclose(p["W_C"][0, :, 0], np.concatenate([[0.0], np.cumsum(dW)]),
                        rtol=1e-13, atol=1e-16)
 
 
 def test_cantor_sde_two_assets():
     grid = SimGrid(T=1.0, n=27, master_seed=21)
     params = CantorParams(s0=(1.0, 1.0), rho=1.0)
-    p = simulate_cantor_sde(params, grid, 0, n_assets=2)
-    assert p.names == ("S1", "S2", "W_C1", "W_C2", "C")
-    assert p.dim == 5
+    p = simulate_cantor_sde_batch(params, grid, [0], n_assets=2)
+    assert p["S"].shape == p["W_C"].shape == (1, 28, 2)
     # perfectly correlated drivers and identical dynamics -> identical assets
-    assert np.allclose(p.by_name("W_C1"), p.by_name("W_C2"), atol=1e-15)
-    assert np.allclose(p.by_name("S1"), p.by_name("S2"), atol=1e-15)
-    indep = simulate_cantor_sde(CantorParams(s0=(1.0, 1.0)), grid, 0,
-                                n_assets=2)
-    assert not np.allclose(indep.by_name("W_C1"), indep.by_name("W_C2"))
+    assert np.allclose(p["W_C"][..., 0], p["W_C"][..., 1], atol=1e-15)
+    assert np.allclose(p["S"][..., 0], p["S"][..., 1], atol=1e-15)
+    indep = simulate_cantor_sde_batch(CantorParams(s0=(1.0, 1.0)), grid, [0],
+                                      n_assets=2)
+    assert not np.allclose(indep["W_C"][..., 0], indep["W_C"][..., 1])
 
 
 def test_cantor_sde_terminal_driver_variance():
@@ -401,10 +424,10 @@ def test_cantor_sde_terminal_driver_variance():
 def test_cantor_sde_input_validation():
     params = CantorParams(s0=1.0)
     with pytest.raises(ValueError, match="T <= 1"):
-        simulate_cantor_sde(params, SimGrid(T=2.0, n=10, master_seed=0), 0)
+        simulate_cantor_sde_batch(params, SimGrid(T=2.0, n=10, master_seed=0), [0])
     with pytest.raises(ValueError):
-        simulate_cantor_sde(params, SimGrid(T=1.0, n=10, master_seed=0), 0,
-                            n_assets=3)
+        simulate_cantor_sde_batch(params, SimGrid(T=1.0, n=10, master_seed=0), [0],
+                                  n_assets=3)
     with pytest.raises(ValueError):
-        simulate_cantor_sde(params, SimGrid(T=1.0, n=10, master_seed=0), 0,
-                            n_assets=2)
+        simulate_cantor_sde_batch(params, SimGrid(T=1.0, n=10, master_seed=0), [0],
+                                  n_assets=2)

@@ -11,14 +11,10 @@ import numpy as np
 import pytest
 
 from gammasig import (
-    Alphabet,
     PAYOFF_KINDS,
     PayoffSpec,
-    SamplePath,
-    augment_path,
-    evaluate,
+    payoff_values,
     quadratic_variation,
-    realized_stats,
     realized_stats_batch,
     statistic_key,
 )
@@ -37,38 +33,42 @@ def oracle_stats(values: np.ndarray, i: int, j: int):
     return rvar_i, math.sqrt(rvar_i), cov, corr
 
 
-def two_col_path(col1, col2) -> SamplePath:
-    values = np.column_stack([col1, col2])
-    times = np.arange(len(col1), dtype=float)
-    return SamplePath(times, values, Alphabet(2))
+def path_stats(values) -> dict[str, float]:
+    """Statistics of one (n+1, d) path as a batch of one."""
+    batch = realized_stats_batch(np.asarray(values, dtype=float)[None])
+    return {key: arr[0] for key, arr in batch.items()}
+
+
+def payoff(spec: PayoffSpec, values) -> float:
+    stat = path_stats(values)[statistic_key(spec.kind, spec.assets)]
+    return float(payoff_values(spec, stat))
 
 
 # ---------------------------------------------------------------------------
-# realized_stats
+# realized_stats_batch
 # ---------------------------------------------------------------------------
 
 
 def test_realized_stats_hand_example():
-    p = SamplePath([0.0, 1.0, 2.0], [0.0, 0.1, -0.1], Alphabet(1))
-    rvar, rv, cov, corr = realized_stats(p, 1, 1)
-    assert rvar == pytest.approx(0.05, rel=1e-15)
-    assert rv == pytest.approx(math.sqrt(0.05), rel=1e-15)
-    assert cov == pytest.approx(0.05, rel=1e-15)
-    assert corr == pytest.approx(1.0, abs=1e-15)
+    x = [0.0, 0.1, -0.1]
+    stats = path_stats(np.column_stack([x, x]))
+    assert stats["RVar_1"] == pytest.approx(0.05, rel=1e-15)
+    assert stats["RV_1"] == pytest.approx(math.sqrt(0.05), rel=1e-15)
+    assert stats["Cov_12"] == pytest.approx(0.05, rel=1e-15)
+    assert stats["Corr_12"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_realized_stats_identical_columns_corr_one(rng):
     col = np.cumsum(rng.normal(size=12))
     col[0] = 0.0
-    p = two_col_path(col, col)
-    _, _, _, corr = realized_stats(p, 1, 2)
-    assert corr == pytest.approx(1.0, abs=1e-14)
+    assert path_stats(np.column_stack([col, col]))["Corr_12"] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_realized_stats_matches_plain_loop_oracle(rng):
     for _ in range(10):
         p = make_random_path(rng, 20, 2, scale=0.3)
-        got = realized_stats(p, 1, 2)
+        stats = path_stats(p.values)
+        got = [stats[key] for key in ("RVar_1", "RV_1", "Cov_12", "Corr_12")]
         want = oracle_stats(p.values, 0, 1)
         assert np.allclose(got, want, rtol=1e-12)
         assert -1.0 - 1e-12 <= got[3] <= 1.0 + 1e-12
@@ -77,28 +77,13 @@ def test_realized_stats_matches_plain_loop_oracle(rng):
 def test_rvar_bitwise_equals_quadratic_variation(rng):
     p = make_random_path(rng, 35, 2)
     qv_end = quadratic_variation(p, 0.0)[-1]
-    rvar1 = realized_stats(p, 1, 1)[0]
-    rvar2 = realized_stats(p, 2, 2)[0]
-    cov = realized_stats(p, 1, 2)[2]
+    stats = path_stats(p.values)
+    rvar1, rvar2, cov = stats["RVar_1"], stats["RVar_2"], stats["Cov_12"]
     assert rvar1 == qv_end[0, 0]
     assert rvar2 == qv_end[1, 1]
     assert cov == qv_end[0, 1]
-    batch = realized_stats_batch(p.values[None])
-    assert batch["RVar_1"][0] == rvar1
-    assert batch["RVar_2"][0] == rvar2
-    assert batch["Cov_12"][0] == cov
     # bracket columns in the order (1,1), (1,2), (2,2)
     assert list(bracket_columns(p.values[None])[0, -1]) == [rvar1, cov, rvar2]
-
-
-def test_realized_stats_degenerate_and_bad_column(rng):
-    p = two_col_path(np.zeros(6), np.cumsum(rng.normal(size=6)))
-    with pytest.raises(ValueError, match="undefined"):
-        realized_stats(p, 1, 2)
-    timed = augment_path(make_random_path(rng, 5, 1), 0.0,
-                         include_time=True, include_brackets=False)
-    with pytest.raises(ValueError, match="not a base column"):
-        realized_stats(timed, 0, 0)
 
 
 def test_realized_stats_batch_matches_single(rng):
@@ -107,14 +92,10 @@ def test_realized_stats_batch_matches_single(rng):
     batch = realized_stats_batch(values)
     assert set(batch) == {"RVar_1", "RV_1", "RVar_2", "RV_2",
                           "Cov_12", "Corr_12"}
-    times = np.arange(n + 1, dtype=float)
     for b in range(B):
-        p = SamplePath(times, values[b], Alphabet(2))
-        rvar1, rv1, cov, corr = realized_stats(p, 1, 2)
-        assert batch["RVar_1"][b] == rvar1
-        assert batch["RV_1"][b] == rv1
-        assert batch["Cov_12"][b] == cov
-        assert batch["Corr_12"][b] == pytest.approx(corr, rel=1e-15)
+        single = path_stats(values[b])
+        for key in batch:
+            assert batch[key][b] == single[key]
 
 
 def test_realized_stats_batch_nan_for_degenerate():
@@ -134,16 +115,16 @@ def test_realized_stats_batch_nan_for_degenerate():
 
 
 def test_evaluate_swap_and_call():
-    p = SamplePath([0.0, 1.0, 2.0], [0.0, 0.1, -0.1], Alphabet(1))  # RVar 0.05
-    assert evaluate(PayoffSpec("RVswap", (1,), 0.03), p) == pytest.approx(0.02)
-    assert evaluate(PayoffSpec("RVswap", (1,), 0.08), p) == pytest.approx(-0.03)
-    rvar = realized_stats(p, 1, 1)[0]
-    assert evaluate(PayoffSpec("RVswap", (1,), rvar), p) == 0.0
+    x = [[0.0], [0.1], [-0.1]]  # RVar 0.05
+    assert payoff(PayoffSpec("RVswap", (1,), 0.03), x) == pytest.approx(0.02)
+    assert payoff(PayoffSpec("RVswap", (1,), 0.08), x) == pytest.approx(-0.03)
+    rvar = path_stats(x)["RVar_1"]
+    assert payoff(PayoffSpec("RVswap", (1,), rvar), x) == 0.0
     # RVcall settles on volatility, not variance
     rv = math.sqrt(rvar)
-    assert evaluate(PayoffSpec("RVcall", (1,), 0.1), p) == pytest.approx(rv - 0.1)
-    assert evaluate(PayoffSpec("RVcall", (1,), rv + 0.5), p) == 0.0
-    assert evaluate(PayoffSpec("RVcall", (1,), rv), p) == 0.0
+    assert payoff(PayoffSpec("RVcall", (1,), 0.1), x) == pytest.approx(rv - 0.1)
+    assert payoff(PayoffSpec("RVcall", (1,), rv + 0.5), x) == 0.0
+    assert payoff(PayoffSpec("RVcall", (1,), rv), x) == 0.0
 
 
 def test_call_is_positive_part_of_swap(rng):
@@ -153,18 +134,19 @@ def test_call_is_positive_part_of_swap(rng):
                 ("CovSwap", "CovCall", (1, 2)),
                 ("CorrSwap", "CorrCall", (1, 2))):
             strike = 0.1 * rng.normal()
-            swap = evaluate(PayoffSpec(swap_kind, assets, strike), p)
-            call = evaluate(PayoffSpec(call_kind, assets, strike), p)
+            swap = payoff(PayoffSpec(swap_kind, assets, strike), p.values)
+            call = payoff(PayoffSpec(call_kind, assets, strike), p.values)
             assert call == pytest.approx(max(swap, 0.0), abs=1e-15)
 
 
 def test_evaluate_degenerate_paths():
-    flat = two_col_path(np.zeros(5), [0.0, 1.0, 0.0, 1.0, 0.0])
-    with pytest.raises(ValueError, match="undefined"):
-        evaluate(PayoffSpec("CorrSwap", (1, 2), 0.0), flat)
+    flat = np.column_stack([np.zeros(5), [0.0, 1.0, 0.0, 1.0, 0.0]])
+    # correlation is undefined with a constant leg: its payoffs are NaN
+    assert math.isnan(payoff(PayoffSpec("CorrSwap", (1, 2), 0.0), flat))
+    assert math.isnan(payoff(PayoffSpec("CorrCall", (1, 2), 0.0), flat))
     # covariance is still defined when one leg is constant
-    assert evaluate(PayoffSpec("CovSwap", (1, 2), 0.1), flat) == pytest.approx(-0.1)
-    assert evaluate(PayoffSpec("RVswap", (1,), 0.0), flat) == 0.0
+    assert payoff(PayoffSpec("CovSwap", (1, 2), 0.1), flat) == pytest.approx(-0.1)
+    assert payoff(PayoffSpec("RVswap", (1,), 0.0), flat) == 0.0
 
 
 # ---------------------------------------------------------------------------

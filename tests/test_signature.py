@@ -80,9 +80,6 @@ def test_sample_path_accessors():
     p = SamplePath(times, values, a, names=("t", "u", "v"))
     assert np.array_equal(p.column(0), times)
     assert np.array_equal(p.column(1), [0.0, 1.0, 3.0])
-    assert np.array_equal(p.by_name("v"), [1.0, 1.0, 0.0])
-    with pytest.raises(KeyError):
-        p.by_name("w")
     assert np.array_equal(p.increments(), np.diff(values, axis=0))
     sub = p.sub_path(1, 2)
     assert sub.n_steps == 1 and sub.times[0] == 0.5
@@ -326,41 +323,22 @@ def basis(traj, words):
 def test_basis_functional_matrix_examples(rng):
     p = path_013()
     traj = gamma_signature(p, 0.0, 2)
-    row = functional_matrix([traj], basis(traj, [(), (1,), (1, 1)]), at_end=True)
-    assert np.allclose(row, [[1.0, 3.0, 2.0]])
-    stacked = functional_matrix([traj], basis(traj, [(), (1,)]), at_end=False)
-    assert stacked.shape == (3, 2)
-    assert np.allclose(stacked[:, 0], 1.0)
-    assert np.allclose(stacked[:, 1], [0.0, 1.0, 3.0])
+    X = functional_matrix(traj, basis(traj, [(), (1,), (1, 1)]))
+    assert X.shape == (3, 3)
+    assert np.allclose(X[-1], [1.0, 3.0, 2.0])
+    assert np.allclose(X[:, 0], 1.0)
+    assert np.allclose(X[:, 1], [0.0, 1.0, 3.0])
     with pytest.raises(ValueError):
-        functional_matrix([traj], [TensorPoly.basis(p.alphabet, 3, (1, 1, 1))],
-                          at_end=True)
-    with pytest.raises(ValueError):
-        functional_matrix([], [TensorPoly.basis(p.alphabet, 0, ())], at_end=True)
+        functional_matrix(traj, [TensorPoly.basis(p.alphabet, 3, (1, 1, 1))])
 
 
 def test_basis_functional_matrix_level1_columns_are_increments(rng):
-    trajs = [gamma_signature(make_random_path(rng, 12, 2), 0.5, 2)
-             for _ in range(4)]
-    ends = functional_matrix(trajs, basis(trajs[0], [(1,), (2,)]), at_end=True)
-    for i, traj in enumerate(trajs):
-        assert np.allclose(ends[i], traj.levels[0][-1])
-
-
-def test_functional_matrix_end_rows_are_last_trajectory_rows(rng):
-    paths = [make_random_path(rng, n, 2) for n in (1, 6, 13)]
-    trajs = [gamma_signature(p, gamma, 3) for p, gamma in zip(paths, (0.0, 0.5, 1.0))]
-    a = paths[0].alphabet
-    ells = [
-        TensorPoly(a, 3, {(): 0.25, (1,): 2.0, (2, 1): -0.5, (1, 2, 2): 1.5}),
-        TensorPoly(a, 3, {(2,): -1.0, (1, 1): 0.3, (2, 2, 1): -2.0}),
-        TensorPoly.basis(a, 3, (1, 2)),
-    ]
-    ends = functional_matrix(trajs, ells, at_end=True)
-    stacked = functional_matrix(trajs, ells, at_end=False)
-    last_rows = np.cumsum([len(t.times) for t in trajs]) - 1
-    assert ends.shape == (3, 3)
-    assert np.array_equal(ends, stacked[last_rows])
+    for _ in range(4):
+        p = make_random_path(rng, 12, 2)
+        traj = gamma_signature(p, 0.5, 2)
+        X = functional_matrix(traj, basis(traj, [(1,), (2,)]))
+        assert np.allclose(X, p.values - p.values[0])
+        assert np.array_equal(X, traj.levels[0])
 
 
 def test_functional_matrix_matches_pairing(rng):
@@ -371,18 +349,16 @@ def test_functional_matrix_matches_pairing(rng):
         TensorPoly(a, 3, {(1,): 2.0, (2, 1): -0.5}),
         TensorPoly(a, 3, {(): 1.0, (1, 1, 2): 3.0}),
     ]
-    ends = functional_matrix([traj], ells, at_end=True)
+    X = functional_matrix(traj, ells)
+    assert X.shape == (16, 2)
     for j, ell in enumerate(ells):
-        assert ends[0, j] == pytest.approx(float(pair(ell, traj.end)), rel=1e-12)
-    stacked = functional_matrix([traj], ells, at_end=False)
-    assert stacked.shape == (16, 2)
+        assert X[-1, j] == pytest.approx(float(pair(ell, traj.end)), rel=1e-12)
     for k in (0, 7, 15):
         for j, ell in enumerate(ells):
-            assert stacked[k, j] == pytest.approx(
+            assert X[k, j] == pytest.approx(
                 float(pair(ell, traj.sig_at(k))), rel=1e-12, abs=1e-12)
     with pytest.raises(ValueError):
-        functional_matrix([traj], [TensorPoly.basis(Alphabet(3), 2, (1,))],
-                          at_end=True)
+        functional_matrix(traj, [TensorPoly.basis(Alphabet(3), 2, (1,))])
 
 
 def test_endpoint_batch_matches_per_path(rng):
@@ -445,7 +421,7 @@ def test_functional_paths_bitwise_equal_functional_matrix(rng, alphabet):
             assert batch.shape == (B, n + 1, len(ells))
             for b in range(B):
                 traj = gamma_signature(SamplePath(times, values[b], alphabet), gamma, N)
-                ref = functional_matrix([traj], ells, at_end=False)
+                ref = functional_matrix(traj, ells)
                 assert np.array_equal(_bits(batch[b]), _bits(ref)), (N, gamma, b)
 
 

@@ -8,7 +8,6 @@ library recurses on the last.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -214,15 +213,6 @@ def test_tensorpoly_linear_ops_and_parts():
     assert p.max_level() == 2
     assert p.truncate(1) == TensorPoly(a, 1, {(): 1, (1,): 2})
     assert p.scale(0) == TensorPoly.zero(a, 3)
-
-
-def test_tensorpoly_json_round_trip():
-    a = Alphabet(2, has_time=True)
-    p = TensorPoly(a, 2, {(): 1.0, (0, 1): -0.5, (2,): 3.25})
-    q = TensorPoly.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
-    assert q == p
-    data = p.to_json_dict()
-    assert [t["word"] for t in data["terms"]] == [[], [2], [0, 1]]
 
 
 def test_pair_examples():
