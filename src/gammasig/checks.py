@@ -399,14 +399,14 @@ def _regress_lasso_monotone(fault: str | None) -> CheckResult:
     X, y = _lasso_instance(rng)
     alpha = 2.0
     prev = float(np.dot(y, y))  # objective at beta = 0
-    for sweeps in range(1, 9):
-        fit = regress.lasso_fit(X, y, alpha, max_iter=sweeps)
+    for steps in range(1, 9):
+        fit = regress.lasso_fit(X, y, alpha, max_iter=steps)
         beta = np.asarray(fit.coeffs)
         obj = float(np.sum((y - X @ beta) ** 2) + alpha * np.sum(np.abs(beta)))
         if obj > prev + 1e-12 * max(1.0, prev):
-            return False, f"objective increased at sweep {sweeps}: {prev} -> {obj}"
+            return False, f"objective increased at step {steps}: {prev} -> {obj}"
         prev = obj
-    return True, "objective non-increasing over 8 coordinate-descent sweeps"
+    return True, "objective non-increasing over 8 active-set steps"
 
 
 def _regress_ridge_residual(fault: str | None) -> CheckResult:

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -412,6 +413,10 @@ def run_calibration(config: ExperimentConfig) -> dict:
         X_train = functional_matrix(traj, plan.functionals)
         fit = lasso_fit(X_train, y_train, config.alpha, words=plan.labels,
                         intercept=s0)
+        if not fit.diagnostics["converged"]:
+            print(f"warning: {config.experiment} {scheme} lasso fit not converged "
+                  f"after n_iter={fit.diagnostics['n_iter']} active-set steps",
+                  file=sys.stderr)
         in_mse = mse(predict(fit, X_train), y_train)
         out_mses = []
         for start in range(0, config.n_test, _TEST_CHUNK):

@@ -36,7 +36,7 @@ def test_check_fault_injection_fails(tmp_path, capsys):
     })
     assert main(["check", "--config", cfg]) == 1
     out = capsys.readouterr().out
-    assert "FAIL regress/" in out
+    assert "FAIL regress/lasso-stationarity" in out
     assert "FAILED" in out
 
 
@@ -405,3 +405,20 @@ def test_sigdump_bad_gamma(tmp_path, capsys):
 def test_entry_point_installed():
     import shutil
     assert shutil.which("gammasig") is not None
+
+
+def test_cli_import_does_not_load_scipy():
+    # the CLI runs on numpy alone; importing scipy would roughly double the
+    # start-up time of every command
+    import os
+    import subprocess
+    import sys
+
+    import gammasig
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gammasig.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gammasig.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

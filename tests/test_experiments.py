@@ -158,6 +158,23 @@ def test_run_calibration_batches_equal_per_path_loop(experiment):
         assert report["schemes"][scheme]["out_sample_mse"] == float(np.mean(out_mses))
 
 
+def test_run_calibration_reports_unconverged_lasso(monkeypatch, capsys):
+    from gammasig import experiments
+    run_calibration(reduced_cantor_config())
+    assert capsys.readouterr().err == ""
+    real = experiments.lasso_fit
+    monkeypatch.setattr(experiments, "lasso_fit",
+                        lambda *args, **kwargs: real(*args, max_iter=1, **kwargs))
+    report = run_calibration(reduced_cantor_config())
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: cantor-calib {scheme} lasso fit not converged after n_iter=1 "
+        "active-set steps" for scheme in ("strat", "ito")]
+    for scheme in ("strat", "ito"):
+        assert report["schemes"][scheme]["fit"]["diagnostics"] == {
+            **report["schemes"][scheme]["fit"]["diagnostics"],
+            "n_iter": 1, "converged": False}
+
+
 def test_run_calibration_rejects_wrong_experiment():
     with pytest.raises(ValueError, match="not a calibration"):
         run_calibration(default_config("cantor2-pricing"))

@@ -2,7 +2,12 @@
 refactoring of the numerics.
 
 A structural change to the signature kernel, the bracket sums or the
-accumulation must leave these bytes unchanged.  The sums accumulate in
+accumulation must leave these bytes unchanged.  The stamped digests were
+re-recorded once, when the lasso changed from cyclic coordinate descent
+stopped at a sweep tolerance to the exact active-set solution (the
+calibration fits moved to the optimum) and both regressions changed from
+LAPACK's Cholesky to the numpy one in ``regress`` (the pricing ridge fits
+moved at rounding level, at most 3e-12 relative in ``prices.csv``).  The sums accumulate in
 ``np.longdouble``, whose width depends on the platform (80-bit on x86-64
 Linux, 64-bit on MSVC, 128-bit on aarch64 Linux), so a failure here on
 another platform also flags cross-platform accumulation drift rather than
@@ -22,10 +27,10 @@ from gammasig.models import path_rng
 CALIBRATE_CONFIG = {"experiment": "cantor-calib", "grid": {"n": 200},
                     "samples": {"N_test": 3}}
 CALIBRATE_SHA256 = {
-    "fit_ito.json": "46fe060524909bf41de7dcbb1f4f57bc8d3278266dd794bf31c78e771cc83f57",
-    "fit_strat.json": "1d72abd41b52544bd3ad50d1bc3299b672aad0f143fa539952395f92897f0385",
-    "mse_summary.csv": "1eb069265a8186250916cb3443ecd06f42ec9b4819f41e799eb4ce0fc246f2b8",
-    "trajectory.csv": "c6813b3e4a12ecdb620e8a5b7cf80e8749bc970021849ea48bd9260603c133e0",
+    "fit_ito.json": "09ec1c1113a8822f257a0fdfbc3fedd5062a6b12929c6945d93f458a9c9e7b2f",
+    "fit_strat.json": "db80150550af9c7708e79742cdca780a17501c5126d8d930d2c4a1a588724284",
+    "mse_summary.csv": "7fc2658b2891be90f063576ccb1723f7b6241f7997a5f88fb1f09846f2497e52",
+    "trajectory.csv": "c6646e2cabff4b04b54a2a0af35c131cec17745773c15ffd8840515dcd16fbd5",
 }
 
 # the only experiment with multi-term (rho-corrected) functionals: pins the
@@ -33,10 +38,10 @@ CALIBRATE_SHA256 = {
 HESTON_CALIBRATE_CONFIG = {"experiment": "heston-calib", "grid": {"n": 100},
                            "samples": {"N_test": 3}}
 HESTON_CALIBRATE_SHA256 = {
-    "fit_ito.json": "14d6aae8654eeed0e08002040783b332338409bf9f41bf8aaec0383b9d448ef7",
-    "fit_strat.json": "a4ce923ce0658e5f8fef0c2a7e9cbe458a251644b534a5f466cfbe009ae03069",
-    "mse_summary.csv": "92a5f185ef7879a3c4571f390354fefbde61d952203f713af21bc0912160255e",
-    "trajectory.csv": "7556f1971aea65e1b18160ee8fd93e249769a8563c889a5cdedc39c6a8294f66",
+    "fit_ito.json": "bd4ddb920960ac53e67ffb741a20ed2f052418714cf07185f3350f53d1c15846",
+    "fit_strat.json": "140817134f28cb75ada63eb0ccdf09155e161cc3899745747c890a95316beed1",
+    "mse_summary.csv": "05257db1459714e2026be0e1ef5dc031e109c8847c9e7527cdfdebf4dcbcfde2",
+    "trajectory.csv": "ff1b5028d97fcaf1f36800958f0d74c711af5f4442aa14aedb1bebd19f0e4cf3",
 }
 
 # level 3 covers the intermediate-level trajectory of the batched kernel
@@ -44,10 +49,10 @@ PRICE_CONFIG = {"experiment": "heston2-pricing", "grid": {"n": 30},
                 "signature": {"trunc_level": 3},
                 "samples": {"N_train": 300, "N_test": 60, "N_MC": 200}}
 PRICE_SHA256 = {
-    "fit_ito.json": "58574a328bb51069267c33635c46bda0910705bade07e677933bdcff14b02588",
-    "fit_strat.json": "c61d8912e7aab1d61c8042a1ed182b47878530b76eb1bb2ed6155ebefe2c618a",
-    "mse_summary.csv": "6f134ac6b8b93e305f511f8fd444c45f715af26df683aefc120a77b68101b5fc",
-    "prices.csv": "7495e6a1887064ea5886a6e4e53e0794035373103df3d9341c998c1471442e03",
+    "fit_ito.json": "a0d6fad325b69ccc8969d26c8b4b08e49aa1b47b82f56edcb8b34d160729cf6d",
+    "fit_strat.json": "24f5197d70132b056e297c92a0be19efc130175e9d62055e3f62f262134a5f12",
+    "mse_summary.csv": "86392e40b5bdf1a1aba09f6d2839e4649b3df73a327b4ab2c04d3997822c5260",
+    "prices.csv": "7de53f2ca327f0b054db0411c02593fa3e6df18c0abbd7b072c9b030645216ca",
 }
 
 

@@ -2,21 +2,109 @@
 
 Oracles: the decoupled soft-threshold solution on orthonormal designs, the
 subgradient stationarity conditions checked directly on fitted
-coefficients, and closed-form solutions for identity designs.
+coefficients, closed-form solutions for identity designs, and, for the
+lasso, the cyclic coordinate descent that ``lasso_fit`` ran before the
+active-set solver (``_cd_lasso``).
 """
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from gammasig import RegressionFit, lasso_fit, mse, predict, ridge_fit
+from gammasig import RegressionFit, default_config, lasso_fit, mse, predict, ridge_fit
+from gammasig import experiments
+from gammasig.signature import functional_matrix, gamma_signature
 
 
 def lasso_objective(X, y, beta, alpha, c=0.0):
     r = y - c - X @ beta
     return float(r @ r + alpha * np.abs(beta).sum())
+
+
+def _cd_lasso(X, y, alpha, max_iter=100_000, tol=1e-10, intercept=0.0):
+    """Reference solver: cyclic coordinate descent on the same objective.
+
+    Coordinate update: beta_j <- S(x_j . r + ||x_j||^2 beta_j, alpha/2) /
+    ||x_j||^2 through the Gram matrix; all-zero columns keep 0; stops when a
+    sweep moves no coefficient by ``tol`` or more.  Returns (beta, sweeps,
+    converged).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = X.shape
+    col_sq = np.einsum("ij,ij->j", X, X)
+    active = [j for j in range(p) if col_sq[j] > 0.0]
+    threshold = 0.5 * alpha
+    neg_threshold = -threshold
+    # Gram form of the cyclic update: x_j.r = c_j - (G beta)_j with
+    # G = X'X maintained incrementally; O(p) per changed coordinate
+    # instead of O(n) regardless of n.  Only active columns are ever read,
+    # so every list is restricted to them (position a <-> column active[a]).
+    gram = (X.T @ X)[np.ix_(active, active)].tolist()
+    c = (X.T @ (y - intercept))[active].tolist()
+    sq = col_sq[active].tolist()
+    positions = range(len(active))
+    beta_active = [0.0] * len(active)
+    grad = [0.0] * len(active)  # (G beta)_j
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_iter + 1):
+        max_delta = 0.0
+        for a in positions:
+            old = beta_active[a]
+            rho = c[a] - grad[a] + sq[a] * old
+            # soft threshold S(rho, alpha/2), divided by ||x_j||^2
+            if rho > threshold:
+                new = (rho - threshold) / sq[a]
+            elif rho < neg_threshold:
+                new = (rho + threshold) / sq[a]
+            else:
+                new = 0.0
+            if new != old:
+                delta = new - old
+                row = gram[a]
+                for k in positions:
+                    grad[k] += row[k] * delta
+                beta_active[a] = new
+                if delta > max_delta:
+                    max_delta = delta
+                elif -delta > max_delta:
+                    max_delta = -delta
+        if max_delta < tol:
+            converged = True
+            break
+    beta = np.zeros(p)
+    beta[active] = beta_active
+    return beta, sweeps, converged
+
+
+def assert_kkt(X, y, fit, alpha, c=0.0):
+    """Subgradient conditions at alpha/2, with the slack of the
+    regress/lasso-stationarity check (10 * 1e-10 * ||x_j||^2)."""
+    r = y - c - X @ fit.coeffs
+    for j in range(X.shape[1]):
+        corr = float(X[:, j] @ r)
+        slack = 10.0 * 1e-10 * float(X[:, j] @ X[:, j])
+        if fit.coeffs[j] != 0.0:
+            assert abs(corr - 0.5 * alpha * np.sign(fit.coeffs[j])) <= slack, j
+        else:
+            assert abs(corr) <= 0.5 * alpha + slack, j
+
+
+def assert_matches_or_beats_cd(X, y, alpha, c=0.0):
+    """lasso_fit converges, satisfies KKT and reaches the CD oracle's
+    objective at 1e5 sweeps within 1e-12 relative."""
+    fit = lasso_fit(X, y, alpha, intercept=c)
+    assert fit.diagnostics["converged"]
+    assert_kkt(X, y, fit, alpha, c)
+    beta_cd, _, _ = _cd_lasso(X, y, alpha, intercept=c)
+    new = lasso_objective(X, y, fit.coeffs, alpha, c)
+    old = lasso_objective(X, y, beta_cd, alpha, c)
+    assert new <= old + 1e-12 * max(old, 1.0)
+    return fit
 
 
 def soft(v, t):
@@ -111,16 +199,92 @@ def test_lasso_stationarity_conditions(rng):
             assert abs(g[j]) <= alpha + 1e-6
 
 
-def test_lasso_objective_monotone_in_sweeps(rng):
+def test_lasso_objective_monotone_in_steps(rng):
+    # no active-set step raises the objective: capping the steps at k + 1
+    # must never give a higher objective than capping them at k
     base = rng.normal(size=(30, 5))
     X = base @ (np.eye(5) + 0.5)
     y = rng.normal(size=30)
     alpha = 0.7
-    objs = []
-    for k in (1, 2, 3, 5, 10, 200):
+    objs = [float(y @ y)]
+    for k in range(1, 13):
         fit = lasso_fit(X, y, alpha, max_iter=k)
+        assert fit.diagnostics["n_iter"] <= k
         objs.append(lasso_objective(X, y, fit.coeffs, alpha))
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+    assert fit.diagnostics["converged"]
+
+
+#: Correlated designs in the oracle panel; random mixing makes some
+#: coefficients change sign along the active-set path.
+_CORRELATED_DESIGNS = 24
+
+
+def _calibration_design(experiment, scheme):
+    """Training design and target of a reduced calibration experiment."""
+    cfg = default_config(experiment, grid_n=200, n_test=1)
+    plan = experiments._calibration_plans(cfg)[scheme]
+    grid = cfg.grid()
+    cols = experiments._simulate_calibration_columns(cfg, grid, [0])
+    traj = gamma_signature(plan.driver(grid.times, cols, 0), plan.gamma, plan.sig_level)
+    s0 = cfg.model.s0 if experiment == "heston-calib" else cfg.model.s0[0]
+    return functional_matrix(traj, plan.functionals), cols["S"][0], cfg.alpha, s0
+
+
+@functools.cache
+def _oracle_panel():
+    """Seeded designs: correlated with mixed-sign mixing at three penalties,
+    n < p, a zero column, alpha = 0, and two reduced calibration designs."""
+    rng = np.random.default_rng(4242)
+    panel = []
+    for _ in range(_CORRELATED_DESIGNS // 3):
+        X = rng.normal(size=(30, 6)) @ (np.eye(6) + 0.6 * rng.normal(size=(6, 6)))
+        y = rng.normal(size=30) * 2.0
+        panel += [(X, y, alpha, 0.0) for alpha in (0.5, 2.0, 8.0)]
+    wide = rng.normal(size=(8, 15))
+    panel.append((wide, rng.normal(size=8), 0.5, 0.0))
+    zero_col = rng.normal(size=(20, 5))
+    zero_col[:, 2] = 0.0
+    panel.append((zero_col, rng.normal(size=20), 0.3, 0.0))
+    tall = rng.normal(size=(30, 5))
+    panel.append((tall, rng.normal(size=30), 0.0, 0.0))
+    panel.append(_calibration_design("heston-calib", "strat"))
+    panel.append(_calibration_design("cantor-calib", "ito"))
+    return panel
+
+
+@pytest.mark.parametrize("case", range(_CORRELATED_DESIGNS + 5))
+def test_lasso_matches_or_beats_cd_oracle(case):
+    X, y, alpha, c = _oracle_panel()[case]
+    fit = assert_matches_or_beats_cd(X, y, alpha, c)
+    assert np.all(fit.coeffs[np.einsum("ij,ij->j", X, X) == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.0])
+@pytest.mark.parametrize("design", ["identical", "collinear", "all-zero"])
+def test_lasso_degenerate_designs(design, alpha):
+    # a column in the span of the active columns makes the active Gram
+    # singular: the fit must still end converged, without an exception
+    rng = np.random.default_rng(99)
+    X = rng.normal(size=(12, 4))
+    y = X @ np.array([1.5, -1.0, 0.8, 0.0]) + 0.1 * rng.normal(size=12)
+    if design == "identical":
+        X[:, 3] = X[:, 0]
+    elif design == "collinear":
+        # orthogonal x_0, x_1 enter first; then x_3 = x_0 + x_1, which costs
+        # less penalty than x_0 and x_1 together, can only enter by trading
+        # x_1 away
+        X[:, :3] = 3.0 * np.linalg.qr(X[:, :3])[0]
+        X[:, 3] = X[:, 0] + X[:, 1]
+        y = 3.0 * X[:, 0] + X[:, 1] + 0.05 * rng.normal(size=12)
+    else:
+        X[:] = 0.0
+    fit = assert_matches_or_beats_cd(X, y, alpha)
+    assert fit.diagnostics["n_iter"] < 100
+    if design == "all-zero":
+        assert np.all(fit.coeffs == 0.0) and fit.diagnostics["n_iter"] == 0
+    if design == "collinear" and alpha > 0:
+        assert fit.coeffs[1] == 0.0 and fit.coeffs[3] > 0.0
 
 
 def test_lasso_beats_or_matches_random_perturbations(rng):
