@@ -174,7 +174,10 @@ def _cmd_price(args) -> int:
     config = _experiment_config(args)
     if config.experiment not in ("heston2-pricing", "cantor2-pricing"):
         raise ConfigError(f"{config.experiment!r} is not a pricing experiment")
-    report = run_pricing(config)
+    try:
+        report = run_pricing(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"experiment {config.experiment}  config_hash={report['config_hash']}  "
           f"master_seed={config.master_seed}")
     if report["rejected_paths"] or report["degenerate_corr_paths"]:

@@ -144,6 +144,11 @@ class ExperimentConfig:
             if self.experiment in PRICING_IDS and self.n_mc < 2:
                 raise ValueError("pricing needs N_MC >= 2 for the Monte Carlo "
                                  "confidence interval")
+            if self.experiment in PRICING_IDS and self.alpha == 0:
+                raise ValueError("pricing needs alpha > 0: the time coordinates "
+                                 "(t), (t,t), ... are equal on every path, so at "
+                                 "alpha 0 the ridge Gram is singular whatever "
+                                 "N_train is")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("'master_seed' must fit in an unsigned 64-bit "
                              f"integer, got {self.master_seed}")
@@ -448,19 +453,6 @@ def run_calibration(config: ExperimentConfig) -> dict:
 # Pricing
 # ---------------------------------------------------------------------------
 
-def _endpoint_features(times: np.ndarray, x: np.ndarray, brackets: np.ndarray | None,
-                       gamma: float, trunc_level: int) -> np.ndarray:
-    """Feature rows [1, level-1 coords, level-2 coords, ...] of end-point
-    signatures of (t, x...) or, given bracket columns, (t, x..., brackets...)."""
-    B, n_plus_1, d = x.shape
-    cols = [np.broadcast_to(times, (B, n_plus_1))[:, :, None], x]
-    if brackets is not None:
-        cols.append(brackets)
-    values = np.concatenate(cols, axis=2)
-    ends = endpoint_signature_batch(values, gamma, trunc_level)
-    return np.concatenate([np.ones((B, 1))] + ends, axis=1)
-
-
 def _pricing_log_paths(config: ExperimentConfig, indices: Sequence[int]) \
         -> tuple[np.ndarray, np.ndarray]:
     """Simulate a chunk and return (x, ok): shifted log-prices (B, n+1, 2)
@@ -477,12 +469,110 @@ def _pricing_log_paths(config: ExperimentConfig, indices: Sequence[int]) \
     return x, ok
 
 
-#: Feature family -> (log-price columns, slice of the two-asset bracket block
-#: (1,1),(1,2),(2,2) that belongs to the family).  The bracket slice is a
-#: basic slice so the block stays in C order: the end-point contraction sums
-#: in an order set by its input's memory layout, and so do its last bits.
-_PRICING_FAMILIES = {"1": ([0], slice(0, 1)), "2": ([1], slice(2, 3)),
-                     "12": ([0, 1], slice(0, 3))}
+#: Feature family -> the assets it reads, as base letters of the two-asset
+#: alphabet.  A family's features are the end-point signature of (t, its
+#: log-prices) or, in the left-point scheme, of (t, its log-prices, their
+#: brackets).  The signature of a path restricted to some of its coordinates
+#: is the matching restriction of the full signature, so every family's row
+#: is a fixed column subset of the joint two-asset row of its scheme.
+_PRICING_FAMILIES: dict[str, tuple[int, ...]] = {"1": (1,), "2": (2,), "12": (1, 2)}
+
+#: Paths per simulated chunk of a pricing run.
+_PRICING_CHUNK = 1500
+
+
+def _pricing_alphabet(d: int, scheme: str) -> Alphabet:
+    return Alphabet(d, has_time=True, has_brackets=(scheme == "ito"))
+
+
+def _family_letters(family: str, scheme: str) -> dict[int, int]:
+    """Letter of a family's alphabet -> letter of the joint alphabet: time to
+    time, base letter k to the family's k-th asset and bracket eps(i, j) to
+    the joint bracket of those two assets."""
+    sub, joint = _pricing_alphabet(len(family), scheme), _pricing_alphabet(2, scheme)
+    base = {0: 0, **dict(enumerate(_PRICING_FAMILIES[family], 1))}
+    letters = {}
+    for letter in sub.letters:
+        if sub.is_bracket(letter):
+            i, j = sub.bracket_pair(letter)
+            letters[letter] = joint.bracket_letter(base[i], base[j])
+        else:
+            letters[letter] = base[letter]
+    return letters
+
+
+def _family_columns(family: str, scheme: str, N: int) -> tuple[tuple[Word, ...], np.ndarray]:
+    """A family's feature words (graded-lex order of its own alphabet) and
+    their columns in the joint row [1, level 1, ..., level N] of its scheme:
+    a word of length m sits at 1 + L + ... + L**(m-1) plus the lexicographic
+    rank of its image among the L**m joint words of that length."""
+    letters = _family_letters(family, scheme)
+    joint = _pricing_alphabet(2, scheme)
+    L = joint.total_letters
+    words = enumerate_words(_pricing_alphabet(len(family), scheme), N)
+    columns = []
+    for word in words:
+        rank = 0
+        for letter in word:
+            rank = rank * L + joint.index(letters[letter])
+        columns.append((L ** len(word) - 1) // (L - 1) + rank)
+    return words, np.array(columns)
+
+
+#: (family, scheme) -> the family's words and their joint columns.
+_Layout = dict[tuple[str, str], tuple[tuple[Word, ...], np.ndarray]]
+
+
+def _pricing_layout(N: int) -> _Layout:
+    """:func:`_family_columns` of every (family, scheme)."""
+    return {(family, scheme): _family_columns(family, scheme, N)
+            for family in _PRICING_FAMILIES for scheme in SCHEMES}
+
+
+def _joint_values(times: np.ndarray, x: np.ndarray, scheme: str) -> np.ndarray:
+    """Driver values (B, n+1, L) of a scheme's joint pass in C order: (t, x1,
+    x2) and, for ``ito``, the bracket block [1,1], [1,2], [2,2]."""
+    B, n_plus_1, d = x.shape
+    brackets = bracket_columns(x) if scheme == "ito" else np.empty((B, n_plus_1, 0))
+    values = np.empty((B, n_plus_1, 1 + d + brackets.shape[2]))
+    values[:, :, 0] = times
+    values[:, :, 1:1 + d] = x
+    values[:, :, 1 + d:] = brackets
+    return values
+
+
+def _pricing_features(config: ExperimentConfig, layout: _Layout) \
+        -> tuple[dict[tuple[str, str], np.ndarray], dict[str, np.ndarray], np.ndarray]:
+    """Feature rows per (family, scheme) of ``layout``, realized statistics
+    and the mask of paths with positive prices, over all N_train + N_test +
+    N_MC paths.
+
+    Each chunk of ``_PRICING_CHUNK`` paths takes one joint end-point pass per
+    scheme, left-point first so that its bracket block is gone before the
+    mid-point values are built; each family takes its columns of the joint
+    row.
+    """
+    N = config.trunc_level
+    total = config.n_train + config.n_test + config.n_mc
+    times = config.grid().times
+    feats = {key: np.empty((total, len(words))) for key, (words, _) in layout.items()}
+    stats: dict[str, np.ndarray] = {}
+    ok_all = np.empty(total, dtype=bool)
+    for start in range(0, total, _PRICING_CHUNK):
+        x, ok = _pricing_log_paths(config, range(start, min(start + _PRICING_CHUNK, total)))
+        sl = slice(start, start + len(x))
+        ok_all[sl] = ok
+        for key, arr in realized_stats_batch(x).items():
+            stats.setdefault(key, np.empty(total))[sl] = arr
+        for scheme in ("ito", "strat"):
+            values = _joint_values(times, x, scheme)
+            ends = endpoint_signature_batch(values, GAMMAS[scheme], N)
+            del values
+            row = np.concatenate([np.ones((len(x), 1))] + ends, axis=1)
+            del ends
+            for family in _PRICING_FAMILIES:
+                feats[(family, scheme)][sl] = row[:, layout[(family, scheme)][1]]
+    return feats, stats, ok_all
 
 
 def run_pricing(config: ExperimentConfig) -> dict:
@@ -492,52 +582,32 @@ def run_pricing(config: ExperimentConfig) -> dict:
     Single-asset payoffs use the driver (t, log S^i) (mid-point scheme) or
     (t, log S^i, [log S^i]) (left-point scheme); two-asset payoffs use the
     joint versions.  Log-price paths are shifted to start at 0 (signatures
-    only see increments).  Strikes are training-sample means.
+    only see increments).  Strikes are training-sample means.  A cohort
+    left with too few paths after rejection is a ``ValueError`` that names
+    it.
     """
     if config.experiment not in PRICING_IDS:
         raise ValueError(f"{config.experiment!r} is not a pricing experiment")
-    N = config.trunc_level
     total = config.n_train + config.n_test + config.n_mc
-    times = config.grid().times
+    layout = _pricing_layout(config.trunc_level)
+    feats, stats, ok_all = _pricing_features(config, layout)
 
-    words_cache = {
-        (family, scheme): _pricing_words(family, scheme, N)
-        for family in _PRICING_FAMILIES for scheme in SCHEMES
-    }
-    feats = {key: np.empty((total, len(words))) for key, words in words_cache.items()}
-    stats: dict[str, np.ndarray] = {}
-    ok_all = np.empty(total, dtype=bool)
-
-    chunk = 1500
-    for start in range(0, total, chunk):
-        idx = range(start, min(start + chunk, total))
-        x, ok = _pricing_log_paths(config, idx)
-        sl = slice(start, start + len(x))
-        ok_all[sl] = ok
-        chunk_stats = realized_stats_batch(x)
-        for key, arr in chunk_stats.items():
-            stats.setdefault(key, np.empty(total))[sl] = arr
-        brackets = bracket_columns(x)
-        for family, (assets, bracket_cols) in _PRICING_FAMILIES.items():
-            sub = x[:, :, assets]
-            for scheme in SCHEMES:
-                feats[(family, scheme)][sl] = _endpoint_features(
-                    times, sub, brackets[:, :, bracket_cols] if scheme == "ito" else None,
-                    GAMMAS[scheme], N)
-        # free this chunk's brackets before the next chunk is simulated
-        del brackets, sub
-
-    cohorts = {
-        "train": np.zeros(total, dtype=bool),
-        "test": np.zeros(total, dtype=bool),
-        "mc": np.zeros(total, dtype=bool),
-    }
-    cohorts["train"][:config.n_train] = True
-    cohorts["test"][config.n_train:config.n_train + config.n_test] = True
-    cohorts["mc"][config.n_train + config.n_test:] = True
-    for mask in cohorts.values():
-        mask &= ok_all
     rejected = int(total - ok_all.sum())
+    cohorts: dict[str, np.ndarray] = {}
+    start = 0
+    for name, label, size, need in (("train", "training", config.n_train, 1),
+                                    ("test", "test", config.n_test, 1),
+                                    ("mc", "Monte Carlo", config.n_mc, 2)):
+        mask = np.zeros(total, dtype=bool)
+        mask[start:start + size] = ok_all[start:start + size]
+        start += size
+        kept = int(mask.sum())
+        if kept < need:
+            raise ValueError(
+                f"the {label} cohort keeps {kept} of its {size} paths after "
+                f"{rejected} of {total} paths were rejected for a non-positive "
+                f"price; pricing needs at least {need}")
+        cohorts[name] = mask
 
     degenerate_corr = 0
     for key in list(stats):
@@ -576,7 +646,7 @@ def run_pricing(config: ExperimentConfig) -> dict:
         for scheme in SCHEMES:
             X = feats[(family, scheme)]
             fit = ridge_fit(X[cohorts["train"]], values[cohorts["train"]],
-                            config.alpha, words=words_cache[(family, scheme)])
+                            config.alpha, words=layout[(family, scheme)][0])
             pred_test = predict(fit, X[cohorts["test"]])
             entry[scheme] = {
                 "in_sample_mse": fit.diagnostics["in_sample_mse"],
@@ -588,12 +658,6 @@ def run_pricing(config: ExperimentConfig) -> dict:
     if config.out_dir:
         _write_pricing_outputs(config, report)
     return report
-
-
-def _pricing_words(family: str, scheme: str, N: int) -> tuple[Word, ...]:
-    d = len(family)
-    alphabet = Alphabet(d, has_time=True, has_brackets=(scheme == "ito"))
-    return enumerate_words(alphabet, N)
 
 
 # ---------------------------------------------------------------------------

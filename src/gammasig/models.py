@@ -243,9 +243,18 @@ def cantor_function(x, depth: int = 40):
 # ---------------------------------------------------------------------------
 
 def _stack_draws(grid: SimGrid, path_indices: Sequence[int], width: int) -> np.ndarray:
+    """Standard normals (B, n, width); row b is what ``path_rng(master_seed,
+    path_indices[b])`` draws first.  One Philox is re-keyed per path instead
+    of a generator being built per path: a fresh stream is its key with a
+    zero counter and an empty buffer, which is the state set here."""
     draws = np.empty((len(path_indices), grid.n, width))
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
     for b, idx in enumerate(path_indices):
-        draws[b] = path_rng(grid.master_seed, idx).standard_normal((grid.n, width))
+        fresh["state"]["key"] = np.array([grid.master_seed, idx], dtype=np.uint64)
+        bitgen.state = fresh
+        draws[b] = gen.standard_normal((grid.n, width))
     return draws
 
 

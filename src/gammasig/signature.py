@@ -456,12 +456,14 @@ def endpoint_signature_batch(values: np.ndarray, gamma: float,
     ``values`` has shape (B, n+1, L).  Returns one array per level m with
     shape (B, L**m).  Levels below the top take the same level step as
     :func:`gamma_signature` and are materialized along the grid; a top level
-    above 1 is contracted over time directly.
+    above 1 is contracted over time directly.  The contraction sums in an
+    order set by its operands' memory layout, so ``values`` is taken in C
+    order first: equal values give equal bits whatever their layout.
     """
     _check_gamma(gamma)
     if trunc_level < 1:
         raise ValueError("trunc_level must be >= 1")
-    values = np.asarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
     B, _, L = values.shape
     dX = np.diff(values, axis=1)
     ends: list[np.ndarray] = []

@@ -146,6 +146,37 @@ def test_pricing_needs_two_monte_carlo_paths(tmp_path, capsys):
     assert "N_MC >= 2" in capsys.readouterr().err
 
 
+_LINEAR_CANTOR = {"s0": [100.0, 80.0], "vol_kind": "linear", "rho": 0.6}
+
+
+@pytest.mark.parametrize("model,samples,alpha,cause", [
+    # the time coordinates are equal on every path: singular at alpha 0
+    ({"nu": [0.2, 0.3]}, {"N_train": 3, "N_test": 5, "N_MC": 5}, 0.0,
+     "pricing needs alpha > 0"),
+    # every training path reaches a non-positive price
+    ({"nu": [60.0, 60.0]}, {"N_train": 20, "N_test": 5, "N_MC": 20}, 1e-6,
+     "the training cohort keeps 0 of its 20 paths after 45 of 45 paths were rejected"),
+    # two training paths survive, no test path does
+    ({"nu": [3.0, 3.0]}, {"N_train": 20, "N_test": 5, "N_MC": 20}, 1e-6,
+     "the test cohort keeps 0 of its 5 paths after 42 of 45 paths were rejected"),
+    # one Monte Carlo path survives: no confidence interval
+    ({"nu": [3.0, 3.0]}, {"N_train": 8, "N_test": 5, "N_MC": 32}, 1e-6,
+     "the Monte Carlo cohort keeps 1 of its 32 paths"),
+])
+def test_degenerate_pricing_exits_2_with_cause(tmp_path, capsys, model, samples,
+                                                alpha, cause):
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "cantor2-pricing",
+        "model": {**_LINEAR_CANTOR, **model},
+        "grid": {"n": 10},
+        "regression": {"alpha": alpha},
+        "samples": samples,
+    })
+    assert main(["price", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert cause in err and "Traceback" not in err
+
+
 def test_unknown_config_key_names_its_path(tmp_path, capsys):
     cases = [
         ({"experiment": "cantor-calib", "sample": {"N_test": 3}}, "sample"),

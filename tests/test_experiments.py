@@ -14,6 +14,7 @@ from gammasig import (
     RegressionFit,
     config_hash,
     default_config,
+    experiments,
     functional_matrix,
     gamma_signature,
     mse,
@@ -22,6 +23,8 @@ from gammasig import (
     run_checks,
     run_pricing,
 )
+from gammasig.experiments import GAMMAS, SCHEMES
+from gammasig.signature import bracket_columns
 
 ALL_IDS = ("heston-calib", "cantor-calib", "heston2-pricing",
            "cantor2-pricing", "check")
@@ -266,6 +269,49 @@ def test_run_pricing_output_files(tmp_path):
         payload = json.loads((tmp_path / f"fit_{scheme}.json").read_text())
         assert payload["config_hash"] == report["config_hash"]
         assert set(payload["fits"]) == {e["payoff"] for e in report["payoffs"]}
+
+
+def test_family_letters_map_into_the_joint_alphabet():
+    assert experiments._family_letters("2", "ito") == {0: 0, 1: 2, 2: 5}
+    assert experiments._family_letters("1", "ito") == {0: 0, 1: 1, 2: 3}
+    assert experiments._family_letters("2", "strat") == {0: 0, 1: 2}
+    assert experiments._family_letters("12", "ito") == {k: k for k in range(6)}
+
+
+@pytest.mark.parametrize("trunc_level", [2, 3])
+def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_level):
+    # more paths than one chunk: each chunk takes one ito and one strat pass,
+    # and every family's block equals the pass over its own C-ordered driver
+    config = default_config("heston2-pricing", grid_n=3, trunc_level=trunc_level,
+                            n_train=1000, n_test=300, n_mc=400)
+    total = config.n_train + config.n_test + config.n_mc
+    assert total > experiments._PRICING_CHUNK
+    real = experiments.endpoint_signature_batch
+    gammas = []
+
+    def counting(values, gamma, level):
+        gammas.append(gamma)
+        return real(values, gamma, level)
+
+    monkeypatch.setattr(experiments, "endpoint_signature_batch", counting)
+    layout = experiments._pricing_layout(trunc_level)
+    feats, _, _ = experiments._pricing_features(config, layout)
+    assert gammas == [GAMMAS["ito"], GAMMAS["strat"]] * 2
+
+    x, _ = experiments._pricing_log_paths(config, range(total))
+    times = np.broadcast_to(config.grid().times, x.shape[:2])[:, :, None]
+    for family, assets in experiments._PRICING_FAMILIES.items():
+        sub = x[:, :, [a - 1 for a in assets]]
+        for scheme in SCHEMES:
+            words, _ = layout[(family, scheme)]
+            cols = [times, sub] + ([bracket_columns(sub)] if scheme == "ito" else [])
+            values = np.ascontiguousarray(np.concatenate(cols, axis=2))
+            expected = np.concatenate(
+                [np.ones((total, 1))] + real(values, GAMMAS[scheme], trunc_level), axis=1)
+            assert len(words) == expected.shape[1]
+            got = feats[(family, scheme)]
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), \
+                (family, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,14 @@ re-recorded once, when the lasso changed from cyclic coordinate descent
 stopped at a sweep tolerance to the exact active-set solution (the
 calibration fits moved to the optimum) and both regressions changed from
 LAPACK's Cholesky to the numpy one in ``regress`` (the pricing ridge fits
-moved at rounding level, at most 3e-12 relative in ``prices.csv``).  The sums accumulate in
+moved at rounding level, at most 3e-12 relative in ``prices.csv``).  The
+pricing ``fit_strat.json``, ``mse_summary.csv`` and ``prices.csv`` were
+re-recorded once more when the pricing features became column subsets of
+one joint end-point pass per scheme: the two-asset mid-point block used to
+be contracted from a driver whose memory layout (a fancy-indexed,
+concatenated array) set a different summation order, so it moved at
+roundoff (at most 9e-14 relative in ``prices.csv``); every left-point and
+single-asset block is bit-equal.  The sums accumulate in
 ``np.longdouble``, whose width depends on the platform (80-bit on x86-64
 Linux, 64-bit on MSVC, 128-bit on aarch64 Linux), so a failure here on
 another platform also flags cross-platform accumulation drift rather than
@@ -50,9 +57,9 @@ PRICE_CONFIG = {"experiment": "heston2-pricing", "grid": {"n": 30},
                 "samples": {"N_train": 300, "N_test": 60, "N_MC": 200}}
 PRICE_SHA256 = {
     "fit_ito.json": "a0d6fad325b69ccc8969d26c8b4b08e49aa1b47b82f56edcb8b34d160729cf6d",
-    "fit_strat.json": "24f5197d70132b056e297c92a0be19efc130175e9d62055e3f62f262134a5f12",
-    "mse_summary.csv": "86392e40b5bdf1a1aba09f6d2839e4649b3df73a327b4ab2c04d3997822c5260",
-    "prices.csv": "7de53f2ca327f0b054db0411c02593fa3e6df18c0abbd7b072c9b030645216ca",
+    "fit_strat.json": "e3cd14cf12f00e683b13d6691480555179c7b80aa89e87e1c53a6ae81fe61962",
+    "mse_summary.csv": "3af90e280b9ec247cfb1939766cf2c290201e30f84dba0e0fc4742ecb1066afb",
+    "prices.csv": "26d638a05dc133fea83486db6b6618097d517976b0fc227c148751366b1aed2e",
 }
 
 

@@ -20,6 +20,7 @@ from gammasig import (
     simulate_heston_batch,
     simulate_heston2_batch,
 )
+from gammasig.models import _stack_draws
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +102,19 @@ def test_path_rng_deterministic_and_distinct():
     d = path_rng(43, 3).standard_normal(8)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_stack_draws_equal_per_path_streams():
+    # one re-keyed Philox per batch draws what a fresh path_rng draws, in
+    # any index order, with repeats and for a 64-bit master seed
+    for seed, indices in ((7, [0, 1, 2]), (7, [40, 3, 3, 17, 0]),
+                          (2 ** 64 - 1, [9, 2 ** 40])):
+        grid = SimGrid(1.0, 6, seed)
+        draws = _stack_draws(grid, indices, 3)
+        for row, idx in zip(draws, indices):
+            expected = path_rng(seed, idx).standard_normal((6, 3))
+            assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
+    assert _stack_draws(SimGrid(1.0, 4, 1), [], 2).shape == (0, 4, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,30 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def test_endpoint_batch_bits_independent_of_memory_layout(rng):
+    # the top-level contraction sums in an order set by its operands' layout;
+    # equal values in any layout must give the bits of their C copy
+    B, n = 6, 40
+    times = np.linspace(0.0, 1.0, n + 1)
+    base = np.cumsum(0.1 * rng.normal(size=(B, n + 1, 4)), axis=1)
+    time_col = np.broadcast_to(times, (B, n + 1))[:, :, None]
+    concatenated = np.concatenate([time_col, base[:, :, [0, 2]]], axis=2)
+    c_values = np.ascontiguousarray(concatenated)
+    layouts = {
+        "fortran": np.asfortranarray(c_values),
+        "fancy-indexed": np.concatenate([time_col, base], axis=2)[:, :, [0, 1, 3]],
+        "concatenated": concatenated,
+    }
+    for name, values in layouts.items():
+        assert not values.flags.c_contiguous and np.array_equal(values, c_values), name
+        for gamma in (0.0, 0.5, 1.0):
+            for N in (1, 2, 3):
+                ref = endpoint_signature_batch(c_values, gamma, N)
+                got = endpoint_signature_batch(values, gamma, N)
+                for m in range(N):
+                    assert np.array_equal(_bits(got[m]), _bits(ref[m])), (name, gamma, N, m)
+
+
 @pytest.mark.parametrize("alphabet", [
     Alphabet(2),
     Alphabet(1, has_time=True),
