@@ -34,7 +34,10 @@ import os
 import sys
 
 from .experiments import (
+    CALIBRATION_IDS,
     EXPERIMENT_IDS,
+    PRICING_IDS,
+    SCHEMES,
     ExperimentConfig,
     default_config,
     run_calibration,
@@ -156,12 +159,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _experiment_config(args)
-    if config.experiment not in ("heston-calib", "cantor-calib"):
+    if config.experiment not in CALIBRATION_IDS:
         raise ConfigError(f"{config.experiment!r} is not a calibration experiment")
-    report = run_calibration(config)
+    try:
+        report = run_calibration(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"experiment {config.experiment}  config_hash={report['config_hash']}  "
           f"master_seed={config.master_seed}")
-    for scheme in ("strat", "ito"):
+    for scheme in SCHEMES:
         entry = report["schemes"][scheme]
         print(f"  {scheme:>5}: in-sample MSE {entry['in_sample_mse']:.6e}  "
               f"out-of-sample MSE {entry['out_sample_mse']:.6e}")
@@ -172,7 +178,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_price(args) -> int:
     config = _experiment_config(args)
-    if config.experiment not in ("heston2-pricing", "cantor2-pricing"):
+    if config.experiment not in PRICING_IDS:
         raise ConfigError(f"{config.experiment!r} is not a pricing experiment")
     try:
         report = run_pricing(config)
@@ -184,10 +190,9 @@ def _cmd_price(args) -> int:
         print(f"  warning: {report['rejected_paths']} paths rejected, "
               f"{report['degenerate_corr_paths']} degenerate correlations -> 0")
     for entry in report["payoffs"]:
+        prices = "  ".join(f"{scheme} {entry[scheme]['price']:+.6f}" for scheme in SCHEMES)
         print(f"  {entry['payoff']:>11}: MC {entry['mc_price']:+.6f} "
-              f"[{entry['ci_lo']:+.6f}, {entry['ci_hi']:+.6f}]  "
-              f"strat {entry['strat']['price']:+.6f}  "
-              f"ito {entry['ito']['price']:+.6f}")
+              f"[{entry['ci_lo']:+.6f}, {entry['ci_hi']:+.6f}]  {prices}")
     if config.out_dir:
         print(f"wrote prices.csv, mse_summary.csv, fit_*.json to {config.out_dir}")
     return 0

@@ -388,7 +388,9 @@ def run_calibration(config: ExperimentConfig) -> dict:
     The training design goes through :func:`gamma_signature` and
     :func:`functional_matrix`; the test paths are paired with the same
     functionals by :func:`functional_paths` in chunks of ``_TEST_CHUNK``,
-    which gives the same bits per path.
+    which gives the same bits per path.  A non-finite in-sample or
+    out-of-sample MSE is a ``ValueError`` naming the scheme and the
+    statistic, raised before any file is written.
     """
     if config.experiment not in CALIBRATION_IDS:
         raise ValueError(f"{config.experiment!r} is not a calibration experiment")
@@ -438,9 +440,14 @@ def run_calibration(config: ExperimentConfig) -> dict:
                     trajectory.setdefault("t", list(test_grid.times))
                     trajectory.setdefault("target", [float(v) for v in y_test])
                     trajectory[f"pred_{scheme}"] = [float(v) for v in pred]
+        out_mse = float(np.mean(out_mses))
+        for label, value in (("in-sample", in_mse), ("out-of-sample", out_mse)):
+            if not math.isfinite(value):
+                raise ValueError(f"{config.experiment} {scheme} scheme: the {label} "
+                                 f"MSE is {value!r}, not a finite number")
         report["schemes"][scheme] = {
             "in_sample_mse": in_mse,
-            "out_sample_mse": float(np.mean(out_mses)),
+            "out_sample_mse": out_mse,
             "fit": fit.to_json_dict(),
         }
     report["trajectory"] = trajectory
@@ -504,18 +511,15 @@ def _family_letters(family: str, scheme: str) -> dict[int, int]:
 def _family_columns(family: str, scheme: str, N: int) -> tuple[tuple[Word, ...], np.ndarray]:
     """A family's feature words (graded-lex order of its own alphabet) and
     their columns in the joint row [1, level 1, ..., level N] of its scheme:
-    a word of length m sits at 1 + L + ... + L**(m-1) plus the lexicographic
-    rank of its image among the L**m joint words of that length."""
+    a word of length m sits at 1 + L + ... + L**(m-1) plus the
+    :meth:`Alphabet.word_index` of its image in the joint alphabet."""
     letters = _family_letters(family, scheme)
     joint = _pricing_alphabet(2, scheme)
     L = joint.total_letters
     words = enumerate_words(_pricing_alphabet(len(family), scheme), N)
-    columns = []
-    for word in words:
-        rank = 0
-        for letter in word:
-            rank = rank * L + joint.index(letters[letter])
-        columns.append((L ** len(word) - 1) // (L - 1) + rank)
+    columns = [(L ** len(word) - 1) // (L - 1)
+               + joint.word_index(tuple(letters[letter] for letter in word))
+               for word in words]
     return words, np.array(columns)
 
 

@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .signature import bracket_columns, bracket_pairs
+from .signature import bracket_columns
+from .tensor import bracket_pairs
 
 __all__ = [
     "PAYOFF_KINDS",

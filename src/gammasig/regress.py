@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Word, parse_word, word_str
+from .tensor import Word, word_str
 
 __all__ = ["RegressionFit", "lasso_fit", "ridge_fit", "predict", "mse"]
 
@@ -68,15 +68,6 @@ class RegressionFit:
             "objective_kind": self.objective_kind,
             "diagnostics": self.diagnostics,
         }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "RegressionFit":
-        return cls(words=tuple(parse_word(w) for w in data["words"]),
-                   coeffs=np.asarray(data["coeffs"], dtype=np.float64),
-                   intercept=float(data["intercept"]),
-                   alpha=float(data["alpha"]),
-                   objective_kind=data["objective_kind"],
-                   diagnostics=dict(data.get("diagnostics", {})))
 
 
 def _default_words(p: int) -> tuple[Word, ...]:

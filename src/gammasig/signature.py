@@ -9,10 +9,11 @@ The module provides one batched level step of the recursion (behind both
 the running trajectory of one path and the end points of a batch), an
 independent per-step Chen-product oracle, the cumulative pathwise (Follmer)
 bracket columns of a path batch and the quadratic-variation matrix built on
-them, time and bracket augmentation of a path, signature increments via the
-group inverse, and the pairings of linear functionals with signatures for
-regression: the design matrix of one trajectory along its grid, and a
-batched route that computes only the coordinates the functionals read.
+them, time and bracket augmentation of a path, and the pairings of linear
+functionals with signatures for regression: the design matrix of one
+trajectory along its grid, and a batched route that computes only the
+coordinates the functionals read.  Letter, bracket and word layouts come
+from :mod:`gammasig.tensor`.
 
 Accumulation note: every cumulative sum in the package -- signature levels,
 brackets, simulator drivers and realized statistics -- goes through
@@ -32,10 +33,9 @@ from .tensor import (
     Alphabet,
     TensorPoly,
     Word,
-    concat,
+    bracket_pairs,
     enumerate_words,
     graded_lex_key,
-    group_inverse,
     word_str,
 )
 
@@ -43,13 +43,11 @@ __all__ = [
     "SamplePath",
     "SigTrajectory",
     "cumsum0",
-    "bracket_pairs",
     "bracket_columns",
     "quadratic_variation",
     "augment_path",
     "gamma_signature",
     "gamma_signature_chen",
-    "sig_increment",
     "functional_matrix",
     "functional_paths",
     "endpoint_signature_batch",
@@ -64,12 +62,16 @@ def cumsum0(increments: np.ndarray, axis: int = 0) -> np.ndarray:
     extended precision and cast back to float64.
 
     The one accumulation primitive of the package: the last entry along
-    ``axis`` is the sequential sum of all increments.
+    ``axis`` is the sequential sum of all increments.  The sums are cast
+    straight into the one float64 output, whose memory layout the
+    concatenation derives from the input's: the top-level contraction of
+    :func:`endpoint_signature_batch` sums in an order set by that layout.
     """
-    total = np.cumsum(increments, axis=axis, dtype=np.longdouble).astype(np.float64)
+    total = np.cumsum(increments, axis=axis, dtype=np.longdouble)
     shape = list(total.shape)
     shape[axis] = 1
-    return np.concatenate([np.zeros(shape), total], axis=axis)
+    return np.concatenate([np.zeros(shape), total], axis=axis,
+                          dtype=np.float64, casting="same_kind")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +131,6 @@ class SamplePath:
             raise ValueError(f"invalid slice [{k}, {m}] for {self.n_steps} steps")
         return SamplePath(self.times[k:m + 1], self.values[k:m + 1],
                           self.alphabet, self.names)
-
-
-def bracket_pairs(d: int) -> list[tuple[int, int]]:
-    """0-based index pairs (i, j), i <= j, in the bracket column order
-    (1,1),(1,2),..,(d,d)."""
-    return [(i, j) for i in range(d) for j in range(i, d)]
 
 
 def bracket_columns(values: np.ndarray) -> np.ndarray:
@@ -214,8 +210,8 @@ class SigTrajectory:
     """Running gamma-signature over [t_0, t_k] for every grid point.
 
     Coefficients are stored densely per level: ``levels[m-1]`` has shape
-    ``(n+1, L**m)`` with columns indexed by words of length m in
-    lexicographic order of the letter layout.
+    ``(n+1, L**m)``, and word w of length m is column
+    ``alphabet.word_index(w)``.
     """
 
     times: np.ndarray
@@ -228,12 +224,6 @@ class SigTrajectory:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def _word_index(self, word: Word) -> int:
-        idx = 0
-        for letter in word:
-            idx = idx * self.alphabet.total_letters + self.alphabet.index(letter)
-        return idx
-
     def coeff_path(self, word: Word) -> np.ndarray:
         """Trajectory of one signature coordinate, length n+1."""
         word = tuple(word)
@@ -242,7 +232,7 @@ class SigTrajectory:
         if len(word) > self.trunc_level:
             raise ValueError(
                 f"word {word} exceeds truncation level {self.trunc_level}")
-        return self.levels[len(word) - 1][:, self._word_index(word)]
+        return self.levels[len(word) - 1][:, self.alphabet.word_index(word)]
 
     def sig_at(self, k: int) -> TensorPoly:
         """Sparse signature at grid point k (scalar coefficient 1)."""
@@ -364,17 +354,6 @@ def gamma_signature_chen(path: SamplePath, gamma: float, trunc_level: int) -> Si
     return SigTrajectory(times=path.times, alphabet=path.alphabet,
                          gamma=float(gamma), trunc_level=trunc_level,
                          levels=tuple(out))
-
-
-def sig_increment(traj: SigTrajectory, k: int, m: int) -> TensorPoly:
-    """Signature over [t_k, t_m] via Chen: inverse(sig[k]) concat sig[m].
-
-    Equals the gamma-signature of the sub-path restricted to [t_k, t_m]
-    (the discrete construction is exactly multiplicative on its own grid).
-    """
-    if k > m:
-        raise ValueError(f"need k <= m, got k={k}, m={m}")
-    return concat(group_inverse(traj.sig_at(k)), traj.sig_at(m))
 
 
 def functional_matrix(traj: SigTrajectory, functionals: Sequence[TensorPoly]) -> np.ndarray:

@@ -1,17 +1,19 @@
 """Level-truncated free tensor algebra over an augmented alphabet.
 
-The alphabet carries up to three kinds of letters with fixed integer ids:
+This module is the one place that knows the letter and word layout.  The
+alphabet carries up to three kinds of letters with fixed integer ids:
 
 * ``0`` — the time letter (present iff ``has_time``),
 * ``1 .. d`` — base path letters,
 * ``d+1 .. d + d(d+1)/2`` — bracket letters ``eps(i, j)`` for ``1 <= i <= j <= d``
-  in row-major upper-triangular order (present iff ``has_brackets``).
+  in the order of :func:`bracket_pairs` (present iff ``has_brackets``).
 
 Letter ids never shift with the flags, so an index map valid for one module is
 valid for all of them.  Words are plain tuples of letter ids; the canonical
 word order is graded (by length) with lexicographic comparison inside a grade,
 which coincides with plain tuple comparison because letter ids are laid out in
-canonical order.
+canonical order.  A level-m signature is stored flat, one column per word of
+length m in that order; :meth:`Alphabet.word_index` is a word's column.
 
 Coefficient arithmetic follows the inputs: integer and ``fractions.Fraction``
 coefficients stay exact, floats stay floats.  Algebraic identities are tested
@@ -27,8 +29,8 @@ from typing import Iterable, Iterator, Mapping
 __all__ = [
     "Alphabet",
     "TensorPoly",
+    "bracket_pairs",
     "word_str",
-    "parse_word",
     "graded_lex_key",
     "enumerate_words",
     "concat",
@@ -53,16 +55,15 @@ def word_str(word: Word) -> str:
     return ".".join(str(letter) for letter in word)
 
 
-def parse_word(text: str) -> Word:
-    """Inverse of :func:`word_str`; empty string parses to the empty word."""
-    if text == "":
-        return ()
-    return tuple(int(part) for part in text.split("."))
-
-
 def graded_lex_key(word: Word) -> tuple[int, Word]:
     """Sort key realizing graded-lexicographic word order."""
     return (len(word), word)
+
+
+def bracket_pairs(d: int) -> list[tuple[int, int]]:
+    """0-based base index pairs (i, j), i <= j, in the bracket letter order
+    (1,1),(1,2),..,(1,d),(2,2),..,(d,d)."""
+    return [(i, j) for i in range(d) for j in range(i, d)]
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class Alphabet:
 
     @property
     def n_brackets(self) -> int:
-        return self.d * (self.d + 1) // 2 if self.has_brackets else 0
+        return len(bracket_pairs(self.d)) if self.has_brackets else 0
 
     @property
     def total_letters(self) -> int:
@@ -96,13 +97,8 @@ class Alphabet:
     @property
     def letters(self) -> Word:
         """All letters in canonical layout order (time, base, brackets)."""
-        out: list[int] = []
-        if self.has_time:
-            out.append(0)
-        out.extend(range(1, self.d + 1))
-        if self.has_brackets:
-            out.extend(range(self.d + 1, self.d + 1 + self.d * (self.d + 1) // 2))
-        return tuple(out)
+        rest = tuple(range(1, self.d + 1 + self.n_brackets))
+        return (0,) + rest if self.has_time else rest
 
     def is_time(self, letter: int) -> bool:
         return self.has_time and letter == 0
@@ -111,7 +107,7 @@ class Alphabet:
         return 1 <= letter <= self.d
 
     def is_bracket(self, letter: int) -> bool:
-        return self.has_brackets and self.d < letter <= self.d + self.d * (self.d + 1) // 2
+        return self.d < letter <= self.d + self.n_brackets
 
     def is_valid_letter(self, letter: int) -> bool:
         return self.is_time(letter) or self.is_base(letter) or self.is_bracket(letter)
@@ -124,32 +120,28 @@ class Alphabet:
         """
         if not self.has_brackets or not (self.is_base(i) and self.is_base(j)):
             return None
-        if i > j:
-            i, j = j, i
-        # 0-based rank of (i, j) in the order (1,1),(1,2),..,(1,d),(2,2),..
-        rank = (i - 1) * (self.d + 1) - (i - 1) * i // 2 + (j - i)
-        return self.d + 1 + rank
+        return self.d + 1 + bracket_pairs(self.d).index((min(i, j) - 1, max(i, j) - 1))
 
     def bracket_pair(self, letter: int) -> tuple[int, int]:
         """Base pair (i, j), i <= j, of a bracket letter."""
         if not self.is_bracket(letter):
             raise ValueError(f"letter {letter} is not a bracket letter of {self}")
-        for i in range(1, self.d + 1):
-            for j in range(i, self.d + 1):
-                if self.bracket_letter(i, j) == letter:
-                    return (i, j)
-        raise AssertionError("unreachable")
+        i, j = bracket_pairs(self.d)[letter - self.d - 1]
+        return (i + 1, j + 1)
 
     def index(self, letter: int) -> int:
         """Dense position of a letter in the canonical layout (array column)."""
         if not self.is_valid_letter(letter):
             raise ValueError(f"letter {letter} is not in {self}")
-        pos = 0 if not self.has_time else 1
-        if letter == 0:
-            return 0
-        if letter <= self.d:
-            return pos + letter - 1
-        return pos + self.d + (letter - self.d - 1)
+        return letter if self.has_time else letter - 1
+
+    def word_index(self, word: Word) -> int:
+        """Rank of a word among the words of its length in graded-lex order:
+        its column in a flat level-``len(word)`` signature array."""
+        rank = 0
+        for letter in word:
+            rank = rank * self.total_letters + self.index(letter)
+        return rank
 
     def validate_word(self, word: Word) -> None:
         for letter in word:
@@ -341,24 +333,6 @@ def pair(ell: TensorPoly, a: TensorPoly) -> Coeff:
 
 
 @lru_cache(maxsize=None)
-def _shuffle_terms(I: Word, J: Word) -> tuple[tuple[Word, int], ...]:
-    # Back recursion on last letters:
-    #   e_I sh e_J = (e_I' sh e_J) x e_{i_last} + (e_I sh e_J') x e_{j_last}
-    if not I:
-        return ((J, 1),)
-    if not J:
-        return ((I, 1),)
-    acc: dict[Word, int] = {}
-    for w, c in _shuffle_terms(I[:-1], J):
-        w2 = w + (I[-1],)
-        acc[w2] = acc.get(w2, 0) + c
-    for w, c in _shuffle_terms(I, J[:-1]):
-        w2 = w + (J[-1],)
-        acc[w2] = acc.get(w2, 0) + c
-    return tuple(sorted(acc.items()))
-
-
-@lru_cache(maxsize=None)
 def _quasi_shuffle_terms(I: Word, J: Word, alphabet: Alphabet) -> tuple[tuple[Word, int], ...]:
     # Shuffle recursion plus the contraction term
     #   (e_I' qsh e_J') x eps(i_last, j_last),
@@ -402,7 +376,9 @@ def shuffle(I: Word, J: Word, alphabet: Alphabet | None = None,
         alphabet = _infer_alphabet(I + J)
     if trunc_level is None:
         trunc_level = len(I) + len(J)
-    return TensorPoly(alphabet, trunc_level, dict(_shuffle_terms(I, J)))
+    # with no bracket letters, every contraction of the quasi-shuffle drops
+    plain = Alphabet(alphabet.d, alphabet.has_time)
+    return TensorPoly(alphabet, trunc_level, dict(_quasi_shuffle_terms(I, J, plain)))
 
 
 def quasi_shuffle(I: Word, J: Word, alphabet: Alphabet,

@@ -177,6 +177,22 @@ def test_degenerate_pricing_exits_2_with_cause(tmp_path, capsys, model, samples,
     assert cause in err and "Traceback" not in err
 
 
+def test_degenerate_calibration_exits_2_with_cause(tmp_path, capsys):
+    # the prices overflow float64: no stamped inf, no file at all
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "heston-calib",
+        "model": {"mu": 1e6, "sigma": 50.0, "v0": 50.0},
+        "grid": {"n": 50},
+        "samples": {"N_test": 5},
+    })
+    out_dir = tmp_path / "out"
+    assert main(["calibrate", "--config", cfg, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "heston-calib strat scheme: the in-sample MSE is inf" in err
+    assert "Traceback" not in err
+    assert not (out_dir / "mse_summary.csv").exists()
+
+
 def test_unknown_config_key_names_its_path(tmp_path, capsys):
     cases = [
         ({"experiment": "cantor-calib", "sample": {"N_test": 3}}, "sample"),
@@ -453,3 +469,18 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", "import sys, gammasig.cli; print('scipy' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_package_namespace_names_resolve_to_one_module():
+    # each public name is exported by exactly one module's __all__
+    import gammasig
+    modules = [gammasig.tensor, gammasig.signature, gammasig.models,
+               gammasig.regress, gammasig.payoffs, gammasig.experiments]
+    for name in gammasig.__all__:
+        owners = [m.__name__ for m in modules if name in m.__all__]
+        assert len(owners) == (0 if name == "__version__" else 1), (name, owners)
+        assert hasattr(gammasig, name)
+    assert len(set(gammasig.__all__)) == len(gammasig.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(gammasig, name) is getattr(module, name)

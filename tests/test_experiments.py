@@ -149,7 +149,9 @@ def test_run_calibration_batches_equal_per_path_loop(experiment):
     test = experiments._simulate_calibration_columns(
         cfg, test_grid, range(1, cfg.n_test + 1))
     for scheme, plan in experiments._calibration_plans(cfg).items():
-        fit = RegressionFit.from_json_dict(report["schemes"][scheme]["fit"])
+        stamped = report["schemes"][scheme]["fit"]
+        fit = RegressionFit(plan.labels, stamped["coeffs"], stamped["intercept"],
+                            stamped["alpha"], stamped["objective_kind"])
         out_mses = []
         for i in range(cfg.n_test):
             traj = gamma_signature(plan.driver(test_grid.times, test, i),

@@ -28,7 +28,6 @@ from gammasig import (
     pair,
     quadratic_variation,
     read_path_csv,
-    sig_increment,
     write_path_csv,
     write_sig_csv,
 )
@@ -268,33 +267,8 @@ def test_level1_equals_increments(rng):
 
 
 # ---------------------------------------------------------------------------
-# Signature increments (Chen)
+# Chen multiplicativity
 # ---------------------------------------------------------------------------
-
-
-def test_sig_increment_edges(rng):
-    p = make_random_path(rng, 10, 2)
-    traj = gamma_signature(p, 0.0, 3)
-    same = sig_increment(traj, 4, 4)
-    assert same.coeff(()) == pytest.approx(1.0)
-    for w in enumerate_words(p.alphabet, 3):
-        if w:
-            assert abs(same.coeff(w)) <= 1e-12
-    got = sig_increment(traj, 0, 7)
-    want = traj.sig_at(7)
-    for w in enumerate_words(p.alphabet, 3):
-        assert abs(got.coeff(w) - want.coeff(w)) <= 1e-12
-    with pytest.raises(ValueError):
-        sig_increment(traj, 5, 2)
-
-
-def test_sig_increment_matches_sliced_recompute(rng):
-    p = make_random_path(rng, 10, 2)
-    traj = gamma_signature(p, 0.0, 3)
-    inc = sig_increment(traj, 3, 8)
-    sliced = gamma_signature(p.sub_path(3, 8), 0.0, 3).end
-    for w in enumerate_words(p.alphabet, 3):
-        assert abs(inc.coeff(w) - sliced.coeff(w)) <= 1e-12 * max(1.0, abs(sliced.coeff(w)))
 
 
 def test_chen_multiplicativity_every_split(rng):

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from gammasig import (
     Alphabet,
     TensorPoly,
+    bracket_pairs,
     concat,
     enumerate_words,
     graded_lex_key,
     group_inverse,
     ito_strat_functional,
     pair,
-    parse_word,
     quasi_shuffle,
     shuffle,
     word_str,
@@ -103,18 +103,23 @@ def poly_counts(poly: TensorPoly) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def read_word(text: str) -> tuple:
+    """Test-local inverse of word_str: the labels of a fit's JSON name their
+    words without ambiguity."""
+    return tuple(int(part) for part in text.split(".")) if text else ()
+
+
 def test_word_str_round_trip():
-    for word in [(), (1,), (0, 2, 1), (3, 3, 3, 0)]:
-        assert parse_word(word_str(word)) == word
+    for word in [(), (1,), (0, 2, 1), (3, 3, 3, 0), (12, 0)]:
+        assert read_word(word_str(word)) == word
     assert word_str(()) == ""
     assert word_str((1, 2, 2)) == "1.2.2"
-    assert parse_word("") == ()
 
 
-@given(st.lists(st.integers(min_value=0, max_value=9), max_size=6))
+@given(st.lists(st.integers(min_value=0, max_value=12), max_size=6))
 def test_word_str_round_trip_property(letters):
     word = tuple(letters)
-    assert parse_word(word_str(word)) == word
+    assert read_word(word_str(word)) == word
 
 
 def test_graded_lex_key_orders_by_length_then_letters():
@@ -167,6 +172,29 @@ def test_bracket_letter_symmetric_and_complete():
     assert a.bracket_letter(0, 1) is None
     assert a.bracket_letter(1, 4) is None
     assert Alphabet(3).bracket_letter(1, 2) is None
+    # bracket letters follow bracket_pairs, in sorted order
+    for d in (1, 2, 3, 4):
+        b = Alphabet(d, has_brackets=True)
+        pairs = bracket_pairs(d)
+        assert len(pairs) == b.n_brackets == d * (d + 1) // 2
+        assert pairs == sorted(pairs)
+        for offset, (i, j) in enumerate(pairs):
+            assert b.bracket_letter(i + 1, j + 1) == d + 1 + offset
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("has_time", [False, True])
+@pytest.mark.parametrize("has_brackets", [False, True])
+def test_word_rank_is_position_within_level(d, has_time, has_brackets):
+    # the flat level-m column of a word is its rank among the words of
+    # length m in enumerate_words
+    a = Alphabet(d, has_time=has_time, has_brackets=has_brackets)
+    words = enumerate_words(a, 3)
+    for m in range(1, 4):
+        level = [w for w in words if len(w) == m]
+        assert len(level) == a.total_letters ** m
+        assert [a.word_index(w) for w in level] == list(range(len(level)))
+    assert a.word_index(()) == 0
 
 
 def test_enumerate_words_counts_and_order():
@@ -302,6 +330,16 @@ def test_shuffle_matches_interleaving_oracle_all_pairs_degree5():
     assert len(pairs) > 300
     for I, J in pairs:
         assert poly_counts(shuffle(I, J, a)) == oracle_shuffle_counts(I, J)
+
+
+def test_shuffle_on_bracket_alphabet_has_no_contractions():
+    # shuffle runs the quasi-shuffle recursion on a bracket-free alphabet,
+    # so bracket letters interleave like any other letter
+    a = Alphabet(2, has_time=True, has_brackets=True)
+    words = enumerate_words(a, 2)
+    for I in words:
+        for J in words:
+            assert poly_counts(shuffle(I, J, a)) == oracle_shuffle_counts(I, J)
 
 
 def test_shuffle_commutative_and_counting(rng):
