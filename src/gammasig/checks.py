@@ -454,7 +454,8 @@ def _payoff_paths(rng: np.random.Generator, count: int):
 
 def _one_path_stats(path: SamplePath) -> dict[str, float]:
     """Realized statistics of one path's base columns."""
-    stats = payoffs.realized_stats_batch(path.values[None])
+    sums = signature.bracket_columns(path.values[None])[:, -1]
+    stats = payoffs.realized_stats_batch(sums)
     return {key: arr[0] for key, arr in stats.items()}
 
 

@@ -386,11 +386,12 @@ def run_calibration(config: ExperimentConfig) -> dict:
     the MSE summary, fitted functionals, and a test-path trajectory table.
 
     The training design goes through :func:`gamma_signature` and
-    :func:`functional_matrix`; the test paths are paired with the same
-    functionals by :func:`functional_paths` in chunks of ``_TEST_CHUNK``,
-    which gives the same bits per path.  A non-finite in-sample or
-    out-of-sample MSE is a ``ValueError`` naming the scheme and the
-    statistic, raised before any file is written.
+    :func:`functional_matrix`; the in-sample MSE is the lasso's own.  Test
+    paths go through :func:`functional_paths` in chunks of ``_TEST_CHUNK``,
+    each scored by one stacked :func:`predict` and one row-wise :func:`mse`.
+    A training target whose squares can overflow float64 (before any fit)
+    and a non-finite MSE (naming the scheme and the statistic) are
+    ``ValueError``s raised before any file is written.
     """
     if config.experiment not in CALIBRATION_IDS:
         raise ValueError(f"{config.experiment!r} is not a calibration experiment")
@@ -401,6 +402,11 @@ def run_calibration(config: ExperimentConfig) -> dict:
     train_grid = config.grid()
     train = _simulate_calibration_columns(config, train_grid, [0])
     y_train = train["S"][0]
+    # the fits sum the target's squares; n * peak**2 bounds them without overflow
+    peak = float(np.max(np.abs(y_train)))
+    if peak > math.sqrt(sys.float_info.max / len(y_train)):
+        raise ValueError(f"{config.experiment}: the training target reaches {peak:.3e}, "
+                         "and the sum of its squares can overflow float64")
 
     test_grid = config.test_grid()
     test = _simulate_calibration_columns(
@@ -412,7 +418,7 @@ def run_calibration(config: ExperimentConfig) -> dict:
         "master_seed": config.master_seed,
         "schemes": {},
     }
-    trajectory: dict[str, list[float]] = {}
+    trajectory = {"t": list(test_grid.times), "target": test["S"][0].tolist()}
     for scheme in SCHEMES:
         plan = plans[scheme]
         driver = plan.driver(train_grid.times, train, 0)
@@ -424,23 +430,16 @@ def run_calibration(config: ExperimentConfig) -> dict:
             print(f"warning: {config.experiment} {scheme} lasso fit not converged "
                   f"after n_iter={fit.diagnostics['n_iter']} active-set steps",
                   file=sys.stderr)
-        in_mse = mse(predict(fit, X_train), y_train)
+        in_mse = fit.diagnostics["in_sample_mse"]
         out_mses = []
         for start in range(0, config.n_test, _TEST_CHUNK):
             stop = min(start + _TEST_CHUNK, config.n_test)
             values = _driver_values(test_grid.times, test, driver.names, start, stop)
-            features = functional_paths(values, plan.gamma, plan.functionals)
-            # predict on each path's own (n+1, p) block: one stacked BLAS
-            # call over the chunk may sum in another order
-            for i, X_test in enumerate(features, start):
-                y_test = test["S"][i]
-                pred = predict(fit, X_test)
-                out_mses.append(mse(pred, y_test))
-                if i == 0:
-                    trajectory.setdefault("t", list(test_grid.times))
-                    trajectory.setdefault("target", [float(v) for v in y_test])
-                    trajectory[f"pred_{scheme}"] = [float(v) for v in pred]
-        out_mse = float(np.mean(out_mses))
+            pred = predict(fit, functional_paths(values, plan.gamma, plan.functionals))
+            out_mses.append(mse(pred, test["S"][start:stop]))
+            if start == 0:
+                trajectory[f"pred_{scheme}"] = pred[0].tolist()
+        out_mse = float(np.mean(np.concatenate(out_mses)))
         for label, value in (("in-sample", in_mse), ("out-of-sample", out_mse)):
             if not math.isfinite(value):
                 raise ValueError(f"{config.experiment} {scheme} scheme: the {label} "
@@ -533,11 +532,10 @@ def _pricing_layout(N: int) -> _Layout:
             for family in _PRICING_FAMILIES for scheme in SCHEMES}
 
 
-def _joint_values(times: np.ndarray, x: np.ndarray, scheme: str) -> np.ndarray:
-    """Driver values (B, n+1, L) of a scheme's joint pass in C order: (t, x1,
-    x2) and, for ``ito``, the bracket block [1,1], [1,2], [2,2]."""
+def _joint_values(times: np.ndarray, x: np.ndarray, brackets: np.ndarray) -> np.ndarray:
+    """Driver values (B, n+1, L) of a joint pass in C order: (t, x1, x2) and
+    ``brackets``, the block [1,1], [1,2], [2,2] for ``ito``, none for ``strat``."""
     B, n_plus_1, d = x.shape
-    brackets = bracket_columns(x) if scheme == "ito" else np.empty((B, n_plus_1, 0))
     values = np.empty((B, n_plus_1, 1 + d + brackets.shape[2]))
     values[:, :, 0] = times
     values[:, :, 1:1 + d] = x
@@ -551,10 +549,10 @@ def _pricing_features(config: ExperimentConfig, layout: _Layout) \
     and the mask of paths with positive prices, over all N_train + N_test +
     N_MC paths.
 
-    Each chunk of ``_PRICING_CHUNK`` paths takes one joint end-point pass per
-    scheme, left-point first so that its bracket block is gone before the
-    mid-point values are built; each family takes its columns of the joint
-    row.
+    Each chunk of ``_PRICING_CHUNK`` paths builds its bracket block once, for
+    the statistics (its end row) and the left-point joint values, then takes
+    one joint end-point pass per scheme, left-point first with the block
+    freed; each family takes its columns of the joint row.
     """
     N = config.trunc_level
     total = config.n_train + config.n_test + config.n_mc
@@ -566,10 +564,12 @@ def _pricing_features(config: ExperimentConfig, layout: _Layout) \
         x, ok = _pricing_log_paths(config, range(start, min(start + _PRICING_CHUNK, total)))
         sl = slice(start, start + len(x))
         ok_all[sl] = ok
-        for key, arr in realized_stats_batch(x).items():
+        brackets = bracket_columns(x)
+        for key, arr in realized_stats_batch(brackets[:, -1]).items():
             stats.setdefault(key, np.empty(total))[sl] = arr
         for scheme in ("ito", "strat"):
-            values = _joint_values(times, x, scheme)
+            values = _joint_values(times, x, brackets)
+            brackets = x[:, :, :0]  # free the block before the pass; strat has none
             ends = endpoint_signature_batch(values, GAMMAS[scheme], N)
             del values
             row = np.concatenate([np.ones((len(x), 1))] + ends, axis=1)

@@ -10,9 +10,9 @@ payoff grid.  Realized statistics are plain sums over grid increments:
 Swap payoffs pay statistic - strike, calls pay (statistic - strike)^+.
 Note the variance/volatility split: RVswap settles on RVar (variance),
 RVcall settles on RV (volatility); their strikes are resolved separately.
-The sums are the end values of the signature module's Follmer bracket
-columns (the same accumulation primitive), so RVar equals the left-point
-quadratic variation bit for bit.
+The caller passes the sums in: the end row of the signature module's
+Follmer bracket columns, so RVar equals the left-point quadratic variation
+bit for bit.
 
 There is one implementation of each, both on batches:
 :func:`realized_stats_batch` for the statistics and :func:`payoff_values`
@@ -20,12 +20,12 @@ for the payoffs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .signature import bracket_columns
 from .tensor import bracket_pairs
 
 __all__ = [
@@ -91,27 +91,30 @@ def payoff_values(spec: PayoffSpec, stat: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0) if spec.is_call else values
 
 
-def realized_stats_batch(log_values: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized statistics for a batch of log-price paths.
+def realized_stats_batch(sums: np.ndarray) -> dict[str, np.ndarray]:
+    """Vectorized statistics of a batch of log-price paths.
 
-    ``log_values`` has shape (B, n+1, d).  Returns per-asset "RVar_i" and
-    "RV_i" arrays plus "Cov_ij"/"Corr_ij" for every pair i < j; correlation
-    entries are NaN where a realized variance vanishes (callers decide how
-    to treat degenerate paths).
+    ``sums`` has shape (B, d(d+1)/2): each path's Follmer sums
+    sum_k dX^i_k dX^j_k in :func:`bracket_pairs` order, the end row of
+    ``signature.bracket_columns``; another width is a ``ValueError``.
+    Returns per-asset "RVar_i" and "RV_i" arrays plus "Cov_ij"/"Corr_ij" for
+    every pair i < j; correlation entries are NaN where a realized variance
+    vanishes (callers decide how to treat degenerate paths).
     """
-    log_values = np.asarray(log_values, dtype=np.float64)
-    d = log_values.shape[2]
-    # copy the end row so the cumulative columns are freed on return
-    sums = dict(zip(bracket_pairs(d), bracket_columns(log_values)[:, -1].T.copy()))
+    sums = np.asarray(sums, dtype=np.float64)
+    d = math.isqrt(2 * sums.shape[1]) if sums.ndim == 2 else 0  # d(d+1)/2 columns
+    if d < 1 or d * (d + 1) // 2 != sums.shape[1]:
+        raise ValueError(f"Follmer sums (B, d(d+1)/2) required, got {sums.shape}")
+    # copy, so that no returned array keeps the caller's bracket block alive
+    by_pair = dict(zip(bracket_pairs(d), sums.T.copy()))
 
     out: dict[str, np.ndarray] = {}
     for i in range(d):
-        rvar = sums[(i, i)]
-        out[f"RVar_{i + 1}"] = rvar
-        out[f"RV_{i + 1}"] = np.sqrt(rvar)
+        out[f"RVar_{i + 1}"] = by_pair[(i, i)]
+        out[f"RV_{i + 1}"] = np.sqrt(by_pair[(i, i)])
     for i in range(d):
         for j in range(i + 1, d):
-            cov = sums[(i, j)]
+            cov = by_pair[(i, j)]
             out[f"Cov_{i + 1}{j + 1}"] = cov
             denom = out[f"RV_{i + 1}"] * out[f"RV_{j + 1}"]
             with np.errstate(divide="ignore", invalid="ignore"):

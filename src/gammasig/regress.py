@@ -134,12 +134,10 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     beta = np.zeros(p)
     beta[cols] = beta_cols
     converged = _kkt_violation(gram, c, beta_cols, 0.5 * alpha) <= _KKT_TOL
-    pred = X @ beta + intercept
-    fit_words = tuple(tuple(w) for w in words) if words is not None else _default_words(p)
     return RegressionFit(
-        words=fit_words, coeffs=beta, intercept=float(intercept),
-        alpha=float(alpha), objective_kind="lasso-sum",
-        diagnostics={"in_sample_mse": float(np.mean((pred - y) ** 2)),
+        words=_default_words(p) if words is None else words, coeffs=beta,
+        intercept=float(intercept), alpha=float(alpha), objective_kind="lasso-sum",
+        diagnostics={"in_sample_mse": mse(X @ beta + intercept, y),
                      "n_iter": steps, "converged": bool(converged)})
 
 
@@ -218,9 +216,8 @@ def _line_search(gram: np.ndarray, rho: np.ndarray, x: np.ndarray,
     own rounding still registers."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -x / direction
-    crossing = (x != 0.0) & (t > 0.0)
-    if full_step:
-        crossing &= t < 1.0
+    # a coefficient the direction leaves alone (t = +-inf) never crosses
+    crossing = (x != 0.0) & (t > 0.0) & (t < (1.0 if full_step else np.inf))
     idx = np.flatnonzero(crossing)
     ts = t[idx]
     if full_step:
@@ -299,34 +296,31 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float,
         raise ArithmeticError(
             f"ridge normal-equation residual {residual:.3e} exceeds "
             f"1e-10 * scale ({scale:.3e})")
-    pred = X @ coeffs
-    fit_words = tuple(tuple(w) for w in words) if words is not None else _default_words(p)
     return RegressionFit(
-        words=fit_words, coeffs=coeffs, intercept=0.0,
-        alpha=float(alpha), objective_kind="ridge-mean",
-        diagnostics={"in_sample_mse": float(np.mean((pred - y) ** 2)),
+        words=_default_words(p) if words is None else words, coeffs=coeffs,
+        intercept=0.0, alpha=float(alpha), objective_kind="ridge-mean",
+        diagnostics={"in_sample_mse": mse(X @ coeffs, y),
                      "residual_inf": residual})
 
 
 def predict(fit: RegressionFit, X: np.ndarray) -> np.ndarray:
-    """Row-wise pairing of the fitted functional with feature rows."""
+    """Pairing of the fitted functional with the rows of one design (n, p) or
+    of a stack of designs (..., p), each with the bits it gets alone."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(fit.coeffs):
+    if X.ndim < 2 or X.shape[-1] != len(fit.coeffs):
         raise ValueError(
             f"design matrix with {len(fit.coeffs)} columns required, "
             f"got shape {X.shape}")
     return X @ fit.coeffs + fit.intercept
 
 
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean of squared differences."""
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    target = np.asarray(target, dtype=np.float64).ravel()
-    if len(pred) != len(target):
-        raise ValueError("length mismatch")
-    if len(pred) < 1:
-        raise ValueError("need at least one entry")
-    # np.mean's own float64 reduction and division, without its per-call
-    # dispatch: calibration calls this once per test path
+def mse(pred: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+    """Mean of squared differences over the last axis of two arrays of equal
+    shape: a float for a 1-D pair, the row means (same bits) for a (B, m) pair."""
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape or pred.ndim < 1 or pred.shape[-1] < 1:
+        raise ValueError(f"equal non-empty shapes required, got {pred.shape}, {target.shape}")
     diff = pred - target
-    return float(np.add.reduce(diff * diff) / len(diff))
+    means = np.add.reduce(diff * diff, axis=-1) / diff.shape[-1]
+    return float(means) if means.ndim == 0 else means

@@ -163,6 +163,28 @@ def test_run_calibration_batches_equal_per_path_loop(experiment):
         assert report["schemes"][scheme]["out_sample_mse"] == float(np.mean(out_mses))
 
 
+@pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
+def test_run_calibration_in_sample_mse_is_the_lasso_diagnostic(experiment):
+    # the stamped in-sample MSE is the lasso's own, with the bits of scoring
+    # the training design again
+    cfg = default_config(experiment, grid_n=40, n_test=3)
+    report = run_calibration(cfg)
+    grid = cfg.grid()
+    train = experiments._simulate_calibration_columns(cfg, grid, [0])
+    for scheme, plan in experiments._calibration_plans(cfg).items():
+        stamped = report["schemes"][scheme]
+        fit = RegressionFit(plan.labels, stamped["fit"]["coeffs"],
+                            stamped["fit"]["intercept"], stamped["fit"]["alpha"],
+                            stamped["fit"]["objective_kind"])
+        traj = gamma_signature(plan.driver(grid.times, train, 0), plan.gamma,
+                               plan.sig_level)
+        rescored = mse(predict(fit, functional_matrix(traj, plan.functionals)),
+                       train["S"][0])
+        assert stamped["in_sample_mse"] == stamped["fit"]["diagnostics"]["in_sample_mse"]
+        assert np.float64(stamped["in_sample_mse"]).view(np.uint64) == \
+            np.float64(rescored).view(np.uint64)
+
+
 def test_run_calibration_reports_unconverged_lasso(monkeypatch, capsys):
     from gammasig import experiments
     run_calibration(reduced_cantor_config())
@@ -314,6 +336,31 @@ def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_lev
             got = feats[(family, scheme)]
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), \
                 (family, scheme)
+
+
+def test_pricing_brackets_once_per_chunk(monkeypatch):
+    # each chunk builds its bracket block once, for the statistics and the
+    # left-point pass; the statistics keep the bits of the whole-batch route
+    config = default_config("heston2-pricing", grid_n=3, n_train=1000, n_test=300,
+                            n_mc=400)
+    total = config.n_train + config.n_test + config.n_mc
+    chunks = -(-total // experiments._PRICING_CHUNK)
+    assert chunks > 1
+    real = experiments.bracket_columns
+    shapes = []
+
+    def counting(values):
+        shapes.append(values.shape)
+        return real(values)
+
+    monkeypatch.setattr(experiments, "bracket_columns", counting)
+    _, stats, _ = experiments._pricing_features(config, experiments._pricing_layout(2))
+    assert len(shapes) == chunks
+    x, _ = experiments._pricing_log_paths(config, range(total))
+    expected = experiments.realized_stats_batch(real(x)[:, -1])
+    assert list(stats) == list(expected)
+    for key, arr in expected.items():
+        assert np.array_equal(stats[key].view(np.uint64), arr.view(np.uint64)), key
 
 
 # ---------------------------------------------------------------------------

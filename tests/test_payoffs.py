@@ -33,10 +33,14 @@ def oracle_stats(values: np.ndarray, i: int, j: int):
     return rvar_i, math.sqrt(rvar_i), cov, corr
 
 
+def batch_stats(values) -> dict[str, np.ndarray]:
+    """Statistics of a (B, n+1, d) batch from its Follmer sums."""
+    return realized_stats_batch(bracket_columns(np.asarray(values, dtype=float))[:, -1])
+
+
 def path_stats(values) -> dict[str, float]:
     """Statistics of one (n+1, d) path as a batch of one."""
-    batch = realized_stats_batch(np.asarray(values, dtype=float)[None])
-    return {key: arr[0] for key, arr in batch.items()}
+    return {key: arr[0] for key, arr in batch_stats(np.asarray(values)[None]).items()}
 
 
 def payoff(spec: PayoffSpec, values) -> float:
@@ -89,7 +93,7 @@ def test_rvar_bitwise_equals_quadratic_variation(rng):
 def test_realized_stats_batch_matches_single(rng):
     B, n, d = 6, 15, 2
     values = np.cumsum(rng.normal(size=(B, n + 1, d)) * 0.2, axis=1)
-    batch = realized_stats_batch(values)
+    batch = batch_stats(values)
     assert set(batch) == {"RVar_1", "RV_1", "RVar_2", "RV_2",
                           "Cov_12", "Corr_12"}
     for b in range(B):
@@ -103,10 +107,19 @@ def test_realized_stats_batch_nan_for_degenerate():
     values[0, :, 0] = [0.0, 1.0, 2.0, 3.0]
     values[0, :, 1] = [0.0, 1.0, 0.0, 1.0]
     # second path entirely constant
-    batch = realized_stats_batch(values)
+    batch = batch_stats(values)
     assert np.isfinite(batch["Corr_12"][0])
     assert np.isnan(batch["Corr_12"][1])
     assert batch["RVar_1"][1] == 0.0
+
+
+def test_realized_stats_batch_needs_triangular_width():
+    # the width d(d+1)/2 names d; any other shape is an error, not a guess
+    assert set(realized_stats_batch(np.ones((4, 1)))) == {"RVar_1", "RV_1"}
+    assert "Cov_23" in realized_stats_batch(np.ones((4, 6)))
+    for shape in ((4, 2), (4, 4), (4, 5), (4, 7), (4, 0), (3,), (2, 4, 3)):
+        with pytest.raises(ValueError, match="Follmer sums"):
+            realized_stats_batch(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------

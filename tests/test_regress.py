@@ -8,14 +8,16 @@ active-set solver (``_cd_lasso``).
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from gammasig import RegressionFit, default_config, lasso_fit, mse, predict, ridge_fit
-from gammasig import experiments
+from gammasig import experiments, regress
 from gammasig.signature import functional_matrix, gamma_signature
 
 
@@ -144,6 +146,42 @@ def test_mse_examples():
         mse([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         mse([], [])
+
+
+def test_mse_rows_equal_per_row_bits(rng):
+    # calibration scores a chunk of test paths with one mse: each row must
+    # get the bits (and a 1-D pair the float) it gets alone
+    for _ in range(60):
+        B, m = int(rng.integers(1, 12)), int(rng.integers(1, 3000))
+        pred = rng.normal(size=(B, m)) * 10.0 ** rng.integers(-3, 4)
+        target = pred + rng.normal(size=(B, m))
+        rows = mse(pred, target)
+        assert rows.shape == (B,)
+        single = [mse(pred[b], target[b]) for b in range(B)]
+        assert all(type(v) is float for v in single)
+        assert np.array_equal(rows.view(np.uint64), np.array(single).view(np.uint64))
+    for bad in ((np.ones((2, 3)), np.ones(3)), (np.ones((2, 0)), np.ones((2, 0))),
+                (np.float64(1.0), np.float64(1.0))):
+        with pytest.raises(ValueError):
+            mse(*bad)
+
+
+def test_predict_on_a_stack_equals_per_design_bits(rng):
+    # one predict over a stack of designs must give each design the bits of
+    # its own predict call
+    for _ in range(60):
+        B, m, p = (int(v) for v in rng.integers(1, 40, size=3))
+        fit = RegressionFit(words=[(j,) for j in range(1, p + 1)],
+                            coeffs=rng.normal(size=p) * 10.0 ** rng.integers(-3, 4, size=p),
+                            intercept=float(rng.normal()), alpha=0.0,
+                            objective_kind="lasso-sum")
+        X = rng.normal(size=(B, m, p))
+        stacked = predict(fit, X)
+        assert stacked.shape == (B, m)
+        single = np.stack([predict(fit, X[b]) for b in range(B)])
+        assert np.array_equal(stacked.view(np.uint64), single.view(np.uint64))
+        deeper = predict(fit, X.reshape(1, B, m, p))
+        assert np.array_equal(deeper[0].view(np.uint64), single.view(np.uint64))
 
 
 def test_predict_basics():
@@ -333,6 +371,42 @@ def test_lasso_diagnostics(rng):
     assert done.diagnostics["converged"]
     assert done.diagnostics["in_sample_mse"] == pytest.approx(
         mse(predict(done, X), y), rel=1e-12)
+
+
+def test_line_search_ignores_untouched_coefficients():
+    # an exchange direction that leaves an active coefficient alone gives it
+    # t = -x / 0 = inf: it must not count as crossing (inf * 0 is NaN)
+    x = np.array([1.0, 1.0])
+    direction = np.array([-0.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        move, full = regress._line_search(np.eye(2), np.zeros(2), x, direction,
+                                          1.0, full_step=False)
+    assert np.array_equal(move, [0.0, -1.0])
+    assert full is False
+
+
+_HESTON = default_config("heston-calib").model
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(grid_n=7, n_test=14, alpha=1e-3,
+         model=dataclasses.replace(_HESTON, v0=5.0, theta=2.0, sigma=3.0, kappa=1.0,
+                                   rho=0.0, mu=10.0)),
+    dict(grid_n=4, n_test=6, alpha=1e-8, trunc_level=3,
+         model=dataclasses.replace(_HESTON, v0=0.04, theta=0.1, sigma=0.3, kappa=0.0,
+                                   rho=-1.0, mu=0.5)),
+])
+def test_lasso_exchange_steps_converge_without_warnings(overrides, capsys):
+    # calibrations whose lasso takes an exchange step along a direction with
+    # a zero component: they used to warn (NaN line-search points) and stop
+    # unconverged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = experiments.run_calibration(default_config("heston-calib", **overrides))
+    assert capsys.readouterr().err == ""
+    for scheme in experiments.SCHEMES:
+        assert report["schemes"][scheme]["fit"]["diagnostics"]["converged"], scheme
 
 
 # ---------------------------------------------------------------------------
