@@ -380,6 +380,12 @@ def _driver_values(times: np.ndarray, cols: _Columns, names: Sequence[str],
 _TEST_CHUNK = 100
 
 
+def _fold(coeffs: np.ndarray, functionals: Sequence[TensorPoly]) -> TensorPoly:
+    """The fitted functional sum_j coeffs[j] * functionals[j] as one tensor."""
+    zero = TensorPoly.zero(functionals[0].alphabet, functionals[0].trunc_level)
+    return sum((f.scale(float(c)) for c, f in zip(coeffs, functionals)), zero)
+
+
 def run_calibration(config: ExperimentConfig) -> dict:
     """Fit both schemes on one training trajectory, evaluate in-sample and on
     fresh out-of-sample paths over [0, T/2]; returns (and optionally writes)
@@ -387,11 +393,11 @@ def run_calibration(config: ExperimentConfig) -> dict:
 
     The training design goes through :func:`gamma_signature` and
     :func:`functional_matrix`; the in-sample MSE is the lasso's own.  Test
-    paths go through :func:`functional_paths` in chunks of ``_TEST_CHUNK``,
-    each scored by one stacked :func:`predict` and one row-wise :func:`mse`.
-    A training target whose squares can overflow float64 (before any fit)
-    and a non-finite MSE (naming the scheme and the statistic) are
-    ``ValueError``s raised before any file is written.
+    paths go through :func:`functional_paths` on the folded fit sum_j beta_j
+    f_j in chunks of ``_TEST_CHUNK``, each scored by one row-wise :func:`mse`.
+    A training target whose squares can overflow float64 (before any fit), a
+    failed lasso and a non-finite MSE (naming the scheme) are ``ValueError``s
+    raised before any file is written.
     """
     if config.experiment not in CALIBRATION_IDS:
         raise ValueError(f"{config.experiment!r} is not a calibration experiment")
@@ -424,18 +430,22 @@ def run_calibration(config: ExperimentConfig) -> dict:
         driver = plan.driver(train_grid.times, train, 0)
         traj = gamma_signature(driver, plan.gamma, plan.sig_level)
         X_train = functional_matrix(traj, plan.functionals)
-        fit = lasso_fit(X_train, y_train, config.alpha, words=plan.labels,
-                        intercept=s0)
+        try:
+            fit = lasso_fit(X_train, y_train, config.alpha, words=plan.labels,
+                            intercept=s0)
+        except ValueError as exc:
+            raise ValueError(f"{config.experiment} {scheme} scheme: {exc}") from None
         if not fit.diagnostics["converged"]:
             print(f"warning: {config.experiment} {scheme} lasso fit not converged "
                   f"after n_iter={fit.diagnostics['n_iter']} active-set steps",
                   file=sys.stderr)
         in_mse = fit.diagnostics["in_sample_mse"]
+        ell = _fold(fit.coeffs, plan.functionals)
         out_mses = []
         for start in range(0, config.n_test, _TEST_CHUNK):
             stop = min(start + _TEST_CHUNK, config.n_test)
             values = _driver_values(test_grid.times, test, driver.names, start, stop)
-            pred = predict(fit, functional_paths(values, plan.gamma, plan.functionals))
+            pred = fit.intercept + functional_paths(values, plan.gamma, [ell])[..., 0]
             out_mses.append(mse(pred, test["S"][start:stop]))
             if start == 0:
                 trajectory[f"pred_{scheme}"] = pred[0].tolist()

@@ -120,7 +120,8 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     steps; ``diagnostics["n_iter"]`` counts them and
     ``diagnostics["converged"]`` reports whether the KKT conditions hold
     within ``_KKT_TOL``.  ``intercept`` is subtracted from y before fitting
-    and stored for :func:`predict`; it is neither fitted nor penalized.
+    and stored for :func:`predict`; it is neither fitted nor penalized.  A
+    solve on collinear active columns raises a ``ValueError`` naming them.
     """
     X, y = _validate_design(X, y)
     if alpha < 0:
@@ -130,12 +131,20 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     cols = np.flatnonzero(np.diag(gram) > 0.0)
     gram = gram[np.ix_(cols, cols)]
     c = (X.T @ (y - intercept))[cols]
-    beta_cols, steps = _feature_sign(gram, c, 0.5 * alpha, max_iter)
+    words = _default_words(p) if words is None else words
+    try:
+        beta_cols, steps = _feature_sign(gram, c, 0.5 * alpha, max_iter)
+    except np.linalg.LinAlgError as exc:
+        named = ", ".join(f"{j} ({word_str(tuple(words[j])) or 'empty word'})"
+                          for j in np.sort(cols[exc.args[0]]))
+        raise ValueError(
+            f"lasso at alpha={alpha!r}: the active columns {named} are collinear, "
+            "so the active-set solve is singular") from None
     beta = np.zeros(p)
     beta[cols] = beta_cols
     converged = _kkt_violation(gram, c, beta_cols, 0.5 * alpha) <= _KKT_TOL
     return RegressionFit(
-        words=_default_words(p) if words is None else words, coeffs=beta,
+        words=words, coeffs=beta,
         intercept=float(intercept), alpha=float(alpha), objective_kind="lasso-sum",
         diagnostics={"in_sample_mse": mse(X @ beta + intercept, y),
                      "n_iter": steps, "converged": bool(converged)})
@@ -156,7 +165,9 @@ def _kkt_violation(gram: np.ndarray, c: np.ndarray, beta: np.ndarray,
 def _feature_sign(gram: np.ndarray, c: np.ndarray, threshold: float,
                   max_iter: int) -> tuple[np.ndarray, int]:
     """Coefficients minimizing b'Gb - 2c'b + 2*threshold*||b||_1 (G = gram,
-    with a positive diagonal), and the number of active-set steps taken."""
+    with a positive diagonal), and the number of active-set steps taken.
+    Raises ``np.linalg.LinAlgError(members)`` when the Gram of the active
+    set (Gram positions ``members``) is singular."""
     beta = np.zeros(len(c))
     active = np.zeros(0, dtype=np.intp)
     sq = np.diag(gram)
@@ -186,8 +197,11 @@ def _feature_sign(gram: np.ndarray, c: np.ndarray, threshold: float,
             # this direction only the penalty moves
             direction = signs[-1] * np.append(-_solve_upper(chol, low), 1.0)
         else:
-            direction = (_cho_solve(_cholesky(sub), c[members] - threshold * signs)
-                         - beta[members])
+            try:
+                chol = _cholesky(sub)
+            except ValueError:
+                raise np.linalg.LinAlgError(members) from None
+            direction = _cho_solve(chol, c[members] - threshold * signs) - beta[members]
         move, reached_end = _line_search(sub, rho[members], beta[members], direction,
                                          threshold, full_step=not exchange)
         if move is None:

@@ -11,9 +11,10 @@ independent per-step Chen-product oracle, the cumulative pathwise (Follmer)
 bracket columns of a path batch and the quadratic-variation matrix built on
 them, time and bracket augmentation of a path, and the pairings of linear
 functionals with signatures for regression: the design matrix of one
-trajectory along its grid, and a batched route that computes only the
-coordinates the functionals read.  Letter, bracket and word layouts come
-from :mod:`gammasig.tensor`.
+trajectory along its grid, and a batched route that contracts the top level
+with the functionals instead of forming it.  Functionals are paired as dense
+per-level coefficient arrays, one matrix product per level.  Letter,
+bracket and word layouts come from :mod:`gammasig.tensor`.
 
 Accumulation note: every cumulative sum in the package -- signature levels,
 brackets, simulator drivers and realized statistics -- goes through
@@ -35,7 +36,6 @@ from .tensor import (
     Word,
     bracket_pairs,
     enumerate_words,
-    graded_lex_key,
     word_str,
 )
 
@@ -256,27 +256,13 @@ def _gamma_points(prev: np.ndarray, gamma: float) -> np.ndarray:
     return prev[:, :-1] + gamma * (prev[:, 1:] - prev[:, :-1])
 
 
-def _level_step(prev: np.ndarray | None, dX: np.ndarray, gamma: float,
-                select: tuple[Sequence[int], Sequence[int]] | None = None) -> np.ndarray:
+def _level_step(prev: np.ndarray | None, dX: np.ndarray, gamma: float) -> np.ndarray:
     """Level-m trajectory (B, n+1, L**m) from the level-(m-1) trajectory
     ``prev`` (B, n+1, L**(m-1)) and the increments ``dX`` (B, n, L).
 
     ``prev = None`` stands for the constant-unit level 0, whose gamma-points
     are exactly 1, so level 1 is the running sum of the increments.
-
-    ``select = (prefix, letter)`` computes only the level-m words ``w + (a,)``
-    with ``w`` the ``prefix[c]``-th column of ``prev`` and ``a`` the
-    ``letter[c]``-th letter, as column c of a (B, n+1, C) result (``prefix``
-    is ignored at level 1).  Each column takes the same elementwise products
-    and the same sequential accumulation as in the full step, so its bits
-    equal the full step's.
     """
-    if select is not None:
-        prefix, letter = select
-        dX = dX[:, :, letter]
-        if prev is None:
-            return cumsum0(dX, axis=1)
-        return cumsum0(_gamma_points(prev[:, :, prefix], gamma) * dX, axis=1)
     if prev is None:
         return cumsum0(dX, axis=1)
     B, n, L = dX.shape
@@ -356,27 +342,37 @@ def gamma_signature_chen(path: SamplePath, gamma: float, trunc_level: int) -> Si
                          levels=tuple(out))
 
 
+def _dense(functionals: Sequence[TensorPoly], alphabet: Alphabet,
+           level: int) -> list[np.ndarray]:
+    """Coefficients of the functionals as one ``(L**m, p)`` array per level
+    m = 0..level: row ``alphabet.word_index(w)`` of level ``len(w)`` and
+    column j hold the coefficient of word w in functional j."""
+    L = alphabet.total_letters
+    dense = [np.zeros((L ** m, len(functionals))) for m in range(level + 1)]
+    for j, ell in enumerate(functionals):
+        if ell.alphabet != alphabet:
+            raise ValueError("functional alphabet mismatch")
+        for w, c in ell.items():
+            if len(w) > level:
+                raise ValueError(
+                    f"functional word length {len(w)} exceeds level {level}")
+            dense[len(w)][alphabet.word_index(w), j] = float(c)
+    return dense
+
+
 def functional_matrix(traj: SigTrajectory, functionals: Sequence[TensorPoly]) -> np.ndarray:
     """Design matrix of pairings <ell, sig> for linear functionals: one row
     per grid point of the trajectory, one column per functional.
 
     Each column is the corresponding linear combination of signature
-    coordinates (a basis functional gives one coordinate <e_I, sig>);
-    alphabets of functionals and trajectory must match.
+    coordinates (a basis functional gives one coordinate <e_I, sig>), paired
+    one level at a time as ``traj.levels[m-1] @ ell[m]``; alphabets of
+    functionals and trajectory must match.
     """
-    for ell in functionals:
-        if ell.alphabet != traj.alphabet:
-            raise ValueError("functional alphabet mismatch")
-    expanded = [list(ell.items()) for ell in functionals]
-    max_len = max((len(w) for terms in expanded for w, _ in terms), default=0)
-    if max_len > traj.trunc_level:
-        raise ValueError(
-            f"functional word length {max_len} exceeds trajectory level "
-            f"{traj.trunc_level}")
-    out = np.zeros((len(traj.times), len(functionals)))
-    for j, terms in enumerate(expanded):
-        for w, c in terms:
-            out[:, j] += float(c) * traj.coeff_path(w)
+    dense = _dense(functionals, traj.alphabet, traj.trunc_level)
+    out = np.tile(dense[0], (len(traj.times), 1))
+    for level, coeffs in zip(traj.levels, dense[1:]):
+        out += level @ coeffs
     return out
 
 
@@ -384,47 +380,36 @@ def functional_paths(values: np.ndarray, gamma: float,
                      functionals: Sequence[TensorPoly]) -> np.ndarray:
     """Pairings <ell_j, S_{0,t_k}> at every grid point of a batch of paths.
 
-    ``values`` has shape (B, n+1, L) with columns in the letter layout of the
-    functionals' common alphabet; returns (B, n+1, p) for p functionals.
-    Only the words the functionals read and their prefixes are computed,
-    level by level through the column-selective :func:`_level_step`, and
-    each pairing is summed in the term order of :func:`functional_matrix`,
-    so row block b equals ``functional_matrix(gamma_signature(path_b,
-    gamma, level), functionals)`` bit for bit.
+    ``values`` (B, n+1, L), taken in C order, has columns in the letter
+    layout of the functionals' alphabet; returns (B, n+1, p) for p
+    functionals.  Levels below their top level M come from
+    :func:`_level_step`; level M is never formed: its pairing is the running
+    sum over steps k of sum_{w, a} ell_M[w a] (gamma-point of S_w)_k dX^a_k.
+    Each path's rows have the bits of its own call and agree with
+    :func:`functional_matrix` on :func:`gamma_signature` to roundoff.
     """
     _check_gamma(gamma)
     if not functionals:
         raise ValueError("need at least one functional")
     alphabet = functionals[0].alphabet
-    for ell in functionals:
-        if ell.alphabet != alphabet:
-            raise ValueError("functional alphabet mismatch")
-    values = np.asarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
     B, n_plus_1, L = values.shape
     if L != alphabet.total_letters:
         raise ValueError(f"value columns ({L}) must match alphabet letters "
                          f"({alphabet.total_letters})")
-    expanded = [list(ell.items()) for ell in functionals]
-    needed = sorted({w[:m] for terms in expanded for w, _ in terms
-                     for m in range(1, len(w) + 1)}, key=graded_lex_key)
+    # constant functionals take a zero level 1
+    top = max(1, max(ell.max_level() for ell in functionals))
+    dense = _dense(functionals, alphabet, top)
+    out = np.tile(dense[0], (B, n_plus_1, 1))
     dX = np.diff(values, axis=1)
-    # word -> (level trajectory, column) of every needed word
-    where: dict[Word, tuple[np.ndarray, int]] = {}
     prev = None
-    for m in range(1, max((len(w) for w in needed), default=0) + 1):
-        words = [w for w in needed if len(w) == m]
-        prefix = [where[w[:-1]][1] for w in words] if m > 1 else [0] * len(words)
-        letter = [alphabet.index(w[-1]) for w in words]
-        prev = _level_step(prev, dX, gamma, (prefix, letter))
-        where.update((w, (prev, c)) for c, w in enumerate(words))
-    out = np.zeros((B, n_plus_1, len(functionals)))
-    for j, terms in enumerate(expanded):
-        for w, c in terms:
-            if w:
-                level, col = where[w]
-                out[:, :, j] += float(c) * level[:, :, col]
-            else:
-                out[:, :, j] += float(c)
+    for coeffs in dense[1:-1]:
+        prev = _level_step(prev, dX, gamma)
+        out += prev @ coeffs
+    evals = np.ones((B, n_plus_1 - 1, 1)) if prev is None else _gamma_points(prev, gamma)
+    P = evals.shape[2]
+    weights = (evals @ dense[top].reshape(P, -1)).reshape(B, -1, L, len(functionals))
+    out += cumsum0(np.sum(weights * dX[:, :, :, None], axis=2), axis=1)
     return out
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,24 @@ def test_degenerate_calibration_exits_2_with_cause(tmp_path, capsys):
         "error: heston-calib: the training target reaches 1.128e+215, and the "
         "sum of its squares can overflow float64"]
     assert not (out_dir / "mse_summary.csv").exists()
+
+
+def test_collinear_lasso_active_set_exits_2_with_cause(tmp_path, capsys):
+    # at alpha > 0 the active Gram of the ito fit loses a pivot: the error
+    # names the lasso, its alpha and the collinear columns, not the ridge
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "heston-calib", "grid": {"n": 8}, "samples": {"N_test": 5},
+        "regression": {"alpha": 0.001},
+        "model": {"s0": 65.0066, "v0": 1.1698, "theta": 0.38553, "kappa": 0.96545,
+                  "sigma": 1.66632, "rho": -0.81941, "mu": 4.33589},
+    })
+    assert main(["calibrate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    # the ito fit's 7 active columns here: 0 (empty word), 5 (0.1), ..., 12 (2.2)
+    assert re.search(r"^error: heston-calib ito scheme: lasso at alpha=0\.001: the "
+                     r"active columns \d+ \(empty word\)(, \d+ \([0-9.]+\))+ are "
+                     r"collinear, so the active-set solve is singular$", err, re.M)
+    assert "use alpha > 0" not in err and "Traceback" not in err
 
 
 def test_unknown_config_key_names_its_path(tmp_path, capsys):

@@ -16,6 +16,7 @@ from gammasig import (
     default_config,
     experiments,
     functional_matrix,
+    functional_paths,
     gamma_signature,
     mse,
     predict,
@@ -140,9 +141,9 @@ def test_run_calibration_constant_target_is_exact():
 
 @pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
 def test_run_calibration_batches_equal_per_path_loop(experiment):
-    # the test paths go through functional_paths in chunks; one more chunk
-    # than fits evenly must give what one signature per path gives
-    from gammasig import experiments
+    # the test paths go through functional_paths on the folded functional in
+    # chunks; one more chunk than fits evenly must give the bits of one call
+    # per path, and agree with the materialized design of each path
     cfg = default_config(experiment, grid_n=40, n_test=experiments._TEST_CHUNK + 3)
     report = run_calibration(cfg)
     test_grid = cfg.test_grid()
@@ -152,15 +153,33 @@ def test_run_calibration_batches_equal_per_path_loop(experiment):
         stamped = report["schemes"][scheme]["fit"]
         fit = RegressionFit(plan.labels, stamped["coeffs"], stamped["intercept"],
                             stamped["alpha"], stamped["objective_kind"])
-        out_mses = []
+        ell = experiments._fold(fit.coeffs, plan.functionals)
+        out_mses, design_mses = [], []
         for i in range(cfg.n_test):
-            traj = gamma_signature(plan.driver(test_grid.times, test, i),
-                                   plan.gamma, plan.sig_level)
-            pred = predict(fit, functional_matrix(traj, plan.functionals))
+            driver = plan.driver(test_grid.times, test, i)
+            pred = fit.intercept + functional_paths(driver.values[None], plan.gamma,
+                                                    [ell])[0, :, 0]
             out_mses.append(mse(pred, test["S"][i]))
+            traj = gamma_signature(driver, plan.gamma, plan.sig_level)
+            design = predict(fit, functional_matrix(traj, plan.functionals))
+            assert np.all(np.abs(pred - design) <= 1e-12 * np.maximum(1.0, np.abs(design)))
+            design_mses.append(mse(design, test["S"][i]))
             if i == 0:
                 assert report["trajectory"][f"pred_{scheme}"] == [float(v) for v in pred]
-        assert report["schemes"][scheme]["out_sample_mse"] == float(np.mean(out_mses))
+        out_mse = report["schemes"][scheme]["out_sample_mse"]
+        assert np.float64(out_mse).view(np.uint64) == \
+            np.float64(np.mean(out_mses)).view(np.uint64)
+        assert out_mse == pytest.approx(float(np.mean(design_mses)), rel=1e-12)
+
+
+def test_fold_skips_zero_coefficients():
+    cfg = default_config("heston-calib", grid_n=20, n_test=2)
+    plan = experiments._calibration_plans(cfg)["strat"]
+    coeffs = np.zeros(len(plan.functionals))
+    assert not experiments._fold(coeffs, plan.functionals)
+    coeffs[[1, 4]] = (2.0, -0.5)
+    assert experiments._fold(coeffs, plan.functionals) == \
+        2.0 * plan.functionals[1] + (-0.5) * plan.functionals[4]
 
 
 @pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])

@@ -14,7 +14,11 @@ one joint end-point pass per scheme: the two-asset mid-point block used to
 be contracted from a driver whose memory layout (a fancy-indexed,
 concatenated array) set a different summation order, so it moved at
 roundoff (at most 9e-14 relative in ``prices.csv``); every left-point and
-single-asset block is bit-equal.  The sums accumulate in
+single-asset block is bit-equal.  The calibration ``trajectory.csv`` and
+the Heston ``mse_summary.csv`` were re-recorded when the test paths began
+to pair one folded functional, its top level contracted before the running
+sum instead of formed and paired after it (out-of-sample predictions moved
+at roundoff); every ``fit_*.json`` is bit-equal.  The sums accumulate in
 ``np.longdouble``, whose width depends on the platform (80-bit on x86-64
 Linux, 64-bit on MSVC, 128-bit on aarch64 Linux), so a failure here on
 another platform also flags cross-platform accumulation drift rather than
@@ -37,7 +41,7 @@ CALIBRATE_SHA256 = {
     "fit_ito.json": "09ec1c1113a8822f257a0fdfbc3fedd5062a6b12929c6945d93f458a9c9e7b2f",
     "fit_strat.json": "db80150550af9c7708e79742cdca780a17501c5126d8d930d2c4a1a588724284",
     "mse_summary.csv": "7fc2658b2891be90f063576ccb1723f7b6241f7997a5f88fb1f09846f2497e52",
-    "trajectory.csv": "c6646e2cabff4b04b54a2a0af35c131cec17745773c15ffd8840515dcd16fbd5",
+    "trajectory.csv": "05061e117f72d70ad863569cba0a1c525d564ccebf58df9460386620c0c72bb8",
 }
 
 # the only experiment with multi-term (rho-corrected) functionals: pins the
@@ -47,8 +51,8 @@ HESTON_CALIBRATE_CONFIG = {"experiment": "heston-calib", "grid": {"n": 100},
 HESTON_CALIBRATE_SHA256 = {
     "fit_ito.json": "bd4ddb920960ac53e67ffb741a20ed2f052418714cf07185f3350f53d1c15846",
     "fit_strat.json": "140817134f28cb75ada63eb0ccdf09155e161cc3899745747c890a95316beed1",
-    "mse_summary.csv": "05257db1459714e2026be0e1ef5dc031e109c8847c9e7527cdfdebf4dcbcfde2",
-    "trajectory.csv": "ff1b5028d97fcaf1f36800958f0d74c711af5f4442aa14aedb1bebd19f0e4cf3",
+    "mse_summary.csv": "1d05b221049927a238b3268194f66239f635ac0dff1a4c9b216686d75e00036b",
+    "trajectory.csv": "7ed09caa832b37bfdadb137491e41be565cbe998a4f3d0903bc315563be84a6f",
 }
 
 # level 3 covers the intermediate-level trajectory of the batched kernel

@@ -31,7 +31,6 @@ from gammasig import (
     write_path_csv,
     write_sig_csv,
 )
-from gammasig.signature import _level_step
 from conftest import make_random_path
 
 
@@ -393,34 +392,80 @@ def test_endpoint_batch_bits_independent_of_memory_layout(rng):
                     assert np.array_equal(_bits(got[m]), _bits(ref[m])), (name, gamma, N, m)
 
 
-@pytest.mark.parametrize("alphabet", [
+ALPHABETS = [
     Alphabet(2),
     Alphabet(1, has_time=True),
     Alphabet(1, has_time=True, has_brackets=True),
     Alphabet(2, has_time=True, has_brackets=True),
-])
-def test_functional_paths_bitwise_equal_functional_matrix(rng, alphabet):
+]
+
+
+def mixed_functionals(rng, alphabet, N):
+    """A basis functional, a constant plus a level-N word, four random terms
+    on levels up to N, and a constant."""
+    words = enumerate_words(alphabet, N)
+    top = [w for w in words if len(w) == N]
+    return [
+        TensorPoly.basis(alphabet, N, top[-1]),
+        TensorPoly(alphabet, N, {(): 0.75, top[0]: -1.5}),
+        TensorPoly(alphabet, N, {w: float(rng.normal()) for w in
+                                 (words[i] for i in rng.choice(len(words), 4))}),
+        TensorPoly(alphabet, N, {(): 1.0}),
+    ]
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+def test_functional_paths_agree_with_functional_matrix(rng, alphabet):
+    # the top level is contracted with the functionals before the running
+    # sum instead of after it, so the two routes agree to roundoff only
     B, n = 3, 12
     L = alphabet.total_letters
     times = np.arange(n + 1, dtype=float)
     values = np.cumsum(rng.normal(size=(B, n + 1, L)), axis=1)
     for N in (1, 2, 3, 4):
-        words = enumerate_words(alphabet, N)
-        top = [w for w in words if len(w) == N]
-        ells = [
-            TensorPoly.basis(alphabet, N, top[-1]),
-            TensorPoly(alphabet, N, {(): 0.75, top[0]: -1.5}),
-            TensorPoly(alphabet, N, {w: float(rng.normal()) for w in
-                                     (words[i] for i in rng.choice(len(words), 4))}),
-            TensorPoly(alphabet, N, {(): 1.0}),
-        ]
+        ells = mixed_functionals(rng, alphabet, N)
         for gamma in (0.0, 0.5, 1.0):
             batch = functional_paths(values, gamma, ells)
             assert batch.shape == (B, n + 1, len(ells))
             for b in range(B):
                 traj = gamma_signature(SamplePath(times, values[b], alphabet), gamma, N)
                 ref = functional_matrix(traj, ells)
-                assert np.array_equal(_bits(batch[b]), _bits(ref)), (N, gamma, b)
+                assert np.all(np.abs(batch[b] - ref)
+                              <= 1e-12 * np.maximum(1.0, np.abs(ref))), (N, gamma, b)
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+def test_functional_paths_rows_equal_single_path_bits(rng, alphabet):
+    # a path's rows must not depend on the chunk it is evaluated in
+    B, n = 7, 15
+    values = np.cumsum(rng.normal(size=(B, n + 1, alphabet.total_letters)), axis=1)
+    for N in (1, 2, 3):
+        ells = mixed_functionals(rng, alphabet, N)
+        for gamma in (0.0, 0.5, 1.0):
+            batch = functional_paths(values, gamma, ells)
+            for b in range(B):
+                alone = functional_paths(values[b:b + 1], gamma, ells)[0]
+                assert np.array_equal(_bits(batch[b]), _bits(alone)), (N, gamma, b)
+            for start, stop in ((0, 3), (3, 7), (5, 6)):
+                chunk = functional_paths(values[start:stop], gamma, ells)
+                assert np.array_equal(_bits(chunk), _bits(batch[start:stop]))
+
+
+def test_functional_paths_constant_and_level_one_tops(rng):
+    # top level 0: no step is taken; top level 1: no level below it is built
+    alphabet = Alphabet(2, has_time=True)
+    B, n = 4, 9
+    values = np.cumsum(rng.normal(size=(B, n + 1, 3)), axis=1)
+    constant = [TensorPoly(alphabet, 2, {(): -2.5}), TensorPoly.zero(alphabet, 2)]
+    out = functional_paths(values, 0.5, constant)
+    assert out.shape == (B, n + 1, 2)
+    assert np.all(out[:, :, 0] == -2.5) and np.all(out[:, :, 1] == 0.0)
+    linear = [TensorPoly(alphabet, 1, {(): 1.0, (0,): 2.0, (2,): -0.5})]
+    increments = values - values[:, :1]
+    expected = 1.0 + 2.0 * increments[:, :, 0] - 0.5 * increments[:, :, 2]
+    for gamma in (0.0, 0.5, 1.0):
+        got = functional_paths(values, gamma, linear)[:, :, 0]
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_functional_paths_validation(rng):
@@ -432,19 +477,6 @@ def test_functional_paths_validation(rng):
         functional_paths(values, 0.5, [TensorPoly.basis(Alphabet(3), 1, (1,))])
     with pytest.raises(ValueError, match="gamma"):
         functional_paths(values, 1.5, [TensorPoly.basis(Alphabet(2), 1, (1,))])
-
-
-def test_level_step_full_selection_equals_broadcast(rng):
-    B, n, L = 3, 10, 3
-    dX = rng.normal(size=(B, n, L))
-    for gamma in (0.0, 0.25, 0.5, 1.0):
-        prev = None
-        for _ in range(3):
-            P = 1 if prev is None else prev.shape[2]
-            select = (np.repeat(np.arange(P), L), np.tile(np.arange(L), P))
-            full = _level_step(prev, dX, gamma)
-            assert np.array_equal(_bits(_level_step(prev, dX, gamma, select)), _bits(full))
-            prev = full
 
 
 # ---------------------------------------------------------------------------
