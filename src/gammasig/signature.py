@@ -16,11 +16,13 @@ with the functionals instead of forming it.  Functionals are paired as dense
 per-level coefficient arrays, one matrix product per level.  Letter,
 bracket and word layouts come from :mod:`gammasig.tensor`.
 
-Accumulation note: every cumulative sum in the package -- signature levels,
-brackets, simulator drivers and realized statistics -- goes through
-:func:`cumsum0`, which accumulates in extended precision and casts back to
-float64, so the exact on-grid identities hold to near machine precision even
-on long grids.
+Accumulation note: level 1 of every gamma-signature is the Riemann sum of
+the increments, which telescopes to ``X - X_0``; it is computed as that one
+correctly rounded difference, not as a cumulative sum.  Every cumulative sum
+in the package -- signature levels from 2 up, brackets, simulator drivers
+and realized statistics -- goes through :func:`cumsum0`, which accumulates in
+extended precision and casts back to float64, so the exact on-grid
+identities hold to near machine precision even on long grids.
 """
 from __future__ import annotations
 
@@ -250,25 +252,41 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
 
 
+def _level_one(values: np.ndarray,
+               gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Increments (B, n, L), level-1 trajectory (B, n+1, L) and its
+    gamma-points (B, n, L) of a batch of paths ``values`` (B, n+1, L).
+
+    Level 1 is the Riemann sum of the increments, which telescopes to
+    ``X - X_0``: one correctly rounded subtraction instead of a running sum.
+    Its gamma-points are read from the path as ``(X - X_0)_k + gamma * dX_k``,
+    a view of the trajectory at ``gamma = 0``.
+    """
+    dX = np.diff(values, axis=1)
+    level = values - values[:, :1]
+    points = level[:, :-1]
+    if gamma:
+        points = gamma * dX
+        points += level[:, :-1]
+    return dX, level, points
+
+
 def _gamma_points(prev: np.ndarray, gamma: float) -> np.ndarray:
     """Level-(m-1) integrand read at the gamma-point of each step:
-    (B, n+1, P) -> (B, n, P)."""
-    return prev[:, :-1] + gamma * (prev[:, 1:] - prev[:, :-1])
+    (B, n+1, P) -> (B, n, P), with one temporary."""
+    points = prev[:, 1:] - prev[:, :-1]
+    points *= gamma
+    points += prev[:, :-1]
+    return points
 
 
-def _level_step(prev: np.ndarray | None, dX: np.ndarray, gamma: float) -> np.ndarray:
-    """Level-m trajectory (B, n+1, L**m) from the level-(m-1) trajectory
-    ``prev`` (B, n+1, L**(m-1)) and the increments ``dX`` (B, n, L).
-
-    ``prev = None`` stands for the constant-unit level 0, whose gamma-points
-    are exactly 1, so level 1 is the running sum of the increments.
-    """
-    if prev is None:
-        return cumsum0(dX, axis=1)
+def _level_step(points: np.ndarray, dX: np.ndarray) -> np.ndarray:
+    """Level-m trajectory (B, n+1, L**m), m >= 2, from the gamma-points
+    ``points`` (B, n, L**(m-1)) of level m-1 and the increments ``dX``
+    (B, n, L)."""
     B, n, L = dX.shape
-    evals = _gamma_points(prev, gamma)
-    P = prev.shape[2]
-    contrib = (evals[:, :, :, None] * dX[:, :, None, :]).reshape(B, n, P * L)
+    P = points.shape[2]
+    contrib = (points[:, :, :, None] * dX[:, :, None, :]).reshape(B, n, P * L)
     return cumsum0(contrib, axis=1)
 
 
@@ -281,20 +299,24 @@ def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTraj
                        + (S_{I'}(t_k) + gamma * (S_{I'}(t_{k+1}) - S_{I'}(t_k)))
                          * dX^{i_last}_k,
 
-    with the level-(m-1) trajectory S_{I'} fully computed first.  Cost is
+    with the level-(m-1) trajectory S_{I'} fully computed first.  Level 1
+    telescopes to ``X - X_0`` and is computed as that difference.  Cost is
     O(n * L**trunc_level) for L letters.  ``trunc_level = 0`` returns the
     constant-unit trajectory.
     """
     _check_gamma(gamma)
     if trunc_level < 0:
         raise ValueError("trunc_level must be >= 0")
-    # the batched level step on a batch of one path
-    dX = path.increments()[None]
-    prev = None
     levels: list[np.ndarray] = []
-    for _ in range(trunc_level):
-        prev = _level_step(prev, dX, gamma)
-        levels.append(prev[0])
+    if trunc_level:
+        # the batched level steps on a batch of one path
+        dX, level, points = _level_one(path.values[None], gamma)
+        levels.append(level[0])
+        for m in range(2, trunc_level + 1):
+            if m > 2:
+                points = _gamma_points(level, gamma)
+            level = _level_step(points, dX)
+            levels.append(level[0])
     return SigTrajectory(times=path.times, alphabet=path.alphabet,
                          gamma=float(gamma), trunc_level=trunc_level,
                          levels=tuple(levels))
@@ -382,9 +404,10 @@ def functional_paths(values: np.ndarray, gamma: float,
 
     ``values`` (B, n+1, L), taken in C order, has columns in the letter
     layout of the functionals' alphabet; returns (B, n+1, p) for p
-    functionals.  Levels below their top level M come from
-    :func:`_level_step`; level M is never formed: its pairing is the running
-    sum over steps k of sum_{w, a} ell_M[w a] (gamma-point of S_w)_k dX^a_k.
+    functionals.  Levels below their top level M are level 1 (``X - X_0``)
+    and the steps of :func:`_level_step`; a level M above 1 is never formed:
+    its pairing is the running sum over steps k of
+    sum_{w, a} ell_M[w a] (gamma-point of S_w)_k dX^a_k.
     Each path's rows have the bits of its own call and agree with
     :func:`functional_matrix` on :func:`gamma_signature` to roundoff.
     """
@@ -401,14 +424,16 @@ def functional_paths(values: np.ndarray, gamma: float,
     top = max(1, max(ell.max_level() for ell in functionals))
     dense = _dense(functionals, alphabet, top)
     out = np.tile(dense[0], (B, n_plus_1, 1))
-    dX = np.diff(values, axis=1)
-    prev = None
-    for coeffs in dense[1:-1]:
-        prev = _level_step(prev, dX, gamma)
-        out += prev @ coeffs
-    evals = np.ones((B, n_plus_1 - 1, 1)) if prev is None else _gamma_points(prev, gamma)
-    P = evals.shape[2]
-    weights = (evals @ dense[top].reshape(P, -1)).reshape(B, -1, L, len(functionals))
+    dX, level, points = _level_one(values, gamma)
+    out += level @ dense[1]
+    if top == 1:
+        return out
+    for coeffs in dense[2:-1]:
+        level = _level_step(points, dX)
+        out += level @ coeffs
+        points = _gamma_points(level, gamma)
+    P = points.shape[2]
+    weights = (points @ dense[top].reshape(P, -1)).reshape(B, -1, L, len(functionals))
     out += cumsum0(np.sum(weights * dX[:, :, :, None], axis=2), axis=1)
     return out
 
@@ -418,28 +443,28 @@ def endpoint_signature_batch(values: np.ndarray, gamma: float,
     """End-point gamma-signature coefficients for a batch of paths.
 
     ``values`` has shape (B, n+1, L).  Returns one array per level m with
-    shape (B, L**m).  Levels below the top take the same level step as
-    :func:`gamma_signature` and are materialized along the grid; a top level
-    above 1 is contracted over time directly.  The contraction sums in an
-    order set by its operands' memory layout, so ``values`` is taken in C
-    order first: equal values give equal bits whatever their layout.
+    shape (B, L**m).  Level 1 is ``X_n - X_0``; levels between 1 and the top
+    take the same level step as :func:`gamma_signature` and are materialized
+    along the grid; a top level above 1 is contracted over time directly.
+    The contraction sums in an order set by its operands' memory layout, so
+    ``values`` is taken in C order first: equal values give equal bits
+    whatever their layout.
     """
     _check_gamma(gamma)
     if trunc_level < 1:
         raise ValueError("trunc_level must be >= 1")
     values = np.ascontiguousarray(values, dtype=np.float64)
     B, _, L = values.shape
-    dX = np.diff(values, axis=1)
-    ends: list[np.ndarray] = []
-    prev = None
-    for m in range(1, trunc_level + 1):
-        if m == trunc_level and m > 1:
-            # top level: contracted over time, no trajectory
-            end = np.einsum("bkp,bkl->bpl", _gamma_points(prev, gamma), dX)
-            ends.append(end.reshape(B, L ** m))
-        else:
-            prev = _level_step(prev, dX, gamma)
-            ends.append(prev[:, -1, :])
+    dX, level, points = _level_one(values, gamma)
+    ends = [level[:, -1].copy()]
+    for _ in range(2, trunc_level):
+        level = _level_step(points, dX)
+        ends.append(level[:, -1].copy())
+        points = _gamma_points(level, gamma)
+    if trunc_level > 1:
+        # top level: contracted over time, no trajectory
+        end = np.einsum("bkp,bkl->bpl", points, dX)
+        ends.append(end.reshape(B, L ** trunc_level))
     return ends
 
 

@@ -18,7 +18,17 @@ single-asset block is bit-equal.  The calibration ``trajectory.csv`` and
 the Heston ``mse_summary.csv`` were re-recorded when the test paths began
 to pair one folded functional, its top level contracted before the running
 sum instead of formed and paired after it (out-of-sample predictions moved
-at roundoff); every ``fit_*.json`` is bit-equal.  The sums accumulate in
+at roundoff); every ``fit_*.json`` is bit-equal.  Every calibration digest
+and the pricing ``fit_ito.json``, ``mse_summary.csv`` and ``prices.csv``
+were re-recorded when signature level 1 became the difference ``X - X_0``
+instead of the extended-precision running sum of the re-differenced steps,
+and the level-2 step began to read its gamma-points from the path as
+``(X - X_0)_k + gamma * dX_k``: level 1 is now correctly rounded, so it and
+every level built on it moved at roundoff (the lasso coefficients by at
+most 1.2e-10 relative to the largest, with the same active sets; at most
+3e-13 relative in ``prices.csv`` at benchmark size).  The pricing
+``fit_strat.json``, the three coordinates of ``_endpoint_bits`` and
+``_heston_driver_bits`` did not move.  The sums accumulate in
 ``np.longdouble``, whose width depends on the platform (80-bit on x86-64
 Linux, 64-bit on MSVC, 128-bit on aarch64 Linux), so a failure here on
 another platform also flags cross-platform accumulation drift rather than
@@ -38,10 +48,10 @@ from gammasig.models import path_rng
 CALIBRATE_CONFIG = {"experiment": "cantor-calib", "grid": {"n": 200},
                     "samples": {"N_test": 3}}
 CALIBRATE_SHA256 = {
-    "fit_ito.json": "09ec1c1113a8822f257a0fdfbc3fedd5062a6b12929c6945d93f458a9c9e7b2f",
-    "fit_strat.json": "db80150550af9c7708e79742cdca780a17501c5126d8d930d2c4a1a588724284",
-    "mse_summary.csv": "7fc2658b2891be90f063576ccb1723f7b6241f7997a5f88fb1f09846f2497e52",
-    "trajectory.csv": "05061e117f72d70ad863569cba0a1c525d564ccebf58df9460386620c0c72bb8",
+    "fit_ito.json": "25e14490450b2543554767ccb4a181ce9f51ac0a1caef6259803916a264e35fb",
+    "fit_strat.json": "b484d968a3782fb65399f5f9a79975281284955af5f7007e82c299de2bf65091",
+    "mse_summary.csv": "c9e9eabb3fdf5d9bf88c5e7a937c14ce8b2150c24835910093c1b2ebd2cb4476",
+    "trajectory.csv": "341b837c375aad743ba8e8ac5d826d06b73d0716127f3b72a81bcd9ff247f545",
 }
 
 # the only experiment with multi-term (rho-corrected) functionals: pins the
@@ -49,10 +59,10 @@ CALIBRATE_SHA256 = {
 HESTON_CALIBRATE_CONFIG = {"experiment": "heston-calib", "grid": {"n": 100},
                            "samples": {"N_test": 3}}
 HESTON_CALIBRATE_SHA256 = {
-    "fit_ito.json": "bd4ddb920960ac53e67ffb741a20ed2f052418714cf07185f3350f53d1c15846",
-    "fit_strat.json": "140817134f28cb75ada63eb0ccdf09155e161cc3899745747c890a95316beed1",
-    "mse_summary.csv": "1d05b221049927a238b3268194f66239f635ac0dff1a4c9b216686d75e00036b",
-    "trajectory.csv": "7ed09caa832b37bfdadb137491e41be565cbe998a4f3d0903bc315563be84a6f",
+    "fit_ito.json": "3a728e5cd8f43c22e11b9f48e22ed488ca9b2584425f330cf394842e8219a5cd",
+    "fit_strat.json": "91faf2ada053cfafd4950bd91b45559c2ae5d58dab57b3790e8d8b69b5cf26df",
+    "mse_summary.csv": "aa8526e72610932380d7700ab55dcc501ef4db085b2aa9e1ab1bab0289553ff6",
+    "trajectory.csv": "bfc4ad4192c015cc0f909a93e511607d0412eb098c4cb91933d5a3becbbd7f72",
 }
 
 # level 3 covers the intermediate-level trajectory of the batched kernel
@@ -60,10 +70,10 @@ PRICE_CONFIG = {"experiment": "heston2-pricing", "grid": {"n": 30},
                 "signature": {"trunc_level": 3},
                 "samples": {"N_train": 300, "N_test": 60, "N_MC": 200}}
 PRICE_SHA256 = {
-    "fit_ito.json": "a0d6fad325b69ccc8969d26c8b4b08e49aa1b47b82f56edcb8b34d160729cf6d",
+    "fit_ito.json": "358183309cddcd1cbe9250e18c6e9a023fe204d3b045eadf510166afdbbeff0e",
     "fit_strat.json": "e3cd14cf12f00e683b13d6691480555179c7b80aa89e87e1c53a6ae81fe61962",
-    "mse_summary.csv": "3af90e280b9ec247cfb1939766cf2c290201e30f84dba0e0fc4742ecb1066afb",
-    "prices.csv": "26d638a05dc133fea83486db6b6618097d517976b0fc227c148751366b1aed2e",
+    "mse_summary.csv": "01f5d03c4760188cabc6b9830d0e76311fa3c89e606c3737cdd654c6a884f710",
+    "prices.csv": "20c42710c58401e4541ada16822681d63547ee19e5f18eb81a705d20898e5624",
 }
 
 

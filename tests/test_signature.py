@@ -9,6 +9,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from gammasig import (
     write_path_csv,
     write_sig_csv,
 )
+from gammasig.signature import cumsum0
 from conftest import make_random_path
 
 
@@ -390,6 +392,58 @@ def test_endpoint_batch_bits_independent_of_memory_layout(rng):
                 got = endpoint_signature_batch(values, gamma, N)
                 for m in range(N):
                     assert np.array_equal(_bits(got[m]), _bits(ref[m])), (name, gamma, N, m)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_level_one_is_the_increment_and_level_two_reads_its_gamma_points(rng, L):
+    # level 1 telescopes to X - X_0, one subtraction; the level-2 step and
+    # the top-level contraction read (X - X_0)_k + gamma * dX_k, which is
+    # the path's own left points at gamma = 0
+    B, n = 3, 17
+    alphabet = Alphabet(L)
+    times = np.arange(n + 1, dtype=float)
+    values = 2.0 + np.cumsum(rng.normal(size=(B, n + 1, L)), axis=1)
+    assert np.all(values[:, 0] != 0.0)
+    level1 = values - values[:, :1]
+    dX = np.diff(values, axis=1)
+    firsts = [TensorPoly.basis(alphabet, 1, (a,)) for a in range(1, L + 1)]
+    for gamma in (0.0, 0.5, 1.0):
+        points = level1[:, :-1] if gamma == 0.0 else level1[:, :-1] + gamma * dX
+        if gamma == 0.0:
+            assert np.shares_memory(points, level1)
+        ends = endpoint_signature_batch(values, gamma, 2)
+        assert np.array_equal(_bits(ends[0]), _bits(level1[:, -1]))
+        top = np.einsum("bkp,bkl->bpl", points, dX).reshape(B, L * L)
+        assert np.array_equal(_bits(ends[1]), _bits(top)), gamma
+        assert np.array_equal(_bits(functional_paths(values, gamma, firsts)),
+                              _bits(level1)), gamma
+        a, c = L - 1, 0
+        second = [TensorPoly.basis(alphabet, 2, (a + 1, c + 1))]
+        running = cumsum0(points[:, :, a] * dX[:, :, c], axis=1)
+        # the pairing sums its word weights over letters, which turns a -0.0
+        # product into +0.0
+        assert np.array_equal(_bits(functional_paths(values, gamma, second)[..., 0]),
+                              _bits(running + 0.0)), gamma
+        for b in range(B):
+            traj = gamma_signature(SamplePath(times, values[b], alphabet), gamma, 2)
+            assert np.array_equal(_bits(traj.levels[0]), _bits(level1[b]))
+            assert np.array_equal(_bits(traj.levels[1][:, a * L + c]),
+                                  _bits(running[b])), (gamma, b)
+
+
+@pytest.mark.parametrize("gamma, bound", [(0.0, 2.5), (0.5, 3.5)])
+def test_level_two_endpoint_pass_peak_memory(gamma, bound):
+    # a level-2 pass holds the increments and level 1 (X - X_0, whose left
+    # points are a view at gamma = 0; one more array of gamma-points
+    # otherwise), and no extended-precision running sum
+    values = np.cumsum(np.random.default_rng(3).normal(size=(1500, 253, 6)), axis=1)
+    tracemalloc.start()
+    try:
+        endpoint_signature_batch(values, gamma, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * values.nbytes, peak / values.nbytes
 
 
 ALPHABETS = [
