@@ -300,21 +300,21 @@ def _heston_euler(params: HestonParams, grid: SimGrid,
     else:
         dBQ = np.zeros_like(dV)
         deg_count = np.full(B, n)
-    return {"S": S, "V": V, "W": cumsum0(dW, axis=1), "B": cumsum0(dB, axis=1),
-            "W_Q": cumsum0(dWQ, axis=1), "B_Q": cumsum0(dBQ, axis=1),
+    return {"S": S, "V": V, "W_Q": cumsum0(dWQ, axis=1), "B_Q": cumsum0(dBQ, axis=1),
             "degenerate_steps": deg_count}
 
 
 def simulate_heston_batch(params: HestonParams, grid: SimGrid,
                           path_indices: Sequence[int]) -> dict[str, np.ndarray]:
-    """Heston paths, one row per entry of ``path_indices``: "S", "V", "W",
-    "B", "W_Q", "B_Q" of shape (B, n+1) and "degenerate_steps" of shape (B,).
+    """Heston paths, one row per entry of ``path_indices``: "S", "V", "W_Q",
+    "B_Q" of shape (B, n+1) and "degenerate_steps" of shape (B,).
 
-    W, B are the cumulated input drivers; W_Q, B_Q are the drivers recovered
-    from the simulated series by dW_Q = dS/(S*sqrt(V)), dB_Q =
-    dV/(sigma*sqrt(V)) (left-point evaluation), with degenerate steps
-    (sqrt(V) <= 1e-12) skipped, carried forward, and counted in
-    "degenerate_steps".
+    W_Q, B_Q are the drivers recovered from the simulated series by dW_Q =
+    dS/(S*sqrt(V)), dB_Q = dV/(sigma*sqrt(V)) (left-point evaluation), with
+    degenerate steps (sqrt(V) <= 1e-12) skipped, carried forward, and counted
+    in "degenerate_steps".  The input drivers are not returned; row b draws
+    them from the first ``(n, 2)`` standard normals of
+    ``path_rng(master_seed, path_indices[b])``.
     """
     return _heston_euler(params, grid, _stack_draws(grid, path_indices, 2))
 

@@ -5,16 +5,19 @@ Riemann sums evaluated at ``X_{t_k} + gamma * (X_{t_{k+1}} - X_{t_k})``:
 ``gamma = 0`` is the left-point (Ito) sum, ``gamma = 1/2`` the mid-point
 (Stratonovich) sum, ``gamma = 1`` the right-point (backward Ito) sum.
 
-The module provides one batched level step of the recursion (behind both
-the running trajectory of one path and the end points of a batch), an
-independent per-step Chen-product oracle, the cumulative pathwise (Follmer)
-bracket columns of a path batch and the quadratic-variation matrix built on
-them, time and bracket augmentation of a path, and the pairings of linear
-functionals with signatures for regression: the design matrix of one
-trajectory along its grid, and a batched route that contracts the top level
-with the functionals instead of forming it.  Functionals are paired as dense
-per-level coefficient arrays, one matrix product per level.  Letter,
-bracket and word layouts come from :mod:`gammasig.tensor`.
+The module provides one level recursion, batched over paths: level 1 is
+``X - X_0``, and level m adds the level-(m-1) integrand at each step's
+gamma-point times the step's increment.  It lies behind the running
+trajectory of one path, the end points of a batch and the batched pairings
+with functionals.  Besides it: an independent per-step Chen-product oracle,
+the cumulative pathwise (Follmer) bracket columns of a path batch and the
+quadratic-variation matrix built on them, time and bracket augmentation of
+a path, and the pairings of linear functionals with signatures for
+regression: the design matrix of one trajectory along its grid, and a
+batched route that contracts the top level with the functionals instead of
+forming it.  Functionals are paired as dense per-level coefficient arrays,
+one matrix product per level.  Letter, bracket and word layouts come from
+:mod:`gammasig.tensor`.
 
 Accumulation note: level 1 of every gamma-signature is the Riemann sum of
 the increments, which telescopes to ``X - X_0``; it is computed as that one
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -122,10 +126,6 @@ class SamplePath:
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
-
-    def column(self, letter: int) -> np.ndarray:
-        """Column of the given alphabet letter."""
-        return self.values[:, self.alphabet.index(letter)]
 
     def sub_path(self, k: int, m: int) -> "SamplePath":
         """Restriction to grid points k..m inclusive."""
@@ -252,42 +252,35 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
 
 
-def _level_one(values: np.ndarray,
-               gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Increments (B, n, L), level-1 trajectory (B, n+1, L) and its
-    gamma-points (B, n, L) of a batch of paths ``values`` (B, n+1, L).
+def _levels(values: np.ndarray,
+            gamma: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The gamma-signature recursion of a batch of paths ``values``
+    (B, n+1, L): yields ``(dX, level, points)`` for m = 1, 2, ..., with the
+    increments dX (B, n, L), the level-m trajectory (B, n+1, L**m) and its
+    gamma-points (B, n, L**m), the level read at ``S_k + gamma * dS_k``.
 
     Level 1 is the Riemann sum of the increments, which telescopes to
-    ``X - X_0``: one correctly rounded subtraction instead of a running sum.
-    Its gamma-points are read from the path as ``(X - X_0)_k + gamma * dX_k``,
-    a view of the trajectory at ``gamma = 0``.
+    ``X - X_0``: one correctly rounded subtraction instead of a running sum,
+    whose gamma-points are a view of it at ``gamma = 0``.  Level m >= 2 is
+    the running sum of the level-(m-1) gamma-points times dX.
     """
     dX = np.diff(values, axis=1)
+    B, n, L = dX.shape
     level = values - values[:, :1]
     points = level[:, :-1]
     if gamma:
         points = gamma * dX
         points += level[:, :-1]
-    return dX, level, points
-
-
-def _gamma_points(prev: np.ndarray, gamma: float) -> np.ndarray:
-    """Level-(m-1) integrand read at the gamma-point of each step:
-    (B, n+1, P) -> (B, n, P), with one temporary."""
-    points = prev[:, 1:] - prev[:, :-1]
-    points *= gamma
-    points += prev[:, :-1]
-    return points
-
-
-def _level_step(points: np.ndarray, dX: np.ndarray) -> np.ndarray:
-    """Level-m trajectory (B, n+1, L**m), m >= 2, from the gamma-points
-    ``points`` (B, n, L**(m-1)) of level m-1 and the increments ``dX``
-    (B, n, L)."""
-    B, n, L = dX.shape
-    P = points.shape[2]
-    contrib = (points[:, :, :, None] * dX[:, :, None, :]).reshape(B, n, P * L)
-    return cumsum0(contrib, axis=1)
+    while True:
+        yield dX, level, points
+        P = points.shape[2]
+        # no name holds the contributions: they are freed when cumsum0
+        # returns, not kept beside the level's gamma-points
+        level = cumsum0((points[:, :, :, None] * dX[:, :, None, :])
+                        .reshape(B, n, P * L), axis=1)
+        points = level[:, 1:] - level[:, :-1]
+        points *= gamma
+        points += level[:, :-1]
 
 
 def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTrajectory:
@@ -307,16 +300,9 @@ def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTraj
     _check_gamma(gamma)
     if trunc_level < 0:
         raise ValueError("trunc_level must be >= 0")
-    levels: list[np.ndarray] = []
-    if trunc_level:
-        # the batched level steps on a batch of one path
-        dX, level, points = _level_one(path.values[None], gamma)
-        levels.append(level[0])
-        for m in range(2, trunc_level + 1):
-            if m > 2:
-                points = _gamma_points(level, gamma)
-            level = _level_step(points, dX)
-            levels.append(level[0])
+    # the batched recursion on a batch of one path
+    levels = [level[0] for _, level, _ in
+              islice(_levels(path.values[None], gamma), trunc_level)]
     return SigTrajectory(times=path.times, alphabet=path.alphabet,
                          gamma=float(gamma), trunc_level=trunc_level,
                          levels=tuple(levels))
@@ -404,8 +390,8 @@ def functional_paths(values: np.ndarray, gamma: float,
 
     ``values`` (B, n+1, L), taken in C order, has columns in the letter
     layout of the functionals' alphabet; returns (B, n+1, p) for p
-    functionals.  Levels below their top level M are level 1 (``X - X_0``)
-    and the steps of :func:`_level_step`; a level M above 1 is never formed:
+    functionals.  Levels below their top level M come from the level
+    recursion :func:`_levels`; a level M above 1 is never formed:
     its pairing is the running sum over steps k of
     sum_{w, a} ell_M[w a] (gamma-point of S_w)_k dX^a_k.
     Each path's rows have the bits of its own call and agree with
@@ -424,14 +410,12 @@ def functional_paths(values: np.ndarray, gamma: float,
     top = max(1, max(ell.max_level() for ell in functionals))
     dense = _dense(functionals, alphabet, top)
     out = np.tile(dense[0], (B, n_plus_1, 1))
-    dX, level, points = _level_one(values, gamma)
-    out += level @ dense[1]
+    # levels 1..top-1 are paired (level 1 alone when top is 1)
+    for coeffs, (dX, level, points) in zip(dense[1:max(2, top)],
+                                           _levels(values, gamma)):
+        out += level @ coeffs
     if top == 1:
         return out
-    for coeffs in dense[2:-1]:
-        level = _level_step(points, dX)
-        out += level @ coeffs
-        points = _gamma_points(level, gamma)
     P = points.shape[2]
     weights = (points @ dense[top].reshape(P, -1)).reshape(B, -1, L, len(functionals))
     out += cumsum0(np.sum(weights * dX[:, :, :, None], axis=2), axis=1)
@@ -444,8 +428,9 @@ def endpoint_signature_batch(values: np.ndarray, gamma: float,
 
     ``values`` has shape (B, n+1, L).  Returns one array per level m with
     shape (B, L**m).  Level 1 is ``X_n - X_0``; levels between 1 and the top
-    take the same level step as :func:`gamma_signature` and are materialized
-    along the grid; a top level above 1 is contracted over time directly.
+    come from the same level recursion as :func:`gamma_signature` and are
+    materialized along the grid; a top level above 1 is contracted over
+    time directly.
     The contraction sums in an order set by its operands' memory layout, so
     ``values`` is taken in C order first: equal values give equal bits
     whatever their layout.
@@ -455,12 +440,9 @@ def endpoint_signature_batch(values: np.ndarray, gamma: float,
         raise ValueError("trunc_level must be >= 1")
     values = np.ascontiguousarray(values, dtype=np.float64)
     B, _, L = values.shape
-    dX, level, points = _level_one(values, gamma)
-    ends = [level[:, -1].copy()]
-    for _ in range(2, trunc_level):
-        level = _level_step(points, dX)
+    ends = []
+    for dX, level, points in islice(_levels(values, gamma), max(1, trunc_level - 1)):
         ends.append(level[:, -1].copy())
-        points = _gamma_points(level, gamma)
     if trunc_level > 1:
         # top level: contracted over time, no trajectory
         end = np.einsum("bkp,bkl->bpl", points, dX)

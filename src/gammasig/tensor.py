@@ -233,17 +233,9 @@ class TensorPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def level_part(self, level: int) -> "TensorPoly":
-        return TensorPoly(self.alphabet, self.trunc_level,
-                          {w: c for w, c in self._terms.items() if len(w) == level})
-
     def max_level(self) -> int:
         """Largest word length with a nonzero coefficient (0 if zero poly)."""
         return max((len(w) for w in self._terms), default=0)
-
-    def truncate(self, new_level: int) -> "TensorPoly":
-        return TensorPoly(self.alphabet, new_level,
-                          {w: c for w, c in self._terms.items() if len(w) <= new_level})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorPoly):

@@ -166,7 +166,7 @@ HP = HestonParams(s0=1.0, v0=0.04, mu=0.05, kappa=1.5, theta=0.04,
                   sigma=0.3, rho=-0.7)
 
 
-HESTON_NAMES = ("S", "V", "W", "B", "W_Q", "B_Q")
+HESTON_NAMES = ("S", "V", "W_Q", "B_Q")
 
 
 def test_heston_columns_and_determinism():
@@ -208,9 +208,15 @@ def test_heston_matches_manual_euler():
                      + HP.sigma * sq * dB[k], 0.0))
     assert np.allclose(p["S"], S, rtol=1e-13, atol=0)
     assert np.allclose(p["V"], V, rtol=1e-13, atol=1e-18)
-    assert np.allclose(p["W"], np.concatenate([[0.0], np.cumsum(dW)]),
+    # V stays positive, so every step is recovered: dW_Q = dS / (S sqrt(V))
+    # is the input driver plus the drift term, and likewise for dB_Q
+    assert min(V) > 0.0 and p["degenerate_steps"] == 0
+    sqV = np.sqrt(V[:-1])
+    dWQ = dW + HP.mu * dt / sqV
+    dBQ = dB + HP.kappa * (HP.theta - np.array(V[:-1])) * dt / (HP.sigma * sqV)
+    assert np.allclose(p["W_Q"], np.concatenate([[0.0], np.cumsum(dWQ)]),
                        rtol=1e-13, atol=1e-16)
-    assert np.allclose(p["B"], np.concatenate([[0.0], np.cumsum(dB)]),
+    assert np.allclose(p["B_Q"], np.concatenate([[0.0], np.cumsum(dBQ)]),
                        rtol=1e-13, atol=1e-16)
 
 
@@ -222,10 +228,10 @@ def test_heston_constant_variance_limit():
     assert np.all(p["V"] == 0.09)
     # with mu = 0 the price recursion is S_{k+1} = S_k (1 + 0.3 dW)
     S = p["S"]
-    dW = np.diff(p["W"])
+    dW = np.sqrt(grid.dt) * path_rng(5, 0).standard_normal((20, 2))[:, 0]
     assert np.allclose(S[1:] / S[:-1], 1.0 + 0.3 * dW, rtol=1e-12)
     # recovered price driver coincides with the input driver
-    assert np.allclose(p["W_Q"], p["W"], atol=1e-12)
+    assert np.allclose(p["W_Q"], np.concatenate([[0.0], np.cumsum(dW)]), atol=1e-12)
     # sigma = 0 leaves the variance driver unrecoverable: all steps degenerate
     assert p["degenerate_steps"] == 20
     assert np.all(p["B_Q"] == 0.0)

@@ -78,8 +78,6 @@ def test_sample_path_accessors():
     times = np.array([0.0, 0.5, 1.0])
     values = np.column_stack([times, [0.0, 1.0, 3.0], [1.0, 1.0, 0.0]])
     p = SamplePath(times, values, a, names=("t", "u", "v"))
-    assert np.array_equal(p.column(0), times)
-    assert np.array_equal(p.column(1), [0.0, 1.0, 3.0])
     assert np.array_equal(p.increments(), np.diff(values, axis=0))
     sub = p.sub_path(1, 2)
     assert sub.n_steps == 1 and sub.times[0] == 0.5
@@ -143,11 +141,12 @@ def test_augment_path_layout():
     assert full.dim == 6
     assert full.names == ("t", "x1", "x2", "[1,1]", "[1,2]", "[2,2]")
     assert full.alphabet == Alphabet(2, has_time=True, has_brackets=True)
-    assert np.array_equal(full.column(0), p.times)
+    alphabet = full.alphabet
+    assert np.array_equal(full.values[:, alphabet.index(0)], p.times)
     qv = quadratic_variation(p, 0.0)
-    assert np.array_equal(full.column(3), qv[:, 0, 0])
-    assert np.array_equal(full.column(4), qv[:, 0, 1])
-    assert np.array_equal(full.column(5), qv[:, 1, 1])
+    assert np.array_equal(full.values[:, alphabet.index(3)], qv[:, 0, 0])
+    assert np.array_equal(full.values[:, alphabet.index(4)], qv[:, 0, 1])
+    assert np.array_equal(full.values[:, alphabet.index(5)], qv[:, 1, 1])
 
 
 def test_augment_path_scalar_example():
@@ -254,6 +253,20 @@ def test_zero_and_unit_levels():
     single = SamplePath([0.0], [[1.0]], Alphabet(1))
     unit_traj = gamma_signature(single, 0.5, 3)
     assert unit_traj.end == TensorPoly.unit(Alphabet(1), 3)
+    # a batch of single grid points (n = 0): every level is zero, so the
+    # pairings are the constant terms
+    alphabet = Alphabet(2)
+    values = np.array([[[1.0, -2.0]], [[0.5, 3.0]]])
+    for N in (1, 2, 3):
+        word = enumerate_words(alphabet, N)[-1]
+        functionals = [TensorPoly(alphabet, N, {(): 0.75, word: 2.0}),
+                       TensorPoly.basis(alphabet, N, word)]
+        for gamma in (0.0, 0.5, 1.0):
+            ends = endpoint_signature_batch(values, gamma, N)
+            assert [e.shape for e in ends] == [(2, 2 ** m) for m in range(1, N + 1)]
+            assert all(np.array_equal(e, np.zeros_like(e)) for e in ends)
+            assert np.array_equal(functional_paths(values, gamma, functionals),
+                                  np.tile([0.75, 0.0], (2, 1, 1)))
     with pytest.raises(ValueError):
         gamma_signature(p, -0.1, 2)
     with pytest.raises(ValueError):
@@ -431,19 +444,35 @@ def test_level_one_is_the_increment_and_level_two_reads_its_gamma_points(rng, L)
                                   _bits(running[b])), (gamma, b)
 
 
+def _endpoint_peak_ratio(shape, gamma, trunc_level):
+    """``tracemalloc`` peak of one end-point pass over a random batch of
+    ``shape``, in units of the batch's bytes."""
+    values = np.cumsum(np.random.default_rng(3).normal(size=shape), axis=1)
+    tracemalloc.start()
+    try:
+        endpoint_signature_batch(values, gamma, trunc_level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / values.nbytes
+
+
 @pytest.mark.parametrize("gamma, bound", [(0.0, 2.5), (0.5, 3.5)])
 def test_level_two_endpoint_pass_peak_memory(gamma, bound):
     # a level-2 pass holds the increments and level 1 (X - X_0, whose left
     # points are a view at gamma = 0; one more array of gamma-points
     # otherwise), and no extended-precision running sum
-    values = np.cumsum(np.random.default_rng(3).normal(size=(1500, 253, 6)), axis=1)
-    tracemalloc.start()
-    try:
-        endpoint_signature_batch(values, gamma, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound * values.nbytes, peak / values.nbytes
+    ratio = _endpoint_peak_ratio((1500, 253, 6), gamma, 2)
+    assert ratio <= bound, ratio
+
+
+@pytest.mark.parametrize("gamma, bound", [(0.0, 32.0), (0.5, 33.0)])
+def test_level_three_endpoint_pass_peak_memory(gamma, bound):
+    # the level-2 step sets the peak of a level-3 pass: its outer-product
+    # contributions, their extended-precision running sum and the level-2
+    # trajectory; no other level trajectory may be kept alive beside them
+    ratio = _endpoint_peak_ratio((300, 101, 6), gamma, 3)
+    assert ratio <= bound, ratio
 
 
 ALPHABETS = [
