@@ -7,17 +7,18 @@ Riemann sums evaluated at ``X_{t_k} + gamma * (X_{t_{k+1}} - X_{t_k})``:
 
 The module provides one level recursion, batched over paths: level 1 is
 ``X - X_0``, and level m adds the level-(m-1) integrand at each step's
-gamma-point times the step's increment.  It lies behind the running
+gamma-point times the step's increment; a level is carried whole or as the
+running columns ``S^m @ R_m`` of a read matrix.  It lies behind the running
 trajectory of one path, the end points of a batch and the batched pairings
 with functionals.  Besides it: an independent per-step Chen-product oracle,
 the cumulative pathwise (Follmer) bracket columns of a path batch and the
 quadratic-variation matrix built on them, time and bracket augmentation of
 a path, and the pairings of linear functionals with signatures for
-regression: the design matrix of one trajectory along its grid, and a
-batched route that contracts the top level with the functionals instead of
-forming it.  Functionals are paired as dense per-level coefficient arrays,
-one matrix product per level.  Letter, bracket and word layouts come from
-:mod:`gammasig.tensor`.
+regression: the design matrix of one trajectory along its grid, one matrix
+product per level of dense per-level coefficient arrays, and a batched
+route read from the top down, in which each level carries only the
+min(L**m, c_m) columns of its pairing and of what the level above reads.
+Letter, bracket and word layouts come from :mod:`gammasig.tensor`.
 
 Accumulation note: level 1 of every gamma-signature is the Riemann sum of
 the increments, which telescopes to ``X - X_0``; it is computed as that one
@@ -252,35 +253,73 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
 
 
-def _levels(values: np.ndarray,
-            gamma: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
+            ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """The gamma-signature recursion of a batch of paths ``values``
-    (B, n+1, L): yields ``(dX, level, points)`` for m = 1, 2, ..., with the
-    increments dX (B, n, L), the level-m trajectory (B, n+1, L**m) and its
-    gamma-points (B, n, L**m), the level read at ``S_k + gamma * dS_k``.
+    (B, n+1, L): yields ``(dX, level, points)`` for m = 1 .. len(reads),
+    with the increments dX (B, n, L), the carried level-m trajectory and its
+    gamma-points, the level read at ``S_k + gamma * dS_k``.  A level's
+    gamma-points are formed only when the level above it is requested;
+    the last level yields ``None`` for them.
 
-    Level 1 is the Riemann sum of the increments, which telescopes to
-    ``X - X_0``: one correctly rounded subtraction instead of a running sum,
-    whose gamma-points are a view of it at ``gamma = 0``.  Level m >= 2 is
-    the running sum of the level-(m-1) gamma-points times dX.
+    ``reads[m-1]`` is None for a level carried whole, (B, n+1, L**m), or a
+    read matrix R_m (L**m, c) for a level carried as ``S^m @ R_m``,
+    (B, n+1, c).  Level 1 is always whole: it is the Riemann sum of the
+    increments, which telescopes to ``X - X_0``, one correctly rounded
+    subtraction instead of a running sum, whose gamma-points are a view of
+    it at ``gamma = 0``.  Level m >= 2 is the running sum of the level-(m-1)
+    gamma-points times dX: their outer product for a whole level, or
+    ``sum_a dX^a * (points read through R_m[(., a), :])`` for a carried
+    ``S^m @ R_m``.  A carried level's gamma-points are the same map on its
+    running sum, so a carried level below R_m must end in the columns
+    ``R_m.reshape(L**(m-1), L * c)``.
     """
     dX = np.diff(values, axis=1)
-    B, n, L = dX.shape
     level = values - values[:, :1]
-    points = level[:, :-1]
-    if gamma:
-        points = gamma * dX
-        points += level[:, :-1]
-    while True:
+    for m, read in enumerate(reads, 1):
+        if m > 1:
+            # no name holds the contributions: they are freed when cumsum0
+            # returns, not kept beside the level's gamma-points
+            level = cumsum0(_step_terms(points, dX, read, reads[m - 2] is None),
+                            axis=1)
+        # gamma-points only for a level above to read
+        points = None
+        if m < len(reads):
+            if m == 1:
+                points = level[:, :-1]
+                if gamma:
+                    points = gamma * dX
+                    points += level[:, :-1]
+            else:
+                points = level[:, 1:] - level[:, :-1]
+                points *= gamma
+                points += level[:, :-1]
         yield dX, level, points
+
+
+def _step_terms(points: np.ndarray, dX: np.ndarray, read: np.ndarray | None,
+                whole_below: bool) -> np.ndarray:
+    """Step contributions of one level from the gamma-points of the level
+    below: their outer product with dX for a level carried whole (read
+    None), else ``sum_a dX^a * lift_a`` accumulated letter by letter, where
+    ``lift_a`` is the points read through the rows (., a) of ``read`` for a
+    whole level below, or its slice of the trailing columns of a carried
+    one."""
+    B, n, L = dX.shape
+    if read is None:
         P = points.shape[2]
-        # no name holds the contributions: they are freed when cumsum0
-        # returns, not kept beside the level's gamma-points
-        level = cumsum0((points[:, :, :, None] * dX[:, :, None, :])
-                        .reshape(B, n, P * L), axis=1)
-        points = level[:, 1:] - level[:, :-1]
-        points *= gamma
-        points += level[:, :-1]
+        return (points[:, :, :, None] * dX[:, :, None, :]).reshape(B, n, P * L)
+    c = read.shape[1]
+    if whole_below:
+        by_letter = read.reshape(-1, L, c)
+        lifts = (points @ by_letter[:, a] for a in range(L))
+    else:
+        tail = points[:, :, points.shape[2] - L * c:]
+        lifts = (tail[:, :, a * c:(a + 1) * c] for a in range(L))
+    terms = next(lifts) * dX[:, :, :1]
+    for a, lift in enumerate(lifts, 1):
+        terms += lift * dX[:, :, a, None]
+    return terms
 
 
 def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTrajectory:
@@ -302,7 +341,7 @@ def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTraj
         raise ValueError("trunc_level must be >= 0")
     # the batched recursion on a batch of one path
     levels = [level[0] for _, level, _ in
-              islice(_levels(path.values[None], gamma), trunc_level)]
+              _levels(path.values[None], gamma, (None,) * trunc_level)]
     return SigTrajectory(times=path.times, alphabet=path.alphabet,
                          gamma=float(gamma), trunc_level=trunc_level,
                          levels=tuple(levels))
@@ -384,16 +423,40 @@ def functional_matrix(traj: SigTrajectory, functionals: Sequence[TensorPoly]) ->
     return out
 
 
+def _read_matrices(dense: list[np.ndarray], L: int) -> list[np.ndarray | None]:
+    """Per level m = 1..M of dense functionals ``dense`` (top level M), the
+    read matrix of :func:`_levels`, built from the top down:
+
+        R_M = ell_M,   R_m = [ell_m | R_{m+1}.reshape(L**m, L * c_{m+1})],
+
+    where c_m is the column count of R_m: the pairing <ell_m, S^m> and the
+    columns the level above reads.  A level whose R_m has fewer than L**m
+    columns is carried as ``S^m @ R_m``; a level whose projection is not
+    narrower is carried whole (None), and so is every level below it,
+    since its whole outer product is read.  Level 1 is always whole."""
+    top = len(dense) - 1
+    reads: list[np.ndarray | None] = [None] * top
+    for m in range(top, 1, -1):
+        read = dense[m] if m == top else np.concatenate(
+            [dense[m], read.reshape(L ** m, -1)], axis=1)
+        if read.shape[1] >= L ** m:
+            break
+        reads[m - 1] = read
+    return reads
+
+
 def functional_paths(values: np.ndarray, gamma: float,
                      functionals: Sequence[TensorPoly]) -> np.ndarray:
     """Pairings <ell_j, S_{0,t_k}> at every grid point of a batch of paths.
 
     ``values`` (B, n+1, L), taken in C order, has columns in the letter
     layout of the functionals' alphabet; returns (B, n+1, p) for p
-    functionals.  Levels below their top level M come from the level
-    recursion :func:`_levels`; a level M above 1 is never formed:
-    its pairing is the running sum over steps k of
-    sum_{w, a} ell_M[w a] (gamma-point of S_w)_k dX^a_k.
+    functionals of top level M.  The levels come from the level recursion
+    :func:`_levels`, read from the top down (:func:`_read_matrices`): a level
+    whose c_m pairing-and-read columns are fewer than L**m is carried as
+    ``S^m @ R_m``, its first p columns being its pairing, so the top level of
+    p < L**M functionals is never formed; any other level is carried whole
+    and paired with one matrix product.
     Each path's rows have the bits of its own call and agree with
     :func:`functional_matrix` on :func:`gamma_signature` to roundoff.
     """
@@ -406,19 +469,15 @@ def functional_paths(values: np.ndarray, gamma: float,
     if L != alphabet.total_letters:
         raise ValueError(f"value columns ({L}) must match alphabet letters "
                          f"({alphabet.total_letters})")
+    p = len(functionals)
     # constant functionals take a zero level 1
     top = max(1, max(ell.max_level() for ell in functionals))
     dense = _dense(functionals, alphabet, top)
+    reads = _read_matrices(dense, L)
     out = np.tile(dense[0], (B, n_plus_1, 1))
-    # levels 1..top-1 are paired (level 1 alone when top is 1)
-    for coeffs, (dX, level, points) in zip(dense[1:max(2, top)],
-                                           _levels(values, gamma)):
-        out += level @ coeffs
-    if top == 1:
-        return out
-    P = points.shape[2]
-    weights = (points @ dense[top].reshape(P, -1)).reshape(B, -1, L, len(functionals))
-    out += cumsum0(np.sum(weights * dX[:, :, :, None], axis=2), axis=1)
+    for coeffs, read, (_, level, _) in zip(dense[1:], reads,
+                                           _levels(values, gamma, reads)):
+        out += level @ coeffs if read is None else level[:, :, :p]
     return out
 
 
@@ -441,7 +500,10 @@ def endpoint_signature_batch(values: np.ndarray, gamma: float,
     values = np.ascontiguousarray(values, dtype=np.float64)
     B, _, L = values.shape
     ends = []
-    for dX, level, points in islice(_levels(values, gamma), max(1, trunc_level - 1)):
+    # level trunc_level is requested so that level trunc_level - 1 forms its
+    # gamma-points, but never built: the generator stops before it
+    for dX, level, points in islice(_levels(values, gamma, (None,) * trunc_level),
+                                    max(1, trunc_level - 1)):
         ends.append(level[:, -1].copy())
     if trunc_level > 1:
         # top level: contracted over time, no trajectory

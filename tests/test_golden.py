@@ -28,7 +28,12 @@ every level built on it moved at roundoff (the lasso coefficients by at
 most 1.2e-10 relative to the largest, with the same active sets; at most
 3e-13 relative in ``prices.csv`` at benchmark size).  The pricing
 ``fit_strat.json``, the three coordinates of ``_endpoint_bits`` and
-``_heston_driver_bits`` did not move.  The sums accumulate in
+``_heston_driver_bits`` did not move.  The calibration ``trajectory.csv``
+and the Heston ``mse_summary.csv`` were re-recorded once more when the test
+paths began to carry each level below the top only through the columns the
+pairing and the level above read (``S^m @ R_m``), projected before the
+running sum instead of after it (out-of-sample predictions moved at
+roundoff); every ``fit_*.json`` is bit-equal.  The sums accumulate in
 ``np.longdouble``, whose width depends on the platform (80-bit on x86-64
 Linux, 64-bit on MSVC, 128-bit on aarch64 Linux), so a failure here on
 another platform also flags cross-platform accumulation drift rather than
@@ -51,7 +56,7 @@ CALIBRATE_SHA256 = {
     "fit_ito.json": "25e14490450b2543554767ccb4a181ce9f51ac0a1caef6259803916a264e35fb",
     "fit_strat.json": "b484d968a3782fb65399f5f9a79975281284955af5f7007e82c299de2bf65091",
     "mse_summary.csv": "c9e9eabb3fdf5d9bf88c5e7a937c14ce8b2150c24835910093c1b2ebd2cb4476",
-    "trajectory.csv": "341b837c375aad743ba8e8ac5d826d06b73d0716127f3b72a81bcd9ff247f545",
+    "trajectory.csv": "90b5db95dcde7c45be218d428898e9ee22b39d32c36c6843d45831284c9cd091",
 }
 
 # the only experiment with multi-term (rho-corrected) functionals: pins the
@@ -61,8 +66,8 @@ HESTON_CALIBRATE_CONFIG = {"experiment": "heston-calib", "grid": {"n": 100},
 HESTON_CALIBRATE_SHA256 = {
     "fit_ito.json": "3a728e5cd8f43c22e11b9f48e22ed488ca9b2584425f330cf394842e8219a5cd",
     "fit_strat.json": "91faf2ada053cfafd4950bd91b45559c2ae5d58dab57b3790e8d8b69b5cf26df",
-    "mse_summary.csv": "aa8526e72610932380d7700ab55dcc501ef4db085b2aa9e1ab1bab0289553ff6",
-    "trajectory.csv": "bfc4ad4192c015cc0f909a93e511607d0412eb098c4cb91933d5a3becbbd7f72",
+    "mse_summary.csv": "b3d1e2e1b589ce63fb2bf633d4f306d59ba268402be1aca8a33886002c36edd7",
+    "trajectory.csv": "838d7015c7e09bcda29bd82c2708afd476aba275ebb0f5200a6c6b9a7b7f2691",
 }
 
 # level 3 covers the intermediate-level trajectory of the batched kernel

@@ -444,13 +444,13 @@ def test_level_one_is_the_increment_and_level_two_reads_its_gamma_points(rng, L)
                                   _bits(running[b])), (gamma, b)
 
 
-def _endpoint_peak_ratio(shape, gamma, trunc_level):
-    """``tracemalloc`` peak of one end-point pass over a random batch of
-    ``shape``, in units of the batch's bytes."""
+def _peak_ratio(shape, kernel):
+    """``tracemalloc`` peak of one call ``kernel(values)`` on a random batch
+    of paths of ``shape``, in units of the batch's bytes."""
     values = np.cumsum(np.random.default_rng(3).normal(size=shape), axis=1)
     tracemalloc.start()
     try:
-        endpoint_signature_batch(values, gamma, trunc_level)
+        kernel(values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,7 +462,8 @@ def test_level_two_endpoint_pass_peak_memory(gamma, bound):
     # a level-2 pass holds the increments and level 1 (X - X_0, whose left
     # points are a view at gamma = 0; one more array of gamma-points
     # otherwise), and no extended-precision running sum
-    ratio = _endpoint_peak_ratio((1500, 253, 6), gamma, 2)
+    ratio = _peak_ratio((1500, 253, 6),
+                        lambda values: endpoint_signature_batch(values, gamma, 2))
     assert ratio <= bound, ratio
 
 
@@ -471,7 +472,20 @@ def test_level_three_endpoint_pass_peak_memory(gamma, bound):
     # the level-2 step sets the peak of a level-3 pass: its outer-product
     # contributions, their extended-precision running sum and the level-2
     # trajectory; no other level trajectory may be kept alive beside them
-    ratio = _endpoint_peak_ratio((300, 101, 6), gamma, 3)
+    ratio = _peak_ratio((300, 101, 6),
+                        lambda values: endpoint_signature_batch(values, gamma, 3))
+    assert ratio <= bound, ratio
+
+
+@pytest.mark.parametrize("gamma, bound", [(0.0, 10.5), (0.5, 11.5)])
+def test_calibration_chunk_peak_memory(gamma, bound):
+    # a calibration test chunk pairs one folded level-3 functional of three
+    # letters: level 2 is carried as the 1 + L = 4 columns the pairing and
+    # the top level read, never as its L**2 = 9 columns and their
+    # extended-precision running sum
+    ell = dense_functionals(np.random.default_rng(5), Alphabet(2, has_time=True), 3, 1)
+    ratio = _peak_ratio((100, 1001, 3),
+                        lambda values: functional_paths(values, gamma, ell))
     assert ratio <= bound, ratio
 
 
@@ -497,24 +511,57 @@ def mixed_functionals(rng, alphabet, N):
     ]
 
 
+def dense_functionals(rng, alphabet, N, p):
+    """p functionals with a random coefficient on every word up to level N,
+    like a folded fit sum_j beta_j f_j."""
+    words = enumerate_words(alphabet, N)
+    return [TensorPoly(alphabet, N, {w: float(rng.normal()) for w in words})
+            for _ in range(p)]
+
+
+def pairing_families(rng, alphabet, N):
+    """The mixed family (p = 4) and families whose levels below the top are
+    carried as S^m @ R_m: one and two dense functionals (top level N).  At
+    level 2 also the fallback boundary, the level-2 basis (c_2 = p = L**2, so
+    the top is formed whole), and the basis less one word (c_2 = L**2 - 1).
+    Below the top, c_m is p modulo L and cannot equal L**m."""
+    families = [mixed_functionals(rng, alphabet, N)]
+    if N >= 2:
+        families += [dense_functionals(rng, alphabet, N, 1),
+                     dense_functionals(rng, alphabet, N, 2)]
+    if N == 2:
+        basis = [TensorPoly.basis(alphabet, 2, w)
+                 for w in enumerate_words(alphabet, 2) if len(w) == 2]
+        families += [basis, basis[1:]]
+    return families
+
+
+PAIRING_GAMMAS = (0.0, 0.25, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("alphabet", ALPHABETS)
 def test_functional_paths_agree_with_functional_matrix(rng, alphabet):
-    # the top level is contracted with the functionals before the running
-    # sum instead of after it, so the two routes agree to roundoff only
+    # the levels below the top are read through the columns the levels above
+    # need, and the top level is contracted with the functionals, before the
+    # running sums instead of after them, so the two routes agree to
+    # roundoff only; a batch of single grid points (n = 0) pairs to the
+    # constant terms
     B, n = 3, 12
     L = alphabet.total_letters
     times = np.arange(n + 1, dtype=float)
     values = np.cumsum(rng.normal(size=(B, n + 1, L)), axis=1)
     for N in (1, 2, 3, 4):
-        ells = mixed_functionals(rng, alphabet, N)
-        for gamma in (0.0, 0.5, 1.0):
-            batch = functional_paths(values, gamma, ells)
-            assert batch.shape == (B, n + 1, len(ells))
-            for b in range(B):
-                traj = gamma_signature(SamplePath(times, values[b], alphabet), gamma, N)
-                ref = functional_matrix(traj, ells)
-                assert np.all(np.abs(batch[b] - ref)
-                              <= 1e-12 * np.maximum(1.0, np.abs(ref))), (N, gamma, b)
+        for ells in pairing_families(rng, alphabet, N):
+            for gamma in PAIRING_GAMMAS:
+                for steps in (n, 0):
+                    batch = functional_paths(values[:, :steps + 1], gamma, ells)
+                    assert batch.shape == (B, steps + 1, len(ells))
+                    for b in range(B):
+                        path = SamplePath(times[:steps + 1], values[b, :steps + 1], alphabet)
+                        ref = functional_matrix(gamma_signature(path, gamma, N), ells)
+                        assert np.all(np.abs(batch[b] - ref)
+                                      <= 1e-12 * np.maximum(1.0, np.abs(ref))), \
+                            (N, len(ells), gamma, steps, b)
 
 
 @pytest.mark.parametrize("alphabet", ALPHABETS)
@@ -522,13 +569,13 @@ def test_functional_paths_rows_equal_single_path_bits(rng, alphabet):
     # a path's rows must not depend on the chunk it is evaluated in
     B, n = 7, 15
     values = np.cumsum(rng.normal(size=(B, n + 1, alphabet.total_letters)), axis=1)
-    for N in (1, 2, 3):
-        ells = mixed_functionals(rng, alphabet, N)
-        for gamma in (0.0, 0.5, 1.0):
+    for N in (1, 2, 3, 4):
+        for ells, gamma in itertools.product(pairing_families(rng, alphabet, N),
+                                             PAIRING_GAMMAS):
             batch = functional_paths(values, gamma, ells)
             for b in range(B):
                 alone = functional_paths(values[b:b + 1], gamma, ells)[0]
-                assert np.array_equal(_bits(batch[b]), _bits(alone)), (N, gamma, b)
+                assert np.array_equal(_bits(batch[b]), _bits(alone)), (N, len(ells), gamma, b)
             for start, stop in ((0, 3), (3, 7), (5, 6)):
                 chunk = functional_paths(values[start:stop], gamma, ells)
                 assert np.array_equal(_bits(chunk), _bits(batch[start:stop]))
