@@ -117,6 +117,11 @@ class ExperimentConfig:
         else:
             if self.model is None:
                 raise ValueError("model parameters required")
+            for key, value in (("check.filter", self.check_filter),
+                               ("check.inject_fault", self.inject_fault)):
+                if value is not None:
+                    raise ValueError(f"{self.experiment} reads no {key!r}: it must "
+                                     f"be null, got {value!r}")
             if self.grid_T <= 0 or self.grid_n < 1:
                 raise ValueError("grid needs T > 0 and n >= 1")
             if self.experiment in CALIBRATION_IDS and self.grid_n < 2:

@@ -6,8 +6,9 @@ Two objectives, matching the experiments that use them:
 
       sum_i (y_i - c - (X beta)_i)^2 + alpha * ||beta||_1
 
-  exactly, by feature-sign search on the Gram matrix of the active
-  columns.  Note the soft-threshold constant is ``alpha / 2`` because the
+  exactly, by following the piecewise-linear lasso path on the Gram matrix
+  from the soft threshold max|X'y| down to ``alpha / 2``.  Note the
+  soft-threshold constant is ``alpha / 2`` because the
   quadratic term carries no 1/2 and no 1/N; this differs from the common
   library convention (which divides the quadratic term by 2N).  The offset
   ``c`` is a fixed, unpenalized intercept supplied by the caller (it is not
@@ -94,10 +95,12 @@ def _validate_design(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
 #: than this: the KKT conditions at ``alpha/2``, in coefficient units.
 _KKT_TOL = 1e-10
 
-#: A column joins the active set by a plain solve only when its Cholesky
-#: pivot exceeds this fraction of its squared norm; below that it lies in the
-#: span of the active columns and joins by an exchange step instead.
-_PIVOT_RTOL = 1e-10
+#: A column joins the active set only when its Cholesky pivot against the
+#: active columns exceeds this fraction of its squared norm; below that it
+#: lies in their span up to rounding, and it may not join until an active
+#: column leaves.  Rounding leaves such pivots below about 1e-14; short
+#: signature designs have genuine pivots near 1e-11, which 1e-10 would bar.
+_PIVOT_RTOL = 1e-13
 
 
 def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
@@ -106,18 +109,19 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
               intercept: float = 0.0) -> RegressionFit:
     """Exact minimizer of the sum-of-squares lasso objective.
 
-    Feature-sign search (Lee, Battle, Raina & Ng, NIPS 2006; the active-set
-    method of Osborne, Presnell & Turlach, 2000) on the Gram matrix: guess
-    the signs of an active set, solve the equality-constrained quadratic in
-    closed form, line-search to the lowest objective over the sign changes on
-    the way, and activate the zero coefficient whose own move would lower
-    the objective most, until no subgradient condition is violated.  No step
-    raises the objective.  A column in the span of the active columns joins by moving
-    along the null direction of the enlarged Gram matrix, which leaves the
-    fit unchanged, to the best point where an active coefficient reaches 0.
+    The lasso homotopy (Osborne, Presnell & Turlach, IMA J. Numer. Anal. 20,
+    2000; the lasso form of LARS, Efron, Hastie, Johnstone & Tibshirani,
+    Ann. Statist. 32, 2004) on the Gram matrix: the solution is piecewise
+    linear in the soft threshold, so it is followed from max|X'y|, where it
+    is 0, down to ``alpha / 2`` one piece per event, a column joining or
+    leaving the active set.  At ``alpha / 2`` one closed-form solve on the
+    final active set and signs gives the optimum.  Along the path the
+    objective at ``alpha`` never rises.  A column in the span of the active
+    columns does not join until an active column leaves.
 
     All-zero columns keep coefficient 0.  ``max_iter`` caps the active-set
-    steps; ``diagnostics["n_iter"]`` counts them and
+    steps (the linear pieces), and a capped fit returns the point on the path
+    where it stopped; ``diagnostics["n_iter"]`` counts them and
     ``diagnostics["converged"]`` reports whether the KKT conditions hold
     within ``_KKT_TOL``.  ``intercept`` is subtracted from y before fitting
     and stored for :func:`predict`; it is neither fitted nor penalized.  A
@@ -133,7 +137,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     c = (X.T @ (y - intercept))[cols]
     words = _default_words(p) if words is None else words
     try:
-        beta_cols, steps = _feature_sign(gram, c, 0.5 * alpha, max_iter)
+        beta_cols, steps = _homotopy(gram, c, 0.5 * alpha, max_iter)
     except np.linalg.LinAlgError as exc:
         named = ", ".join(f"{j} ({word_str(tuple(words[j])) or 'empty word'})"
                           for j in np.sort(cols[exc.args[0]]))
@@ -162,91 +166,66 @@ def _kkt_violation(gram: np.ndarray, c: np.ndarray, beta: np.ndarray,
     return float(np.max(np.abs(target - beta)))
 
 
-def _feature_sign(gram: np.ndarray, c: np.ndarray, threshold: float,
-                  max_iter: int) -> tuple[np.ndarray, int]:
+def _homotopy(gram: np.ndarray, c: np.ndarray, threshold: float,
+              max_iter: int) -> tuple[np.ndarray, int]:
     """Coefficients minimizing b'Gb - 2c'b + 2*threshold*||b||_1 (G = gram,
-    with a positive diagonal), and the number of active-set steps taken.
+    with a positive diagonal), and the number of linear pieces taken.
     Raises ``np.linalg.LinAlgError(members)`` when the Gram of the active
-    set (Gram positions ``members``) is singular."""
-    beta = np.zeros(len(c))
+    set (Gram positions ``members``) is singular.
+
+    Follows the lasso path as its threshold mu falls from max|c|: on the
+    active set A, X'r = c - Gb equals mu * signs, so b_A solves
+    G_AA b_A = c_A - mu * signs and moves by G_AA^-1 signs per unit of mu.
+    A piece ends where an active coefficient reaches 0 (it leaves), an
+    inactive |X'r| reaches mu (it joins) or mu reaches ``threshold``."""
+    p = len(c)
+    beta = np.zeros(p)
     active = np.zeros(0, dtype=np.intp)
-    sq = np.diag(gram)
-    activate = True
+    signs = np.zeros(0)
+    sides = np.array([[1.0], [-1.0]])
+    barred = np.zeros(p, dtype=bool)  # in the span of the active columns
+    left = None  # join position (side, column) of the column that just left
+    mu = float(np.max(np.abs(c), initial=threshold))
     steps = 0
-    while steps < max_iter:
-        rho = c - gram @ beta  # X'r
-        members, signs = active, np.sign(beta[active])
-        exchange = False
-        if activate:
-            # the zero coefficient whose single-coordinate move would lower
-            # the objective most, if any violates its condition
-            excess = np.maximum(np.abs(rho) - threshold, 0.0)
-            excess[active] = 0.0
-            if not np.any(excess > _KKT_TOL * sq):
-                break
-            j = int(np.argmax(excess / np.sqrt(sq)))
-            members = np.append(active, j)
-            signs = np.append(signs, 1.0 if rho[j] > 0.0 else -1.0)
+    while True:
+        try:
             chol = _cholesky(gram[np.ix_(active, active)])
-            low = _solve_lower(chol, gram[active, j])
-            exchange = sq[j] - float(low @ low) <= _PIVOT_RTOL * sq[j]
+        except ValueError:
+            raise np.linalg.LinAlgError(active) from None
+        # the point of the path at mu, solved afresh so that no drift builds up
+        beta[active] = _cho_solve(chol, c[active] - mu * signs)
+        if mu <= threshold or steps == max_iter:
+            return beta, steps
         steps += 1
-        sub = gram[np.ix_(members, members)]
-        if exchange:
-            # x_j = X_A w: trading t X_A w for t x_j keeps the fit, so along
-            # this direction only the penalty moves
-            direction = signs[-1] * np.append(-_solve_upper(chol, low), 1.0)
-        else:
-            try:
-                chol = _cholesky(sub)
-            except ValueError:
-                raise np.linalg.LinAlgError(members) from None
-            direction = _cho_solve(chol, c[members] - threshold * signs) - beta[members]
-        move, reached_end = _line_search(sub, rho[members], beta[members], direction,
-                                         threshold, full_step=not exchange)
-        if move is None:
-            if activate:
-                break  # cannot lower the objective: leave the KKT check to report it
-            activate = True  # the active set is already optimal for its signs
-            continue
-        beta[members] += move
-        active = members[beta[members] != 0.0]
-        # a full step that keeps the guessed signs lands on their optimum;
-        # otherwise the new signs are solved again
-        activate = reached_end and np.array_equal(np.sign(beta[members]), signs)
-    return beta, steps
-
-
-def _line_search(gram: np.ndarray, rho: np.ndarray, x: np.ndarray,
-                 direction: np.ndarray, threshold: float,
-                 full_step: bool) -> tuple[np.ndarray | None, bool]:
-    """Best move along ``x + t * direction`` among the points where a
-    coefficient changes sign (t in (0, 1), or t > 0 when not ``full_step``)
-    and, for a full step, t = 1.  Returns the move and whether it is the full
-    step, or ``(None, False)`` when no candidate lowers the objective.
-
-    Objective changes are computed as differences, D'GD - 2D'rho +
-    2*threshold*(|x + D| - |x|), so that a decrease far below the objective's
-    own rounding still registers."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -x / direction
-    # a coefficient the direction leaves alone (t = +-inf) never crosses
-    crossing = (x != 0.0) & (t > 0.0) & (t < (1.0 if full_step else np.inf))
-    idx = np.flatnonzero(crossing)
-    ts = t[idx]
-    if full_step:
-        ts = np.append(ts, 1.0)
-    if len(ts) == 0:
-        return None, False
-    points = x + ts[:, None] * direction
-    points[np.arange(len(idx)), idx] = 0.0  # a crossing coefficient is exactly 0
-    moves = points - x
-    change = (np.einsum("ki,ij,kj->k", moves, gram, moves) - 2.0 * (moves @ rho)
-              + 2.0 * threshold * np.sum(np.abs(points) - np.abs(x), axis=1))
-    best = int(np.argmin(change))
-    if not change[best] < 0.0:
-        return None, False
-    return moves[best], full_step and best == len(idx)
+        direction = _cho_solve(chol, signs)
+        slope = gram[:, active] @ direction  # of X'r, against the fall of mu
+        leave = np.divide(-beta[active], direction, out=np.full(len(active), np.inf),
+                          where=direction * signs < 0.0)
+        rate = 1.0 - sides * slope
+        join = np.divide(np.maximum(mu - sides * (c - gram @ beta), 0.0), rate,
+                         out=np.full((2, p), np.inf), where=rate > 0.0)
+        join[:, active] = np.inf
+        join[:, barred] = np.inf
+        if left is not None:
+            # rounding puts it back on the boundary it left, for one piece
+            join[left] = np.inf
+        times = np.concatenate(([mu - threshold], np.maximum(leave, 0.0), join.ravel()))
+        event = int(np.argmin(times))
+        mu = threshold if event == 0 else max(mu - times[event], threshold)
+        left = None
+        if 0 < event <= len(active):
+            k = event - 1
+            left = (int(signs[k] < 0.0), active[k])
+            beta[active[k]] = 0.0
+            active, signs = np.delete(active, k), np.delete(signs, k)
+            barred[:] = False
+        elif event > len(active):
+            side, j = divmod(event - 1 - len(active), p)
+            low = _solve_lower(chol, gram[active, j])
+            if gram[j, j] - float(low @ low) <= _PIVOT_RTOL * gram[j, j]:
+                barred[j] = True  # until a column leaves
+            else:
+                active, signs = np.append(active, j), np.append(signs, sides[side, 0])
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:

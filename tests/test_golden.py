@@ -33,7 +33,11 @@ and the Heston ``mse_summary.csv`` were re-recorded once more when the test
 paths began to carry each level below the top only through the columns the
 pairing and the level above read (``S^m @ R_m``), projected before the
 running sum instead of after it (out-of-sample predictions moved at
-roundoff); every ``fit_*.json`` is bit-equal.  The sums accumulate in
+roundoff); every ``fit_*.json`` is bit-equal.  Every calibration digest
+was re-recorded when the lasso began to follow its homotopy path instead of
+feature-sign search: the fits keep their active sets, and their
+coefficients moved at roundoff (at most 6e-12 relative to the largest) and
+their ``n_iter`` counts changed.  The sums accumulate in
 ``np.longdouble``, whose width depends on the platform (80-bit on x86-64
 Linux, 64-bit on MSVC, 128-bit on aarch64 Linux), so a failure here on
 another platform also flags cross-platform accumulation drift rather than
@@ -53,10 +57,10 @@ from gammasig.models import path_rng
 CALIBRATE_CONFIG = {"experiment": "cantor-calib", "grid": {"n": 200},
                     "samples": {"N_test": 3}}
 CALIBRATE_SHA256 = {
-    "fit_ito.json": "25e14490450b2543554767ccb4a181ce9f51ac0a1caef6259803916a264e35fb",
-    "fit_strat.json": "b484d968a3782fb65399f5f9a79975281284955af5f7007e82c299de2bf65091",
-    "mse_summary.csv": "c9e9eabb3fdf5d9bf88c5e7a937c14ce8b2150c24835910093c1b2ebd2cb4476",
-    "trajectory.csv": "90b5db95dcde7c45be218d428898e9ee22b39d32c36c6843d45831284c9cd091",
+    "fit_ito.json": "bc0ea15e8e0f0ba3b20af94c6a51ffb0c7db0a72dac6aa45c9caa491e59afa13",
+    "fit_strat.json": "ad8950de583141032facb9e09ba72a7757d0df204d2e0c6f41da91bb7f2f6538",
+    "mse_summary.csv": "2bff5d0a3db1ce313e11f53bffc7349e75eb6fa5a595f7e0791e5c57bb64466a",
+    "trajectory.csv": "c71f146defb89f6489ae8b5e2cd1c41bedd937573db336f56c212a0651c17d10",
 }
 
 # the only experiment with multi-term (rho-corrected) functionals: pins the
@@ -64,10 +68,10 @@ CALIBRATE_SHA256 = {
 HESTON_CALIBRATE_CONFIG = {"experiment": "heston-calib", "grid": {"n": 100},
                            "samples": {"N_test": 3}}
 HESTON_CALIBRATE_SHA256 = {
-    "fit_ito.json": "3a728e5cd8f43c22e11b9f48e22ed488ca9b2584425f330cf394842e8219a5cd",
-    "fit_strat.json": "91faf2ada053cfafd4950bd91b45559c2ae5d58dab57b3790e8d8b69b5cf26df",
-    "mse_summary.csv": "b3d1e2e1b589ce63fb2bf633d4f306d59ba268402be1aca8a33886002c36edd7",
-    "trajectory.csv": "838d7015c7e09bcda29bd82c2708afd476aba275ebb0f5200a6c6b9a7b7f2691",
+    "fit_ito.json": "5129beda0fd0df54f3583fe27d9ccd0c543f2c3dd7aa91ac2798da024a373153",
+    "fit_strat.json": "aa43c37897b01b52f572aa8fbec7d64134923608d651c53e18ae7a29cddff305",
+    "mse_summary.csv": "d53977741cef0c702559a27d3675b332689108c8cddc02923ec2572e913b0898",
+    "trajectory.csv": "54d9ffd50d8c6a640053b325e6a0c9e5e058cc75763f01ac47c4c3dbd5e4777d",
 }
 
 # level 3 covers the intermediate-level trajectory of the batched kernel

@@ -97,6 +97,8 @@ def test_tiny_runs_exit_0_with_finite_stamps_or_2(tmp_path, capsys):
         assert code in codes, case
         assert not caught, (case, [str(w.message) for w in caught])
         assert "Traceback" not in err and "RuntimeWarning" not in err, (case, err)
+        # a lasso minimizer exists for every draw
+        assert "collinear" not in err and "not converged" not in err, (case, err)
         if code == 0:
             assert _non_finite_stamps(out_dir) == [], case
         codes[code] += 1
