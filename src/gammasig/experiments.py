@@ -365,7 +365,7 @@ def _simulate_calibration_columns(config: ExperimentConfig, grid: SimGrid,
                                   indices: Sequence[int]) -> _Columns:
     if config.experiment == "heston-calib":
         return simulate_heston_batch(config.model, grid, indices)
-    res = simulate_cantor_sde_batch(config.model, grid, indices, n_assets=1)
+    res = simulate_cantor_sde_batch(config.model, grid, indices)
     return {"S": res["S"][:, :, 0], "W_C": res["W_C"][:, :, 0], "C": res["C"]}
 
 
@@ -478,12 +478,9 @@ def _pricing_log_paths(config: ExperimentConfig, indices: Sequence[int]) \
         -> tuple[np.ndarray, np.ndarray]:
     """Simulate a chunk and return (x, ok): shifted log-prices (B, n+1, 2)
     and a row mask of paths with strictly positive prices."""
-    grid = config.grid()
-    if config.experiment == "heston2-pricing":
-        res = simulate_heston2_batch(config.model, grid, indices)
-        S = np.stack([res["S1"], res["S2"]], axis=2)
-    else:
-        S = simulate_cantor_sde_batch(config.model, grid, indices, n_assets=2)["S"]
+    simulate = (simulate_heston2_batch if config.experiment == "heston2-pricing"
+                else simulate_cantor_sde_batch)
+    S = simulate(config.model, config.grid(), indices)["S"]
     ok = np.all(S > 0.0, axis=(1, 2))
     safe = np.where(S > 0.0, S, 1.0)
     x = np.log(safe) - np.log(safe[:, :1, :])

@@ -6,8 +6,10 @@ Reproducibility model: every path gets its own counter-based RNG stream,
 pure function of (params, grid, path_index, master_seed), independent of how
 many paths are drawn together or in what order.
 
-Each simulator takes a batch of path indices and returns the arrays of its
-Euler kernel, one row per path.
+Each simulator takes a batch of path indices and returns the C-ordered
+arrays of its Euler kernel, one row per path; a two-asset price or variance
+has shape (B, n+1, 2).  Every Euler loop advances a running state of shape
+(B,) per asset and stores each step, never reading a stored column back.
 """
 from __future__ import annotations
 
@@ -258,21 +260,23 @@ def _stack_draws(grid: SimGrid, path_indices: Sequence[int], width: int) -> np.n
     return draws
 
 
-def _heston_sv(params: HestonParams, dt: float, d_price: np.ndarray,
+def _heston_sv(params: Sequence[HestonParams], dt: float, d_price: np.ndarray,
                d_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full-truncation Euler of one Heston asset for a batch: price S and
-    variance V of shape (B, n+1) from driver increments (B, n)."""
-    B, n = d_price.shape
-    S = np.empty((B, n + 1))
-    V = np.empty((B, n + 1))
-    S[:, 0] = params.s0
-    V[:, 0] = params.v0
-    for k in range(n):
-        sqv = np.sqrt(V[:, k])  # stored V is already floored at 0
-        S[:, k + 1] = S[:, k] + params.mu * S[:, k] * dt + S[:, k] * sqv * d_price[:, k]
-        V[:, k + 1] = np.maximum(
-            V[:, k] + params.kappa * (params.theta - V[:, k]) * dt
-            + params.sigma * sqv * d_var[:, k], 0.0)
+    """Full-truncation Euler of a batch of Heston assets, ``params[i]`` for
+    asset i: price S and variance V of shape (B, n+1, A) from price and
+    variance driver increments of shape (B, n, A)."""
+    B, n, A = d_price.shape
+    S = np.empty((B, n + 1, A))
+    V = np.empty((B, n + 1, A))
+    for i, p in enumerate(params):
+        s, v = np.full(B, p.s0), np.full(B, p.v0)
+        S[:, 0, i], V[:, 0, i] = s, v
+        for k in range(n):
+            sqv = np.sqrt(v)  # v is already floored at 0
+            s = s + p.mu * s * dt + s * sqv * d_price[:, k, i]
+            v = np.maximum(v + p.kappa * (p.theta - v) * dt
+                           + p.sigma * sqv * d_var[:, k, i], 0.0)
+            S[:, k + 1, i], V[:, k + 1, i] = s, v
     return S, V
 
 
@@ -280,27 +284,29 @@ def _heston_euler(params: HestonParams, grid: SimGrid,
                   z: np.ndarray) -> dict[str, np.ndarray]:
     """Full-truncation Euler for a batch; z has shape (B, n, 2)."""
     B, n, _ = z.shape
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
+    sqdt = np.sqrt(grid.dt)
     rho = params.rho
-    dW = sqdt * z[:, :, 0]
-    dB = sqdt * (rho * z[:, :, 0] + np.sqrt(1.0 - rho * rho) * z[:, :, 1])
-    S, V = _heston_sv(params, dt, dW, dB)
+    S, V = _heston_sv((params,), grid.dt, sqdt * z[:, :, :1],
+                      sqdt * (rho * z[:, :, :1] + np.sqrt(1.0 - rho * rho) * z[:, :, 1:]))
+    S, V = S[:, :, 0], V[:, :, 0]
     # driver recovery from the simulated series: dW_Q = dS/(S*sqrt(V)),
     # dB_Q = dV/(sigma*sqrt(V)), left-point S and V, degenerate steps skipped
-    sqv_left = np.sqrt(V[:, :-1])
-    deg = sqv_left <= SQRT_V_FLOOR
-    safe = np.where(deg, 1.0, sqv_left)
-    dS = np.diff(S, axis=1)
-    dV = np.diff(V, axis=1)
-    dWQ = np.where(deg, 0.0, dS / (S[:, :-1] * safe))
+    safe = np.sqrt(V[:, :-1])
+    deg = safe <= SQRT_V_FLOOR
+    safe[deg] = 1.0
+    d = np.diff(S, axis=1)
+    d /= S[:, :-1] * safe
+    d[deg] = 0.0
+    W_Q = cumsum0(d, axis=1)
     if params.sigma > 0.0:
-        dBQ = np.where(deg, 0.0, dV / (params.sigma * safe))
+        safe *= params.sigma
+        d = np.divide(np.diff(V, axis=1), safe, out=safe)
+        d[deg] = 0.0
         deg_count = deg.sum(axis=1)
     else:
-        dBQ = np.zeros_like(dV)
+        d.fill(0.0)
         deg_count = np.full(B, n)
-    return {"S": S, "V": V, "W_Q": cumsum0(dWQ, axis=1), "B_Q": cumsum0(dBQ, axis=1),
+    return {"S": S, "V": V, "W_Q": W_Q, "B_Q": cumsum0(d, axis=1),
             "degenerate_steps": deg_count}
 
 
@@ -325,17 +331,15 @@ def _heston2_euler(params: Heston2Params, grid: SimGrid,
     dt = grid.dt
     L = _corr_factor(params.corr_matrix)
     dD = np.sqrt(dt) * np.einsum("bnk,jk->bnj", z, L)
-    out: dict[str, np.ndarray] = {}
-    for i, p in enumerate((params.asset1, params.asset2)):
-        # price driver B^i, variance driver W^i
-        out[f"S{i + 1}"], out[f"V{i + 1}"] = _heston_sv(p, dt, dD[:, :, i], dD[:, :, 2 + i])
-    return out
+    # price drivers B^i, variance drivers W^i
+    S, V = _heston_sv((params.asset1, params.asset2), dt, dD[:, :, :2], dD[:, :, 2:])
+    return {"S": S, "V": V}
 
 
 def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
                            path_indices: Sequence[int]) -> dict[str, np.ndarray]:
-    """Two-asset Heston paths, one row per entry of ``path_indices``: "S1",
-    "S2", "V1", "V2" of shape (B, n+1)."""
+    """Two-asset Heston paths, one row per entry of ``path_indices``: prices
+    "S" and variances "V" of shape (B, n+1, 2), asset i in ``[..., i]``."""
     return _heston2_euler(params, grid, _stack_draws(grid, path_indices, 4))
 
 
@@ -343,35 +347,35 @@ def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
 # Cantor-clock SDE
 # ---------------------------------------------------------------------------
 
-def _cantor_euler(params: CantorParams, grid: SimGrid, z: np.ndarray,
-                  n_assets: int) -> dict[str, np.ndarray]:
-    """z has shape (B, n, n_assets)."""
-    B, n, _ = z.shape
+def _cantor_euler(params: CantorParams, grid: SimGrid,
+                  z: np.ndarray) -> dict[str, np.ndarray]:
+    """Euler of the Cantor-clock SDE for a batch from standard normals z of
+    shape (B, n, A), A = len(params.s0); a second asset's column of z is
+    correlated with the first in place."""
+    B, n, A = z.shape
     if grid.T > 1.0:
         raise ValueError("Cantor clock is defined on [0, 1]; need T <= 1")
     C = cantor_function(grid.times, params.cantor_depth)
     dC = np.clip(np.diff(C), 0.0, None)
-    if n_assets == 2:
+    if A == 2:
         rho = params.rho
-        z2 = np.empty_like(z)
-        z2[:, :, 0] = z[:, :, 0]
-        z2[:, :, 1] = rho * z[:, :, 0] + np.sqrt(1.0 - rho * rho) * z[:, :, 1]
-        z = z2
+        z[:, :, 1] = rho * z[:, :, 0] + np.sqrt(1.0 - rho * rho) * z[:, :, 1]
     dWC = np.sqrt(dC)[None, :, None] * z
-    S = np.empty((B, n + 1, n_assets))
-    for i in range(n_assets):
-        S[:, 0, i] = params.s0[i]
-    for k in range(n):
-        for i in range(n_assets):
-            S[:, k + 1, i] = S[:, k, i] + params.vol(S[:, k, i], i) * dWC[:, k, i]
+    S = np.empty((B, n + 1, A))
+    for i in range(A):
+        s = np.full(B, params.s0[i])
+        S[:, 0, i] = s
+        for k in range(n):
+            s = s + params.vol(s, i) * dWC[:, k, i]
+            S[:, k + 1, i] = s
     return {"S": S, "W_C": cumsum0(dWC, axis=1), "C": C}
 
 
 def simulate_cantor_sde_batch(params: CantorParams, grid: SimGrid,
-                              path_indices: Sequence[int],
-                              n_assets: int = 1) -> dict[str, np.ndarray]:
+                              path_indices: Sequence[int]) -> dict[str, np.ndarray]:
     """Cantor-clock paths, one row per entry of ``path_indices``: "S" and
-    "W_C" of shape (B, n+1, n_assets) and the shared clock "C" of shape (n+1,).
+    "W_C" of shape (B, n+1, A), with A = len(params.s0) assets (1 or 2), and
+    the shared clock "C" of shape (n+1,).
 
     The clock C(t) is exact (ternary-digit evaluation), so it can serve
     directly as the bracket column of W_C in Ito augmentation ([W_C]_t = C(t)
@@ -379,9 +383,7 @@ def simulate_cantor_sde_batch(params: CantorParams, grid: SimGrid,
     across assets by rho; prices follow the Euler step
     S_{k+1} = S_k + sigma(S_k) * dW_C.
     """
-    if n_assets not in (1, 2):
-        raise ValueError("n_assets must be 1 or 2")
-    if len(params.s0) != n_assets:
-        raise ValueError(f"params carry {len(params.s0)} assets, requested {n_assets}")
-    return _cantor_euler(params, grid, _stack_draws(grid, path_indices, n_assets),
-                         n_assets)
+    A = len(params.s0)
+    if A not in (1, 2):
+        raise ValueError(f"the Cantor-clock SDE has 1 or 2 assets, params carry {A}")
+    return _cantor_euler(params, grid, _stack_draws(grid, path_indices, A))

@@ -509,10 +509,10 @@ def test_criterion_9_simulator_statistics():
                         sigma=1e-3, rho=0.0)
     step = simulate_heston2_batch(Heston2Params(unit, unit, tuple(map(tuple, target))),
                                   SimGrid(1.0, 1, 909), range(100_000))
-    draws = np.column_stack([step["S1"][:, 1] - 1.0, step["S2"][:, 1] - 1.0,
-                             (step["V1"][:, 1] - 1.0) / 1e-3,
-                             (step["V2"][:, 1] - 1.0) / 1e-3])
-    assert min(step["V1"].min(), step["V2"].min()) > 0.0  # V never truncated
+    draws = np.column_stack([step["S"][:, 1, 0] - 1.0, step["S"][:, 1, 1] - 1.0,
+                             (step["V"][:, 1, 0] - 1.0) / 1e-3,
+                             (step["V"][:, 1, 1] - 1.0) / 1e-3])
+    assert step["V"].min() > 0.0  # V never truncated
     corr_err = float(np.max(np.abs(np.corrcoef(draws.T) - target)))
 
     # (b) terminal driver variance of the clocked Brownian motion

@@ -3,12 +3,17 @@ wraps must still exist and still be called, or a traced benchmark run fails
 or reports a layer metric that has silently lost its meaning."""
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
 
+import pytest
+
 import gammasig
 import gammasig.cli  # noqa: F401  (entry_points reads gammasig.cli)
+from gammasig.experiments import default_config, run_pricing
+from gammasig.models import Heston2Params
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -60,3 +65,31 @@ def test_tracer_entry_points_are_called(tmp_path, capsys):
     assert len(entries) == len(module.entry_points(gammasig))
     missed = [name for i, name in enumerate(entries) if i not in hit]
     assert not missed, f"wrapped but never called: {missed}"
+
+
+def _rejecting_pricing_models():
+    """Pricing models whose coarse Euler steps drive some prices to or below
+    zero: Heston assets at v0 = theta = 2, Cantor assets with linear vol 1.2."""
+    h = default_config("heston2-pricing").model
+    hot = {"v0": 2.0, "theta": 2.0}
+    c = default_config("cantor2-pricing").model
+    return [
+        ("heston2-pricing", Heston2Params(dataclasses.replace(h.asset1, **hot),
+                                          dataclasses.replace(h.asset2, **hot), h.corr4)),
+        ("cantor2-pricing", dataclasses.replace(c, nu=(1.2, 1.2))),
+    ]
+
+
+@pytest.mark.parametrize("experiment, model", _rejecting_pricing_models(),
+                         ids=["heston2-pricing", "cantor2-pricing"])
+def test_tracer_rejected_paths_match_report(experiment, model):
+    config = default_config(experiment, model=model, grid_n=10,
+                            n_train=40, n_test=10, n_mc=10)
+    tracer = load_tracer().Tracer()
+    tracer.install(gammasig)
+    try:
+        report = run_pricing(config)
+    finally:
+        tracer.uninstall()
+    assert report["rejected_paths"] > 0
+    assert tracer.counts["models.rejected_paths"] == report["rejected_paths"]

@@ -85,6 +85,15 @@ PRICE_SHA256 = {
     "prices.csv": "20c42710c58401e4541ada16822681d63547ee19e5f18eb81a705d20898e5624",
 }
 
+# the Cantor-clock two-asset Euler loop and its correlated increments
+CANTOR_PRICE_CONFIG = dict(PRICE_CONFIG, experiment="cantor2-pricing")
+CANTOR_PRICE_SHA256 = {
+    "fit_ito.json": "588b2755011bb8ef74144576867ea5c054a7b35e002d88645d03163bc9b7dffd",
+    "fit_strat.json": "07c1b6bbf1096b6611292cd47c42d5b8751f0688e73979ef9159f7caa74a4ec0",
+    "mse_summary.csv": "b765b77a657b177ccbb64fdf534f952f400d7aff38ec5bea82f849d1af12a0d6",
+    "prices.csv": "71a8e94fbe7472e38ba2a97f2a2528615335e02579111805f4196d8cbeeb672c",
+}
+
 
 def _stamped_digests(work_dir, command, payload, seed) -> dict[str, str]:
     work_dir.mkdir()
@@ -122,6 +131,8 @@ def test_golden_outputs_and_bits(tmp_path, capsys):
                             PRICE_CONFIG, seed=1) == PRICE_SHA256
     assert _stamped_digests(tmp_path / "heston", "calibrate",
                             HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
+    assert _stamped_digests(tmp_path / "cantor-price", "price",
+                            CANTOR_PRICE_CONFIG, seed=1) == CANTOR_PRICE_SHA256
     capsys.readouterr()
     assert _endpoint_bits() == {
         0.0: ["0x1.4e5075dc02deap-1", "0x1.ab80de2bc16a7p-6", "0x1.5cf1a4052603ep-4"],

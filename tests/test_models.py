@@ -6,6 +6,8 @@ sample statistics of the correlated two-asset Heston drivers.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,20 @@ def test_heston_variance_stays_nonnegative():
     assert np.all(p["degenerate_steps"] >= 0)
 
 
+def test_heston_simulation_memory():
+    # the drivers are recovered in place, so the peak stays a small multiple
+    # of the returned arrays
+    grid = SimGrid(T=1.0, n=400, master_seed=0)
+    tracemalloc.start()
+    try:
+        p = simulate_heston_batch(HP, grid, range(200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(p[name].flags.c_contiguous for name in HESTON_NAMES)
+    assert peak <= 3.25 * sum(p[name].nbytes for name in HESTON_NAMES)
+
+
 # ---------------------------------------------------------------------------
 # Two-asset Heston
 # ---------------------------------------------------------------------------
@@ -260,7 +276,7 @@ def heston2_params() -> Heston2Params:
                                corr_b1w1=-0.5, corr_b2w2=-0.4)
 
 
-HESTON2_NAMES = ("S1", "S2", "V1", "V2")
+HESTON2_NAMES = ("S", "V")
 
 
 def test_heston2_columns_and_determinism():
@@ -271,7 +287,8 @@ def test_heston2_columns_and_determinism():
     batch = simulate_heston2_batch(heston2_params(), grid, [1, 4])
     q = simulate_heston2_batch(heston2_params(), grid, [4])
     for name in HESTON2_NAMES:
-        assert p[name].shape == (1, 13)
+        assert p[name].shape == (1, 13, 2)
+        assert batch[name].flags.c_contiguous
         assert np.array_equal(p[name], again[name])
         assert np.array_equal(batch[name][0], p[name][0])
         assert np.array_equal(batch[name][1], q[name][0])
@@ -296,8 +313,8 @@ def test_heston2_uncorrelated_matches_manual_euler():
             S.append(S[-1] + prm.mu * S[-1] * dt + S[-1] * sq * dB[k])
             V.append(max(V[-1] + prm.kappa * (prm.theta - V[-1]) * dt
                          + prm.sigma * sq * dWv[k], 0.0))
-        assert np.allclose(p[f"S{i + 1}"][0], S, rtol=1e-13)
-        assert np.allclose(p[f"V{i + 1}"][0], V, rtol=1e-13)
+        assert np.allclose(p["S"][0, :, i], S, rtol=1e-13)
+        assert np.allclose(p["V"][0, :, i], V, rtol=1e-13)
 
 
 def test_heston2_zero_vol_of_vol():
@@ -305,8 +322,8 @@ def test_heston2_zero_vol_of_vol():
                      sigma=0.0, rho=0.0)
     params = Heston2Params(a, a, tuple(map(tuple, np.eye(4))))
     p = simulate_heston2_batch(params, SimGrid(T=1.0, n=8, master_seed=1), [0])
-    assert np.all(p["V1"] == 0.04)
-    assert np.all(p["V2"] == 0.04)
+    assert np.all(p["V"][..., 0] == 0.04)
+    assert np.all(p["V"][..., 1] == 0.04)
 
 
 def heston2_drivers(corr4, count: int, seed: int) -> np.ndarray:
@@ -316,9 +333,9 @@ def heston2_drivers(corr4, count: int, seed: int) -> np.ndarray:
                         sigma=1e-3, rho=0.0)
     p = simulate_heston2_batch(Heston2Params(unit, unit, corr4),
                                SimGrid(1.0, 1, seed), range(count))
-    return np.column_stack([p["S1"][:, 1] - 1.0, p["S2"][:, 1] - 1.0,
-                            (p["V1"][:, 1] - 1.0) / 1e-3,
-                            (p["V2"][:, 1] - 1.0) / 1e-3])
+    return np.column_stack([p["S"][:, 1, 0] - 1.0, p["S"][:, 1, 1] - 1.0,
+                            (p["V"][:, 1, 0] - 1.0) / 1e-3,
+                            (p["V"][:, 1, 1] - 1.0) / 1e-3])
 
 
 def test_heston2_identity_correlation_uses_raw_draws():
@@ -347,9 +364,9 @@ def test_heston2_singular_and_invalid_correlation():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(params.corr_matrix)
     p = simulate_heston2_batch(params, SimGrid(T=1.0, n=20, master_seed=1), range(5))
-    assert np.allclose(p["S1"], p["S2"], rtol=1e-12, atol=0)
-    assert np.allclose(p["V1"], p["V2"], rtol=1e-12, atol=0)
-    assert not np.allclose(p["S1"][:, 1:], a.s0)
+    assert np.allclose(p["S"][..., 0], p["S"][..., 1], rtol=1e-12, atol=0)
+    assert np.allclose(p["V"][..., 0], p["V"][..., 1], rtol=1e-12, atol=0)
+    assert not np.allclose(p["S"][:, 1:, 0], a.s0)
     bad = np.eye(4)
     bad[0, 1] = bad[1, 0] = 2.0
     with pytest.raises(ValueError, match="eigenvalue"):
@@ -421,13 +438,13 @@ def test_cantor_sde_matches_manual_euler():
 def test_cantor_sde_two_assets():
     grid = SimGrid(T=1.0, n=27, master_seed=21)
     params = CantorParams(s0=(1.0, 1.0), rho=1.0)
-    p = simulate_cantor_sde_batch(params, grid, [0], n_assets=2)
+    p = simulate_cantor_sde_batch(params, grid, [0])
     assert p["S"].shape == p["W_C"].shape == (1, 28, 2)
+    assert p["S"].flags.c_contiguous and p["W_C"].flags.c_contiguous
     # perfectly correlated drivers and identical dynamics -> identical assets
     assert np.allclose(p["W_C"][..., 0], p["W_C"][..., 1], atol=1e-15)
     assert np.allclose(p["S"][..., 0], p["S"][..., 1], atol=1e-15)
-    indep = simulate_cantor_sde_batch(CantorParams(s0=(1.0, 1.0)), grid, [0],
-                                      n_assets=2)
+    indep = simulate_cantor_sde_batch(CantorParams(s0=(1.0, 1.0)), grid, [0])
     assert not np.allclose(indep["W_C"][..., 0], indep["W_C"][..., 1])
 
 
@@ -445,9 +462,6 @@ def test_cantor_sde_input_validation():
     params = CantorParams(s0=1.0)
     with pytest.raises(ValueError, match="T <= 1"):
         simulate_cantor_sde_batch(params, SimGrid(T=2.0, n=10, master_seed=0), [0])
-    with pytest.raises(ValueError):
-        simulate_cantor_sde_batch(params, SimGrid(T=1.0, n=10, master_seed=0), [0],
-                                  n_assets=3)
-    with pytest.raises(ValueError):
-        simulate_cantor_sde_batch(params, SimGrid(T=1.0, n=10, master_seed=0), [0],
-                                  n_assets=2)
+    with pytest.raises(ValueError, match="carry 3"):
+        simulate_cantor_sde_batch(CantorParams(s0=(1.0, 1.0, 1.0)),
+                                  SimGrid(T=1.0, n=10, master_seed=0), [0])
