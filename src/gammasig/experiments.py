@@ -373,8 +373,10 @@ def _driver_values(times: np.ndarray, cols: _Columns, names: Sequence[str],
                    start: int, stop: int) -> np.ndarray:
     """Driver values (B, n+1, L) of paths ``start..stop-1`` with the columns
     ``names`` of a scheme's driver: "t" is the grid, a shared column is
-    broadcast and any other column is each path's own row."""
-    out = np.empty((stop - start, len(times), len(names)))
+    broadcast and any other column is each path's own row.  The values are
+    a transpose view of a batch-last (n+1, L, B) buffer, the layout of
+    :func:`functional_paths`."""
+    out = np.empty((len(times), len(names), stop - start)).transpose(2, 0, 1)
     for i, name in enumerate(names):
         col = times if name == "t" else cols[name]
         out[:, :, i] = col if col.ndim == 1 else col[start:stop]
@@ -476,8 +478,9 @@ def run_calibration(config: ExperimentConfig) -> dict:
 
 def _pricing_log_paths(config: ExperimentConfig, indices: Sequence[int]) \
         -> tuple[np.ndarray, np.ndarray]:
-    """Simulate a chunk and return (x, ok): shifted log-prices (B, n+1, 2)
-    and a row mask of paths with strictly positive prices."""
+    """Simulate a chunk and return (x, ok): shifted log-prices (B, n+1, 2),
+    in the simulator's batch-last layout, and a row mask of paths with
+    strictly positive prices."""
     simulate = (simulate_heston2_batch if config.experiment == "heston2-pricing"
                 else simulate_cantor_sde_batch)
     S = simulate(config.model, config.grid(), indices)["S"]
@@ -545,10 +548,11 @@ def _pricing_layout(N: int) -> _Layout:
 
 
 def _joint_values(times: np.ndarray, x: np.ndarray, brackets: np.ndarray) -> np.ndarray:
-    """Driver values (B, n+1, L) of a joint pass in C order: (t, x1, x2) and
-    ``brackets``, the block [1,1], [1,2], [2,2] for ``ito``, none for ``strat``."""
+    """Joint driver values (B, n+1, L): (t, x1, x2) and the bracket block
+    ``brackets``, [1,1], [1,2], [2,2]; a transpose view of a batch-last
+    (n+1, L, B) buffer, the layout of :func:`endpoint_signature_batch`."""
     B, n_plus_1, d = x.shape
-    values = np.empty((B, n_plus_1, 1 + d + brackets.shape[2]))
+    values = np.empty((n_plus_1, 1 + d + brackets.shape[2], B)).transpose(2, 0, 1)
     values[:, :, 0] = times
     values[:, :, 1:1 + d] = x
     values[:, :, 1 + d:] = brackets
@@ -562,9 +566,13 @@ def _pricing_features(config: ExperimentConfig, layout: _Layout) \
     N_MC paths.
 
     Each chunk of ``_PRICING_CHUNK`` paths builds its bracket block once, for
-    the statistics (its end row) and the left-point joint values, then takes
-    one joint end-point pass per scheme, left-point first with the block
-    freed; each family takes its columns of the joint row.
+    the statistics (its end row) and the joint values, then takes one joint
+    end-point pass per scheme over those values, left-point first, with the
+    log-prices and the block freed; the mid-point pass reads their first
+    three columns (t, x1, x2).  Each family takes its columns of the joint
+    row.  From the simulator to the end points, a chunk's arrays are stored
+    paths last, (n+1, L, B), and pass between the layers as (B, n+1, L)
+    transpose views.
     """
     N = config.trunc_level
     total = config.n_train + config.n_test + config.n_mc
@@ -579,15 +587,17 @@ def _pricing_features(config: ExperimentConfig, layout: _Layout) \
         brackets = bracket_columns(x)
         for key, arr in realized_stats_batch(brackets[:, -1]).items():
             stats.setdefault(key, np.empty(total))[sl] = arr
+        values = _joint_values(times, x, brackets)
+        del x, brackets  # freed before the passes
         for scheme in ("ito", "strat"):
-            values = _joint_values(times, x, brackets)
-            brackets = x[:, :, :0]  # free the block before the pass; strat has none
-            ends = endpoint_signature_batch(values, GAMMAS[scheme], N)
-            del values
-            row = np.concatenate([np.ones((len(x), 1))] + ends, axis=1)
+            # the strat driver (t, x1, x2) is the first three columns
+            letters = _pricing_alphabet(2, scheme).total_letters
+            ends = endpoint_signature_batch(values[:, :, :letters], GAMMAS[scheme], N)
+            row = np.concatenate([np.ones((len(values), 1))] + ends, axis=1)
             del ends
             for family in _PRICING_FAMILIES:
                 feats[(family, scheme)][sl] = row[:, layout[(family, scheme)][1]]
+        del values
     return feats, stats, ok_all
 
 

@@ -6,10 +6,13 @@ Reproducibility model: every path gets its own counter-based RNG stream,
 pure function of (params, grid, path_index, master_seed), independent of how
 many paths are drawn together or in what order.
 
-Each simulator takes a batch of path indices and returns the C-ordered
-arrays of its Euler kernel, one row per path; a two-asset price or variance
-has shape (B, n+1, 2).  Every Euler loop advances a running state of shape
-(B,) per asset and stores each step, never reading a stored column back.
+Each simulator takes a batch of path indices and returns the arrays of its
+Euler kernel with one row per path; a two-asset price or variance has shape
+(B, n+1, 2).  The arrays are stored time first and paths last, (n+1, A, B)
+in C order, and returned as transpose views of that buffer: every Euler
+step reads its drivers as one contiguous (A, B) block and advances a
+running state of contiguous vectors over paths, (A, B) for the Heston
+assets and (B,) per Cantor-clock asset.
 """
 from __future__ import annotations
 
@@ -245,75 +248,79 @@ def cantor_function(x, depth: int = 40):
 # ---------------------------------------------------------------------------
 
 def _stack_draws(grid: SimGrid, path_indices: Sequence[int], width: int) -> np.ndarray:
-    """Standard normals (B, n, width); row b is what ``path_rng(master_seed,
-    path_indices[b])`` draws first.  One Philox is re-keyed per path instead
-    of a generator being built per path: a fresh stream is its key with a
-    zero counter and an empty buffer, which is the state set here."""
-    draws = np.empty((len(path_indices), grid.n, width))
+    """Standard normals (n, width, B), paths last; column b is the first
+    ``(n, width)`` draws of ``path_rng(master_seed, path_indices[b])``.  One
+    Philox is re-keyed per path instead of a generator being built per path:
+    a fresh stream is its key with a zero counter and an empty buffer, which
+    is the state set here."""
+    draws = np.empty((grid.n, width, len(path_indices)))
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     for b, idx in enumerate(path_indices):
         fresh["state"]["key"] = np.array([grid.master_seed, idx], dtype=np.uint64)
         bitgen.state = fresh
-        draws[b] = gen.standard_normal((grid.n, width))
+        draws[:, :, b] = gen.standard_normal((grid.n, width))
     return draws
 
 
 def _heston_sv(params: Sequence[HestonParams], dt: float, d_price: np.ndarray,
                d_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full-truncation Euler of a batch of Heston assets, ``params[i]`` for
-    asset i: price S and variance V of shape (B, n+1, A) from price and
-    variance driver increments of shape (B, n, A)."""
-    B, n, A = d_price.shape
-    S = np.empty((B, n + 1, A))
-    V = np.empty((B, n + 1, A))
-    for i, p in enumerate(params):
-        s, v = np.full(B, p.s0), np.full(B, p.v0)
-        S[:, 0, i], V[:, 0, i] = s, v
-        for k in range(n):
-            sqv = np.sqrt(v)  # v is already floored at 0
-            s = s + p.mu * s * dt + s * sqv * d_price[:, k, i]
-            v = np.maximum(v + p.kappa * (p.theta - v) * dt
-                           + p.sigma * sqv * d_var[:, k, i], 0.0)
-            S[:, k + 1, i], V[:, k + 1, i] = s, v
+    asset i: price S and variance V of shape (n+1, A, B) from price and
+    variance driver increments of shape (n, A, B).  The running state has
+    shape (A, B), each asset's parameters a column."""
+    n, A, B = d_price.shape
+    s0, v0, mu, kappa, theta, sigma = (
+        np.array([[getattr(p, name)] for p in params])
+        for name in ("s0", "v0", "mu", "kappa", "theta", "sigma"))
+    S = np.empty((n + 1, A, B))
+    V = np.empty((n + 1, A, B))
+    s, v = np.repeat(s0, B, axis=1), np.repeat(v0, B, axis=1)
+    S[0], V[0] = s, v
+    for k in range(n):
+        sqv = np.sqrt(v)  # v is already floored at 0
+        s = s + mu * s * dt + s * sqv * d_price[k]
+        v = np.maximum(v + kappa * (theta - v) * dt + sigma * sqv * d_var[k], 0.0)
+        S[k + 1], V[k + 1] = s, v
     return S, V
 
 
 def _heston_euler(params: HestonParams, grid: SimGrid,
                   z: np.ndarray) -> dict[str, np.ndarray]:
-    """Full-truncation Euler for a batch; z has shape (B, n, 2)."""
-    B, n, _ = z.shape
+    """Full-truncation Euler for a batch; z has shape (n, 2, B)."""
+    n, _, B = z.shape
     sqdt = np.sqrt(grid.dt)
     rho = params.rho
-    S, V = _heston_sv((params,), grid.dt, sqdt * z[:, :, :1],
-                      sqdt * (rho * z[:, :, :1] + np.sqrt(1.0 - rho * rho) * z[:, :, 1:]))
-    S, V = S[:, :, 0], V[:, :, 0]
+    S, V = _heston_sv((params,), grid.dt, sqdt * z[:, :1],
+                      sqdt * (rho * z[:, :1] + np.sqrt(1.0 - rho * rho) * z[:, 1:]))
+    S, V = S[:, 0], V[:, 0]
     # driver recovery from the simulated series: dW_Q = dS/(S*sqrt(V)),
     # dB_Q = dV/(sigma*sqrt(V)), left-point S and V, degenerate steps skipped
-    safe = np.sqrt(V[:, :-1])
+    safe = np.sqrt(V[:-1])
     deg = safe <= SQRT_V_FLOOR
     safe[deg] = 1.0
-    d = np.diff(S, axis=1)
-    d /= S[:, :-1] * safe
+    d = np.diff(S, axis=0)
+    d /= S[:-1] * safe
     d[deg] = 0.0
-    W_Q = cumsum0(d, axis=1)
+    W_Q = cumsum0(d)
     if params.sigma > 0.0:
         safe *= params.sigma
-        d = np.divide(np.diff(V, axis=1), safe, out=safe)
+        d = np.divide(np.diff(V, axis=0), safe, out=safe)
         d[deg] = 0.0
-        deg_count = deg.sum(axis=1)
+        deg_count = deg.sum(axis=0)
     else:
         d.fill(0.0)
         deg_count = np.full(B, n)
-    return {"S": S, "V": V, "W_Q": W_Q, "B_Q": cumsum0(d, axis=1),
+    return {"S": S.T, "V": V.T, "W_Q": W_Q.T, "B_Q": cumsum0(d).T,
             "degenerate_steps": deg_count}
 
 
 def simulate_heston_batch(params: HestonParams, grid: SimGrid,
                           path_indices: Sequence[int]) -> dict[str, np.ndarray]:
     """Heston paths, one row per entry of ``path_indices``: "S", "V", "W_Q",
-    "B_Q" of shape (B, n+1) and "degenerate_steps" of shape (B,).
+    "B_Q" of shape (B, n+1), transpose views of (n+1, B) buffers, and
+    "degenerate_steps" of shape (B,).
 
     W_Q, B_Q are the drivers recovered from the simulated series by dW_Q =
     dS/(S*sqrt(V)), dB_Q = dV/(sigma*sqrt(V)) (left-point evaluation), with
@@ -327,13 +334,17 @@ def simulate_heston_batch(params: HestonParams, grid: SimGrid,
 
 def _heston2_euler(params: Heston2Params, grid: SimGrid,
                    z: np.ndarray) -> dict[str, np.ndarray]:
-    """z has shape (B, n, 4); driver order (B1, B2, W1, W2)."""
-    dt = grid.dt
+    """z has shape (n, 4, B); driver order (B1, B2, W1, W2)."""
     L = _corr_factor(params.corr_matrix)
-    dD = np.sqrt(dt) * np.einsum("bnk,jk->bnj", z, L)
+    # dD_j = sum_k L[j, k] z_k, summed in the fixed order (k0 + k2) + (k1 + k3)
+    dD = np.empty_like(z)
+    for j in range(4):
+        dD[:, j] = (L[j, 0] * z[:, 0] + L[j, 2] * z[:, 2]) \
+            + (L[j, 1] * z[:, 1] + L[j, 3] * z[:, 3])
+    dD *= np.sqrt(grid.dt)
     # price drivers B^i, variance drivers W^i
-    S, V = _heston_sv((params.asset1, params.asset2), dt, dD[:, :, :2], dD[:, :, 2:])
-    return {"S": S, "V": V}
+    S, V = _heston_sv((params.asset1, params.asset2), grid.dt, dD[:, :2], dD[:, 2:])
+    return {"S": S.transpose(2, 0, 1), "V": V.transpose(2, 0, 1)}
 
 
 def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
@@ -350,25 +361,25 @@ def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
 def _cantor_euler(params: CantorParams, grid: SimGrid,
                   z: np.ndarray) -> dict[str, np.ndarray]:
     """Euler of the Cantor-clock SDE for a batch from standard normals z of
-    shape (B, n, A), A = len(params.s0); a second asset's column of z is
+    shape (n, A, B), A = len(params.s0); a second asset's row of z is
     correlated with the first in place."""
-    B, n, A = z.shape
+    n, A, B = z.shape
     if grid.T > 1.0:
         raise ValueError("Cantor clock is defined on [0, 1]; need T <= 1")
     C = cantor_function(grid.times, params.cantor_depth)
     dC = np.clip(np.diff(C), 0.0, None)
     if A == 2:
         rho = params.rho
-        z[:, :, 1] = rho * z[:, :, 0] + np.sqrt(1.0 - rho * rho) * z[:, :, 1]
-    dWC = np.sqrt(dC)[None, :, None] * z
-    S = np.empty((B, n + 1, A))
+        z[:, 1] = rho * z[:, 0] + np.sqrt(1.0 - rho * rho) * z[:, 1]
+    dWC = np.sqrt(dC)[:, None, None] * z
+    S = np.empty((n + 1, A, B))
     for i in range(A):
         s = np.full(B, params.s0[i])
-        S[:, 0, i] = s
+        S[0, i] = s
         for k in range(n):
-            s = s + params.vol(s, i) * dWC[:, k, i]
-            S[:, k + 1, i] = s
-    return {"S": S, "W_C": cumsum0(dWC, axis=1), "C": C}
+            s = s + params.vol(s, i) * dWC[k, i]
+            S[k + 1, i] = s
+    return {"S": S.transpose(2, 0, 1), "W_C": cumsum0(dWC).transpose(2, 0, 1), "C": C}
 
 
 def simulate_cantor_sde_batch(params: CantorParams, grid: SimGrid,

@@ -77,8 +77,9 @@ def _default_words(p: int) -> tuple[Word, ...]:
 
 
 def _validate_design(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    # C order: BLAS and numpy's reductions sum in an order set by the layout
+    X = np.asarray(X, dtype=np.float64, order="C")
+    y = np.asarray(y, dtype=np.float64, order="C").ravel()
     if X.ndim != 2:
         raise ValueError("design matrix must be 2-D")
     if X.shape[0] != len(y):
@@ -298,8 +299,9 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float,
 
 def predict(fit: RegressionFit, X: np.ndarray) -> np.ndarray:
     """Pairing of the fitted functional with the rows of one design (n, p) or
-    of a stack of designs (..., p), each with the bits it gets alone."""
-    X = np.asarray(X, dtype=np.float64)
+    of a stack of designs (..., p), each with the bits it gets alone, in any
+    memory layout (the design is taken in C order)."""
+    X = np.asarray(X, dtype=np.float64, order="C")
     if X.ndim < 2 or X.shape[-1] != len(fit.coeffs):
         raise ValueError(
             f"design matrix with {len(fit.coeffs)} columns required, "
@@ -309,9 +311,10 @@ def predict(fit: RegressionFit, X: np.ndarray) -> np.ndarray:
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float | np.ndarray:
     """Mean of squared differences over the last axis of two arrays of equal
-    shape: a float for a 1-D pair, the row means (same bits) for a (B, m) pair."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    shape: a float for a 1-D pair, the row means (same bits) for a (B, m)
+    pair, in any memory layout (both are taken in C order)."""
+    pred = np.asarray(pred, dtype=np.float64, order="C")
+    target = np.asarray(target, dtype=np.float64, order="C")
     if pred.shape != target.shape or pred.ndim < 1 or pred.shape[-1] < 1:
         raise ValueError(f"equal non-empty shapes required, got {pred.shape}, {target.shape}")
     diff = pred - target

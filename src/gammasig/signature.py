@@ -10,10 +10,14 @@ The module provides one level recursion, batched over paths: level 1 is
 gamma-point times the step's increment; a level is carried whole or as the
 running columns ``S^m @ R_m`` of a read matrix.  It lies behind the running
 trajectory of one path, the end points of a batch and the batched pairings
-with functionals.  Besides it: an independent per-step Chen-product oracle,
-the cumulative pathwise (Follmer) bracket columns of a path batch and the
-quadratic-variation matrix built on them, time and bracket augmentation of
-a path, and the pairings of linear functionals with signatures for
+with functionals.  A batch is stored time first and paths last,
+(n+1, L, B) in C order, so that every per-path operation is one contiguous
+vector over paths and every step reads one contiguous (L, B) block; the
+batched functions take and return the (B, n+1, L) shape, as transpose views
+of such buffers.  Besides the recursion: an independent per-step
+Chen-product oracle, the cumulative pathwise (Follmer) bracket columns of a
+path batch and the quadratic-variation matrix built on them, time and
+bracket augmentation of a path, and the pairings of linear functionals with signatures for
 regression: the design matrix of one trajectory along its grid, one matrix
 product per level of dense per-level coefficient arrays, and a batched
 route read from the top down, in which each level carries only the
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -68,13 +71,16 @@ def cumsum0(increments: np.ndarray, axis: int = 0) -> np.ndarray:
     """Cumulative sum along ``axis`` with a leading zero, accumulated in
     extended precision and cast back to float64.
 
-    The one accumulation primitive of the package: the last entry along
-    ``axis`` is the sequential sum of all increments.  The sums are cast
-    straight into the one float64 output, whose memory layout the
-    concatenation derives from the input's: the top-level contraction of
-    :func:`endpoint_signature_batch` sums in an order set by that layout.
+    The one accumulation primitive of the package: entry k along ``axis``
+    is the sequential sum of the first k increments, whatever the memory
+    layout, and the sums are cast straight into the one float64 output.
+    The batched callers accumulate along time, the leading axis of their
+    (n, ..., B) arrays.
     """
-    total = np.cumsum(increments, axis=axis, dtype=np.longdouble)
+    # summed in place in one extended-precision copy: a cumsum that casts
+    # as it reads buffers a second one
+    total = np.array(increments, dtype=np.longdouble)
+    np.cumsum(total, axis=axis, out=total)
     shape = list(total.shape)
     shape[axis] = 1
     return np.concatenate([np.zeros(shape), total], axis=axis,
@@ -136,22 +142,38 @@ class SamplePath:
                           self.alphabet, self.names)
 
 
+def _batch_last(values: np.ndarray) -> np.ndarray:
+    """A (B, n+1, L) batch of path values viewed as (n+1, L, B), paths
+    last; a transpose view of a batch-last buffer is C-ordered again."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 3:
+        raise ValueError(f"a (B, n+1, L) batch of paths required, got shape {values.shape}")
+    return values.transpose(1, 2, 0)
+
+
+def _increments(values: np.ndarray) -> np.ndarray:
+    """Increments (n, L, B) of a batch-last view (n+1, L, B) of any memory
+    layout, stored in C order, so that every step is one contiguous (L, B)
+    block."""
+    return np.subtract(values[1:], values[:-1], out=np.empty_like(values[1:], order="C"))
+
+
 def bracket_columns(values: np.ndarray) -> np.ndarray:
     """Cumulative Follmer sums sum_k dX^i_k dX^j_k of a batch of paths.
 
-    ``values`` has shape (B, n+1, d); returns (B, n+1, d(d+1)/2) with columns
-    in the bracket order (1,1),(1,2),..,(d,d) and a zero first row.  Each
-    pair is accumulated on its own, so no d-column extended-precision
-    temporary is formed.
+    ``values`` has shape (B, n+1, d); returns (B, n+1, d(d+1)/2), a
+    transpose view of a batch-last buffer, with columns in the bracket order
+    (1,1),(1,2),..,(d,d) and a zero first row.  Each pair is accumulated on
+    its own, so no d-column extended-precision temporary is formed.
     """
-    values = np.asarray(values, dtype=np.float64)
-    B, n_plus_1, d = values.shape
-    dX = np.diff(values, axis=1)
+    values = _batch_last(values)
+    n_plus_1, d, B = values.shape
+    dX = _increments(values)
     pairs = bracket_pairs(d)
-    out = np.empty((B, n_plus_1, len(pairs)))
+    out = np.empty((n_plus_1, len(pairs), B))
     for p, (i, j) in enumerate(pairs):
-        out[:, :, p] = cumsum0(dX[:, :, i] * dX[:, :, j], axis=1)
-    return out
+        out[:, p] = cumsum0(dX[:, i] * dX[:, j])
+    return out.transpose(2, 0, 1)
 
 
 def quadratic_variation(path: SamplePath, gamma: float) -> np.ndarray:
@@ -254,17 +276,17 @@ def _check_gamma(gamma: float) -> None:
 
 
 def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
-            ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+            ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """The gamma-signature recursion of a batch of paths ``values``
-    (B, n+1, L): yields ``(dX, level, points)`` for m = 1 .. len(reads),
-    with the increments dX (B, n, L), the carried level-m trajectory and its
-    gamma-points, the level read at ``S_k + gamma * dS_k``.  A level's
-    gamma-points are formed only when the level above it is requested;
-    the last level yields ``None`` for them.
+    (n+1, L, B), paths last, in any memory layout: yields ``(level,
+    points)`` for m = 1 .. len(reads), the carried level-m trajectory and
+    its gamma-points, the level read at ``S_k + gamma * dS_k``.  A level's
+    gamma-points, and the increments dX (n, L, B), are formed only when the
+    level above it is requested; the last level yields ``None`` for them.
 
-    ``reads[m-1]`` is None for a level carried whole, (B, n+1, L**m), or a
+    ``reads[m-1]`` is None for a level carried whole, (n+1, L**m, B), or a
     read matrix R_m (L**m, c) for a level carried as ``S^m @ R_m``,
-    (B, n+1, c).  Level 1 is always whole: it is the Riemann sum of the
+    (n+1, c, B).  Level 1 is always whole: it is the Riemann sum of the
     increments, which telescopes to ``X - X_0``, one correctly rounded
     subtraction instead of a running sum, whose gamma-points are a view of
     it at ``gamma = 0``.  Level m >= 2 is the running sum of the level-(m-1)
@@ -274,27 +296,36 @@ def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
     running sum, so a carried level below R_m must end in the columns
     ``R_m.reshape(L**(m-1), L * c)``.
     """
-    dX = np.diff(values, axis=1)
-    level = values - values[:, :1]
+    level = np.subtract(values, values[:1], out=np.empty_like(values, order="C"))
+    dX = _increments(values) if len(reads) > 1 else None
     for m, read in enumerate(reads, 1):
         if m > 1:
             # no name holds the contributions: they are freed when cumsum0
             # returns, not kept beside the level's gamma-points
-            level = cumsum0(_step_terms(points, dX, read, reads[m - 2] is None),
-                            axis=1)
+            level = cumsum0(_step_terms(points, dX, read, reads[m - 2] is None))
         # gamma-points only for a level above to read
         points = None
         if m < len(reads):
             if m == 1:
-                points = level[:, :-1]
+                points = level[:-1]
                 if gamma:
                     points = gamma * dX
-                    points += level[:, :-1]
+                    points += level[:-1]
             else:
-                points = level[:, 1:] - level[:, :-1]
+                points = level[1:] - level[:-1]
                 points *= gamma
-                points += level[:, :-1]
-        yield dX, level, points
+                points += level[:-1]
+        yield level, points
+
+
+def _product(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Batch-last rows (n, K, B) times a small (K, c) matrix, as a C-ordered
+    (n, c, B) array with, per path, the bits of that path's own BLAS product
+    (n, K) @ (K, c).  BLAS picks its kernel, and with it the summation
+    order, from the operands' shapes and layouts, so the product is taken
+    path by path, from a paths-first copy of the rows."""
+    by_path = np.ascontiguousarray(rows.transpose(2, 0, 1))
+    return np.ascontiguousarray((by_path @ weights).transpose(1, 2, 0))
 
 
 def _step_terms(points: np.ndarray, dX: np.ndarray, read: np.ndarray | None,
@@ -305,20 +336,20 @@ def _step_terms(points: np.ndarray, dX: np.ndarray, read: np.ndarray | None,
     ``lift_a`` is the points read through the rows (., a) of ``read`` for a
     whole level below, or its slice of the trailing columns of a carried
     one."""
-    B, n, L = dX.shape
+    n, L, B = dX.shape
     if read is None:
-        P = points.shape[2]
-        return (points[:, :, :, None] * dX[:, :, None, :]).reshape(B, n, P * L)
+        P = points.shape[1]
+        return (points[:, :, None] * dX[:, None]).reshape(n, P * L, B)
     c = read.shape[1]
     if whole_below:
         by_letter = read.reshape(-1, L, c)
-        lifts = (points @ by_letter[:, a] for a in range(L))
+        lifts = (_product(points, by_letter[:, a]) for a in range(L))
     else:
-        tail = points[:, :, points.shape[2] - L * c:]
-        lifts = (tail[:, :, a * c:(a + 1) * c] for a in range(L))
-    terms = next(lifts) * dX[:, :, :1]
+        tail = points[:, points.shape[1] - L * c:]
+        lifts = (tail[:, a * c:(a + 1) * c] for a in range(L))
+    terms = next(lifts) * dX[:, :1]
     for a, lift in enumerate(lifts, 1):
-        terms += lift * dX[:, :, a, None]
+        terms += lift * dX[:, a:a + 1]
     return terms
 
 
@@ -340,8 +371,8 @@ def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTraj
     if trunc_level < 0:
         raise ValueError("trunc_level must be >= 0")
     # the batched recursion on a batch of one path
-    levels = [level[0] for _, level, _ in
-              _levels(path.values[None], gamma, (None,) * trunc_level)]
+    levels = [level[:, :, 0] for level, _ in
+              _levels(path.values[:, :, None], gamma, (None,) * trunc_level)]
     return SigTrajectory(times=path.times, alphabet=path.alphabet,
                          gamma=float(gamma), trunc_level=trunc_level,
                          levels=tuple(levels))
@@ -449,14 +480,15 @@ def functional_paths(values: np.ndarray, gamma: float,
                      functionals: Sequence[TensorPoly]) -> np.ndarray:
     """Pairings <ell_j, S_{0,t_k}> at every grid point of a batch of paths.
 
-    ``values`` (B, n+1, L), taken in C order, has columns in the letter
+    ``values`` (B, n+1, L), in any memory layout, has columns in the letter
     layout of the functionals' alphabet; returns (B, n+1, p) for p
-    functionals of top level M.  The levels come from the level recursion
-    :func:`_levels`, read from the top down (:func:`_read_matrices`): a level
-    whose c_m pairing-and-read columns are fewer than L**m is carried as
-    ``S^m @ R_m``, its first p columns being its pairing, so the top level of
-    p < L**M functionals is never formed; any other level is carried whole
-    and paired with one matrix product.
+    functionals of top level M, a transpose view of a batch-last buffer.
+    The levels come from the level recursion :func:`_levels`, read from the
+    top down (:func:`_read_matrices`): a level whose c_m pairing-and-read
+    columns are fewer than L**m is carried as ``S^m @ R_m``, its first p
+    columns being its pairing, so the top level of p < L**M functionals is
+    never formed; any other level is carried whole and paired with one
+    matrix product.
     Each path's rows have the bits of its own call and agree with
     :func:`functional_matrix` on :func:`gamma_signature` to roundoff.
     """
@@ -464,8 +496,8 @@ def functional_paths(values: np.ndarray, gamma: float,
     if not functionals:
         raise ValueError("need at least one functional")
     alphabet = functionals[0].alphabet
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    B, n_plus_1, L = values.shape
+    values = _batch_last(values)
+    n_plus_1, L, B = values.shape
     if L != alphabet.total_letters:
         raise ValueError(f"value columns ({L}) must match alphabet letters "
                          f"({alphabet.total_letters})")
@@ -474,42 +506,62 @@ def functional_paths(values: np.ndarray, gamma: float,
     top = max(1, max(ell.max_level() for ell in functionals))
     dense = _dense(functionals, alphabet, top)
     reads = _read_matrices(dense, L)
-    out = np.tile(dense[0], (B, n_plus_1, 1))
-    for coeffs, read, (_, level, _) in zip(dense[1:], reads,
-                                           _levels(values, gamma, reads)):
-        out += level @ coeffs if read is None else level[:, :, :p]
-    return out
+    out = np.tile(dense[0].T, (n_plus_1, 1, B))
+    for coeffs, read, (level, _) in zip(dense[1:], reads, _levels(values, gamma, reads)):
+        out += _product(level, coeffs) if read is None else level[:, :p]
+    return out.transpose(2, 0, 1)
 
 
 def endpoint_signature_batch(values: np.ndarray, gamma: float,
                              trunc_level: int) -> list[np.ndarray]:
     """End-point gamma-signature coefficients for a batch of paths.
 
-    ``values`` has shape (B, n+1, L).  Returns one array per level m with
-    shape (B, L**m).  Level 1 is ``X_n - X_0``; levels between 1 and the top
-    come from the same level recursion as :func:`gamma_signature` and are
+    ``values`` has shape (B, n+1, L), in any memory layout.  Returns one
+    array per level m with shape (B, L**m), a transpose view of a batch-last
+    buffer.  Level 1 is ``X_n - X_0``; levels between 1 and the top come
+    from the same level recursion as :func:`gamma_signature` and are
     materialized along the grid; a top level above 1 is contracted over
-    time directly.
-    The contraction sums in an order set by its operands' memory layout, so
-    ``values`` is taken in C order first: equal values give equal bits
-    whatever their layout.
+    time directly (:func:`_top_level`), in time order, so its bits depend
+    neither on the input's layout nor on the batch.
     """
     _check_gamma(gamma)
     if trunc_level < 1:
         raise ValueError("trunc_level must be >= 1")
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    B, _, L = values.shape
+    values = _batch_last(values)
     ends = []
-    # level trunc_level is requested so that level trunc_level - 1 forms its
-    # gamma-points, but never built: the generator stops before it
-    for dX, level, points in islice(_levels(values, gamma, (None,) * trunc_level),
-                                    max(1, trunc_level - 1)):
-        ends.append(level[:, -1].copy())
+    for level, _ in _levels(values, gamma, (None,) * max(1, trunc_level - 1)):
+        ends.append(level[-1].copy().T)
     if trunc_level > 1:
-        # top level: contracted over time, no trajectory
-        end = np.einsum("bkp,bkl->bpl", points, dX)
-        ends.append(end.reshape(B, L ** trunc_level))
+        # contracted from the last level built, trunc_level - 1
+        ends.append(_top_level(values, level, gamma, trunc_level == 2).T)
     return ends
+
+
+def _top_level(values: np.ndarray, below: np.ndarray, gamma: float,
+               below_is_first: bool) -> np.ndarray:
+    """End point (L * P, B) of the level above the trajectory ``below``
+    (n+1, P, B) of a batch ``values`` (n+1, L, B): the sum over the steps k,
+    in time order, of the outer product of the gamma-point of ``below`` at
+    step k with dX_k.  Each step forms its increment and gamma-point from
+    their rows as :func:`_levels` forms them along the grid (level 1 reads
+    ``X_k - X_0 + gamma * dX_k``), so neither is held along the grid."""
+    n_plus_1, L, B = values.shape
+    P = below.shape[1]
+    top = np.zeros((P, L, B))
+    term = np.empty((P, L, B))
+    for k in range(n_plus_1 - 1):
+        dx = values[k + 1] - values[k]
+        if below_is_first:
+            point = below[k]
+            if gamma:
+                point = gamma * dx
+                point += below[k]
+        else:
+            point = below[k + 1] - below[k]
+            point *= gamma
+            point += below[k]
+        top += np.multiply(point[:, None], dx[None], out=term)
+    return top.reshape(P * L, B)
 
 
 # ---------------------------------------------------------------------------

@@ -93,3 +93,25 @@ def test_tracer_rejected_paths_match_report(experiment, model):
         tracer.uninstall()
     assert report["rejected_paths"] > 0
     assert tracer.counts["models.rejected_paths"] == report["rejected_paths"]
+
+
+@pytest.mark.parametrize("experiment", ["heston2-pricing", "cantor2-pricing"])
+def test_tracer_counters_keep_their_meaning(tmp_path, capsys, experiment):
+    # the tracer reads the shapes at the entry points it wraps: the paths
+    # and steps of _stack_draws, (B, n+1, L) from the values of
+    # endpoint_signature_batch; 30 paths of 10 steps give two level-2 passes
+    # over (t, x1, x2, [1,1], [1,2], [2,2]) and (t, x1, x2)
+    command, payload = next((c, p) for c, p in TINY_RUNS if p["experiment"] == experiment)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(payload))
+    tracer = load_tracer().Tracer()
+    tracer.install(gammasig)
+    try:
+        assert gammasig.cli.main([command, "--config", str(cfg)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.counts["signature.rows"] == 60
+    assert tracer.counts["signature.coeffs"] == 30 * (11 * 6 + 6 ** 2) + 30 * (11 * 3 + 3 ** 2)
+    assert tracer.counts["signature.coeffs"] == 4320
+    assert tracer.counts["models.path_steps"] == 300

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,28 @@ def test_pricing_brackets_once_per_chunk(monkeypatch):
     assert list(stats) == list(expected)
     for key, arr in expected.items():
         assert np.array_equal(stats[key].view(np.uint64), arr.view(np.uint64)), key
+
+
+@pytest.mark.parametrize("experiment, bound", [("heston2-pricing", 3.96),
+                                               ("cantor2-pricing", 3.60)])
+def test_pricing_chunk_peak_memory(experiment, bound):
+    # one chunk of 400 paths on 100 steps: the tracemalloc peak of the
+    # features, in units of the bytes of its left-point joint values
+    # (t, x1, x2, [1,1], [1,2], [2,2]); the bounds are the peaks of the
+    # paths-first layout this one replaced, which held the increments and
+    # level 1 of the left-point pass beside the log-prices and the values
+    config = default_config(experiment, grid_n=100, n_train=300, n_test=50, n_mc=50)
+    total = config.n_train + config.n_test + config.n_mc
+    assert total <= experiments._PRICING_CHUNK
+    layout = experiments._pricing_layout(2)
+    tracemalloc.start()
+    try:
+        experiments._pricing_features(config, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / (total * (config.grid_n + 1) * 6 * 8)
+    assert ratio <= bound, ratio
 
 
 # ---------------------------------------------------------------------------

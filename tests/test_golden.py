@@ -51,6 +51,7 @@ import json
 import numpy as np
 
 from gammasig import HestonParams, SimGrid, endpoint_signature_batch, simulate_heston_batch
+from gammasig import experiments
 from gammasig.cli import main
 from gammasig.models import path_rng
 
@@ -139,3 +140,21 @@ def test_golden_outputs_and_bits(tmp_path, capsys):
         0.5: ["0x1.4e5075dc02deap-1", "0x1.a67946ee4ae50p-5", "0x1.25c2895ad31cap-5"],
     }
     assert _heston_driver_bits() == ["-0x1.ddae8f8817947p-3", "0x1.be8e3d93d1412p-4"]
+
+
+def test_golden_outputs_independent_of_chunk_sizes(tmp_path, capsys, monkeypatch):
+    # every batched kernel gives a path the bits of its own call, so the
+    # stamped outputs do not depend on how the paths are chunked: 560
+    # pricing paths in chunks of 13 and 3 calibration test paths in chunks
+    # of 2 both end in a chunk of one path
+    monkeypatch.setattr(experiments, "_PRICING_CHUNK", 13)
+    monkeypatch.setattr(experiments, "_TEST_CHUNK", 2)
+    assert _stamped_digests(tmp_path / "calibrate", "calibrate",
+                            CALIBRATE_CONFIG, seed=1) == CALIBRATE_SHA256
+    assert _stamped_digests(tmp_path / "price", "price",
+                            PRICE_CONFIG, seed=1) == PRICE_SHA256
+    assert _stamped_digests(tmp_path / "heston", "calibrate",
+                            HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
+    assert _stamped_digests(tmp_path / "cantor-price", "price",
+                            CANTOR_PRICE_CONFIG, seed=1) == CANTOR_PRICE_SHA256
+    capsys.readouterr()

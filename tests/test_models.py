@@ -108,15 +108,17 @@ def test_path_rng_deterministic_and_distinct():
 
 def test_stack_draws_equal_per_path_streams():
     # one re-keyed Philox per batch draws what a fresh path_rng draws, in
-    # any index order, with repeats and for a 64-bit master seed
+    # any index order, with repeats and for a 64-bit master seed; the draws
+    # are stored paths last, (n, width, B)
     for seed, indices in ((7, [0, 1, 2]), (7, [40, 3, 3, 17, 0]),
                           (2 ** 64 - 1, [9, 2 ** 40])):
         grid = SimGrid(1.0, 6, seed)
         draws = _stack_draws(grid, indices, 3)
-        for row, idx in zip(draws, indices):
+        assert draws.shape == (6, 3, len(indices)) and draws.flags.c_contiguous
+        for b, idx in enumerate(indices):
             expected = path_rng(seed, idx).standard_normal((6, 3))
-            assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
-    assert _stack_draws(SimGrid(1.0, 4, 1), [], 2).shape == (0, 4, 2)
+            assert np.array_equal(draws[:, :, b].view(np.uint64), expected.view(np.uint64))
+    assert _stack_draws(SimGrid(1.0, 4, 1), [], 2).shape == (4, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,7 @@ def test_heston_variance_stays_nonnegative():
 
 def test_heston_simulation_memory():
     # the drivers are recovered in place, so the peak stays a small multiple
-    # of the returned arrays
+    # of the returned arrays, transpose views of batch-last (n+1, B) buffers
     grid = SimGrid(T=1.0, n=400, master_seed=0)
     tracemalloc.start()
     try:
@@ -258,7 +260,7 @@ def test_heston_simulation_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(p[name].flags.c_contiguous for name in HESTON_NAMES)
+    assert all(p[name].T.flags.c_contiguous for name in HESTON_NAMES)
     assert peak <= 3.25 * sum(p[name].nbytes for name in HESTON_NAMES)
 
 
@@ -288,7 +290,7 @@ def test_heston2_columns_and_determinism():
     q = simulate_heston2_batch(heston2_params(), grid, [4])
     for name in HESTON2_NAMES:
         assert p[name].shape == (1, 13, 2)
-        assert batch[name].flags.c_contiguous
+        assert batch[name].transpose(1, 2, 0).flags.c_contiguous
         assert np.array_equal(p[name], again[name])
         assert np.array_equal(batch[name][0], p[name][0])
         assert np.array_equal(batch[name][1], q[name][0])
@@ -440,7 +442,7 @@ def test_cantor_sde_two_assets():
     params = CantorParams(s0=(1.0, 1.0), rho=1.0)
     p = simulate_cantor_sde_batch(params, grid, [0])
     assert p["S"].shape == p["W_C"].shape == (1, 28, 2)
-    assert p["S"].flags.c_contiguous and p["W_C"].flags.c_contiguous
+    assert all(p[name].transpose(1, 2, 0).flags.c_contiguous for name in ("S", "W_C"))
     # perfectly correlated drivers and identical dynamics -> identical assets
     assert np.allclose(p["W_C"][..., 0], p["W_C"][..., 1], atol=1e-15)
     assert np.allclose(p["S"][..., 0], p["S"][..., 1], atol=1e-15)
@@ -465,3 +467,32 @@ def test_cantor_sde_input_validation():
     with pytest.raises(ValueError, match="carry 3"):
         simulate_cantor_sde_batch(CantorParams(s0=(1.0, 1.0, 1.0)),
                                   SimGrid(T=1.0, n=10, master_seed=0), [0])
+
+
+# ---------------------------------------------------------------------------
+# Every simulator
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("simulate, params", [
+    (simulate_heston_batch, HP),
+    (simulate_heston2_batch, heston2_params()),
+    (simulate_cantor_sde_batch, CantorParams(s0=0.5)),
+    (simulate_cantor_sde_batch, CantorParams(s0=(1.0, 2.0), vol_kind="linear",
+                                             nu=(0.2, 0.3), rho=0.6)),
+], ids=["heston", "heston2", "cantor", "cantor2"])
+def test_simulator_rows_equal_in_one_batch_and_in_chunks(simulate, params):
+    # a batch is stored paths last, and every step is one vector over the
+    # batch; a path's rows must not depend on the batch it is simulated in
+    grid = SimGrid(T=1.0, n=25, master_seed=11)
+    indices = [4, 0, 9, 2, 7, 5, 1]
+    whole = simulate(params, grid, indices)
+    parts = [simulate(params, grid, indices[a:b]) for a, b in ((0, 3), (3, 4), (4, 7))]
+    for name, arr in whole.items():
+        if name == "C":  # the shared Cantor clock
+            assert all(np.array_equal(p["C"], arr) for p in parts)
+            continue
+        joined = np.concatenate([p[name] for p in parts])
+        assert joined.shape == arr.shape == (len(indices),) + arr.shape[1:], name
+        assert np.array_equal(np.ascontiguousarray(joined).view(np.uint8),
+                              np.ascontiguousarray(arr).view(np.uint8)), name

@@ -184,6 +184,32 @@ def test_predict_on_a_stack_equals_per_design_bits(rng):
         assert np.array_equal(deeper[0].view(np.uint64), single.view(np.uint64))
 
 
+def test_regress_bits_independent_of_memory_layout(rng):
+    # BLAS and numpy's reductions sum in an order set by their operands'
+    # layout; every entry point takes its arrays in C order first, so a
+    # Fortran-ordered copy of the same values gives the same bits
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    pred = rng.normal(size=(100, 1001))
+    target = pred + rng.normal(size=(100, 1001))
+    assert np.array_equal(bits(mse(np.asfortranarray(pred), np.asfortranarray(target))),
+                          bits(mse(pred, target)))
+    X = rng.normal(size=(200, 13))
+    y = X @ rng.normal(size=13) + 0.1 * rng.normal(size=200)
+    F = np.asfortranarray(X)
+    assert not F.flags.c_contiguous
+    for c_fit, f_fit in ((ridge_fit(X, y, 1e-3), ridge_fit(F, y, 1e-3)),
+                         (lasso_fit(X, y, 1.0), lasso_fit(F, y, 1.0))):
+        assert np.array_equal(bits(f_fit.coeffs), bits(c_fit.coeffs))
+        assert f_fit.diagnostics == c_fit.diagnostics
+        assert np.array_equal(bits(predict(c_fit, F)), bits(predict(c_fit, X)))
+    stack = rng.normal(size=(7, 50, 13))
+    fit = ridge_fit(X, y, 1e-3)
+    assert np.array_equal(bits(predict(fit, np.asfortranarray(stack))),
+                          bits(predict(fit, stack)))
+
+
 def test_predict_basics():
     fit = RegressionFit(words=((1,), (2,)), coeffs=np.array([0.0, 0.0]),
                         intercept=1.5, alpha=0.0, objective_kind="lasso-sum")
