@@ -7,14 +7,14 @@ Riemann sums evaluated at ``X_{t_k} + gamma * (X_{t_{k+1}} - X_{t_k})``:
 
 The module provides one level recursion, batched over paths: level 1 is
 ``X - X_0``, and level m adds the level-(m-1) integrand at each step's
-gamma-point times the step's increment; a level is carried whole or as the
-running columns ``S^m @ R_m`` of a read matrix.  It lies behind the running
-trajectory of one path, the end points of a batch and the batched pairings
-with functionals.  A batch is stored time first and paths last,
-(n+1, L, B) in C order, so that every per-path operation is one contiguous
-vector over paths and every step reads one contiguous (L, B) block; the
-batched functions take and return the (B, n+1, L) shape, as transpose views
-of such buffers.  Besides the recursion: an independent per-step
+gamma-point times the step's increment.  The running trajectory of one
+path and the batched pairings with functionals carry a level along the
+grid, whole or as the running columns ``S^m @ R_m`` of a read matrix; the
+end points of a batch carry each level only as its running state.  A batch
+is stored time first and paths last, (n+1, L, B) in C order, so that every
+per-path operation is one contiguous vector over paths and every step reads
+one contiguous (L, B) block; the batched functions take and return the
+(B, n+1, L) shape, as transpose views of such buffers.  Besides the recursion: an independent per-step
 Chen-product oracle, the cumulative pathwise (Follmer) bracket columns of a
 path batch and the quadratic-variation matrix built on them, time and
 bracket augmentation of a path, and the pairings of linear functionals with signatures for
@@ -26,11 +26,13 @@ Letter, bracket and word layouts come from :mod:`gammasig.tensor`.
 
 Accumulation note: level 1 of every gamma-signature is the Riemann sum of
 the increments, which telescopes to ``X - X_0``; it is computed as that one
-correctly rounded difference, not as a cumulative sum.  Every cumulative sum
-in the package -- signature levels from 2 up, brackets, simulator drivers
-and realized statistics -- goes through :func:`cumsum0`, which accumulates in
-extended precision and casts back to float64, so the exact on-grid
-identities hold to near machine precision even on long grids.
+correctly rounded difference, not as a cumulative sum.  Every trajectory
+summed along the grid -- signature levels from 2 up, brackets, simulator
+drivers and realized statistics -- goes through :func:`cumsum0`, which
+accumulates in extended precision and casts back to float64, so the exact
+on-grid identities hold to near machine precision even on long grids.
+End-point levels below the top take the same add and cast one step at a
+time; an end-point top level sums float64 step products in time order.
 """
 from __future__ import annotations
 
@@ -294,7 +296,8 @@ def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
     ``sum_a dX^a * (points read through R_m[(., a), :])`` for a carried
     ``S^m @ R_m``.  A carried level's gamma-points are the same map on its
     running sum, so a carried level below R_m must end in the columns
-    ``R_m.reshape(L**(m-1), L * c)``.
+    ``R_m.reshape(L**(m-1), L * c)``.  Each level is stored along the grid,
+    unlike the running states of :func:`endpoint_signature_batch`.
     """
     level = np.subtract(values, values[:1], out=np.empty_like(values, order="C"))
     dX = _increments(values) if len(reads) > 1 else None
@@ -518,50 +521,41 @@ def endpoint_signature_batch(values: np.ndarray, gamma: float,
 
     ``values`` has shape (B, n+1, L), in any memory layout.  Returns one
     array per level m with shape (B, L**m), a transpose view of a batch-last
-    buffer.  Level 1 is ``X_n - X_0``; levels between 1 and the top come
-    from the same level recursion as :func:`gamma_signature` and are
-    materialized along the grid; a top level above 1 is contracted over
-    time directly (:func:`_top_level`), in time order, so its bits depend
-    neither on the input's layout nor on the batch.
+    buffer.  Level 1 is ``X_n - X_0``.  One loop over the time steps carries
+    the end value of each level above it as a running state (L**m, B), and no
+    level is stored along the grid: a level below the top adds its step
+    products in extended precision and casts back, the bits of
+    :func:`cumsum0`, and the top level sums them in float64.  The sums run
+    in time order, so the bits depend neither on the input's layout nor on
+    the batch.
     """
     _check_gamma(gamma)
     if trunc_level < 1:
         raise ValueError("trunc_level must be >= 1")
     values = _batch_last(values)
-    ends = []
-    for level, _ in _levels(values, gamma, (None,) * max(1, trunc_level - 1)):
-        ends.append(level[-1].copy().T)
-    if trunc_level > 1:
-        # contracted from the last level built, trunc_level - 1
-        ends.append(_top_level(values, level, gamma, trunc_level == 2).T)
-    return ends
-
-
-def _top_level(values: np.ndarray, below: np.ndarray, gamma: float,
-               below_is_first: bool) -> np.ndarray:
-    """End point (L * P, B) of the level above the trajectory ``below``
-    (n+1, P, B) of a batch ``values`` (n+1, L, B): the sum over the steps k,
-    in time order, of the outer product of the gamma-point of ``below`` at
-    step k with dX_k.  Each step forms its increment and gamma-point from
-    their rows as :func:`_levels` forms them along the grid (level 1 reads
-    ``X_k - X_0 + gamma * dX_k``), so neither is held along the grid."""
     n_plus_1, L, B = values.shape
-    P = below.shape[1]
-    top = np.zeros((P, L, B))
-    term = np.empty((P, L, B))
+    first = values[-1] - values[0]
+    if trunc_level == 1:
+        return [first.T]
+    # -0.0 is the exact identity of addition, so a sum starts from its first
+    # step product, sign of zero included, as a cumulative sum does
+    sums = [np.full((L ** m, B), -0.0, dtype=np.longdouble) for m in range(2, trunc_level)]
+    levels = [np.zeros((L ** m, B)) for m in range(2, trunc_level)]
+    top = np.zeros((L ** (trunc_level - 1), L, B))
+    term = np.empty_like(top)
     for k in range(n_plus_1 - 1):
         dx = values[k + 1] - values[k]
-        if below_is_first:
-            point = below[k]
-            if gamma:
-                point = gamma * dx
-                point += below[k]
-        else:
-            point = below[k + 1] - below[k]
+        point = values[k] - values[0]
+        if gamma:
+            point += gamma * dx
+        for m, total in enumerate(sums):
+            total += (point[:, None] * dx[None]).reshape(-1, B)
+            old, levels[m] = levels[m], total.astype(np.float64)
+            point = levels[m] - old
             point *= gamma
-            point += below[k]
+            point += old
         top += np.multiply(point[:, None], dx[None], out=term)
-    return top.reshape(P * L, B)
+    return [level.T for level in (first, *levels, top.reshape(-1, B))]
 
 
 # ---------------------------------------------------------------------------

@@ -383,18 +383,23 @@ def test_pricing_brackets_once_per_chunk(monkeypatch):
         assert np.array_equal(stats[key].view(np.uint64), arr.view(np.uint64)), key
 
 
-@pytest.mark.parametrize("experiment, bound", [("heston2-pricing", 3.96),
-                                               ("cantor2-pricing", 3.60)])
-def test_pricing_chunk_peak_memory(experiment, bound):
+@pytest.mark.parametrize("experiment, trunc_level, bound", [
+    pytest.param("heston2-pricing", 2, 3.96, id="heston2-pricing-3.96"),
+    pytest.param("cantor2-pricing", 2, 3.60, id="cantor2-pricing-3.6"),
+    pytest.param("cantor2-pricing", 3, 3.0, id="cantor2-pricing-level3-3.0")])
+def test_pricing_chunk_peak_memory(experiment, trunc_level, bound):
     # one chunk of 400 paths on 100 steps: the tracemalloc peak of the
     # features, in units of the bytes of its left-point joint values
-    # (t, x1, x2, [1,1], [1,2], [2,2]); the bounds are the peaks of the
-    # paths-first layout this one replaced, which held the increments and
-    # level 1 of the left-point pass beside the log-prices and the values
-    config = default_config(experiment, grid_n=100, n_train=300, n_test=50, n_mc=50)
+    # (t, x1, x2, [1,1], [1,2], [2,2]); the level-2 bounds are the peaks of
+    # the paths-first layout this one replaced, which held the increments and
+    # level 1 of the left-point pass beside the log-prices and the values.
+    # At level 3 the end-point pass carries level 2 as a running state
+    # (about 2.8x); its trajectory along the grid would be about 27x
+    config = default_config(experiment, grid_n=100, n_train=300, n_test=50, n_mc=50,
+                            trunc_level=trunc_level)
     total = config.n_train + config.n_test + config.n_mc
     assert total <= experiments._PRICING_CHUNK
-    layout = experiments._pricing_layout(2)
+    layout = experiments._pricing_layout(trunc_level)
     tracemalloc.start()
     try:
         experiments._pricing_features(config, layout)

@@ -95,6 +95,17 @@ CANTOR_PRICE_SHA256 = {
     "prices.csv": "71a8e94fbe7472e38ba2a97f2a2528615335e02579111805f4196d8cbeeb672c",
 }
 
+# the same level-3 Cantor pricing on the 252-step grid of the benchmark's
+# price-deep workload: every level below the top is summed over the steps
+# of the end-point pass, so a long grid pins the summation order of each
+DEEP_PRICE_CONFIG = dict(CANTOR_PRICE_CONFIG, grid={"n": 252})
+DEEP_PRICE_SHA256 = {
+    "fit_ito.json": "e2d0034df9cbdf9bbedcf1e1b014eda19352bb14b136742dc540a98d16661914",
+    "fit_strat.json": "7a9ef7ec07eb92c8e6735e3187099559d6b304ec630a73aed9ab8b8e77ef32dc",
+    "mse_summary.csv": "35d465e1d25ee5182a6f639a8df516a238cdf3cdf4b2ce5f5340506fba61eb90",
+    "prices.csv": "dc80326e51c94d89bb8bde1fde26761f6fa15255498b8dc56f1915fff9333aac",
+}
+
 
 def _stamped_digests(work_dir, command, payload, seed) -> dict[str, str]:
     work_dir.mkdir()
@@ -111,7 +122,7 @@ def _endpoint_bits() -> dict[float, list[str]]:
     z = np.stack([path_rng(5, i).standard_normal((50, 2)) for i in range(3)])
     values = np.concatenate([np.zeros((3, 1, 2)), np.cumsum(0.1 * z, axis=1)], axis=1)
     out = {}
-    for gamma in (0.0, 0.5):
+    for gamma in (0.0, 0.5, 1.0):
         ends = endpoint_signature_batch(values, gamma, 3)
         out[gamma] = [float(ends[0][1, 0]).hex(), float(ends[1][2, 1]).hex(),
                       float(ends[2][0, 5]).hex()]
@@ -134,10 +145,13 @@ def test_golden_outputs_and_bits(tmp_path, capsys):
                             HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
     assert _stamped_digests(tmp_path / "cantor-price", "price",
                             CANTOR_PRICE_CONFIG, seed=1) == CANTOR_PRICE_SHA256
+    assert _stamped_digests(tmp_path / "deep-price", "price",
+                            DEEP_PRICE_CONFIG, seed=1) == DEEP_PRICE_SHA256
     capsys.readouterr()
     assert _endpoint_bits() == {
         0.0: ["0x1.4e5075dc02deap-1", "0x1.ab80de2bc16a7p-6", "0x1.5cf1a4052603ep-4"],
         0.5: ["0x1.4e5075dc02deap-1", "0x1.a67946ee4ae50p-5", "0x1.25c2895ad31cap-5"],
+        1.0: ["0x1.4e5075dc02deap-1", "0x1.3b990f635a8a2p-4", "-0x1.69d1c8ecf1d0cp-7"],
     }
     assert _heston_driver_bits() == ["-0x1.ddae8f8817947p-3", "0x1.be8e3d93d1412p-4"]
 
@@ -157,4 +171,6 @@ def test_golden_outputs_independent_of_chunk_sizes(tmp_path, capsys, monkeypatch
                             HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
     assert _stamped_digests(tmp_path / "cantor-price", "price",
                             CANTOR_PRICE_CONFIG, seed=1) == CANTOR_PRICE_SHA256
+    assert _stamped_digests(tmp_path / "deep-price", "price",
+                            DEEP_PRICE_CONFIG, seed=1) == DEEP_PRICE_SHA256
     capsys.readouterr()
