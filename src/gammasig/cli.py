@@ -39,6 +39,7 @@ from .experiments import (
     PRICING_IDS,
     SCHEMES,
     ExperimentConfig,
+    check_signature_size,
     default_config,
     run_calibration,
     run_checks,
@@ -104,25 +105,36 @@ def _typed(ref, value, dotted: str):
                       f"got {json.dumps(value)}")
 
 
-def _experiment_config(args, fallback_experiment: str | None = None) -> ExperimentConfig:
-    """Config file merged over the experiment's reference defaults, with
-    ``--seed``, ``--out`` and ``--filter`` applied on top."""
+def _merged_config(args, reference) -> tuple[dict, dict]:
+    """The ``--config`` JSON object (empty without the option) and its merge
+    over the command's reference configuration ``reference(data)``, with
+    ``--seed`` and ``--out`` applied on top."""
     data: dict = {}
     if args.config is not None:
         data = _load_json(args.config)
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-    experiment = data.get("experiment", fallback_experiment)
-    if experiment is None:
-        raise ConfigError("config must name an \"experiment\"")
-    if experiment not in EXPERIMENT_IDS:
-        raise ConfigError(f"unknown experiment {experiment!r}; "
-                          f"choose from {EXPERIMENT_IDS}")
-    merged = _deep_merge(default_config(experiment).to_json_dict(), data)
+    merged = _deep_merge(reference(data), data)
     if args.seed is not None:
         merged["master_seed"] = args.seed
     if args.out is not None:
         merged["out_dir"] = args.out
+    return data, merged
+
+
+def _experiment_config(args, fallback_experiment: str | None = None) -> ExperimentConfig:
+    """Config file merged over the experiment's reference defaults, with
+    ``--seed``, ``--out`` and ``--filter`` applied on top."""
+    def reference(data: dict) -> dict:
+        experiment = data.get("experiment", fallback_experiment)
+        if experiment is None:
+            raise ConfigError("config must name an \"experiment\"")
+        if experiment not in EXPERIMENT_IDS:
+            raise ConfigError(f"unknown experiment {experiment!r}; "
+                              f"choose from {EXPERIMENT_IDS}")
+        return default_config(experiment).to_json_dict()
+
+    _, merged = _merged_config(args, reference)
     if getattr(args, "filter", None) is not None:
         merged["check"] = {**merged["check"], "filter": args.filter}
     try:
@@ -212,14 +224,7 @@ _SIGDUMP_DEFAULTS = {
 def _cmd_sigdump(args) -> int:
     if args.config is None:
         raise ConfigError("sigdump requires --config with a \"path_csv\" key")
-    data = _load_json(args.config)
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    config = _deep_merge(_SIGDUMP_DEFAULTS, data)
-    if args.seed is not None:
-        config["master_seed"] = args.seed
-    if args.out is not None:
-        config["out_dir"] = args.out
+    data, config = _merged_config(args, lambda data: _SIGDUMP_DEFAULTS)
     if not isinstance(config["path_csv"], str):
         raise ConfigError("sigdump config must contain 'path_csv', a file name")
     if not isinstance(config["out_dir"], (str, type(None))):
@@ -241,6 +246,8 @@ def _cmd_sigdump(args) -> int:
                             include_time=augment["time"],
                             include_brackets=augment["brackets"],
                             scaled_brackets=augment["scaled_brackets"])
+        check_signature_size("trunc_level", config["trunc_level"], len(path.times),
+                             path.dim, config["trunc_level"])
         traj = gamma_signature(path, config["gamma"], config["trunc_level"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -52,6 +53,7 @@ from .tensor import Alphabet, TensorPoly, Word, enumerate_words
 
 __all__ = [
     "ExperimentConfig",
+    "check_signature_size",
     "default_config",
     "config_hash",
     "run_calibration",
@@ -82,6 +84,25 @@ _CHECK_FIXED = (("grid.T", "grid_T", 1.0), ("grid.n", "grid_n", 1),
                 ("signature.trunc_level", "trunc_level", 1),
                 ("regression.alpha", "alpha", 0.0), ("samples.N_train", "n_train", 1),
                 ("samples.N_test", "n_test", 1), ("samples.N_MC", "n_mc", 1))
+
+
+def check_signature_size(key: str, value: int, rows: int, letters: int, level: int) -> None:
+    """Raise ``ValueError`` naming the config ``key`` (set to ``value``) when
+    a run's widest signature array, ``rows`` rows of ``letters**level``
+    float64 coefficients, needs more bytes than the machine's physical
+    memory.  The size is compared in logarithms, so that it is known before
+    anything is allocated, however large; where the physical memory cannot
+    be read, nothing is checked."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if level >= 1 and (math.log(8 * rows) + level * math.log(letters)
+                       > math.log(physical)):
+        raise ValueError(f"{key!r} {value} is too large to run: the widest signature "
+                         f"array, {rows} rows of {letters}**{level} float64 "
+                         f"coefficients, needs more than the {physical / 2 ** 30:.1f} "
+                         "GiB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -154,6 +175,15 @@ class ExperimentConfig:
                                  "(t), (t,t), ... are equal on every path, so at "
                                  "alpha 0 the ridge Gram is singular whatever "
                                  "N_train is")
+            # the widest signature array: a calibration's training trajectory,
+            # three letters to level N (N + 1 for heston-calib); a pricing's
+            # end-point coefficients of every path, six letters to level N
+            calibration = self.experiment in CALIBRATION_IDS
+            check_signature_size(
+                "signature.trunc_level", self.trunc_level,
+                self.grid_n + 1 if calibration else self.n_train + self.n_test + self.n_mc,
+                3 if calibration else 6,
+                self.trunc_level + (self.experiment == "heston-calib"))
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("'master_seed' must fit in an unsigned 64-bit "
                              f"integer, got {self.master_seed}")
@@ -398,10 +428,13 @@ def run_calibration(config: ExperimentConfig) -> dict:
     fresh out-of-sample paths over [0, T/2]; returns (and optionally writes)
     the MSE summary, fitted functionals, and a test-path trajectory table.
 
-    The training design goes through :func:`gamma_signature` and
-    :func:`functional_matrix`; the in-sample MSE is the lasso's own.  Test
-    paths go through :func:`functional_paths` on the folded fit sum_j beta_j
-    f_j in chunks of ``_TEST_CHUNK``, each scored by one row-wise :func:`mse`.
+    Both schemes are fitted first, from the training path alone: the
+    training design goes through :func:`gamma_signature` and
+    :func:`functional_matrix`, and the in-sample MSE is the lasso's own.  The
+    test paths are simulated after the fits, so that the training arrays are
+    freed before the run's largest allocation, and go through
+    :func:`functional_paths` on the folded fit sum_j beta_j f_j in chunks of
+    ``_TEST_CHUNK``, each scored by one row-wise :func:`mse`.
     A training target whose squares can overflow float64 (before any fit), a
     failed lasso and a non-finite MSE (naming the scheme) are ``ValueError``s
     raised before any file is written.
@@ -421,17 +454,7 @@ def run_calibration(config: ExperimentConfig) -> dict:
         raise ValueError(f"{config.experiment}: the training target reaches {peak:.3e}, "
                          "and the sum of its squares can overflow float64")
 
-    test_grid = config.test_grid()
-    test = _simulate_calibration_columns(
-        config, test_grid, range(1, config.n_test + 1))
-
-    report: dict = {
-        "experiment": config.experiment,
-        "config_hash": config_hash(config),
-        "master_seed": config.master_seed,
-        "schemes": {},
-    }
-    trajectory = {"t": list(test_grid.times), "target": test["S"][0].tolist()}
+    fits = {}
     for scheme in SCHEMES:
         plan = plans[scheme]
         driver = plan.driver(train_grid.times, train, 0)
@@ -446,12 +469,28 @@ def run_calibration(config: ExperimentConfig) -> dict:
             print(f"warning: {config.experiment} {scheme} lasso fit not converged "
                   f"after n_iter={fit.diagnostics['n_iter']} active-set steps",
                   file=sys.stderr)
+        fits[scheme] = driver.names, fit
+    del train, traj, X_train
+
+    test_grid = config.test_grid()
+    test = _simulate_calibration_columns(
+        config, test_grid, range(1, config.n_test + 1))
+    report: dict = {
+        "experiment": config.experiment,
+        "config_hash": config_hash(config),
+        "master_seed": config.master_seed,
+        "schemes": {},
+    }
+    trajectory = {"t": list(test_grid.times), "target": test["S"][0].tolist()}
+    for scheme in SCHEMES:
+        plan = plans[scheme]
+        names, fit = fits[scheme]
         in_mse = fit.diagnostics["in_sample_mse"]
         ell = _fold(fit.coeffs, plan.functionals)
         out_mses = []
         for start in range(0, config.n_test, _TEST_CHUNK):
             stop = min(start + _TEST_CHUNK, config.n_test)
-            values = _driver_values(test_grid.times, test, driver.names, start, stop)
+            values = _driver_values(test_grid.times, test, names, start, stop)
             pred = fit.intercept + functional_paths(values, plan.gamma, [ell])[..., 0]
             out_mses.append(mse(pred, test["S"][start:stop]))
             if start == 0:

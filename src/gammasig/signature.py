@@ -5,40 +5,45 @@ Riemann sums evaluated at ``X_{t_k} + gamma * (X_{t_{k+1}} - X_{t_k})``:
 ``gamma = 0`` is the left-point (Ito) sum, ``gamma = 1/2`` the mid-point
 (Stratonovich) sum, ``gamma = 1`` the right-point (backward Ito) sum.
 
-The module provides one level recursion, batched over paths: level 1 is
-``X - X_0``, and level m adds the level-(m-1) integrand at each step's
-gamma-point times the step's increment.  The running trajectory of one
-path and the batched pairings with functionals carry a level along the
-grid, whole or as the running columns ``S^m @ R_m`` of a read matrix; the
-end points of a batch carry each level only as its running state.  A batch
-is stored time first and paths last, (n+1, L, B) in C order, so that every
-per-path operation is one contiguous vector over paths and every step reads
-one contiguous (L, B) block; the batched functions take and return the
-(B, n+1, L) shape, as transpose views of such buffers.  Besides the recursion: an independent per-step
-Chen-product oracle, the cumulative pathwise (Follmer) bracket columns of a
-path batch and the quadratic-variation matrix built on them, time and
-bracket augmentation of a path, and the pairings of linear functionals with signatures for
+The module provides one level recursion, batched over paths and walked
+along the grid in windows of steps: level 1 is ``X - X_0``, and level m
+adds the level-(m-1) integrand at each step's gamma-point times the step's
+increment.  The running trajectory of one path collects the windows, the
+batched pairings with functionals pair each window into its rows, carrying
+a level whole or as the running columns ``S^m @ R_m`` of a read matrix,
+and the end points of a batch keep the last rows of the levels below the
+top.  A batch is stored time first and paths last, (n+1, L, B) in C order,
+so that every per-path operation is one contiguous vector over paths and
+every step reads one contiguous (L, B) block; the batched functions take
+and return the (B, n+1, L) shape, as transpose views of such buffers.
+Besides the recursion: an independent per-step Chen-product oracle, the
+cumulative pathwise (Follmer) bracket columns of a path batch and the
+quadratic-variation matrix built on them, time and bracket augmentation of
+a path, and the pairings of linear functionals with signatures for
 regression: the design matrix of one trajectory along its grid, one matrix
 product per level of dense per-level coefficient arrays, and a batched
 route read from the top down, in which each level carries only the
-min(L**m, c_m) columns of its pairing and of what the level above reads.
+min(L**m, c_m) columns of its pairing and of what the level above reads,
+and whose pairings add each row's weighted terms elementwise in row order.
 Letter, bracket and word layouts come from :mod:`gammasig.tensor`.
 
 Accumulation note: level 1 of every gamma-signature is the Riemann sum of
 the increments, which telescopes to ``X - X_0``; it is computed as that one
 correctly rounded difference, not as a cumulative sum.  Every trajectory
-summed along the grid -- signature levels from 2 up, brackets, simulator
-drivers and realized statistics -- goes through :func:`cumsum0`, which
-accumulates in extended precision and casts back to float64, so the exact
-on-grid identities hold to near machine precision even on long grids.
-End-point levels below the top take the same add and cast one step at a
-time; an end-point top level sums float64 step products in time order.
+summed along the grid is accumulated in extended precision and cast back
+to float64, so the exact on-grid identities hold to near machine precision
+even on long grids: brackets, simulator drivers and realized statistics
+through :func:`cumsum0`, and signature levels from 2 up window by window,
+each window a cumulative sum that goes on from the extended-precision sum
+carried out of the window before, which gives :func:`cumsum0`'s bits
+whatever the window size.  An end-point top level sums float64 step
+products in time order.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,9 +78,11 @@ def cumsum0(increments: np.ndarray, axis: int = 0) -> np.ndarray:
     """Cumulative sum along ``axis`` with a leading zero, accumulated in
     extended precision and cast back to float64.
 
-    The one accumulation primitive of the package: entry k along ``axis``
-    is the sequential sum of the first k increments, whatever the memory
-    layout, and the sums are cast straight into the one float64 output.
+    The accumulation primitive of the package's trajectories other than
+    signature levels, which :func:`_levels` sums in the same way window by
+    window: entry k along ``axis`` is the sequential sum of the first k
+    increments, whatever the memory layout, and the sums are cast straight
+    into the one float64 output.
     The batched callers accumulate along time, the leading axis of their
     (n, ..., B) arrays.
     """
@@ -153,13 +160,6 @@ def _batch_last(values: np.ndarray) -> np.ndarray:
     return values.transpose(1, 2, 0)
 
 
-def _increments(values: np.ndarray) -> np.ndarray:
-    """Increments (n, L, B) of a batch-last view (n+1, L, B) of any memory
-    layout, stored in C order, so that every step is one contiguous (L, B)
-    block."""
-    return np.subtract(values[1:], values[:-1], out=np.empty_like(values[1:], order="C"))
-
-
 def bracket_columns(values: np.ndarray) -> np.ndarray:
     """Cumulative Follmer sums sum_k dX^i_k dX^j_k of a batch of paths.
 
@@ -170,7 +170,8 @@ def bracket_columns(values: np.ndarray) -> np.ndarray:
     """
     values = _batch_last(values)
     n_plus_1, d, B = values.shape
-    dX = _increments(values)
+    # increments stored in C order: every step is one contiguous (d, B) block
+    dX = np.subtract(values[1:], values[:-1], out=np.empty_like(values[1:], order="C"))
     pairs = bracket_pairs(d)
     out = np.empty((n_plus_1, len(pairs), B))
     for p, (i, j) in enumerate(pairs):
@@ -277,58 +278,95 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
 
 
+#: Bytes of the widest float64 array of one window of :func:`_levels`: a
+#: window takes as many grid steps as fit, and at least one.
+_WINDOW_BYTES = 1 << 17
+
+
 def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
-            ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+            ) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
     """The gamma-signature recursion of a batch of paths ``values``
-    (n+1, L, B), paths last, in any memory layout: yields ``(level,
-    points)`` for m = 1 .. len(reads), the carried level-m trajectory and
-    its gamma-points, the level read at ``S_k + gamma * dS_k``.  A level's
-    gamma-points, and the increments dX (n, L, B), are formed only when the
-    level above it is requested; the last level yields ``None`` for them.
+    (n+1, L, B), paths last, in any memory layout, walked along the grid in
+    windows of K steps: yields ``(start, dX, levels)`` per window, its
+    increments dX (k, L, B) and, for m = 1 .. len(reads), ``levels[m-1]``
+    (k+1, c_m, B), level m at grid points start .. start + k.  K is the
+    number of steps whose widest level fits in ``_WINDOW_BYTES`` (at least
+    one, at most n); a grid of one point (n = 0) has no window.
 
-    ``reads[m-1]`` is None for a level carried whole, (n+1, L**m, B), or a
-    read matrix R_m (L**m, c) for a level carried as ``S^m @ R_m``,
-    (n+1, c, B).  Level 1 is always whole: it is the Riemann sum of the
-    increments, which telescopes to ``X - X_0``, one correctly rounded
-    subtraction instead of a running sum, whose gamma-points are a view of
-    it at ``gamma = 0``.  Level m >= 2 is the running sum of the level-(m-1)
-    gamma-points times dX: their outer product for a whole level, or
-    ``sum_a dX^a * (points read through R_m[(., a), :])`` for a carried
-    ``S^m @ R_m``.  A carried level's gamma-points are the same map on its
-    running sum, so a carried level below R_m must end in the columns
-    ``R_m.reshape(L**(m-1), L * c)``.  Each level is stored along the grid,
-    unlike the running states of :func:`endpoint_signature_batch`.
+    ``reads[m-1]`` is None for a level carried whole (c_m = L**m), or a read
+    matrix R_m (L**m, c_m) for a level carried as ``S^m @ R_m``.  Level 1 is
+    always whole: it is the Riemann sum of the increments, which telescopes
+    to ``X - X_0``, one correctly rounded subtraction instead of a running
+    sum.  Level m >= 2 is the running sum of its step terms, the level-(m-1)
+    gamma-points (:func:`_gamma_points`) times dX: their outer product for a
+    whole level, or ``sum_a dX^a * (points read through R_m[(., a), :])``
+    for a carried ``S^m @ R_m`` (:func:`_step_terms`).  A carried level's
+    gamma-points are the same map on its running sum, so a carried level
+    below R_m must end in the columns ``R_m.reshape(L**(m-1), L * c)``.
+
+    From one window to the next, each level m >= 2 carries its
+    extended-precision running sum and its last float64 row: a window's sums
+    are the cumulative sum of its step terms that goes on from the carried
+    sum, cast back to float64 behind the carried row, which gives
+    :func:`cumsum0`'s bits on the whole grid.  The sums start at -0.0, the
+    exact identity of addition, so a zero first step term keeps its sign, as
+    in a cumulative sum.  Every step is elementwise, so the bits depend
+    neither on the window nor on the batch.  The yielded arrays are
+    overwritten by the next window.
     """
-    level = np.subtract(values, values[:1], out=np.empty_like(values, order="C"))
-    dX = _increments(values) if len(reads) > 1 else None
-    for m, read in enumerate(reads, 1):
-        if m > 1:
-            # no name holds the contributions: they are freed when cumsum0
-            # returns, not kept beside the level's gamma-points
-            level = cumsum0(_step_terms(points, dX, read, reads[m - 2] is None))
-        # gamma-points only for a level above to read
-        points = None
-        if m < len(reads):
-            if m == 1:
-                points = level[:-1]
-                if gamma:
-                    points = gamma * dX
-                    points += level[:-1]
-            else:
-                points = level[1:] - level[:-1]
-                points *= gamma
-                points += level[:-1]
-        yield level, points
+    n_plus_1, L, B = values.shape
+    widths = [L ** m if read is None else read.shape[1] for m, read in enumerate(reads, 1)]
+    K = max(1, min(n_plus_1 - 1, _WINDOW_BYTES // (8 * B * max(widths, default=L))))
+    steps, firsts = np.empty((K, L, B)), np.empty((K + 1, L, B))
+    sums = [np.full((K, c, B), -0.0, dtype=np.longdouble) for c in widths[1:]]
+    lasts = [np.zeros((K + 1, c, B)) for c in widths[1:]]
+    for start in range(0, n_plus_1 - 1, K):
+        window = values[start:start + K + 1]
+        dX = np.subtract(window[1:], window[:-1], out=steps[:len(window) - 1])
+        levels = [np.subtract(window, values[0], out=firsts[:len(window)])]
+        for m, (total, last) in enumerate(zip(sums, lasts), 2):
+            terms = _step_terms(_gamma_points(levels[-1], gamma, dX if m == 2 else None),
+                                dX, reads[m - 1], reads[m - 2] is None)
+            # the sum goes on from the previous window's last one, in row
+            # K - 1: only the last window has fewer than K steps
+            np.add(total[K - 1], terms[0], out=total[0])
+            if K > 1:
+                # np.cumsum loops over time innermost: one-step windows skip it
+                total[1:len(terms)] = terms[1:]
+                np.cumsum(total[:len(terms)], axis=0, out=total[:len(terms)])
+                last[0] = last[K]
+            # one-step windows leave the carried row where it is: their two
+            # rows swap places every other window
+            levels.append(last[::-1] if K == 1 and start % 2 else last[:len(window)])
+            levels[-1][1:] = total[:len(terms)]
+        yield start, dX, levels
 
 
-def _product(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Batch-last rows (n, K, B) times a small (K, c) matrix, as a C-ordered
-    (n, c, B) array with, per path, the bits of that path's own BLAS product
-    (n, K) @ (K, c).  BLAS picks its kernel, and with it the summation
-    order, from the operands' shapes and layouts, so the product is taken
-    path by path, from a paths-first copy of the rows."""
-    by_path = np.ascontiguousarray(rows.transpose(2, 0, 1))
-    return np.ascontiguousarray((by_path @ weights).transpose(1, 2, 0))
+def _gamma_points(level: np.ndarray, gamma: float, dX: np.ndarray | None) -> np.ndarray:
+    """A window's level (k+1, c, B) read at its k gamma-points
+    ``S_j + gamma * dS_j``.  Level 1 passes the path's increments dX for dS,
+    and its gamma = 0 points are a view of it; a level above forms
+    ``dS_j = S_{j+1} - S_j`` from its own rows."""
+    if dX is not None and not gamma:
+        return level[:-1]
+    points = gamma * (level[1:] - level[:-1] if dX is None else dX)
+    points += level[:-1]
+    return points
+
+
+def _contract(rows: np.ndarray, weights: Iterable[np.ndarray]) -> np.ndarray:
+    """Batch-last rows (k, P, B) contracted with P weights: the sum of
+    ``rows[:, i, None] * weights[i]``, added elementwise in row order, so
+    that the bits depend neither on the batch nor on the memory layout,
+    unlike a BLAS product, whose summation order follows its operands'
+    shapes.  The rows of a small (P, c) matrix, given as (P, c, 1), make a
+    (k, c, B) product."""
+    pairs = zip(rows.transpose(1, 0, 2), weights)
+    row, weight = next(pairs)
+    out = row[:, None] * weight
+    for row, weight in pairs:
+        out += row[:, None] * weight
+    return out
 
 
 def _step_terms(points: np.ndarray, dX: np.ndarray, read: np.ndarray | None,
@@ -339,21 +377,13 @@ def _step_terms(points: np.ndarray, dX: np.ndarray, read: np.ndarray | None,
     ``lift_a`` is the points read through the rows (., a) of ``read`` for a
     whole level below, or its slice of the trailing columns of a carried
     one."""
-    n, L, B = dX.shape
+    k, L, B = dX.shape
     if read is None:
-        P = points.shape[1]
-        return (points[:, :, None] * dX[:, None]).reshape(n, P * L, B)
+        return (points[:, :, None] * dX[:, None]).reshape(k, points.shape[1] * L, B)
     c = read.shape[1]
-    if whole_below:
-        by_letter = read.reshape(-1, L, c)
-        lifts = (_product(points, by_letter[:, a]) for a in range(L))
-    else:
-        tail = points[:, points.shape[1] - L * c:]
-        lifts = (tail[:, a * c:(a + 1) * c] for a in range(L))
-    terms = next(lifts) * dX[:, :1]
-    for a, lift in enumerate(lifts, 1):
-        terms += lift * dX[:, a:a + 1]
-    return terms
+    lifts = ((_contract(points, read[a::L, :, None]) for a in range(L)) if whole_below
+             else (points[:, -L * c:][:, a * c:(a + 1) * c] for a in range(L)))
+    return _contract(dX, lifts)
 
 
 def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTrajectory:
@@ -365,17 +395,19 @@ def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTraj
                        + (S_{I'}(t_k) + gamma * (S_{I'}(t_{k+1}) - S_{I'}(t_k)))
                          * dX^{i_last}_k,
 
-    with the level-(m-1) trajectory S_{I'} fully computed first.  Level 1
-    telescopes to ``X - X_0`` and is computed as that difference.  Cost is
-    O(n * L**trunc_level) for L letters.  ``trunc_level = 0`` returns the
-    constant-unit trajectory.
+    through the windowed level recursion :func:`_levels` on a batch of one
+    path.  Level 1 telescopes to ``X - X_0`` and is computed as that
+    difference.  Cost is O(n * L**trunc_level) for L letters.
+    ``trunc_level = 0`` returns the constant-unit trajectory.
     """
     _check_gamma(gamma)
     if trunc_level < 0:
         raise ValueError("trunc_level must be >= 0")
     # the batched recursion on a batch of one path
-    levels = [level[:, :, 0] for level, _ in
-              _levels(path.values[:, :, None], gamma, (None,) * trunc_level)]
+    levels = [np.zeros((len(path.times), path.dim ** m)) for m in range(1, trunc_level + 1)]
+    for start, _, window in _levels(path.values[:, :, None], gamma, (None,) * trunc_level):
+        for out, level in zip(levels, window):
+            out[start + 1:start + len(level)] = level[1:, :, 0]
     return SigTrajectory(times=path.times, alphabet=path.alphabet,
                          gamma=float(gamma), trunc_level=trunc_level,
                          levels=tuple(levels))
@@ -403,12 +435,10 @@ def gamma_signature_chen(path: SamplePath, gamma: float, trunc_level: int) -> Si
     for k in range(n):
         dx = dX[k]
         # graded parts of the step element
-        g: list[np.ndarray] = []
-        power = dx
-        for m in range(1, trunc_level + 1):
-            if m > 1:
-                power = np.outer(power, dx).ravel()
-            g.append(power if m == 1 else gamma ** (m - 1) * power)
+        powers = [dx]
+        for _ in range(1, trunc_level):
+            powers.append(np.outer(powers[-1], dx).ravel())
+        g = [gamma ** m * power for m, power in enumerate(powers)]
         new = []
         for m in range(1, trunc_level + 1):
             acc = cur[m - 1] + g[m - 1]
@@ -487,13 +517,15 @@ def functional_paths(values: np.ndarray, gamma: float,
     layout of the functionals' alphabet; returns (B, n+1, p) for p
     functionals of top level M, a transpose view of a batch-last buffer.
     The levels come from the level recursion :func:`_levels`, read from the
-    top down (:func:`_read_matrices`): a level whose c_m pairing-and-read
-    columns are fewer than L**m is carried as ``S^m @ R_m``, its first p
-    columns being its pairing, so the top level of p < L**M functionals is
-    never formed; any other level is carried whole and paired with one
-    matrix product.
-    Each path's rows have the bits of its own call and agree with
-    :func:`functional_matrix` on :func:`gamma_signature` to roundoff.
+    top down (:func:`_read_matrices`), and each window is paired into its
+    rows: a level whose c_m pairing-and-read columns are fewer than L**m is
+    carried as ``S^m @ R_m``, its first p columns being its pairing, so the
+    top level of p < L**M functionals is never formed; any other level is
+    carried whole and paired by :func:`_contract`, its rows' weighted terms
+    added elementwise in row order.  No step calls BLAS, so a path's rows
+    depend neither on the batch, the chunk, the memory layout nor the
+    window; they agree with :func:`functional_matrix` on
+    :func:`gamma_signature` to roundoff.
     """
     _check_gamma(gamma)
     if not functionals:
@@ -510,8 +542,11 @@ def functional_paths(values: np.ndarray, gamma: float,
     dense = _dense(functionals, alphabet, top)
     reads = _read_matrices(dense, L)
     out = np.tile(dense[0].T, (n_plus_1, 1, B))
-    for coeffs, read, (level, _) in zip(dense[1:], reads, _levels(values, gamma, reads)):
-        out += _product(level, coeffs) if read is None else level[:, :p]
+    for start, _, window in _levels(values, gamma, reads):
+        rows = out[start + 1:start + len(window[0])]
+        for coeffs, read, level in zip(dense[1:], reads, window):
+            rows += (_contract(level[1:], coeffs[:, :, None]) if read is None
+                     else level[1:, :p])
     return out.transpose(2, 0, 1)
 
 
@@ -521,41 +556,29 @@ def endpoint_signature_batch(values: np.ndarray, gamma: float,
 
     ``values`` has shape (B, n+1, L), in any memory layout.  Returns one
     array per level m with shape (B, L**m), a transpose view of a batch-last
-    buffer.  Level 1 is ``X_n - X_0``.  One loop over the time steps carries
-    the end value of each level above it as a running state (L**m, B), and no
-    level is stored along the grid: a level below the top adds its step
-    products in extended precision and casts back, the bits of
-    :func:`cumsum0`, and the top level sums them in float64.  The sums run
-    in time order, so the bits depend neither on the input's layout nor on
-    the batch.
+    buffer.  Level 1 is ``X_n - X_0``.  The levels below the top come from
+    the windowed level recursion :func:`_levels`, of which only the last
+    rows are kept, so no level is stored along the grid; the top level adds
+    its float64 step products, the gamma-points of the level below times
+    the increments, one step at a time.  The sums run in time order, so the
+    bits depend neither on the input's layout, the batch nor the window.
     """
     _check_gamma(gamma)
     if trunc_level < 1:
         raise ValueError("trunc_level must be >= 1")
     values = _batch_last(values)
     n_plus_1, L, B = values.shape
-    first = values[-1] - values[0]
     if trunc_level == 1:
-        return [first.T]
-    # -0.0 is the exact identity of addition, so a sum starts from its first
-    # step product, sign of zero included, as a cumulative sum does
-    sums = [np.full((L ** m, B), -0.0, dtype=np.longdouble) for m in range(2, trunc_level)]
-    levels = [np.zeros((L ** m, B)) for m in range(2, trunc_level)]
+        return [(values[-1] - values[0]).T]
     top = np.zeros((L ** (trunc_level - 1), L, B))
     term = np.empty_like(top)
-    for k in range(n_plus_1 - 1):
-        dx = values[k + 1] - values[k]
-        point = values[k] - values[0]
-        if gamma:
-            point += gamma * dx
-        for m, total in enumerate(sums):
-            total += (point[:, None] * dx[None]).reshape(-1, B)
-            old, levels[m] = levels[m], total.astype(np.float64)
-            point = levels[m] - old
-            point *= gamma
-            point += old
-        top += np.multiply(point[:, None], dx[None], out=term)
-    return [level.T for level in (first, *levels, top.reshape(-1, B))]
+    # the levels of a single grid point, if there is no step
+    window = [np.zeros((1, L ** m, B)) for m in range(1, trunc_level)]
+    for _, dX, window in _levels(values, gamma, (None,) * (trunc_level - 1)):
+        points = _gamma_points(window[-1], gamma, dX if trunc_level == 2 else None)
+        for point, dx in zip(points, dX):
+            top += np.multiply(point[:, None], dx[None], out=term)
+    return [level[-1].copy().T for level in window] + [top.reshape(-1, B).T]
 
 
 # ---------------------------------------------------------------------------

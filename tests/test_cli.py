@@ -474,6 +474,34 @@ def test_sigdump_bad_gamma(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("sigdump", {"trunc_level": 40, "augment": {"time": True}}),
+    ("calibrate", {"experiment": "cantor-calib", "grid": {"n": 20},
+                   "samples": {"N_test": 2}, "signature": {"trunc_level": 40}}),
+])
+def test_trunc_level_too_large_to_run_exits_2(tmp_path, command, payload):
+    # the widest signature array (2**40 and 3**40 columns) is sized from the
+    # config before anything is allocated, so the run needs no memory cap;
+    # allocating it would end in a MemoryError (exit 1) or exhaust the
+    # machine's memory
+    import os
+    import subprocess
+    import sys
+
+    import gammasig
+    if command == "sigdump":
+        payload = {"path_csv": make_path_csv(tmp_path), **payload}
+    cfg = write_config(tmp_path, "c.json", payload)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gammasig.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "gammasig.cli", command, "--config", cfg],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "trunc_level" in proc.stderr and "too large to run" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def test_entry_point_installed():
     import shutil
     assert shutil.which("gammasig") is not None

@@ -37,7 +37,15 @@ roundoff); every ``fit_*.json`` is bit-equal.  Every calibration digest
 was re-recorded when the lasso began to follow its homotopy path instead of
 feature-sign search: the fits keep their active sets, and their
 coefficients moved at roundoff (at most 6e-12 relative to the largest) and
-their ``n_iter`` counts changed.  The sums accumulate in
+their ``n_iter`` counts changed.  The calibration ``trajectory.csv`` and
+the Heston ``mse_summary.csv`` were re-recorded once more when the test
+paths' pairings stopped using small BLAS products, whose summation order
+BLAS picks from the operands' shapes, and began to add each row's weighted
+terms elementwise in row order, with the levels walked along the grid in
+windows (out-of-sample predictions moved at roundoff, at most 7e-15
+relative over a benchmark-size calibration round); every ``fit_*.json``,
+every pricing digest and the ``gamma_signature`` level digests, recorded
+before that change, are bit-equal.  The sums accumulate in
 ``np.longdouble``, whose width depends on the platform (80-bit on x86-64
 Linux, 64-bit on MSVC, 128-bit on aarch64 Linux), so a failure here on
 another platform also flags cross-platform accumulation drift rather than
@@ -50,8 +58,18 @@ import json
 
 import numpy as np
 
-from gammasig import HestonParams, SimGrid, endpoint_signature_batch, simulate_heston_batch
-from gammasig import experiments
+import pytest
+
+from gammasig import (
+    Alphabet,
+    HestonParams,
+    SamplePath,
+    SimGrid,
+    endpoint_signature_batch,
+    gamma_signature,
+    simulate_heston_batch,
+)
+from gammasig import experiments, signature
 from gammasig.cli import main
 from gammasig.models import path_rng
 
@@ -61,7 +79,7 @@ CALIBRATE_SHA256 = {
     "fit_ito.json": "bc0ea15e8e0f0ba3b20af94c6a51ffb0c7db0a72dac6aa45c9caa491e59afa13",
     "fit_strat.json": "ad8950de583141032facb9e09ba72a7757d0df204d2e0c6f41da91bb7f2f6538",
     "mse_summary.csv": "2bff5d0a3db1ce313e11f53bffc7349e75eb6fa5a595f7e0791e5c57bb64466a",
-    "trajectory.csv": "c71f146defb89f6489ae8b5e2cd1c41bedd937573db336f56c212a0651c17d10",
+    "trajectory.csv": "9a7726c1b2b498f13defeddcf8fd1e8c2a6e125463c7eb05d95b1f992cf535f7",
 }
 
 # the only experiment with multi-term (rho-corrected) functionals: pins the
@@ -71,7 +89,7 @@ HESTON_CALIBRATE_CONFIG = {"experiment": "heston-calib", "grid": {"n": 100},
 HESTON_CALIBRATE_SHA256 = {
     "fit_ito.json": "5129beda0fd0df54f3583fe27d9ccd0c543f2c3dd7aa91ac2798da024a373153",
     "fit_strat.json": "aa43c37897b01b52f572aa8fbec7d64134923608d651c53e18ae7a29cddff305",
-    "mse_summary.csv": "d53977741cef0c702559a27d3675b332689108c8cddc02923ec2572e913b0898",
+    "mse_summary.csv": "0370b717d782bce7a0cc664a98a919dfa4898319456bbd28a179189f88e8b5a2",
     "trajectory.csv": "54d9ffd50d8c6a640053b325e6a0c9e5e058cc75763f01ac47c4c3dbd5e4777d",
 }
 
@@ -174,3 +192,68 @@ def test_golden_outputs_independent_of_chunk_sizes(tmp_path, capsys, monkeypatch
     assert _stamped_digests(tmp_path / "deep-price", "price",
                             DEEP_PRICE_CONFIG, seed=1) == DEEP_PRICE_SHA256
     capsys.readouterr()
+
+
+def _pin_values(case: str) -> tuple[np.ndarray, Alphabet]:
+    """Path values (n+1, L) and alphabet of a pinned gamma_signature case."""
+    rng = np.random.default_rng(20261019)
+    if case == "brownian":
+        return np.cumsum(rng.normal(size=(41, 2)), axis=0), Alphabet(2)
+    if case == "augmented":
+        t = np.linspace(0.0, 1.0, 26)
+        x = np.cumsum(rng.normal(size=26))
+        qv = np.concatenate([[0.0], np.cumsum(np.diff(x) ** 2)])
+        return np.stack([t, x, qv], axis=1), Alphabet(1, has_time=True, has_brackets=True)
+    if case == "constant-letter":
+        # a constant letter and a falling integer letter: signed zeros in
+        # every level from 2 up
+        k = np.arange(13, dtype=float)
+        return np.stack([np.full(13, 2.0), -k, np.sin(k)], axis=1), Alphabet(3)
+    if case == "one-step":
+        return rng.normal(size=(2, 2)), Alphabet(2)
+    if case == "one-point":
+        return rng.normal(size=(1, 2)), Alphabet(2)
+    # a long grid: under a reduced window size it spans many windows
+    return np.cumsum(0.1 * rng.normal(size=(301, 3)), axis=0), Alphabet(3)
+
+
+# (case, gamma, trunc_level, window bytes or None) -> SHA-256 of the levels'
+# bytes in order; recorded before the level recursion was windowed
+GAMMA_SIGNATURE_PINS = {
+    ("brownian", 0.0, 4, None):
+        "1fe108fddcfc152e50977047cf8d08bc6aa0b378ab344cd12977d28442effa62",
+    ("augmented", 0.25, 3, None):
+        "31e9dce374d20e5e5e3a00528659876fafb09892a742bc27c814368c0b87aaac",
+    ("constant-letter", 0.0, 4, None):
+        "e8482331729aca6a83e43a83c12e84e3b24576537709b6ce23154d2ccde1d5cb",
+    ("constant-letter", 0.25, 4, None):
+        "3dc8322f7d17619bbb7499ad44b3c360e2afcf8fafd33094c3ec07bfae82f41c",
+    ("constant-letter", 0.5, 4, None):
+        "4cb0aa74fd34c2435182d81ea50ae8ffa4b8cfa08f4f8917a5e29ae2011dcb4c",
+    ("constant-letter", 1.0, 4, None):
+        "360b799b57b273d1ed5d4d76d2842b62bb85afca0f0aae67c5657fbe033c8ebf",
+    ("one-step", 1.0, 4, None):
+        "9196d7c659fedce31d32294cee6d60a948f757073dba3da72425fc8046b1c0dc",
+    ("one-point", 0.5, 3, None):
+        "b5fdab78d8947eacc864bfeecb4d2100780e5afe1cd8efafb124887913ac49fa",
+    ("long", 0.25, 3, None):
+        "b726c90e71480a0379a3ebeee2a6937489332f69b8e182105ba88cd2a9473d2e",
+    ("long", 0.25, 3, 1000):
+        "b726c90e71480a0379a3ebeee2a6937489332f69b8e182105ba88cd2a9473d2e",
+    ("long", 1.0, 2, 100):
+        "380203948bea0dc1e66ffb2cda559efd76eddeb7972b5bda5f65d1a054891a64",
+}
+
+
+@pytest.mark.parametrize("key", list(GAMMA_SIGNATURE_PINS), ids=str)
+def test_gamma_signature_level_digests(monkeypatch, key):
+    case, gamma, N, window_bytes = key
+    if window_bytes is not None:
+        monkeypatch.setattr(signature, "_WINDOW_BYTES", window_bytes, raising=False)
+    values, alphabet = _pin_values(case)
+    times = np.arange(len(values), dtype=float)
+    traj = gamma_signature(SamplePath(times, values, alphabet), gamma, N)
+    digest = hashlib.sha256()
+    for level in traj.levels:
+        digest.update(np.ascontiguousarray(level, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == GAMMA_SIGNATURE_PINS[key]

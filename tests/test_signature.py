@@ -33,6 +33,7 @@ from gammasig import (
     write_path_csv,
     write_sig_csv,
 )
+from gammasig import signature
 from gammasig.signature import cumsum0
 from conftest import make_random_path
 
@@ -364,20 +365,54 @@ def test_endpoint_batch_matches_per_path(rng):
                 assert np.abs(ends[m][b] - ref).max() <= 1e-10 * scale
 
 
-def test_endpoint_batch_lower_levels_bitwise_equal_per_path(rng):
+#: Steps per window of the level recursion; None walks the grid in one.
+WINDOWS = (1, 2, 3, None)
+
+
+def window_id(steps: int | None) -> str:
+    return f"window{steps}" if steps else "whole-grid"
+
+
+@pytest.fixture
+def window(monkeypatch):
+    """``window(steps)`` makes every later level recursion walk the grid in
+    windows of ``steps`` steps (None: the whole grid in one): it sets the
+    window byte constant, per call, to that many steps of the call's widest
+    level, and checks the windows the call takes."""
+    real = signature._levels
+
+    def use(steps):
+        def levels(values, gamma, reads):
+            n_plus_1, L, B = values.shape
+            widest = max((L ** m if read is None else read.shape[1]
+                          for m, read in enumerate(reads, 1)), default=L)
+            K = steps or n_plus_1 - 1
+            monkeypatch.setattr(signature, "_WINDOW_BYTES", 8 * B * widest * max(K, 1))
+            for start, dX, window_levels in real(values, gamma, reads):
+                assert start % K == 0 and len(dX) == min(K, n_plus_1 - 1 - start)
+                yield start, dX, window_levels
+
+        monkeypatch.setattr(signature, "_levels", levels)
+    return use
+
+
+def test_endpoint_batch_lower_levels_bitwise_equal_per_path(rng, window):
     # levels below the top take the same level step as gamma_signature, so
-    # they agree bit for bit; only the top level is contracted differently
+    # they agree bit for bit, in windows of any size; only the top level is
+    # contracted differently
     B, n, L = 4, 15, 2
     values = np.cumsum(rng.normal(size=(B, n + 1, L)), axis=1)
     times = np.arange(n + 1, dtype=float)
-    for N in (2, 3, 4):
-        for gamma in (0.0, 0.25, 0.5, 1.0):
-            ends = endpoint_signature_batch(values, gamma, N)
-            for b in range(B):
-                traj = gamma_signature(SamplePath(times, values[b], Alphabet(L)),
-                                       gamma, N - 1)
-                for m in range(N - 1):
-                    assert np.array_equal(ends[m][b], traj.levels[m][-1])
+    for steps in WINDOWS:
+        window(steps)
+        for N in (2, 3, 4):
+            for gamma in (0.0, 0.25, 0.5, 1.0):
+                ends = endpoint_signature_batch(values, gamma, N)
+                for b in range(B):
+                    traj = gamma_signature(SamplePath(times, values[b], Alphabet(L)),
+                                           gamma, N - 1)
+                    for m in range(N - 1):
+                        assert np.array_equal(ends[m][b], traj.levels[m][-1]), (steps, N)
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -529,12 +564,14 @@ def test_level_three_endpoint_pass_peak_memory(gamma, bound):
     assert ratio <= bound, ratio
 
 
-@pytest.mark.parametrize("gamma, bound", [(0.0, 10.5), (0.5, 11.5)])
+@pytest.mark.parametrize("gamma, bound", [(0.0, 1.25), (0.5, 1.25)])
 def test_calibration_chunk_peak_memory(gamma, bound):
     # a calibration test chunk pairs one folded level-3 functional of three
     # letters: level 2 is carried as the 1 + L = 4 columns the pairing and
-    # the top level read, never as its L**2 = 9 columns and their
-    # extended-precision running sum
+    # the top level read, never as its L**2 = 9 columns, and every level is
+    # walked in windows, so beside the pairings (0.33x) only one window's
+    # buffers are held (about 0.9x); whole levels along the grid took 8.7x
+    # at gamma = 0 and 9.7x at gamma = 1/2
     ell = dense_functionals(np.random.default_rng(5), Alphabet(2, has_time=True), 3, 1)
     ratio = _peak_ratio((100, 1001, 3),
                         lambda values: functional_paths(values, gamma, ell))
@@ -616,9 +653,15 @@ def test_functional_paths_agree_with_functional_matrix(rng, alphabet):
                             (N, len(ells), gamma, steps, b)
 
 
-@pytest.mark.parametrize("alphabet", ALPHABETS)
-def test_functional_paths_rows_equal_single_path_bits(rng, alphabet):
-    # a path's rows must not depend on the chunk it is evaluated in
+@pytest.mark.parametrize("alphabet, steps", [
+    pytest.param(alphabet, steps, id=f"alphabet{i}" + ("" if steps == "default"
+                                                       else f"-{window_id(steps)}"))
+    for steps in ("default", *WINDOWS) for i, alphabet in enumerate(ALPHABETS)])
+def test_functional_paths_rows_equal_single_path_bits(rng, window, alphabet, steps):
+    # a path's rows must depend neither on the chunk it is evaluated in nor
+    # on the windows its levels are walked in
+    if steps != "default":
+        window(steps)
     B, n = 7, 15
     values = np.cumsum(rng.normal(size=(B, n + 1, alphabet.total_letters)), axis=1)
     for N in (1, 2, 3, 4):
@@ -631,6 +674,37 @@ def test_functional_paths_rows_equal_single_path_bits(rng, alphabet):
             for start, stop in ((0, 3), (3, 7), (5, 6)):
                 chunk = functional_paths(values[start:stop], gamma, ells)
                 assert np.array_equal(_bits(chunk), _bits(batch[start:stop]))
+
+
+@pytest.mark.parametrize("steps", WINDOWS, ids=window_id)
+def test_kernels_bits_independent_of_window(rng, window, steps):
+    # each level carries its running sum and last row from one window to the
+    # next, and every step is elementwise, so no bit depends on the window;
+    # the last path's constant letter and falling integer letter give signed
+    # zeros from level 2 up
+    B, n = 3, 10
+    alphabet = Alphabet(3)
+    times = np.arange(n + 1, dtype=float)
+    signed = np.stack([np.full(n + 1, 2.0), -times, np.sin(times)], axis=1)
+    values = np.concatenate([np.cumsum(rng.normal(size=(B, n + 1, 3)), axis=1), signed[None]])
+    families = {N: pairing_families(rng, alphabet, N) for N in (1, 2, 3, 4)}
+
+    def run():
+        out = []
+        for gamma, N in itertools.product(PAIRING_GAMMAS, (1, 2, 3, 4)):
+            for path_values in values:
+                out += gamma_signature(SamplePath(times, path_values, alphabet), gamma,
+                                       N).levels
+            out += endpoint_signature_batch(values, gamma, N)
+            out += [functional_paths(values, gamma, ells) for ells in families[N]]
+        return [_bits(a) for a in out]
+
+    default = run()
+    window(steps)
+    windowed = run()
+    assert len(windowed) == len(default)
+    for i, (got, ref) in enumerate(zip(windowed, default)):
+        assert np.array_equal(got, ref), i
 
 
 def test_functional_paths_constant_and_level_one_tops(rng):
