@@ -14,9 +14,11 @@ Subpackage layout (one module per concern):
 * :mod:`gammasig.tensor` -- exact words/polynomials, shuffle, quasi-shuffle,
   group inverse, scheme-conversion functionals.
 * :mod:`gammasig.signature` -- sampled paths, Follmer brackets and bracket
-  augmentation, gamma-signatures from one batched level step, feature
-  matrices, path/signature CSV I/O, and the package's one accumulation
-  primitive.
+  augmentation, gamma-signatures from one windowed level recursion, feature
+  matrices, path/signature CSV I/O, and ``cumsum0``, the extended-precision
+  running sum of brackets, simulator drivers and realized statistics (the
+  signature levels carry their own extended-precision sums from window to
+  window, and an end-point top level sums in float64).
 * :mod:`gammasig.models` -- seeded batch simulators (Heston, two-asset
   Heston, Cantor-clock SDE) returning arrays with one row per path, each
   path drawn from its own reproducible random stream.

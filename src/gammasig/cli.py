@@ -39,7 +39,7 @@ from .experiments import (
     PRICING_IDS,
     SCHEMES,
     ExperimentConfig,
-    check_signature_size,
+    check_array_size,
     default_config,
     run_calibration,
     run_checks,
@@ -246,8 +246,9 @@ def _cmd_sigdump(args) -> int:
                             include_time=augment["time"],
                             include_brackets=augment["brackets"],
                             scaled_brackets=augment["scaled_brackets"])
-        check_signature_size("trunc_level", config["trunc_level"], len(path.times),
-                             path.dim, config["trunc_level"])
+        check_array_size("the signature trajectory",
+                         (("trunc_level", config["trunc_level"]),),
+                         ((len(path.times), 1), (path.dim, config["trunc_level"])))
         traj = gamma_signature(path, config["gamma"], config["trunc_level"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

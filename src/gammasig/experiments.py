@@ -53,7 +53,7 @@ from .tensor import Alphabet, TensorPoly, Word, enumerate_words
 
 __all__ = [
     "ExperimentConfig",
-    "check_signature_size",
+    "check_array_size",
     "default_config",
     "config_hash",
     "run_calibration",
@@ -86,23 +86,27 @@ _CHECK_FIXED = (("grid.T", "grid_T", 1.0), ("grid.n", "grid_n", 1),
                 ("samples.N_test", "n_test", 1), ("samples.N_MC", "n_mc", 1))
 
 
-def check_signature_size(key: str, value: int, rows: int, letters: int, level: int) -> None:
-    """Raise ``ValueError`` naming the config ``key`` (set to ``value``) when
-    a run's widest signature array, ``rows`` rows of ``letters**level``
-    float64 coefficients, needs more bytes than the machine's physical
-    memory.  The size is compared in logarithms, so that it is known before
-    anything is allocated, however large; where the physical memory cannot
-    be read, nothing is checked."""
+def check_array_size(array: str, keys: Sequence[tuple[str, int]],
+                     factors: Sequence[tuple[int, int]]) -> None:
+    """Raise ``ValueError`` when the float64 ``array`` of a run, of
+    prod(base**power) values over its (base, power) ``factors``, needs more
+    bytes than the machine's physical memory; the message names the config
+    ``keys``, (key, value) pairs, that its size grows with.  The size is
+    compared in logarithms, so that it is known before anything is
+    allocated, however large; where the physical memory cannot be read,
+    nothing is checked."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    if level >= 1 and (math.log(8 * rows) + level * math.log(letters)
-                       > math.log(physical)):
-        raise ValueError(f"{key!r} {value} is too large to run: the widest signature "
-                         f"array, {rows} rows of {letters}**{level} float64 "
-                         f"coefficients, needs more than the {physical / 2 ** 30:.1f} "
-                         "GiB of physical memory")
+    if (math.log(8) + sum(power * math.log(base) for base, power in factors)
+            > math.log(physical)):
+        named = ", ".join(f"{key!r} {value}" for key, value in keys)
+        shape = " x ".join(str(base) if power == 1 else f"{base}**{power}"
+                           for base, power in factors)
+        raise ValueError(f"too large to run with {named}: {array}, {shape} float64 "
+                         f"values, needs more than the {physical / 2 ** 30:.1f} GiB "
+                         "of physical memory")
 
 
 @dataclass(frozen=True)
@@ -175,15 +179,8 @@ class ExperimentConfig:
                                  "(t), (t,t), ... are equal on every path, so at "
                                  "alpha 0 the ridge Gram is singular whatever "
                                  "N_train is")
-            # the widest signature array: a calibration's training trajectory,
-            # three letters to level N (N + 1 for heston-calib); a pricing's
-            # end-point coefficients of every path, six letters to level N
-            calibration = self.experiment in CALIBRATION_IDS
-            check_signature_size(
-                "signature.trunc_level", self.trunc_level,
-                self.grid_n + 1 if calibration else self.n_train + self.n_test + self.n_mc,
-                3 if calibration else 6,
-                self.trunc_level + (self.experiment == "heston-calib"))
+            for array in self._largest_arrays():
+                check_array_size(*array)
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("'master_seed' must fit in an unsigned 64-bit "
                              f"integer, got {self.master_seed}")
@@ -194,6 +191,30 @@ class ExperimentConfig:
         if self.inject_fault not in (None, "lasso-threshold"):
             raise ValueError("'check.inject_fault' must be null or "
                              f"'lasso-threshold', got {self.inject_fault!r}")
+
+    def _largest_arrays(self) -> list[tuple]:
+        """The largest float64 arrays of a run, sized from the config alone,
+        as :func:`check_array_size` arguments: a calibration's training
+        signature trajectory (three letters to level N, N + 1 for
+        heston-calib) and its test paths' draws, the largest of their
+        columns; a pricing chunk's draws (four normals per step for
+        heston2-pricing, two for cantor2-pricing; a chunk holds at most
+        ``_PRICING_CHUNK`` paths) and the end-point signatures of all paths
+        (six letters to level N)."""
+        n, N = ("grid.n", self.grid_n), ("signature.trunc_level", self.trunc_level)
+        heston = self.experiment.startswith("heston")
+        if self.experiment in CALIBRATION_IDS:
+            return [("the training signature trajectory", (n, N),
+                     ((self.grid_n + 1, 1), (3, self.trunc_level + heston))),
+                    ("the test paths' draws", (n, ("samples.N_test", self.n_test)),
+                     ((self.grid_n // 2, 1), (1 + heston, 1), (self.n_test, 1)))]
+        total = self.n_train + self.n_test + self.n_mc
+        samples = (("samples.N_train", self.n_train), ("samples.N_test", self.n_test),
+                   ("samples.N_MC", self.n_mc))
+        return [("one chunk's draws", (n,),
+                 ((self.grid_n, 1), (2 + 2 * heston, 1), (min(_PRICING_CHUNK, total), 1))),
+                ("the end-point signatures of all paths", samples + (N,),
+                 ((total, 1), (6, self.trunc_level)))]
 
     @property
     def regression_kind(self) -> str:
@@ -317,10 +338,10 @@ class _SchemePlan:
     """How one scheme turns row b of the simulated columns into regression
     features: ``driver(times, columns, b)`` builds the path whose signature
     is paired with the functionals.  Its column names ("t", a simulated
-    column, or the shared clock "C") also lay out the batched test paths."""
+    column, or the shared clock "C") also lay out the batched test paths.
+    The scheme's gamma is ``GAMMAS[scheme]`` and its signature level the
+    functionals' ``trunc_level``."""
 
-    gamma: float
-    sig_level: int
     driver: Callable[[np.ndarray, _Columns, int], SamplePath]
     functionals: tuple[TensorPoly, ...]
     labels: tuple[Word, ...]
@@ -363,8 +384,8 @@ def _calibration_plans(config: ExperimentConfig) -> dict[str, _SchemePlan]:
         strat_fn, labels = _heston_strat_functionals(alphabet, N, config.model.rho)
         ito_fn = tuple(TensorPoly.basis(alphabet, N + 1, I + (1,)) for I in labels)
         return {
-            "strat": _SchemePlan(0.5, N + 1, _heston_driver, strat_fn, labels),
-            "ito": _SchemePlan(0.0, N + 1, _heston_driver, ito_fn, labels),
+            "strat": _SchemePlan(_heston_driver, strat_fn, labels),
+            "ito": _SchemePlan(_heston_driver, ito_fn, labels),
         }
     if config.experiment == "cantor-calib":
         strat_alphabet = Alphabet(1, has_time=True)
@@ -385,8 +406,8 @@ def _calibration_plans(config: ExperimentConfig) -> dict[str, _SchemePlan]:
             return SamplePath(times, values, ito_alphabet, ("t", "W_C", "C"))
 
         return {
-            "strat": _SchemePlan(0.5, N, strat_driver, strat_fn, strat_labels),
-            "ito": _SchemePlan(0.0, N, ito_driver, ito_fn, ito_labels),
+            "strat": _SchemePlan(strat_driver, strat_fn, strat_labels),
+            "ito": _SchemePlan(ito_driver, ito_fn, ito_labels),
         }
     raise ValueError(f"{config.experiment!r} is not a calibration experiment")
 
@@ -458,7 +479,7 @@ def run_calibration(config: ExperimentConfig) -> dict:
     for scheme in SCHEMES:
         plan = plans[scheme]
         driver = plan.driver(train_grid.times, train, 0)
-        traj = gamma_signature(driver, plan.gamma, plan.sig_level)
+        traj = gamma_signature(driver, GAMMAS[scheme], plan.functionals[0].trunc_level)
         X_train = functional_matrix(traj, plan.functionals)
         try:
             fit = lasso_fit(X_train, y_train, config.alpha, words=plan.labels,
@@ -491,7 +512,7 @@ def run_calibration(config: ExperimentConfig) -> dict:
         for start in range(0, config.n_test, _TEST_CHUNK):
             stop = min(start + _TEST_CHUNK, config.n_test)
             values = _driver_values(test_grid.times, test, names, start, stop)
-            pred = fit.intercept + functional_paths(values, plan.gamma, [ell])[..., 0]
+            pred = fit.intercept + functional_paths(values, GAMMAS[scheme], [ell])[..., 0]
             out_mses.append(mse(pred, test["S"][start:stop]))
             if start == 0:
                 trajectory[f"pred_{scheme}"] = pred[0].tolist()
@@ -541,39 +562,28 @@ _PRICING_FAMILIES: dict[str, tuple[int, ...]] = {"1": (1,), "2": (2,), "12": (1,
 _PRICING_CHUNK = 1500
 
 
-def _pricing_alphabet(d: int, scheme: str) -> Alphabet:
-    return Alphabet(d, has_time=True, has_brackets=(scheme == "ito"))
-
-
-def _family_letters(family: str, scheme: str) -> dict[int, int]:
-    """Letter of a family's alphabet -> letter of the joint alphabet: time to
-    time, base letter k to the family's k-th asset and bracket eps(i, j) to
-    the joint bracket of those two assets."""
-    sub, joint = _pricing_alphabet(len(family), scheme), _pricing_alphabet(2, scheme)
-    base = {0: 0, **dict(enumerate(_PRICING_FAMILIES[family], 1))}
-    letters = {}
-    for letter in sub.letters:
-        if sub.is_bracket(letter):
-            i, j = sub.bracket_pair(letter)
-            letters[letter] = joint.bracket_letter(base[i], base[j])
-        else:
-            letters[letter] = base[letter]
-    return letters
+def _joint_alphabet(scheme: str) -> Alphabet:
+    """Letters of a scheme's joint driver: (t, x1, x2) and, in the
+    left-point scheme, the brackets [1,1], [1,2], [2,2]."""
+    return Alphabet(2, has_time=True, has_brackets=(scheme == "ito"))
 
 
 def _family_columns(family: str, scheme: str, N: int) -> tuple[tuple[Word, ...], np.ndarray]:
-    """A family's feature words (graded-lex order of its own alphabet) and
-    their columns in the joint row [1, level 1, ..., level N] of its scheme:
-    a word of length m sits at 1 + L + ... + L**(m-1) plus the
-    :meth:`Alphabet.word_index` of its image in the joint alphabet."""
-    letters = _family_letters(family, scheme)
-    joint = _pricing_alphabet(2, scheme)
-    L = joint.total_letters
-    words = enumerate_words(_pricing_alphabet(len(family), scheme), N)
-    columns = [(L ** len(word) - 1) // (L - 1)
-               + joint.word_index(tuple(letters[letter] for letter in word))
-               for word in words]
-    return words, np.array(columns)
+    """A family's feature words and their columns in the joint row [1,
+    level 1, ..., level N] of its scheme, whose column order is
+    :func:`enumerate_words` of the joint alphabet.  The family keeps the
+    joint words whose letters are time, its assets and their brackets; a
+    letter's rank among those is its letter in the family's own alphabet,
+    so the words come in that alphabet's graded-lex order."""
+    joint = _joint_alphabet(scheme)
+    reads = {0, *_PRICING_FAMILIES[family]}
+    rank = {letter: k for k, letter in enumerate(
+        letter for letter in joint.letters
+        if set(joint.bracket_pair(letter) if joint.is_bracket(letter) else (letter,)) <= reads)}
+    kept = [(column, word) for column, word in enumerate(enumerate_words(joint, N))
+            if all(letter in rank for letter in word)]
+    return (tuple(tuple(rank[letter] for letter in word) for _, word in kept),
+            np.array([column for column, _ in kept]))
 
 
 #: (family, scheme) -> the family's words and their joint columns.
@@ -630,7 +640,7 @@ def _pricing_features(config: ExperimentConfig, layout: _Layout) \
         del x, brackets  # freed before the passes
         for scheme in ("ito", "strat"):
             # the strat driver (t, x1, x2) is the first three columns
-            letters = _pricing_alphabet(2, scheme).total_letters
+            letters = _joint_alphabet(scheme).total_letters
             ends = endpoint_signature_batch(values[:, :, :letters], GAMMAS[scheme], N)
             row = np.concatenate([np.ones((len(values), 1))] + ends, axis=1)
             del ends
@@ -748,7 +758,6 @@ def _json_with_stamp(config: ExperimentConfig, payload: dict) -> str:
 
 
 def _write_calibration_outputs(config: ExperimentConfig, report: dict) -> None:
-    import os
     os.makedirs(config.out_dir, exist_ok=True)
     header = _header(config)
     lines = ["scheme,in_sample_mse,out_sample_mse"]
@@ -772,7 +781,6 @@ def _write_calibration_outputs(config: ExperimentConfig, report: dict) -> None:
 
 
 def _write_pricing_outputs(config: ExperimentConfig, report: dict) -> None:
-    import os
     os.makedirs(config.out_dir, exist_ok=True)
     header = _header(config)
 

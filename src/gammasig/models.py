@@ -10,9 +10,8 @@ Each simulator takes a batch of path indices and returns the arrays of its
 Euler kernel with one row per path; a two-asset price or variance has shape
 (B, n+1, 2).  The arrays are stored time first and paths last, (n+1, A, B)
 in C order, and returned as transpose views of that buffer: every Euler
-step reads its drivers as one contiguous (A, B) block and advances a
-running state of contiguous vectors over paths, (A, B) for the Heston
-assets and (B,) per Cantor-clock asset.
+step reads its drivers as one contiguous (A, B) block and advances one
+running state (A, B) of contiguous vectors over paths, an asset per row.
 """
 from __future__ import annotations
 
@@ -166,10 +165,11 @@ class CantorParams:
         if abs(self.rho) > 1:
             raise ValueError("rho must lie in [-1, 1]")
 
-    def vol(self, s: np.ndarray, asset: int) -> np.ndarray:
+    def vol(self, s: np.ndarray) -> np.ndarray:
+        """sigma_i(s) of a running state (A, B), asset i in row i."""
         if self.vol_kind == "tanh":
             return 1.0 + 0.3 * np.tanh(s)
-        return self.nu[asset] * s
+        return np.array(self.nu)[:, None] * s
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +200,8 @@ def _validate_correlation(corr: np.ndarray) -> None:
 
 def _corr_factor(corr: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor; for PSD-singular matrices falls back
-    to the symmetric eigenvalue square root (still A @ A.T = corr)."""
-    _validate_correlation(corr)
+    to the symmetric eigenvalue square root (still A @ A.T = corr).  ``corr``
+    is a validated :attr:`Heston2Params.corr_matrix`."""
     try:
         return np.linalg.cholesky(corr)
     except np.linalg.LinAlgError:
@@ -213,6 +213,12 @@ def _corr_factor(corr: np.ndarray) -> np.ndarray:
 # Cantor function
 # ---------------------------------------------------------------------------
 
+#: Ternary digits that can move the Cantor function's float64 value: the
+#: weight 2**-k of digit k is the smallest subnormal at k = 1074 and rounds
+#: to 0.0 beyond it.
+_CANTOR_DIGITS = 1074
+
+
 def cantor_function(x, depth: int = 40):
     """Cantor (devil's staircase) function on [0, 1] via ternary digits.
 
@@ -221,7 +227,9 @@ def cantor_function(x, depth: int = 40):
     result base 2.  Monotone non-decreasing with C(0) = 0, C(1) = 1,
     constant on the removed middle-third intervals; digit truncation gives
     absolute error at most 2**-depth (plus float ternary-digit jitter for
-    inputs that are not exactly representable).
+    inputs that are not exactly representable).  Digit k weighs 2**-k, which
+    is 0.0 in float64 past k = 1074, so at most ``_CANTOR_DIGITS`` digits
+    are read: a greater depth gives the same bits.
     """
     scalar = np.isscalar(x) or getattr(x, "ndim", 1) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -231,7 +239,7 @@ def cantor_function(x, depth: int = 40):
     out = np.zeros_like(arr)
     active = np.ones(arr.shape, dtype=bool)
     w = 0.5
-    for _ in range(depth):
+    for _ in range(min(depth, _CANTOR_DIGITS)):
         r *= 3.0
         digit = np.clip(np.floor(r), 0.0, 2.0)
         r -= digit
@@ -362,7 +370,8 @@ def _cantor_euler(params: CantorParams, grid: SimGrid,
                   z: np.ndarray) -> dict[str, np.ndarray]:
     """Euler of the Cantor-clock SDE for a batch from standard normals z of
     shape (n, A, B), A = len(params.s0); a second asset's row of z is
-    correlated with the first in place."""
+    correlated with the first in place.  The running state has shape
+    (A, B), each asset a row, as in :func:`_heston_sv`."""
     n, A, B = z.shape
     if grid.T > 1.0:
         raise ValueError("Cantor clock is defined on [0, 1]; need T <= 1")
@@ -373,12 +382,11 @@ def _cantor_euler(params: CantorParams, grid: SimGrid,
         z[:, 1] = rho * z[:, 0] + np.sqrt(1.0 - rho * rho) * z[:, 1]
     dWC = np.sqrt(dC)[:, None, None] * z
     S = np.empty((n + 1, A, B))
-    for i in range(A):
-        s = np.full(B, params.s0[i])
-        S[0, i] = s
-        for k in range(n):
-            s = s + params.vol(s, i) * dWC[k, i]
-            S[k + 1, i] = s
+    s = np.repeat(np.array(params.s0)[:, None], B, axis=1)
+    S[0] = s
+    for k in range(n):
+        s = s + params.vol(s) * dWC[k]
+        S[k + 1] = s
     return {"S": S.transpose(2, 0, 1), "W_C": cumsum0(dWC).transpose(2, 0, 1), "C": C}
 
 

@@ -298,11 +298,10 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float,
 
 
 def predict(fit: RegressionFit, X: np.ndarray) -> np.ndarray:
-    """Pairing of the fitted functional with the rows of one design (n, p) or
-    of a stack of designs (..., p), each with the bits it gets alone, in any
-    memory layout (the design is taken in C order)."""
+    """Pairing of the fitted functional with the rows of a design (n, p), in
+    any memory layout (the design is taken in C order)."""
     X = np.asarray(X, dtype=np.float64, order="C")
-    if X.ndim < 2 or X.shape[-1] != len(fit.coeffs):
+    if X.ndim != 2 or X.shape[1] != len(fit.coeffs):
         raise ValueError(
             f"design matrix with {len(fit.coeffs)} columns required, "
             f"got shape {X.shape}")

@@ -74,25 +74,22 @@ __all__ = [
 ]
 
 
-def cumsum0(increments: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Cumulative sum along ``axis`` with a leading zero, accumulated in
-    extended precision and cast back to float64.
+def cumsum0(increments: np.ndarray) -> np.ndarray:
+    """Cumulative sum along the leading axis, time in the (n, ..., B) arrays
+    of the batched callers, with a leading zero, accumulated in extended
+    precision and cast back to float64.
 
-    The accumulation primitive of the package's trajectories other than
-    signature levels, which :func:`_levels` sums in the same way window by
-    window: entry k along ``axis`` is the sequential sum of the first k
-    increments, whatever the memory layout, and the sums are cast straight
-    into the one float64 output.
-    The batched callers accumulate along time, the leading axis of their
-    (n, ..., B) arrays.
+    The accumulation of the package's trajectories other than signature
+    levels, which :func:`_levels` sums in the same way window by window:
+    entry k is the sequential sum of the first k increments, whatever the
+    memory layout, and the sums are cast straight into the one float64
+    output.
     """
     # summed in place in one extended-precision copy: a cumsum that casts
     # as it reads buffers a second one
     total = np.array(increments, dtype=np.longdouble)
-    np.cumsum(total, axis=axis, out=total)
-    shape = list(total.shape)
-    shape[axis] = 1
-    return np.concatenate([np.zeros(shape), total], axis=axis,
+    np.cumsum(total, axis=0, out=total)
+    return np.concatenate([np.zeros((1,) + total.shape[1:]), total],
                           dtype=np.float64, casting="same_kind")
 
 
@@ -612,11 +609,9 @@ def write_path_csv(path: SamplePath, file, header_comment: str | None = None) ->
             fh.write(",".join(row) + "\n")
 
 
-def read_path_csv(file, alphabet: Alphabet | None = None) -> SamplePath:
-    """Read a path written by :func:`write_path_csv`.
-
-    Columns beyond ``t`` become base letters unless an alphabet is given.
-    """
+def read_path_csv(file) -> SamplePath:
+    """Read a path written by :func:`write_path_csv`; the columns beyond
+    ``t`` become base letters."""
     rows = []
     header = None
     with _text_file(file, "r") as fh:
@@ -631,10 +626,7 @@ def read_path_csv(file, alphabet: Alphabet | None = None) -> SamplePath:
     if header is None or not rows:
         raise ValueError("empty path CSV")
     data = np.asarray(rows)
-    times, values = data[:, 0], data[:, 1:]
-    if alphabet is None:
-        alphabet = Alphabet(values.shape[1])
-    return SamplePath(times, values, alphabet)
+    return SamplePath(data[:, 0], data[:, 1:], Alphabet(data.shape[1] - 1))
 
 
 def write_sig_csv(traj: SigTrajectory, file, header_comment: str | None = None) -> None:

@@ -474,6 +474,21 @@ def test_sigdump_bad_gamma(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err.lower()
 
 
+def _cli_in_subprocess(command: str, cfg: str):
+    """``gammasig <command> --config <cfg>`` in a fresh interpreter that
+    imports this checkout's package."""
+    import os
+    import subprocess
+    import sys
+
+    import gammasig
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gammasig.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "gammasig.cli", command, "--config", cfg],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("command, payload", [
     ("sigdump", {"trunc_level": 40, "augment": {"time": True}}),
     ("calibrate", {"experiment": "cantor-calib", "grid": {"n": 20},
@@ -484,21 +499,37 @@ def test_trunc_level_too_large_to_run_exits_2(tmp_path, command, payload):
     # config before anything is allocated, so the run needs no memory cap;
     # allocating it would end in a MemoryError (exit 1) or exhaust the
     # machine's memory
-    import os
-    import subprocess
-    import sys
-
-    import gammasig
     if command == "sigdump":
         payload = {"path_csv": make_path_csv(tmp_path), **payload}
     cfg = write_config(tmp_path, "c.json", payload)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gammasig.__file__)))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "gammasig.cli", command, "--config", cfg],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _cli_in_subprocess(command, cfg)
     assert proc.returncode == 2, proc.stderr
     assert "trunc_level" in proc.stderr and "too large to run" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    pytest.param("price", {"experiment": "heston2-pricing", "grid": {"n": 10 ** 9}},
+                 "'grid.n' 1000000000", id="pricing-chunk-draws"),
+    pytest.param("calibrate", {"experiment": "heston-calib",
+                               "samples": {"N_test": 10 ** 11}},
+                 "'samples.N_test' 100000000000", id="calibration-test-draws"),
+    pytest.param("price", {"experiment": "heston2-pricing",
+                           "samples": {"N_train": 2 * 10 ** 12}},
+                 "'samples.N_train' 2000000000000", id="pricing-signatures"),
+    pytest.param("calibrate", {"experiment": "cantor-calib", "grid": {"n": 4 * 10 ** 11}},
+                 "'grid.n' 400000000000", id="calibration-trajectory"),
+])
+def test_run_size_too_large_to_run_exits_2(tmp_path, command, payload, named):
+    # a run's largest arrays (a chunk's draws, the calibration test paths'
+    # draws, the signature arrays) are sized from the config before anything
+    # is allocated, and the message names the key the offending size grows
+    # with; allocating them would end in a MemoryError traceback (exit 1).
+    # Every size is terabytes or more, beyond any machine's memory
+    cfg = write_config(tmp_path, "c.json", payload)
+    proc = _cli_in_subprocess(command, cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert "too large to run" in proc.stderr and named in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 

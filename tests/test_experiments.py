@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from gammasig import (
+    Alphabet,
     CantorParams,
     ExperimentConfig,
     PAYOFF_ORDER,
     RegressionFit,
     config_hash,
     default_config,
+    enumerate_words,
     experiments,
     functional_matrix,
     functional_paths,
@@ -158,10 +160,11 @@ def test_run_calibration_batches_equal_per_path_loop(experiment):
         out_mses, design_mses = [], []
         for i in range(cfg.n_test):
             driver = plan.driver(test_grid.times, test, i)
-            pred = fit.intercept + functional_paths(driver.values[None], plan.gamma,
+            pred = fit.intercept + functional_paths(driver.values[None], GAMMAS[scheme],
                                                     [ell])[0, :, 0]
             out_mses.append(mse(pred, test["S"][i]))
-            traj = gamma_signature(driver, plan.gamma, plan.sig_level)
+            traj = gamma_signature(driver, GAMMAS[scheme],
+                                   plan.functionals[0].trunc_level)
             design = predict(fit, functional_matrix(traj, plan.functionals))
             assert np.all(np.abs(pred - design) <= 1e-12 * np.maximum(1.0, np.abs(design)))
             design_mses.append(mse(design, test["S"][i]))
@@ -196,8 +199,8 @@ def test_run_calibration_in_sample_mse_is_the_lasso_diagnostic(experiment):
         fit = RegressionFit(plan.labels, stamped["fit"]["coeffs"],
                             stamped["fit"]["intercept"], stamped["fit"]["alpha"],
                             stamped["fit"]["objective_kind"])
-        traj = gamma_signature(plan.driver(grid.times, train, 0), plan.gamma,
-                               plan.sig_level)
+        traj = gamma_signature(plan.driver(grid.times, train, 0), GAMMAS[scheme],
+                               plan.functionals[0].trunc_level)
         rescored = mse(predict(fit, functional_matrix(traj, plan.functionals)),
                        train["S"][0])
         assert stamped["in_sample_mse"] == stamped["fit"]["diagnostics"]["in_sample_mse"]
@@ -315,17 +318,11 @@ def test_run_pricing_output_files(tmp_path):
         assert set(payload["fits"]) == {e["payoff"] for e in report["payoffs"]}
 
 
-def test_family_letters_map_into_the_joint_alphabet():
-    assert experiments._family_letters("2", "ito") == {0: 0, 1: 2, 2: 5}
-    assert experiments._family_letters("1", "ito") == {0: 0, 1: 1, 2: 3}
-    assert experiments._family_letters("2", "strat") == {0: 0, 1: 2}
-    assert experiments._family_letters("12", "ito") == {k: k for k in range(6)}
-
-
-@pytest.mark.parametrize("trunc_level", [2, 3])
+@pytest.mark.parametrize("trunc_level", [1, 2, 3, 4])
 def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_level):
     # more paths than one chunk: each chunk takes one ito and one strat pass,
-    # and every family's block equals the pass over its own C-ordered driver
+    # and every family's block equals the pass over its own C-ordered driver,
+    # whose words are those of the family's own alphabet
     config = default_config("heston2-pricing", grid_n=3, trunc_level=trunc_level,
                             n_train=1000, n_test=300, n_mc=400)
     total = config.n_train + config.n_test + config.n_mc
@@ -348,6 +345,8 @@ def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_lev
         sub = x[:, :, [a - 1 for a in assets]]
         for scheme in SCHEMES:
             words, _ = layout[(family, scheme)]
+            alphabet = Alphabet(len(assets), has_time=True, has_brackets=(scheme == "ito"))
+            assert words == enumerate_words(alphabet, trunc_level)
             cols = [times, sub] + ([bracket_columns(sub)] if scheme == "ito" else [])
             values = np.ascontiguousarray(np.concatenate(cols, axis=2))
             expected = np.concatenate(

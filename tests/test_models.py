@@ -76,9 +76,10 @@ def test_heston2_params_validation():
 def test_cantor_params_validation():
     p = CantorParams(s0=2.0)
     assert p.s0 == (2.0,)
-    assert p.vol(np.array([0.0]), 0)[0] == 1.0
+    assert p.vol(np.array([[0.0]]))[0, 0] == 1.0
     lin = CantorParams(s0=(1.0, 2.0), vol_kind="linear", nu=(0.5, 0.25))
-    assert lin.vol(np.array([2.0]), 1)[0] == 0.5
+    # the state has one row per asset
+    assert lin.vol(np.array([[2.0, 4.0], [2.0, 4.0]])).tolist() == [[1.0, 2.0], [0.5, 1.0]]
     with pytest.raises(ValueError):
         CantorParams(s0=1.0, vol_kind="cubic")
     with pytest.raises(ValueError):
@@ -151,6 +152,22 @@ def test_cantor_function_self_similarity():
     rhs = cantor_function(x) / 2.0
     # float division can nudge an early ternary digit; jitter stays ~1e-11
     assert np.allclose(lhs, rhs, atol=1e-9, rtol=0)
+
+
+def test_cantor_function_depth_beyond_the_last_digit_weight():
+    # digit k weighs 2**-k, which underflows to 0.0 past k = 1074: a depth
+    # of 10**9 reads 1074 digits, in well under a second, with the bits of
+    # depth 1074 (reading all 10**9 would take hours)
+    import time
+    x = np.concatenate([np.linspace(0.0, 1.0, 2001),
+                        [5e-324, 1e-320, 2.2e-308, 1e-300, 3.0 ** -600, 0.999999999]])
+    start = time.perf_counter()
+    deep = cantor_function(x, 10 ** 9)
+    assert time.perf_counter() - start < 10.0
+    assert np.array_equal(deep.view(np.uint64), cantor_function(x, 1074).view(np.uint64))
+    grid = SimGrid(1.0, 30, 4)
+    C = simulate_cantor_sde_batch(CantorParams(s0=0.0, cantor_depth=10 ** 9), grid, [0])["C"]
+    assert np.array_equal(C.view(np.uint64), cantor_function(grid.times, 1074).view(np.uint64))
 
 
 def test_cantor_function_shapes_and_domain():

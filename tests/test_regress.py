@@ -166,24 +166,6 @@ def test_mse_rows_equal_per_row_bits(rng):
             mse(*bad)
 
 
-def test_predict_on_a_stack_equals_per_design_bits(rng):
-    # one predict over a stack of designs must give each design the bits of
-    # its own predict call
-    for _ in range(60):
-        B, m, p = (int(v) for v in rng.integers(1, 40, size=3))
-        fit = RegressionFit(words=[(j,) for j in range(1, p + 1)],
-                            coeffs=rng.normal(size=p) * 10.0 ** rng.integers(-3, 4, size=p),
-                            intercept=float(rng.normal()), alpha=0.0,
-                            objective_kind="lasso-sum")
-        X = rng.normal(size=(B, m, p))
-        stacked = predict(fit, X)
-        assert stacked.shape == (B, m)
-        single = np.stack([predict(fit, X[b]) for b in range(B)])
-        assert np.array_equal(stacked.view(np.uint64), single.view(np.uint64))
-        deeper = predict(fit, X.reshape(1, B, m, p))
-        assert np.array_equal(deeper[0].view(np.uint64), single.view(np.uint64))
-
-
 def test_regress_bits_independent_of_memory_layout(rng):
     # BLAS and numpy's reductions sum in an order set by their operands'
     # layout; every entry point takes its arrays in C order first, so a
@@ -204,10 +186,6 @@ def test_regress_bits_independent_of_memory_layout(rng):
         assert np.array_equal(bits(f_fit.coeffs), bits(c_fit.coeffs))
         assert f_fit.diagnostics == c_fit.diagnostics
         assert np.array_equal(bits(predict(c_fit, F)), bits(predict(c_fit, X)))
-    stack = rng.normal(size=(7, 50, 13))
-    fit = ridge_fit(X, y, 1e-3)
-    assert np.array_equal(bits(predict(fit, np.asfortranarray(stack))),
-                          bits(predict(fit, stack)))
 
 
 def test_predict_basics():
@@ -222,6 +200,8 @@ def test_predict_basics():
         predict(fit, X[:, :1])
     with pytest.raises(ValueError):
         predict(fit, X.ravel())
+    with pytest.raises(ValueError):
+        predict(fit, X[None])
 
 
 def test_lasso_unpenalized_square_solve(rng):
@@ -289,7 +269,8 @@ def _calibration_design(cfg, scheme):
     plan = experiments._calibration_plans(cfg)[scheme]
     grid = cfg.grid()
     cols = experiments._simulate_calibration_columns(cfg, grid, [0])
-    traj = gamma_signature(plan.driver(grid.times, cols, 0), plan.gamma, plan.sig_level)
+    traj = gamma_signature(plan.driver(grid.times, cols, 0), experiments.GAMMAS[scheme],
+                           plan.functionals[0].trunc_level)
     s0 = cfg.model.s0 if cfg.experiment == "heston-calib" else cfg.model.s0[0]
     return functional_matrix(traj, plan.functionals), cols["S"][0], cfg.alpha, s0
 

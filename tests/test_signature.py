@@ -516,7 +516,7 @@ def test_level_one_is_the_increment_and_level_two_reads_its_gamma_points(rng, L)
                               _bits(level1)), gamma
         a, c = L - 1, 0
         second = [TensorPoly.basis(alphabet, 2, (a + 1, c + 1))]
-        running = cumsum0(points[:, :, a] * dX[:, :, c], axis=1)
+        running = cumsum0((points[:, :, a] * dX[:, :, c]).T).T
         # the pairing sums its word weights over letters, which turns a -0.0
         # product into +0.0
         assert np.array_equal(_bits(functional_paths(values, gamma, second)[..., 0]),
