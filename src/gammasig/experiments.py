@@ -86,27 +86,48 @@ _CHECK_FIXED = (("grid.T", "grid_T", 1.0), ("grid.n", "grid_n", 1),
                 ("samples.N_test", "n_test", 1), ("samples.N_MC", "n_mc", 1))
 
 
+def _memory_bound() -> tuple[int, str] | None:
+    """The bytes a run's arrays can take at most, and what sets them: the
+    machine's physical memory, or the process's address-space limit (the
+    soft ``RLIMIT_AS``) where that is finite and smaller; None where
+    neither can be read."""
+    bounds = []
+    try:
+        bounds.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
+                       "of physical memory"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    try:
+        import resource
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            bounds.append((soft, "of the process's address-space limit (RLIMIT_AS)"))
+    except (ImportError, AttributeError, ValueError, OSError):
+        pass
+    return min(bounds, default=None)
+
+
 def check_array_size(array: str, keys: Sequence[tuple[str, int]],
                      factors: Sequence[tuple[int, int]]) -> None:
     """Raise ``ValueError`` when the float64 ``array`` of a run, of
     prod(base**power) values over its (base, power) ``factors``, needs more
-    bytes than the machine's physical memory; the message names the config
-    ``keys``, (key, value) pairs, that its size grows with.  The size is
-    compared in logarithms, so that it is known before anything is
-    allocated, however large; where the physical memory cannot be read,
-    nothing is checked."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
+    bytes than the smaller of the machine's physical memory and the
+    process's finite address-space limit; the message names the config
+    ``keys``, (key, value) pairs, that its size grows with, and the bound.
+    The size is compared in logarithms, so that it is known before anything
+    is allocated, however large; where neither bound can be read, nothing
+    is checked."""
+    bound = _memory_bound()
+    if bound is None:
         return
+    limit, what = bound
     if (math.log(8) + sum(power * math.log(base) for base, power in factors)
-            > math.log(physical)):
+            > math.log(limit)):
         named = ", ".join(f"{key!r} {value}" for key, value in keys)
         shape = " x ".join(str(base) if power == 1 else f"{base}**{power}"
                            for base, power in factors)
         raise ValueError(f"too large to run with {named}: {array}, {shape} float64 "
-                         f"values, needs more than the {physical / 2 ** 30:.1f} GiB "
-                         "of physical memory")
+                         f"values, needs more than the {limit / 2 ** 30:.1f} GiB {what}")
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,11 @@ quadratic-variation matrix built on them, time and bracket augmentation of
 a path, and the pairings of linear functionals with signatures for
 regression: the design matrix of one trajectory along its grid, one matrix
 product per level of dense per-level coefficient arrays, and a batched
-route read from the top down, in which each level carries only the
-min(L**m, c_m) columns of its pairing and of what the level above reads,
-and whose pairings add each row's weighted terms elementwise in row order.
+route read from the top down, in which a level below the top carries only
+the columns of its pairing and of what the level above reads, and only the
+letters read above it: a letter whose read rows are all zero adds no step
+term and no block of columns.  Its pairings add each row's weighted terms
+elementwise in row order.
 Letter, bracket and word layouts come from :mod:`gammasig.tensor`.
 
 Accumulation note: level 1 of every gamma-signature is the Riemann sum of
@@ -297,9 +299,11 @@ def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
     sum.  Level m >= 2 is the running sum of its step terms, the level-(m-1)
     gamma-points (:func:`_gamma_points`) times dX: their outer product for a
     whole level, or ``sum_a dX^a * (points read through R_m[(., a), :])``
-    for a carried ``S^m @ R_m`` (:func:`_step_terms`).  A carried level's
-    gamma-points are the same map on its running sum, so a carried level
-    below R_m must end in the columns ``R_m.reshape(L**(m-1), L * c)``.
+    over the letters a that R_m reads (:func:`_read_letters`, found once per
+    call) for a carried ``S^m @ R_m`` (:func:`_step_terms`).  A carried
+    level's gamma-points are the same map on its running sum, so a carried
+    level below R_m must end in the blocks
+    ``R_m.reshape(L**(m-1), L, c)[:, a]`` of those letters, in order.
 
     From one window to the next, each level m >= 2 carries its
     extended-precision running sum and its last float64 row: a window's sums
@@ -313,6 +317,7 @@ def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
     """
     n_plus_1, L, B = values.shape
     widths = [L ** m if read is None else read.shape[1] for m, read in enumerate(reads, 1)]
+    letters = [None if read is None else _read_letters(read, L) for read in reads]
     K = max(1, min(n_plus_1 - 1, _WINDOW_BYTES // (8 * B * max(widths, default=L))))
     steps, firsts = np.empty((K, L, B)), np.empty((K + 1, L, B))
     sums = [np.full((K, c, B), -0.0, dtype=np.longdouble) for c in widths[1:]]
@@ -323,7 +328,7 @@ def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
         levels = [np.subtract(window, values[0], out=firsts[:len(window)])]
         for m, (total, last) in enumerate(zip(sums, lasts), 2):
             terms = _step_terms(_gamma_points(levels[-1], gamma, dX if m == 2 else None),
-                                dX, reads[m - 1], reads[m - 2] is None)
+                                dX, reads[m - 1], letters[m - 1], reads[m - 2] is None)
             # the sum goes on from the previous window's last one, in row
             # K - 1: only the last window has fewer than K steps
             np.add(total[K - 1], terms[0], out=total[0])
@@ -367,20 +372,22 @@ def _contract(rows: np.ndarray, weights: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _step_terms(points: np.ndarray, dX: np.ndarray, read: np.ndarray | None,
-                whole_below: bool) -> np.ndarray:
+                letters: np.ndarray | None, whole_below: bool) -> np.ndarray:
     """Step contributions of one level from the gamma-points of the level
     below: their outer product with dX for a level carried whole (read
-    None), else ``sum_a dX^a * lift_a`` accumulated letter by letter, where
+    None), else ``sum_a dX^a * lift_a`` accumulated over the ``letters`` a
+    that ``read`` reads (:func:`_read_letters`), in ascending order, where
     ``lift_a`` is the points read through the rows (., a) of ``read`` for a
-    whole level below, or its slice of the trailing columns of a carried
-    one."""
+    whole level below, or, for a carried one, the block of a among its
+    trailing columns, which hold one block per read letter in order."""
     k, L, B = dX.shape
     if read is None:
         return (points[:, :, None] * dX[:, None]).reshape(k, points.shape[1] * L, B)
     c = read.shape[1]
-    lifts = ((_contract(points, read[a::L, :, None]) for a in range(L)) if whole_below
-             else (points[:, -L * c:][:, a * c:(a + 1) * c] for a in range(L)))
-    return _contract(dX, lifts)
+    lifts = ((_contract(points, read[a::L, :, None]) for a in letters) if whole_below
+             else (points[:, -len(letters) * c:][:, i * c:(i + 1) * c]
+                   for i in range(len(letters))))
+    return _contract(dX[:, letters], lifts)
 
 
 def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTrajectory:
@@ -484,24 +491,40 @@ def functional_matrix(traj: SigTrajectory, functionals: Sequence[TensorPoly]) ->
     return out
 
 
+def _read_letters(read: np.ndarray, L: int) -> np.ndarray:
+    """The letters a, ascending, whose rows (., a) of a read matrix
+    (L**m, c) are not all zero: the letters whose step terms a level
+    carried as ``S^m @ R_m`` adds, and whose blocks the level below
+    carries."""
+    return np.flatnonzero(read.reshape(-1, L, read.shape[1]).any(axis=(0, 2)))
+
+
 def _read_matrices(dense: list[np.ndarray], L: int) -> list[np.ndarray | None]:
-    """Per level m = 1..M of dense functionals ``dense`` (top level M), the
-    read matrix of :func:`_levels`, built from the top down:
+    """Per level m = 1..M of p dense functionals ``dense`` (top level M),
+    the read matrix of :func:`_levels`, built from the top down:
 
-        R_M = ell_M,   R_m = [ell_m | R_{m+1}.reshape(L**m, L * c_{m+1})],
+        R_M = ell_M,   R_m = [ell_m | R_{m+1}.reshape(L**m, L, c_{m+1})[:, A_{m+1}]],
 
-    where c_m is the column count of R_m: the pairing <ell_m, S^m> and the
-    columns the level above reads.  A level whose R_m has fewer than L**m
-    columns is carried as ``S^m @ R_m``; a level whose projection is not
-    narrower is carried whole (None), and so is every level below it,
-    since its whole outer product is read.  Level 1 is always whole."""
+    where c_m is the column count of R_m and A_m its read letters
+    (:func:`_read_letters`): the pairing <ell_m, S^m> and, for each letter
+    the level above reads, the columns it reads through that letter.  A
+    letter whose rows of R_{m+1} are all zero adds only zeros to level
+    m + 1, so neither its step term nor its block is formed.  Levels are
+    carried as ``S^m @ R_m`` from the top down while p * (1 + L + .. +
+    L**(M-m)), the columns with every letter's block, is fewer than L**m;
+    that level and every level below it are carried whole (None), since
+    its whole outer product is read, so which letters are read never moves
+    a level from one route to the other.  Level 1 is always whole."""
     top = len(dense) - 1
     reads: list[np.ndarray | None] = [None] * top
+    width = 0
     for m in range(top, 1, -1):
-        read = dense[m] if m == top else np.concatenate(
-            [dense[m], read.reshape(L ** m, -1)], axis=1)
-        if read.shape[1] >= L ** m:
+        width = dense[m].shape[1] + L * width
+        if width >= L ** m:
             break
+        read = dense[m] if m == top else np.concatenate(
+            [dense[m], read.reshape(L ** m, L, -1)[:, _read_letters(read, L)]
+             .reshape(L ** m, -1)], axis=1)
         reads[m - 1] = read
     return reads
 
@@ -515,14 +538,21 @@ def functional_paths(values: np.ndarray, gamma: float,
     functionals of top level M, a transpose view of a batch-last buffer.
     The levels come from the level recursion :func:`_levels`, read from the
     top down (:func:`_read_matrices`), and each window is paired into its
-    rows: a level whose c_m pairing-and-read columns are fewer than L**m is
-    carried as ``S^m @ R_m``, its first p columns being its pairing, so the
-    top level of p < L**M functionals is never formed; any other level is
-    carried whole and paired by :func:`_contract`, its rows' weighted terms
-    added elementwise in row order.  No step calls BLAS, so a path's rows
-    depend neither on the batch, the chunk, the memory layout nor the
-    window; they agree with :func:`functional_matrix` on
-    :func:`gamma_signature` to roundoff.
+    rows: a level carried as ``S^m @ R_m`` holds its pairing in its first p
+    columns, so the top level of p < L**M functionals is never formed, and
+    carries only the letters read above it, so a fit whose top words all
+    end in one letter adds one letter's step term at its top; any other
+    level is carried whole and paired by :func:`_contract`, its rows'
+    weighted terms added elementwise in row order.  No step calls BLAS, so
+    a path's rows depend neither on the batch, the chunk, the memory layout
+    nor the window; they agree with :func:`functional_matrix` on
+    :func:`gamma_signature` to roundoff.  A skipped letter's term is dX^a
+    times a sum of zero-weighted products, +-0 for finite values, so
+    skipping it can flip only the sign of an exact zero inside a level; a
+    pairing starts from +0.0 or a nonzero constant (``TensorPoly`` drops
+    -0.0), so for finite values its bits are those of adding every
+    letter's term.  An increment that overflows in a letter that no word
+    reads no longer turns the level into NaN through inf * 0.
     """
     _check_gamma(gamma)
     if not functionals:

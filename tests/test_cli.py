@@ -474,10 +474,12 @@ def test_sigdump_bad_gamma(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err.lower()
 
 
-def _cli_in_subprocess(command: str, cfg: str):
+def _cli_in_subprocess(command: str, cfg: str, address_space: int | None = None):
     """``gammasig <command> --config <cfg>`` in a fresh interpreter that
-    imports this checkout's package."""
+    imports this checkout's package, with its own soft address-space limit
+    (``RLIMIT_AS``) of ``address_space`` bytes if given."""
     import os
+    import resource
     import subprocess
     import sys
 
@@ -485,8 +487,14 @@ def _cli_in_subprocess(command: str, cfg: str):
     src = os.path.dirname(os.path.dirname(os.path.abspath(gammasig.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, hard))
+
     return subprocess.run([sys.executable, "-m", "gammasig.cli", command, "--config", cfg],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=None if address_space is None else limit)
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -530,6 +538,20 @@ def test_run_size_too_large_to_run_exits_2(tmp_path, command, payload, named):
     proc = _cli_in_subprocess(command, cfg)
     assert proc.returncode == 2, proc.stderr
     assert "too large to run" in proc.stderr and named in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_run_size_beyond_the_address_space_limit_exits_2(tmp_path):
+    # under a 1.5 GB address-space limit, set on the child process alone, a
+    # 2.2 GB training trajectory cannot be allocated although the machine's
+    # physical memory could hold it: the size check bounds it by the limit
+    # and names it, where the run used to end in a MemoryError traceback
+    cfg = write_config(tmp_path, "c.json", {"experiment": "cantor-calib",
+                                            "grid": {"n": 30000000},
+                                            "samples": {"N_test": 1}})
+    proc = _cli_in_subprocess("calibrate", cfg, address_space=1_536_000_000)
+    assert proc.returncode == 2, proc.stderr
+    assert "'grid.n' 30000000" in proc.stderr and "RLIMIT_AS" in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 

@@ -186,6 +186,59 @@ def test_fold_skips_zero_coefficients():
         2.0 * plan.functionals[1] + (-0.5) * plan.functionals[4]
 
 
+def _pairings_of_a_run(monkeypatch, cfg) -> tuple[dict, dict]:
+    """The report of a calibration run and, per scheme, its folded fit and
+    the test paths' driver values and pairings of each chunk."""
+    calls: dict = {}
+    real = experiments.functional_paths
+
+    def recorded(values, gamma, ells):
+        out = real(values, gamma, ells)
+        scheme = next(s for s in SCHEMES if GAMMAS[s] == gamma)
+        calls.setdefault(scheme, []).append((ells[0], np.array(values), out.copy()))
+        return out
+
+    monkeypatch.setattr(experiments, "functional_paths", recorded)
+    return run_calibration(cfg), calls
+
+
+@pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
+def test_run_calibration_selecting_no_word_predicts_the_intercept(monkeypatch, experiment):
+    # at a penalty that zeroes every coefficient the folded fit is the zero
+    # functional: every test pairing is +0.0, every prediction the pinned
+    # intercept s0, and the out-of-sample MSE that of s0 against the targets
+    cfg = default_config(experiment, grid_n=40, n_test=3, alpha=1e6)
+    report, calls = _pairings_of_a_run(monkeypatch, cfg)
+    s0 = cfg.model.s0 if experiment == "heston-calib" else cfg.model.s0[0]
+    S = experiments._simulate_calibration_columns(
+        cfg, cfg.test_grid(), range(1, cfg.n_test + 1))["S"]
+    for scheme in SCHEMES:
+        entry = report["schemes"][scheme]
+        assert not any(entry["fit"]["coeffs"]) and entry["fit"]["intercept"] == s0
+        [(ell, _, out)] = calls[scheme]
+        assert not ell and out.shape == S.shape + (1,)
+        assert np.array_equal(out.view(np.uint64), np.zeros_like(out).view(np.uint64))
+        assert report["trajectory"][f"pred_{scheme}"] == [s0] * S.shape[1]
+        assert entry["out_sample_mse"] == float(np.mean(mse(np.full_like(S, s0), S)))
+        assert entry["out_sample_mse"] == pytest.approx(float(np.mean((s0 - S) ** 2)),
+                                                        rel=1e-14)
+
+
+def test_run_calibration_selecting_only_level_one_words(monkeypatch):
+    # at this penalty both heston-calib fits keep only f_() = e_(1), so the
+    # folded fit has top level 1 and no level above it is formed: each
+    # pairing is beta * (W - W_0) of the driver letter 1, bit for bit
+    cfg = default_config("heston-calib", grid_n=40, n_test=3, alpha=0.1)
+    report, calls = _pairings_of_a_run(monkeypatch, cfg)
+    for scheme in SCHEMES:
+        fit = report["schemes"][scheme]["fit"]
+        assert [w for w, c in zip(fit["words"], fit["coeffs"]) if c] == [""]
+        [(ell, values, out)] = calls[scheme]
+        assert ell.max_level() == 1 and list(ell.items()) == [((1,), fit["coeffs"][0])]
+        increments = values[:, :, 1] - values[:, :1, 1]
+        assert np.array_equal(out[..., 0], fit["coeffs"][0] * increments)
+
+
 @pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
 def test_run_calibration_in_sample_mse_is_the_lasso_diagnostic(experiment):
     # the stamped in-sample MSE is the lasso's own, with the bits of scoring

@@ -257,3 +257,69 @@ def test_gamma_signature_level_digests(monkeypatch, key):
     for level in traj.levels:
         digest.update(np.ascontiguousarray(level, dtype=np.float64).tobytes())
     assert digest.hexdigest() == GAMMA_SIGNATURE_PINS[key]
+
+
+def _calibration_pairing_case(experiment: str, scheme: str, N: int) \
+        -> tuple[np.ndarray, list]:
+    """Test-path driver values (3, 41, L) and the folded fit of a
+    calibration plan at level N, with a seeded coefficient on every second
+    feature and zeros elsewhere, like a sparse lasso fit."""
+    config = experiments.default_config(experiment, trunc_level=N, grid_n=80, n_test=3)
+    plan = experiments._calibration_plans(config)[scheme]
+    grid = config.test_grid()
+    cols = experiments._simulate_calibration_columns(config, grid, range(1, 4))
+    names = plan.driver(grid.times, cols, 0).names
+    values = experiments._driver_values(grid.times, cols, names, 0, 3)
+    coeffs = np.random.default_rng(N).normal(size=len(plan.functionals))
+    coeffs[1::2] = 0.0
+    return values, [experiments._fold(coeffs, plan.functionals)]
+
+
+#: (experiment, scheme, N) -> SHA-256 of the bytes of functional_paths at
+#: gamma 0, 1/2 and 1 in turn, on the folded fit of
+#: :func:`_calibration_pairing_case`; recorded before the carried levels
+#: skipped the letters that their read matrices never read
+CALIBRATION_PAIRING_PINS = {
+    ("heston-calib", "strat", 2):
+        "04f7844f83817f857a9c116f50bb199794c2801e0129e4307bbb1755c33c5164",
+    ("heston-calib", "ito", 2):
+        "30855aa694739017650ffce491b6b17510a37ee70801ebe5707b57b20ab7685b",
+    ("heston-calib", "strat", 3):
+        "f13afe45db6c3da8573c8716eb6bce945bd12bf0584ea2274fc7089fb0940f23",
+    ("heston-calib", "ito", 3):
+        "cb985fbad6cd16960cfd695cf957dc66fd1784de65378cbd5e4781b75b4fffad",
+    ("cantor-calib", "strat", 2):
+        "5276baa32c10fac1a45cc1db160148c0fde28b53b8d76117c8c46df2bcb87a4a",
+    ("cantor-calib", "ito", 2):
+        "f9c75176d5ad56851ad025b38c9b5cc53ab5d1bbe5cbb728d1ceef87906fe2de",
+    ("cantor-calib", "strat", 3):
+        "19f2957d1736635cfc355455bec033b61a1181c3a48915fdfa22cb775d36ffc3",
+    ("cantor-calib", "ito", 3):
+        "bb39974d9cc378e04ebbdf6129d3363758a1833b47f175939aa2a1af810596f4",
+}
+
+
+@pytest.mark.parametrize("steps", [1, 2, None], ids=["window1", "window2", "whole-grid"])
+@pytest.mark.parametrize("key", list(CALIBRATION_PAIRING_PINS), ids=str)
+def test_calibration_pairing_digests(monkeypatch, key, steps):
+    # the level recursion walks the grid in windows of ``steps`` steps (None:
+    # the whole grid in one), sized per call from its widest carried level
+    real = signature._levels
+
+    def levels(values, gamma, reads):
+        n_plus_1, L, B = values.shape
+        widest = max((L ** m if read is None else read.shape[1]
+                      for m, read in enumerate(reads, 1)), default=L)
+        K = steps or n_plus_1 - 1
+        monkeypatch.setattr(signature, "_WINDOW_BYTES", 8 * B * widest * K)
+        for start, dX, window in real(values, gamma, reads):
+            assert len(dX) == min(K, n_plus_1 - 1 - start)
+            yield start, dX, window
+
+    monkeypatch.setattr(signature, "_levels", levels)
+    values, ell = _calibration_pairing_case(*key)
+    digest = hashlib.sha256()
+    for gamma in (0.0, 0.5, 1.0):
+        digest.update(np.ascontiguousarray(signature.functional_paths(values, gamma, ell))
+                      .tobytes())
+    assert digest.hexdigest() == CALIBRATION_PAIRING_PINS[key]

@@ -33,7 +33,7 @@ from gammasig import (
     write_path_csv,
     write_sig_csv,
 )
-from gammasig import signature
+from gammasig import experiments, signature
 from gammasig.signature import cumsum0
 from conftest import make_random_path
 
@@ -608,16 +608,36 @@ def dense_functionals(rng, alphabet, N, p):
             for _ in range(p)]
 
 
+def sparse_functionals(rng, alphabet, N):
+    """Two functionals of top level N that read few letters: one with a
+    random coefficient on every word below the top and on the top words
+    ending in one letter, like a calibration fit, whose features all end in
+    the driver letter; and one on the prefixes of one random word of length
+    N, which reads a single letter per level."""
+    words = enumerate_words(alphabet, N)
+    last = alphabet.letters[rng.integers(alphabet.total_letters)]
+    chain = tuple(alphabet.letters[i] for i in rng.integers(alphabet.total_letters, size=N))
+    return [
+        [TensorPoly(alphabet, N, {w: float(rng.normal()) for w in words
+                                  if len(w) < N or w[-1] == last})],
+        [TensorPoly(alphabet, N, {chain[:m]: float(rng.normal()) for m in range(1, N + 1)})],
+    ]
+
+
 def pairing_families(rng, alphabet, N):
     """The mixed family (p = 4) and families whose levels below the top are
-    carried as S^m @ R_m: one and two dense functionals (top level N).  At
-    level 2 also the fallback boundary, the level-2 basis (c_2 = p = L**2, so
-    the top is formed whole), and the basis less one word (c_2 = L**2 - 1).
-    Below the top, c_m is p modulo L and cannot equal L**m."""
+    carried as S^m @ R_m: one and two dense functionals (top level N), and
+    the two sparse ones of :func:`sparse_functionals`, whose levels skip
+    the letters they never read.  At level 2 also the fallback boundary,
+    the level-2 basis (c_2 = p = L**2, so the top is formed whole), and the
+    basis less one word (c_2 = L**2 - 1).  Below the top, the width that
+    decides the route, p * (1 + L + .. + L**(N-m)), is p modulo L and cannot
+    equal L**m."""
     families = [mixed_functionals(rng, alphabet, N)]
     if N >= 2:
         families += [dense_functionals(rng, alphabet, N, 1),
-                     dense_functionals(rng, alphabet, N, 2)]
+                     dense_functionals(rng, alphabet, N, 2),
+                     *sparse_functionals(rng, alphabet, N)]
     if N == 2:
         basis = [TensorPoly.basis(alphabet, 2, w)
                  for w in enumerate_words(alphabet, 2) if len(w) == 2]
@@ -722,6 +742,60 @@ def test_functional_paths_constant_and_level_one_tops(rng):
     for gamma in (0.0, 0.5, 1.0):
         got = functional_paths(values, gamma, linear)[:, :, 0]
         assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+def test_calibration_reads_skip_the_unread_letters():
+    # every calibration feature's top word ends in the driver letter 1, so
+    # the folded fits read one letter at the top: heston-calib carries level
+    # 2 as its pairing and the one block of letter 1 (2 columns, not 1 + L),
+    # and cantor-calib ito reads one of its three letters' lifts
+    for experiment, scheme, reads_of in (
+            ("heston-calib", "strat", {2: [0, 1, 2], 3: [1]}),
+            ("heston-calib", "ito", {2: [0, 1, 2], 3: [1]}),
+            ("cantor-calib", "ito", {2: [1]})):
+        config = experiments.default_config(experiment)
+        plan = experiments._calibration_plans(config)[scheme]
+        ell = experiments._fold(np.ones(len(plan.functionals)), plan.functionals)
+        L = ell.alphabet.total_letters
+        reads = signature._read_matrices(
+            signature._dense([ell], ell.alphabet, ell.max_level()), L)
+        assert reads[0] is None and len(reads) == max(reads_of)
+        for m, letters in reads_of.items():
+            assert signature._read_letters(reads[m - 1], L).tolist() == letters, \
+                (experiment, scheme, m)
+        if experiment == "heston-calib":
+            assert reads[1].shape == (L ** 2, 2) and reads[2].shape == (L ** 3, 1)
+
+
+def test_functional_paths_skip_the_terms_of_unread_letters(rng):
+    # a level's step adds only the letters its read matrix reads: an
+    # increment that overflows to -inf in a letter that no word reads made
+    # its 0 * inf a NaN in every later row; at gamma = 0 the gamma-points
+    # of level 1 are the path's own finite values, so the pairing is that
+    # of the path with the unread letter held at zero
+    alphabet = Alphabet(1, has_time=True)
+    ell = [TensorPoly(alphabet, 3, {(0,): 0.5, (0, 0): -1.0, (0, 0, 0): 2.0})]
+    values = np.cumsum(rng.normal(size=(2, 9, 2)), axis=1)
+    values[:, 4, 1], values[:, 5, 1] = 1e308, -1e308
+    held = values.copy()
+    held[:, :, 1] = 0.0
+    with np.errstate(over="ignore"):
+        got = functional_paths(values, 0.0, ell)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(_bits(got), _bits(functional_paths(held, 0.0, ell)))
+
+
+def test_functional_paths_constant_minus_zero_is_dropped():
+    # TensorPoly drops exact zeros, -0.0 among them, so a pairing starts
+    # from +0.0 or a nonzero constant and never from -0.0: the sign of an
+    # exact zero inside a level, which skipping a letter's +-0 term can
+    # flip, never reaches the output
+    alphabet = Alphabet(2)
+    ell = TensorPoly(alphabet, 2, {(): -0.0, (1, 1): 1.0})
+    assert len(ell) == 1
+    flat = np.zeros((1, 4, 2))
+    out = functional_paths(flat, 0.5, [ell])
+    assert np.array_equal(_bits(out), _bits(np.zeros_like(out)))
 
 
 def test_functional_paths_validation(rng):
