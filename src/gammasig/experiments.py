@@ -18,6 +18,7 @@ the config hash and seed.
 """
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import hashlib
 import json
@@ -218,10 +219,10 @@ class ExperimentConfig:
         as :func:`check_array_size` arguments: a calibration's training
         signature trajectory (three letters to level N, N + 1 for
         heston-calib) and its test paths' draws, the largest of their
-        columns; a pricing chunk's draws (four normals per step for
-        heston2-pricing, two for cantor2-pricing; a chunk holds at most
-        ``_PRICING_CHUNK`` paths) and the end-point signatures of all paths
-        (six letters to level N)."""
+        columns; the draws of the pricing chunks in flight (four normals per
+        step for heston2-pricing, two for cantor2-pricing; at most
+        :func:`_pricing_threads` chunks of ``_PRICING_CHUNK`` paths) and the
+        end-point signatures of all paths (six letters to level N)."""
         n, N = ("grid.n", self.grid_n), ("signature.trunc_level", self.trunc_level)
         heston = self.experiment.startswith("heston")
         if self.experiment in CALIBRATION_IDS:
@@ -232,8 +233,9 @@ class ExperimentConfig:
         total = self.n_train + self.n_test + self.n_mc
         samples = (("samples.N_train", self.n_train), ("samples.N_test", self.n_test),
                    ("samples.N_MC", self.n_mc))
-        return [("one chunk's draws", (n,),
-                 ((self.grid_n, 1), (2 + 2 * heston, 1), (min(_PRICING_CHUNK, total), 1))),
+        in_flight = min(_pricing_threads() * _PRICING_CHUNK, total)
+        return [("the draws of the chunks in flight", (n,),
+                 ((self.grid_n, 1), (2 + 2 * heston, 1), (in_flight, 1))),
                 ("the end-point signatures of all paths", samples + (N,),
                  ((total, 1), (6, self.trunc_level)))]
 
@@ -580,7 +582,18 @@ def _pricing_log_paths(config: ExperimentConfig, indices: Sequence[int]) \
 _PRICING_FAMILIES: dict[str, tuple[int, ...]] = {"1": (1,), "2": (2,), "12": (1, 2)}
 
 #: Paths per simulated chunk of a pricing run.
-_PRICING_CHUNK = 1500
+_PRICING_CHUNK = 600
+
+
+def _pricing_threads() -> int:
+    """Threads of a pricing run, and so its chunks in flight: two, or one
+    where the process may run on one core only (its CPU affinity, or the
+    machine's core count where that cannot be read)."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return min(2, cores)
 
 
 def _joint_alphabet(scheme: str) -> Alphabet:
@@ -629,45 +642,77 @@ def _joint_values(times: np.ndarray, x: np.ndarray, brackets: np.ndarray) -> np.
     return values
 
 
+def _pricing_chunk(config: ExperimentConfig, layout: _Layout, start: int, stop: int,
+                   feats: dict[tuple[str, str], np.ndarray]) \
+        -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Simulate paths ``start..stop-1``, write their rows of every family's
+    ``feats`` and return their mask of positive prices and their realized
+    statistics.
+
+    The chunk builds its bracket block once, for the statistics (its end
+    row) and the joint values, then takes one joint end-point pass per
+    scheme over those values, left-point first, with the log-prices and the
+    block freed; the mid-point pass reads their first three columns (t, x1,
+    x2).  Each family takes its columns of the joint row.  From the
+    simulator to the end points, the chunk's arrays are stored paths last,
+    (n+1, L, B), and pass between the layers as (B, n+1, L) transpose views.
+    """
+    N = config.trunc_level
+    x, ok = _pricing_log_paths(config, range(start, stop))
+    brackets = bracket_columns(x)
+    stats = realized_stats_batch(brackets[:, -1])
+    values = _joint_values(config.grid().times, x, brackets)
+    del x, brackets  # freed before the passes
+    for scheme in ("ito", "strat"):
+        # the strat driver (t, x1, x2) is the first three columns
+        letters = _joint_alphabet(scheme).total_letters
+        ends = endpoint_signature_batch(values[:, :, :letters], GAMMAS[scheme], N)
+        row = np.concatenate([np.ones((len(values), 1))] + ends, axis=1)
+        del ends
+        for family in _PRICING_FAMILIES:
+            feats[(family, scheme)][start:stop] = row[:, layout[(family, scheme)][1]]
+    return ok, stats
+
+
 def _pricing_features(config: ExperimentConfig, layout: _Layout) \
         -> tuple[dict[tuple[str, str], np.ndarray], dict[str, np.ndarray], np.ndarray]:
     """Feature rows per (family, scheme) of ``layout``, realized statistics
     and the mask of paths with positive prices, over all N_train + N_test +
     N_MC paths.
 
-    Each chunk of ``_PRICING_CHUNK`` paths builds its bracket block once, for
-    the statistics (its end row) and the joint values, then takes one joint
-    end-point pass per scheme over those values, left-point first, with the
-    log-prices and the block freed; the mid-point pass reads their first
-    three columns (t, x1, x2).  Each family takes its columns of the joint
-    row.  From the simulator to the end points, a chunk's arrays are stored
-    paths last, (n+1, L, B), and pass between the layers as (B, n+1, L)
-    transpose views.
+    The paths go through :func:`_pricing_chunk` in chunks of
+    ``_PRICING_CHUNK``, on :func:`_pricing_threads` threads, so at most that
+    many chunks are in flight; the simulation, the bracket sums and the
+    end-point steps release the interpreter lock, so one chunk's numpy work
+    overlaps the other's Python loops.  Each chunk writes only its own rows
+    of the features, and its mask and statistics are stored in chunk order,
+    so no bit and no key order depends on the threads or their scheduling.
+    Each chunk runs in a copy of the caller's context (numpy's error state
+    included).  A failing chunk cancels the chunks not yet started, and the
+    first failure in chunk order is raised once every started chunk has
+    ended, as a serial loop over the chunks would raise it.
     """
-    N = config.trunc_level
+    from concurrent.futures import ThreadPoolExecutor
+
     total = config.n_train + config.n_test + config.n_mc
-    times = config.grid().times
     feats = {key: np.empty((total, len(words))) for key, (words, _) in layout.items()}
     stats: dict[str, np.ndarray] = {}
     ok_all = np.empty(total, dtype=bool)
-    for start in range(0, total, _PRICING_CHUNK):
-        x, ok = _pricing_log_paths(config, range(start, min(start + _PRICING_CHUNK, total)))
-        sl = slice(start, start + len(x))
-        ok_all[sl] = ok
-        brackets = bracket_columns(x)
-        for key, arr in realized_stats_batch(brackets[:, -1]).items():
-            stats.setdefault(key, np.empty(total))[sl] = arr
-        values = _joint_values(times, x, brackets)
-        del x, brackets  # freed before the passes
-        for scheme in ("ito", "strat"):
-            # the strat driver (t, x1, x2) is the first three columns
-            letters = _joint_alphabet(scheme).total_letters
-            ends = endpoint_signature_batch(values[:, :, :letters], GAMMAS[scheme], N)
-            row = np.concatenate([np.ones((len(values), 1))] + ends, axis=1)
-            del ends
-            for family in _PRICING_FAMILIES:
-                feats[(family, scheme)][sl] = row[:, layout[(family, scheme)][1]]
-        del values
+    starts = range(0, total, _PRICING_CHUNK)
+    with ThreadPoolExecutor(_pricing_threads()) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _pricing_chunk, config,
+                               layout, start, min(start + _PRICING_CHUNK, total), feats)
+                   for start in starts]
+        try:
+            for start, future in zip(starts, futures):
+                ok, chunk_stats = future.result()
+                sl = slice(start, start + len(ok))
+                ok_all[sl] = ok
+                for key, arr in chunk_stats.items():
+                    stats.setdefault(key, np.empty(total))[sl] = arr
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return feats, stats, ok_all
 
 

@@ -229,11 +229,18 @@ def _homotopy(gram: np.ndarray, c: np.ndarray, threshold: float,
                 active, signs = np.append(active, j), np.append(signs, sides[side, 0])
 
 
+#: Columns per panel of a :func:`_cholesky` update.
+_PANEL = 64
+
+
 def _cholesky(A: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L' = A, in p outer-product steps.
 
-    Raises ValueError when a pivot is not positive (A is not positive
-    definite)."""
+    Only the lower triangle of the trailing square is ever read, so each
+    step updates its lower trapezoid alone, in column panels of ``_PANEL``
+    from the diagonal down; every entry still takes the same subtractions
+    in the same order as in a full-square update.  Raises ValueError when a
+    pivot is not positive (A is not positive definite)."""
     schur = np.array(A, dtype=np.float64)
     p = len(schur)
     chol = np.zeros((p, p))
@@ -243,7 +250,9 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
             raise ValueError("normal equations are singular; use alpha > 0")
         col = schur[k:, k] / np.sqrt(pivot)
         chol[k:, k] = col
-        schur[k + 1:, k + 1:] -= np.multiply.outer(col[1:], col[1:])
+        for lo in range(k + 1, p, _PANEL):
+            hi = min(lo + _PANEL, p)
+            schur[lo:, lo:hi] -= np.multiply.outer(col[lo - k:], col[lo - k:hi - k])
     return chol
 
 

@@ -560,9 +560,9 @@ def test_entry_point_installed():
     assert shutil.which("gammasig") is not None
 
 
-def test_cli_import_does_not_load_scipy():
-    # the CLI runs on numpy alone; importing scipy would roughly double the
-    # start-up time of every command
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether ``import gammasig.cli`` in a fresh interpreter that imports
+    this checkout's package loads ``module``."""
     import os
     import subprocess
     import sys
@@ -572,9 +572,22 @@ def test_cli_import_does_not_load_scipy():
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, gammasig.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, gammasig.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy():
+    # the CLI runs on numpy alone; importing scipy would roughly double the
+    # start-up time of every command
+    assert not _loaded_by_cli_import("scipy")
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    # only a pricing run needs its thread pool, and imports it when it runs;
+    # loading it (with logging) at import would add about 4 ms to the
+    # start-up of every command
+    assert not _loaded_by_cli_import("concurrent.futures")
 
 
 def test_package_namespace_names_resolve_to_one_module():

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -81,6 +83,23 @@ def test_config_grids():
     test = cfg.test_grid()
     assert (test.T, test.n) == (0.5, 50)
     assert test.dt == grid.dt
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_size_counts_the_pricing_chunks_in_flight(monkeypatch, threads):
+    # under a bound between one and two chunks' draws (4 normals per step of
+    # 600 paths on 1000 steps: 19.2 MB each), a run on two threads is too
+    # large to run, and the message names the draws of the chunks in flight
+    monkeypatch.setattr(experiments, "_pricing_threads", lambda: threads)
+    monkeypatch.setattr(experiments, "_memory_bound", lambda: (30 * 10 ** 6, "of a test bound"))
+    sizes = dict(grid_n=1000, n_train=1000, n_test=500, n_mc=500)
+    assert 2 * experiments._PRICING_CHUNK < sum(sizes.values()) - sizes["grid_n"]
+    if threads == 1:
+        default_config("heston2-pricing", **sizes)
+        return
+    with pytest.raises(ValueError, match="too large to run with 'grid.n' 1000: the draws "
+                                         "of the chunks in flight, 1000 x 4 x 1200"):
+        default_config("heston2-pricing", **sizes)
 
 
 def test_default_config_overrides():
@@ -373,24 +392,31 @@ def test_run_pricing_output_files(tmp_path):
 
 @pytest.mark.parametrize("trunc_level", [1, 2, 3, 4])
 def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_level):
-    # more paths than one chunk: each chunk takes one ito and one strat pass,
-    # and every family's block equals the pass over its own C-ordered driver,
-    # whose words are those of the family's own alphabet
+    # more paths than one chunk: each chunk takes one ito pass, then one
+    # strat pass, on the thread that runs it, and every family's block
+    # equals the pass over its own C-ordered driver, whose words are those of
+    # the family's own alphabet
     config = default_config("heston2-pricing", grid_n=3, trunc_level=trunc_level,
                             n_train=1000, n_test=300, n_mc=400)
     total = config.n_train + config.n_test + config.n_mc
-    assert total > experiments._PRICING_CHUNK
+    chunks = -(-total // experiments._PRICING_CHUNK)
+    assert chunks > 1
+    monkeypatch.setattr(experiments, "_pricing_threads", lambda: 2)
     real = experiments.endpoint_signature_batch
-    gammas = []
+    passes = []  # (thread, gamma); list.append is atomic
 
     def counting(values, gamma, level):
-        gammas.append(gamma)
+        passes.append((threading.get_ident(), gamma))
         return real(values, gamma, level)
 
     monkeypatch.setattr(experiments, "endpoint_signature_batch", counting)
     layout = experiments._pricing_layout(trunc_level)
     feats, _, _ = experiments._pricing_features(config, layout)
-    assert gammas == [GAMMAS["ito"], GAMMAS["strat"]] * 2
+    assert len(passes) == 2 * chunks
+    for thread in {thread for thread, _ in passes}:
+        # a thread runs its chunks one after another
+        gammas = [gamma for other, gamma in passes if other == thread]
+        assert gammas == [GAMMAS["ito"], GAMMAS["strat"]] * (len(gammas) // 2)
 
     x, _ = experiments._pricing_log_paths(config, range(total))
     times = np.broadcast_to(config.grid().times, x.shape[:2])[:, :, None]
@@ -435,10 +461,14 @@ def test_pricing_brackets_once_per_chunk(monkeypatch):
         assert np.array_equal(stats[key].view(np.uint64), arr.view(np.uint64)), key
 
 
-@pytest.mark.parametrize("experiment, trunc_level, bound", [
+#: (experiment, trunc_level, bound) of the pricing peak-memory guards.
+_PEAK_BOUNDS = [
     pytest.param("heston2-pricing", 2, 3.96, id="heston2-pricing-3.96"),
     pytest.param("cantor2-pricing", 2, 3.60, id="cantor2-pricing-3.6"),
-    pytest.param("cantor2-pricing", 3, 3.0, id="cantor2-pricing-level3-3.0")])
+    pytest.param("cantor2-pricing", 3, 3.0, id="cantor2-pricing-level3-3.0")]
+
+
+@pytest.mark.parametrize("experiment, trunc_level, bound", _PEAK_BOUNDS)
 def test_pricing_chunk_peak_memory(experiment, trunc_level, bound):
     # one chunk of 400 paths on 100 steps: the tracemalloc peak of the
     # features, in units of the bytes of its left-point joint values
@@ -460,6 +490,117 @@ def test_pricing_chunk_peak_memory(experiment, trunc_level, bound):
         tracemalloc.stop()
     ratio = peak / (total * (config.grid_n + 1) * 6 * 8)
     assert ratio <= bound, ratio
+
+
+@pytest.mark.parametrize("experiment, trunc_level, bound", _PEAK_BOUNDS)
+def test_pricing_peak_memory_over_chunks_in_flight(monkeypatch, experiment, trunc_level,
+                                                    bound):
+    # four chunks on two threads: the peak stays within the one-chunk bound,
+    # counted on the paths in flight.  The feature, statistic and mask rows
+    # of the other paths are the result, not working memory, and are taken
+    # off the peak
+    monkeypatch.setattr(experiments, "_pricing_threads", lambda: 2)
+    chunk = experiments._PRICING_CHUNK
+    config = default_config(experiment, grid_n=100, n_train=4 * chunk - 100, n_test=50,
+                            n_mc=50, trunc_level=trunc_level)
+    total = config.n_train + config.n_test + config.n_mc
+    in_flight = 2 * chunk
+    layout = experiments._pricing_layout(trunc_level)
+    row_bytes = 8 * sum(len(words) for words, _ in layout.values()) + 6 * 8 + 1
+    tracemalloc.start()
+    try:
+        experiments._pricing_features(config, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    working = peak - (total - in_flight) * row_bytes
+    ratio = working / (in_flight * (config.grid_n + 1) * 6 * 8)
+    assert ratio <= bound, ratio
+
+
+def _small_pricing(monkeypatch, threads: int) -> ExperimentConfig:
+    """A 200-path pricing config on 3 steps, in 20 chunks of 10 paths on
+    ``threads`` threads."""
+    monkeypatch.setattr(experiments, "_PRICING_CHUNK", 10)
+    monkeypatch.setattr(experiments, "_pricing_threads", lambda: threads)
+    return default_config("heston2-pricing", grid_n=3, n_train=100, n_test=50, n_mc=50)
+
+
+def test_pricing_chunks_run_in_the_callers_context(monkeypatch):
+    # numpy's error state is a context variable: every chunk thread sees the
+    # caller's, where a fresh thread would see numpy's defaults
+    config = _small_pricing(monkeypatch, 2)
+    real = experiments._pricing_log_paths
+    seen = []
+
+    def recording(config, indices):
+        seen.append(np.geterr())
+        return real(config, indices)
+
+    monkeypatch.setattr(experiments, "_pricing_log_paths", recording)
+    with np.errstate(all="ignore"):
+        expected = np.geterr()
+        experiments._pricing_features(config, experiments._pricing_layout(2))
+    assert expected != np.geterr()
+    assert len(seen) == 20 and all(state == expected for state in seen)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pricing_chunk_failure_raises_first_in_chunk_order(monkeypatch, threads):
+    # chunk 1 fails at once and chunk 0 later: the call raises chunk 0's
+    # error, as a serial loop would, after cancelling the chunks not yet
+    # started and waiting for the started ones, so no thread outlives it
+    config = _small_pricing(monkeypatch, threads)
+    real = experiments._pricing_log_paths
+    started, ended = [], []
+
+    def failing(config, indices):
+        started.append(indices[0])
+        try:
+            if indices[0] == 0:
+                time.sleep(0.2)
+                raise ValueError("chunk 0")
+            if indices[0] == 10:
+                raise ValueError("chunk 1")
+            time.sleep(0.05)
+            return real(config, indices)
+        finally:
+            ended.append(indices[0])
+
+    monkeypatch.setattr(experiments, "_pricing_log_paths", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="^chunk 0$"):
+        experiments._pricing_features(config, experiments._pricing_layout(2))
+    assert set(threading.enumerate()) == before
+    assert sorted(ended) == sorted(started)
+    assert 0 in started and len(started) < 20
+
+
+def test_pricing_stats_order_independent_of_finishing_order(monkeypatch):
+    # chunk 0 ends last, yet the statistics (and so the strikes of the
+    # report) keep the key order of realized_stats_batch and the bits of
+    # the serial run
+    config = _small_pricing(monkeypatch, 1)
+    layout = experiments._pricing_layout(2)
+    serial = experiments._pricing_features(config, layout)
+    monkeypatch.setattr(experiments, "_pricing_threads", lambda: 2)
+    real = experiments._pricing_log_paths
+
+    def slow_first(config, indices):
+        if indices[0] == 0:
+            time.sleep(0.2)
+        return real(config, indices)
+
+    monkeypatch.setattr(experiments, "_pricing_log_paths", slow_first)
+    feats, stats, ok = experiments._pricing_features(config, layout)
+    x, _ = real(config, range(10))
+    expected = list(experiments.realized_stats_batch(bracket_columns(x)[:, -1]))
+    assert list(stats) == list(serial[1]) == expected
+    for got, want in ((feats, serial[0]), (stats, serial[1])):
+        for key in want:
+            assert np.array_equal(got[key].view(np.uint64), want[key].view(np.uint64)), key
+    assert np.array_equal(ok, serial[2])
+    assert list(run_pricing(config)["strikes"]) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -191,6 +192,29 @@ def test_golden_outputs_independent_of_chunk_sizes(tmp_path, capsys, monkeypatch
                             CANTOR_PRICE_CONFIG, seed=1) == CANTOR_PRICE_SHA256
     assert _stamped_digests(tmp_path / "deep-price", "price",
                             DEEP_PRICE_CONFIG, seed=1) == DEEP_PRICE_SHA256
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("chunk, threads", [(13, 1), (13, 2), (13, 4), (600, 1), (600, 2)])
+def test_golden_pricing_outputs_independent_of_threads(tmp_path, capsys, monkeypatch,
+                                                       chunk, threads):
+    # each chunk writes only its own rows, so the stamped outputs do not
+    # depend on how many chunks are in flight or which ends first; threads
+    # switch every microsecond instead of every 5 ms, and four of them
+    # outnumber the cores, so that a lost or misplaced row write would show
+    monkeypatch.setattr(experiments, "_PRICING_CHUNK", chunk)
+    monkeypatch.setattr(experiments, "_pricing_threads", lambda: threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _stamped_digests(tmp_path / "price", "price",
+                                PRICE_CONFIG, seed=1) == PRICE_SHA256
+        assert _stamped_digests(tmp_path / "cantor-price", "price",
+                                CANTOR_PRICE_CONFIG, seed=1) == CANTOR_PRICE_SHA256
+        assert _stamped_digests(tmp_path / "deep-price", "price",
+                                DEEP_PRICE_CONFIG, seed=1) == DEEP_PRICE_SHA256
+    finally:
+        sys.setswitchinterval(interval)
     capsys.readouterr()
 
 

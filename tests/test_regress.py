@@ -480,6 +480,31 @@ def test_ridge_singular_without_penalty():
     assert np.isfinite(fit.coeffs).all()
 
 
+def _full_square_cholesky(A: np.ndarray) -> np.ndarray:
+    """Reference: the outer-product Cholesky that updates the whole trailing
+    square at each step, upper triangle included."""
+    schur = np.array(A, dtype=np.float64)
+    p = len(schur)
+    chol = np.zeros((p, p))
+    for k in range(p):
+        col = schur[k:, k] / np.sqrt(schur[k, k])
+        chol[k:, k] = col
+        schur[k + 1:, k + 1:] -= np.multiply.outer(col[1:], col[1:])
+    return chol
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 43, 64, 65, 66, 129, 300])
+def test_cholesky_bits_equal_full_square_update(rng, p):
+    # the panelled lower-trapezoid update gives every entry the same
+    # subtractions in the same order, so the factor keeps its bits; p from
+    # one panel to several, with a short last one
+    X = rng.normal(size=(p + 3, p))
+    A = X.T @ X / p + 1e-3 * np.eye(p)
+    got = regress._cholesky(A)
+    assert np.array_equal(got.view(np.uint64), _full_square_cholesky(A).view(np.uint64))
+    assert not np.triu(got, 1).any()
+
+
 # ---------------------------------------------------------------------------
 # Validation and serialization
 # ---------------------------------------------------------------------------
