@@ -199,8 +199,9 @@ def _cmd_price(args) -> int:
     print(f"experiment {config.experiment}  config_hash={report['config_hash']}  "
           f"master_seed={config.master_seed}")
     if report["rejected_paths"] or report["degenerate_corr_paths"]:
-        print(f"  warning: {report['rejected_paths']} paths rejected, "
-              f"{report['degenerate_corr_paths']} degenerate correlations -> 0")
+        print(f"warning: {report['rejected_paths']} paths rejected, "
+              f"{report['degenerate_corr_paths']} degenerate correlations -> 0",
+              file=sys.stderr)
     for entry in report["payoffs"]:
         prices = "  ".join(f"{scheme} {entry[scheme]['price']:+.6f}" for scheme in SCHEMES)
         print(f"  {entry['payoff']:>11}: MC {entry['mc_price']:+.6f} "

@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -79,12 +80,23 @@ PAYOFF_ORDER: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-#: (JSON key, field, value) of the sizes the check experiment reads none of;
-#: they are fixed at its reference values.
-_CHECK_FIXED = (("grid.T", "grid_T", 1.0), ("grid.n", "grid_n", 1),
-                ("signature.trunc_level", "trunc_level", 1),
-                ("regression.alpha", "alpha", 0.0), ("samples.N_train", "n_train", 1),
-                ("samples.N_test", "n_test", 1), ("samples.N_MC", "n_mc", 1))
+#: (experiments, JSON key, attribute, value) of the keys that an experiment
+#: reads none of: they are fixed at its reference value.  The check
+#: experiment reads no model and no size, the runs read no check section,
+#: a calibration fits one training path and has no Monte Carlo cohort, and
+#: the one-asset Cantor model correlates no increments.
+_FIXED = (
+    (("check",), "model", "model", None), (("check",), "grid.T", "grid_T", 1.0),
+    (("check",), "grid.n", "grid_n", 1),
+    (("check",), "signature.trunc_level", "trunc_level", 1),
+    (("check",), "regression.alpha", "alpha", 0.0),
+    (("check",), "samples.N_train", "n_train", 1),
+    (("check",), "samples.N_test", "n_test", 1), (("check",), "samples.N_MC", "n_mc", 1),
+    (CALIBRATION_IDS + PRICING_IDS, "check.filter", "check_filter", None),
+    (CALIBRATION_IDS + PRICING_IDS, "check.inject_fault", "inject_fault", None),
+    (CALIBRATION_IDS, "samples.N_train", "n_train", 1),
+    (CALIBRATION_IDS, "samples.N_MC", "n_mc", 1),
+    (("cantor-calib",), "model.rho", "model.rho", 0.0))
 
 
 def _memory_bound() -> tuple[int, str] | None:
@@ -131,6 +143,13 @@ def check_array_size(array: str, keys: Sequence[tuple[str, int]],
                          f"values, needs more than the {limit / 2 ** 30:.1f} GiB {what}")
 
 
+def _row_width(letters: int, level: int) -> int:
+    """1 + L + ... + L**N, the columns of a signature row to level N over
+    L >= 2 letters.  Past level 64 the row has more than 2**64 columns,
+    more float64 values than any memory holds, so the count stops there."""
+    return (letters ** (min(level, 64) + 1) - 1) // (letters - 1)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment run."""
@@ -153,22 +172,15 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {EXPERIMENT_IDS}")
-        if self.experiment == "check":
-            if self.model is not None:
-                raise ValueError("the check experiment takes no model: "
-                                 "'model' must be null")
-            for key, name, ref in _CHECK_FIXED:
-                if getattr(self, name) != ref:
-                    raise ValueError(f"the check experiment reads no {key!r}: it "
-                                     f"must be {ref!r}, got {getattr(self, name)!r}")
-        else:
-            if self.model is None:
-                raise ValueError("model parameters required")
-            for key, value in (("check.filter", self.check_filter),
-                               ("check.inject_fault", self.inject_fault)):
-                if value is not None:
-                    raise ValueError(f"{self.experiment} reads no {key!r}: it must "
-                                     f"be null, got {value!r}")
+        if self.experiment != "check" and self.model is None:
+            raise ValueError("model parameters required")
+        for experiments, key, attribute, ref in _FIXED:
+            if self.experiment in experiments:
+                value = operator.attrgetter(attribute)(self)
+                if value != ref:
+                    raise ValueError(f"{self.experiment} reads no {key!r}: it must be "
+                                     f"{json.dumps(ref)}, got {value!r}")
+        if self.experiment != "check":
             if self.grid_T <= 0 or self.grid_n < 1:
                 raise ValueError("grid needs T > 0 and n >= 1")
             if self.experiment in CALIBRATION_IDS and self.grid_n < 2:
@@ -188,11 +200,6 @@ class ExperimentConfig:
                 raise ValueError("alpha must be >= 0")
             if min(self.n_train, self.n_test, self.n_mc) < 1:
                 raise ValueError("sample sizes must be >= 1")
-            if self.experiment in CALIBRATION_IDS and (self.n_train, self.n_mc) != (1, 1):
-                raise ValueError("calibration fits one training path and has no "
-                                 "Monte Carlo cohort: 'samples.N_train' and "
-                                 f"'samples.N_MC' must be 1, got {self.n_train} "
-                                 f"and {self.n_mc}")
             if self.experiment in PRICING_IDS and self.n_mc < 2:
                 raise ValueError("pricing needs N_MC >= 2 for the Monte Carlo "
                                  "confidence interval")
@@ -216,28 +223,42 @@ class ExperimentConfig:
 
     def _largest_arrays(self) -> list[tuple]:
         """The largest float64 arrays of a run, sized from the config alone,
-        as :func:`check_array_size` arguments: a calibration's training
-        signature trajectory (three letters to level N, N + 1 for
+        as :func:`check_array_size` arguments.  A calibration's are its
+        training signature trajectory (three letters to level N, N + 1 for
         heston-calib) and its test paths' draws, the largest of their
-        columns; the draws of the pricing chunks in flight (four normals per
-        step for heston2-pricing, two for cantor2-pricing; at most
-        :func:`_pricing_threads` chunks of ``_PRICING_CHUNK`` paths) and the
-        end-point signatures of all paths (six letters to level N)."""
+        columns, and the largest of its schemes' lasso Grams (p x p for p
+        functionals) and of their dense functional coefficients (one row per
+        word to the functionals' level, one column per functional).  A pricing
+        run's are the draws of the chunks in flight (four normals per step
+        for heston2-pricing, two for cantor2-pricing; at most
+        :func:`_pricing_threads` chunks of ``_PRICING_CHUNK`` paths), the
+        feature rows of all paths (the two joint rows, to level N over
+        three and six letters) and the ridge Gram of the widest design, the
+        joint left-point row."""
         n, N = ("grid.n", self.grid_n), ("signature.trunc_level", self.trunc_level)
+        level = self.trunc_level
         heston = self.experiment.startswith("heston")
         if self.experiment in CALIBRATION_IDS:
+            # (letters, top level, count) of each scheme's functionals
+            schemes = ([(3, level + 1, _row_width(3, level))] if heston else
+                       [(2, level, _row_width(2, level)), (3, level, _row_width(3, level - 1))])
+            letters, top, p = max(schemes, key=lambda s: _row_width(s[0], s[1]) * s[2])
             return [("the training signature trajectory", (n, N),
-                     ((self.grid_n + 1, 1), (3, self.trunc_level + heston))),
+                     ((self.grid_n + 1, 1), (3, level + heston))),
                     ("the test paths' draws", (n, ("samples.N_test", self.n_test)),
-                     ((self.grid_n // 2, 1), (1 + heston, 1), (self.n_test, 1)))]
+                     ((self.grid_n // 2, 1), (1 + heston, 1), (self.n_test, 1))),
+                    ("the lasso Gram", (N,), ((max(s[2] for s in schemes), 2),)),
+                    ("the functionals' dense coefficients", (N,),
+                     ((_row_width(letters, top), 1), (p, 1)))]
         total = self.n_train + self.n_test + self.n_mc
         samples = (("samples.N_train", self.n_train), ("samples.N_test", self.n_test),
                    ("samples.N_MC", self.n_mc))
         in_flight = min(_pricing_threads() * _PRICING_CHUNK, total)
         return [("the draws of the chunks in flight", (n,),
                  ((self.grid_n, 1), (2 + 2 * heston, 1), (in_flight, 1))),
-                ("the end-point signatures of all paths", samples + (N,),
-                 ((total, 1), (6, self.trunc_level)))]
+                ("the feature rows of all paths", samples + (N,),
+                 ((total, 1), (_row_width(3, level) + _row_width(6, level), 1))),
+                ("the ridge Gram", (N,), ((_row_width(6, level), 2),))]
 
     @property
     def regression_kind(self) -> str:
@@ -339,7 +360,8 @@ def default_config(experiment: str, master_seed: int = 0, **overrides) -> Experi
                     grid_T=1.0, grid_n=252, trunc_level=2,
                     alpha=1e-6, n_train=15000, n_test=5000, n_mc=25000)
     elif experiment == "check":
-        base = dict(model=None, **{name: ref for _, name, ref in _CHECK_FIXED})
+        base = {attribute: ref for experiments, _, attribute, ref in _FIXED
+                if experiments == ("check",)}
     else:
         raise ValueError(f"unknown experiment {experiment!r}")
     base.update(experiment=experiment, master_seed=master_seed)
@@ -443,18 +465,18 @@ def _simulate_calibration_columns(config: ExperimentConfig, grid: SimGrid,
     return {"S": res["S"][:, :, 0], "W_C": res["W_C"][:, :, 0], "C": res["C"]}
 
 
-def _driver_values(times: np.ndarray, cols: _Columns, names: Sequence[str],
-                   start: int, stop: int) -> np.ndarray:
-    """Driver values (B, n+1, L) of paths ``start..stop-1`` with the columns
-    ``names`` of a scheme's driver: "t" is the grid, a shared column is
-    broadcast and any other column is each path's own row.  The values are
-    a transpose view of a batch-last (n+1, L, B) buffer, the layout of
-    :func:`functional_paths`."""
-    out = np.empty((len(times), len(names), stop - start)).transpose(2, 0, 1)
-    for i, name in enumerate(names):
-        col = times if name == "t" else cols[name]
-        out[:, :, i] = col if col.ndim == 1 else col[start:stop]
-    return out
+def _driver_values(times: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Driver values (B, n+1, L) of a batch of paths: the grid ``times``,
+    then each of ``columns`` in turn, the paths' own rows (B, n+1) or
+    blocks of rows (B, n+1, k), or a column (n+1,) shared by every path
+    (the Cantor clock).  The values are a transpose view of a batch-last
+    (n+1, L, B) buffer, the layout of :func:`functional_paths` and
+    :func:`endpoint_signature_batch`."""
+    blocks = [col if col.ndim == 3 else col[..., None] for col in (times, *columns)]
+    shape = (next(len(block) for block in blocks if block.ndim == 3), len(times))
+    out = np.empty((len(times), sum(block.shape[-1] for block in blocks), shape[0]))
+    return np.concatenate([np.broadcast_to(block, shape + block.shape[-1:]) for block in blocks],
+                          axis=2, out=out.transpose(2, 0, 1))
 
 
 #: Test paths per batched signature pass of a calibration.
@@ -478,7 +500,10 @@ def run_calibration(config: ExperimentConfig) -> dict:
     test paths are simulated after the fits, so that the training arrays are
     freed before the run's largest allocation, and go through
     :func:`functional_paths` on the folded fit sum_j beta_j f_j in chunks of
-    ``_TEST_CHUNK``, each scored by one row-wise :func:`mse`.
+    ``_TEST_CHUNK``.  Each chunk builds one driver batch, the widest
+    scheme's; every scheme's driver names are a prefix of its names, so
+    each scheme pairs its leading columns, and each chunk is scored by one
+    row-wise :func:`mse` per scheme.
     A training target whose squares can overflow float64 (before any fit), a
     failed lasso and a non-finite MSE (naming the scheme) are ``ValueError``s
     raised before any file is written.
@@ -513,33 +538,37 @@ def run_calibration(config: ExperimentConfig) -> dict:
             print(f"warning: {config.experiment} {scheme} lasso fit not converged "
                   f"after n_iter={fit.diagnostics['n_iter']} active-set steps",
                   file=sys.stderr)
-        fits[scheme] = driver.names, fit
+        fits[scheme] = driver.names, fit, _fold(fit.coeffs, plan.functionals)
     del train, traj, X_train
 
     test_grid = config.test_grid()
     test = _simulate_calibration_columns(
         config, test_grid, range(1, config.n_test + 1))
+    # each scheme reads the leading columns of the widest scheme's driver
+    widest = max((names for names, _, _ in fits.values()), key=len)
+    out_mses: dict[str, list] = {scheme: [] for scheme in SCHEMES}
+    trajectory = {"t": list(test_grid.times), "target": test["S"][0].tolist()}
+    for start in range(0, config.n_test, _TEST_CHUNK):
+        chunk = {name: col if col.ndim == 1 else col[start:start + _TEST_CHUNK]
+                 for name, col in test.items()}
+        values = _driver_values(test_grid.times, [chunk[name] for name in widest[1:]])
+        for scheme in SCHEMES:
+            names, fit, ell = fits[scheme]
+            pred = fit.intercept + functional_paths(
+                values[:, :, :len(names)], GAMMAS[scheme], [ell])[..., 0]
+            out_mses[scheme].append(mse(pred, chunk["S"]))
+            if start == 0:
+                trajectory[f"pred_{scheme}"] = pred[0].tolist()
     report: dict = {
         "experiment": config.experiment,
         "config_hash": config_hash(config),
         "master_seed": config.master_seed,
         "schemes": {},
     }
-    trajectory = {"t": list(test_grid.times), "target": test["S"][0].tolist()}
     for scheme in SCHEMES:
-        plan = plans[scheme]
-        names, fit = fits[scheme]
+        fit = fits[scheme][1]
         in_mse = fit.diagnostics["in_sample_mse"]
-        ell = _fold(fit.coeffs, plan.functionals)
-        out_mses = []
-        for start in range(0, config.n_test, _TEST_CHUNK):
-            stop = min(start + _TEST_CHUNK, config.n_test)
-            values = _driver_values(test_grid.times, test, names, start, stop)
-            pred = fit.intercept + functional_paths(values, GAMMAS[scheme], [ell])[..., 0]
-            out_mses.append(mse(pred, test["S"][start:stop]))
-            if start == 0:
-                trajectory[f"pred_{scheme}"] = pred[0].tolist()
-        out_mse = float(np.mean(np.concatenate(out_mses)))
+        out_mse = float(np.mean(np.concatenate(out_mses[scheme])))
         for label, value in (("in-sample", in_mse), ("out-of-sample", out_mse)):
             if not math.isfinite(value):
                 raise ValueError(f"{config.experiment} {scheme} scheme: the {label} "
@@ -620,65 +649,40 @@ def _family_columns(family: str, scheme: str, N: int) -> tuple[tuple[Word, ...],
             np.array([column for column, _ in kept]))
 
 
-#: (family, scheme) -> the family's words and their joint columns.
-_Layout = dict[tuple[str, str], tuple[tuple[Word, ...], np.ndarray]]
-
-
-def _pricing_layout(N: int) -> _Layout:
-    """:func:`_family_columns` of every (family, scheme)."""
-    return {(family, scheme): _family_columns(family, scheme, N)
-            for family in _PRICING_FAMILIES for scheme in SCHEMES}
-
-
-def _joint_values(times: np.ndarray, x: np.ndarray, brackets: np.ndarray) -> np.ndarray:
-    """Joint driver values (B, n+1, L): (t, x1, x2) and the bracket block
-    ``brackets``, [1,1], [1,2], [2,2]; a transpose view of a batch-last
-    (n+1, L, B) buffer, the layout of :func:`endpoint_signature_batch`."""
-    B, n_plus_1, d = x.shape
-    values = np.empty((n_plus_1, 1 + d + brackets.shape[2], B)).transpose(2, 0, 1)
-    values[:, :, 0] = times
-    values[:, :, 1:1 + d] = x
-    values[:, :, 1 + d:] = brackets
-    return values
-
-
-def _pricing_chunk(config: ExperimentConfig, layout: _Layout, start: int, stop: int,
-                   feats: dict[tuple[str, str], np.ndarray]) \
-        -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Simulate paths ``start..stop-1``, write their rows of every family's
-    ``feats`` and return their mask of positive prices and their realized
-    statistics.
+def _pricing_chunk(config: ExperimentConfig, start: int, stop: int,
+                   feats: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Simulate paths ``start..stop-1``, write their rows of each scheme's
+    joint row ``feats`` and return their mask of positive prices and their
+    realized statistics.
 
     The chunk builds its bracket block once, for the statistics (its end
-    row) and the joint values, then takes one joint end-point pass per
-    scheme over those values, left-point first, with the log-prices and the
-    block freed; the mid-point pass reads their first three columns (t, x1,
-    x2).  Each family takes its columns of the joint row.  From the
-    simulator to the end points, the chunk's arrays are stored paths last,
-    (n+1, L, B), and pass between the layers as (B, n+1, L) transpose views.
+    row) and the joint driver (t, x1, x2, [1,1], [1,2], [2,2]), then takes
+    one joint end-point pass per scheme over that driver, left-point first,
+    with the log-prices and the block freed; the mid-point pass reads its
+    first three columns (t, x1, x2).  Each pass's row [1, level 1, ...,
+    level N] is written in place into the chunk's rows of ``feats``.  From
+    the simulator to the end points, the chunk's arrays are stored paths
+    last, (n+1, L, B), and pass between the layers as (B, n+1, L)
+    transpose views.
     """
-    N = config.trunc_level
     x, ok = _pricing_log_paths(config, range(start, stop))
     brackets = bracket_columns(x)
     stats = realized_stats_batch(brackets[:, -1])
-    values = _joint_values(config.grid().times, x, brackets)
+    values = _driver_values(config.grid().times, [x, brackets])
     del x, brackets  # freed before the passes
     for scheme in ("ito", "strat"):
-        # the strat driver (t, x1, x2) is the first three columns
-        letters = _joint_alphabet(scheme).total_letters
-        ends = endpoint_signature_batch(values[:, :, :letters], GAMMAS[scheme], N)
-        row = np.concatenate([np.ones((len(values), 1))] + ends, axis=1)
-        del ends
-        for family in _PRICING_FAMILIES:
-            feats[(family, scheme)][start:stop] = row[:, layout[(family, scheme)][1]]
+        driver = values[:, :, :_joint_alphabet(scheme).total_letters]
+        ends = endpoint_signature_batch(driver, GAMMAS[scheme], config.trunc_level)
+        np.concatenate([np.ones((len(values), 1))] + ends, axis=1, out=feats[scheme][start:stop])
     return ok, stats
 
 
-def _pricing_features(config: ExperimentConfig, layout: _Layout) \
-        -> tuple[dict[tuple[str, str], np.ndarray], dict[str, np.ndarray], np.ndarray]:
-    """Feature rows per (family, scheme) of ``layout``, realized statistics
-    and the mask of paths with positive prices, over all N_train + N_test +
-    N_MC paths.
+def _pricing_features(config: ExperimentConfig) \
+        -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
+    """Each scheme's joint row, realized statistics and the mask of paths
+    with positive prices, over all N_train + N_test + N_MC paths; a feature
+    family's row is its columns of its scheme's joint row
+    (:func:`_family_columns`).
 
     The paths go through :func:`_pricing_chunk` in chunks of
     ``_PRICING_CHUNK``, on :func:`_pricing_threads` threads, so at most that
@@ -695,13 +699,14 @@ def _pricing_features(config: ExperimentConfig, layout: _Layout) \
     from concurrent.futures import ThreadPoolExecutor
 
     total = config.n_train + config.n_test + config.n_mc
-    feats = {key: np.empty((total, len(words))) for key, (words, _) in layout.items()}
+    feats = {scheme: np.empty((total, _row_width(_joint_alphabet(scheme).total_letters,
+                                                 config.trunc_level))) for scheme in SCHEMES}
     stats: dict[str, np.ndarray] = {}
     ok_all = np.empty(total, dtype=bool)
     starts = range(0, total, _PRICING_CHUNK)
     with ThreadPoolExecutor(_pricing_threads()) as pool:
         futures = [pool.submit(contextvars.copy_context().run, _pricing_chunk, config,
-                               layout, start, min(start + _PRICING_CHUNK, total), feats)
+                               start, min(start + _PRICING_CHUNK, total), feats)
                    for start in starts]
         try:
             for start, future in zip(starts, futures):
@@ -730,8 +735,7 @@ def run_pricing(config: ExperimentConfig) -> dict:
     if config.experiment not in PRICING_IDS:
         raise ValueError(f"{config.experiment!r} is not a pricing experiment")
     total = config.n_train + config.n_test + config.n_mc
-    layout = _pricing_layout(config.trunc_level)
-    feats, stats, ok_all = _pricing_features(config, layout)
+    feats, stats, ok_all = _pricing_features(config)
 
     rejected = int(total - ok_all.sum())
     cohorts: dict[str, np.ndarray] = {}
@@ -769,8 +773,8 @@ def run_pricing(config: ExperimentConfig) -> dict:
         "degenerate_corr_paths": degenerate_corr,
         "payoffs": [],
     }
+    by_family: dict[str, list] = {family: [] for family in _PRICING_FAMILIES}
     for kind, assets in PAYOFF_ORDER:
-        family = "".join(str(a) for a in assets)
         strike = strikes[statistic_key(kind, assets)]
         spec = PayoffSpec(kind, assets, strike)
         values = payoff_values(spec, stats[statistic_key(kind, assets)])
@@ -784,18 +788,21 @@ def run_pricing(config: ExperimentConfig) -> dict:
             "ci_lo": mc_price - 1.96 * stderr,
             "ci_hi": mc_price + 1.96 * stderr,
         }
-        for scheme in SCHEMES:
-            X = feats[(family, scheme)]
-            fit = ridge_fit(X[cohorts["train"]], values[cohorts["train"]],
-                            config.alpha, words=layout[(family, scheme)][0])
-            pred_test = predict(fit, X[cohorts["test"]])
-            entry[scheme] = {
-                "in_sample_mse": fit.diagnostics["in_sample_mse"],
-                "out_sample_mse": mse(pred_test, values[cohorts["test"]]),
-                "price": float(np.mean(predict(fit, X[cohorts["mc"]]))),
-                "fit": fit.to_json_dict(),
-            }
         report["payoffs"].append(entry)
+        by_family["".join(str(a) for a in assets)].append((values, entry))
+    for scheme in SCHEMES:
+        for family, payoffs in by_family.items():
+            words, columns = _family_columns(family, scheme, config.trunc_level)
+            X = {name: feats[scheme][np.ix_(mask, columns)] for name, mask in cohorts.items()}
+            for values, entry in payoffs:
+                fit = ridge_fit(X["train"], values[cohorts["train"]], config.alpha,
+                                words=words)
+                entry[scheme] = {
+                    "in_sample_mse": fit.diagnostics["in_sample_mse"],
+                    "out_sample_mse": mse(predict(fit, X["test"]), values[cohorts["test"]]),
+                    "price": float(np.mean(predict(fit, X["mc"]))),
+                    "fit": fit.to_json_dict(),
+                }
     if config.out_dir:
         _write_pricing_outputs(config, report)
     return report

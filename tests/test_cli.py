@@ -329,6 +329,9 @@ _SMALL_PRICE = {"grid": {"n": 20}, "samples": {"N_train": 30, "N_test": 10, "N_M
                    "check": {"inject_fault": "lasso-threshold"}}, [], "check.inject_fault"),
     ("price", {"experiment": "cantor2-pricing", **_SMALL_PRICE,
                "check": {"filter": "regress"}}, [], "check.filter"),
+    # the one-asset Cantor model correlates no increments
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL, "model": {"rho": 0.9}}, [],
+     "model.rho"),
 ])
 def test_config_contract_exits_2_naming_the_key(tmp_path, capsys, command, payload,
                                                 argv, key):
@@ -553,6 +556,46 @@ def test_run_size_beyond_the_address_space_limit_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "'grid.n' 30000000" in proc.stderr and "RLIMIT_AS" in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("command, payload, address_space, array", [
+    pytest.param("price", {"experiment": "cantor2-pricing", "grid": {"n": 2},
+                           "signature": {"trunc_level": 6},
+                           "samples": {"N_train": 3, "N_test": 1, "N_MC": 2}},
+                 3_000_000_000, "the ridge Gram, 55987**2", id="pricing-ridge-gram"),
+    pytest.param("calibrate", {"experiment": "heston-calib", "grid": {"n": 2},
+                               "signature": {"trunc_level": 9}, "samples": {"N_test": 1}},
+                 3_000_000_000, "the lasso Gram, 29524**2", id="calibration-lasso-gram"),
+    pytest.param("calibrate", {"experiment": "heston-calib", "grid": {"n": 2},
+                               "signature": {"trunc_level": 8}, "samples": {"N_test": 1}},
+                 1_536_000_000, "the functionals' dense coefficients, 29524 x 9841",
+                 id="calibration-dense-coefficients"),
+])
+def test_run_size_counts_the_grams_and_dense_coefficients(tmp_path, command, payload,
+                                                          address_space, array):
+    # under an address-space limit set on the child process alone, the
+    # 23.4 GiB ridge Gram of the joint left-point row (level 6), the 6.5 GiB
+    # lasso Gram of heston-calib's 29524 functionals (level 9) and the
+    # 2.2 GiB dense coefficients of its 9841 functionals (level 8, whose
+    # 0.7 GiB Gram fits) cannot be allocated: the size check names them,
+    # where the runs used to end in a MemoryError traceback
+    cfg = write_config(tmp_path, "c.json", payload)
+    proc = _cli_in_subprocess(command, cfg, address_space=address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "'signature.trunc_level'" in proc.stderr and array in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_pricing_warning_goes_to_stderr(tmp_path, capsys):
+    # paths rejected for a non-positive price are a warning on stderr, like
+    # the lasso's; stdout keeps the results alone
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "cantor2-pricing", "model": {**_LINEAR_CANTOR, "nu": [1.0, 1.0]},
+        "grid": {"n": 10}, "samples": {"N_train": 20, "N_test": 10, "N_MC": 20}})
+    assert main(["price", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: 3 paths rejected, 0 degenerate correlations -> 0\n"
+    assert "warning" not in captured.out and "RVswap_1" in captured.out
 
 
 def test_entry_point_installed():

@@ -393,9 +393,9 @@ def test_run_pricing_output_files(tmp_path):
 @pytest.mark.parametrize("trunc_level", [1, 2, 3, 4])
 def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_level):
     # more paths than one chunk: each chunk takes one ito pass, then one
-    # strat pass, on the thread that runs it, and every family's block
-    # equals the pass over its own C-ordered driver, whose words are those of
-    # the family's own alphabet
+    # strat pass, on the thread that runs it, and stores one joint row per
+    # scheme; every family's columns of it equal the pass over the family's
+    # own C-ordered driver, whose words are those of the family's own alphabet
     config = default_config("heston2-pricing", grid_n=3, trunc_level=trunc_level,
                             n_train=1000, n_test=300, n_mc=400)
     total = config.n_train + config.n_test + config.n_mc
@@ -410,20 +410,23 @@ def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_lev
         return real(values, gamma, level)
 
     monkeypatch.setattr(experiments, "endpoint_signature_batch", counting)
-    layout = experiments._pricing_layout(trunc_level)
-    feats, _, _ = experiments._pricing_features(config, layout)
+    feats, _, _ = experiments._pricing_features(config)
     assert len(passes) == 2 * chunks
     for thread in {thread for thread, _ in passes}:
         # a thread runs its chunks one after another
         gammas = [gamma for other, gamma in passes if other == thread]
         assert gammas == [GAMMAS["ito"], GAMMAS["strat"]] * (len(gammas) // 2)
+    assert list(feats) == list(SCHEMES)
+    for scheme in SCHEMES:
+        joint = experiments._joint_alphabet(scheme)
+        assert feats[scheme].shape == (total, len(enumerate_words(joint, trunc_level)))
 
     x, _ = experiments._pricing_log_paths(config, range(total))
     times = np.broadcast_to(config.grid().times, x.shape[:2])[:, :, None]
     for family, assets in experiments._PRICING_FAMILIES.items():
         sub = x[:, :, [a - 1 for a in assets]]
         for scheme in SCHEMES:
-            words, _ = layout[(family, scheme)]
+            words, columns = experiments._family_columns(family, scheme, trunc_level)
             alphabet = Alphabet(len(assets), has_time=True, has_brackets=(scheme == "ito"))
             assert words == enumerate_words(alphabet, trunc_level)
             cols = [times, sub] + ([bracket_columns(sub)] if scheme == "ito" else [])
@@ -431,9 +434,50 @@ def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_lev
             expected = np.concatenate(
                 [np.ones((total, 1))] + real(values, GAMMAS[scheme], trunc_level), axis=1)
             assert len(words) == expected.shape[1]
-            got = feats[(family, scheme)]
+            got = np.ascontiguousarray(feats[scheme][:, columns])
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), \
                 (family, scheme)
+
+
+@pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
+def test_calibration_builds_one_driver_batch_per_test_chunk(monkeypatch, experiment):
+    # three test chunks, one driver batch each, the widest scheme's: every
+    # scheme's driver names are a prefix of its names
+    config = default_config(experiment, grid_n=20, n_test=2 * experiments._TEST_CHUNK + 1)
+    grid = config.grid()
+    cols = experiments._simulate_calibration_columns(config, grid, [0])
+    names = [plan.driver(grid.times, cols, 0).names
+             for plan in experiments._calibration_plans(config).values()]
+    widest = max(names, key=len)
+    assert all(widest[:len(scheme)] == scheme for scheme in names)
+    real = experiments._driver_values
+    batches = []
+
+    def counting(times, columns):
+        batches.append(real(times, columns))
+        return batches[-1]
+
+    monkeypatch.setattr(experiments, "_driver_values", counting)
+    run_calibration(config)
+    assert [values.shape for values in batches] == [
+        (experiments._TEST_CHUNK, config.grid_n // 2 + 1, len(widest))] * 2 + [
+        (1, config.grid_n // 2 + 1, len(widest))]
+
+
+def test_pricing_builds_one_driver_batch_per_chunk(monkeypatch):
+    # each chunk builds the joint driver (t, x1, x2, [1,1], [1,2], [2,2]) once
+    config = _small_pricing(monkeypatch, 2)
+    real = experiments._driver_values
+    shapes = []  # list.append is atomic
+
+    def counting(times, columns):
+        values = real(times, columns)
+        shapes.append(values.shape)
+        return values
+
+    monkeypatch.setattr(experiments, "_driver_values", counting)
+    experiments._pricing_features(config)
+    assert shapes == [(10, config.grid_n + 1, 6)] * 20
 
 
 def test_pricing_brackets_once_per_chunk(monkeypatch):
@@ -452,7 +496,7 @@ def test_pricing_brackets_once_per_chunk(monkeypatch):
         return real(values)
 
     monkeypatch.setattr(experiments, "bracket_columns", counting)
-    _, stats, _ = experiments._pricing_features(config, experiments._pricing_layout(2))
+    _, stats, _ = experiments._pricing_features(config)
     assert len(shapes) == chunks
     x, _ = experiments._pricing_log_paths(config, range(total))
     expected = experiments.realized_stats_batch(real(x)[:, -1])
@@ -481,10 +525,9 @@ def test_pricing_chunk_peak_memory(experiment, trunc_level, bound):
                             trunc_level=trunc_level)
     total = config.n_train + config.n_test + config.n_mc
     assert total <= experiments._PRICING_CHUNK
-    layout = experiments._pricing_layout(trunc_level)
     tracemalloc.start()
     try:
-        experiments._pricing_features(config, layout)
+        experiments._pricing_features(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -505,14 +548,13 @@ def test_pricing_peak_memory_over_chunks_in_flight(monkeypatch, experiment, trun
                             n_mc=50, trunc_level=trunc_level)
     total = config.n_train + config.n_test + config.n_mc
     in_flight = 2 * chunk
-    layout = experiments._pricing_layout(trunc_level)
-    row_bytes = 8 * sum(len(words) for words, _ in layout.values()) + 6 * 8 + 1
     tracemalloc.start()
     try:
-        experiments._pricing_features(config, layout)
+        feats, _, _ = experiments._pricing_features(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    row_bytes = 8 * sum(rows.shape[1] for rows in feats.values()) + 6 * 8 + 1
     working = peak - (total - in_flight) * row_bytes
     ratio = working / (in_flight * (config.grid_n + 1) * 6 * 8)
     assert ratio <= bound, ratio
@@ -540,7 +582,7 @@ def test_pricing_chunks_run_in_the_callers_context(monkeypatch):
     monkeypatch.setattr(experiments, "_pricing_log_paths", recording)
     with np.errstate(all="ignore"):
         expected = np.geterr()
-        experiments._pricing_features(config, experiments._pricing_layout(2))
+        experiments._pricing_features(config)
     assert expected != np.geterr()
     assert len(seen) == 20 and all(state == expected for state in seen)
 
@@ -570,7 +612,7 @@ def test_pricing_chunk_failure_raises_first_in_chunk_order(monkeypatch, threads)
     monkeypatch.setattr(experiments, "_pricing_log_paths", failing)
     before = set(threading.enumerate())
     with pytest.raises(ValueError, match="^chunk 0$"):
-        experiments._pricing_features(config, experiments._pricing_layout(2))
+        experiments._pricing_features(config)
     assert set(threading.enumerate()) == before
     assert sorted(ended) == sorted(started)
     assert 0 in started and len(started) < 20
@@ -581,8 +623,7 @@ def test_pricing_stats_order_independent_of_finishing_order(monkeypatch):
     # report) keep the key order of realized_stats_batch and the bits of
     # the serial run
     config = _small_pricing(monkeypatch, 1)
-    layout = experiments._pricing_layout(2)
-    serial = experiments._pricing_features(config, layout)
+    serial = experiments._pricing_features(config)
     monkeypatch.setattr(experiments, "_pricing_threads", lambda: 2)
     real = experiments._pricing_log_paths
 
@@ -592,7 +633,7 @@ def test_pricing_stats_order_independent_of_finishing_order(monkeypatch):
         return real(config, indices)
 
     monkeypatch.setattr(experiments, "_pricing_log_paths", slow_first)
-    feats, stats, ok = experiments._pricing_features(config, layout)
+    feats, stats, ok = experiments._pricing_features(config)
     x, _ = real(config, range(10))
     expected = list(experiments.realized_stats_batch(bracket_columns(x)[:, -1]))
     assert list(stats) == list(serial[1]) == expected

@@ -293,7 +293,7 @@ def _calibration_pairing_case(experiment: str, scheme: str, N: int) \
     grid = config.test_grid()
     cols = experiments._simulate_calibration_columns(config, grid, range(1, 4))
     names = plan.driver(grid.times, cols, 0).names
-    values = experiments._driver_values(grid.times, cols, names, 0, 3)
+    values = experiments._driver_values(grid.times, [cols[name] for name in names[1:]])
     coeffs = np.random.default_rng(N).normal(size=len(plan.functionals))
     coeffs[1::2] = 0.0
     return values, [experiments._fold(coeffs, plan.functionals)]
