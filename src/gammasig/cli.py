@@ -23,7 +23,8 @@ extends it by time/bracket columns, and dumps the gamma-signature as
 ``augment``: {"time": bool, "brackets": bool, "scaled_brackets": bool} (all
 default false), ``master_seed`` (default 0), ``out_dir`` (default stdout).
 
-Exit codes: 0 success, 1 check failure, 2 configuration error.
+Exit codes: 0 success, 1 check failure, 2 configuration error (a run that
+runs out of memory counts as one: it exits 2 with numpy's allocation message).
 """
 from __future__ import annotations
 
@@ -175,7 +176,7 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(f"{config.experiment!r} is not a calibration experiment")
     try:
         report = run_calibration(config)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
     print(f"experiment {config.experiment}  config_hash={report['config_hash']}  "
           f"master_seed={config.master_seed}")
@@ -194,7 +195,7 @@ def _cmd_price(args) -> int:
         raise ConfigError(f"{config.experiment!r} is not a pricing experiment")
     try:
         report = run_pricing(config)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
     print(f"experiment {config.experiment}  config_hash={report['config_hash']}  "
           f"master_seed={config.master_seed}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -80,23 +81,75 @@ PAYOFF_ORDER: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-#: (experiments, JSON key, attribute, value) of the keys that an experiment
-#: reads none of: they are fixed at its reference value.  The check
-#: experiment reads no model and no size, the runs read no check section,
-#: a calibration fits one training path and has no Monte Carlo cohort, and
-#: the one-asset Cantor model correlates no increments.
-_FIXED = (
-    (("check",), "model", "model", None), (("check",), "grid.T", "grid_T", 1.0),
-    (("check",), "grid.n", "grid_n", 1),
-    (("check",), "signature.trunc_level", "trunc_level", 1),
-    (("check",), "regression.alpha", "alpha", 0.0),
-    (("check",), "samples.N_train", "n_train", 1),
-    (("check",), "samples.N_test", "n_test", 1), (("check",), "samples.N_MC", "n_mc", 1),
-    (CALIBRATION_IDS + PRICING_IDS, "check.filter", "check_filter", None),
-    (CALIBRATION_IDS + PRICING_IDS, "check.inject_fault", "inject_fault", None),
-    (CALIBRATION_IDS, "samples.N_train", "n_train", 1),
-    (CALIBRATION_IDS, "samples.N_MC", "n_mc", 1),
-    (("cantor-calib",), "model.rho", "model.rho", 0.0))
+#: (JSON key, attribute) of each config value, in JSON order.  The JSON key
+#: "regression.kind" has no attribute: it follows from the experiment.
+_KEYS = (("experiment", "experiment"), ("model", "model"), ("grid.T", "grid_T"),
+         ("grid.n", "grid_n"), ("signature.trunc_level", "trunc_level"),
+         ("regression.alpha", "alpha"), ("samples.N_train", "n_train"),
+         ("samples.N_test", "n_test"), ("samples.N_MC", "n_mc"),
+         ("master_seed", "master_seed"), ("out_dir", "out_dir"),
+         ("check.filter", "check_filter"), ("check.inject_fault", "inject_fault"))
+
+#: The reference sizes of the calibration and of the pricing experiments.
+_CALIBRATION = {"grid": {"T": 1.0, "n": 2000}, "signature": {"trunc_level": 2},
+                "regression": {"alpha": 1e-5},
+                "samples": {"N_train": 1, "N_test": 1000, "N_MC": 1}}
+_PRICING = {"grid": {"T": 1.0, "n": 252}, "signature": {"trunc_level": 2},
+            "regression": {"alpha": 1e-6},
+            "samples": {"N_train": 15000, "N_test": 5000, "N_MC": 25000}}
+
+#: Each experiment's reference values, as JSON that leaves out the keys whose
+#: value is null, and the parser of its "model" value.
+_REFERENCE: dict[str, tuple[dict, Callable]] = {
+    "heston-calib": ({**_CALIBRATION, "model": {
+        "s0": 1.0, "v0": 0.08, "mu": 0.001, "kappa": 0.5, "theta": 0.15, "sigma": 0.25,
+        "rho": -0.5}}, lambda model: HestonParams(**model)),
+    "cantor-calib": ({**_CALIBRATION, "model": {"s0": [0.0], "vol_kind": "tanh", "rho": 0.0}},
+                     lambda model: CantorParams(**model)),
+    "heston2-pricing": ({**_PRICING, "model": {
+        "asset1": {"s0": 100.0, "v0": 0.04, "mu": 0.0, "kappa": 2.0, "theta": 0.04,
+                   "sigma": 0.5, "rho": -0.6},
+        "asset2": {"s0": 80.0, "v0": 0.09, "mu": 0.0, "kappa": 1.8, "theta": 0.09,
+                   "sigma": 0.6, "rho": -0.5},
+        # correlations of the drivers (B1, B2, W1, W2)
+        "corr4": [[1.0, 0.3, -0.6, 0.0], [0.3, 1.0, 0.0, -0.5],
+                  [-0.6, 0.0, 1.0, 0.5], [0.0, -0.5, 0.5, 1.0]]}},
+        lambda model: Heston2Params(HestonParams(**model["asset1"]),
+                                    HestonParams(**model["asset2"]), model["corr4"])),
+    "cantor2-pricing": ({**_PRICING, "model": {
+        "s0": [100.0, 80.0], "vol_kind": "linear", "nu": [0.2, 0.3], "rho": 0.6}},
+        lambda model: CantorParams(**model)),
+    "check": ({"grid": {"T": 1.0, "n": 1}, "signature": {"trunc_level": 1},
+               "regression": {"alpha": 0.0}, "samples": {"N_train": 1, "N_test": 1, "N_MC": 1}},
+              lambda model: model),
+}
+
+#: (experiments, JSON keys) that an experiment reads none of: they are fixed
+#: at its reference value.  The check experiment reads no model and no size,
+#: the runs read no check section, a calibration fits one training path and
+#: has no Monte Carlo cohort, and the one-asset Cantor model correlates no
+#: increments.
+_FIXED = ((("check",), ("model", "grid.T", "grid.n", "signature.trunc_level",
+                        "regression.alpha", "samples.N_train", "samples.N_test",
+                        "samples.N_MC")),
+          (CALIBRATION_IDS + PRICING_IDS, ("check.filter", "check.inject_fault")),
+          (CALIBRATION_IDS, ("samples.N_train", "samples.N_MC")),
+          (("cantor-calib",), ("model.rho",)))
+
+
+def _at(data, key: str):
+    """The value at the dotted JSON ``key`` of ``data``; None where a section
+    or the key is missing, as a reference leaves out its null values."""
+    for part in key.split("."):
+        data = data.get(part) if isinstance(data, dict) else None
+    return data
+
+
+def _reference(experiment: str) -> tuple[dict, Callable]:
+    """The reference JSON of ``experiment`` and the parser of its model."""
+    if experiment not in _REFERENCE:
+        raise ValueError(f"unknown experiment {experiment!r}; choose from {EXPERIMENT_IDS}")
+    return _REFERENCE[experiment]
 
 
 def _memory_bound() -> tuple[int, str] | None:
@@ -169,15 +222,14 @@ class ExperimentConfig:
     inject_fault: str | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENT_IDS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; "
-                             f"choose from {EXPERIMENT_IDS}")
+        reference, _ = _reference(self.experiment)
         if self.experiment != "check" and self.model is None:
             raise ValueError("model parameters required")
-        for experiments, key, attribute, ref in _FIXED:
-            if self.experiment in experiments:
-                value = operator.attrgetter(attribute)(self)
-                if value != ref:
+        data = self.to_json_dict()
+        for experiments, keys in _FIXED:
+            for key in keys:
+                ref, value = _at(reference, key), _at(data, key)
+                if self.experiment in experiments and value != ref:
                     raise ValueError(f"{self.experiment} reads no {key!r}: it must be "
                                      f"{json.dumps(ref)}, got {value!r}")
         if self.experiment != "check":
@@ -273,49 +325,26 @@ class ExperimentConfig:
         return SimGrid(self.grid_T / 2.0, self.grid_n // 2, self.master_seed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "model": None if self.model is None else dataclasses.asdict(self.model),
-            "grid": {"T": self.grid_T, "n": self.grid_n},
-            "signature": {"trunc_level": self.trunc_level},
-            "regression": {"alpha": self.alpha, "kind": self.regression_kind},
-            "samples": {"N_train": self.n_train, "N_test": self.n_test,
-                        "N_MC": self.n_mc},
-            "master_seed": self.master_seed,
-            "out_dir": self.out_dir,
-            "check": {"filter": self.check_filter, "inject_fault": self.inject_fault},
-        }
+        data: dict = {}
+        for key, attribute in _KEYS:
+            section, _, leaf = key.rpartition(".")
+            node = data.setdefault(section, {}) if section else data
+            value = getattr(self, attribute)
+            node[leaf] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+        data["regression"]["kind"] = self.regression_kind
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
         """Inverse of :meth:`to_json_dict`.  ``data`` must be complete and
         typed: the CLI merges a config file over the reference first."""
-        experiment, model = data["experiment"], data["model"]
-        if experiment == "heston-calib":
-            model = HestonParams(**model)
-        elif experiment == "heston2-pricing":
-            model = Heston2Params(HestonParams(**model["asset1"]),
-                                  HestonParams(**model["asset2"]), model["corr4"])
-        elif experiment in ("cantor-calib", "cantor2-pricing"):
-            model = CantorParams(**model)
-        config = cls(
-            experiment=experiment,
-            model=model,
-            grid_T=data["grid"]["T"],
-            grid_n=data["grid"]["n"],
-            trunc_level=data["signature"]["trunc_level"],
-            alpha=data["regression"]["alpha"],
-            n_train=data["samples"]["N_train"],
-            n_test=data["samples"]["N_test"],
-            n_mc=data["samples"]["N_MC"],
-            master_seed=data["master_seed"],
-            out_dir=data["out_dir"],
-            check_filter=data["check"]["filter"],
-            inject_fault=data["check"]["inject_fault"],
-        )
+        values = {attribute: functools.reduce(operator.getitem, key.split("."), data)
+                  for key, attribute in _KEYS}
+        values["model"] = _reference(values["experiment"])[1](values["model"])
+        config = cls(**values)
         kind = data["regression"]["kind"]
         if kind != config.regression_kind:
-            raise ValueError(f"{experiment} fits with {config.regression_kind}: "
+            raise ValueError(f"{config.experiment} fits with {config.regression_kind}: "
                              f"'regression.kind' must be {config.regression_kind!r}, "
                              f"got {kind!r}")
         return config
@@ -329,44 +358,14 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-_REFERENCE_HESTON = dict(s0=1.0, v0=0.08, mu=0.001, kappa=0.5, theta=0.15,
-                         sigma=0.25, rho=-0.5)
-
-
 def default_config(experiment: str, master_seed: int = 0, **overrides) -> ExperimentConfig:
     """Reference configuration of each experiment (fixed model parameters,
     full sample sizes); keyword overrides replace individual fields."""
-    if experiment == "heston-calib":
-        base = dict(model=HestonParams(**_REFERENCE_HESTON),
-                    grid_T=1.0, grid_n=2000, trunc_level=2,
-                    alpha=1e-5, n_train=1, n_test=1000, n_mc=1)
-    elif experiment == "cantor-calib":
-        base = dict(model=CantorParams(s0=(0.0,), vol_kind="tanh"),
-                    grid_T=1.0, grid_n=2000, trunc_level=2,
-                    alpha=1e-5, n_train=1, n_test=1000, n_mc=1)
-    elif experiment == "heston2-pricing":
-        asset1 = HestonParams(s0=100.0, v0=0.04, mu=0.0, kappa=2.0,
-                              theta=0.04, sigma=0.5, rho=-0.6)
-        asset2 = HestonParams(s0=80.0, v0=0.09, mu=0.0, kappa=1.8,
-                              theta=0.09, sigma=0.6, rho=-0.5)
-        model = Heston2Params.build(asset1, asset2, corr_b1b2=0.3,
-                                    corr_w1w2=0.5, corr_b1w1=-0.6,
-                                    corr_b2w2=-0.5)
-        base = dict(model=model, grid_T=1.0, grid_n=252, trunc_level=2,
-                    alpha=1e-6, n_train=15000, n_test=5000, n_mc=25000)
-    elif experiment == "cantor2-pricing":
-        base = dict(model=CantorParams(s0=(100.0, 80.0), vol_kind="linear",
-                                       nu=(0.20, 0.30), rho=0.6),
-                    grid_T=1.0, grid_n=252, trunc_level=2,
-                    alpha=1e-6, n_train=15000, n_test=5000, n_mc=25000)
-    elif experiment == "check":
-        base = {attribute: ref for experiments, _, attribute, ref in _FIXED
-                if experiments == ("check",)}
-    else:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    base.update(experiment=experiment, master_seed=master_seed)
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    reference, parse = _reference(experiment)
+    values = {attribute: _at(reference, key) for key, attribute in _KEYS}
+    values.update(experiment=experiment, model=parse(values["model"]),
+                  master_seed=master_seed)
+    return ExperimentConfig(**{**values, **overrides})
 
 
 # ---------------------------------------------------------------------------

@@ -239,20 +239,22 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
     Only the lower triangle of the trailing square is ever read, so each
     step updates its lower trapezoid alone, in column panels of ``_PANEL``
     from the diagonal down; every entry still takes the same subtractions
-    in the same order as in a full-square update.  Raises ValueError when a
+    in the same order as in a full-square update.  The factor is written
+    over a copy of A, column k at step k, and row k's upper part, which no
+    later step reads or updates, is zeroed then.  Raises ValueError when a
     pivot is not positive (A is not positive definite)."""
-    schur = np.array(A, dtype=np.float64)
-    p = len(schur)
-    chol = np.zeros((p, p))
+    chol = np.array(A, dtype=np.float64)
+    p = len(chol)
     for k in range(p):
-        pivot = schur[k, k]
+        pivot = chol[k, k]
         if not pivot > 0.0:
             raise ValueError("normal equations are singular; use alpha > 0")
-        col = schur[k:, k] / np.sqrt(pivot)
+        col = chol[k:, k] / np.sqrt(pivot)
         chol[k:, k] = col
+        chol[k, k + 1:] = 0.0
         for lo in range(k + 1, p, _PANEL):
             hi = min(lo + _PANEL, p)
-            schur[lo:, lo:hi] -= np.multiply.outer(col[lo - k:], col[lo - k:hi - k])
+            chol[lo:, lo:hi] -= np.multiply.outer(col[lo - k:], col[lo - k:hi - k])
     return chol
 
 
@@ -289,7 +291,11 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     n, p = X.shape
-    A = (X.T @ X) / n + alpha * np.eye(p)
+    # scaled and shifted in place, so that the Gram and, in _cholesky, its
+    # factor are the only p x p arrays held at once
+    A = X.T @ X
+    A /= n
+    A.flat[::p + 1] += alpha
     b = (X.T @ y) / n
     coeffs = _cho_solve(_cholesky(A), b)
     residual = float(np.max(np.abs(A @ coeffs - b)))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gammasig import Alphabet, SamplePath, write_path_csv
+from gammasig import Alphabet, SamplePath, cli, write_path_csv
 from gammasig.cli import main
 
 
@@ -342,6 +342,25 @@ def test_config_contract_exits_2_naming_the_key(tmp_path, capsys, command, paylo
     captured = capsys.readouterr()
     assert f"'{key}'" in captured.err
     assert "Traceback" not in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("command, experiment, runner", [
+    ("calibrate", "cantor-calib", "run_calibration"),
+    ("price", "cantor2-pricing", "run_pricing")])
+def test_run_out_of_memory_exits_2_with_the_allocation_message(tmp_path, capsys, monkeypatch,
+                                                               command, experiment, runner):
+    # the backstop for an allocation the run-size check does not foresee
+    message = ("Unable to allocate 664. MiB for an array with shape (9331, 9331) "
+               "and data type float64")
+
+    def out_of_memory(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, runner, out_of_memory)
+    cfg = write_config(tmp_path, "c.json", {"experiment": experiment})
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
 
 
 def test_out_option_overrides_a_bad_out_dir(tmp_path, capsys):

@@ -13,6 +13,7 @@ import pytest
 
 from gammasig import Alphabet, SamplePath, signature, write_path_csv
 from gammasig import cli
+from gammasig import experiments
 from gammasig.experiments import default_config
 
 POOL = (True, 2.7, -1, float("nan"), float("inf"), "x", [], {}, None, 2 ** 64)
@@ -88,3 +89,31 @@ def test_fuzzed_configs_exit_0_or_2(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
     # both outcomes occur, so neither the stubs nor the walk reject everything
     assert codes[0] > 0 and codes[2] > 0
+
+
+def _nested(key: str, value) -> dict:
+    """The JSON object that holds ``value`` at the dotted ``key``."""
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (experiment, key) for group, keys in experiments._FIXED
+    for experiment in group for key in keys])
+def test_fixed_key_takes_its_reference_value_only(tmp_path, monkeypatch, capsys,
+                                                 experiment, key):
+    # every (experiment, key) of the fixed-key table: the reference value
+    # runs, another value exits 2 naming the key
+    _stub_runners(monkeypatch)
+    reference = default_config(experiment).to_json_dict()
+    for part in key.split("."):
+        reference = reference[part]
+    other = "x" if reference is None else reference + (1 if type(reference) is int else 0.5)
+    target = tmp_path / "c.json"
+    for value, code in ((reference, 0), (other, 2)):
+        target.write_text(json.dumps({"experiment": experiment, **_nested(key, value)}))
+        assert cli.main([COMMANDS[experiment], "--config", str(target)]) == code, value
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+    assert f"{experiment} reads no '{key}'" in captured.err and not captured.out

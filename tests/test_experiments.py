@@ -49,6 +49,55 @@ def test_default_configs_round_trip():
         assert config_hash(back) == config_hash(cfg)
 
 
+@pytest.mark.parametrize("experiment, digest", [
+    ("heston-calib", "a9436680341d8ab2"), ("cantor-calib", "472b0a630bd65040"),
+    ("heston2-pricing", "c540b565c90419e1"), ("cantor2-pricing", "b005795bad97e1c0"),
+    ("check", "c4885ca21678d3fd")])
+def test_reference_config_hashes(experiment, digest):
+    assert config_hash(default_config(experiment)) == digest
+
+
+#: For each attribute but the experiment: an experiment that reads it, and a
+#: value other than that experiment's reference.
+_CHANGED = {
+    "model": ("cantor-calib", CantorParams(s0=(0.5,), vol_kind="tanh", cantor_depth=30)),
+    "grid_T": ("heston-calib", 0.5), "grid_n": ("heston-calib", 100),
+    "trunc_level": ("cantor-calib", 3), "alpha": ("heston2-pricing", 1e-3),
+    "n_train": ("cantor2-pricing", 100), "n_test": ("heston-calib", 10),
+    "n_mc": ("heston2-pricing", 50), "master_seed": ("check", 2 ** 64 - 1),
+    "out_dir": ("check", "results"), "check_filter": ("check", "regress"),
+    "inject_fault": ("check", "lasso-threshold"),
+}
+
+
+@pytest.mark.parametrize("key, attribute", experiments._KEYS)
+def test_every_config_key_round_trips_a_changed_value(key, attribute):
+    # a changed value sits at its JSON key and comes back through JSON text;
+    # the experiment's changed values are the other experiments
+    if attribute == "experiment":
+        configs = [default_config(e) for e in ALL_IDS]
+    else:
+        experiment, value = _CHANGED[attribute]
+        reference = default_config(experiment)
+        configs = [dataclasses.replace(reference, **{attribute: value})]
+        assert getattr(configs[0], attribute) != getattr(reference, attribute)
+    for config in configs:
+        data = json.loads(json.dumps(config.to_json_dict()))
+        value = getattr(config, attribute)
+        expected = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+        at_key = data
+        for part in key.split("."):
+            at_key = at_key[part]
+        assert at_key == json.loads(json.dumps(expected))
+        assert ExperimentConfig.from_json_dict(data) == config
+
+
+def test_config_keys_cover_every_field():
+    assert ([attribute for _, attribute in experiments._KEYS]
+            == [field.name for field in dataclasses.fields(ExperimentConfig)])
+    assert set(_CHANGED) | {"experiment"} == {a for _, a in experiments._KEYS}
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown experiment"):
         default_config("heston3-pricing")

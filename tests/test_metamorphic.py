@@ -9,7 +9,16 @@ exact arithmetic is homogeneous bit for bit:
   times level m of the signature of X, so pairing 2**k X with a functional
   l equals pairing X with delta l, the functional whose word w has the
   coefficient 2**(k |w|) l_w;
-* the ridge solution is linear in the target: y * 2**k gives beta * 2**k.
+* a cumulative sum of 2**k times the increments is 2**k times their
+  cumulative sum;
+* the ridge solution is linear in the target: y * 2**k gives beta * 2**k,
+  and the lasso solution is too when the penalty scales with it:
+  (y, alpha) * 2**k gives beta * 2**k.
+
+Relabelling the letters moves signature coordinates and changes no value:
+each coordinate's recursion reads only the letters of its word, so level m
+of the path with columns permuted by pi is level m of the path itself with
+each of its m letter axes permuted by pi, bit for bit.
 
 The drawn values stay between 2**-8 and 2**8 in magnitude (or are signed
 zeros) and the levels stop at 4, far from overflow and from subnormals.
@@ -17,17 +26,21 @@ zeros) and the levels stop at 4, far from overflow and from subnormals.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gammasig import (
     Alphabet,
+    SamplePath,
     TensorPoly,
     endpoint_signature_batch,
     enumerate_words,
     functional_paths,
+    gamma_signature,
+    lasso_fit,
     ridge_fit,
 )
+from gammasig.signature import cumsum0
 
 GAMMAS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 POWERS = st.integers(-3, 5)
@@ -48,6 +61,17 @@ def _paths(draw) -> tuple[np.ndarray, int]:
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 7)), draw(st.integers(1, 3)))
     return _values(rng, shape), draw(st.integers(1, 4))
+
+
+@st.composite
+def _sample_paths(draw) -> tuple[SamplePath, int]:
+    """A path of n >= 0 steps over L >= 1 letters on a strictly increasing
+    grid, and a truncation level N."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, letters = draw(st.integers(0, 7)), draw(st.integers(1, 3))
+    times = np.cumsum(2.0 ** rng.uniform(-4, 0, size=n + 1))
+    return (SamplePath(times, _values(rng, (n + 1, letters)), Alphabet(letters)),
+            draw(st.integers(1, 4)))
 
 
 def _bits(array: np.ndarray) -> np.ndarray:
@@ -93,4 +117,54 @@ def test_ridge_response_scaling_is_bit_exact(seed, n, p, k, alpha):
     X, y = _values(rng, (n, p)), _values(rng, (n,))
     fit = ridge_fit(X, y, alpha)
     scaled = ridge_fit(X, 2.0 ** k * y, alpha)
+    assert np.array_equal(_bits(scaled.coeffs), _bits(2.0 ** k * fit.coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sample_paths(), GAMMAS, POWERS)
+def test_gamma_signature_dilation_is_bit_exact(sample, gamma, k):
+    path, N = sample
+    levels = gamma_signature(path, gamma, N).levels
+    scaled = gamma_signature(SamplePath(path.times, 2.0 ** k * path.values, path.alphabet),
+                             gamma, N).levels
+    for m, (level, got) in enumerate(zip(levels, scaled), start=1):
+        assert np.array_equal(_bits(got), _bits(2.0 ** (k * m) * level)), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sample_paths(), GAMMAS, st.randoms(use_true_random=False))
+def test_gamma_signature_letter_permutation_is_bit_exact(sample, gamma, random):
+    path, N = sample
+    letters = path.dim
+    perm = np.array(random.sample(range(letters), letters))
+    levels = gamma_signature(path, gamma, N).levels
+    permuted = gamma_signature(SamplePath(path.times, path.values[:, perm], path.alphabet),
+                               gamma, N).levels
+    rows = len(path.times)
+    for m, (level, got) in enumerate(zip(levels, permuted), start=1):
+        # word (w_1..w_m) of the permuted path is word (pi(w_1)..pi(w_m))
+        expected = level.reshape((rows,) + (letters,) * m)[(slice(None),) + np.ix_(*[perm] * m)]
+        assert np.array_equal(_bits(got), _bits(expected.reshape(rows, -1))), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 9), st.integers(1, 3), POWERS)
+def test_cumsum0_dilation_is_bit_exact(seed, n, width, k):
+    increments = _values(np.random.default_rng(seed), (n, width, 2))
+    got = cumsum0(2.0 ** k * increments)
+    assert got.shape == (n + 1, width, 2)
+    assert np.array_equal(_bits(got), _bits(2.0 ** k * cumsum0(increments)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 6), POWERS,
+       st.sampled_from([1e-6, 1e-3, 1.0]))
+def test_lasso_response_and_penalty_scaling_is_bit_exact(seed, n, p, k, alpha):
+    rng = np.random.default_rng(seed)
+    X, y = _values(rng, (n, p)), _values(rng, (n,))
+    fit = lasso_fit(X, y, alpha)
+    # the identity is stated for the optimum: a capped fit stops wherever
+    assume(fit.diagnostics["converged"])
+    scaled = lasso_fit(X, 2.0 ** k * y, 2.0 ** k * alpha)
+    assert scaled.diagnostics["converged"]
     assert np.array_equal(_bits(scaled.coeffs), _bits(2.0 ** k * fit.coeffs))

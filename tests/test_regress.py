@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -503,6 +504,20 @@ def test_cholesky_bits_equal_full_square_update(rng, p):
     got = regress._cholesky(A)
     assert np.array_equal(got.view(np.uint64), _full_square_cholesky(A).view(np.uint64))
     assert not np.triu(got, 1).any()
+
+
+def test_ridge_fit_holds_one_gram_and_one_factor(rng):
+    # the Gram is scaled and shifted in place and factored over one copy of
+    # itself, so about two p x p arrays are live at the peak, not three
+    n, p = 400, 600
+    X, y = rng.normal(size=(n, p)), rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        ridge_fit(X, y, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * p * p * 8
 
 
 # ---------------------------------------------------------------------------
