@@ -24,7 +24,8 @@ extends it by time/bracket columns, and dumps the gamma-signature as
 default false), ``master_seed`` (default 0), ``out_dir`` (default stdout).
 
 Exit codes: 0 success, 1 check failure, 2 configuration error (a run that
-runs out of memory counts as one: it exits 2 with numpy's allocation message).
+runs out of memory counts as one: it exits 2 with numpy's allocation message,
+and so does an output directory that cannot be written).
 """
 from __future__ import annotations
 
@@ -154,12 +155,6 @@ def _cmd_check(args) -> int:
         for name, check in entry["checks"].items():
             mark = "PASS" if check["passed"] else "FAIL"
             print(f"{mark} {module}/{name}: {check['detail']}")
-    if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        with open(os.path.join(config.out_dir, "check_report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
     n_checks = sum(len(e["checks"]) for e in report["modules"].values())
     if report["passed"]:
         print(f"all {n_checks} checks passed")
@@ -260,13 +255,16 @@ def _cmd_sigdump(args) -> int:
         json.dumps(stamp_source, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
     comment = f"config_hash={digest} master_seed={seed}"
-    if config["out_dir"]:
-        os.makedirs(config["out_dir"], exist_ok=True)
-        target = os.path.join(config["out_dir"], "signature.csv")
-        write_sig_csv(traj, target, header_comment=comment)
-        print(f"wrote {target}")
-    else:
+    if not config["out_dir"]:
         write_sig_csv(traj, sys.stdout, header_comment=comment)
+        return 0
+    target = os.path.join(config["out_dir"], "signature.csv")
+    try:
+        os.makedirs(config["out_dir"], exist_ok=True)
+        write_sig_csv(traj, target, header_comment=comment)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to 'out_dir' {config['out_dir']!r}: {exc}") from exc
+    print(f"wrote {target}")
     return 0
 
 

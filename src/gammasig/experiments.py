@@ -127,14 +127,15 @@ _REFERENCE: dict[str, tuple[dict, Callable]] = {
 #: (experiments, JSON keys) that an experiment reads none of: they are fixed
 #: at its reference value.  The check experiment reads no model and no size,
 #: the runs read no check section, a calibration fits one training path and
-#: has no Monte Carlo cohort, and the one-asset Cantor model correlates no
-#: increments.
+#: has no Monte Carlo cohort, the one-asset Cantor model correlates no
+#: increments, and heston2-pricing correlates its drivers by "corr4" alone.
 _FIXED = ((("check",), ("model", "grid.T", "grid.n", "signature.trunc_level",
                         "regression.alpha", "samples.N_train", "samples.N_test",
                         "samples.N_MC")),
           (CALIBRATION_IDS + PRICING_IDS, ("check.filter", "check.inject_fault")),
           (CALIBRATION_IDS, ("samples.N_train", "samples.N_MC")),
-          (("cantor-calib",), ("model.rho",)))
+          (("cantor-calib",), ("model.rho",)),
+          (("heston2-pricing",), ("model.asset1.rho", "model.asset2.rho")))
 
 
 def _at(data, key: str):
@@ -222,9 +223,11 @@ class ExperimentConfig:
     inject_fault: str | None = None
 
     def __post_init__(self) -> None:
-        reference, _ = _reference(self.experiment)
-        if self.experiment != "check" and self.model is None:
-            raise ValueError("model parameters required")
+        reference, parse = _reference(self.experiment)
+        model_type = type(parse(reference.get("model")))
+        if self.experiment != "check" and type(self.model) is not model_type:
+            raise ValueError(f"{self.experiment} needs a {model_type.__name__} 'model', "
+                             f"got {type(self.model).__name__}")
         data = self.to_json_dict()
         for experiments, keys in _FIXED:
             for key in keys:
@@ -278,15 +281,17 @@ class ExperimentConfig:
         as :func:`check_array_size` arguments.  A calibration's are its
         training signature trajectory (three letters to level N, N + 1 for
         heston-calib) and its test paths' draws, the largest of their
-        columns, and the largest of its schemes' lasso Grams (p x p for p
-        functionals) and of their dense functional coefficients (one row per
-        word to the functionals' level, one column per functional).  A pricing
-        run's are the draws of the chunks in flight (four normals per step
-        for heston2-pricing, two for cantor2-pricing; at most
-        :func:`_pricing_threads` chunks of ``_PRICING_CHUNK`` paths), the
-        feature rows of all paths (the two joint rows, to level N over
-        three and six letters) and the ridge Gram of the widest design, the
-        joint left-point row."""
+        columns, and the largest of its schemes' lasso Grams (two p x p
+        arrays for p functionals: the solver forms the Gram's block of nonzero
+        columns while the Gram is alive) and of their dense functional
+        coefficients (one row per word to the functionals' level, one column
+        per functional).  A pricing run's are the draws of the chunks in
+        flight (four normals per step for heston2-pricing, two for
+        cantor2-pricing; at most :func:`_pricing_threads` chunks of
+        ``_PRICING_CHUNK`` paths), the feature rows of all paths (the two
+        joint rows, to level N over three and six letters) and the ridge Gram
+        of the widest design, the joint left-point row, counted twice: the
+        solver holds the Gram and its Cholesky factor."""
         n, N = ("grid.n", self.grid_n), ("signature.trunc_level", self.trunc_level)
         level = self.trunc_level
         heston = self.experiment.startswith("heston")
@@ -299,7 +304,7 @@ class ExperimentConfig:
                      ((self.grid_n + 1, 1), (3, level + heston))),
                     ("the test paths' draws", (n, ("samples.N_test", self.n_test)),
                      ((self.grid_n // 2, 1), (1 + heston, 1), (self.n_test, 1))),
-                    ("the lasso Gram", (N,), ((max(s[2] for s in schemes), 2),)),
+                    ("the lasso Gram", (N,), ((max(s[2] for s in schemes), 2), (2, 1))),
                     ("the functionals' dense coefficients", (N,),
                      ((_row_width(letters, top), 1), (p, 1)))]
         total = self.n_train + self.n_test + self.n_mc
@@ -310,7 +315,7 @@ class ExperimentConfig:
                  ((self.grid_n, 1), (2 + 2 * heston, 1), (in_flight, 1))),
                 ("the feature rows of all paths", samples + (N,),
                  ((total, 1), (_row_width(3, level) + _row_width(6, level), 1))),
-                ("the ridge Gram", (N,), ((_row_width(6, level), 2),))]
+                ("the ridge Gram", (N,), ((_row_width(6, level), 2), (2, 1)))]
 
     @property
     def regression_kind(self) -> str:
@@ -560,8 +565,7 @@ def run_calibration(config: ExperimentConfig) -> dict:
                 trajectory[f"pred_{scheme}"] = pred[0].tolist()
     report: dict = {
         "experiment": config.experiment,
-        "config_hash": config_hash(config),
-        "master_seed": config.master_seed,
+        **_stamp(config),
         "schemes": {},
     }
     for scheme in SCHEMES:
@@ -765,8 +769,7 @@ def run_pricing(config: ExperimentConfig) -> dict:
 
     report: dict = {
         "experiment": config.experiment,
-        "config_hash": config_hash(config),
-        "master_seed": config.master_seed,
+        **_stamp(config),
         "strikes": strikes,
         "rejected_paths": rejected,
         "degenerate_corr_paths": degenerate_corr,
@@ -811,76 +814,56 @@ def run_pricing(config: ExperimentConfig) -> dict:
 # Output files
 # ---------------------------------------------------------------------------
 
-def _header(config: ExperimentConfig) -> str:
-    return f"config_hash={config_hash(config)} master_seed={config.master_seed}"
+def _stamp(config: ExperimentConfig) -> dict:
+    """The keys that stamp every report and output file with its run."""
+    return {"config_hash": config_hash(config), "master_seed": config.master_seed}
 
 
-def _write_lines(path, header: str, lines: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {header}\n")
-        for line in lines:
-            fh.write(line + "\n")
-
-
-def _json_with_stamp(config: ExperimentConfig, payload: dict) -> str:
-    stamped = {"config_hash": config_hash(config),
-               "master_seed": config.master_seed}
-    stamped.update(payload)
-    return json.dumps(stamped, indent=2, sort_keys=False)
+def _write_outputs(config: ExperimentConfig, tables: dict[str, Sequence[Sequence]],
+                   jsons: dict[str, dict]) -> None:
+    """Write the stamped files of a run into ``config.out_dir``, made if
+    missing: each CSV table of ``tables`` (file name -> rows of cells, the
+    column names first; a number is written as its float ``repr``) under
+    the comment ``# config_hash=... master_seed=...``, and each JSON payload
+    of ``jsons`` with the stamp keys first.  A directory or file that cannot
+    be written is a ``ValueError`` that names ``out_dir``."""
+    stamp = _stamp(config)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+        for name, rows in tables.items():
+            with open(os.path.join(config.out_dir, name), "w", encoding="utf-8",
+                      newline="") as fh:
+                fh.write("# " + " ".join(f"{key}={value}" for key, value in stamp.items()) + "\n")
+                fh.writelines(",".join(cell if isinstance(cell, str) else repr(float(cell))
+                                       for cell in row) + "\n" for row in rows)
+        for name, payload in jsons.items():
+            with open(os.path.join(config.out_dir, name), "w", encoding="utf-8") as fh:
+                fh.write(json.dumps({**stamp, **payload}, indent=2) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write to 'out_dir' {config.out_dir!r}: {exc}") from None
 
 
 def _write_calibration_outputs(config: ExperimentConfig, report: dict) -> None:
-    os.makedirs(config.out_dir, exist_ok=True)
-    header = _header(config)
-    lines = ["scheme,in_sample_mse,out_sample_mse"]
-    for scheme in SCHEMES:
-        entry = report["schemes"][scheme]
-        lines.append(f"{scheme},{entry['in_sample_mse']!r},{entry['out_sample_mse']!r}")
-    _write_lines(os.path.join(config.out_dir, "mse_summary.csv"), header, lines)
-
-    traj = report["trajectory"]
-    lines = ["t,target,pred_strat,pred_ito"]
-    for k in range(len(traj["t"])):
-        lines.append(",".join(repr(float(traj[c][k]))
-                              for c in ("t", "target", "pred_strat", "pred_ito")))
-    _write_lines(os.path.join(config.out_dir, "trajectory.csv"), header, lines)
-
-    for scheme in SCHEMES:
-        path = os.path.join(config.out_dir, f"fit_{scheme}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json_with_stamp(config, report["schemes"][scheme]["fit"]))
-            fh.write("\n")
+    schemes, traj = report["schemes"], report["trajectory"]
+    columns = ("t", "target", "pred_strat", "pred_ito")
+    _write_outputs(config, {
+        "mse_summary.csv": [("scheme", "in_sample_mse", "out_sample_mse")] + [
+            (scheme, schemes[scheme]["in_sample_mse"], schemes[scheme]["out_sample_mse"])
+            for scheme in SCHEMES],
+        "trajectory.csv": [columns, *zip(*(traj[column] for column in columns))],
+    }, {f"fit_{scheme}.json": schemes[scheme]["fit"] for scheme in SCHEMES})
 
 
 def _write_pricing_outputs(config: ExperimentConfig, report: dict) -> None:
-    os.makedirs(config.out_dir, exist_ok=True)
-    header = _header(config)
-
-    lines = ["payoff,scheme,price,mc_price,ci_lo,ci_hi"]
-    for entry in report["payoffs"]:
-        for scheme in SCHEMES:
-            lines.append(",".join([
-                entry["payoff"], scheme, repr(entry[scheme]["price"]),
-                repr(entry["mc_price"]), repr(entry["ci_lo"]), repr(entry["ci_hi"]),
-            ]))
-    _write_lines(os.path.join(config.out_dir, "prices.csv"), header, lines)
-
-    lines = ["payoff,scheme,in_sample_mse,out_sample_mse"]
-    for entry in report["payoffs"]:
-        for scheme in SCHEMES:
-            lines.append(",".join([
-                entry["payoff"], scheme,
-                repr(entry[scheme]["in_sample_mse"]),
-                repr(entry[scheme]["out_sample_mse"]),
-            ]))
-    _write_lines(os.path.join(config.out_dir, "mse_summary.csv"), header, lines)
-
-    for scheme in SCHEMES:
-        fits = {entry["payoff"]: entry[scheme]["fit"] for entry in report["payoffs"]}
-        path = os.path.join(config.out_dir, f"fit_{scheme}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json_with_stamp(config, {"fits": fits}))
-            fh.write("\n")
+    rows = [(entry, scheme) for entry in report["payoffs"] for scheme in SCHEMES]
+    _write_outputs(config, {
+        "prices.csv": [("payoff", "scheme", "price", "mc_price", "ci_lo", "ci_hi")] + [
+            (e["payoff"], s, e[s]["price"], e["mc_price"], e["ci_lo"], e["ci_hi"])
+            for e, s in rows],
+        "mse_summary.csv": [("payoff", "scheme", "in_sample_mse", "out_sample_mse")] + [
+            (e["payoff"], s, e[s]["in_sample_mse"], e[s]["out_sample_mse"]) for e, s in rows],
+    }, {f"fit_{s}.json": {"fits": {e["payoff"]: e[s]["fit"] for e in report["payoffs"]}}
+        for s in SCHEMES})
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +871,8 @@ def _write_pricing_outputs(config: ExperimentConfig, report: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def run_checks(config: ExperimentConfig) -> dict:
-    """Execute the per-module invariant suites; report is machine readable.
+    """Execute the per-module invariant suites; report is machine readable,
+    and written as ``check_report.json`` where ``config.out_dir`` is set.
 
     ``config.check_filter`` restricts to one module; ``config.inject_fault``
     force-breaks a known property as a negative control (supported:
@@ -897,6 +881,7 @@ def run_checks(config: ExperimentConfig) -> dict:
     from . import checks
     report = checks.run_all(module_filter=config.check_filter,
                             inject_fault=config.inject_fault)
-    report["config_hash"] = config_hash(config)
-    report["master_seed"] = config.master_seed
+    report.update(_stamp(config))
+    if config.out_dir:
+        _write_outputs(config, {}, {"check_report.json": report})
     return report

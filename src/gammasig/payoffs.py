@@ -29,14 +29,11 @@ import numpy as np
 from .tensor import bracket_pairs
 
 __all__ = [
-    "PAYOFF_KINDS",
     "PayoffSpec",
     "realized_stats_batch",
     "payoff_values",
     "statistic_key",
 ]
-
-PAYOFF_KINDS = ("RVswap", "RVcall", "CovSwap", "CovCall", "CorrSwap", "CorrCall")
 
 #: Statistic each payoff kind settles on.
 _KIND_STAT = {
@@ -58,7 +55,7 @@ class PayoffSpec:
     strike: float
 
     def __post_init__(self) -> None:
-        if self.kind not in PAYOFF_KINDS:
+        if self.kind not in _KIND_STAT:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
         assets = tuple(int(a) for a in self.assets)
         object.__setattr__(self, "assets", assets)

@@ -243,7 +243,6 @@ class SigTrajectory:
 
     times: np.ndarray
     alphabet: Alphabet
-    gamma: float
     trunc_level: int
     levels: tuple[np.ndarray, ...]
 
@@ -412,8 +411,7 @@ def gamma_signature(path: SamplePath, gamma: float, trunc_level: int) -> SigTraj
     for start, _, window in _levels(path.values[:, :, None], gamma, (None,) * trunc_level):
         for out, level in zip(levels, window):
             out[start + 1:start + len(level)] = level[1:, :, 0]
-    return SigTrajectory(times=path.times, alphabet=path.alphabet,
-                         gamma=float(gamma), trunc_level=trunc_level,
+    return SigTrajectory(times=path.times, alphabet=path.alphabet, trunc_level=trunc_level,
                          levels=tuple(levels))
 
 
@@ -452,8 +450,7 @@ def gamma_signature_chen(path: SamplePath, gamma: float, trunc_level: int) -> Si
         cur = new
         for m in range(trunc_level):
             out[m][k + 1] = cur[m]
-    return SigTrajectory(times=path.times, alphabet=path.alphabet,
-                         gamma=float(gamma), trunc_level=trunc_level,
+    return SigTrajectory(times=path.times, alphabet=path.alphabet, trunc_level=trunc_level,
                          levels=tuple(out))
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "TensorPoly",
     "bracket_pairs",
     "word_str",
-    "graded_lex_key",
     "enumerate_words",
     "concat",
     "pair",
@@ -53,11 +52,6 @@ def word_str(word: Word) -> str:
     The empty word renders as the empty string.
     """
     return ".".join(str(letter) for letter in word)
-
-
-def graded_lex_key(word: Word) -> tuple[int, Word]:
-    """Sort key realizing graded-lexicographic word order."""
-    return (len(word), word)
 
 
 def bracket_pairs(d: int) -> list[tuple[int, int]]:
@@ -225,7 +219,8 @@ class TensorPoly:
         return self._terms.get(tuple(word), 0)
 
     def items(self) -> Iterator[tuple[Word, Coeff]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: graded_lex_key(kv[0])))
+        # graded-lexicographic order: by length, then by letters
+        return iter(sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
     def __len__(self) -> int:
         return len(self._terms)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,47 @@ def test_out_option_overrides_a_bad_out_dir(tmp_path, capsys):
     assert (out_dir / "check_report.json").is_file()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "price", "check", "sigdump"])
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    # a file in place of the output directory names the directory, where
+    # every command used to end in an OSError traceback
+    payload = {"calibrate": {"experiment": "cantor-calib", **_SMALL},
+               "price": {"experiment": "cantor2-pricing", **_SMALL_PRICE},
+               "check": {"experiment": "check", "check": {"filter": "payoffs"}},
+               "sigdump": {"path_csv": make_path_csv(tmp_path)}}[command]
+    cfg = write_config(tmp_path, "c.json", payload)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main([command, "--config", cfg, "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert f"'out_dir' {str(blocker)!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("calibrate", {"experiment": "cantor-calib", **_SMALL}),
+    ("price", {"experiment": "cantor2-pricing", **_SMALL_PRICE}),
+    ("check", {"experiment": "check", "check": {"filter": "payoffs"}})])
+def test_every_output_file_leads_with_its_stamp(tmp_path, capsys, command, payload):
+    # each CSV starts with the stamp comment, each JSON object with the
+    # stamp keys, and a run's files carry one stamp
+    cfg = write_config(tmp_path, "c.json", payload)
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", cfg, "--seed", "5", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    stamps = set()
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".csv":
+            first = path.read_text().splitlines()[0]
+            assert re.fullmatch(r"# config_hash=[0-9a-f]{16} master_seed=5", first), path.name
+            stamps.add(first[len("# config_hash="):][:16])
+        else:
+            data = json.loads(path.read_text())
+            assert list(data)[:2] == ["config_hash", "master_seed"], path.name
+            assert data["master_seed"] == 5
+            stamps.add(data["config_hash"])
+    assert len(stamps) == 1
+
+
 def test_typed_walk_stores_numbers_as_their_reference_type():
     from gammasig.cli import _deep_merge
     from gammasig.experiments import ExperimentConfig, config_hash, default_config
@@ -582,12 +624,16 @@ def test_run_size_beyond_the_address_space_limit_exits_2(tmp_path):
                            "signature": {"trunc_level": 6},
                            "samples": {"N_train": 3, "N_test": 1, "N_MC": 2}},
                  3_000_000_000, "the ridge Gram, 55987**2", id="pricing-ridge-gram"),
+    pytest.param("price", {"experiment": "cantor2-pricing", "grid": {"n": 2},
+                           "signature": {"trunc_level": 5},
+                           "samples": {"N_train": 3, "N_test": 1, "N_MC": 2}},
+                 1_200_000_000, "the ridge Gram, 9331**2", id="pricing-ridge-gram-and-factor"),
     pytest.param("calibrate", {"experiment": "heston-calib", "grid": {"n": 2},
                                "signature": {"trunc_level": 9}, "samples": {"N_test": 1}},
                  3_000_000_000, "the lasso Gram, 29524**2", id="calibration-lasso-gram"),
     pytest.param("calibrate", {"experiment": "heston-calib", "grid": {"n": 2},
                                "signature": {"trunc_level": 8}, "samples": {"N_test": 1}},
-                 1_536_000_000, "the functionals' dense coefficients, 29524 x 9841",
+                 2_000_000_000, "the functionals' dense coefficients, 29524 x 9841",
                  id="calibration-dense-coefficients"),
 ])
 def test_run_size_counts_the_grams_and_dense_coefficients(tmp_path, command, payload,
@@ -596,8 +642,10 @@ def test_run_size_counts_the_grams_and_dense_coefficients(tmp_path, command, pay
     # 23.4 GiB ridge Gram of the joint left-point row (level 6), the 6.5 GiB
     # lasso Gram of heston-calib's 29524 functionals (level 9) and the
     # 2.2 GiB dense coefficients of its 9841 functionals (level 8, whose
-    # 0.7 GiB Gram fits) cannot be allocated: the size check names them,
-    # where the runs used to end in a MemoryError traceback
+    # two 0.7 GiB Gram arrays fit) cannot be allocated: the size check names
+    # them, where the runs used to end in a MemoryError traceback.  Each
+    # solver holds two p x p arrays: at level 5 one 0.65 GiB ridge Gram fits
+    # under 1.2 GB, but the Gram and its Cholesky factor do not
     cfg = write_config(tmp_path, "c.json", payload)
     proc = _cli_in_subprocess(command, cfg, address_space=address_space)
     assert proc.returncode == 2, proc.stderr

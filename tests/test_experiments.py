@@ -57,6 +57,17 @@ def test_reference_config_hashes(experiment, digest):
     assert config_hash(default_config(experiment)) == digest
 
 
+@pytest.mark.parametrize("experiment, other", [
+    ("heston-calib", "cantor-calib"), ("cantor-calib", "heston-calib"),
+    ("heston2-pricing", "cantor2-pricing"), ("cantor2-pricing", "heston2-pricing")])
+def test_model_of_another_experiment_type_is_rejected(experiment, other):
+    # a model of the wrong type used to be accepted, and its JSON form did
+    # not parse back (KeyError('asset1') for heston2-pricing)
+    config = default_config(experiment)
+    with pytest.raises(ValueError, match=f"{experiment} needs a .* 'model'"):
+        dataclasses.replace(config, model=default_config(other).model)
+
+
 #: For each attribute but the experiment: an experiment that reads it, and a
 #: value other than that experiment's reference.
 _CHANGED = {

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from gammasig import (
-    PAYOFF_KINDS,
     PayoffSpec,
     payoff_values,
     quadratic_variation,
@@ -184,7 +183,8 @@ def test_payoff_spec_labels_and_calls():
     assert PayoffSpec("RVswap", (1,), 0.0).label == "RVswap_1"
     assert PayoffSpec("CovCall", (1, 2), 0.0).label == "CovCall_12"
     assert [PayoffSpec(k, (1,) if k.startswith("RV") else (1, 2), 0.0).is_call
-            for k in PAYOFF_KINDS] == [False, True, False, True, False, True]
+            for k in ("RVswap", "RVcall", "CovSwap", "CovCall", "CorrSwap", "CorrCall")] \
+        == [False, True, False, True, False, True]
     assert statistic_key("RVcall", (2,)) == "RV_2"
     assert statistic_key("RVswap", (2,)) == "RVar_2"
     assert statistic_key("CovSwap", (1, 2)) == "Cov_12"

@@ -520,6 +520,21 @@ def test_ridge_fit_holds_one_gram_and_one_factor(rng):
     assert peak <= 2.5 * p * p * 8
 
 
+def test_lasso_fit_holds_two_grams(rng):
+    # the Gram's block of nonzero columns is formed while the Gram is alive,
+    # so about two p x p arrays are live at the peak, as the run-size model
+    # counts; an alpha with 51 active columns keeps the homotopy short
+    n, p = 400, 600
+    X, y = rng.normal(size=(n, p)), rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        lasso_fit(X, y, 60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * p * p * 8
+
+
 # ---------------------------------------------------------------------------
 # Validation and serialization
 # ---------------------------------------------------------------------------

@@ -43,7 +43,9 @@ def _draw(rng: random.Random) -> tuple[str, dict]:
         return "calibrate", payload
     payload["samples"] = {key: rng.randint(1, 20) for key in ("N_train", "N_test", "N_MC")}
     payload["model"] = (
-        {"asset1": _heston(rng), "asset2": _heston(rng)}
+        # heston2-pricing correlates its drivers by corr4 and fixes each rho
+        {asset: {key: value for key, value in _heston(rng).items() if key != "rho"}
+         for asset in ("asset1", "asset2")}
         if experiment == "heston2-pricing"
         else {"s0": [rng.uniform(1.0, 100.0) for _ in range(2)],
               "nu": [rng.uniform(0.0, 3.0) for _ in range(2)],
