@@ -42,7 +42,7 @@ from .models import (
     simulate_heston_batch,
 )
 from .payoffs import PayoffSpec, payoff_values, realized_stats_batch, statistic_key
-from .regress import lasso_fit, mse, predict, ridge_fit
+from .regress import RegressionFit, lasso_fit, mse, predict, ridge_fit
 from .signature import (
     SamplePath,
     augment_path,
@@ -280,14 +280,17 @@ class ExperimentConfig:
         """The largest float64 arrays of a run, sized from the config alone,
         as :func:`check_array_size` arguments.  A calibration's are its
         training signature trajectory (three letters to level N, N + 1 for
-        heston-calib) and its test paths' draws, the largest of their
-        columns, and the largest of its schemes' lasso Grams (two p x p
-        arrays for p functionals: the solver forms the Gram's block of nonzero
-        columns while the Gram is alive) and of their dense functional
-        coefficients (one row per word to the functionals' level, one column
-        per functional).  A pricing run's are the draws of the chunks in
-        flight (four normals per step for heston2-pricing, two for
-        cantor2-pricing; at most :func:`_pricing_threads` chunks of
+        heston-calib) and the draws of all its test paths (which bound any
+        one process's share), the largest of their columns, the largest of
+        its schemes' lasso Grams (two p x p arrays for p functionals: the
+        solver forms the Gram's block of nonzero columns while the Gram is
+        alive), that Gram beside the homotopy's active-set factor (k x k) and
+        active columns (p x k), counted as p x (p + 2k) for k = min(n + 1, p),
+        as many active columns as the training design has rows, and the
+        dense functional coefficients (one row per word to the functionals'
+        level, one column per functional).  A pricing run's are the draws of
+        the chunks in flight (four normals per step for heston2-pricing, two
+        for cantor2-pricing; at most :func:`_workers` chunks of
         ``_PRICING_CHUNK`` paths), the feature rows of all paths (the two
         joint rows, to level N over three and six letters) and the ridge Gram
         of the widest design, the joint left-point row, counted twice: the
@@ -300,17 +303,21 @@ class ExperimentConfig:
             schemes = ([(3, level + 1, _row_width(3, level))] if heston else
                        [(2, level, _row_width(2, level)), (3, level, _row_width(3, level - 1))])
             letters, top, p = max(schemes, key=lambda s: _row_width(s[0], s[1]) * s[2])
+            widest = max(s[2] for s in schemes)
+            active = min(self.grid_n + 1, widest)
             return [("the training signature trajectory", (n, N),
                      ((self.grid_n + 1, 1), (3, level + heston))),
                     ("the test paths' draws", (n, ("samples.N_test", self.n_test)),
                      ((self.grid_n // 2, 1), (1 + heston, 1), (self.n_test, 1))),
-                    ("the lasso Gram", (N,), ((max(s[2] for s in schemes), 2), (2, 1))),
+                    ("the lasso Gram", (N,), ((widest, 2), (2, 1))),
+                    ("the lasso Gram with its active-set factor and columns", (n, N),
+                     ((widest, 1), (widest + 2 * active, 1))),
                     ("the functionals' dense coefficients", (N,),
                      ((_row_width(letters, top), 1), (p, 1)))]
         total = self.n_train + self.n_test + self.n_mc
         samples = (("samples.N_train", self.n_train), ("samples.N_test", self.n_test),
                    ("samples.N_MC", self.n_mc))
-        in_flight = min(_pricing_threads() * _PRICING_CHUNK, total)
+        in_flight = min(_workers() * _PRICING_CHUNK, total)
         return [("the draws of the chunks in flight", (n,),
                  ((self.grid_n, 1), (2 + 2 * heston, 1), (in_flight, 1))),
                 ("the feature rows of all paths", samples + (N,),
@@ -493,6 +500,85 @@ def _fold(coeffs: np.ndarray, functionals: Sequence[TensorPoly]) -> TensorPoly:
     return sum((f.scale(float(c)) for c, f in zip(coeffs, functionals)), zero)
 
 
+#: A scheme's fit as the test paths read it: its driver's column names and
+#: its lasso fit.
+_Fits = dict[str, tuple[tuple[str, ...], RegressionFit]]
+
+
+def _score_test_paths(config: ExperimentConfig, fits: _Fits, start: int, stop: int) \
+        -> tuple[dict[str, np.ndarray], dict[str, list]]:
+    """Score each scheme's fit on test paths ``start + 1 .. stop`` (path 0
+    is the training path): each scheme's per-path out-of-sample MSE, in
+    path order, and, where ``start`` is 0, the first test path's target and
+    each scheme's prediction of it, as trajectory columns.
+
+    The paths are simulated in one batch and paired in chunks of
+    ``_TEST_CHUNK``, counted from ``start``.  Each chunk builds one driver
+    batch, the widest scheme's; every scheme's driver names are a prefix of
+    its names, so each scheme pairs its leading columns through
+    :func:`functional_paths` on its folded fit sum_j beta_j f_j, and each
+    chunk is scored by one row-wise :func:`mse` per scheme."""
+    plans = _calibration_plans(config)
+    grid = config.test_grid()
+    test = _simulate_calibration_columns(config, grid, range(start + 1, stop + 1))
+    widest = max((names for names, _ in fits.values()), key=len)
+    ells = {scheme: _fold(fit.coeffs, plans[scheme].functionals)
+            for scheme, (_, fit) in fits.items()}
+    mses: dict[str, list] = {scheme: [] for scheme in SCHEMES}
+    trajectory = {"target": test["S"][0].tolist()} if start == 0 else {}
+    for lo in range(0, stop - start, _TEST_CHUNK):
+        chunk = {name: col if col.ndim == 1 else col[lo:lo + _TEST_CHUNK]
+                 for name, col in test.items()}
+        values = _driver_values(grid.times, [chunk[name] for name in widest[1:]])
+        for scheme in SCHEMES:
+            names, fit = fits[scheme]
+            pred = fit.intercept + functional_paths(
+                values[:, :, :len(names)], GAMMAS[scheme], [ells[scheme]])[..., 0]
+            mses[scheme].append(mse(pred, chunk["S"]))
+            if start == lo == 0:
+                trajectory[f"pred_{scheme}"] = pred[0].tolist()
+    return {scheme: np.concatenate(rows) for scheme, rows in mses.items()}, trajectory
+
+
+def _score_on_processes(config: ExperimentConfig, fits: _Fits) \
+        -> list[tuple[dict[str, np.ndarray], dict[str, list]]]:
+    """:func:`_score_test_paths` over every test path, in contiguous runs of
+    whole chunks, one run per process, in path order.
+
+    There are :func:`_workers` processes, at most one per chunk: the caller
+    scores the first run, and forked workers score the rest at the same
+    time.  Each process simulates only its own paths, whose draws are their
+    own per-path streams, and every kernel is elementwise per path, so no
+    bit depends on the runs.  The workers are forked, not spawned, because
+    a spawned worker imports numpy and this package afresh on every run;
+    a fork copies only the calling thread, so where the process has other
+    threads (whose locks would stay locked in the child), where ``fork`` is
+    not a start method, or where there is one process or one chunk, the
+    caller scores every path itself.  A worker inherits the caller's
+    context, numpy's error state included.  The first failure in path order
+    is raised, as one process would raise it, once every worker has ended.
+    """
+    starts = range(0, config.n_test, _TEST_CHUNK)
+    processes = min(_workers(), len(starts))
+    if processes > 1:
+        import multiprocessing
+        import threading
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or threading.active_count() > 1):
+            processes = 1
+    bounds = [starts[len(starts) * k // processes] for k in range(processes)]
+    runs = list(zip(bounds, bounds[1:] + [config.n_test]))
+    if processes == 1:
+        return [_score_test_paths(config, fits, *runs[0])]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(processes - 1,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_score_test_paths, config, fits, *run) for run in runs[1:]]
+        first = _score_test_paths(config, fits, *runs[0])
+        return [first] + [future.result() for future in futures]
+
+
 def run_calibration(config: ExperimentConfig) -> dict:
     """Fit both schemes on one training trajectory, evaluate in-sample and on
     fresh out-of-sample paths over [0, T/2]; returns (and optionally writes)
@@ -502,12 +588,12 @@ def run_calibration(config: ExperimentConfig) -> dict:
     training design goes through :func:`gamma_signature` and
     :func:`functional_matrix`, and the in-sample MSE is the lasso's own.  The
     test paths are simulated after the fits, so that the training arrays are
-    freed before the run's largest allocation, and go through
-    :func:`functional_paths` on the folded fit sum_j beta_j f_j in chunks of
-    ``_TEST_CHUNK``.  Each chunk builds one driver batch, the widest
-    scheme's; every scheme's driver names are a prefix of its names, so
-    each scheme pairs its leading columns, and each chunk is scored by one
-    row-wise :func:`mse` per scheme.
+    freed before the run's largest allocation, and are scored in chunks of
+    ``_TEST_CHUNK`` by :func:`_score_test_paths`.  The chunks are split into
+    contiguous runs, one per process (:func:`_score_on_processes`): the
+    caller scores the first run and forked workers the others, each
+    simulating only its own paths, and the per-path MSEs are reduced in
+    path order, so the outputs do not depend on the number of processes.
     A training target whose squares can overflow float64 (before any fit), a
     failed lasso and a non-finite MSE (naming the scheme) are ``ValueError``s
     raised before any file is written.
@@ -542,27 +628,11 @@ def run_calibration(config: ExperimentConfig) -> dict:
             print(f"warning: {config.experiment} {scheme} lasso fit not converged "
                   f"after n_iter={fit.diagnostics['n_iter']} active-set steps",
                   file=sys.stderr)
-        fits[scheme] = driver.names, fit, _fold(fit.coeffs, plan.functionals)
+        fits[scheme] = driver.names, fit
     del train, traj, X_train
 
-    test_grid = config.test_grid()
-    test = _simulate_calibration_columns(
-        config, test_grid, range(1, config.n_test + 1))
-    # each scheme reads the leading columns of the widest scheme's driver
-    widest = max((names for names, _, _ in fits.values()), key=len)
-    out_mses: dict[str, list] = {scheme: [] for scheme in SCHEMES}
-    trajectory = {"t": list(test_grid.times), "target": test["S"][0].tolist()}
-    for start in range(0, config.n_test, _TEST_CHUNK):
-        chunk = {name: col if col.ndim == 1 else col[start:start + _TEST_CHUNK]
-                 for name, col in test.items()}
-        values = _driver_values(test_grid.times, [chunk[name] for name in widest[1:]])
-        for scheme in SCHEMES:
-            names, fit, ell = fits[scheme]
-            pred = fit.intercept + functional_paths(
-                values[:, :, :len(names)], GAMMAS[scheme], [ell])[..., 0]
-            out_mses[scheme].append(mse(pred, chunk["S"]))
-            if start == 0:
-                trajectory[f"pred_{scheme}"] = pred[0].tolist()
+    runs = _score_on_processes(config, fits)
+    trajectory = {"t": list(config.test_grid().times), **runs[0][1]}
     report: dict = {
         "experiment": config.experiment,
         **_stamp(config),
@@ -571,7 +641,7 @@ def run_calibration(config: ExperimentConfig) -> dict:
     for scheme in SCHEMES:
         fit = fits[scheme][1]
         in_mse = fit.diagnostics["in_sample_mse"]
-        out_mse = float(np.mean(np.concatenate(out_mses[scheme])))
+        out_mse = float(np.mean(np.concatenate([mses[scheme] for mses, _ in runs])))
         for label, value in (("in-sample", in_mse), ("out-of-sample", out_mse)):
             if not math.isfinite(value):
                 raise ValueError(f"{config.experiment} {scheme} scheme: the {label} "
@@ -617,8 +687,9 @@ _PRICING_FAMILIES: dict[str, tuple[int, ...]] = {"1": (1,), "2": (2,), "12": (1,
 _PRICING_CHUNK = 600
 
 
-def _pricing_threads() -> int:
-    """Threads of a pricing run, and so its chunks in flight: two, or one
+def _workers() -> int:
+    """Workers of a run: the threads of a pricing run, and so its chunks in
+    flight, and the processes of a calibration's test paths.  Two, or one
     where the process may run on one core only (its CPU affinity, or the
     machine's core count where that cannot be read)."""
     try:
@@ -688,7 +759,7 @@ def _pricing_features(config: ExperimentConfig) \
     (:func:`_family_columns`).
 
     The paths go through :func:`_pricing_chunk` in chunks of
-    ``_PRICING_CHUNK``, on :func:`_pricing_threads` threads, so at most that
+    ``_PRICING_CHUNK``, on :func:`_workers` threads, so at most that
     many chunks are in flight; the simulation, the bracket sums and the
     end-point steps release the interpreter lock, so one chunk's numpy work
     overlaps the other's Python loops.  Each chunk writes only its own rows
@@ -707,7 +778,7 @@ def _pricing_features(config: ExperimentConfig) \
     stats: dict[str, np.ndarray] = {}
     ok_all = np.empty(total, dtype=bool)
     starts = range(0, total, _PRICING_CHUNK)
-    with ThreadPoolExecutor(_pricing_threads()) as pool:
+    with ThreadPoolExecutor(_workers()) as pool:
         futures = [pool.submit(contextvars.copy_context().run, _pricing_chunk, config,
                                start, min(start + _PRICING_CHUNK, total), feats)
                    for start in starts]

@@ -189,6 +189,9 @@ def _homotopy(gram: np.ndarray, c: np.ndarray, threshold: float,
     mu = float(np.max(np.abs(c), initial=threshold))
     steps = 0
     while True:
+        # the last piece's factor is freed before this piece's is formed, in
+        # place of its block of the Gram
+        chol = None
         try:
             chol = _cholesky(gram[np.ix_(active, active)])
         except ValueError:
@@ -240,10 +243,11 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
     step updates its lower trapezoid alone, in column panels of ``_PANEL``
     from the diagonal down; every entry still takes the same subtractions
     in the same order as in a full-square update.  The factor is written
-    over a copy of A, column k at step k, and row k's upper part, which no
-    later step reads or updates, is zeroed then.  Raises ValueError when a
-    pivot is not positive (A is not positive definite)."""
-    chol = np.array(A, dtype=np.float64)
+    over A itself, a float64 array, column k at step k, and row k's upper
+    part, which no later step reads or updates, is zeroed then; A is
+    returned.  Raises ValueError when a pivot is not positive (A is not
+    positive definite)."""
+    chol = A
     p = len(chol)
     for k in range(p):
         pivot = chol[k, k]
@@ -291,13 +295,13 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     n, p = X.shape
-    # scaled and shifted in place, so that the Gram and, in _cholesky, its
-    # factor are the only p x p arrays held at once
+    # scaled and shifted in place, so that the Gram and its factor, written
+    # over a copy of it, are the only p x p arrays held at once
     A = X.T @ X
     A /= n
     A.flat[::p + 1] += alpha
     b = (X.T @ y) / n
-    coeffs = _cho_solve(_cholesky(A), b)
+    coeffs = _cho_solve(_cholesky(A.copy()), b)
     residual = float(np.max(np.abs(A @ coeffs - b)))
     scale = float(np.max(np.abs(A)) * max(np.max(np.abs(coeffs)), 1.0)
                   + np.max(np.abs(b)) + 1e-300)

@@ -635,6 +635,11 @@ def test_run_size_beyond_the_address_space_limit_exits_2(tmp_path):
                                "signature": {"trunc_level": 8}, "samples": {"N_test": 1}},
                  2_000_000_000, "the functionals' dense coefficients, 29524 x 9841",
                  id="calibration-dense-coefficients"),
+    pytest.param("calibrate", {"experiment": "heston-calib", "grid": {"n": 9840},
+                               "signature": {"trunc_level": 8}, "samples": {"N_test": 1}},
+                 2_000_000_000,
+                 "the lasso Gram with its active-set factor and columns, 9841 x 29523",
+                 id="calibration-lasso-active-set"),
 ])
 def test_run_size_counts_the_grams_and_dense_coefficients(tmp_path, command, payload,
                                                           address_space, array):
@@ -645,7 +650,10 @@ def test_run_size_counts_the_grams_and_dense_coefficients(tmp_path, command, pay
     # two 0.7 GiB Gram arrays fit) cannot be allocated: the size check names
     # them, where the runs used to end in a MemoryError traceback.  Each
     # solver holds two p x p arrays: at level 5 one 0.65 GiB ridge Gram fits
-    # under 1.2 GB, but the Gram and its Cholesky factor do not
+    # under 1.2 GB, but the Gram and its Cholesky factor do not.  With 9841
+    # training rows the lasso's active set can take all 9841 columns, and its
+    # Gram, factor and active columns (2.2 GiB) are named before the dense
+    # coefficients
     cfg = write_config(tmp_path, "c.json", payload)
     proc = _cli_in_subprocess(command, cfg, address_space=address_space)
     assert proc.returncode == 2, proc.stderr

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import threading
 import time
 import tracemalloc
@@ -150,7 +152,7 @@ def test_run_size_counts_the_pricing_chunks_in_flight(monkeypatch, threads):
     # under a bound between one and two chunks' draws (4 normals per step of
     # 600 paths on 1000 steps: 19.2 MB each), a run on two threads is too
     # large to run, and the message names the draws of the chunks in flight
-    monkeypatch.setattr(experiments, "_pricing_threads", lambda: threads)
+    monkeypatch.setattr(experiments, "_workers", lambda: threads)
     monkeypatch.setattr(experiments, "_memory_bound", lambda: (30 * 10 ** 6, "of a test bound"))
     sizes = dict(grid_n=1000, n_train=1000, n_test=500, n_mc=500)
     assert 2 * experiments._PRICING_CHUNK < sum(sizes.values()) - sizes["grid_n"]
@@ -461,7 +463,7 @@ def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_lev
     total = config.n_train + config.n_test + config.n_mc
     chunks = -(-total // experiments._PRICING_CHUNK)
     assert chunks > 1
-    monkeypatch.setattr(experiments, "_pricing_threads", lambda: 2)
+    monkeypatch.setattr(experiments, "_workers", lambda: 2)
     real = experiments.endpoint_signature_batch
     passes = []  # (thread, gamma); list.append is atomic
 
@@ -502,7 +504,9 @@ def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_lev
 @pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
 def test_calibration_builds_one_driver_batch_per_test_chunk(monkeypatch, experiment):
     # three test chunks, one driver batch each, the widest scheme's: every
-    # scheme's driver names are a prefix of its names
+    # scheme's driver names are a prefix of its names.  One process, so that
+    # every batch is built where it is counted
+    monkeypatch.setattr(experiments, "_workers", lambda: 1)
     config = default_config(experiment, grid_n=20, n_test=2 * experiments._TEST_CHUNK + 1)
     grid = config.grid()
     cols = experiments._simulate_calibration_columns(config, grid, [0])
@@ -522,6 +526,92 @@ def test_calibration_builds_one_driver_batch_per_test_chunk(monkeypatch, experim
     assert [values.shape for values in batches] == [
         (experiments._TEST_CHUNK, config.grid_n // 2 + 1, len(widest))] * 2 + [
         (1, config.grid_n // 2 + 1, len(widest))]
+
+
+def _fanned_out_calibration(monkeypatch, record) -> ExperimentConfig:
+    """A cantor-calib config whose 5 test paths are 3 chunks of 2, on 2
+    processes: the caller scores paths 1-2 and a forked worker paths 3-5.
+    Every test-path simulation, in either process, first calls
+    ``record(indices)``."""
+    monkeypatch.setattr(experiments, "_TEST_CHUNK", 2)
+    monkeypatch.setattr(experiments, "_workers", lambda: 2)
+    real = experiments._simulate_calibration_columns
+
+    def recording(config, grid, indices):
+        if indices[0] != 0:
+            record(indices)
+        return real(config, grid, indices)
+
+    monkeypatch.setattr(experiments, "_simulate_calibration_columns", recording)
+    return default_config("cantor-calib", grid_n=20, n_test=5)
+
+
+def _log_to(path):
+    """A ``record`` that appends (pid, indices, numpy error state) to the
+    file ``path``, whichever process calls it; the lines read back by
+    :func:`_logged`."""
+    def record(indices):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), list(indices), np.geterr()]) + "\n")
+    return record
+
+
+def _logged(path) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def test_calibration_worker_runs_in_the_callers_context(monkeypatch, tmp_path):
+    # numpy's error state is a context variable: the forked worker sees the
+    # caller's, where a fresh process would see numpy's defaults
+    log = tmp_path / "log.jsonl"
+    config = _fanned_out_calibration(monkeypatch, _log_to(log))
+    with np.errstate(all="ignore"):
+        expected = np.geterr()
+        run_calibration(config)
+    assert expected != np.geterr()
+    records = sorted(_logged(log), key=lambda record: record[1])
+    assert [indices for _, indices, _ in records] == [[1, 2], [3, 4, 5]]
+    assert records[0][0] == os.getpid() != records[1][0]
+    assert all(state == expected for _, _, state in records)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failing, message", [((5,), "path 5"), ((2, 5), "path 2")])
+def test_calibration_worker_failure_raises_the_serial_error(monkeypatch, failing, message):
+    # path 5, in the worker's run, fails, or paths 2 and 5 fail, one in each
+    # run: the call raises what one process scoring every path raises, the
+    # first failure in path order, and no worker outlives it
+    def record(indices):
+        bad = [index for index in indices if index in failing]
+        if bad:
+            raise ValueError(f"path {bad[0]}")
+
+    config = _fanned_out_calibration(monkeypatch, record)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_calibration(config)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(experiments, "_workers", lambda: 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_calibration(config)
+
+
+def test_calibration_with_other_threads_runs_in_one_process(monkeypatch, tmp_path):
+    # a fork copies only the calling thread, so a process with another
+    # thread alive scores every test path itself
+    log = tmp_path / "log.jsonl"
+    config = _fanned_out_calibration(monkeypatch, _log_to(log))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        run_calibration(config)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert [(pid, indices) for pid, indices, _ in _logged(log)] == [
+        (os.getpid(), [1, 2, 3, 4, 5])]
 
 
 def test_pricing_builds_one_driver_batch_per_chunk(monkeypatch):
@@ -602,7 +692,7 @@ def test_pricing_peak_memory_over_chunks_in_flight(monkeypatch, experiment, trun
     # counted on the paths in flight.  The feature, statistic and mask rows
     # of the other paths are the result, not working memory, and are taken
     # off the peak
-    monkeypatch.setattr(experiments, "_pricing_threads", lambda: 2)
+    monkeypatch.setattr(experiments, "_workers", lambda: 2)
     chunk = experiments._PRICING_CHUNK
     config = default_config(experiment, grid_n=100, n_train=4 * chunk - 100, n_test=50,
                             n_mc=50, trunc_level=trunc_level)
@@ -624,7 +714,7 @@ def _small_pricing(monkeypatch, threads: int) -> ExperimentConfig:
     """A 200-path pricing config on 3 steps, in 20 chunks of 10 paths on
     ``threads`` threads."""
     monkeypatch.setattr(experiments, "_PRICING_CHUNK", 10)
-    monkeypatch.setattr(experiments, "_pricing_threads", lambda: threads)
+    monkeypatch.setattr(experiments, "_workers", lambda: threads)
     return default_config("heston2-pricing", grid_n=3, n_train=100, n_test=50, n_mc=50)
 
 
@@ -684,7 +774,7 @@ def test_pricing_stats_order_independent_of_finishing_order(monkeypatch):
     # the serial run
     config = _small_pricing(monkeypatch, 1)
     serial = experiments._pricing_features(config)
-    monkeypatch.setattr(experiments, "_pricing_threads", lambda: 2)
+    monkeypatch.setattr(experiments, "_workers", lambda: 2)
     real = experiments._pricing_log_paths
 
     def slow_first(config, indices):

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import sys
 
 import numpy as np
@@ -195,6 +196,32 @@ def test_golden_outputs_independent_of_chunk_sizes(tmp_path, capsys, monkeypatch
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_calibration_outputs_independent_of_workers(tmp_path, capsys, monkeypatch,
+                                                           workers):
+    # in chunks of 2, the 3 test paths of each calibration golden are two
+    # runs on 2 workers: the caller scores paths 1-2 and a forked worker
+    # path 3, each simulating only its own paths, and no worker outlives
+    # the run
+    monkeypatch.setattr(experiments, "_TEST_CHUNK", 2)
+    monkeypatch.setattr(experiments, "_workers", lambda: workers)
+    real = experiments._simulate_calibration_columns
+    simulated = []  # in this process only
+
+    def recording(config, grid, indices):
+        simulated.append(list(indices))
+        return real(config, grid, indices)
+
+    monkeypatch.setattr(experiments, "_simulate_calibration_columns", recording)
+    assert _stamped_digests(tmp_path / "calibrate", "calibrate",
+                            CALIBRATE_CONFIG, seed=1) == CALIBRATE_SHA256
+    assert _stamped_digests(tmp_path / "heston", "calibrate",
+                            HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
+    assert simulated == [[0], [1, 2, 3] if workers == 1 else [1, 2]] * 2
+    assert multiprocessing.active_children() == []
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("chunk, threads", [(13, 1), (13, 2), (13, 4), (600, 1), (600, 2)])
 def test_golden_pricing_outputs_independent_of_threads(tmp_path, capsys, monkeypatch,
                                                        chunk, threads):
@@ -203,7 +230,7 @@ def test_golden_pricing_outputs_independent_of_threads(tmp_path, capsys, monkeyp
     # switch every microsecond instead of every 5 ms, and four of them
     # outnumber the cores, so that a lost or misplaced row write would show
     monkeypatch.setattr(experiments, "_PRICING_CHUNK", chunk)
-    monkeypatch.setattr(experiments, "_pricing_threads", lambda: threads)
+    monkeypatch.setattr(experiments, "_workers", lambda: threads)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

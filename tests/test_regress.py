@@ -501,7 +501,7 @@ def test_cholesky_bits_equal_full_square_update(rng, p):
     # one panel to several, with a short last one
     X = rng.normal(size=(p + 3, p))
     A = X.T @ X / p + 1e-3 * np.eye(p)
-    got = regress._cholesky(A)
+    got = regress._cholesky(A.copy())
     assert np.array_equal(got.view(np.uint64), _full_square_cholesky(A).view(np.uint64))
     assert not np.triu(got, 1).any()
 
@@ -533,6 +533,37 @@ def test_lasso_fit_holds_two_grams(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * p * p * 8
+
+
+def _numpy_buffer_bytes() -> int:
+    """The transient bytes numpy takes beside the result of one
+    fancy-indexed copy: its fixed iteration buffers, whatever the size."""
+    A, index = np.ones((128, 128)), np.arange(128)
+    tracemalloc.start()
+    try:
+        B = A[np.ix_(index, index)]
+        return tracemalloc.get_traced_memory()[1] - B.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_lasso_fit_at_small_alpha_holds_what_the_run_size_model_counts(rng):
+    # at a small alpha the active set grows to all n rows: the homotopy
+    # holds the Gram, one active-set factor (the last piece's is freed
+    # first) and the active columns, p^2 + k^2 + p k values, within the
+    # p (p + 2k) that ExperimentConfig._largest_arrays counts; numpy's fixed
+    # iteration buffers come on top
+    n, p = 80, 105
+    X, y = rng.normal(size=(n, p)), rng.normal(size=n)
+    buffers = _numpy_buffer_bytes()
+    tracemalloc.start()
+    try:
+        fit = lasso_fit(X, y, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(fit.coeffs) == n and fit.diagnostics["converged"]
+    assert peak <= p * (p + 2 * n) * 8 + buffers, (peak, buffers)
 
 
 # ---------------------------------------------------------------------------
