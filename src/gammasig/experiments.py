@@ -18,7 +18,6 @@ the config hash and seed.
 """
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import functools
 import hashlib
@@ -290,11 +289,12 @@ class ExperimentConfig:
         dense functional coefficients (one row per word to the functionals'
         level, one column per functional).  A pricing run's are the draws of
         the chunks in flight (four normals per step for heston2-pricing, two
-        for cantor2-pricing; at most :func:`_workers` chunks of
-        ``_PRICING_CHUNK`` paths), the feature rows of all paths (the two
-        joint rows, to level N over three and six letters) and the ridge Gram
-        of the widest design, the joint left-point row, counted twice: the
-        solver holds the Gram and its Cholesky factor."""
+        for cantor2-pricing; one chunk of ``_PRICING_CHUNK`` paths in each of
+        :func:`_workers` processes, which share the physical memory), the
+        feature rows of all paths (the two joint rows, to level N over three
+        and six letters) and the ridge Gram of the widest design, the joint
+        left-point row, counted twice: the solver holds the Gram and its
+        Cholesky factor."""
         n, N = ("grid.n", self.grid_n), ("signature.trunc_level", self.trunc_level)
         level = self.trunc_level
         heston = self.experiment.startswith("heston")
@@ -540,42 +540,44 @@ def _score_test_paths(config: ExperimentConfig, fits: _Fits, start: int, stop: i
     return {scheme: np.concatenate(rows) for scheme, rows in mses.items()}, trajectory
 
 
-def _score_on_processes(config: ExperimentConfig, fits: _Fits) \
-        -> list[tuple[dict[str, np.ndarray], dict[str, list]]]:
-    """:func:`_score_test_paths` over every test path, in contiguous runs of
-    whole chunks, one run per process, in path order.
+def _on_processes(task: Callable, args: tuple, total: int, chunk: int) -> list:
+    """``task(*args, start, stop)`` over paths ``0 .. total - 1``, in
+    contiguous runs of nearly equal size, one run per process; the results
+    in path order.
 
-    There are :func:`_workers` processes, at most one per chunk: the caller
-    scores the first run, and forked workers score the rest at the same
-    time.  Each process simulates only its own paths, whose draws are their
-    own per-path streams, and every kernel is elementwise per path, so no
-    bit depends on the runs.  The workers are forked, not spawned, because
-    a spawned worker imports numpy and this package afresh on every run;
-    a fork copies only the calling thread, so where the process has other
-    threads (whose locks would stay locked in the child), where ``fork`` is
-    not a start method, or where there is one process or one chunk, the
-    caller scores every path itself.  A worker inherits the caller's
-    context, numpy's error state included.  The first failure in path order
-    is raised, as one process would raise it, once every worker has ended.
+    There are :func:`_workers` processes, at most one per chunk of
+    ``chunk`` paths, and run k of W starts at path ``total * k // W``; a
+    task counts its chunks from its own start, so the runs need not end on
+    chunk boundaries.  The caller runs the first run, and forked workers
+    run the rest at the same time.  Each process simulates only its own
+    paths, whose draws are their own per-path streams, and every kernel is
+    elementwise per path, so no bit depends on the runs.  The workers are
+    forked, not spawned, because a spawned worker imports numpy and this
+    package afresh on every run; a fork copies only the calling thread, so
+    where the process has other threads (whose locks would stay locked in
+    the child), where ``fork`` is not a start method, or where there is one
+    process or one chunk, the caller runs every path itself.  A worker
+    inherits the caller's context, numpy's error state included.  The first
+    failure in path order is raised, as one process would raise it, once
+    every worker has ended.
     """
-    starts = range(0, config.n_test, _TEST_CHUNK)
-    processes = min(_workers(), len(starts))
+    processes = min(_workers(), -(-total // chunk))
     if processes > 1:
         import multiprocessing
         import threading
         if ("fork" not in multiprocessing.get_all_start_methods()
                 or threading.active_count() > 1):
             processes = 1
-    bounds = [starts[len(starts) * k // processes] for k in range(processes)]
-    runs = list(zip(bounds, bounds[1:] + [config.n_test]))
+    bounds = [total * k // processes for k in range(processes + 1)]
+    runs = list(zip(bounds, bounds[1:]))
     if processes == 1:
-        return [_score_test_paths(config, fits, *runs[0])]
+        return [task(*args, *runs[0])]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(processes - 1,
                              mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_score_test_paths, config, fits, *run) for run in runs[1:]]
-        first = _score_test_paths(config, fits, *runs[0])
+        futures = [pool.submit(task, *args, *run) for run in runs[1:]]
+        first = task(*args, *runs[0])
         return [first] + [future.result() for future in futures]
 
 
@@ -589,8 +591,8 @@ def run_calibration(config: ExperimentConfig) -> dict:
     :func:`functional_matrix`, and the in-sample MSE is the lasso's own.  The
     test paths are simulated after the fits, so that the training arrays are
     freed before the run's largest allocation, and are scored in chunks of
-    ``_TEST_CHUNK`` by :func:`_score_test_paths`.  The chunks are split into
-    contiguous runs, one per process (:func:`_score_on_processes`): the
+    ``_TEST_CHUNK`` by :func:`_score_test_paths`.  The test paths are split
+    into contiguous runs, one per process (:func:`_on_processes`): the
     caller scores the first run and forked workers the others, each
     simulating only its own paths, and the per-path MSEs are reduced in
     path order, so the outputs do not depend on the number of processes.
@@ -631,7 +633,7 @@ def run_calibration(config: ExperimentConfig) -> dict:
         fits[scheme] = driver.names, fit
     del train, traj, X_train
 
-    runs = _score_on_processes(config, fits)
+    runs = _on_processes(_score_test_paths, (config, fits), config.n_test, _TEST_CHUNK)
     trajectory = {"t": list(config.test_grid().times), **runs[0][1]}
     report: dict = {
         "experiment": config.experiment,
@@ -688,8 +690,9 @@ _PRICING_CHUNK = 600
 
 
 def _workers() -> int:
-    """Workers of a run: the threads of a pricing run, and so its chunks in
-    flight, and the processes of a calibration's test paths.  Two, or one
+    """Workers of a run: the processes over which :func:`_on_processes`
+    splits a calibration's test paths and a pricing run's paths, and so a
+    pricing run's chunks in flight, one per process.  Two, or one
     where the process may run on one core only (its CPU affinity, or the
     machine's core count where that cannot be read)."""
     try:
@@ -723,32 +726,49 @@ def _family_columns(family: str, scheme: str, N: int) -> tuple[tuple[Word, ...],
             np.array([column for column, _ in kept]))
 
 
-def _pricing_chunk(config: ExperimentConfig, start: int, stop: int,
-                   feats: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Simulate paths ``start..stop-1``, write their rows of each scheme's
-    joint row ``feats`` and return their mask of positive prices and their
-    realized statistics.
+def _pricing_chunk(config: ExperimentConfig, start: int, stop: int) \
+        -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
+    """Simulate paths ``start..stop-1`` and return their rows of each
+    scheme's joint row, their realized statistics and their mask of
+    positive prices.
 
     The chunk builds its bracket block once, for the statistics (its end
     row) and the joint driver (t, x1, x2, [1,1], [1,2], [2,2]), then takes
     one joint end-point pass per scheme over that driver, left-point first,
     with the log-prices and the block freed; the mid-point pass reads its
-    first three columns (t, x1, x2).  Each pass's row [1, level 1, ...,
-    level N] is written in place into the chunk's rows of ``feats``.  From
-    the simulator to the end points, the chunk's arrays are stored paths
-    last, (n+1, L, B), and pass between the layers as (B, n+1, L)
-    transpose views.
+    first three columns (t, x1, x2).  Each pass's row is [1, level 1, ...,
+    level N].  From the simulator to the end points, the chunk's arrays are
+    stored paths last, (n+1, L, B), and pass between the layers as
+    (B, n+1, L) transpose views.
     """
     x, ok = _pricing_log_paths(config, range(start, stop))
     brackets = bracket_columns(x)
     stats = realized_stats_batch(brackets[:, -1])
     values = _driver_values(config.grid().times, [x, brackets])
     del x, brackets  # freed before the passes
+    feats = {}
     for scheme in ("ito", "strat"):
         driver = values[:, :, :_joint_alphabet(scheme).total_letters]
         ends = endpoint_signature_batch(driver, GAMMAS[scheme], config.trunc_level)
-        np.concatenate([np.ones((len(values), 1))] + ends, axis=1, out=feats[scheme][start:stop])
-    return ok, stats
+        feats[scheme] = np.concatenate([np.ones((len(values), 1))] + ends, axis=1)
+    return feats, stats, ok
+
+
+def _joined(parts: Sequence[tuple[dict, dict, np.ndarray]]) \
+        -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
+    """The (joint rows, statistics, mask) of consecutive chunks, each as
+    :func:`_pricing_chunk` returns it, joined in path order."""
+    return ({scheme: np.concatenate([feats[scheme] for feats, _, _ in parts])
+             for scheme in SCHEMES},
+            {key: np.concatenate([stats[key] for _, stats, _ in parts]) for key in parts[0][1]},
+            np.concatenate([ok for _, _, ok in parts]))
+
+
+def _pricing_run(config: ExperimentConfig, start: int, stop: int) -> list[tuple]:
+    """:func:`_pricing_chunk` over paths ``start..stop-1``, in chunks of
+    ``_PRICING_CHUNK`` counted from ``start``, in path order."""
+    return [_pricing_chunk(config, lo, min(lo + _PRICING_CHUNK, stop))
+            for lo in range(start, stop, _PRICING_CHUNK)]
 
 
 def _pricing_features(config: ExperimentConfig) \
@@ -758,41 +778,16 @@ def _pricing_features(config: ExperimentConfig) \
     family's row is its columns of its scheme's joint row
     (:func:`_family_columns`).
 
-    The paths go through :func:`_pricing_chunk` in chunks of
-    ``_PRICING_CHUNK``, on :func:`_workers` threads, so at most that
-    many chunks are in flight; the simulation, the bracket sums and the
-    end-point steps release the interpreter lock, so one chunk's numpy work
-    overlaps the other's Python loops.  Each chunk writes only its own rows
-    of the features, and its mask and statistics are stored in chunk order,
-    so no bit and no key order depends on the threads or their scheduling.
-    Each chunk runs in a copy of the caller's context (numpy's error state
-    included).  A failing chunk cancels the chunks not yet started, and the
-    first failure in chunk order is raised once every started chunk has
-    ended, as a serial loop over the chunks would raise it.
+    The paths are split into contiguous runs, one per process
+    (:func:`_on_processes`): the caller prices the first run and forked
+    workers the others, each through :func:`_pricing_run`, so every
+    process has one chunk in flight.  The chunks' rows, statistics and
+    masks are joined once, in path order, so no bit and no key order
+    depends on the processes.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     total = config.n_train + config.n_test + config.n_mc
-    feats = {scheme: np.empty((total, _row_width(_joint_alphabet(scheme).total_letters,
-                                                 config.trunc_level))) for scheme in SCHEMES}
-    stats: dict[str, np.ndarray] = {}
-    ok_all = np.empty(total, dtype=bool)
-    starts = range(0, total, _PRICING_CHUNK)
-    with ThreadPoolExecutor(_workers()) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, _pricing_chunk, config,
-                               start, min(start + _PRICING_CHUNK, total), feats)
-                   for start in starts]
-        try:
-            for start, future in zip(starts, futures):
-                ok, chunk_stats = future.result()
-                sl = slice(start, start + len(ok))
-                ok_all[sl] = ok
-                for key, arr in chunk_stats.items():
-                    stats.setdefault(key, np.empty(total))[sl] = arr
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return feats, stats, ok_all
+    runs = _on_processes(_pricing_run, (config,), total, _PRICING_CHUNK)
+    return _joined([chunk for run in runs for chunk in run])
 
 
 def run_pricing(config: ExperimentConfig) -> dict:

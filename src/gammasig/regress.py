@@ -134,7 +134,8 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     n, p = X.shape
     gram = X.T @ X
     cols = np.flatnonzero(np.diag(gram) > 0.0)
-    gram = gram[np.ix_(cols, cols)]
+    if len(cols) < p:  # the copy would double the peak where no column is zero
+        gram = gram[np.ix_(cols, cols)]
     c = (X.T @ (y - intercept))[cols]
     words = _default_words(p) if words is None else words
     try:

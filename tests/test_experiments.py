@@ -147,16 +147,17 @@ def test_config_grids():
     assert test.dt == grid.dt
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_run_size_counts_the_pricing_chunks_in_flight(monkeypatch, threads):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_size_counts_the_pricing_chunks_in_flight(monkeypatch, workers):
     # under a bound between one and two chunks' draws (4 normals per step of
-    # 600 paths on 1000 steps: 19.2 MB each), a run on two threads is too
-    # large to run, and the message names the draws of the chunks in flight
-    monkeypatch.setattr(experiments, "_workers", lambda: threads)
+    # 600 paths on 1000 steps: 19.2 MB each), a run on two processes, one
+    # chunk in flight in each, is too large to run, and the message names
+    # the draws of the chunks in flight
+    monkeypatch.setattr(experiments, "_workers", lambda: workers)
     monkeypatch.setattr(experiments, "_memory_bound", lambda: (30 * 10 ** 6, "of a test bound"))
     sizes = dict(grid_n=1000, n_train=1000, n_test=500, n_mc=500)
     assert 2 * experiments._PRICING_CHUNK < sum(sizes.values()) - sizes["grid_n"]
-    if threads == 1:
+    if workers == 1:
         default_config("heston2-pricing", **sizes)
         return
     with pytest.raises(ValueError, match="too large to run with 'grid.n' 1000: the draws "
@@ -454,30 +455,29 @@ def test_run_pricing_output_files(tmp_path):
 
 @pytest.mark.parametrize("trunc_level", [1, 2, 3, 4])
 def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_level):
-    # more paths than one chunk: each chunk takes one ito pass, then one
-    # strat pass, on the thread that runs it, and stores one joint row per
-    # scheme; every family's columns of it equal the pass over the family's
-    # own C-ordered driver, whose words are those of the family's own alphabet
+    # more paths than one chunk: on 2 processes, the features store one
+    # joint row per scheme, and every family's columns of it equal the pass
+    # over the family's own C-ordered driver, whose words are those of the
+    # family's own alphabet.  On one process, where every pass is counted,
+    # each chunk takes one ito pass, then one strat pass
     config = default_config("heston2-pricing", grid_n=3, trunc_level=trunc_level,
                             n_train=1000, n_test=300, n_mc=400)
     total = config.n_train + config.n_test + config.n_mc
     chunks = -(-total // experiments._PRICING_CHUNK)
     assert chunks > 1
     monkeypatch.setattr(experiments, "_workers", lambda: 2)
+    feats, _, _ = experiments._pricing_features(config)
+    monkeypatch.setattr(experiments, "_workers", lambda: 1)
     real = experiments.endpoint_signature_batch
-    passes = []  # (thread, gamma); list.append is atomic
+    passes = []
 
     def counting(values, gamma, level):
-        passes.append((threading.get_ident(), gamma))
+        passes.append(gamma)
         return real(values, gamma, level)
 
     monkeypatch.setattr(experiments, "endpoint_signature_batch", counting)
-    feats, _, _ = experiments._pricing_features(config)
-    assert len(passes) == 2 * chunks
-    for thread in {thread for thread, _ in passes}:
-        # a thread runs its chunks one after another
-        gammas = [gamma for other, gamma in passes if other == thread]
-        assert gammas == [GAMMAS["ito"], GAMMAS["strat"]] * (len(gammas) // 2)
+    experiments._pricing_features(config)
+    assert passes == [GAMMAS["ito"], GAMMAS["strat"]] * chunks
     assert list(feats) == list(SCHEMES)
     for scheme in SCHEMES:
         joint = experiments._joint_alphabet(scheme)
@@ -615,10 +615,11 @@ def test_calibration_with_other_threads_runs_in_one_process(monkeypatch, tmp_pat
 
 
 def test_pricing_builds_one_driver_batch_per_chunk(monkeypatch):
-    # each chunk builds the joint driver (t, x1, x2, [1,1], [1,2], [2,2]) once
-    config = _small_pricing(monkeypatch, 2)
+    # each chunk builds the joint driver (t, x1, x2, [1,1], [1,2], [2,2])
+    # once.  One process, so that every batch is built where it is counted
+    config = _small_pricing(monkeypatch, 1)
     real = experiments._driver_values
-    shapes = []  # list.append is atomic
+    shapes = []
 
     def counting(times, columns):
         values = real(times, columns)
@@ -632,7 +633,9 @@ def test_pricing_builds_one_driver_batch_per_chunk(monkeypatch):
 
 def test_pricing_brackets_once_per_chunk(monkeypatch):
     # each chunk builds its bracket block once, for the statistics and the
-    # left-point pass; the statistics keep the bits of the whole-batch route
+    # left-point pass; the statistics keep the bits of the whole-batch route.
+    # One process, so that every block is built where it is counted
+    monkeypatch.setattr(experiments, "_workers", lambda: 1)
     config = default_config("heston2-pricing", grid_n=3, n_train=1000, n_test=300,
                             n_mc=400)
     total = config.n_train + config.n_test + config.n_mc
@@ -688,10 +691,12 @@ def test_pricing_chunk_peak_memory(experiment, trunc_level, bound):
 @pytest.mark.parametrize("experiment, trunc_level, bound", _PEAK_BOUNDS)
 def test_pricing_peak_memory_over_chunks_in_flight(monkeypatch, experiment, trunc_level,
                                                     bound):
-    # four chunks on two threads: the peak stays within the one-chunk bound,
-    # counted on the paths in flight.  The feature, statistic and mask rows
-    # of the other paths are the result, not working memory, and are taken
-    # off the peak
+    # four chunks on two processes: the caller's peak stays within the
+    # one-chunk bound, counted on the paths in flight in both processes, as
+    # the run-size model counts them; the worker's rows may reach the
+    # caller while its own chunk is in flight.  The feature, statistic and
+    # mask rows of the other paths are the result, not working memory, and
+    # are taken off the peak
     monkeypatch.setattr(experiments, "_workers", lambda: 2)
     chunk = experiments._PRICING_CHUNK
     config = default_config(experiment, grid_n=100, n_train=4 * chunk - 100, n_test=50,
@@ -710,68 +715,97 @@ def test_pricing_peak_memory_over_chunks_in_flight(monkeypatch, experiment, trun
     assert ratio <= bound, ratio
 
 
-def _small_pricing(monkeypatch, threads: int) -> ExperimentConfig:
+def _small_pricing(monkeypatch, workers: int) -> ExperimentConfig:
     """A 200-path pricing config on 3 steps, in 20 chunks of 10 paths on
-    ``threads`` threads."""
+    ``workers`` processes: with 2, the caller prices paths 0-99 and a forked
+    worker paths 100-199."""
     monkeypatch.setattr(experiments, "_PRICING_CHUNK", 10)
-    monkeypatch.setattr(experiments, "_workers", lambda: threads)
+    monkeypatch.setattr(experiments, "_workers", lambda: workers)
     return default_config("heston2-pricing", grid_n=3, n_train=100, n_test=50, n_mc=50)
 
 
-def test_pricing_chunks_run_in_the_callers_context(monkeypatch):
-    # numpy's error state is a context variable: every chunk thread sees the
-    # caller's, where a fresh thread would see numpy's defaults
-    config = _small_pricing(monkeypatch, 2)
+def _fanned_out_pricing(monkeypatch, record, workers: int = 2) -> ExperimentConfig:
+    """:func:`_small_pricing` on ``workers`` processes, whose every chunk
+    simulation, in either process, first calls ``record(indices)``."""
+    config = _small_pricing(monkeypatch, workers)
     real = experiments._pricing_log_paths
-    seen = []
 
     def recording(config, indices):
-        seen.append(np.geterr())
+        record(indices)
         return real(config, indices)
 
     monkeypatch.setattr(experiments, "_pricing_log_paths", recording)
+    return config
+
+
+#: The paths of each chunk of :func:`_small_pricing`, in path order.
+_SMALL_CHUNKS = [list(range(start, start + 10)) for start in range(0, 200, 10)]
+
+
+def test_pricing_chunks_run_in_the_callers_context(monkeypatch, tmp_path):
+    # numpy's error state is a context variable: the forked worker sees the
+    # caller's, where a fresh process would see numpy's defaults
+    log = tmp_path / "log.jsonl"
+    config = _fanned_out_pricing(monkeypatch, _log_to(log))
     with np.errstate(all="ignore"):
         expected = np.geterr()
         experiments._pricing_features(config)
     assert expected != np.geterr()
-    assert len(seen) == 20 and all(state == expected for state in seen)
+    records = sorted(_logged(log), key=lambda record: record[1])
+    assert [indices for _, indices, _ in records] == _SMALL_CHUNKS
+    pids = [pid for pid, _, _ in records]
+    assert pids[:10] == [os.getpid()] * 10
+    assert len(set(pids[10:])) == 1 and pids[10] != os.getpid()
+    assert all(state == expected for _, _, state in records)
+    assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_pricing_chunk_failure_raises_first_in_chunk_order(monkeypatch, threads):
-    # chunk 1 fails at once and chunk 0 later: the call raises chunk 0's
-    # error, as a serial loop would, after cancelling the chunks not yet
-    # started and waiting for the started ones, so no thread outlives it
-    config = _small_pricing(monkeypatch, threads)
-    real = experiments._pricing_log_paths
-    started, ended = [], []
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pricing_chunk_failure_raises_first_in_chunk_order(monkeypatch, workers):
+    # path 100, the worker's first, fails at once, or path 90, the caller's
+    # last, fails, or both: the call raises what one process pricing every
+    # path raises, the first failure in path order, whichever fails first,
+    # and no worker and no thread outlives it
+    failing = []
 
-    def failing(config, indices):
-        started.append(indices[0])
-        try:
-            if indices[0] == 0:
-                time.sleep(0.2)
-                raise ValueError("chunk 0")
-            if indices[0] == 10:
-                raise ValueError("chunk 1")
-            time.sleep(0.05)
-            return real(config, indices)
-        finally:
-            ended.append(indices[0])
+    def record(indices):
+        bad = [index for index in indices if index in failing]
+        if bad:
+            raise ValueError(f"path {bad[0]}")
 
-    monkeypatch.setattr(experiments, "_pricing_log_paths", failing)
+    config = _fanned_out_pricing(monkeypatch, record, workers)
     before = set(threading.enumerate())
-    with pytest.raises(ValueError, match="^chunk 0$"):
+    for paths, message in (((100,), "path 100"), ((90,), "path 90"),
+                           ((90, 100), "path 90")):
+        failing[:] = paths
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            experiments._pricing_features(config)
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == before
+
+
+def test_pricing_with_other_threads_runs_in_one_process(monkeypatch, tmp_path):
+    # a fork copies only the calling thread, so a process with another
+    # thread alive prices every path itself
+    log = tmp_path / "log.jsonl"
+    config = _fanned_out_pricing(monkeypatch, _log_to(log))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
         experiments._pricing_features(config)
-    assert set(threading.enumerate()) == before
-    assert sorted(ended) == sorted(started)
-    assert 0 in started and len(started) < 20
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert [(pid, indices) for pid, indices, _ in _logged(log)] == [
+        (os.getpid(), indices) for indices in _SMALL_CHUNKS]
 
 
 def test_pricing_stats_order_independent_of_finishing_order(monkeypatch):
-    # chunk 0 ends last, yet the statistics (and so the strikes of the
-    # report) keep the key order of realized_stats_batch and the bits of
-    # the serial run
+    # chunk 0 is slowed, so the caller's run ends after the worker's, yet
+    # the statistics (and so the strikes of the report) keep the key order
+    # of realized_stats_batch and the bits of the serial run
     config = _small_pricing(monkeypatch, 1)
     serial = experiments._pricing_features(config)
     monkeypatch.setattr(experiments, "_workers", lambda: 2)

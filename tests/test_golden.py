@@ -56,7 +56,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import sys
 
 import numpy as np
 
@@ -200,9 +199,9 @@ def test_golden_outputs_independent_of_chunk_sizes(tmp_path, capsys, monkeypatch
 def test_golden_calibration_outputs_independent_of_workers(tmp_path, capsys, monkeypatch,
                                                            workers):
     # in chunks of 2, the 3 test paths of each calibration golden are two
-    # runs on 2 workers: the caller scores paths 1-2 and a forked worker
-    # path 3, each simulating only its own paths, and no worker outlives
-    # the run
+    # runs on 2 workers, split at path 3 * 1 // 2, not on a chunk boundary:
+    # the caller scores path 1 and a forked worker paths 2-3, each
+    # simulating only its own paths, and no worker outlives the run
     monkeypatch.setattr(experiments, "_TEST_CHUNK", 2)
     monkeypatch.setattr(experiments, "_workers", lambda: workers)
     real = experiments._simulate_calibration_columns
@@ -217,31 +216,27 @@ def test_golden_calibration_outputs_independent_of_workers(tmp_path, capsys, mon
                             CALIBRATE_CONFIG, seed=1) == CALIBRATE_SHA256
     assert _stamped_digests(tmp_path / "heston", "calibrate",
                             HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
-    assert simulated == [[0], [1, 2, 3] if workers == 1 else [1, 2]] * 2
+    assert simulated == [[0], [1, 2, 3] if workers == 1 else [1]] * 2
     assert multiprocessing.active_children() == []
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("chunk, threads", [(13, 1), (13, 2), (13, 4), (600, 1), (600, 2)])
-def test_golden_pricing_outputs_independent_of_threads(tmp_path, capsys, monkeypatch,
-                                                       chunk, threads):
-    # each chunk writes only its own rows, so the stamped outputs do not
-    # depend on how many chunks are in flight or which ends first; threads
-    # switch every microsecond instead of every 5 ms, and four of them
-    # outnumber the cores, so that a lost or misplaced row write would show
+@pytest.mark.parametrize("chunk, workers", [(13, 1), (13, 2), (13, 4), (600, 1), (600, 2)])
+def test_golden_pricing_outputs_independent_of_workers(tmp_path, capsys, monkeypatch,
+                                                       chunk, workers):
+    # each process prices its own run of paths, in chunks counted from the
+    # run's start, and the runs are joined in path order, so the stamped
+    # outputs do not depend on the chunk size, on how many processes split
+    # the paths or on which ends first; no worker outlives the run
     monkeypatch.setattr(experiments, "_PRICING_CHUNK", chunk)
-    monkeypatch.setattr(experiments, "_workers", lambda: threads)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert _stamped_digests(tmp_path / "price", "price",
-                                PRICE_CONFIG, seed=1) == PRICE_SHA256
-        assert _stamped_digests(tmp_path / "cantor-price", "price",
-                                CANTOR_PRICE_CONFIG, seed=1) == CANTOR_PRICE_SHA256
-        assert _stamped_digests(tmp_path / "deep-price", "price",
-                                DEEP_PRICE_CONFIG, seed=1) == DEEP_PRICE_SHA256
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(experiments, "_workers", lambda: workers)
+    assert _stamped_digests(tmp_path / "price", "price",
+                            PRICE_CONFIG, seed=1) == PRICE_SHA256
+    assert _stamped_digests(tmp_path / "cantor-price", "price",
+                            CANTOR_PRICE_CONFIG, seed=1) == CANTOR_PRICE_SHA256
+    assert _stamped_digests(tmp_path / "deep-price", "price",
+                            DEEP_PRICE_CONFIG, seed=1) == DEEP_PRICE_SHA256
+    assert multiprocessing.active_children() == []
     capsys.readouterr()
 
 

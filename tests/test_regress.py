@@ -521,11 +521,13 @@ def test_ridge_fit_holds_one_gram_and_one_factor(rng):
 
 
 def test_lasso_fit_holds_two_grams(rng):
-    # the Gram's block of nonzero columns is formed while the Gram is alive,
-    # so about two p x p arrays are live at the peak, as the run-size model
-    # counts; an alpha with 51 active columns keeps the homotopy short
+    # with a zero column, the Gram's block of nonzero columns is formed
+    # while the Gram is alive, so about two p x p arrays are live at the
+    # peak, as the run-size model counts; an alpha with 51 active columns
+    # keeps the homotopy short
     n, p = 400, 600
     X, y = rng.normal(size=(n, p)), rng.normal(size=n)
+    X[:, 0] = 0.0
     tracemalloc.start()
     try:
         lasso_fit(X, y, 60.0)
@@ -533,6 +535,23 @@ def test_lasso_fit_holds_two_grams(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * p * p * 8
+
+
+def test_lasso_fit_without_zero_columns_holds_one_gram(rng):
+    # with no zero column the Gram is its own block of nonzero columns and
+    # is not copied: at an alpha past max |2 X'y|, where the homotopy takes
+    # no step, about one p x p array is live at the peak, not two
+    n, p = 400, 600
+    X, y = rng.normal(size=(n, p)), rng.normal(size=n)
+    alpha = 4.0 * float(np.max(np.abs(X.T @ y)))
+    tracemalloc.start()
+    try:
+        fit = lasso_fit(X, y, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not fit.coeffs.any() and fit.diagnostics["n_iter"] == 0
+    assert peak <= 1.25 * p * p * 8, peak / (p * p * 8)
 
 
 def _numpy_buffer_bytes() -> int:
