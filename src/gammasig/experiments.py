@@ -287,14 +287,15 @@ class ExperimentConfig:
         active columns (p x k), counted as p x (p + 2k) for k = min(n + 1, p),
         as many active columns as the training design has rows, and the
         dense functional coefficients (one row per word to the functionals'
-        level, one column per functional).  A pricing run's are the draws of
-        the chunks in flight (four normals per step for heston2-pricing, two
-        for cantor2-pricing; one chunk of ``_PRICING_CHUNK`` paths in each of
+        level, one column per functional).  A pricing run's are the chunk
+        buffers of its processes (:func:`_chunk_values` per path: the joint
+        driver block, or the two-asset Heston simulator's work where more;
+        one buffer of at most ``_PRICING_CHUNK`` paths in each of
         :func:`_workers` processes, which share the physical memory), the
-        feature rows of all paths (the two joint rows, to level N over three
-        and six letters) and the ridge Gram of the widest design, the joint
-        left-point row, counted twice: the solver holds the Gram and its
-        Cholesky factor."""
+        feature rows of all paths (the two
+        joint rows, to level N over three and six letters) and the ridge
+        Gram of the widest design, the joint left-point row, counted twice:
+        the solver holds the Gram and its Cholesky factor."""
         n, N = ("grid.n", self.grid_n), ("signature.trunc_level", self.trunc_level)
         level = self.trunc_level
         heston = self.experiment.startswith("heston")
@@ -318,8 +319,8 @@ class ExperimentConfig:
         samples = (("samples.N_train", self.n_train), ("samples.N_test", self.n_test),
                    ("samples.N_MC", self.n_mc))
         in_flight = min(_workers() * _PRICING_CHUNK, total)
-        return [("the draws of the chunks in flight", (n,),
-                 ((self.grid_n, 1), (2 + 2 * heston, 1), (in_flight, 1))),
+        return [("the chunk buffers of the processes", (n,),
+                 ((_chunk_values(self, 1), 1), (in_flight, 1))),
                 ("the feature rows of all paths", samples + (N,),
                  ((total, 1), (_row_width(3, level) + _row_width(6, level), 1))),
                 ("the ridge Gram", (N,), ((_row_width(6, level), 2), (2, 1)))]
@@ -481,8 +482,7 @@ def _driver_values(times: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarr
     then each of ``columns`` in turn, the paths' own rows (B, n+1) or
     blocks of rows (B, n+1, k), or a column (n+1,) shared by every path
     (the Cantor clock).  The values are a transpose view of a batch-last
-    (n+1, L, B) buffer, the layout of :func:`functional_paths` and
-    :func:`endpoint_signature_batch`."""
+    (n+1, L, B) buffer, the layout of :func:`functional_paths`."""
     blocks = [col if col.ndim == 3 else col[..., None] for col in (times, *columns)]
     shape = (next(len(block) for block in blocks if block.ndim == 3), len(times))
     out = np.empty((len(times), sum(block.shape[-1] for block in blocks), shape[0]))
@@ -663,20 +663,6 @@ def run_calibration(config: ExperimentConfig) -> dict:
 # Pricing
 # ---------------------------------------------------------------------------
 
-def _pricing_log_paths(config: ExperimentConfig, indices: Sequence[int]) \
-        -> tuple[np.ndarray, np.ndarray]:
-    """Simulate a chunk and return (x, ok): shifted log-prices (B, n+1, 2),
-    in the simulator's batch-last layout, and a row mask of paths with
-    strictly positive prices."""
-    simulate = (simulate_heston2_batch if config.experiment == "heston2-pricing"
-                else simulate_cantor_sde_batch)
-    S = simulate(config.model, config.grid(), indices)["S"]
-    ok = np.all(S > 0.0, axis=(1, 2))
-    safe = np.where(S > 0.0, S, 1.0)
-    x = np.log(safe) - np.log(safe[:, :1, :])
-    return x, ok
-
-
 #: Feature family -> the assets it reads, as base letters of the two-asset
 #: alphabet.  A family's features are the end-point signature of (t, its
 #: log-prices) or, in the left-point scheme, of (t, its log-prices, their
@@ -726,31 +712,56 @@ def _family_columns(family: str, scheme: str, N: int) -> tuple[tuple[Word, ...],
             np.array([column for column, _ in kept]))
 
 
-def _pricing_chunk(config: ExperimentConfig, start: int, stop: int) \
+def _chunk_values(config: ExperimentConfig, paths: int) -> int:
+    """The float64 values of the buffer of a pricing chunk of ``paths``
+    paths: its joint driver block, 6 x (n+1) per path, or, where more, the
+    8n per path that :func:`simulate_heston2_batch` works in (the
+    Cantor-clock simulator needs 2(2n+1), which the block holds)."""
+    values = 6 * (config.grid_n + 1)
+    if config.experiment == "heston2-pricing":
+        values = max(values, 8 * config.grid_n)
+    return values * paths
+
+
+def _pricing_chunk(config: ExperimentConfig, start: int, stop: int, buffer: np.ndarray) \
         -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
     """Simulate paths ``start..stop-1`` and return their rows of each
     scheme's joint row, their realized statistics and their mask of
-    positive prices.
+    positive prices, none of them a view of ``buffer``.
 
-    The chunk builds its bracket block once, for the statistics (its end
-    row) and the joint driver (t, x1, x2, [1,1], [1,2], [2,2]), then takes
-    one joint end-point pass per scheme over that driver, left-point first,
-    with the log-prices and the block freed; the mid-point pass reads its
-    first three columns (t, x1, x2).  Each pass's row is [1, level 1, ...,
-    level N].  From the simulator to the end points, the chunk's arrays are
-    stored paths last, (n+1, L, B), and pass between the layers as
-    (B, n+1, L) transpose views.
+    The chunk works in the leading :func:`_chunk_values` values of the
+    process's flat float64 ``buffer``, whose first 6 x (n+1) x B values
+    hold the joint driver (t, x1, x2, [1,1], [1,2], [2,2]), one column
+    after another, each stored paths last, (n+1, B), and viewed as
+    (B, n+1, 6).  The simulator draws, correlates and steps the paths in
+    the buffer and leaves the prices in its last 2(n+1)B values, at or
+    beyond the bracket columns, so the shifted log-prices can be written
+    into the columns x1, x2 straight from them (a path with a non-positive
+    price is masked out, its prices read as 1 first).  Then the time
+    column, and the bracket columns, whose end row gives the statistics,
+    are written in place.  Every column of the block is rewritten by each
+    chunk.  One joint end-point pass per scheme reads the block, left-point
+    first; the mid-point pass reads its first three columns (t, x1, x2).
+    Each pass's row is [1, level 1, ..., level N].
     """
-    x, ok = _pricing_log_paths(config, range(start, stop))
-    brackets = bracket_columns(x)
-    stats = realized_stats_batch(brackets[:, -1])
-    values = _driver_values(config.grid().times, [x, brackets])
-    del x, brackets  # freed before the passes
+    paths, n = stop - start, config.grid_n
+    simulate = (simulate_heston2_batch if config.experiment == "heston2-pricing"
+                else simulate_cantor_sde_batch)
+    S = simulate(config.model, config.grid(), range(start, stop),
+                 out=buffer[:_chunk_values(config, paths)])["S"]
+    positive = S > 0.0
+    ok = np.all(positive, axis=(1, 2))
+    np.copyto(S, 1.0, where=~positive)
+    values = buffer[:6 * (n + 1) * paths].reshape(6, n + 1, paths).transpose(2, 1, 0)
+    x = np.log(S, out=values[:, :, 1:3])
+    x -= np.log(S[:, :1])
+    values[:, :, 0] = config.grid().times
+    stats = realized_stats_batch(bracket_columns(x, out=values[:, :, 3:])[:, -1])
     feats = {}
     for scheme in ("ito", "strat"):
         driver = values[:, :, :_joint_alphabet(scheme).total_letters]
         ends = endpoint_signature_batch(driver, GAMMAS[scheme], config.trunc_level)
-        feats[scheme] = np.concatenate([np.ones((len(values), 1))] + ends, axis=1)
+        feats[scheme] = np.concatenate([np.ones((paths, 1))] + ends, axis=1)
     return feats, stats, ok
 
 
@@ -766,8 +777,12 @@ def _joined(parts: Sequence[tuple[dict, dict, np.ndarray]]) \
 
 def _pricing_run(config: ExperimentConfig, start: int, stop: int) -> list[tuple]:
     """:func:`_pricing_chunk` over paths ``start..stop-1``, in chunks of
-    ``_PRICING_CHUNK`` counted from ``start``, in path order."""
-    return [_pricing_chunk(config, lo, min(lo + _PRICING_CHUNK, stop))
+    ``_PRICING_CHUNK`` counted from ``start``, in path order.  The process
+    allocates one chunk buffer for the run, sized for its longest chunk
+    (:func:`_chunk_values`), and every chunk works in it: the chunks' memory
+    is not freed and faulted in again from one chunk to the next."""
+    buffer = np.empty(_chunk_values(config, min(_PRICING_CHUNK, stop - start)))
+    return [_pricing_chunk(config, lo, min(lo + _PRICING_CHUNK, stop), buffer)
             for lo in range(start, stop, _PRICING_CHUNK)]
 
 

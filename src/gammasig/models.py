@@ -12,6 +12,8 @@ Euler kernel with one row per path; a two-asset price or variance has shape
 in C order, and returned as transpose views of that buffer: every Euler
 step reads its drivers as one contiguous (A, B) block and advances one
 running state (A, B) of contiguous vectors over paths, an asset per row.
+The two-asset simulators also work in a caller's flat buffer ``out``, and
+then return the prices alone.
 """
 from __future__ import annotations
 
@@ -255,13 +257,20 @@ def cantor_function(x, depth: int = 40):
 # Heston simulators
 # ---------------------------------------------------------------------------
 
-def _stack_draws(grid: SimGrid, path_indices: Sequence[int], width: int) -> np.ndarray:
-    """Standard normals (n, width, B), paths last; column b is the first
+def _tail(out: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The trailing values of a flat buffer ``out`` as an array of ``shape``."""
+    return out[out.size - int(np.prod(shape)):].reshape(shape)
+
+
+def _stack_draws(grid: SimGrid, path_indices: Sequence[int], width: int, *,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals (n, width, B), paths last, written into ``out``
+    where given, an (n, width, B) float64 array; column b is the first
     ``(n, width)`` draws of ``path_rng(master_seed, path_indices[b])``.  One
     Philox is re-keyed per path instead of a generator being built per path:
     a fresh stream is its key with a zero counter and an empty buffer, which
     is the state set here."""
-    draws = np.empty((grid.n, width, len(path_indices)))
+    draws = np.empty((grid.n, width, len(path_indices))) if out is None else out
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
@@ -273,25 +282,27 @@ def _stack_draws(grid: SimGrid, path_indices: Sequence[int], width: int) -> np.n
 
 
 def _heston_sv(params: Sequence[HestonParams], dt: float, d_price: np.ndarray,
-               d_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               d_var: np.ndarray, S: np.ndarray, V: np.ndarray | None) -> None:
     """Full-truncation Euler of a batch of Heston assets, ``params[i]`` for
-    asset i: price S and variance V of shape (n+1, A, B) from price and
-    variance driver increments of shape (n, A, B).  The running state has
-    shape (A, B), each asset's parameters a column."""
+    asset i: writes the price into S and, unless V is None, the variance
+    into V, both of shape (n+1, A, B), from price and variance driver
+    increments of shape (n, A, B).  The running state has shape (A, B),
+    each asset's parameters a column."""
     n, A, B = d_price.shape
     s0, v0, mu, kappa, theta, sigma = (
         np.array([[getattr(p, name)] for p in params])
         for name in ("s0", "v0", "mu", "kappa", "theta", "sigma"))
-    S = np.empty((n + 1, A, B))
-    V = np.empty((n + 1, A, B))
     s, v = np.repeat(s0, B, axis=1), np.repeat(v0, B, axis=1)
-    S[0], V[0] = s, v
+    S[0] = s
+    if V is not None:
+        V[0] = v
     for k in range(n):
         sqv = np.sqrt(v)  # v is already floored at 0
         s = s + mu * s * dt + s * sqv * d_price[k]
         v = np.maximum(v + kappa * (theta - v) * dt + sigma * sqv * d_var[k], 0.0)
-        S[k + 1], V[k + 1] = s, v
-    return S, V
+        S[k + 1] = s
+        if V is not None:
+            V[k + 1] = v
 
 
 def _heston_euler(params: HestonParams, grid: SimGrid,
@@ -300,8 +311,11 @@ def _heston_euler(params: HestonParams, grid: SimGrid,
     n, _, B = z.shape
     sqdt = np.sqrt(grid.dt)
     rho = params.rho
-    S, V = _heston_sv((params,), grid.dt, sqdt * z[:, :1],
-                      sqdt * (rho * z[:, :1] + np.sqrt(1.0 - rho * rho) * z[:, 1:]))
+    d_price = sqdt * z[:, :1]
+    d_var = sqdt * (rho * z[:, :1] + np.sqrt(1.0 - rho * rho) * z[:, 1:])
+    S, V = np.empty((n + 1, 1, B)), np.empty((n + 1, 1, B))
+    _heston_sv((params,), grid.dt, d_price, d_var, S, V)
+    del d_price, d_var  # freed before the drivers are recovered
     S, V = S[:, 0], V[:, 0]
     # driver recovery from the simulated series: dW_Q = dS/(S*sqrt(V)),
     # dB_Q = dV/(sigma*sqrt(V)), left-point S and V, degenerate steps skipped
@@ -340,38 +354,74 @@ def simulate_heston_batch(params: HestonParams, grid: SimGrid,
     return _heston_euler(params, grid, _stack_draws(grid, path_indices, 2))
 
 
-def _heston2_euler(params: Heston2Params, grid: SimGrid,
-                   z: np.ndarray) -> dict[str, np.ndarray]:
-    """z has shape (n, 4, B); driver order (B1, B2, W1, W2)."""
+def _heston2_euler(params: Heston2Params, grid: SimGrid, z: np.ndarray, *,
+                   out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """z has shape (n, 4, B); driver order (B1, B2, W1, W2).  Returns "S"
+    and "V" in new arrays, or, where ``out`` is given, a flat buffer of at
+    least 2(3n + 1)B values whose first 4nB z does not overlap, "S" alone:
+    the correlated increments (n, 4, B) take those first 4nB values, and
+    the prices the last 2(n+1)B, over z once it is read."""
+    n, _, B = z.shape
+    if out is None:
+        dD, S, V = np.empty_like(z), np.empty((n + 1, 2, B)), np.empty((n + 1, 2, B))
+    else:
+        dD, S, V = out[:4 * n * B].reshape(n, 4, B), _tail(out, (n + 1, 2, B)), None
     L = _corr_factor(params.corr_matrix)
     # dD_j = sum_k L[j, k] z_k, summed in the fixed order (k0 + k2) + (k1 + k3)
-    dD = np.empty_like(z)
     for j in range(4):
         dD[:, j] = (L[j, 0] * z[:, 0] + L[j, 2] * z[:, 2]) \
             + (L[j, 1] * z[:, 1] + L[j, 3] * z[:, 3])
     dD *= np.sqrt(grid.dt)
     # price drivers B^i, variance drivers W^i
-    S, V = _heston_sv((params.asset1, params.asset2), grid.dt, dD[:, :2], dD[:, 2:])
-    return {"S": S.transpose(2, 0, 1), "V": V.transpose(2, 0, 1)}
+    _heston_sv((params.asset1, params.asset2), grid.dt, dD[:, :2], dD[:, 2:], S, V)
+    result = {"S": S.transpose(2, 0, 1)}
+    if V is not None:
+        result["V"] = V.transpose(2, 0, 1)
+    return result
+
+
+def _flat(out: np.ndarray, size: int) -> None:
+    """Check that ``out`` is a flat C-contiguous float64 array of at least
+    ``size`` values, so that its reshaped slices are views of it."""
+    if (not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.ndim != 1
+            or not out.flags.c_contiguous or out.size < size):
+        raise ValueError(f"'out' must be a flat C-contiguous float64 array of at least "
+                         f"{size} values")
 
 
 def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
-                           path_indices: Sequence[int]) -> dict[str, np.ndarray]:
+                           path_indices: Sequence[int], *,
+                           out: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Two-asset Heston paths, one row per entry of ``path_indices``: prices
-    "S" and variances "V" of shape (B, n+1, 2), asset i in ``[..., i]``."""
-    return _heston2_euler(params, grid, _stack_draws(grid, path_indices, 4))
+    "S" and variances "V" of shape (B, n+1, 2), asset i in ``[..., i]``.
+
+    Where ``out`` is given, a flat C-contiguous float64 buffer of at least
+    8nB values, the draws (in its last 4nB values), the correlated
+    increments (in its first 4nB) and the prices are written into it, no
+    variance history is stored, and the result holds "S" alone, a view of
+    the last 2(n+1)B values of ``out``; the rest of ``out`` is scratch, free
+    again once the call returns."""
+    if out is None:
+        return _heston2_euler(params, grid, _stack_draws(grid, path_indices, 4))
+    n, B = grid.n, len(path_indices)
+    _flat(out, 8 * n * B)
+    z = _stack_draws(grid, path_indices, 4, out=_tail(out, (n, 4, B)))
+    return _heston2_euler(params, grid, z, out=out)
 
 
 # ---------------------------------------------------------------------------
 # Cantor-clock SDE
 # ---------------------------------------------------------------------------
 
-def _cantor_euler(params: CantorParams, grid: SimGrid,
-                  z: np.ndarray) -> dict[str, np.ndarray]:
+def _cantor_euler(params: CantorParams, grid: SimGrid, z: np.ndarray, *,
+                  out: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Euler of the Cantor-clock SDE for a batch from standard normals z of
-    shape (n, A, B), A = len(params.s0); a second asset's row of z is
-    correlated with the first in place.  The running state has shape
-    (A, B), each asset a row, as in :func:`_heston_sv`."""
+    shape (n, A, B), A = len(params.s0); z is turned into the increments of
+    W_C in place, a second asset's row correlated with the first.  The
+    running state has shape (A, B), each asset a row, as in
+    :func:`_heston_sv`.  Returns "S", "W_C" and "C" in new arrays, or,
+    where ``out`` is given, a flat buffer whose last (n+1)AB values z does
+    not overlap, "S" alone, in those values."""
     n, A, B = z.shape
     if grid.T > 1.0:
         raise ValueError("Cantor clock is defined on [0, 1]; need T <= 1")
@@ -379,19 +429,24 @@ def _cantor_euler(params: CantorParams, grid: SimGrid,
     dC = np.clip(np.diff(C), 0.0, None)
     if A == 2:
         rho = params.rho
-        z[:, 1] = rho * z[:, 0] + np.sqrt(1.0 - rho * rho) * z[:, 1]
-    dWC = np.sqrt(dC)[:, None, None] * z
-    S = np.empty((n + 1, A, B))
+        z[:, 1] *= np.sqrt(1.0 - rho * rho)
+        z[:, 1] += rho * z[:, 0]
+    z *= np.sqrt(dC)[:, None, None]
+    S = np.empty((n + 1, A, B)) if out is None else _tail(out, (n + 1, A, B))
     s = np.repeat(np.array(params.s0)[:, None], B, axis=1)
     S[0] = s
     for k in range(n):
-        s = s + params.vol(s) * dWC[k]
+        s = s + params.vol(s) * z[k]
         S[k + 1] = s
-    return {"S": S.transpose(2, 0, 1), "W_C": cumsum0(dWC).transpose(2, 0, 1), "C": C}
+    result = {"S": S.transpose(2, 0, 1)}
+    if out is None:
+        result.update(W_C=cumsum0(z).transpose(2, 0, 1), C=C)
+    return result
 
 
 def simulate_cantor_sde_batch(params: CantorParams, grid: SimGrid,
-                              path_indices: Sequence[int]) -> dict[str, np.ndarray]:
+                              path_indices: Sequence[int], *,
+                              out: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Cantor-clock paths, one row per entry of ``path_indices``: "S" and
     "W_C" of shape (B, n+1, A), with A = len(params.s0) assets (1 or 2), and
     the shared clock "C" of shape (n+1,).
@@ -401,8 +456,19 @@ def simulate_cantor_sde_batch(params: CantorParams, grid: SimGrid,
     in the refinement limit).  Increments of W_C are N(0, dC), correlated
     across assets by rho; prices follow the Euler step
     S_{k+1} = S_k + sigma(S_k) * dW_C.
+
+    Where ``out`` is given, a flat C-contiguous float64 buffer of at least
+    (2n + 1)AB values, the draws (in its first nAB values) and the prices
+    are written into it, W_C is not accumulated, and the result holds "S"
+    alone, a view of the last (n+1)AB values of ``out``; the rest of
+    ``out`` is scratch, free again once the call returns.
     """
     A = len(params.s0)
     if A not in (1, 2):
         raise ValueError(f"the Cantor-clock SDE has 1 or 2 assets, params carry {A}")
-    return _cantor_euler(params, grid, _stack_draws(grid, path_indices, A))
+    if out is None:
+        return _cantor_euler(params, grid, _stack_draws(grid, path_indices, A))
+    n, B = grid.n, len(path_indices)
+    _flat(out, (2 * n + 1) * A * B)
+    z = _stack_draws(grid, path_indices, A, out=out[:n * A * B].reshape(n, A, B))
+    return _cantor_euler(params, grid, z, out=out)

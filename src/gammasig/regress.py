@@ -93,7 +93,10 @@ def _validate_design(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 #: A lasso fit has converged when no single coordinate update (the soft-
 #: threshold step of coordinate descent) would move its coefficient by more
-#: than this: the KKT conditions at ``alpha/2``, in coefficient units.
+#: than this times the largest coefficient: the KKT conditions at
+#: ``alpha/2``, relative to the fit's own scale, so that scaling y and alpha
+#: together scales the fit and keeps its verdict.  A zero fit has converged
+#: only where no update would move it at all.
 _KKT_TOL = 1e-10
 
 #: A column joins the active set only when its Cholesky pivot against the
@@ -124,9 +127,10 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
     steps (the linear pieces), and a capped fit returns the point on the path
     where it stopped; ``diagnostics["n_iter"]`` counts them and
     ``diagnostics["converged"]`` reports whether the KKT conditions hold
-    within ``_KKT_TOL``.  ``intercept`` is subtracted from y before fitting
-    and stored for :func:`predict`; it is neither fitted nor penalized.  A
-    solve on collinear active columns raises a ``ValueError`` naming them.
+    within ``_KKT_TOL`` times max|beta|.  ``intercept`` is subtracted from y
+    before fitting and stored for :func:`predict`; it is neither fitted nor
+    penalized.  A solve on collinear active columns raises a ``ValueError``
+    naming them.
     """
     X, y = _validate_design(X, y)
     if alpha < 0:
@@ -148,7 +152,8 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, alpha: float,
             "so the active-set solve is singular") from None
     beta = np.zeros(p)
     beta[cols] = beta_cols
-    converged = _kkt_violation(gram, c, beta_cols, 0.5 * alpha) <= _KKT_TOL
+    converged = (_kkt_violation(gram, c, beta_cols, 0.5 * alpha)
+                 <= _KKT_TOL * np.max(np.abs(beta), initial=0.0))
     return RegressionFit(
         words=words, coeffs=beta,
         intercept=float(intercept), alpha=float(alpha), objective_kind="lasso-sum",

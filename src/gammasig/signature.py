@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 
-def cumsum0(increments: np.ndarray) -> np.ndarray:
+def cumsum0(increments: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative sum along the leading axis, time in the (n, ..., B) arrays
     of the batched callers, with a leading zero, accumulated in extended
     precision and cast back to float64.
@@ -85,14 +85,20 @@ def cumsum0(increments: np.ndarray) -> np.ndarray:
     levels, which :func:`_levels` sums in the same way window by window:
     entry k is the sequential sum of the first k increments, whatever the
     memory layout, and the sums are cast straight into the one float64
-    output.
+    output.  That output is ``out`` where given, a float64 array of shape
+    (n+1, ...) in any memory layout, which is returned; otherwise a new
+    array in the layout of ``increments``.
     """
     # summed in place in one extended-precision copy: a cumsum that casts
     # as it reads buffers a second one
     total = np.array(increments, dtype=np.longdouble)
     np.cumsum(total, axis=0, out=total)
-    return np.concatenate([np.zeros((1,) + total.shape[1:]), total],
-                          dtype=np.float64, casting="same_kind")
+    if out is None:
+        return np.concatenate([np.zeros((1,) + total.shape[1:]), total],
+                              dtype=np.float64, casting="same_kind")
+    out[0] = 0.0
+    np.copyto(out[1:], total, casting="same_kind")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,23 +165,35 @@ def _batch_last(values: np.ndarray) -> np.ndarray:
     return values.transpose(1, 2, 0)
 
 
-def bracket_columns(values: np.ndarray) -> np.ndarray:
+def bracket_columns(values: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative Follmer sums sum_k dX^i_k dX^j_k of a batch of paths.
 
-    ``values`` has shape (B, n+1, d); returns (B, n+1, d(d+1)/2), a
-    transpose view of a batch-last buffer, with columns in the bracket order
-    (1,1),(1,2),..,(d,d) and a zero first row.  Each pair is accumulated on
-    its own, so no d-column extended-precision temporary is formed.
+    ``values`` has shape (B, n+1, d); returns (B, n+1, d(d+1)/2), with
+    columns in the bracket order (1,1),(1,2),..,(d,d) and a zero first row:
+    ``out`` where given, a float64 array of that shape in any memory layout
+    (a transpose view of batch-last memory writes each column's rows
+    contiguously), or else a transpose view of a new batch-last buffer.
+    The increments dX^i are formed in the rows of column (i,i), each cross
+    product in its own column before the squares overwrite them, and each
+    column is accumulated on its own by :func:`cumsum0`, so neither the
+    increments nor a d-column extended-precision sum take memory of their
+    own.
     """
     values = _batch_last(values)
     n_plus_1, d, B = values.shape
-    # increments stored in C order: every step is one contiguous (d, B) block
-    dX = np.subtract(values[1:], values[:-1], out=np.empty_like(values[1:], order="C"))
     pairs = bracket_pairs(d)
-    out = np.empty((n_plus_1, len(pairs), B))
-    for p, (i, j) in enumerate(pairs):
-        out[:, p] = cumsum0(dX[:, i] * dX[:, j])
-    return out.transpose(2, 0, 1)
+    block = (np.empty((n_plus_1, len(pairs), B)) if out is None
+             else out.transpose(1, 2, 0))
+    steps = block[1:]
+    diagonal = [pairs.index((i, i)) for i in range(d)]
+    for i, p in enumerate(diagonal):
+        np.subtract(values[1:, i], values[:-1, i], out=steps[:, p])
+    # the cross brackets first: a square overwrites the increments it reads
+    for p in [p for p, (i, j) in enumerate(pairs) if i != j] + diagonal:
+        i, j = pairs[p]
+        np.multiply(steps[:, diagonal[i]], steps[:, diagonal[j]], out=steps[:, p])
+        cumsum0(steps[:, p], out=block[:, p])
+    return block.transpose(2, 0, 1)
 
 
 def quadratic_variation(path: SamplePath, gamma: float) -> np.ndarray:

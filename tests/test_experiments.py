@@ -32,6 +32,7 @@ from gammasig import (
     run_pricing,
 )
 from gammasig.experiments import GAMMAS, SCHEMES
+from gammasig.models import simulate_cantor_sde_batch, simulate_heston2_batch
 from gammasig.signature import bracket_columns
 
 ALL_IDS = ("heston-calib", "cantor-calib", "heston2-pricing",
@@ -149,19 +150,20 @@ def test_config_grids():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_size_counts_the_pricing_chunks_in_flight(monkeypatch, workers):
-    # under a bound between one and two chunks' draws (4 normals per step of
-    # 600 paths on 1000 steps: 19.2 MB each), a run on two processes, one
-    # chunk in flight in each, is too large to run, and the message names
-    # the draws of the chunks in flight
+    # under a bound between one and two chunk buffers (600 paths on 1000
+    # steps, 8 values per step and path, where the two-asset Heston
+    # simulator works: 38.4 MB each), a run on two processes, one buffer in
+    # each, is too large to run, and the message names the chunk buffers of
+    # the processes
     monkeypatch.setattr(experiments, "_workers", lambda: workers)
-    monkeypatch.setattr(experiments, "_memory_bound", lambda: (30 * 10 ** 6, "of a test bound"))
+    monkeypatch.setattr(experiments, "_memory_bound", lambda: (50 * 10 ** 6, "of a test bound"))
     sizes = dict(grid_n=1000, n_train=1000, n_test=500, n_mc=500)
     assert 2 * experiments._PRICING_CHUNK < sum(sizes.values()) - sizes["grid_n"]
     if workers == 1:
         default_config("heston2-pricing", **sizes)
         return
-    with pytest.raises(ValueError, match="too large to run with 'grid.n' 1000: the draws "
-                                         "of the chunks in flight, 1000 x 4 x 1200"):
+    with pytest.raises(ValueError, match="too large to run with 'grid.n' 1000: the chunk "
+                                         "buffers of the processes, 8000 x 1200"):
         default_config("heston2-pricing", **sizes)
 
 
@@ -483,7 +485,7 @@ def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_lev
         joint = experiments._joint_alphabet(scheme)
         assert feats[scheme].shape == (total, len(enumerate_words(joint, trunc_level)))
 
-    x, _ = experiments._pricing_log_paths(config, range(total))
+    x, _ = _log_paths(config, range(total))
     times = np.broadcast_to(config.grid().times, x.shape[:2])[:, :, None]
     for family, assets in experiments._PRICING_FAMILIES.items():
         sub = x[:, :, [a - 1 for a in assets]]
@@ -615,26 +617,79 @@ def test_calibration_with_other_threads_runs_in_one_process(monkeypatch, tmp_pat
 
 
 def test_pricing_builds_one_driver_batch_per_chunk(monkeypatch):
-    # each chunk builds the joint driver (t, x1, x2, [1,1], [1,2], [2,2])
-    # once.  One process, so that every batch is built where it is counted
+    # each chunk writes the joint driver (t, x1, x2, [1,1], [1,2], [2,2])
+    # once, into the one buffer of its process, and both passes read that
+    # block: the left-point pass whole, the mid-point pass its first three
+    # columns.  Its values are the bits of the driver built from the
+    # simulator's own arrays.  One process, so that every batch is read
+    # where it is counted
     config = _small_pricing(monkeypatch, 1)
-    real = experiments._driver_values
-    shapes = []
+    real = experiments.endpoint_signature_batch
+    passes = []
 
-    def counting(times, columns):
-        values = real(times, columns)
-        shapes.append(values.shape)
-        return values
+    def counting(values, gamma, level):
+        passes.append((values.shape, values.__array_interface__["data"][0], values.copy()))
+        return real(values, gamma, level)
 
-    monkeypatch.setattr(experiments, "_driver_values", counting)
+    monkeypatch.setattr(experiments, "endpoint_signature_batch", counting)
     experiments._pricing_features(config)
-    assert shapes == [(10, config.grid_n + 1, 6)] * 20
+    assert [shape for shape, _, _ in passes] == [
+        (10, config.grid_n + 1, 6), (10, config.grid_n + 1, 3)] * 20
+    assert len({address for _, address, _ in passes}) == 1
+    x, _ = _log_paths(config, range(200))
+    times = np.broadcast_to(config.grid().times, (10, config.grid_n + 1))[:, :, None]
+    for chunk, lo in enumerate(range(0, 200, 10)):
+        sub = x[lo:lo + 10]
+        driver = np.concatenate([times, sub, bracket_columns(sub)], axis=2)
+        for (_, _, values), letters in zip(passes[2 * chunk:2 * chunk + 2], (6, 3)):
+            assert np.array_equal(values.view(np.uint64),
+                                  driver[:, :, :letters].view(np.uint64)), chunk
+
+
+def test_pricing_chunks_equal_their_paths_priced_alone(monkeypatch):
+    # one process walks 25 paths in chunks of 7, 7, 7 and a short last 4,
+    # many of them rejected for a non-positive price: every chunk's rows,
+    # statistics and mask keep the bits of its paths priced alone in a run
+    # of their own, so no chunk reads a value that an earlier one left.
+    # Every np.empty of the experiments module is filled with NaN, so that a
+    # value no chunk writes shows as a non-finite row
+    class PoisonedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(*args, **kwargs):
+            array = np.empty(*args, **kwargs)
+            array.fill(np.nan)
+            return array
+
+    monkeypatch.setattr(experiments, "np", PoisonedNumpy())
+    monkeypatch.setattr(experiments, "_PRICING_CHUNK", 7)
+    monkeypatch.setattr(experiments, "_workers", lambda: 1)
+    config = default_config("cantor2-pricing", grid_n=4, n_train=10, n_test=6, n_mc=9,
+                            model=CantorParams(s0=(100.0, 80.0), vol_kind="linear",
+                                               nu=(1.5, 1.5), rho=0.6))
+    feats, stats, ok = experiments._pricing_features(config)
+    bounds = [(lo, min(lo + 7, 25)) for lo in range(0, 25, 7)]
+    assert bounds[-1] == (21, 25)
+    # a chunk follows one with a rejected path, and a chunk keeps a path
+    assert not ok[:7].all() and ok.any()
+    assert all(np.isfinite(rows).all() for rows in feats.values())
+    for lo, hi in bounds:
+        [(alone_feats, alone_stats, alone_ok)] = experiments._pricing_run(config, lo, hi)
+        assert np.array_equal(ok[lo:hi], alone_ok), lo
+        for got, want in ((feats, alone_feats), (stats, alone_stats)):
+            assert sorted(want) == sorted(got)
+            for key in want:
+                assert np.array_equal(got[key][lo:hi].view(np.uint64),
+                                      want[key].view(np.uint64)), (lo, key)
 
 
 def test_pricing_brackets_once_per_chunk(monkeypatch):
-    # each chunk builds its bracket block once, for the statistics and the
-    # left-point pass; the statistics keep the bits of the whole-batch route.
-    # One process, so that every block is built where it is counted
+    # each chunk builds its bracket block once, into its driver block, for
+    # the statistics and the left-point pass; the statistics keep the bits
+    # of the whole-batch route.  One process, so that every block is built
+    # where it is counted
     monkeypatch.setattr(experiments, "_workers", lambda: 1)
     config = default_config("heston2-pricing", grid_n=3, n_train=1000, n_test=300,
                             n_mc=400)
@@ -644,14 +699,14 @@ def test_pricing_brackets_once_per_chunk(monkeypatch):
     real = experiments.bracket_columns
     shapes = []
 
-    def counting(values):
+    def counting(values, **kwargs):
         shapes.append(values.shape)
-        return real(values)
+        return real(values, **kwargs)
 
     monkeypatch.setattr(experiments, "bracket_columns", counting)
     _, stats, _ = experiments._pricing_features(config)
     assert len(shapes) == chunks
-    x, _ = experiments._pricing_log_paths(config, range(total))
+    x, _ = _log_paths(config, range(total))
     expected = experiments.realized_stats_batch(real(x)[:, -1])
     assert list(stats) == list(expected)
     for key, arr in expected.items():
@@ -715,6 +770,17 @@ def test_pricing_peak_memory_over_chunks_in_flight(monkeypatch, experiment, trun
     assert ratio <= bound, ratio
 
 
+def _log_paths(config: ExperimentConfig, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The shifted log-prices (B, n+1, 2) of paths ``indices`` and their
+    mask of positive prices, from the simulator's own arrays (a non-positive
+    price read as 1): what a pricing chunk writes into its driver block."""
+    simulate = (simulate_heston2_batch if config.experiment == "heston2-pricing"
+                else simulate_cantor_sde_batch)
+    S = simulate(config.model, config.grid(), indices)["S"]
+    safe = np.where(S > 0.0, S, 1.0)
+    return np.log(safe) - np.log(safe[:, :1, :]), np.all(S > 0.0, axis=(1, 2))
+
+
 def _small_pricing(monkeypatch, workers: int) -> ExperimentConfig:
     """A 200-path pricing config on 3 steps, in 20 chunks of 10 paths on
     ``workers`` processes: with 2, the caller prices paths 0-99 and a forked
@@ -725,16 +791,16 @@ def _small_pricing(monkeypatch, workers: int) -> ExperimentConfig:
 
 
 def _fanned_out_pricing(monkeypatch, record, workers: int = 2) -> ExperimentConfig:
-    """:func:`_small_pricing` on ``workers`` processes, whose every chunk
-    simulation, in either process, first calls ``record(indices)``."""
+    """:func:`_small_pricing` on ``workers`` processes, whose every chunk,
+    in either process, first calls ``record(indices)`` on its paths."""
     config = _small_pricing(monkeypatch, workers)
-    real = experiments._pricing_log_paths
+    real = experiments._pricing_chunk
 
-    def recording(config, indices):
-        record(indices)
-        return real(config, indices)
+    def recording(config, start, stop, buffer):
+        record(range(start, stop))
+        return real(config, start, stop, buffer)
 
-    monkeypatch.setattr(experiments, "_pricing_log_paths", recording)
+    monkeypatch.setattr(experiments, "_pricing_chunk", recording)
     return config
 
 
@@ -809,16 +875,16 @@ def test_pricing_stats_order_independent_of_finishing_order(monkeypatch):
     config = _small_pricing(monkeypatch, 1)
     serial = experiments._pricing_features(config)
     monkeypatch.setattr(experiments, "_workers", lambda: 2)
-    real = experiments._pricing_log_paths
+    real = experiments._pricing_chunk
 
-    def slow_first(config, indices):
-        if indices[0] == 0:
+    def slow_first(config, start, stop, buffer):
+        if start == 0:
             time.sleep(0.2)
-        return real(config, indices)
+        return real(config, start, stop, buffer)
 
-    monkeypatch.setattr(experiments, "_pricing_log_paths", slow_first)
+    monkeypatch.setattr(experiments, "_pricing_chunk", slow_first)
     feats, stats, ok = experiments._pricing_features(config)
-    x, _ = real(config, range(10))
+    x, _ = _log_paths(config, range(10))
     expected = list(experiments.realized_stats_batch(bracket_columns(x)[:, -1]))
     assert list(stats) == list(serial[1]) == expected
     for got, want in ((feats, serial[0]), (stats, serial[1])):

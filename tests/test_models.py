@@ -513,3 +513,29 @@ def test_simulator_rows_equal_in_one_batch_and_in_chunks(simulate, params):
         assert joined.shape == arr.shape == (len(indices),) + arr.shape[1:], name
         assert np.array_equal(np.ascontiguousarray(joined).view(np.uint8),
                               np.ascontiguousarray(arr).view(np.uint8)), name
+
+
+@pytest.mark.parametrize("simulate, params, size", [
+    (simulate_heston2_batch, heston2_params(), lambda n: 8 * n),
+    (simulate_cantor_sde_batch, CantorParams(s0=(1.0, 2.0), vol_kind="linear",
+                                             nu=(0.2, 0.3), rho=0.6),
+     lambda n: 2 * (2 * n + 1)),
+], ids=["heston2", "cantor2"])
+def test_two_asset_simulators_write_prices_into_out(simulate, params, size):
+    # in a flat buffer of the documented size (values per path), the prices
+    # keep the bits of the simulator's own arrays and are a view of the
+    # buffer's tail; nothing else is returned, and a buffer one value short
+    # is refused before anything is drawn
+    grid = SimGrid(T=1.0, n=25, master_seed=11)
+    indices = [4, 0, 9, 2, 7]
+    expected = simulate(params, grid, indices)["S"]
+    out = np.full(size(grid.n) * len(indices), np.nan)
+    got = simulate(params, grid, indices, out=out)
+    assert list(got) == ["S"]
+    S = got["S"]
+    assert S.shape == expected.shape == (len(indices), grid.n + 1, 2)
+    assert np.array_equal(S.view(np.uint64), expected.view(np.uint64))
+    tail = out[out.size - S.size:].reshape(grid.n + 1, 2, len(indices))
+    assert np.shares_memory(S, out) and np.array_equal(tail.transpose(2, 0, 1), S)
+    with pytest.raises(ValueError, match="'out' must be a flat C-contiguous float64 array"):
+        simulate(params, grid, indices, out=out[1:])

@@ -487,6 +487,32 @@ def test_batch_kernels_bits_equal_for_c_order_and_batch_last_views(rng, alphabet
                         (B, gamma, N, len(ells))
 
 
+def test_cumsum0_and_bracket_columns_accumulate_into_out(rng):
+    # each bracket column is the running sum of its pair's increment
+    # products, whatever the order the columns are formed in.  Given memory
+    # of any layout (here a strided column block of a batch-last buffer,
+    # filled with NaN) receives the bits the allocating call returns, and
+    # is what the call returns
+    for d in (1, 2, 3):
+        values = np.cumsum(rng.normal(size=(3, 12, d)), axis=1)
+        dX = np.diff(values, axis=1)
+        expected = np.stack([cumsum0((dX[:, :, i] * dX[:, :, j]).T).T
+                             for i in range(d) for j in range(i, d)], axis=2)
+        assert np.array_equal(_bits(bracket_columns(values)), _bits(expected)), d
+    B, n, d = 4, 30, 2
+    values = np.cumsum(rng.normal(size=(B, n + 1, d)), axis=1)
+    block = np.full((n + 1, 6, B), np.nan)
+    out = block[:, 3:].transpose(2, 0, 1)
+    got = bracket_columns(values, out=out)
+    assert np.shares_memory(got, block) and got.shape == out.shape
+    assert np.array_equal(_bits(got), _bits(bracket_columns(values)))
+    assert np.isnan(block[:, :3]).all()
+    increments = rng.normal(size=(n, 3, B))
+    view = np.full((n + 1, 3, B), np.nan)[:, ::-1]
+    assert cumsum0(increments, out=view) is view
+    assert np.array_equal(_bits(view), _bits(cumsum0(increments)))
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_level_one_is_the_increment_and_level_two_reads_its_gamma_points(rng, L):
     # level 1 telescopes to X - X_0, one subtraction; the level-2 step and
