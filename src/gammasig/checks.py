@@ -292,6 +292,10 @@ def _signature_refinement_order(fault: str | None) -> CheckResult:
 # models
 # ---------------------------------------------------------------------------
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def _models_determinism(fault: str | None) -> CheckResult:
     heston = HestonParams(1.0, 0.08, 0.001, 0.5, 0.15, 0.25, -0.5)
     grid = SimGrid(1.0, 64, 42)
@@ -317,7 +321,22 @@ def _models_determinism(fault: str | None) -> CheckResult:
     p2 = models.simulate_heston2_batch(h2, grid, [0, 2])
     if not all(np.array_equal(p2[name][1], p1[name][0]) for name in p1):
         return False, "two-asset Heston path depends on batch composition"
-    return True, "per-path streams: repeat/batch/order all bit-identical"
+    # each simulator's out= route against its allocating route
+    n = grid.n
+    into = models.simulate_heston_batch(heston, grid, [5, 3, 9], out=np.empty(6 * (n + 1)))
+    if not all(_same_bits(into[name], batch[name]) for name in ("S", "V")):
+        return False, "Heston S or V written into 'out' differs from the allocating call"
+    buffer = np.empty(2 * (2 * n + 1))
+    into = models.simulate_cantor_sde_batch(cantor, grid, [8, 7], out=buffer)
+    W_C = signature.cumsum0(buffer[:2 * n].reshape(n, 1, 2)).transpose(2, 0, 1)
+    if not (_same_bits(into["S"], c2["S"]) and _same_bits(W_C, c2["W_C"])):
+        return False, ("Cantor S or the W_C increments written into 'out' differ from "
+                       "the allocating call")
+    into = models.simulate_heston2_batch(h2, grid, [0, 2], out=np.empty(16 * n))
+    if not _same_bits(into["S"], p2["S"]):
+        return False, "two-asset Heston S written into 'out' differs from the allocating call"
+    return True, ("per-path streams: repeat/batch/order all bit-identical; every "
+                  "simulator's out= route has the bits of its allocating route")
 
 
 def _models_heston_positivity(fault: str | None) -> CheckResult:

@@ -36,6 +36,8 @@ from .models import (
     Heston2Params,
     HestonParams,
     SimGrid,
+    cantor_function,
+    heston_drivers,
     simulate_cantor_sde_batch,
     simulate_heston2_batch,
     simulate_heston_batch,
@@ -46,6 +48,7 @@ from .signature import (
     SamplePath,
     augment_path,
     bracket_columns,
+    cumsum0,
     endpoint_signature_batch,
     functional_matrix,
     functional_paths,
@@ -279,8 +282,9 @@ class ExperimentConfig:
         """The largest float64 arrays of a run, sized from the config alone,
         as :func:`check_array_size` arguments.  A calibration's are its
         training signature trajectory (three letters to level N, N + 1 for
-        heston-calib) and the draws of all its test paths (which bound any
-        one process's share), the largest of their columns, the largest of
+        heston-calib), the test buffers of its processes
+        (:func:`_test_values` over all test paths, and one driver block in
+        each of the processes that score them), the largest of
         its schemes' lasso Grams (two p x p arrays for p functionals: the
         solver forms the Gram's block of nonzero columns while the Gram is
         alive), that Gram beside the homotopy's active-set factor (k x k) and
@@ -306,10 +310,12 @@ class ExperimentConfig:
             letters, top, p = max(schemes, key=lambda s: _row_width(s[0], s[1]) * s[2])
             widest = max(s[2] for s in schemes)
             active = min(self.grid_n + 1, widest)
+            simulated, block = _test_values(self, self.n_test)
+            processes = min(_workers(), -(-self.n_test // _TEST_CHUNK))
             return [("the training signature trajectory", (n, N),
                      ((self.grid_n + 1, 1), (3, level + heston))),
-                    ("the test paths' draws", (n, ("samples.N_test", self.n_test)),
-                     ((self.grid_n // 2, 1), (1 + heston, 1), (self.n_test, 1))),
+                    ("the test buffers of the processes", (n, ("samples.N_test", self.n_test)),
+                     ((simulated + processes * block, 1),)),
                     ("the lasso Gram", (N,), ((widest, 2), (2, 1))),
                     ("the lasso Gram with its active-set factor and columns", (n, N),
                      ((widest, 1), (widest + 2 * active, 1))),
@@ -395,7 +401,8 @@ class _SchemePlan:
     """How one scheme turns row b of the simulated columns into regression
     features: ``driver(times, columns, b)`` builds the path whose signature
     is paired with the functionals.  Its column names ("t", a simulated
-    column, or the shared clock "C") also lay out the batched test paths.
+    column, or the shared clock "C") are the leading columns that the
+    scheme reads of each test chunk's driver block.
     The scheme's gamma is ``GAMMAS[scheme]`` and its signature level the
     functionals' ``trunc_level``."""
 
@@ -477,21 +484,20 @@ def _simulate_calibration_columns(config: ExperimentConfig, grid: SimGrid,
     return {"S": res["S"][:, :, 0], "W_C": res["W_C"][:, :, 0], "C": res["C"]}
 
 
-def _driver_values(times: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Driver values (B, n+1, L) of a batch of paths: the grid ``times``,
-    then each of ``columns`` in turn, the paths' own rows (B, n+1) or
-    blocks of rows (B, n+1, k), or a column (n+1,) shared by every path
-    (the Cantor clock).  The values are a transpose view of a batch-last
-    (n+1, L, B) buffer, the layout of :func:`functional_paths`."""
-    blocks = [col if col.ndim == 3 else col[..., None] for col in (times, *columns)]
-    shape = (next(len(block) for block in blocks if block.ndim == 3), len(times))
-    out = np.empty((len(times), sum(block.shape[-1] for block in blocks), shape[0]))
-    return np.concatenate([np.broadcast_to(block, shape + block.shape[-1:]) for block in blocks],
-                          axis=2, out=out.transpose(2, 0, 1))
-
-
 #: Test paths per batched signature pass of a calibration.
 _TEST_CHUNK = 100
+
+
+def _test_values(config: ExperimentConfig, paths: int) -> tuple[int, int]:
+    """The float64 values of a calibration process's test buffer for a run
+    of ``paths`` test paths, m = n // 2 steps each: the simulator's, 2(m+1)
+    per path for heston-calib (prices and variances) or 2m + 1 for
+    cantor-calib (the increments of W_C and the prices), and the driver
+    block that every chunk reuses, (m+1) x 3 x min(``_TEST_CHUNK``, paths)
+    for the widest driver's three columns."""
+    m = config.grid_n // 2
+    per_path = 2 * (m + 1) if config.experiment == "heston-calib" else 2 * m + 1
+    return per_path * paths, (m + 1) * 3 * min(_TEST_CHUNK, paths)
 
 
 def _fold(coeffs: np.ndarray, functionals: Sequence[TensorPoly]) -> TensorPoly:
@@ -512,29 +518,53 @@ def _score_test_paths(config: ExperimentConfig, fits: _Fits, start: int, stop: i
     path order, and, where ``start`` is 0, the first test path's target and
     each scheme's prediction of it, as trajectory columns.
 
-    The paths are simulated in one batch and paired in chunks of
-    ``_TEST_CHUNK``, counted from ``start``.  Each chunk builds one driver
-    batch, the widest scheme's; every scheme's driver names are a prefix of
-    its names, so each scheme pairs its leading columns through
-    :func:`functional_paths` on its folded fit sum_j beta_j f_j, and each
-    chunk is scored by one row-wise :func:`mse` per scheme."""
+    The process allocates one flat float64 buffer (:func:`_test_values`)
+    and simulates its paths into it once, through the simulator's ``out``:
+    Heston's prices and variances, or the Cantor-clock prices and the
+    increments of W_C.  The paths are paired in chunks of ``_TEST_CHUNK``,
+    counted from ``start``.  Each chunk writes its driver block into the
+    buffer's tail, (n+1, 3, B) paths last, viewed as (B, n+1, 3): the time
+    column, then W_Q and B_Q, recovered by :func:`heston_drivers`, or W_C,
+    summed from its increments by :func:`cumsum0`, and the clock C.  Every
+    scheme's driver names are a prefix of those columns, so each scheme
+    pairs its leading columns through :func:`functional_paths` on its
+    folded fit sum_j beta_j f_j, and each chunk is scored by one row-wise
+    :func:`mse` per scheme."""
     plans = _calibration_plans(config)
     grid = config.test_grid()
-    test = _simulate_calibration_columns(config, grid, range(start + 1, stop + 1))
-    widest = max((names for names, _ in fits.values()), key=len)
+    n, paths = grid.n, stop - start
+    heston = config.experiment == "heston-calib"
+    simulated, block = _test_values(config, paths)
+    buffer = np.empty(simulated + block)
+    indices = range(start + 1, stop + 1)
+    if heston:
+        test = simulate_heston_batch(config.model, grid, indices, out=buffer[:simulated])
+        S = test["S"]
+    else:
+        S = simulate_cantor_sde_batch(config.model, grid, indices,
+                                      out=buffer[:simulated])["S"][:, :, 0]
+        increments = buffer[:n * paths].reshape(n, paths)
+        clock = cantor_function(grid.times, config.model.cantor_depth)
     ells = {scheme: _fold(fit.coeffs, plans[scheme].functionals)
             for scheme, (_, fit) in fits.items()}
     mses: dict[str, list] = {scheme: [] for scheme in SCHEMES}
-    trajectory = {"target": test["S"][0].tolist()} if start == 0 else {}
-    for lo in range(0, stop - start, _TEST_CHUNK):
-        chunk = {name: col if col.ndim == 1 else col[lo:lo + _TEST_CHUNK]
-                 for name, col in test.items()}
-        values = _driver_values(grid.times, [chunk[name] for name in widest[1:]])
+    trajectory = {"target": S[0].tolist()} if start == 0 else {}
+    for lo in range(0, paths, _TEST_CHUNK):
+        hi = min(lo + _TEST_CHUNK, paths)
+        values = buffer[simulated:simulated + (n + 1) * 3 * (hi - lo)] \
+            .reshape(n + 1, 3, hi - lo).transpose(2, 0, 1)
+        values[:, :, 0] = grid.times
+        if heston:
+            heston_drivers(S[lo:hi], test["V"][lo:hi], config.model.sigma,
+                           out=values[:, :, 1:])
+        else:
+            cumsum0(increments[:, lo:hi], out=values[:, :, 1].T)
+            values[:, :, 2] = clock
         for scheme in SCHEMES:
             names, fit = fits[scheme]
             pred = fit.intercept + functional_paths(
                 values[:, :, :len(names)], GAMMAS[scheme], [ells[scheme]])[..., 0]
-            mses[scheme].append(mse(pred, chunk["S"]))
+            mses[scheme].append(mse(pred, S[lo:hi]))
             if start == lo == 0:
                 trajectory[f"pred_{scheme}"] = pred[0].tolist()
     return {scheme: np.concatenate(rows) for scheme, rows in mses.items()}, trajectory

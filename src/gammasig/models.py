@@ -12,8 +12,9 @@ Euler kernel with one row per path; a two-asset price or variance has shape
 in C order, and returned as transpose views of that buffer: every Euler
 step reads its drivers as one contiguous (A, B) block and advances one
 running state (A, B) of contiguous vectors over paths, an asset per row.
-The two-asset simulators also work in a caller's flat buffer ``out``, and
-then return the prices alone.
+Every simulator also works in a caller's flat buffer ``out``, and then
+returns the prices (and Heston's variances) alone; :func:`heston_drivers`
+recovers the Heston drivers from those, any slice of paths at a time.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ __all__ = [
     "CantorParams",
     "path_rng",
     "cantor_function",
+    "heston_drivers",
     "simulate_heston_batch",
     "simulate_heston2_batch",
     "simulate_cantor_sde_batch",
@@ -287,7 +289,9 @@ def _heston_sv(params: Sequence[HestonParams], dt: float, d_price: np.ndarray,
     asset i: writes the price into S and, unless V is None, the variance
     into V, both of shape (n+1, A, B), from price and variance driver
     increments of shape (n, A, B).  The running state has shape (A, B),
-    each asset's parameters a column."""
+    each asset's parameters a column.  Step k reads its increments before it
+    writes row k+1, so ``S[1:]`` and ``V[1:]`` may be the increments' own
+    memory."""
     n, A, B = d_price.shape
     s0, v0, mu, kappa, theta, sigma = (
         np.array([[getattr(p, name)] for p in params])
@@ -305,53 +309,106 @@ def _heston_sv(params: Sequence[HestonParams], dt: float, d_price: np.ndarray,
             V[k + 1] = v
 
 
-def _heston_euler(params: HestonParams, grid: SimGrid,
-                  z: np.ndarray) -> dict[str, np.ndarray]:
-    """Full-truncation Euler for a batch; z has shape (n, 2, B)."""
+#: Time steps per block of the in-place Heston correlation: its temporary
+#: rho * z_0 holds one block, not the whole batch.
+_CORRELATION_STEPS = 64
+
+
+def _heston_euler(params: HestonParams, grid: SimGrid, z: np.ndarray, *,
+                  out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Full-truncation Euler for a batch from standard normals z of shape
+    (n, 2, B), turned into the price and variance increments in place:
+    z_1 <- (c z_1) + (rho z_0), c = sqrt(1 - rho**2), then z <- z sqrt(dt),
+    which has the bits of sqrt(dt) (rho z_0 + c z_1).  Returns "S" and "V"
+    in new (n+1, B) buffers with the drivers that :func:`heston_drivers`
+    recovers from them, or, where ``out`` is given, an (n+1, 2, B) array
+    whose rows 1..n are z, "S" and "V" alone, written over z into its
+    columns 0 and 1."""
     n, _, B = z.shape
-    sqdt = np.sqrt(grid.dt)
     rho = params.rho
-    d_price = sqdt * z[:, :1]
-    d_var = sqdt * (rho * z[:, :1] + np.sqrt(1.0 - rho * rho) * z[:, 1:])
-    S, V = np.empty((n + 1, 1, B)), np.empty((n + 1, 1, B))
-    _heston_sv((params,), grid.dt, d_price, d_var, S, V)
-    del d_price, d_var  # freed before the drivers are recovered
-    S, V = S[:, 0], V[:, 0]
-    # driver recovery from the simulated series: dW_Q = dS/(S*sqrt(V)),
-    # dB_Q = dV/(sigma*sqrt(V)), left-point S and V, degenerate steps skipped
+    c = np.sqrt(1.0 - rho * rho)
+    for lo in range(0, n, _CORRELATION_STEPS):
+        steps = slice(lo, lo + _CORRELATION_STEPS)
+        z[steps, 1] *= c
+        z[steps, 1] += rho * z[steps, 0]
+    z *= np.sqrt(grid.dt)
+    if out is None:
+        S, V = np.empty((n + 1, 1, B)), np.empty((n + 1, 1, B))
+    else:
+        S, V = out[:, :1], out[:, 1:]
+    _heston_sv((params,), grid.dt, z[:, :1], z[:, 1:], S, V)
+    result = {"S": S[:, 0].T, "V": V[:, 0].T}
+    if out is None:
+        del z  # freed before the drivers are recovered
+        result.update(heston_drivers(result["S"], result["V"], params.sigma))
+    return result
+
+
+def heston_drivers(S: np.ndarray, V: np.ndarray, sigma: float, *,
+                   out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """The drivers recovered from Heston prices S and variances V of shape
+    (B, n+1), in any memory layout: "W_Q" and "B_Q" of shape (B, n+1) and
+    "degenerate_steps" of shape (B,).
+
+    dW_Q = dS/(S*sqrt(V)) and dB_Q = dV/(sigma*sqrt(V)), left-point S and V;
+    a step with sqrt(V) <= ``SQRT_V_FLOOR`` is skipped (zero increment) and
+    counted, and at sigma = 0 every variance step is degenerate and B_Q is
+    0.  A path's drivers are a function of its own rows alone, so any slice
+    of a batch's paths gets the bits of the whole batch.  Where ``out`` is
+    given, a float64 array of shape (B, n+1, 2) in any memory layout, W_Q
+    and B_Q are written into ``out[..., 0]`` and ``out[..., 1]`` and
+    returned as views of it; otherwise they are transpose views of new
+    (n+1, B) buffers."""
+    S, V = np.asarray(S).T, np.asarray(V).T
+    n, B = S.shape[0] - 1, S.shape[1]
+    W_out, B_out = (None, None) if out is None else (out[..., 0].T, out[..., 1].T)
     safe = np.sqrt(V[:-1])
     deg = safe <= SQRT_V_FLOOR
     safe[deg] = 1.0
     d = np.diff(S, axis=0)
     d /= S[:-1] * safe
     d[deg] = 0.0
-    W_Q = cumsum0(d)
-    if params.sigma > 0.0:
-        safe *= params.sigma
+    W_Q = cumsum0(d, out=W_out)
+    if sigma > 0.0:
+        safe *= sigma
         d = np.divide(np.diff(V, axis=0), safe, out=safe)
         d[deg] = 0.0
         deg_count = deg.sum(axis=0)
     else:
         d.fill(0.0)
         deg_count = np.full(B, n)
-    return {"S": S.T, "V": V.T, "W_Q": W_Q.T, "B_Q": cumsum0(d).T,
-            "degenerate_steps": deg_count}
+    return {"W_Q": W_Q.T, "B_Q": cumsum0(d, out=B_out).T, "degenerate_steps": deg_count}
 
 
 def simulate_heston_batch(params: HestonParams, grid: SimGrid,
-                          path_indices: Sequence[int]) -> dict[str, np.ndarray]:
+                          path_indices: Sequence[int], *,
+                          out: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Heston paths, one row per entry of ``path_indices``: "S", "V", "W_Q",
     "B_Q" of shape (B, n+1), transpose views of (n+1, B) buffers, and
     "degenerate_steps" of shape (B,).
 
-    W_Q, B_Q are the drivers recovered from the simulated series by dW_Q =
-    dS/(S*sqrt(V)), dB_Q = dV/(sigma*sqrt(V)) (left-point evaluation), with
-    degenerate steps (sqrt(V) <= 1e-12) skipped, carried forward, and counted
-    in "degenerate_steps".  The input drivers are not returned; row b draws
-    them from the first ``(n, 2)`` standard normals of
-    ``path_rng(master_seed, path_indices[b])``.
+    W_Q, B_Q are the drivers that :func:`heston_drivers` recovers from the
+    simulated series by dW_Q = dS/(S*sqrt(V)), dB_Q = dV/(sigma*sqrt(V))
+    (left-point evaluation), with degenerate steps (sqrt(V) <= 1e-12)
+    skipped, carried forward, and counted in "degenerate_steps".  The input
+    drivers are not returned; row b draws them from the first ``(n, 2)``
+    standard normals of ``path_rng(master_seed, path_indices[b])``.
+
+    Where ``out`` is given, a flat C-contiguous float64 buffer of at least
+    2(n+1)B values, its leading 2(n+1)B values are viewed as (n+1, 2, B):
+    the draws go to rows 1..n, are correlated and scaled there, and each
+    Euler step writes its price and variance into row k+1 over the
+    increments it has read, so the result holds "S" and "V" alone, the
+    transposes of that view's columns 0 and 1, with the bits of the
+    allocating call; the drivers are not recovered.
     """
-    return _heston_euler(params, grid, _stack_draws(grid, path_indices, 2))
+    if out is None:
+        return _heston_euler(params, grid, _stack_draws(grid, path_indices, 2))
+    n, B = grid.n, len(path_indices)
+    _flat(out, 2 * (n + 1) * B)
+    rows = out[:2 * (n + 1) * B].reshape(n + 1, 2, B)
+    return _heston_euler(params, grid, _stack_draws(grid, path_indices, 2, out=rows[1:]),
+                         out=rows)
 
 
 def _heston2_euler(params: Heston2Params, grid: SimGrid, z: np.ndarray, *,
@@ -460,8 +517,10 @@ def simulate_cantor_sde_batch(params: CantorParams, grid: SimGrid,
     Where ``out`` is given, a flat C-contiguous float64 buffer of at least
     (2n + 1)AB values, the draws (in its first nAB values) and the prices
     are written into it, W_C is not accumulated, and the result holds "S"
-    alone, a view of the last (n+1)AB values of ``out``; the rest of
-    ``out`` is scratch, free again once the call returns.
+    alone, a view of the last (n+1)AB values of ``out``.  When the call
+    returns, the first nAB values of ``out``, viewed as (n, A, B), hold the
+    increments of W_C, whose :func:`cumsum0` along the first axis is W_C;
+    the rest of ``out`` is scratch.
     """
     A = len(params.s0)
     if A not in (1, 2):

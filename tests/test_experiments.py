@@ -505,46 +505,88 @@ def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_lev
 
 @pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
 def test_calibration_builds_one_driver_batch_per_test_chunk(monkeypatch, experiment):
-    # three test chunks, one driver batch each, the widest scheme's: every
-    # scheme's driver names are a prefix of its names.  One process, so that
-    # every batch is built where it is counted
+    # three test chunks, one driver block each, written into the same tail
+    # of the process's buffer: every scheme reads its leading columns, the
+    # prefix that its driver names take of the widest driver's.  The block
+    # holds the bits of each path's own driver, built from the allocating
+    # simulator's arrays.  One process, so that every block is read where it
+    # is counted
     monkeypatch.setattr(experiments, "_workers", lambda: 1)
     config = default_config(experiment, grid_n=20, n_test=2 * experiments._TEST_CHUNK + 1)
-    grid = config.grid()
-    cols = experiments._simulate_calibration_columns(config, grid, [0])
-    names = [plan.driver(grid.times, cols, 0).names
-             for plan in experiments._calibration_plans(config).values()]
-    widest = max(names, key=len)
-    assert all(widest[:len(scheme)] == scheme for scheme in names)
-    real = experiments._driver_values
-    batches = []
+    grid = config.test_grid()
+    test = experiments._simulate_calibration_columns(
+        config, grid, range(1, config.n_test + 1))
+    plans = experiments._calibration_plans(config)
+    names = {scheme: plan.driver(grid.times, test, 0).names for scheme, plan in plans.items()}
+    widest = max(names.values(), key=len)
+    assert len(widest) == 3 and all(widest[:len(n)] == n for n in names.values())
+    real = experiments.functional_paths
+    blocks = []
 
-    def counting(times, columns):
-        batches.append(real(times, columns))
-        return batches[-1]
+    def recording(values, gamma, ells):
+        scheme = next(s for s in SCHEMES if GAMMAS[s] == gamma)
+        blocks.append((scheme, values.__array_interface__["data"][0], values.copy()))
+        return real(values, gamma, ells)
 
-    monkeypatch.setattr(experiments, "_driver_values", counting)
+    monkeypatch.setattr(experiments, "functional_paths", recording)
     run_calibration(config)
-    assert [values.shape for values in batches] == [
-        (experiments._TEST_CHUNK, config.grid_n // 2 + 1, len(widest))] * 2 + [
-        (1, config.grid_n // 2 + 1, len(widest))]
+    sizes = [experiments._TEST_CHUNK] * 2 + [1]
+    assert [(scheme, values.shape) for scheme, _, values in blocks] == [
+        (scheme, (size, grid.n + 1, len(names[scheme])))
+        for size in sizes for scheme in SCHEMES]
+    assert len({address for _, address, _ in blocks}) == 1
+    starts = np.repeat(np.cumsum([0] + sizes[:-1]), len(SCHEMES))
+    for (scheme, _, values), start in zip(blocks, starts):
+        for b, path in enumerate(values, start):
+            expected = plans[scheme].driver(grid.times, test, b).values
+            assert np.array_equal(path.view(np.uint64), expected.view(np.uint64)), \
+                (scheme, b)
+
+
+@pytest.mark.parametrize("experiment, bound", [("heston-calib", 4.5), ("cantor-calib", 4.0)])
+def test_calibration_test_run_peak_memory(monkeypatch, experiment, bound):
+    # one process scores all 1000 test paths of 101 points, 10 chunks: the
+    # tracemalloc peak of its run, in units of one float64 series per test
+    # path.  The run's buffer holds 2 series for heston-calib (prices and
+    # variances) or about 2 for cantor-calib (the increments of W_C and the
+    # prices) and a driver block of 0.3; the rest is one chunk's pairing.
+    # Simulating every column of the run at once, and building each chunk's
+    # drivers from them, read 9.11 and 5.00
+    peaks = []
+
+    def measured(task, args, total, chunk):
+        tracemalloc.start()
+        try:
+            result = task(*args, 0, total)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return [result]
+
+    monkeypatch.setattr(experiments, "_on_processes", measured)
+    config = default_config(experiment, grid_n=200, n_test=1000)
+    assert config.n_test == 10 * experiments._TEST_CHUNK
+    run_calibration(config)
+    ratio = peaks[0] / ((config.grid_n // 2 + 1) * config.n_test * 8)
+    assert ratio <= bound, ratio
 
 
 def _fanned_out_calibration(monkeypatch, record) -> ExperimentConfig:
     """A cantor-calib config whose 5 test paths are 3 chunks of 2, on 2
     processes: the caller scores paths 1-2 and a forked worker paths 3-5.
     Every test-path simulation, in either process, first calls
-    ``record(indices)``."""
+    ``record(indices)``; each is a simulation into its process's buffer."""
     monkeypatch.setattr(experiments, "_TEST_CHUNK", 2)
     monkeypatch.setattr(experiments, "_workers", lambda: 2)
-    real = experiments._simulate_calibration_columns
+    real = experiments.simulate_cantor_sde_batch
 
-    def recording(config, grid, indices):
+    def recording(params, grid, indices, **kwargs):
         if indices[0] != 0:
+            assert set(kwargs) == {"out"}
             record(indices)
-        return real(config, grid, indices)
+        return real(params, grid, indices, **kwargs)
 
-    monkeypatch.setattr(experiments, "_simulate_calibration_columns", recording)
+    monkeypatch.setattr(experiments, "simulate_cantor_sde_batch", recording)
     return default_config("cantor-calib", grid_n=20, n_test=5)
 
 

@@ -201,22 +201,25 @@ def test_golden_calibration_outputs_independent_of_workers(tmp_path, capsys, mon
     # in chunks of 2, the 3 test paths of each calibration golden are two
     # runs on 2 workers, split at path 3 * 1 // 2, not on a chunk boundary:
     # the caller scores path 1 and a forked worker paths 2-3, each
-    # simulating only its own paths, and no worker outlives the run
+    # simulating only its own paths into its own buffer, and no worker
+    # outlives the run
     monkeypatch.setattr(experiments, "_TEST_CHUNK", 2)
     monkeypatch.setattr(experiments, "_workers", lambda: workers)
-    real = experiments._simulate_calibration_columns
-    simulated = []  # in this process only
+    simulated = []  # in this process only: (indices, into a buffer)
 
-    def recording(config, grid, indices):
-        simulated.append(list(indices))
-        return real(config, grid, indices)
+    def recording(real):
+        def simulate(params, grid, indices, **kwargs):
+            simulated.append((list(indices), "out" in kwargs))
+            return real(params, grid, indices, **kwargs)
+        return simulate
 
-    monkeypatch.setattr(experiments, "_simulate_calibration_columns", recording)
+    for name in ("simulate_cantor_sde_batch", "simulate_heston_batch"):
+        monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
     assert _stamped_digests(tmp_path / "calibrate", "calibrate",
                             CALIBRATE_CONFIG, seed=1) == CALIBRATE_SHA256
     assert _stamped_digests(tmp_path / "heston", "calibrate",
                             HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
-    assert simulated == [[0], [1, 2, 3] if workers == 1 else [1]] * 2
+    assert simulated == [([0], False), ([1, 2, 3] if workers == 1 else [1], True)] * 2
     assert multiprocessing.active_children() == []
     capsys.readouterr()
 
@@ -314,8 +317,7 @@ def _calibration_pairing_case(experiment: str, scheme: str, N: int) \
     plan = experiments._calibration_plans(config)[scheme]
     grid = config.test_grid()
     cols = experiments._simulate_calibration_columns(config, grid, range(1, 4))
-    names = plan.driver(grid.times, cols, 0).names
-    values = experiments._driver_values(grid.times, [cols[name] for name in names[1:]])
+    values = np.stack([plan.driver(grid.times, cols, b).values for b in range(3)])
     coeffs = np.random.default_rng(N).normal(size=len(plan.functionals))
     coeffs[1::2] = 0.0
     return values, [experiments._fold(coeffs, plan.functionals)]

@@ -17,6 +17,7 @@ from gammasig import (
     HestonParams,
     SimGrid,
     cantor_function,
+    heston_drivers,
     path_rng,
     simulate_cantor_sde_batch,
     simulate_heston_batch,
@@ -278,7 +279,70 @@ def test_heston_simulation_memory():
     finally:
         tracemalloc.stop()
     assert all(p[name].T.flags.c_contiguous for name in HESTON_NAMES)
-    assert peak <= 3.25 * sum(p[name].nbytes for name in HESTON_NAMES)
+    assert peak <= 2.0 * sum(p[name].nbytes for name in HESTON_NAMES)
+
+
+#: Heston models whose variance hits 0 (degenerate steps) with fully
+#: correlated drivers, and whose vol of vol is 0 (every variance step
+#: degenerate, B_Q = 0) with anti-correlated ones.
+ROUGH = HestonParams(s0=1.0, v0=0.0001, mu=0.0, kappa=0.1, theta=0.0001, sigma=2.0, rho=1.0)
+FLAT = HestonParams(s0=2.0, v0=0.09, mu=0.01, kappa=0.0, theta=0.0, sigma=0.0, rho=-1.0)
+
+
+@pytest.mark.parametrize("params", [HP, ROUGH, FLAT], ids=["heston", "rough", "sigma0"])
+def test_heston_writes_prices_and_variances_into_out(params):
+    # in a flat buffer of 2(n+1) values per path, S and V keep the bits of
+    # the allocating call: the draws sit in rows 1..n of its (n+1, 2, B)
+    # view and each Euler step writes over the increments it has read.
+    # Nothing else is returned, no value past 2(n+1)B is touched, and a
+    # buffer one value short is refused before anything is drawn
+    grid = SimGrid(T=1.0, n=50, master_seed=77)
+    indices = [4, 0, 9, 2, 7]
+    expected = simulate_heston_batch(params, grid, indices)
+    size = 2 * (grid.n + 1) * len(indices)
+    out = np.full(size + 3, np.nan)
+    got = simulate_heston_batch(params, grid, indices, out=out)
+    assert list(got) == ["S", "V"]
+    view = out[:size].reshape(grid.n + 1, 2, len(indices))
+    for column, name in enumerate(got):
+        assert got[name].shape == expected[name].shape == (len(indices), grid.n + 1)
+        assert np.array_equal(got[name].view(np.uint64), expected[name].view(np.uint64)), name
+        assert np.shares_memory(got[name], out) and np.array_equal(view[:, column].T, got[name])
+    assert np.all(np.isnan(out[size:]))
+    before = out.copy()
+    with pytest.raises(ValueError, match="'out' must be a flat C-contiguous float64 array"):
+        simulate_heston_batch(params, grid, indices, out=out[:size - 1])
+    assert np.array_equal(out, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("params", [HP, ROUGH, FLAT], ids=["heston", "rough", "sigma0"])
+def test_heston_drivers_of_chunks_equal_the_whole_batch(params):
+    # the drivers recovered from slices of a batch's paths, written into
+    # the last two columns of a (B, n+1, 3) transpose view of a batch-last
+    # block, keep the bits of the whole batch's W_Q and B_Q and its
+    # degenerate step counts; the first column is not touched
+    grid = SimGrid(T=1.0, n=50, master_seed=77)
+    indices = range(7)
+    whole = simulate_heston_batch(params, grid, indices)
+    if params is ROUGH:
+        assert 0 < whole["degenerate_steps"].sum() < 7 * grid.n
+    if params is FLAT:
+        assert np.all(whole["degenerate_steps"] == grid.n) and not np.any(whole["B_Q"])
+    sv = simulate_heston_batch(params, grid, indices, out=np.empty(2 * (grid.n + 1) * 7))
+    for lo, hi in ((0, 3), (3, 4), (4, 7)):
+        block = np.full((grid.n + 1, 3, hi - lo), np.nan).transpose(2, 0, 1)
+        got = heston_drivers(sv["S"][lo:hi], sv["V"][lo:hi], params.sigma, out=block[:, :, 1:])
+        for column, name in ((1, "W_Q"), (2, "B_Q")):
+            expected = whole[name][lo:hi].view(np.uint64)
+            assert np.shares_memory(got[name], block)
+            assert np.array_equal(got[name].view(np.uint64), expected), (name, lo)
+            assert np.array_equal(block[:, :, column].view(np.uint64), expected), (name, lo)
+        assert np.array_equal(got["degenerate_steps"], whole["degenerate_steps"][lo:hi])
+        assert np.all(np.isnan(block[:, :, 0]))
+        # the allocating route, on the allocating simulator's slices
+        alone = heston_drivers(whole["S"][lo:hi], whole["V"][lo:hi], params.sigma)
+        for name in HESTON_NAMES[2:]:
+            assert np.array_equal(alone[name].view(np.uint64), whole[name][lo:hi].view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
