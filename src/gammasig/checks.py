@@ -309,9 +309,7 @@ def _models_determinism(fault: str | None) -> CheckResult:
     cantor = CantorParams(s0=(0.0,), vol_kind="tanh")
     c1 = models.simulate_cantor_sde_batch(cantor, grid, [7])
     c2 = models.simulate_cantor_sde_batch(cantor, grid, [8, 7])
-    if not (np.array_equal(c2["S"][1], c1["S"][0])
-            and np.array_equal(c2["W_C"][1], c1["W_C"][0])
-            and np.array_equal(c2["C"], c1["C"])):
+    if not all(np.array_equal(c2[name][1], c1[name][0]) for name in c1):
         return False, "Cantor path depends on batch composition"
     h2 = Heston2Params.build(
         HestonParams(100.0, 0.04, 0.0, 2.0, 0.04, 0.5, -0.6),
@@ -321,22 +319,18 @@ def _models_determinism(fault: str | None) -> CheckResult:
     p2 = models.simulate_heston2_batch(h2, grid, [0, 2])
     if not all(np.array_equal(p2[name][1], p1[name][0]) for name in p1):
         return False, "two-asset Heston path depends on batch composition"
-    # each simulator's out= route against its allocating route
-    n = grid.n
-    into = models.simulate_heston_batch(heston, grid, [5, 3, 9], out=np.empty(6 * (n + 1)))
-    if not all(_same_bits(into[name], batch[name]) for name in ("S", "V")):
-        return False, "Heston S or V written into 'out' differs from the allocating call"
-    buffer = np.empty(2 * (2 * n + 1))
-    into = models.simulate_cantor_sde_batch(cantor, grid, [8, 7], out=buffer)
-    W_C = signature.cumsum0(buffer[:2 * n].reshape(n, 1, 2)).transpose(2, 0, 1)
-    if not (_same_bits(into["S"], c2["S"]) and _same_bits(W_C, c2["W_C"])):
-        return False, ("Cantor S or the W_C increments written into 'out' differ from "
-                       "the allocating call")
-    into = models.simulate_heston2_batch(h2, grid, [0, 2], out=np.empty(16 * n))
-    if not _same_bits(into["S"], p2["S"]):
-        return False, "two-asset Heston S written into 'out' differs from the allocating call"
+    # a caller's NaN-filled buffer against the simulator's own new one
+    for simulate, params, indices, own in (
+            (models.simulate_heston_batch, heston, [5, 3, 9], batch),
+            (models.simulate_cantor_sde_batch, cantor, [8, 7], c2),
+            (models.simulate_heston2_batch, h2, [0, 2], p2)):
+        out = np.full(models.simulation_values(params, grid.n, len(indices)), np.nan)
+        into = simulate(params, grid, indices, out=out)
+        if list(into) != list(own) or not all(_same_bits(into[k], own[k]) for k in own):
+            return False, (f"{simulate.__name__} into a caller's buffer differs from "
+                           "its own buffer")
     return True, ("per-path streams: repeat/batch/order all bit-identical; every "
-                  "simulator's out= route has the bits of its allocating route")
+                  "simulator has the same keys and bits in a caller's buffer")
 
 
 def _models_heston_positivity(fault: str | None) -> CheckResult:

@@ -41,6 +41,7 @@ from .models import (
     simulate_cantor_sde_batch,
     simulate_heston2_batch,
     simulate_heston_batch,
+    simulation_values,
 )
 from .payoffs import PayoffSpec, payoff_values, realized_stats_batch, statistic_key
 from .regress import RegressionFit, lasso_fit, mse, predict, ridge_fit
@@ -283,8 +284,9 @@ class ExperimentConfig:
         as :func:`check_array_size` arguments.  A calibration's are its
         training signature trajectory (three letters to level N, N + 1 for
         heston-calib), the test buffers of its processes
-        (:func:`_test_values` over all test paths, and one driver block in
-        each of the processes that score them), the largest of
+        (:func:`_test_values`: the simulator's buffer, of
+        :func:`simulation_values`, over all test paths, and one driver block
+        in each of the processes that score them), the largest of
         its schemes' lasso Grams (two p x p arrays for p functionals: the
         solver forms the Gram's block of nonzero columns while the Gram is
         alive), that Gram beside the homotopy's active-set factor (k x k) and
@@ -293,7 +295,7 @@ class ExperimentConfig:
         dense functional coefficients (one row per word to the functionals'
         level, one column per functional).  A pricing run's are the chunk
         buffers of its processes (:func:`_chunk_values` per path: the joint
-        driver block, or the two-asset Heston simulator's work where more;
+        driver block, or the simulator's buffer where more;
         one buffer of at most ``_PRICING_CHUNK`` paths in each of
         :func:`_workers` processes, which share the physical memory), the
         feature rows of all paths (the two
@@ -478,10 +480,24 @@ def _calibration_plans(config: ExperimentConfig) -> dict[str, _SchemePlan]:
 
 def _simulate_calibration_columns(config: ExperimentConfig, grid: SimGrid,
                                   indices: Sequence[int]) -> _Columns:
-    if config.experiment == "heston-calib":
-        return simulate_heston_batch(config.model, grid, indices)
-    res = simulate_cantor_sde_batch(config.model, grid, indices)
-    return {"S": res["S"][:, :, 0], "W_C": res["W_C"][:, :, 0], "C": res["C"]}
+    """The prices "S" of the paths ``indices`` and the columns their
+    drivers read: W_Q and B_Q, recovered by :func:`heston_drivers`, or W_C,
+    summed from its increments by :func:`cumsum0`, and the clock C.  Prices
+    whose squares can overflow float64 when a fit sums them (their peak
+    is not at most sqrt(max / (n+1))) are a ``ValueError``, raised before
+    any driver is recovered."""
+    model, heston = config.model, config.experiment == "heston-calib"
+    simulate = simulate_heston_batch if heston else simulate_cantor_sde_batch
+    paths = simulate(model, grid, indices)
+    S = paths["S"] if heston else paths["S"][:, :, 0]
+    peak = float(np.max(np.abs(S)))
+    if not peak <= math.sqrt(sys.float_info.max / S.shape[1]):
+        raise ValueError(f"{config.experiment}: the training target reaches {peak:.3e}, "
+                         "and the sum of its squares can overflow float64")
+    if heston:
+        return {"S": S, **heston_drivers(S, paths["V"], model.sigma)}
+    return {"S": S, "W_C": cumsum0(paths["dW_C"][:, :, 0].T).T,
+            "C": cantor_function(grid.times, model.cantor_depth)}
 
 
 #: Test paths per batched signature pass of a calibration.
@@ -490,14 +506,12 @@ _TEST_CHUNK = 100
 
 def _test_values(config: ExperimentConfig, paths: int) -> tuple[int, int]:
     """The float64 values of a calibration process's test buffer for a run
-    of ``paths`` test paths, m = n // 2 steps each: the simulator's, 2(m+1)
-    per path for heston-calib (prices and variances) or 2m + 1 for
-    cantor-calib (the increments of W_C and the prices), and the driver
-    block that every chunk reuses, (m+1) x 3 x min(``_TEST_CHUNK``, paths)
+    of ``paths`` test paths, m = n // 2 steps each: the simulator's
+    (:func:`simulation_values`), and the driver block that every chunk
+    reuses, (m+1) x 3 x min(``_TEST_CHUNK``, paths)
     for the widest driver's three columns."""
     m = config.grid_n // 2
-    per_path = 2 * (m + 1) if config.experiment == "heston-calib" else 2 * m + 1
-    return per_path * paths, (m + 1) * 3 * min(_TEST_CHUNK, paths)
+    return simulation_values(config.model, m, paths), (m + 1) * 3 * min(_TEST_CHUNK, paths)
 
 
 def _fold(coeffs: np.ndarray, functionals: Sequence[TensorPoly]) -> TensorPoly:
@@ -519,10 +533,10 @@ def _score_test_paths(config: ExperimentConfig, fits: _Fits, start: int, stop: i
     each scheme's prediction of it, as trajectory columns.
 
     The process allocates one flat float64 buffer (:func:`_test_values`)
-    and simulates its paths into it once, through the simulator's ``out``:
-    Heston's prices and variances, or the Cantor-clock prices and the
-    increments of W_C.  The paths are paired in chunks of ``_TEST_CHUNK``,
-    counted from ``start``.  Each chunk writes its driver block into the
+    and simulates its paths into its leading values once, through the
+    simulator's ``out``: Heston's prices and variances, or the Cantor-clock
+    prices and the increments of W_C.  The paths are paired in chunks of
+    ``_TEST_CHUNK``, counted from ``start``.  Each chunk writes its driver block into the
     buffer's tail, (n+1, 3, B) paths last, viewed as (B, n+1, 3): the time
     column, then W_Q and B_Q, recovered by :func:`heston_drivers`, or W_C,
     summed from its increments by :func:`cumsum0`, and the clock C.  Every
@@ -538,12 +552,11 @@ def _score_test_paths(config: ExperimentConfig, fits: _Fits, start: int, stop: i
     buffer = np.empty(simulated + block)
     indices = range(start + 1, stop + 1)
     if heston:
-        test = simulate_heston_batch(config.model, grid, indices, out=buffer[:simulated])
+        test = simulate_heston_batch(config.model, grid, indices, out=buffer)
         S = test["S"]
     else:
-        S = simulate_cantor_sde_batch(config.model, grid, indices,
-                                      out=buffer[:simulated])["S"][:, :, 0]
-        increments = buffer[:n * paths].reshape(n, paths)
+        test = simulate_cantor_sde_batch(config.model, grid, indices, out=buffer)
+        S, increments = test["S"][:, :, 0], test["dW_C"][:, :, 0].T
         clock = cantor_function(grid.times, config.model.cantor_depth)
     ells = {scheme: _fold(fit.coeffs, plans[scheme].functionals)
             for scheme, (_, fit) in fits.items()}
@@ -639,11 +652,6 @@ def run_calibration(config: ExperimentConfig) -> dict:
     train_grid = config.grid()
     train = _simulate_calibration_columns(config, train_grid, [0])
     y_train = train["S"][0]
-    # the fits sum the target's squares; n * peak**2 bounds them without overflow
-    peak = float(np.max(np.abs(y_train)))
-    if peak > math.sqrt(sys.float_info.max / len(y_train)):
-        raise ValueError(f"{config.experiment}: the training target reaches {peak:.3e}, "
-                         "and the sum of its squares can overflow float64")
 
     fits = {}
     for scheme in SCHEMES:
@@ -745,12 +753,9 @@ def _family_columns(family: str, scheme: str, N: int) -> tuple[tuple[Word, ...],
 def _chunk_values(config: ExperimentConfig, paths: int) -> int:
     """The float64 values of the buffer of a pricing chunk of ``paths``
     paths: its joint driver block, 6 x (n+1) per path, or, where more, the
-    8n per path that :func:`simulate_heston2_batch` works in (the
-    Cantor-clock simulator needs 2(2n+1), which the block holds)."""
-    values = 6 * (config.grid_n + 1)
-    if config.experiment == "heston2-pricing":
-        values = max(values, 8 * config.grid_n)
-    return values * paths
+    simulator's buffer (:func:`simulation_values`)."""
+    return max(6 * (config.grid_n + 1) * paths,
+               simulation_values(config.model, config.grid_n, paths))
 
 
 def _pricing_chunk(config: ExperimentConfig, start: int, stop: int, buffer: np.ndarray) \
@@ -763,11 +768,12 @@ def _pricing_chunk(config: ExperimentConfig, start: int, stop: int, buffer: np.n
     process's flat float64 ``buffer``, whose first 6 x (n+1) x B values
     hold the joint driver (t, x1, x2, [1,1], [1,2], [2,2]), one column
     after another, each stored paths last, (n+1, B), and viewed as
-    (B, n+1, 6).  The simulator draws, correlates and steps the paths in
-    the buffer and leaves the prices in its last 2(n+1)B values, at or
-    beyond the bracket columns, so the shifted log-prices can be written
-    into the columns x1, x2 straight from them (a path with a non-positive
-    price is masked out, its prices read as 1 first).  Then the time
+    (B, n+1, 6).  The simulator works in the last
+    :func:`simulation_values` of those values and leaves the prices in its
+    own last 2(n+1)B, at or beyond the bracket columns, so the shifted
+    log-prices can be written into the columns x1, x2 straight from them
+    (a path with a non-positive or non-finite price is masked out, its
+    prices read as 1 first).  Then the time
     column, and the bracket columns, whose end row gives the statistics,
     are written in place.  Every column of the block is rewritten by each
     chunk.  One joint end-point pass per scheme reads the block, left-point
@@ -777,9 +783,11 @@ def _pricing_chunk(config: ExperimentConfig, start: int, stop: int, buffer: np.n
     paths, n = stop - start, config.grid_n
     simulate = (simulate_heston2_batch if config.experiment == "heston2-pricing"
                 else simulate_cantor_sde_batch)
+    end = _chunk_values(config, paths)
     S = simulate(config.model, config.grid(), range(start, stop),
-                 out=buffer[:_chunk_values(config, paths)])["S"]
+                 out=buffer[end - simulation_values(config.model, n, paths):end])["S"]
     positive = S > 0.0
+    np.less(S, np.inf, out=positive, where=positive)  # and finite, in place
     ok = np.all(positive, axis=(1, 2))
     np.copyto(S, 1.0, where=~positive)
     values = buffer[:6 * (n + 1) * paths].reshape(6, n + 1, paths).transpose(2, 1, 0)
@@ -864,8 +872,8 @@ def run_pricing(config: ExperimentConfig) -> dict:
         if kept < need:
             raise ValueError(
                 f"the {label} cohort keeps {kept} of its {size} paths after "
-                f"{rejected} of {total} paths were rejected for a non-positive "
-                f"price; pricing needs at least {need}")
+                f"{rejected} of {total} paths were rejected for a non-positive or "
+                f"non-finite price; pricing needs at least {need}")
         cohorts[name] = mask
 
     degenerate_corr = 0

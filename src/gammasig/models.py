@@ -8,13 +8,16 @@ many paths are drawn together or in what order.
 
 Each simulator takes a batch of path indices and returns the arrays of its
 Euler kernel with one row per path; a two-asset price or variance has shape
-(B, n+1, 2).  The arrays are stored time first and paths last, (n+1, A, B)
-in C order, and returned as transpose views of that buffer: every Euler
-step reads its drivers as one contiguous (A, B) block and advances one
-running state (A, B) of contiguous vectors over paths, an asset per row.
-Every simulator also works in a caller's flat buffer ``out``, and then
-returns the prices (and Heston's variances) alone; :func:`heston_drivers`
-recovers the Heston drivers from those, any slice of paths at a time.
+(B, n+1, 2).  A simulator works in one flat float64 buffer of
+:func:`simulation_values` values, time first and paths last, (n+1, A, B)
+in C order, and returns transpose views of it: every Euler step reads its
+drivers as one contiguous (A, B) block and advances one running state
+(A, B) of contiguous vectors over paths, an asset per row.  The buffer is a
+caller's ``out`` where given, a new one otherwise: ``out`` only says where
+the arrays live.  The simulators return prices and what the drivers are
+recovered from: Heston's variances, which :func:`heston_drivers` turns
+into W_Q and B_Q, any slice of paths at a time, and the Cantor-clock
+increments of W_C.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ __all__ = [
     "path_rng",
     "cantor_function",
     "heston_drivers",
+    "simulation_values",
     "simulate_heston_batch",
     "simulate_heston2_batch",
     "simulate_cantor_sde_batch",
@@ -256,8 +260,38 @@ def cantor_function(x, depth: int = 40):
 
 
 # ---------------------------------------------------------------------------
-# Heston simulators
+# Simulator buffers
 # ---------------------------------------------------------------------------
+
+def simulation_values(params: HestonParams | Heston2Params | CantorParams, n: int,
+                      paths: int) -> int:
+    """The float64 values of the flat buffer in which a simulator works on
+    ``paths`` paths of n steps, chosen by the type of ``params``: 2(n+1)
+    per path for :func:`simulate_heston_batch` (its prices and variances),
+    8n + 4 for :func:`simulate_heston2_batch` (the correlated increments,
+    then the variances and the prices) and (2n + 1)A for
+    :func:`simulate_cantor_sde_batch` with A = len(params.s0) assets (the
+    increments of W_C, then the prices)."""
+    if isinstance(params, CantorParams):
+        return (2 * n + 1) * len(params.s0) * paths
+    return (2 * (n + 1) if isinstance(params, HestonParams) else 8 * n + 4) * paths
+
+
+def _flat(params: HestonParams | Heston2Params | CantorParams, n: int, paths: int,
+          out: np.ndarray | None) -> np.ndarray:
+    """A simulator's buffer of :func:`simulation_values` values: a new one,
+    or the leading values of ``out``, which must be a flat C-contiguous
+    float64 array of at least that many, so that its reshaped slices are
+    views of it."""
+    size = simulation_values(params, n, paths)
+    if out is None:
+        return np.empty(size)
+    if (not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.ndim != 1
+            or not out.flags.c_contiguous or out.size < size):
+        raise ValueError(f"'out' must be a flat C-contiguous float64 array of at least "
+                         f"{size} values")
+    return out[:size]
+
 
 def _tail(out: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The trailing values of a flat buffer ``out`` as an array of ``shape``."""
@@ -283,30 +317,31 @@ def _stack_draws(grid: SimGrid, path_indices: Sequence[int], width: int, *,
     return draws
 
 
+# ---------------------------------------------------------------------------
+# Heston simulators
+# ---------------------------------------------------------------------------
+
 def _heston_sv(params: Sequence[HestonParams], dt: float, d_price: np.ndarray,
-               d_var: np.ndarray, S: np.ndarray, V: np.ndarray | None) -> None:
+               d_var: np.ndarray, S: np.ndarray, V: np.ndarray) -> None:
     """Full-truncation Euler of a batch of Heston assets, ``params[i]`` for
-    asset i: writes the price into S and, unless V is None, the variance
-    into V, both of shape (n+1, A, B), from price and variance driver
-    increments of shape (n, A, B).  The running state has shape (A, B),
-    each asset's parameters a column.  Step k reads its increments before it
-    writes row k+1, so ``S[1:]`` and ``V[1:]`` may be the increments' own
-    memory."""
+    asset i: writes the price into S and the variance into V, both of shape
+    (n+1, A, B), from price and variance driver increments of shape
+    (n, A, B).  The running state has shape (A, B), each asset's parameters
+    a column.  Step k reads its increments before it writes row k+1, so
+    ``S[1:]`` and ``V[1:]`` may be the increments' own memory.  A state
+    that overflows float64 goes on as inf or NaN, without a warning."""
     n, A, B = d_price.shape
     s0, v0, mu, kappa, theta, sigma = (
         np.array([[getattr(p, name)] for p in params])
         for name in ("s0", "v0", "mu", "kappa", "theta", "sigma"))
     s, v = np.repeat(s0, B, axis=1), np.repeat(v0, B, axis=1)
-    S[0] = s
-    if V is not None:
-        V[0] = v
-    for k in range(n):
-        sqv = np.sqrt(v)  # v is already floored at 0
-        s = s + mu * s * dt + s * sqv * d_price[k]
-        v = np.maximum(v + kappa * (theta - v) * dt + sigma * sqv * d_var[k], 0.0)
-        S[k + 1] = s
-        if V is not None:
-            V[k + 1] = v
+    S[0], V[0] = s, v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            sqv = np.sqrt(v)  # v is already floored at 0
+            s = s + mu * s * dt + s * sqv * d_price[k]
+            v = np.maximum(v + kappa * (theta - v) * dt + sigma * sqv * d_var[k], 0.0)
+            S[k + 1], V[k + 1] = s, v
 
 
 #: Time steps per block of the in-place Heston correlation: its temporary
@@ -314,34 +349,25 @@ def _heston_sv(params: Sequence[HestonParams], dt: float, d_price: np.ndarray,
 _CORRELATION_STEPS = 64
 
 
-def _heston_euler(params: HestonParams, grid: SimGrid, z: np.ndarray, *,
-                  out: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Full-truncation Euler for a batch from standard normals z of shape
-    (n, 2, B), turned into the price and variance increments in place:
-    z_1 <- (c z_1) + (rho z_0), c = sqrt(1 - rho**2), then z <- z sqrt(dt),
-    which has the bits of sqrt(dt) (rho z_0 + c z_1).  Returns "S" and "V"
-    in new (n+1, B) buffers with the drivers that :func:`heston_drivers`
-    recovers from them, or, where ``out`` is given, an (n+1, 2, B) array
-    whose rows 1..n are z, "S" and "V" alone, written over z into its
-    columns 0 and 1."""
-    n, _, B = z.shape
-    rho = params.rho
+def _heston_euler(params: HestonParams, grid: SimGrid,
+                  rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Full-truncation Euler for a batch in ``rows``, an (n+1, 2, B) array
+    whose rows 1..n hold standard normals z, turned into the price and
+    variance increments in place: z_1 <- (c z_1) + (rho z_0),
+    c = sqrt(1 - rho**2), then z <- z sqrt(dt), which has the bits of
+    sqrt(dt) (rho z_0 + c z_1).  Each step writes its price and variance
+    into row k+1 over the increments it has read; returns "S" and "V", the
+    transposes of the columns 0 and 1 of ``rows``."""
+    z = rows[1:]
+    n, rho = z.shape[0], params.rho
     c = np.sqrt(1.0 - rho * rho)
     for lo in range(0, n, _CORRELATION_STEPS):
         steps = slice(lo, lo + _CORRELATION_STEPS)
         z[steps, 1] *= c
         z[steps, 1] += rho * z[steps, 0]
     z *= np.sqrt(grid.dt)
-    if out is None:
-        S, V = np.empty((n + 1, 1, B)), np.empty((n + 1, 1, B))
-    else:
-        S, V = out[:, :1], out[:, 1:]
-    _heston_sv((params,), grid.dt, z[:, :1], z[:, 1:], S, V)
-    result = {"S": S[:, 0].T, "V": V[:, 0].T}
-    if out is None:
-        del z  # freed before the drivers are recovered
-        result.update(heston_drivers(result["S"], result["V"], params.sigma))
-    return result
+    _heston_sv((params,), grid.dt, z[:, :1], z[:, 1:], rows[:, :1], rows[:, 1:])
+    return {"S": rows[:, 0].T, "V": rows[:, 1].T}
 
 
 def heston_drivers(S: np.ndarray, V: np.ndarray, sigma: float, *,
@@ -383,46 +409,37 @@ def heston_drivers(S: np.ndarray, V: np.ndarray, sigma: float, *,
 def simulate_heston_batch(params: HestonParams, grid: SimGrid,
                           path_indices: Sequence[int], *,
                           out: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Heston paths, one row per entry of ``path_indices``: "S", "V", "W_Q",
-    "B_Q" of shape (B, n+1), transpose views of (n+1, B) buffers, and
-    "degenerate_steps" of shape (B,).
+    """Heston paths, one row per entry of ``path_indices``: prices "S" and
+    variances "V" of shape (B, n+1).  Row b draws its drivers from the
+    first ``(n, 2)`` standard normals of ``path_rng(master_seed,
+    path_indices[b])``; :func:`heston_drivers` recovers W_Q and B_Q from
+    S and V.
 
-    W_Q, B_Q are the drivers that :func:`heston_drivers` recovers from the
-    simulated series by dW_Q = dS/(S*sqrt(V)), dB_Q = dV/(sigma*sqrt(V))
-    (left-point evaluation), with degenerate steps (sqrt(V) <= 1e-12)
-    skipped, carried forward, and counted in "degenerate_steps".  The input
-    drivers are not returned; row b draws them from the first ``(n, 2)``
-    standard normals of ``path_rng(master_seed, path_indices[b])``.
-
-    Where ``out`` is given, a flat C-contiguous float64 buffer of at least
-    2(n+1)B values, its leading 2(n+1)B values are viewed as (n+1, 2, B):
-    the draws go to rows 1..n, are correlated and scaled there, and each
-    Euler step writes its price and variance into row k+1 over the
-    increments it has read, so the result holds "S" and "V" alone, the
-    transposes of that view's columns 0 and 1, with the bits of the
-    allocating call; the drivers are not recovered.
+    The simulator works in a flat buffer of :func:`simulation_values`
+    values, 2(n+1)B, viewed as (n+1, 2, B): the draws go to rows 1..n, are
+    correlated and scaled there, and each Euler step writes its price and
+    variance into row k+1 over the increments it has read.  S and V are
+    the transposes of that view's columns 0 and 1.  The buffer is the
+    leading values of ``out`` where given (a flat C-contiguous float64
+    array of at least that many values), a new one otherwise; the keys and
+    bits do not depend on it.
     """
-    if out is None:
-        return _heston_euler(params, grid, _stack_draws(grid, path_indices, 2))
     n, B = grid.n, len(path_indices)
-    _flat(out, 2 * (n + 1) * B)
-    rows = out[:2 * (n + 1) * B].reshape(n + 1, 2, B)
-    return _heston_euler(params, grid, _stack_draws(grid, path_indices, 2, out=rows[1:]),
-                         out=rows)
+    rows = _flat(params, n, B, out).reshape(n + 1, 2, B)
+    _stack_draws(grid, path_indices, 2, out=rows[1:])
+    return _heston_euler(params, grid, rows)
 
 
-def _heston2_euler(params: Heston2Params, grid: SimGrid, z: np.ndarray, *,
-                   out: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """z has shape (n, 4, B); driver order (B1, B2, W1, W2).  Returns "S"
-    and "V" in new arrays, or, where ``out`` is given, a flat buffer of at
-    least 2(3n + 1)B values whose first 4nB z does not overlap, "S" alone:
-    the correlated increments (n, 4, B) take those first 4nB values, and
-    the prices the last 2(n+1)B, over z once it is read."""
+def _heston2_euler(params: Heston2Params, grid: SimGrid, z: np.ndarray,
+                   out: np.ndarray) -> dict[str, np.ndarray]:
+    """z has shape (n, 4, B); driver order (B1, B2, W1, W2).  ``out`` is
+    the simulator's flat buffer, whose first 4nB values z does not overlap:
+    the correlated increments (n, 4, B) take those values, and the
+    variances and the prices, each (n+1, 2, B), its last 4(n+1)B, over z
+    once it is read.  Returns "S" and "V"."""
     n, _, B = z.shape
-    if out is None:
-        dD, S, V = np.empty_like(z), np.empty((n + 1, 2, B)), np.empty((n + 1, 2, B))
-    else:
-        dD, S, V = out[:4 * n * B].reshape(n, 4, B), _tail(out, (n + 1, 2, B)), None
+    dD = out[:4 * n * B].reshape(n, 4, B)
+    V, S = _tail(out, (2, n + 1, 2, B))
     L = _corr_factor(params.corr_matrix)
     # dD_j = sum_k L[j, k] z_k, summed in the fixed order (k0 + k2) + (k1 + k3)
     for j in range(4):
@@ -431,19 +448,7 @@ def _heston2_euler(params: Heston2Params, grid: SimGrid, z: np.ndarray, *,
     dD *= np.sqrt(grid.dt)
     # price drivers B^i, variance drivers W^i
     _heston_sv((params.asset1, params.asset2), grid.dt, dD[:, :2], dD[:, 2:], S, V)
-    result = {"S": S.transpose(2, 0, 1)}
-    if V is not None:
-        result["V"] = V.transpose(2, 0, 1)
-    return result
-
-
-def _flat(out: np.ndarray, size: int) -> None:
-    """Check that ``out`` is a flat C-contiguous float64 array of at least
-    ``size`` values, so that its reshaped slices are views of it."""
-    if (not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.ndim != 1
-            or not out.flags.c_contiguous or out.size < size):
-        raise ValueError(f"'out' must be a flat C-contiguous float64 array of at least "
-                         f"{size} values")
+    return {"S": S.transpose(2, 0, 1), "V": V.transpose(2, 0, 1)}
 
 
 def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
@@ -452,82 +457,79 @@ def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
     """Two-asset Heston paths, one row per entry of ``path_indices``: prices
     "S" and variances "V" of shape (B, n+1, 2), asset i in ``[..., i]``.
 
-    Where ``out`` is given, a flat C-contiguous float64 buffer of at least
-    8nB values, the draws (in its last 4nB values), the correlated
-    increments (in its first 4nB) and the prices are written into it, no
-    variance history is stored, and the result holds "S" alone, a view of
-    the last 2(n+1)B values of ``out``; the rest of ``out`` is scratch, free
-    again once the call returns."""
-    if out is None:
-        return _heston2_euler(params, grid, _stack_draws(grid, path_indices, 4))
+    The simulator works in a flat buffer of :func:`simulation_values`
+    values, (8n + 4)B: the draws go to its last 4nB values, the correlated
+    increments to its first 4nB, and the Euler steps write the variances
+    and then the prices, each (n+1, 2, B), into its last 4(n+1)B values,
+    over the draws; S is a view of the last 2(n+1)B.  The buffer is the
+    leading values of ``out`` where given (a flat C-contiguous float64
+    array of at least that many values), a new one otherwise; the keys and
+    bits do not depend on it."""
     n, B = grid.n, len(path_indices)
-    _flat(out, 8 * n * B)
-    z = _stack_draws(grid, path_indices, 4, out=_tail(out, (n, 4, B)))
-    return _heston2_euler(params, grid, z, out=out)
+    buffer = _flat(params, n, B, out)
+    z = _stack_draws(grid, path_indices, 4, out=_tail(buffer, (n, 4, B)))
+    return _heston2_euler(params, grid, z, buffer)
 
 
 # ---------------------------------------------------------------------------
 # Cantor-clock SDE
 # ---------------------------------------------------------------------------
 
-def _cantor_euler(params: CantorParams, grid: SimGrid, z: np.ndarray, *,
-                  out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+def _cantor_euler(params: CantorParams, grid: SimGrid, z: np.ndarray,
+                  out: np.ndarray) -> dict[str, np.ndarray]:
     """Euler of the Cantor-clock SDE for a batch from standard normals z of
     shape (n, A, B), A = len(params.s0); z is turned into the increments of
     W_C in place, a second asset's row correlated with the first.  The
     running state has shape (A, B), each asset a row, as in
-    :func:`_heston_sv`.  Returns "S", "W_C" and "C" in new arrays, or,
-    where ``out`` is given, a flat buffer whose last (n+1)AB values z does
-    not overlap, "S" alone, in those values."""
+    :func:`_heston_sv`, and a state that overflows float64 goes on as inf
+    or NaN, without a warning.  The prices are written into the last
+    (n+1)AB values of the flat buffer ``out``, which z does not overlap.
+    Returns "S" and the increments "dW_C", a view of z."""
     n, A, B = z.shape
-    if grid.T > 1.0:
-        raise ValueError("Cantor clock is defined on [0, 1]; need T <= 1")
-    C = cantor_function(grid.times, params.cantor_depth)
-    dC = np.clip(np.diff(C), 0.0, None)
+    dC = np.clip(np.diff(cantor_function(grid.times, params.cantor_depth)), 0.0, None)
     if A == 2:
         rho = params.rho
         z[:, 1] *= np.sqrt(1.0 - rho * rho)
         z[:, 1] += rho * z[:, 0]
     z *= np.sqrt(dC)[:, None, None]
-    S = np.empty((n + 1, A, B)) if out is None else _tail(out, (n + 1, A, B))
+    S = _tail(out, (n + 1, A, B))
     s = np.repeat(np.array(params.s0)[:, None], B, axis=1)
     S[0] = s
-    for k in range(n):
-        s = s + params.vol(s) * z[k]
-        S[k + 1] = s
-    result = {"S": S.transpose(2, 0, 1)}
-    if out is None:
-        result.update(W_C=cumsum0(z).transpose(2, 0, 1), C=C)
-    return result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            s = s + params.vol(s) * z[k]
+            S[k + 1] = s
+    return {"S": S.transpose(2, 0, 1), "dW_C": z.transpose(2, 0, 1)}
 
 
 def simulate_cantor_sde_batch(params: CantorParams, grid: SimGrid,
                               path_indices: Sequence[int], *,
                               out: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Cantor-clock paths, one row per entry of ``path_indices``: "S" and
-    "W_C" of shape (B, n+1, A), with A = len(params.s0) assets (1 or 2), and
-    the shared clock "C" of shape (n+1,).
+    """Cantor-clock paths, one row per entry of ``path_indices``: prices "S"
+    of shape (B, n+1, A), with A = len(params.s0) assets (1 or 2), and the
+    increments "dW_C" of W_C, of shape (B, n, A).
 
-    The clock C(t) is exact (ternary-digit evaluation), so it can serve
-    directly as the bracket column of W_C in Ito augmentation ([W_C]_t = C(t)
-    in the refinement limit).  Increments of W_C are N(0, dC), correlated
-    across assets by rho; prices follow the Euler step
-    S_{k+1} = S_k + sigma(S_k) * dW_C.
+    Increments of W_C are N(0, dC) for the clock C = :func:`cantor_function`
+    on the grid, correlated across assets by rho; prices follow the Euler
+    step S_{k+1} = S_k + sigma(S_k) * dW_C.  W_C is the :func:`cumsum0` of
+    dW_C along its time axis.  The clock is exact (ternary-digit
+    evaluation), so it can serve directly as the bracket column of W_C in
+    Ito augmentation ([W_C]_t = C(t) in the refinement limit).
 
-    Where ``out`` is given, a flat C-contiguous float64 buffer of at least
-    (2n + 1)AB values, the draws (in its first nAB values) and the prices
-    are written into it, W_C is not accumulated, and the result holds "S"
-    alone, a view of the last (n+1)AB values of ``out``.  When the call
-    returns, the first nAB values of ``out``, viewed as (n, A, B), hold the
-    increments of W_C, whose :func:`cumsum0` along the first axis is W_C;
-    the rest of ``out`` is scratch.
+    The simulator works in a flat buffer of :func:`simulation_values`
+    values, (2n + 1)AB: the draws go to its first nAB values, viewed as
+    (n, A, B), and become the increments there, and the prices take the
+    last (n+1)AB values.  The buffer is the leading values of ``out`` where
+    given (a flat C-contiguous float64 array of at least that many values),
+    a new one otherwise; the keys and bits do not depend on it.  A grid
+    beyond T = 1 is refused before anything is drawn.
     """
     A = len(params.s0)
     if A not in (1, 2):
         raise ValueError(f"the Cantor-clock SDE has 1 or 2 assets, params carry {A}")
-    if out is None:
-        return _cantor_euler(params, grid, _stack_draws(grid, path_indices, A))
+    if grid.T > 1.0:
+        raise ValueError("Cantor clock is defined on [0, 1]; need T <= 1")
     n, B = grid.n, len(path_indices)
-    _flat(out, (2 * n + 1) * A * B)
-    z = _stack_draws(grid, path_indices, A, out=out[:n * A * B].reshape(n, A, B))
-    return _cantor_euler(params, grid, z, out=out)
+    buffer = _flat(params, n, B, out)
+    z = _stack_draws(grid, path_indices, A, out=buffer[:n * A * B].reshape(n, A, B))
+    return _cantor_euler(params, grid, z, buffer)

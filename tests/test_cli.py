@@ -163,6 +163,11 @@ _LINEAR_CANTOR = {"s0": [100.0, 80.0], "vol_kind": "linear", "rho": 0.6}
     # one Monte Carlo path survives: no confidence interval
     ({"nu": [3.0, 3.0]}, {"N_train": 8, "N_test": 5, "N_MC": 32}, 1e-6,
      "the Monte Carlo cohort keeps 1 of its 32 paths"),
+    # the first asset's prices overflow float64: 25 paths reach NaN and the
+    # 20 others +inf or a non-positive price, without a numpy warning
+    ({"nu": [1e50, 0.3]}, {"N_train": 20, "N_test": 5, "N_MC": 20}, 1e-6,
+     "the training cohort keeps 0 of its 20 paths after 45 of 45 paths were rejected "
+     "for a non-positive or non-finite price"),
 ])
 def test_degenerate_pricing_exits_2_with_cause(tmp_path, capsys, model, samples,
                                                 alpha, cause):
@@ -180,20 +185,23 @@ def test_degenerate_pricing_exits_2_with_cause(tmp_path, capsys, model, samples,
 
 def test_degenerate_calibration_exits_2_with_cause(tmp_path, capsys):
     # the prices' squares overflow float64: named before any fit, with no
-    # numpy or lasso warning on stderr, no stamped inf and no file at all
-    cfg = write_config(tmp_path, "c.json", {
-        "experiment": "heston-calib",
-        "model": {"mu": 1e6, "sigma": 50.0, "v0": 50.0},
-        "grid": {"n": 50},
-        "samples": {"N_test": 5},
-    })
-    out_dir = tmp_path / "out"
-    assert main(["calibrate", "--config", cfg, "--out", str(out_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err.splitlines() == [
-        "error: heston-calib: the training target reaches 1.128e+215, and the "
-        "sum of its squares can overflow float64"]
-    assert not (out_dir / "mse_summary.csv").exists()
+    # numpy or lasso warning on stderr, no stamped inf and no file at all;
+    # prices that overflow float64 on the way end in NaN, named alike
+    for model, peak in (({"mu": 1e6, "sigma": 50.0, "v0": 50.0}, "1.128e+215"),
+                        ({"mu": 1e100}, "nan")):
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "heston-calib",
+            "model": model,
+            "grid": {"n": 50},
+            "samples": {"N_test": 5},
+        })
+        out_dir = tmp_path / "out"
+        assert main(["calibrate", "--config", cfg, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: heston-calib: the training target reaches {peak}, and the "
+            "sum of its squares can overflow float64"]
+        assert not (out_dir / "mse_summary.csv").exists()
 
 
 def test_collinear_lasso_active_set_converges(tmp_path, capsys):

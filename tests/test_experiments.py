@@ -151,8 +151,8 @@ def test_config_grids():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_size_counts_the_pricing_chunks_in_flight(monkeypatch, workers):
     # under a bound between one and two chunk buffers (600 paths on 1000
-    # steps, 8 values per step and path, where the two-asset Heston
-    # simulator works: 38.4 MB each), a run on two processes, one buffer in
+    # steps, 8n + 4 values per path, where the two-asset Heston simulator
+    # works: 38.4 MB each), a run on two processes, one buffer in
     # each, is too large to run, and the message names the chunk buffers of
     # the processes
     monkeypatch.setattr(experiments, "_workers", lambda: workers)
@@ -163,7 +163,7 @@ def test_run_size_counts_the_pricing_chunks_in_flight(monkeypatch, workers):
         default_config("heston2-pricing", **sizes)
         return
     with pytest.raises(ValueError, match="too large to run with 'grid.n' 1000: the chunk "
-                                         "buffers of the processes, 8000 x 1200"):
+                                         "buffers of the processes, 8004 x 1200"):
         default_config("heston2-pricing", **sizes)
 
 

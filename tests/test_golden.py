@@ -68,6 +68,7 @@ from gammasig import (
     SimGrid,
     endpoint_signature_batch,
     gamma_signature,
+    heston_drivers,
     simulate_heston_batch,
 )
 from gammasig import experiments, signature
@@ -152,7 +153,8 @@ def _heston_driver_bits() -> list[str]:
     params = HestonParams(s0=1.0, v0=0.08, mu=0.001, kappa=0.5, theta=0.15,
                           sigma=0.25, rho=-0.5)
     path = simulate_heston_batch(params, SimGrid(1.0, 50, 3), [2])
-    return [float(path[k][0][-1]).hex() for k in ("W_Q", "B_Q")]
+    drivers = heston_drivers(path["S"], path["V"], params.sigma)
+    return [float(drivers[k][0][-1]).hex() for k in ("W_Q", "B_Q")]
 
 
 def test_golden_outputs_and_bits(tmp_path, capsys):

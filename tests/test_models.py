@@ -22,8 +22,10 @@ from gammasig import (
     simulate_cantor_sde_batch,
     simulate_heston_batch,
     simulate_heston2_batch,
+    simulation_values,
 )
 from gammasig.models import _stack_draws
+from gammasig.signature import cumsum0
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +169,9 @@ def test_cantor_function_depth_beyond_the_last_digit_weight():
     assert time.perf_counter() - start < 10.0
     assert np.array_equal(deep.view(np.uint64), cantor_function(x, 1074).view(np.uint64))
     grid = SimGrid(1.0, 30, 4)
-    C = simulate_cantor_sde_batch(CantorParams(s0=0.0, cantor_depth=10 ** 9), grid, [0])["C"]
-    assert np.array_equal(C.view(np.uint64), cantor_function(grid.times, 1074).view(np.uint64))
+    S = [simulate_cantor_sde_batch(CantorParams(s0=0.0, cantor_depth=depth), grid, [0])["S"]
+         for depth in (10 ** 9, 1074)]
+    assert np.array_equal(S[0].view(np.uint64), S[1].view(np.uint64))
 
 
 def test_cantor_function_shapes_and_domain():
@@ -191,15 +194,23 @@ HP = HestonParams(s0=1.0, v0=0.04, mu=0.05, kappa=1.5, theta=0.04,
 HESTON_NAMES = ("S", "V", "W_Q", "B_Q")
 
 
+def heston_paths(params: HestonParams, grid: SimGrid, indices) -> dict[str, np.ndarray]:
+    """The simulator's S and V with the drivers that heston_drivers
+    recovers from them."""
+    paths = simulate_heston_batch(params, grid, indices)
+    return {**paths, **heston_drivers(paths["S"], paths["V"], params.sigma)}
+
+
 def test_heston_columns_and_determinism():
     grid = SimGrid(T=1.0, n=16, master_seed=100)
-    p = simulate_heston_batch(HP, grid, [2])
+    assert list(simulate_heston_batch(HP, grid, [2])) == ["S", "V"]
+    p = heston_paths(HP, grid, [2])
     assert set(p) == {*HESTON_NAMES, "degenerate_steps"}
     for name in HESTON_NAMES:
         assert p[name].shape == (1, 17)
     assert p["degenerate_steps"].shape == (1,)
-    q = simulate_heston_batch(HP, grid, [2])
-    r = simulate_heston_batch(HP, grid, [3])
+    q = heston_paths(HP, grid, [2])
+    r = heston_paths(HP, grid, [3])
     for name in HESTON_NAMES:
         assert np.array_equal(p[name], q[name])
     assert not np.array_equal(p["S"], r["S"])
@@ -216,7 +227,7 @@ def test_heston_batch_matches_single():
 
 def test_heston_matches_manual_euler():
     grid = SimGrid(T=0.5, n=6, master_seed=31)
-    p = {name: arr[0] for name, arr in simulate_heston_batch(HP, grid, [3]).items()}
+    p = {name: arr[0] for name, arr in heston_paths(HP, grid, [3]).items()}
     z = path_rng(31, 3).standard_normal((6, 2))
     dt = grid.dt
     rho = HP.rho
@@ -246,7 +257,7 @@ def test_heston_constant_variance_limit():
     flat = HestonParams(s0=2.0, v0=0.09, mu=0.0, kappa=0.0, theta=0.0,
                         sigma=0.0, rho=0.0)
     grid = SimGrid(T=1.0, n=20, master_seed=5)
-    p = {name: arr[0] for name, arr in simulate_heston_batch(flat, grid, [0]).items()}
+    p = {name: arr[0] for name, arr in heston_paths(flat, grid, [0]).items()}
     assert np.all(p["V"] == 0.09)
     # with mu = 0 the price recursion is S_{k+1} = S_k (1 + 0.3 dW)
     S = p["S"]
@@ -263,14 +274,15 @@ def test_heston_variance_stays_nonnegative():
     rough = HestonParams(s0=1.0, v0=0.0001, mu=0.0, kappa=0.1, theta=0.0001,
                          sigma=2.0, rho=0.0)
     grid = SimGrid(T=1.0, n=50, master_seed=77)
-    p = simulate_heston_batch(rough, grid, range(5))
+    p = heston_paths(rough, grid, range(5))
     assert np.all(p["V"] >= 0.0)
     assert np.all(p["degenerate_steps"] >= 0)
 
 
 def test_heston_simulation_memory():
-    # the drivers are recovered in place, so the peak stays a small multiple
-    # of the returned arrays, transpose views of batch-last (n+1, B) buffers
+    # the draws, their increments and the prices and variances written over
+    # them share one buffer, so the peak stays close to the returned arrays,
+    # transpose views of a batch-last (n+1, 2, B) buffer
     grid = SimGrid(T=1.0, n=400, master_seed=0)
     tracemalloc.start()
     try:
@@ -278,8 +290,8 @@ def test_heston_simulation_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(p[name].T.flags.c_contiguous for name in HESTON_NAMES)
-    assert peak <= 2.0 * sum(p[name].nbytes for name in HESTON_NAMES)
+    assert all(p[name].strides[0] == p[name].itemsize for name in p)
+    assert peak <= 1.3 * sum(p[name].nbytes for name in p)
 
 
 #: Heston models whose variance hits 0 (degenerate steps) with fully
@@ -290,32 +302,6 @@ FLAT = HestonParams(s0=2.0, v0=0.09, mu=0.01, kappa=0.0, theta=0.0, sigma=0.0, r
 
 
 @pytest.mark.parametrize("params", [HP, ROUGH, FLAT], ids=["heston", "rough", "sigma0"])
-def test_heston_writes_prices_and_variances_into_out(params):
-    # in a flat buffer of 2(n+1) values per path, S and V keep the bits of
-    # the allocating call: the draws sit in rows 1..n of its (n+1, 2, B)
-    # view and each Euler step writes over the increments it has read.
-    # Nothing else is returned, no value past 2(n+1)B is touched, and a
-    # buffer one value short is refused before anything is drawn
-    grid = SimGrid(T=1.0, n=50, master_seed=77)
-    indices = [4, 0, 9, 2, 7]
-    expected = simulate_heston_batch(params, grid, indices)
-    size = 2 * (grid.n + 1) * len(indices)
-    out = np.full(size + 3, np.nan)
-    got = simulate_heston_batch(params, grid, indices, out=out)
-    assert list(got) == ["S", "V"]
-    view = out[:size].reshape(grid.n + 1, 2, len(indices))
-    for column, name in enumerate(got):
-        assert got[name].shape == expected[name].shape == (len(indices), grid.n + 1)
-        assert np.array_equal(got[name].view(np.uint64), expected[name].view(np.uint64)), name
-        assert np.shares_memory(got[name], out) and np.array_equal(view[:, column].T, got[name])
-    assert np.all(np.isnan(out[size:]))
-    before = out.copy()
-    with pytest.raises(ValueError, match="'out' must be a flat C-contiguous float64 array"):
-        simulate_heston_batch(params, grid, indices, out=out[:size - 1])
-    assert np.array_equal(out, before, equal_nan=True)
-
-
-@pytest.mark.parametrize("params", [HP, ROUGH, FLAT], ids=["heston", "rough", "sigma0"])
 def test_heston_drivers_of_chunks_equal_the_whole_batch(params):
     # the drivers recovered from slices of a batch's paths, written into
     # the last two columns of a (B, n+1, 3) transpose view of a batch-last
@@ -323,7 +309,7 @@ def test_heston_drivers_of_chunks_equal_the_whole_batch(params):
     # degenerate step counts; the first column is not touched
     grid = SimGrid(T=1.0, n=50, master_seed=77)
     indices = range(7)
-    whole = simulate_heston_batch(params, grid, indices)
+    whole = heston_paths(params, grid, indices)
     if params is ROUGH:
         assert 0 < whole["degenerate_steps"].sum() < 7 * grid.n
     if params is FLAT:
@@ -339,7 +325,7 @@ def test_heston_drivers_of_chunks_equal_the_whole_batch(params):
             assert np.array_equal(block[:, :, column].view(np.uint64), expected), (name, lo)
         assert np.array_equal(got["degenerate_steps"], whole["degenerate_steps"][lo:hi])
         assert np.all(np.isnan(block[:, :, 0]))
-        # the allocating route, on the allocating simulator's slices
+        # the allocating route, on slices of the simulator's own buffer
         alone = heston_drivers(whole["S"][lo:hi], whole["V"][lo:hi], params.sigma)
         for name in HESTON_NAMES[2:]:
             assert np.array_equal(alone[name].view(np.uint64), whole[name][lo:hi].view(np.uint64))
@@ -467,10 +453,20 @@ def test_heston2_singular_and_invalid_correlation():
 # ---------------------------------------------------------------------------
 
 
+def cantor_paths(params: CantorParams, grid: SimGrid, indices) -> dict[str, np.ndarray]:
+    """The simulator's S with W_C, the cumsum0 of its increments along
+    time, and the clock C of the grid."""
+    paths = simulate_cantor_sde_batch(params, grid, indices)
+    return {"S": paths["S"],
+            "W_C": cumsum0(paths["dW_C"].transpose(1, 0, 2)).transpose(1, 0, 2),
+            "C": cantor_function(grid.times, params.cantor_depth)}
+
+
 def test_cantor_sde_columns_and_clock():
     grid = SimGrid(T=1.0, n=81, master_seed=12)
-    p = simulate_cantor_sde_batch(CantorParams(s0=1.0), grid, [0])
-    assert set(p) == {"S", "W_C", "C"}
+    increments = simulate_cantor_sde_batch(CantorParams(s0=1.0), grid, [0])
+    assert set(increments) == {"S", "dW_C"} and increments["dW_C"].shape == (1, 81, 1)
+    p = cantor_paths(CantorParams(s0=1.0), grid, [0])
     assert p["S"].shape == p["W_C"].shape == (1, 82, 1)
     C = p["C"]
     assert np.array_equal(C, cantor_function(grid.times))
@@ -482,7 +478,7 @@ def test_cantor_sde_columns_and_clock():
 
 def test_cantor_sde_constant_on_plateaus():
     grid = SimGrid(T=1.0, n=81, master_seed=12)
-    p = simulate_cantor_sde_batch(CantorParams(s0=1.0), grid, [1])
+    p = cantor_paths(CantorParams(s0=1.0), grid, [1])
     dC = np.diff(p["C"])
     flat = dC == 0.0
     assert flat.sum() >= 20  # middle-third plateau alone spans ~27 steps
@@ -493,10 +489,10 @@ def test_cantor_sde_constant_on_plateaus():
 def test_cantor_sde_determinism_and_batch():
     grid = SimGrid(T=1.0, n=27, master_seed=4)
     params = CantorParams(s0=1.0)
-    p = simulate_cantor_sde_batch(params, grid, [6])
-    again = simulate_cantor_sde_batch(params, grid, [6])
-    batch = simulate_cantor_sde_batch(params, grid, [6, 9])
-    q = simulate_cantor_sde_batch(params, grid, [9])
+    p = cantor_paths(params, grid, [6])
+    again = cantor_paths(params, grid, [6])
+    batch = cantor_paths(params, grid, [6, 9])
+    q = cantor_paths(params, grid, [9])
     for name in ("S", "W_C"):
         assert np.array_equal(p[name], again[name])
         assert np.array_equal(batch[name][0], p[name][0])
@@ -506,7 +502,7 @@ def test_cantor_sde_determinism_and_batch():
 
 def test_cantor_sde_matches_manual_euler():
     grid = SimGrid(T=1.0, n=9, master_seed=55)
-    p = simulate_cantor_sde_batch(CantorParams(s0=1.5), grid, [2])
+    p = cantor_paths(CantorParams(s0=1.5), grid, [2])
     z = path_rng(55, 2).standard_normal((9, 1))[:, 0]
     C = cantor_function(grid.times)
     dW = np.sqrt(np.clip(np.diff(C), 0.0, None)) * z
@@ -521,21 +517,21 @@ def test_cantor_sde_matches_manual_euler():
 def test_cantor_sde_two_assets():
     grid = SimGrid(T=1.0, n=27, master_seed=21)
     params = CantorParams(s0=(1.0, 1.0), rho=1.0)
-    p = simulate_cantor_sde_batch(params, grid, [0])
+    own = simulate_cantor_sde_batch(params, grid, [0])
+    assert all(own[name].transpose(1, 2, 0).flags.c_contiguous for name in ("S", "dW_C"))
+    p = cantor_paths(params, grid, [0])
     assert p["S"].shape == p["W_C"].shape == (1, 28, 2)
-    assert all(p[name].transpose(1, 2, 0).flags.c_contiguous for name in ("S", "W_C"))
     # perfectly correlated drivers and identical dynamics -> identical assets
     assert np.allclose(p["W_C"][..., 0], p["W_C"][..., 1], atol=1e-15)
     assert np.allclose(p["S"][..., 0], p["S"][..., 1], atol=1e-15)
-    indep = simulate_cantor_sde_batch(CantorParams(s0=(1.0, 1.0)), grid, [0])
+    indep = cantor_paths(CantorParams(s0=(1.0, 1.0)), grid, [0])
     assert not np.allclose(indep["W_C"][..., 0], indep["W_C"][..., 1])
 
 
 def test_cantor_sde_terminal_driver_variance():
     # W_C(1) = sum sqrt(dC_k) z_k is exactly N(0, C(1)) in distribution
     grid = SimGrid(T=1.0, n=27, master_seed=3)
-    batch = simulate_cantor_sde_batch(CantorParams(s0=1.0), grid,
-                                      range(2000))
+    batch = cantor_paths(CantorParams(s0=1.0), grid, range(2000))
     ends = batch["W_C"][:, -1, 0]
     assert abs(np.var(ends) - 1.0) < 0.15
     assert abs(np.mean(ends)) < 0.1
@@ -555,13 +551,17 @@ def test_cantor_sde_input_validation():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("simulate, params", [
+SIMULATORS = [
     (simulate_heston_batch, HP),
     (simulate_heston2_batch, heston2_params()),
     (simulate_cantor_sde_batch, CantorParams(s0=0.5)),
     (simulate_cantor_sde_batch, CantorParams(s0=(1.0, 2.0), vol_kind="linear",
                                              nu=(0.2, 0.3), rho=0.6)),
-], ids=["heston", "heston2", "cantor", "cantor2"])
+]
+SIMULATOR_IDS = ["heston", "heston2", "cantor", "cantor2"]
+
+
+@pytest.mark.parametrize("simulate, params", SIMULATORS, ids=SIMULATOR_IDS)
 def test_simulator_rows_equal_in_one_batch_and_in_chunks(simulate, params):
     # a batch is stored paths last, and every step is one vector over the
     # batch; a path's rows must not depend on the batch it is simulated in
@@ -570,36 +570,50 @@ def test_simulator_rows_equal_in_one_batch_and_in_chunks(simulate, params):
     whole = simulate(params, grid, indices)
     parts = [simulate(params, grid, indices[a:b]) for a, b in ((0, 3), (3, 4), (4, 7))]
     for name, arr in whole.items():
-        if name == "C":  # the shared Cantor clock
-            assert all(np.array_equal(p["C"], arr) for p in parts)
-            continue
         joined = np.concatenate([p[name] for p in parts])
         assert joined.shape == arr.shape == (len(indices),) + arr.shape[1:], name
         assert np.array_equal(np.ascontiguousarray(joined).view(np.uint8),
                               np.ascontiguousarray(arr).view(np.uint8)), name
 
 
-@pytest.mark.parametrize("simulate, params, size", [
-    (simulate_heston2_batch, heston2_params(), lambda n: 8 * n),
-    (simulate_cantor_sde_batch, CantorParams(s0=(1.0, 2.0), vol_kind="linear",
-                                             nu=(0.2, 0.3), rho=0.6),
-     lambda n: 2 * (2 * n + 1)),
-], ids=["heston2", "cantor2"])
-def test_two_asset_simulators_write_prices_into_out(simulate, params, size):
-    # in a flat buffer of the documented size (values per path), the prices
-    # keep the bits of the simulator's own arrays and are a view of the
-    # buffer's tail; nothing else is returned, and a buffer one value short
-    # is refused before anything is drawn
+@pytest.mark.parametrize(
+    "simulate, params",
+    SIMULATORS + [(simulate_heston_batch, ROUGH), (simulate_heston_batch, FLAT)],
+    ids=SIMULATOR_IDS + ["rough", "sigma0"])
+def test_simulator_out_only_says_where_the_arrays_live(simulate, params):
+    # in the leading simulation_values values of a NaN-filled buffer, the
+    # simulator returns the keys and bits of a call without 'out', as views
+    # of the buffer, and touches no value past them (Heston models whose
+    # variance hits 0, or whose vol of vol is 0, too): Heston's S and V are
+    # the columns of an (n+1, 2, B) view, the other prices the buffer's last
+    # (n+1)AB values.  A buffer one value short, and a Cantor clock beyond
+    # T = 1, are refused before anything is drawn
     grid = SimGrid(T=1.0, n=25, master_seed=11)
     indices = [4, 0, 9, 2, 7]
-    expected = simulate(params, grid, indices)["S"]
-    out = np.full(size(grid.n) * len(indices), np.nan)
+    B = len(indices)
+    expected = simulate(params, grid, indices)
+    size = simulation_values(params, grid.n, B)
+    out = np.full(size + 3, np.nan)
     got = simulate(params, grid, indices, out=out)
-    assert list(got) == ["S"]
-    S = got["S"]
-    assert S.shape == expected.shape == (len(indices), grid.n + 1, 2)
-    assert np.array_equal(S.view(np.uint64), expected.view(np.uint64))
-    tail = out[out.size - S.size:].reshape(grid.n + 1, 2, len(indices))
-    assert np.shares_memory(S, out) and np.array_equal(tail.transpose(2, 0, 1), S)
+    assert list(got) == list(expected)
+    for name, arr in got.items():
+        assert arr.shape == expected[name].shape and arr.shape[:2] in (
+            (B, grid.n), (B, grid.n + 1)), name
+        assert np.array_equal(arr.view(np.uint64), expected[name].view(np.uint64)), name
+        assert np.shares_memory(arr, out[:size]), name
+    if simulate is simulate_heston_batch:
+        view = out[:size].reshape(grid.n + 1, 2, B)
+        assert np.array_equal(view[:, 0].T, got["S"]) and np.array_equal(view[:, 1].T, got["V"])
+    else:
+        S = got["S"]
+        tail = out[size - S.size:size].reshape(grid.n + 1, S.shape[2], B)
+        assert np.array_equal(tail.transpose(2, 0, 1), S)
+    assert np.all(np.isnan(out[size:]))
+    before = out.copy()
     with pytest.raises(ValueError, match="'out' must be a flat C-contiguous float64 array"):
-        simulate(params, grid, indices, out=out[1:])
+        simulate(params, grid, indices, out=out[:size - 1])
+    assert np.array_equal(out, before, equal_nan=True)
+    if simulate is simulate_cantor_sde_batch:
+        with pytest.raises(ValueError, match="T <= 1"):
+            simulate(params, SimGrid(T=2.0, n=grid.n, master_seed=11), indices, out=out)
+        assert np.array_equal(out, before, equal_nan=True)
