@@ -25,7 +25,9 @@ import json
 import math
 import operator
 import os
+import pickle
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -295,10 +297,9 @@ class ExperimentConfig:
         dense functional coefficients (one row per word to the functionals'
         level, one column per functional).  A pricing run's are the chunk
         buffers of its processes (:func:`_chunk_values` per path: the joint
-        driver block, or the simulator's buffer where more;
-        one buffer of at most ``_PRICING_CHUNK`` paths in each of
-        :func:`_workers` processes, which share the physical memory), the
-        feature rows of all paths (the two
+        driver block, in which the simulator works; one buffer of at most
+        ``_PRICING_CHUNK`` paths in each of :func:`_workers` processes,
+        which share the physical memory), the feature rows of all paths (the two
         joint rows, to level N over three and six letters) and the ridge
         Gram of the widest design, the joint left-point row, counted twice:
         the solver holds the Gram and its Cholesky factor."""
@@ -575,8 +576,9 @@ def _score_test_paths(config: ExperimentConfig, fits: _Fits, start: int, stop: i
             values[:, :, 2] = clock
         for scheme in SCHEMES:
             names, fit = fits[scheme]
-            pred = fit.intercept + functional_paths(
-                values[:, :, :len(names)], GAMMAS[scheme], [ells[scheme]])[..., 0]
+            pred = functional_paths(values[:, :, :len(names)], GAMMAS[scheme],
+                                    [ells[scheme]])[..., 0]
+            pred += fit.intercept
             mses[scheme].append(mse(pred, S[lo:hi]))
             if start == lo == 0:
                 trajectory[f"pred_{scheme}"] = pred[0].tolist()
@@ -591,37 +593,123 @@ def _on_processes(task: Callable, args: tuple, total: int, chunk: int) -> list:
     There are :func:`_workers` processes, at most one per chunk of
     ``chunk`` paths, and run k of W starts at path ``total * k // W``; a
     task counts its chunks from its own start, so the runs need not end on
-    chunk boundaries.  The caller runs the first run, and forked workers
-    run the rest at the same time.  Each process simulates only its own
-    paths, whose draws are their own per-path streams, and every kernel is
-    elementwise per path, so no bit depends on the runs.  The workers are
-    forked, not spawned, because a spawned worker imports numpy and this
-    package afresh on every run; a fork copies only the calling thread, so
-    where the process has other threads (whose locks would stay locked in
-    the child), where ``fork`` is not a start method, or where there is one
-    process or one chunk, the caller runs every path itself.  A worker
-    inherits the caller's context, numpy's error state included.  The first
-    failure in path order is raised, as one process would raise it, once
-    every worker has ended.
+    chunk boundaries.  The caller forks a worker for every run but the
+    first (:func:`_fork`), runs the first itself, and only then reads each
+    worker's pickled result from its pipe, in path order
+    (:func:`_worker_result`), so no worker's result lies beside the
+    caller's working memory, and no thread is started.  Each process
+    simulates only its own paths, whose draws are their own per-path
+    streams, and every kernel is elementwise per path, so no bit depends on
+    the runs.  The workers are forked, not spawned, because a spawned
+    worker imports numpy and this package afresh on every run; a fork
+    copies only the calling thread, so where the process has other threads
+    (whose locks would stay locked in the child), where ``os.fork`` does
+    not exist, or where there is one process or one chunk, the caller runs
+    every path itself.  A worker inherits the caller's context, numpy's
+    error state included.  Every worker is reaped before the call returns
+    or raises, and the first failure in path order is raised, as one
+    process would raise it, once every worker has ended: a worker whose
+    result is no longer read is killed.
     """
     processes = min(_workers(), -(-total // chunk))
-    if processes > 1:
-        import multiprocessing
-        import threading
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or threading.active_count() > 1):
-            processes = 1
+    if processes > 1 and (not hasattr(os, "fork") or threading.active_count() > 1):
+        processes = 1
     bounds = [total * k // processes for k in range(processes + 1)]
     runs = list(zip(bounds, bounds[1:]))
-    if processes == 1:
-        return [task(*args, *runs[0])]
-    from concurrent.futures import ProcessPoolExecutor
+    workers: list[tuple[int, int, tuple[int, int]]] = []  # (pid, read end, run)
+    try:
+        for run in runs[1:]:
+            workers.append(_fork(task, args, run, [read for _, read, _ in workers]))
+        results = [task(*args, *runs[0])]
+        while workers:
+            results.append(_worker_result(*workers.pop(0)))
+        return results
+    finally:
+        for pid, read, _ in workers:
+            os.close(read)
+            _kill(pid)
+            os.waitpid(pid, 0)
 
-    with ProcessPoolExecutor(processes - 1,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(task, *args, *run) for run in runs[1:]]
-        first = task(*args, *runs[0])
-        return [first] + [future.result() for future in futures]
+
+def _kill(pid: int) -> None:
+    """Kill the worker ``pid``, running or ended but not yet reaped.
+    ``signal`` is imported here, not with the package: only a failed run
+    kills a worker."""
+    import signal
+    os.kill(pid, signal.SIGKILL)
+
+
+def _fork(task: Callable, args: tuple, run: tuple[int, int],
+          inherited: Sequence[int]) -> tuple[int, int, tuple[int, int]]:
+    """Fork a worker that runs ``task(*args, *run)`` and writes the pickled
+    ``(True, result)``, or ``(False, exception)``, into a new pipe; returns
+    its pid, the read end of its pipe and ``run``.  The worker closes the
+    read ends it ``inherited`` from the workers forked before it, and it
+    leaves only through ``os._exit``: it runs none of the caller's exit
+    handlers, returns into none of its frames and flushes none of the
+    Python output buffers it copied, so no pending output of the caller is
+    written twice.  A result or an error that cannot be pickled is sent as
+    a ``RuntimeError`` that says so."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read, run
+    code = 1
+    try:
+        for fd in (read, *inherited):
+            os.close(fd)
+        try:
+            outcome = (True, task(*args, *run))
+        except BaseException as exc:
+            outcome = (False, exc)
+        try:
+            payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            payload = pickle.dumps((False, RuntimeError(
+                f"the worker process of paths {run[0]}..{run[1] - 1} cannot send its "
+                f"{'result' if outcome[0] else 'error'}: {exc!r}")))
+        del outcome
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _worker_result(pid: int, read: int, run: tuple[int, int]):
+    """The result that the worker ``pid`` of paths ``run`` sends through
+    the read end ``read`` of its pipe (:func:`_fork`), unpickled as it is
+    read; its error is raised.  The pipe is closed and the worker reaped
+    whatever happens; a worker that is still running when the read fails is
+    killed first.  A worker that ends before it has sent its whole result
+    is a ``RuntimeError`` that names its paths and how it ended."""
+    outcome = None
+    try:
+        with open(read, "rb", closefd=False) as pipe:
+            outcome = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        pass
+    except BaseException:
+        _kill(pid)
+        raise
+    finally:
+        os.close(read)
+        status = os.waitpid(pid, 0)[1]
+    if outcome is None:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+        raise RuntimeError(f"the worker process of paths {run[0]}..{run[1] - 1} ended "
+                           f"with {how} before it sent its result")
+    ok, value = outcome
+    if not ok:
+        raise value
+    return value
 
 
 def run_calibration(config: ExperimentConfig) -> dict:
@@ -752,10 +840,13 @@ def _family_columns(family: str, scheme: str, N: int) -> tuple[tuple[Word, ...],
 
 def _chunk_values(config: ExperimentConfig, paths: int) -> int:
     """The float64 values of the buffer of a pricing chunk of ``paths``
-    paths: its joint driver block, 6 x (n+1) per path, or, where more, the
-    simulator's buffer (:func:`simulation_values`)."""
-    return max(6 * (config.grid_n + 1) * paths,
-               simulation_values(config.model, config.grid_n, paths))
+    paths: its joint driver block, 6 x (n+1) per path, in which the
+    simulator's buffer (:func:`simulation_values`, at most as many) lies."""
+    return 6 * (config.grid_n + 1) * paths
+
+
+#: Time rows per block in which a pricing chunk writes its log-prices.
+_LOG_ROWS = 32
 
 
 def _pricing_chunk(config: ExperimentConfig, start: int, stop: int, buffer: np.ndarray) \
@@ -765,20 +856,24 @@ def _pricing_chunk(config: ExperimentConfig, start: int, stop: int, buffer: np.n
     positive prices, none of them a view of ``buffer``.
 
     The chunk works in the leading :func:`_chunk_values` values of the
-    process's flat float64 ``buffer``, whose first 6 x (n+1) x B values
-    hold the joint driver (t, x1, x2, [1,1], [1,2], [2,2]), one column
-    after another, each stored paths last, (n+1, B), and viewed as
-    (B, n+1, 6).  The simulator works in the last
-    :func:`simulation_values` of those values and leaves the prices in its
-    own last 2(n+1)B, at or beyond the bracket columns, so the shifted
-    log-prices can be written into the columns x1, x2 straight from them
+    process's flat float64 ``buffer``: the joint driver block (t, x1, x2,
+    [1,1], [1,2], [2,2]), one column after another, each stored paths last,
+    (n+1, B), and viewed as (B, n+1, 6).  The simulator works in the last
+    :func:`simulation_values` of those values, from column x2 or beyond,
+    and its prices lie at or beyond x2's first row.  Once the mask is taken
     (a path with a non-positive or non-finite price is masked out, its
-    prices read as 1 first).  Then the time
-    column, and the bracket columns, whose end row gives the statistics,
-    are written in place.  Every column of the block is rewritten by each
-    chunk.  One joint end-point pass per scheme reads the block, left-point
-    first; the mid-point pass reads its first three columns (t, x1, x2).
-    Each pass's row is [1, level 1, ..., level N].
+    prices read as 1), the shifted log-prices are written into the columns
+    x1 and x2 in forward blocks of ``_LOG_ROWS`` time rows, each block's
+    prices read into a block-sized scratch first: row k of x2 lies over
+    simulator values of time row k or earlier (row k/4 of the two-asset
+    Heston buffer, four values per path and step), which an earlier block,
+    or this one, has read.  (A whole-chunk ``np.log(S, out=...)`` would see the overlap and
+    copy all of S.)  Then the time column, and the bracket columns, whose
+    end row gives the statistics, are written in place.  Every column of
+    the block is rewritten by each chunk.  One joint end-point pass per
+    scheme reads the block, left-point first; the mid-point pass reads its
+    first three columns (t, x1, x2).  Each pass's row is [1, level 1, ...,
+    level N].
     """
     paths, n = stop - start, config.grid_n
     simulate = (simulate_heston2_batch if config.experiment == "heston2-pricing"
@@ -790,9 +885,17 @@ def _pricing_chunk(config: ExperimentConfig, start: int, stop: int, buffer: np.n
     np.less(S, np.inf, out=positive, where=positive)  # and finite, in place
     ok = np.all(positive, axis=(1, 2))
     np.copyto(S, 1.0, where=~positive)
-    values = buffer[:6 * (n + 1) * paths].reshape(6, n + 1, paths).transpose(2, 1, 0)
-    x = np.log(S, out=values[:, :, 1:3])
-    x -= np.log(S[:, :1])
+    del positive
+    values = buffer[:end].reshape(6, n + 1, paths).transpose(2, 1, 0)
+    x = values[:, :, 1:3]
+    # laid out as S, paths last, so that every loop runs over paths
+    scratch = np.empty((min(_LOG_ROWS, n + 1), 2, paths)).transpose(2, 0, 1)
+    for lo in range(0, n + 1, _LOG_ROWS):
+        logs = np.log(S[:, lo:lo + _LOG_ROWS], out=scratch[:, :min(_LOG_ROWS, n + 1 - lo)])
+        if lo == 0:
+            first = logs[:, :1].copy()
+        np.subtract(logs, first, out=x[:, lo:lo + _LOG_ROWS])
+    del scratch, logs
     values[:, :, 0] = config.grid().times
     stats = realized_stats_batch(bracket_columns(x, out=values[:, :, 3:])[:, -1])
     feats = {}

@@ -217,6 +217,39 @@ def _corr_factor(corr: np.ndarray) -> np.ndarray:
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
+#: Time steps per block of an in-place correlation: its temporaries hold
+#: one block, not the whole batch.
+_CORRELATION_STEPS = 32
+
+
+def _correlate_pair(z: np.ndarray, rho: float) -> None:
+    """Standard normals z (n, 2, B) correlated in place:
+    z_1 <- (c z_1) + (rho z_0), c = sqrt(1 - rho**2), in blocks of
+    ``_CORRELATION_STEPS`` time steps."""
+    c = np.sqrt(1.0 - rho * rho)
+    for lo in range(0, len(z), _CORRELATION_STEPS):
+        steps = slice(lo, lo + _CORRELATION_STEPS)
+        z[steps, 1] *= c
+        z[steps, 1] += rho * z[steps, 0]
+
+
+def _correlate_four(z: np.ndarray, L: np.ndarray, scale: float) -> None:
+    """Standard normals z (n, 4, B) turned in place into the increments
+    scale * (L z) of a 4 x 4 factor L, each summed in the fixed order
+    (k0 + k2) + (k1 + k3), in blocks of ``_CORRELATION_STEPS`` time steps
+    through one block-sized scratch, since every column of a step is read
+    by every other."""
+    n, _, B = z.shape
+    scratch = np.empty((min(n, _CORRELATION_STEPS), 4, B))
+    for lo in range(0, n, _CORRELATION_STEPS):
+        block = z[lo:lo + _CORRELATION_STEPS]
+        mixed = scratch[:len(block)]
+        for j in range(4):
+            mixed[:, j] = (L[j, 0] * block[:, 0] + L[j, 2] * block[:, 2]) \
+                + (L[j, 1] * block[:, 1] + L[j, 3] * block[:, 3])
+        np.multiply(mixed, scale, out=block)
+
+
 # ---------------------------------------------------------------------------
 # Cantor function
 # ---------------------------------------------------------------------------
@@ -267,14 +300,14 @@ def simulation_values(params: HestonParams | Heston2Params | CantorParams, n: in
                       paths: int) -> int:
     """The float64 values of the flat buffer in which a simulator works on
     ``paths`` paths of n steps, chosen by the type of ``params``: 2(n+1)
-    per path for :func:`simulate_heston_batch` (its prices and variances),
-    8n + 4 for :func:`simulate_heston2_batch` (the correlated increments,
-    then the variances and the prices) and (2n + 1)A for
-    :func:`simulate_cantor_sde_batch` with A = len(params.s0) assets (the
-    increments of W_C, then the prices)."""
+    per path for :func:`simulate_heston_batch` and 4(n+1) for
+    :func:`simulate_heston2_batch` (their prices and variances, written
+    over the draws) and (2n + 1)A for :func:`simulate_cantor_sde_batch`
+    with A = len(params.s0) assets (the increments of W_C, then the
+    prices): at most 6(n+1) per path for every model."""
     if isinstance(params, CantorParams):
         return (2 * n + 1) * len(params.s0) * paths
-    return (2 * (n + 1) if isinstance(params, HestonParams) else 8 * n + 4) * paths
+    return (2 if isinstance(params, HestonParams) else 4) * (n + 1) * paths
 
 
 def _flat(params: HestonParams | Heston2Params | CantorParams, n: int, paths: int,
@@ -344,27 +377,17 @@ def _heston_sv(params: Sequence[HestonParams], dt: float, d_price: np.ndarray,
             S[k + 1], V[k + 1] = s, v
 
 
-#: Time steps per block of the in-place Heston correlation: its temporary
-#: rho * z_0 holds one block, not the whole batch.
-_CORRELATION_STEPS = 64
-
-
 def _heston_euler(params: HestonParams, grid: SimGrid,
                   rows: np.ndarray) -> dict[str, np.ndarray]:
     """Full-truncation Euler for a batch in ``rows``, an (n+1, 2, B) array
     whose rows 1..n hold standard normals z, turned into the price and
-    variance increments in place: z_1 <- (c z_1) + (rho z_0),
-    c = sqrt(1 - rho**2), then z <- z sqrt(dt), which has the bits of
-    sqrt(dt) (rho z_0 + c z_1).  Each step writes its price and variance
-    into row k+1 over the increments it has read; returns "S" and "V", the
-    transposes of the columns 0 and 1 of ``rows``."""
+    variance increments in place (:func:`_correlate_pair`), then
+    z <- z sqrt(dt), which has the bits of sqrt(dt) (rho z_0 + c z_1).
+    Each step writes its price and variance into row k+1 over the
+    increments it has read; returns "S" and "V", the transposes of the
+    columns 0 and 1 of ``rows``."""
     z = rows[1:]
-    n, rho = z.shape[0], params.rho
-    c = np.sqrt(1.0 - rho * rho)
-    for lo in range(0, n, _CORRELATION_STEPS):
-        steps = slice(lo, lo + _CORRELATION_STEPS)
-        z[steps, 1] *= c
-        z[steps, 1] += rho * z[steps, 0]
+    _correlate_pair(z, params.rho)
     z *= np.sqrt(grid.dt)
     _heston_sv((params,), grid.dt, z[:, :1], z[:, 1:], rows[:, :1], rows[:, 1:])
     return {"S": rows[:, 0].T, "V": rows[:, 1].T}
@@ -430,25 +453,21 @@ def simulate_heston_batch(params: HestonParams, grid: SimGrid,
     return _heston_euler(params, grid, rows)
 
 
-def _heston2_euler(params: Heston2Params, grid: SimGrid, z: np.ndarray,
-                   out: np.ndarray) -> dict[str, np.ndarray]:
-    """z has shape (n, 4, B); driver order (B1, B2, W1, W2).  ``out`` is
-    the simulator's flat buffer, whose first 4nB values z does not overlap:
-    the correlated increments (n, 4, B) take those values, and the
-    variances and the prices, each (n+1, 2, B), its last 4(n+1)B, over z
-    once it is read.  Returns "S" and "V"."""
-    n, _, B = z.shape
-    dD = out[:4 * n * B].reshape(n, 4, B)
-    V, S = _tail(out, (2, n + 1, 2, B))
-    L = _corr_factor(params.corr_matrix)
-    # dD_j = sum_k L[j, k] z_k, summed in the fixed order (k0 + k2) + (k1 + k3)
-    for j in range(4):
-        dD[:, j] = (L[j, 0] * z[:, 0] + L[j, 2] * z[:, 2]) \
-            + (L[j, 1] * z[:, 1] + L[j, 3] * z[:, 3])
-    dD *= np.sqrt(grid.dt)
+def _heston2_euler(params: Heston2Params, grid: SimGrid,
+                   rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Full-truncation Euler of two Heston assets for a batch in ``rows``,
+    an (n+1, 4, B) array whose rows 1..n hold standard normals z in the
+    driver order (B1, B2, W1, W2), turned into the price and variance
+    increments in place (:func:`_correlate_four`).  Each step writes the
+    prices into columns 0 and 1 of row k+1 and the variances into columns
+    2 and 3, over the increments it has read; returns "S" and "V",
+    (B, n+1, 2) transposes of those column pairs, asset i in ``[..., i]``."""
+    z = rows[1:]
+    _correlate_four(z, _corr_factor(params.corr_matrix), np.sqrt(grid.dt))
     # price drivers B^i, variance drivers W^i
-    _heston_sv((params.asset1, params.asset2), grid.dt, dD[:, :2], dD[:, 2:], S, V)
-    return {"S": S.transpose(2, 0, 1), "V": V.transpose(2, 0, 1)}
+    _heston_sv((params.asset1, params.asset2), grid.dt, z[:, :2], z[:, 2:],
+               rows[:, :2], rows[:, 2:])
+    return {"S": rows[:, :2].transpose(2, 0, 1), "V": rows[:, 2:].transpose(2, 0, 1)}
 
 
 def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
@@ -458,17 +477,18 @@ def simulate_heston2_batch(params: Heston2Params, grid: SimGrid,
     "S" and variances "V" of shape (B, n+1, 2), asset i in ``[..., i]``.
 
     The simulator works in a flat buffer of :func:`simulation_values`
-    values, (8n + 4)B: the draws go to its last 4nB values, the correlated
-    increments to its first 4nB, and the Euler steps write the variances
-    and then the prices, each (n+1, 2, B), into its last 4(n+1)B values,
-    over the draws; S is a view of the last 2(n+1)B.  The buffer is the
-    leading values of ``out`` where given (a flat C-contiguous float64
-    array of at least that many values), a new one otherwise; the keys and
-    bits do not depend on it."""
+    values, 4(n+1)B, viewed as (n+1, 4, B): the draws go to rows 1..n, are
+    correlated and scaled there, and each Euler step writes its prices and
+    variances into row k+1 over the increments it has read, as in
+    :func:`simulate_heston_batch`.  S and V are the transposes of that
+    view's columns 0-1 and 2-3.  The buffer is the leading values of
+    ``out`` where given (a flat C-contiguous float64 array of at least that
+    many values), a new one otherwise; the keys and bits do not depend on
+    it."""
     n, B = grid.n, len(path_indices)
-    buffer = _flat(params, n, B, out)
-    z = _stack_draws(grid, path_indices, 4, out=_tail(buffer, (n, 4, B)))
-    return _heston2_euler(params, grid, z, buffer)
+    rows = _flat(params, n, B, out).reshape(n + 1, 4, B)
+    _stack_draws(grid, path_indices, 4, out=rows[1:])
+    return _heston2_euler(params, grid, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +508,7 @@ def _cantor_euler(params: CantorParams, grid: SimGrid, z: np.ndarray,
     n, A, B = z.shape
     dC = np.clip(np.diff(cantor_function(grid.times, params.cantor_depth)), 0.0, None)
     if A == 2:
-        rho = params.rho
-        z[:, 1] *= np.sqrt(1.0 - rho * rho)
-        z[:, 1] += rho * z[:, 0]
+        _correlate_pair(z, params.rho)
     z *= np.sqrt(dC)[:, None, None]
     S = _tail(out, (n + 1, A, B))
     s = np.repeat(np.array(params.s0)[:, None], B, axis=1)

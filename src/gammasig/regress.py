@@ -336,11 +336,14 @@ def predict(fit: RegressionFit, X: np.ndarray) -> np.ndarray:
 def mse(pred: np.ndarray, target: np.ndarray) -> float | np.ndarray:
     """Mean of squared differences over the last axis of two arrays of equal
     shape: a float for a 1-D pair, the row means (same bits) for a (B, m)
-    pair, in any memory layout (both are taken in C order)."""
-    pred = np.asarray(pred, dtype=np.float64, order="C")
-    target = np.asarray(target, dtype=np.float64, order="C")
+    pair, in any memory layout: the differences are formed in one new
+    C-ordered array and squared in place, so every row is reduced as a
+    contiguous one."""
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape or pred.ndim < 1 or pred.shape[-1] < 1:
         raise ValueError(f"equal non-empty shapes required, got {pred.shape}, {target.shape}")
-    diff = pred - target
-    means = np.add.reduce(diff * diff, axis=-1) / diff.shape[-1]
+    diff = np.subtract(pred, target, order="C")
+    diff *= diff
+    means = np.add.reduce(diff, axis=-1) / diff.shape[-1]
     return float(means) if means.ndim == 0 else means

@@ -43,6 +43,7 @@ products in time order.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -76,28 +77,61 @@ __all__ = [
 ]
 
 
+#: Bytes of the widest array of one window of :func:`_levels` (float64)
+#: and :func:`cumsum0` (its extended-precision sums): a window takes as many
+#: grid steps as fit, and at least one.
+_WINDOW_BYTES = 1 << 17
+
+
+def _carry_on(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The running sums of a window's ``terms`` (k, ...) in extended
+    precision, going on from the sum carried in the last row of ``total``,
+    the (K, ...) ``np.longdouble`` sums of the window before, K >= k; a
+    first window carries -0.0, the exact identity of addition, so that a
+    zero first term keeps its sign.  Written into and returned as
+    ``total[:k]``; only a last window has fewer than K terms, so the carry
+    of the next is always in row K - 1.  Each entry is the sequential sum
+    of every term up to it, as in one cumulative sum over the whole grid,
+    whatever the window."""
+    k = len(terms)
+    np.add(total[-1:], terms[:1], out=total[:1])
+    if k > 1:
+        # np.cumsum loops over time innermost: one-step windows skip it
+        total[1:k] = terms[1:]
+        np.cumsum(total[:k], axis=0, out=total[:k])
+    return total[:k]
+
+
 def cumsum0(increments: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative sum along the leading axis, time in the (n, ..., B) arrays
     of the batched callers, with a leading zero, accumulated in extended
     precision and cast back to float64.
 
     The accumulation of the package's trajectories other than signature
-    levels, which :func:`_levels` sums in the same way window by window:
-    entry k is the sequential sum of the first k increments, whatever the
-    memory layout, and the sums are cast straight into the one float64
-    output.  That output is ``out`` where given, a float64 array of shape
-    (n+1, ...) in any memory layout, which is returned; otherwise a new
-    array in the layout of ``increments``.
+    levels, and the same windowed sum as theirs (:func:`_carry_on`): entry
+    k is the sequential sum of the first k increments, whatever the memory
+    layout and the window, and each window of sums is cast straight into
+    the one float64 output.  A window holds as many time steps as fit in
+    ``_WINDOW_BYTES`` of extended-precision sums, and at least one, so the
+    call takes its output and one window.  That output is ``out`` where
+    given, a float64 array of shape (n+1, ...) in any memory layout, which
+    is returned; ``out[1:]`` may be the increments' own memory, as each
+    window is read before its sums are written.  Otherwise it is a new
+    array with the axis order of ``increments`` in memory (C order for a
+    C-ordered input), as ``np.empty_like`` makes it.
     """
-    # summed in place in one extended-precision copy: a cumsum that casts
-    # as it reads buffers a second one
-    total = np.array(increments, dtype=np.longdouble)
-    np.cumsum(total, axis=0, out=total)
+    increments = np.asarray(increments)
+    n, shape = len(increments), increments.shape[1:]
     if out is None:
-        return np.concatenate([np.zeros((1,) + total.shape[1:]), total],
-                              dtype=np.float64, casting="same_kind")
+        out = np.empty_like(increments, dtype=np.float64, shape=(n + 1,) + shape)
     out[0] = 0.0
-    np.copyto(out[1:], total, casting="same_kind")
+    if n:
+        row = np.dtype(np.longdouble).itemsize * math.prod(shape)
+        K = max(1, min(n, _WINDOW_BYTES // max(row, 1)))
+        total = np.full((K,) + shape, -0.0, dtype=np.longdouble)
+        for lo in range(0, n, K):
+            sums = _carry_on(total, increments[lo:lo + K])
+            np.copyto(out[lo + 1:lo + 1 + len(sums)], sums, casting="same_kind")
     return out
 
 
@@ -294,11 +328,6 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
 
 
-#: Bytes of the widest float64 array of one window of :func:`_levels`: a
-#: window takes as many grid steps as fit, and at least one.
-_WINDOW_BYTES = 1 << 17
-
-
 def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
             ) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
     """The gamma-signature recursion of a batch of paths ``values``
@@ -325,10 +354,9 @@ def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
     From one window to the next, each level m >= 2 carries its
     extended-precision running sum and its last float64 row: a window's sums
     are the cumulative sum of its step terms that goes on from the carried
-    sum, cast back to float64 behind the carried row, which gives
-    :func:`cumsum0`'s bits on the whole grid.  The sums start at -0.0, the
-    exact identity of addition, so a zero first step term keeps its sign, as
-    in a cumulative sum.  Every step is elementwise, so the bits depend
+    sum (:func:`_carry_on`, the sum of :func:`cumsum0`), cast back to
+    float64 behind the carried row, which gives :func:`cumsum0`'s bits on
+    the whole grid.  Every step is elementwise, so the bits depend
     neither on the window nor on the batch.  The yielded arrays are
     overwritten by the next window.
     """
@@ -346,18 +374,13 @@ def _levels(values: np.ndarray, gamma: float, reads: Sequence[np.ndarray | None]
         for m, (total, last) in enumerate(zip(sums, lasts), 2):
             terms = _step_terms(_gamma_points(levels[-1], gamma, dX if m == 2 else None),
                                 dX, reads[m - 1], letters[m - 1], reads[m - 2] is None)
-            # the sum goes on from the previous window's last one, in row
-            # K - 1: only the last window has fewer than K steps
-            np.add(total[K - 1], terms[0], out=total[0])
+            running = _carry_on(total, terms)
             if K > 1:
-                # np.cumsum loops over time innermost: one-step windows skip it
-                total[1:len(terms)] = terms[1:]
-                np.cumsum(total[:len(terms)], axis=0, out=total[:len(terms)])
                 last[0] = last[K]
             # one-step windows leave the carried row where it is: their two
             # rows swap places every other window
             levels.append(last[::-1] if K == 1 and start % 2 else last[:len(window)])
-            levels[-1][1:] = total[:len(terms)]
+            levels[-1][1:] = running
         yield start, dX, levels
 
 

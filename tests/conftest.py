@@ -1,6 +1,8 @@
 """Shared test fixtures and path builders."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,15 @@ def make_random_path(rng: np.random.Generator, n: int, d: int,
     values = np.cumsum(rng.normal(0.0, scale, size=(n + 1, d)), axis=0)
     values[0] = rng.normal(0.0, scale, size=d)
     return SamplePath(times, values, Alphabet(d))
+
+
+def assert_no_child_left() -> None:
+    """Assert that this process has no child that is not reaped, running or
+    ended: ``os.waitpid(-1, WNOHANG)`` raises ``ChildProcessError`` only
+    when there is none.  ``multiprocessing.active_children()`` would see
+    only the children that ``multiprocessing`` started, not bare forks."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

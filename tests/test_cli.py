@@ -710,16 +710,15 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_concurrent_futures():
-    # only a run that fans out needs its process pool, and imports it when
-    # it runs; loading it (with logging) at import would add about 4 ms to
-    # the start-up of every command
+    # no run imports it: the fan-out forks its workers with os.fork and
+    # reads their results from pipes; loading it (with logging) at import
+    # would add about 4 ms to the start-up of every command
     assert not _loaded_by_cli_import("concurrent.futures")
 
 
 def test_cli_import_does_not_load_multiprocessing():
-    # the fan-out imports multiprocessing only when a run has paths for
-    # more than one process, so the start-up of every command does not pay
-    # for it
+    # the fan-out forks with os.fork and imports no multiprocessing, so the
+    # start-up of every command does not pay for it
     assert not _loaded_by_cli_import("multiprocessing")
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import threading
 import time
@@ -34,6 +33,7 @@ from gammasig import (
 from gammasig.experiments import GAMMAS, SCHEMES
 from gammasig.models import simulate_cantor_sde_batch, simulate_heston2_batch
 from gammasig.signature import bracket_columns
+from conftest import assert_no_child_left
 
 ALL_IDS = ("heston-calib", "cantor-calib", "heston2-pricing",
            "cantor2-pricing", "check")
@@ -151,10 +151,10 @@ def test_config_grids():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_size_counts_the_pricing_chunks_in_flight(monkeypatch, workers):
     # under a bound between one and two chunk buffers (600 paths on 1000
-    # steps, 8n + 4 values per path, where the two-asset Heston simulator
-    # works: 38.4 MB each), a run on two processes, one buffer in
-    # each, is too large to run, and the message names the chunk buffers of
-    # the processes
+    # steps, the driver block's 6(n+1) values per path, in which the
+    # two-asset Heston simulator works: 28.8 MB each), a run on two
+    # processes, one buffer in each, is too large to run, and the message
+    # names the chunk buffers of the processes
     monkeypatch.setattr(experiments, "_workers", lambda: workers)
     monkeypatch.setattr(experiments, "_memory_bound", lambda: (50 * 10 ** 6, "of a test bound"))
     sizes = dict(grid_n=1000, n_train=1000, n_test=500, n_mc=500)
@@ -163,7 +163,7 @@ def test_run_size_counts_the_pricing_chunks_in_flight(monkeypatch, workers):
         default_config("heston2-pricing", **sizes)
         return
     with pytest.raises(ValueError, match="too large to run with 'grid.n' 1000: the chunk "
-                                         "buffers of the processes, 8004 x 1200"):
+                                         "buffers of the processes, 6006 x 1200"):
         default_config("heston2-pricing", **sizes)
 
 
@@ -618,7 +618,7 @@ def test_calibration_worker_runs_in_the_callers_context(monkeypatch, tmp_path):
     assert [indices for _, indices, _ in records] == [[1, 2], [3, 4, 5]]
     assert records[0][0] == os.getpid() != records[1][0]
     assert all(state == expected for _, _, state in records)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("failing, message", [((5,), "path 5"), ((2, 5), "path 2")])
@@ -634,7 +634,7 @@ def test_calibration_worker_failure_raises_the_serial_error(monkeypatch, failing
     config = _fanned_out_calibration(monkeypatch, record)
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_calibration(config)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     monkeypatch.setattr(experiments, "_workers", lambda: 1)
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_calibration(config)
@@ -757,20 +757,25 @@ def test_pricing_brackets_once_per_chunk(monkeypatch):
 
 #: (experiment, trunc_level, bound) of the pricing peak-memory guards.
 _PEAK_BOUNDS = [
-    pytest.param("heston2-pricing", 2, 3.96, id="heston2-pricing-3.96"),
+    pytest.param("heston2-pricing", 2, 1.6, id="heston2-pricing-1.6"),
     pytest.param("cantor2-pricing", 2, 3.60, id="cantor2-pricing-3.6"),
-    pytest.param("cantor2-pricing", 3, 3.0, id="cantor2-pricing-level3-3.0")]
+    pytest.param("cantor2-pricing", 3, 3.0, id="cantor2-pricing-level3-3.0"),
+    pytest.param("heston2-pricing", 3, 2.7, id="heston2-pricing-level3-2.7")]
 
 
 @pytest.mark.parametrize("experiment, trunc_level, bound", _PEAK_BOUNDS)
 def test_pricing_chunk_peak_memory(experiment, trunc_level, bound):
     # one chunk of 400 paths on 100 steps: the tracemalloc peak of the
     # features, in units of the bytes of its left-point joint values
-    # (t, x1, x2, [1,1], [1,2], [2,2]); the level-2 bounds are the peaks of
-    # the paths-first layout this one replaced, which held the increments and
-    # level 1 of the left-point pass beside the log-prices and the values.
-    # At level 3 the end-point pass carries level 2 as a running state
-    # (about 2.8x); its trajectory along the grid would be about 27x
+    # (t, x1, x2, [1,1], [1,2], [2,2]); the cantor2 level-2 bound is the
+    # peak of the paths-first layout this one replaced, which held the
+    # increments and level 1 of the left-point pass beside the log-prices
+    # and the values.  The two-asset Heston simulator works inside the
+    # driver block, correlating its draws through a block-sized scratch: it
+    # read 1.86 at level 2 and 2.82 at level 3 when its buffer held the
+    # draws and the correlated increments side by side, and reads 1.45 and
+    # 2.46 now.  At level 3 the end-point pass carries level 2 as a running
+    # state (about 2.5x); its trajectory along the grid would be about 27x
     config = default_config(experiment, grid_n=100, n_train=300, n_test=50, n_mc=50,
                             trunc_level=trunc_level)
     total = config.n_train + config.n_test + config.n_mc
@@ -789,17 +794,16 @@ def test_pricing_chunk_peak_memory(experiment, trunc_level, bound):
 def test_pricing_peak_memory_over_chunks_in_flight(monkeypatch, experiment, trunc_level,
                                                     bound):
     # four chunks on two processes: the caller's peak stays within the
-    # one-chunk bound, counted on the paths in flight in both processes, as
-    # the run-size model counts them; the worker's rows may reach the
-    # caller while its own chunk is in flight.  The feature, statistic and
-    # mask rows of the other paths are the result, not working memory, and
-    # are taken off the peak
+    # one-chunk bound, counted on the caller's one chunk in flight: it reads
+    # the worker's rows only once its own run has ended.  The feature,
+    # statistic and mask rows of the other paths are the result, not
+    # working memory, and are taken off the peak
     monkeypatch.setattr(experiments, "_workers", lambda: 2)
     chunk = experiments._PRICING_CHUNK
     config = default_config(experiment, grid_n=100, n_train=4 * chunk - 100, n_test=50,
                             n_mc=50, trunc_level=trunc_level)
     total = config.n_train + config.n_test + config.n_mc
-    in_flight = 2 * chunk
+    in_flight = chunk
     tracemalloc.start()
     try:
         feats, _, _ = experiments._pricing_features(config)
@@ -865,7 +869,7 @@ def test_pricing_chunks_run_in_the_callers_context(monkeypatch, tmp_path):
     assert pids[:10] == [os.getpid()] * 10
     assert len(set(pids[10:])) == 1 and pids[10] != os.getpid()
     assert all(state == expected for _, _, state in records)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -888,7 +892,7 @@ def test_pricing_chunk_failure_raises_first_in_chunk_order(monkeypatch, workers)
         failing[:] = paths
         with pytest.raises(ValueError, match=f"^{message}$"):
             experiments._pricing_features(config)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert set(threading.enumerate()) == before
 
 
@@ -908,6 +912,82 @@ def test_pricing_with_other_threads_runs_in_one_process(monkeypatch, tmp_path):
     assert not other.is_alive()
     assert [(pid, indices) for pid, indices, _ in _logged(log)] == [
         (os.getpid(), indices) for indices in _SMALL_CHUNKS]
+
+
+def test_pricing_worker_that_dies_raises_and_leaves_no_child(monkeypatch):
+    # the worker ends through os._exit inside its task, before it sends a
+    # result: the caller names its paths and exit status, and reaps it
+    def record(indices):
+        if 100 in indices:
+            os._exit(7)
+
+    config = _fanned_out_pricing(monkeypatch, record)
+    with pytest.raises(RuntimeError, match=r"^the worker process of paths 100\.\.199 "
+                                           r"ended with exit status 7 before it sent its "
+                                           r"result$"):
+        experiments._pricing_features(config)
+    assert_no_child_left()
+
+
+def test_worker_result_that_cannot_be_pickled_raises_and_leaves_no_child(monkeypatch):
+    # a worker's result reaches the caller pickled; one that cannot be
+    # pickled is an error that says so, raised in path order after the
+    # caller's own run, and the worker is reaped
+    monkeypatch.setattr(experiments, "_workers", lambda: 2)
+    ran = []
+
+    def task(start, stop):
+        ran.append(start)
+        return (lambda: stop) if start else list(range(start, stop))
+
+    with pytest.raises(RuntimeError, match=r"^the worker process of paths 5\.\.9 cannot "
+                                           r"send its result: "):
+        experiments._on_processes(task, (), 10, 5)
+    assert ran == [0]
+    assert_no_child_left()
+
+
+def test_fan_out_starts_no_thread(monkeypatch, tmp_path):
+    # the caller forks its worker and reads the worker's result from a
+    # pipe itself: a two-process run starts no thread
+    def refuse(thread):
+        raise AssertionError(f"a run started the thread {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    log = tmp_path / "log.jsonl"
+    config = _fanned_out_pricing(monkeypatch, _log_to(log))
+    experiments._pricing_features(config)
+    assert len({pid for pid, _, _ in _logged(log)}) == 2
+    assert_no_child_left()
+
+
+def test_fanned_out_runs_import_no_process_pool():
+    # a fresh interpreter that runs a pricing and a calibration on two
+    # processes each imports neither concurrent.futures nor
+    # multiprocessing, starts no thread and leaves no child
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import os, sys, threading\n"
+        "from gammasig import experiments as e\n"
+        "e._workers = lambda: 2\n"
+        "e.run_pricing(e.default_config('cantor2-pricing', grid_n=4, n_train=700, n_test=10,"
+        " n_mc=10))\n"
+        "e.run_calibration(e.default_config('cantor-calib', grid_n=10, n_test=150))\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    child = True\n"
+        "except ChildProcessError:\n"
+        "    child = False\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules],"
+        " threading.active_count(), child)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.split("\n")[-2] == "[] 1 False"
 
 
 def test_pricing_stats_order_independent_of_finishing_order(monkeypatch):

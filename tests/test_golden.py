@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 
 import numpy as np
 
@@ -74,6 +73,7 @@ from gammasig import (
 from gammasig import experiments, signature
 from gammasig.cli import main
 from gammasig.models import path_rng
+from conftest import assert_no_child_left
 
 CALIBRATE_CONFIG = {"experiment": "cantor-calib", "grid": {"n": 200},
                     "samples": {"N_test": 3}}
@@ -222,7 +222,7 @@ def test_golden_calibration_outputs_independent_of_workers(tmp_path, capsys, mon
     assert _stamped_digests(tmp_path / "heston", "calibrate",
                             HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
     assert simulated == [([0], False), ([1, 2, 3] if workers == 1 else [1], True)] * 2
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     capsys.readouterr()
 
 
@@ -241,7 +241,7 @@ def test_golden_pricing_outputs_independent_of_workers(tmp_path, capsys, monkeyp
                             CANTOR_PRICE_CONFIG, seed=1) == CANTOR_PRICE_SHA256
     assert _stamped_digests(tmp_path / "deep-price", "price",
                             DEEP_PRICE_CONFIG, seed=1) == DEEP_PRICE_SHA256
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     capsys.readouterr()
 
 

@@ -355,9 +355,13 @@ def test_heston2_columns_and_determinism():
     again = simulate_heston2_batch(heston2_params(), grid, [1])
     batch = simulate_heston2_batch(heston2_params(), grid, [1, 4])
     q = simulate_heston2_batch(heston2_params(), grid, [4])
+    # S and V are the column pairs 0-1 and 2-3 of one (n+1, 4, B) buffer,
+    # paths last: each step's prices and variances are one contiguous block
+    address = {name: batch[name].__array_interface__["data"][0] for name in HESTON2_NAMES}
+    assert batch["S"].base is batch["V"].base and address["V"] - address["S"] == 2 * 2 * 8
     for name in HESTON2_NAMES:
         assert p[name].shape == (1, 13, 2)
-        assert batch[name].transpose(1, 2, 0).flags.c_contiguous
+        assert batch[name].strides == (8, 4 * 2 * 8, 2 * 8)
         assert np.array_equal(p[name], again[name])
         assert np.array_equal(batch[name][0], p[name][0])
         assert np.array_equal(batch[name][1], q[name][0])
@@ -585,9 +589,10 @@ def test_simulator_out_only_says_where_the_arrays_live(simulate, params):
     # simulator returns the keys and bits of a call without 'out', as views
     # of the buffer, and touches no value past them (Heston models whose
     # variance hits 0, or whose vol of vol is 0, too): Heston's S and V are
-    # the columns of an (n+1, 2, B) view, the other prices the buffer's last
-    # (n+1)AB values.  A buffer one value short, and a Cantor clock beyond
-    # T = 1, are refused before anything is drawn
+    # the columns of an (n+1, 2, B) view, two-asset Heston's the column
+    # pairs 0-1 and 2-3 of an (n+1, 4, B) view, and the Cantor prices the
+    # buffer's last (n+1)AB values.  A buffer one value short, and a Cantor
+    # clock beyond T = 1, are refused before anything is drawn
     grid = SimGrid(T=1.0, n=25, master_seed=11)
     indices = [4, 0, 9, 2, 7]
     B = len(indices)
@@ -604,6 +609,10 @@ def test_simulator_out_only_says_where_the_arrays_live(simulate, params):
     if simulate is simulate_heston_batch:
         view = out[:size].reshape(grid.n + 1, 2, B)
         assert np.array_equal(view[:, 0].T, got["S"]) and np.array_equal(view[:, 1].T, got["V"])
+    elif simulate is simulate_heston2_batch:
+        view = out[:size].reshape(grid.n + 1, 4, B)
+        assert np.array_equal(view[:, :2].transpose(2, 0, 1), got["S"])
+        assert np.array_equal(view[:, 2:].transpose(2, 0, 1), got["V"])
     else:
         S = got["S"]
         tail = out[size - S.size:size].reshape(grid.n + 1, S.shape[2], B)

@@ -167,6 +167,20 @@ def test_mse_rows_equal_per_row_bits(rng):
             mse(*bad)
 
 
+def test_mse_of_strided_inputs_has_the_bits_of_their_c_order_copies(rng):
+    # calibration scores the pairing buffer's strided column view against a
+    # strided slice of the simulator's buffer: the differences are formed
+    # in one new C-ordered array, so each row is reduced as the rows of the
+    # C-ordered copies are
+    for B, m in ((2, 3), (3, 257), (7, 1000)):
+        pred = rng.normal(size=(m + 1, 3, B))[1:, 2].T
+        target = (10.0 * rng.normal(size=(2 * B, m)))[::2]
+        assert not pred.flags.c_contiguous and not target.flags.c_contiguous
+        expected = mse(np.ascontiguousarray(pred), np.ascontiguousarray(target))
+        assert np.array_equal(mse(pred, target).view(np.uint64), expected.view(np.uint64))
+        assert mse(pred[0], target[0]) == mse(pred[0].copy(), target[0].copy())
+
+
 def test_regress_bits_independent_of_memory_layout(rng):
     # BLAS and numpy's reductions sum in an order set by their operands'
     # layout; every entry point takes its arrays in C order first, so a

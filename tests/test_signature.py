@@ -513,6 +513,65 @@ def test_cumsum0_and_bracket_columns_accumulate_into_out(rng):
     assert np.array_equal(_bits(view), _bits(cumsum0(increments)))
 
 
+def _whole_cumsum(increments: np.ndarray) -> np.ndarray:
+    """The reference of cumsum0: one whole-array np.longdouble cumsum along
+    the leading axis behind a zero row, cast to float64."""
+    total = np.cumsum(np.asarray(increments, dtype=np.longdouble), axis=0)
+    return np.concatenate([np.zeros((1,) + total.shape[1:]), total]).astype(np.float64)
+
+
+@pytest.mark.parametrize("window_bytes", [8, 64, signature._WINDOW_BYTES])
+def test_cumsum0_windows_keep_the_whole_cumsum_bits(monkeypatch, rng, window_bytes):
+    # the sums go on from window to window in extended precision, so every
+    # window size gives the bits of one whole-array cumsum: on 1-D, 2-D and
+    # 3-D increments, a strided view, a strided out, no step at all and a
+    # -0.0 first increment (whose sign the running sum keeps)
+    monkeypatch.setattr(signature, "_WINDOW_BYTES", window_bytes)
+    for shape in ((0,), (1,), (37,), (0, 3), (1, 4), (29, 3), (23, 2, 5)):
+        increments = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        if increments.size:
+            increments[0] = -0.0
+        expected = _whole_cumsum(increments)
+        got = cumsum0(increments)
+        assert got.shape == expected.shape and got.flags.c_contiguous, shape
+        assert np.array_equal(_bits(got), _bits(expected)), shape
+        if increments.ndim > 1:
+            strided = np.asfortranarray(increments)[:, ::-1]
+            assert np.array_equal(_bits(cumsum0(strided)), _bits(expected[:, ::-1])), shape
+            out = np.full(expected.shape[::-1] + (2,), np.nan)[..., 0].T
+            assert cumsum0(increments, out=out) is out
+            assert np.array_equal(_bits(out), _bits(expected)), shape
+    # out[1:] over the increments' own memory, as bracket_columns sums
+    block = rng.normal(size=(31, 3, 4))
+    expected = _whole_cumsum(block[1:, 1])
+    assert np.array_equal(_bits(cumsum0(block[1:, 1], out=block[:, 1])), _bits(expected))
+
+
+def test_cumsum0_new_output_has_the_axis_order_of_the_increments(rng):
+    # a new output is laid out in memory as np.empty_like lays out the
+    # increments: C order for a C-ordered input, Fortran order for a
+    # Fortran-ordered one, so that the transpose views of batch-last
+    # buffers stay batch-last
+    increments = rng.normal(size=(3, 40)).T
+    assert cumsum0(increments).flags.f_contiguous
+    assert cumsum0(np.ascontiguousarray(increments)).flags.c_contiguous
+
+
+def test_cumsum0_peak_memory_is_its_output_and_one_window(rng):
+    # 400 steps of 600 paths: the tracemalloc peak of a call is its new
+    # output and one window of extended-precision sums, not a longdouble
+    # copy of the increments (two outputs' worth)
+    increments = rng.normal(size=(400, 600))
+    cumsum0(increments[:2])
+    tracemalloc.start()
+    try:
+        out = cumsum0(increments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + signature._WINDOW_BYTES + 16 * 1024, peak - out.nbytes
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_level_one_is_the_increment_and_level_two_reads_its_gamma_points(rng, L):
     # level 1 telescopes to X - X_0, one subtraction; the level-2 step and
