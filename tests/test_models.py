@@ -566,6 +566,15 @@ SIMULATOR_IDS = ["heston", "heston2", "cantor", "cantor2"]
 
 
 @pytest.mark.parametrize("simulate, params", SIMULATORS, ids=SIMULATOR_IDS)
+def test_simulator_buffer_fits_in_a_driver_block(simulate, params):
+    # a pricing chunk hands the simulator the tail of its joint driver
+    # block, 6(n+1) values per path, so no simulator may need more
+    for n in (1, 2, 25, 252):
+        for paths in (1, 7):
+            assert simulation_values(params, n, paths) <= 6 * (n + 1) * paths, (n, paths)
+
+
+@pytest.mark.parametrize("simulate, params", SIMULATORS, ids=SIMULATOR_IDS)
 def test_simulator_rows_equal_in_one_batch_and_in_chunks(simulate, params):
     # a batch is stored paths last, and every step is one vector over the
     # batch; a path's rows must not depend on the batch it is simulated in
