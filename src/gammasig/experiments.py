@@ -46,7 +46,7 @@ from .models import (
     simulation_values,
 )
 from .payoffs import PayoffSpec, payoff_values, realized_stats_batch, statistic_key
-from .regress import RegressionFit, lasso_fit, mse, predict, ridge_fit
+from .regress import lasso_fit, mse, predict, ridge_fit
 from .signature import (
     SamplePath,
     augment_path,
@@ -283,53 +283,53 @@ class ExperimentConfig:
 
     def _largest_arrays(self) -> list[tuple]:
         """The largest float64 arrays of a run, sized from the config alone,
-        as :func:`check_array_size` arguments.  A calibration's are its
-        training signature trajectory (three letters to level N, N + 1 for
-        heston-calib), the test buffers of its processes
-        (:func:`_test_values`: the simulator's buffer, of
-        :func:`simulation_values`, over all test paths, and one driver block
-        in each of the processes that score them), the largest of
-        its schemes' lasso Grams (two p x p arrays for p functionals: the
-        solver forms the Gram's block of nonzero columns while the Gram is
-        alive), that Gram beside the homotopy's active-set factor (k x k) and
-        active columns (p x k), counted as p x (p + 2k) for k = min(n + 1, p),
-        as many active columns as the training design has rows, and the
-        dense functional coefficients (one row per word to the functionals'
-        level, one column per functional).  A pricing run's are the chunk
-        buffers of its processes (:func:`_chunk_values` per path: the joint
-        driver block, in which the simulator works; one buffer of at most
-        ``_PRICING_CHUNK`` paths in each of :func:`_workers` processes,
-        which share the physical memory), the feature rows of all paths (the two
-        joint rows, to level N over three and six letters) and the ridge
-        Gram of the widest design, the joint left-point row, counted twice:
-        the solver holds the Gram and its Cholesky factor."""
+        as :func:`check_array_size` arguments.  Both experiments' include
+        the chunk buffers of their processes: one buffer of
+        :func:`_chunk_values` for at most a chunk's paths (``_TEST_CHUNK``
+        test paths, or ``_PRICING_CHUNK`` paths) in each of :func:`_workers`
+        processes, which share the physical memory.  A calibration's others
+        are its training signature trajectory (three letters to level N,
+        N + 1 for heston-calib), the per-path MSEs of its test paths (one
+        row per scheme, which the caller joins into a copy of one row at a
+        time), the largest of its schemes' lasso Grams (two p x p arrays
+        for p functionals: the solver forms the Gram's block of nonzero
+        columns while the Gram is alive), that Gram beside the homotopy's
+        active-set factor (k x k) and active columns (p x k), counted as
+        p x (p + 2k) for k = min(n + 1, p), as many active columns as the
+        training design has rows, and the dense functional coefficients
+        (one row per word to the functionals' level, one column per
+        functional).  A pricing run's others are the feature rows of all
+        paths (the two joint rows, to level N over three and six letters)
+        and the ridge Gram of the widest design, the joint left-point row,
+        counted twice: the solver holds the Gram and its Cholesky factor."""
         n, N = ("grid.n", self.grid_n), ("signature.trunc_level", self.trunc_level)
         level = self.trunc_level
-        heston = self.experiment.startswith("heston")
-        if self.experiment in CALIBRATION_IDS:
+        calibration = self.experiment in CALIBRATION_IDS
+        total = self.n_test if calibration else self.n_train + self.n_test + self.n_mc
+        in_flight = min(_workers() * (_TEST_CHUNK if calibration else _PRICING_CHUNK), total)
+        buffers = ("the chunk buffers of the processes", (n,),
+                   ((_chunk_values(self, 1), 1), (in_flight, 1)))
+        if calibration:
+            heston = self.experiment.startswith("heston")
             # (letters, top level, count) of each scheme's functionals
             schemes = ([(3, level + 1, _row_width(3, level))] if heston else
                        [(2, level, _row_width(2, level)), (3, level, _row_width(3, level - 1))])
             letters, top, p = max(schemes, key=lambda s: _row_width(s[0], s[1]) * s[2])
             widest = max(s[2] for s in schemes)
             active = min(self.grid_n + 1, widest)
-            simulated, block = _test_values(self, self.n_test)
-            processes = min(_workers(), -(-self.n_test // _TEST_CHUNK))
             return [("the training signature trajectory", (n, N),
                      ((self.grid_n + 1, 1), (3, level + heston))),
-                    ("the test buffers of the processes", (n, ("samples.N_test", self.n_test)),
-                     ((simulated + processes * block, 1),)),
+                    buffers,
+                    ("the per-path MSEs of the test paths", (("samples.N_test", total),),
+                     ((len(SCHEMES) + 1, 1), (total, 1))),
                     ("the lasso Gram", (N,), ((widest, 2), (2, 1))),
                     ("the lasso Gram with its active-set factor and columns", (n, N),
                      ((widest, 1), (widest + 2 * active, 1))),
                     ("the functionals' dense coefficients", (N,),
                      ((_row_width(letters, top), 1), (p, 1)))]
-        total = self.n_train + self.n_test + self.n_mc
         samples = (("samples.N_train", self.n_train), ("samples.N_test", self.n_test),
                    ("samples.N_MC", self.n_mc))
-        in_flight = min(_workers() * _PRICING_CHUNK, total)
-        return [("the chunk buffers of the processes", (n,),
-                 ((_chunk_values(self, 1), 1), (in_flight, 1))),
+        return [buffers,
                 ("the feature rows of all paths", samples + (N,),
                  ((total, 1), (_row_width(3, level) + _row_width(6, level), 1))),
                 ("the ridge Gram", (N,), ((_row_width(6, level), 2), (2, 1)))]
@@ -505,97 +505,110 @@ def _simulate_calibration_columns(config: ExperimentConfig, grid: SimGrid,
 _TEST_CHUNK = 100
 
 
-def _test_values(config: ExperimentConfig, paths: int) -> tuple[int, int]:
-    """The float64 values of a calibration process's test buffer for a run
-    of ``paths`` test paths, m = n // 2 steps each: the simulator's
-    (:func:`simulation_values`), and the driver block that every chunk
-    reuses, (m+1) x 3 x min(``_TEST_CHUNK``, paths)
-    for the widest driver's three columns."""
-    m = config.grid_n // 2
-    return simulation_values(config.model, m, paths), (m + 1) * 3 * min(_TEST_CHUNK, paths)
-
-
 def _fold(coeffs: np.ndarray, functionals: Sequence[TensorPoly]) -> TensorPoly:
     """The fitted functional sum_j coeffs[j] * functionals[j] as one tensor."""
     zero = TensorPoly.zero(functionals[0].alphabet, functionals[0].trunc_level)
     return sum((f.scale(float(c)) for c, f in zip(coeffs, functionals)), zero)
 
 
-#: A scheme's fit as the test paths read it: its driver's column names and
-#: its lasso fit.
-_Fits = dict[str, tuple[tuple[str, ...], RegressionFit]]
+#: A scheme's fit as the test chunks read it: its driver's column names, its
+#: intercept and its folded functional sum_j beta_j f_j.
+_Fits = dict[str, tuple[tuple[str, ...], float, TensorPoly]]
 
 
-def _score_test_paths(config: ExperimentConfig, fits: _Fits, start: int, stop: int) \
-        -> tuple[dict[str, np.ndarray], dict[str, list]]:
-    """Score each scheme's fit on test paths ``start + 1 .. stop`` (path 0
-    is the training path): each scheme's per-path out-of-sample MSE, in
-    path order, and, where ``start`` is 0, the first test path's target and
-    each scheme's prediction of it, as trajectory columns.
+def _score_chunk(config: ExperimentConfig, fits: _Fits, lo: int, hi: int,
+                 buffer: np.ndarray) -> tuple[dict[str, np.ndarray], dict[str, list]]:
+    """Score each scheme's fit on test paths ``lo + 1 .. hi`` (path 0 is
+    the training path): each scheme's per-path out-of-sample MSE, in path
+    order, and, where ``lo`` is 0, the first test path's target and each
+    scheme's prediction of it, as trajectory columns.
 
-    The process allocates one flat float64 buffer (:func:`_test_values`)
-    and simulates its paths into its leading values once, through the
-    simulator's ``out``: Heston's prices and variances, or the Cantor-clock
-    prices and the increments of W_C.  The paths are paired in chunks of
-    ``_TEST_CHUNK``, counted from ``start``.  Each chunk writes its driver block into the
-    buffer's tail, (n+1, 3, B) paths last, viewed as (B, n+1, 3): the time
-    column, then W_Q and B_Q, recovered by :func:`heston_drivers`, or W_C,
-    summed from its increments by :func:`cumsum0`, and the clock C.  Every
-    scheme's driver names are a prefix of those columns, so each scheme
-    pairs its leading columns through :func:`functional_paths` on its
-    folded fit sum_j beta_j f_j, and each chunk is scored by one row-wise
-    :func:`mse` per scheme."""
-    plans = _calibration_plans(config)
+    The chunk works in the leading :func:`_chunk_values` values of the
+    process's flat float64 ``buffer``.  It simulates its paths into the
+    buffer's head through the simulator's ``out``: Heston's prices and
+    variances, or the Cantor-clock prices and the increments of W_C.  Its
+    driver block follows right after them, (n+1, 3, B) paths last, viewed
+    as (B, n+1, 3): the time column, then W_Q and B_Q, recovered by
+    :func:`heston_drivers`, or W_C, summed from its increments by
+    :func:`cumsum0`, and the clock C.  Every scheme's driver names are a
+    prefix of those columns, so each scheme pairs its leading columns
+    through :func:`functional_paths` on its folded fit, and is scored by
+    one row-wise :func:`mse`."""
     grid = config.test_grid()
-    n, paths = grid.n, stop - start
+    n, paths = grid.n, hi - lo
     heston = config.experiment == "heston-calib"
-    simulated, block = _test_values(config, paths)
-    buffer = np.empty(simulated + block)
-    indices = range(start + 1, stop + 1)
+    simulate = simulate_heston_batch if heston else simulate_cantor_sde_batch
+    test = simulate(config.model, grid, range(lo + 1, hi + 1), out=buffer)
+    S = test["S"] if heston else test["S"][:, :, 0]
+    simulated = simulation_values(config.model, n, paths)
+    values = buffer[simulated:simulated + (n + 1) * 3 * paths] \
+        .reshape(n + 1, 3, paths).transpose(2, 0, 1)
+    values[:, :, 0] = grid.times
     if heston:
-        test = simulate_heston_batch(config.model, grid, indices, out=buffer)
-        S = test["S"]
+        heston_drivers(S, test["V"], config.model.sigma, out=values[:, :, 1:])
     else:
-        test = simulate_cantor_sde_batch(config.model, grid, indices, out=buffer)
-        S, increments = test["S"][:, :, 0], test["dW_C"][:, :, 0].T
-        clock = cantor_function(grid.times, config.model.cantor_depth)
-    ells = {scheme: _fold(fit.coeffs, plans[scheme].functionals)
-            for scheme, (_, fit) in fits.items()}
-    mses: dict[str, list] = {scheme: [] for scheme in SCHEMES}
-    trajectory = {"target": S[0].tolist()} if start == 0 else {}
-    for lo in range(0, paths, _TEST_CHUNK):
-        hi = min(lo + _TEST_CHUNK, paths)
-        values = buffer[simulated:simulated + (n + 1) * 3 * (hi - lo)] \
-            .reshape(n + 1, 3, hi - lo).transpose(2, 0, 1)
-        values[:, :, 0] = grid.times
-        if heston:
-            heston_drivers(S[lo:hi], test["V"][lo:hi], config.model.sigma,
-                           out=values[:, :, 1:])
-        else:
-            cumsum0(increments[:, lo:hi], out=values[:, :, 1].T)
-            values[:, :, 2] = clock
-        for scheme in SCHEMES:
-            names, fit = fits[scheme]
-            pred = functional_paths(values[:, :, :len(names)], GAMMAS[scheme],
-                                    [ells[scheme]])[..., 0]
-            pred += fit.intercept
-            mses[scheme].append(mse(pred, S[lo:hi]))
-            if start == lo == 0:
-                trajectory[f"pred_{scheme}"] = pred[0].tolist()
-    return {scheme: np.concatenate(rows) for scheme, rows in mses.items()}, trajectory
+        cumsum0(test["dW_C"][:, :, 0].T, out=values[:, :, 1].T)
+        values[:, :, 2] = cantor_function(grid.times, config.model.cantor_depth)
+    mses = {}
+    trajectory = {"target": S[0].tolist()} if lo == 0 else {}
+    for scheme in SCHEMES:
+        names, intercept, ell = fits[scheme]
+        pred = functional_paths(values[:, :, :len(names)], GAMMAS[scheme], [ell])[..., 0]
+        pred += intercept
+        mses[scheme] = mse(pred, S)
+        if lo == 0:
+            trajectory[f"pred_{scheme}"] = pred[0].tolist()
+    return mses, trajectory
 
 
-def _on_processes(task: Callable, args: tuple, total: int, chunk: int) -> list:
-    """``task(*args, start, stop)`` over paths ``0 .. total - 1``, in
-    contiguous runs of nearly equal size, one run per process; the results
+def _chunk_values(config: ExperimentConfig, paths: int) -> int:
+    """The float64 values of the buffer of a chunk of ``paths`` paths.  A
+    calibration chunk's are the simulator's (:func:`simulation_values`, on
+    the m = n // 2 steps of the test grid) and its driver block, 3 x (m+1)
+    per path for the widest driver's three columns; a pricing chunk's are
+    its joint driver block, 6 x (n+1) per path, in which the simulator's
+    buffer (at most as many values) lies."""
+    if config.experiment in CALIBRATION_IDS:
+        m = config.grid_n // 2
+        return simulation_values(config.model, m, paths) + 3 * (m + 1) * paths
+    return 6 * (config.grid_n + 1) * paths
+
+
+def _chunked(step: Callable, args: tuple, chunk: int, caller: int | None,
+             start: int, stop: int) -> list:
+    """``step(*args, lo, hi, buffer)`` over paths ``start .. stop - 1``, in
+    chunks of ``chunk`` paths counted from ``start``; the chunks' results
     in path order.
 
+    The run allocates one flat float64 buffer, sized for its longest chunk
+    by :func:`_chunk_values` of its config ``args[0]``, and every chunk
+    works in it: the chunks' memory is not freed and faulted in again from
+    one chunk to the next.  A forked worker's run is given the pid of the
+    ``caller`` that forked it, and before each chunk it leaves through
+    ``os._exit`` once its parent is another process, so a worker whose
+    caller was killed runs at most one chunk longer; the caller's own run
+    is given None."""
+    buffer = np.empty(_chunk_values(args[0], min(chunk, stop - start)))
+    results = []
+    for lo in range(start, stop, chunk):
+        if caller is not None and os.getppid() != caller:
+            os._exit(1)
+        results.append(step(*args, lo, min(lo + chunk, stop), buffer))
+    return results
+
+
+def _on_processes(step: Callable, args: tuple, total: int, chunk: int) -> list:
+    """``step(*args, lo, hi, buffer)`` over the chunks of paths ``0 ..
+    total - 1``; the chunks' results in path order.
+
+    The paths are split into contiguous runs of nearly equal size, one run
+    per process, and each process walks its run through :func:`_chunked`.
     There are :func:`_workers` processes, at most one per chunk of
     ``chunk`` paths, and run k of W starts at path ``total * k // W``; a
-    task counts its chunks from its own start, so the runs need not end on
+    run counts its chunks from its own start, so the runs need not end on
     chunk boundaries.  The caller forks a worker for every run but the
     first (:func:`_fork`), runs the first itself, and only then reads each
-    worker's pickled result from its pipe, in path order
+    worker's pickled results from its pipe, in path order
     (:func:`_worker_result`), so no worker's result lies beside the
     caller's working memory, and no thread is started.  Each process
     simulates only its own paths, whose draws are their own per-path
@@ -609,20 +622,23 @@ def _on_processes(task: Callable, args: tuple, total: int, chunk: int) -> list:
     error state included.  Every worker is reaped before the call returns
     or raises, and the first failure in path order is raised, as one
     process would raise it, once every worker has ended: a worker whose
-    result is no longer read is killed.
+    result is no longer read is killed.  A worker whose caller is killed
+    ends before its next chunk.
     """
     processes = min(_workers(), -(-total // chunk))
     if processes > 1 and (not hasattr(os, "fork") or threading.active_count() > 1):
         processes = 1
     bounds = [total * k // processes for k in range(processes + 1)]
     runs = list(zip(bounds, bounds[1:]))
+    caller = os.getpid()
     workers: list[tuple[int, int, tuple[int, int]]] = []  # (pid, read end, run)
     try:
         for run in runs[1:]:
-            workers.append(_fork(task, args, run, [read for _, read, _ in workers]))
-        results = [task(*args, *runs[0])]
+            workers.append(_fork(_chunked, (step, args, chunk, caller), run,
+                                 [read for _, read, _ in workers]))
+        results = _chunked(step, args, chunk, None, *runs[0])
         while workers:
-            results.append(_worker_result(*workers.pop(0)))
+            results += _worker_result(*workers.pop(0))
         return results
     finally:
         for pid, read, _ in workers:
@@ -721,12 +737,11 @@ def run_calibration(config: ExperimentConfig) -> dict:
     training design goes through :func:`gamma_signature` and
     :func:`functional_matrix`, and the in-sample MSE is the lasso's own.  The
     test paths are simulated after the fits, so that the training arrays are
-    freed before the run's largest allocation, and are scored in chunks of
-    ``_TEST_CHUNK`` by :func:`_score_test_paths`.  The test paths are split
-    into contiguous runs, one per process (:func:`_on_processes`): the
-    caller scores the first run and forked workers the others, each
-    simulating only its own paths, and the per-path MSEs are reduced in
-    path order, so the outputs do not depend on the number of processes.
+    freed first.  Each scheme's fit is folded into one functional, and the
+    test paths are simulated and scored in chunks of ``_TEST_CHUNK`` by
+    :func:`_score_chunk`, on the processes of :func:`_on_processes`; the
+    per-path MSEs are reduced in path order, so the outputs do not depend
+    on the chunks or the number of processes.
     A training target whose squares can overflow float64 (before any fit), a
     failed lasso and a non-finite MSE (naming the scheme) are ``ValueError``s
     raised before any file is written.
@@ -741,7 +756,7 @@ def run_calibration(config: ExperimentConfig) -> dict:
     train = _simulate_calibration_columns(config, train_grid, [0])
     y_train = train["S"][0]
 
-    fits = {}
+    fits, folded = {}, {}
     for scheme in SCHEMES:
         plan = plans[scheme]
         driver = plan.driver(train_grid.times, train, 0)
@@ -756,20 +771,21 @@ def run_calibration(config: ExperimentConfig) -> dict:
             print(f"warning: {config.experiment} {scheme} lasso fit not converged "
                   f"after n_iter={fit.diagnostics['n_iter']} active-set steps",
                   file=sys.stderr)
-        fits[scheme] = driver.names, fit
+        fits[scheme] = fit
+        folded[scheme] = driver.names, fit.intercept, _fold(fit.coeffs, plan.functionals)
     del train, traj, X_train
 
-    runs = _on_processes(_score_test_paths, (config, fits), config.n_test, _TEST_CHUNK)
-    trajectory = {"t": list(config.test_grid().times), **runs[0][1]}
+    chunks = _on_processes(_score_chunk, (config, folded), config.n_test, _TEST_CHUNK)
+    trajectory = {"t": list(config.test_grid().times), **chunks[0][1]}
     report: dict = {
         "experiment": config.experiment,
         **_stamp(config),
         "schemes": {},
     }
     for scheme in SCHEMES:
-        fit = fits[scheme][1]
+        fit = fits[scheme]
         in_mse = fit.diagnostics["in_sample_mse"]
-        out_mse = float(np.mean(np.concatenate([mses[scheme] for mses, _ in runs])))
+        out_mse = float(np.mean(np.concatenate([mses[scheme] for mses, _ in chunks])))
         for label, value in (("in-sample", in_mse), ("out-of-sample", out_mse)):
             if not math.isfinite(value):
                 raise ValueError(f"{config.experiment} {scheme} scheme: the {label} "
@@ -803,8 +819,8 @@ _PRICING_CHUNK = 600
 
 def _workers() -> int:
     """Workers of a run: the processes over which :func:`_on_processes`
-    splits a calibration's test paths and a pricing run's paths, and so a
-    pricing run's chunks in flight, one per process.  Two, or one
+    splits a calibration's test paths and a pricing run's paths, and so
+    the chunks in flight, one per process.  Two, or one
     where the process may run on one core only (its CPU affinity, or the
     machine's core count where that cannot be read)."""
     try:
@@ -836,13 +852,6 @@ def _family_columns(family: str, scheme: str, N: int) -> tuple[tuple[Word, ...],
             if all(letter in rank for letter in word)]
     return (tuple(tuple(rank[letter] for letter in word) for _, word in kept),
             np.array([column for column, _ in kept]))
-
-
-def _chunk_values(config: ExperimentConfig, paths: int) -> int:
-    """The float64 values of the buffer of a pricing chunk of ``paths``
-    paths: its joint driver block, 6 x (n+1) per path, in which the
-    simulator's buffer (:func:`simulation_values`, at most as many) lies."""
-    return 6 * (config.grid_n + 1) * paths
 
 
 #: Time rows per block in which a pricing chunk writes its log-prices.
@@ -916,17 +925,6 @@ def _joined(parts: Sequence[tuple[dict, dict, np.ndarray]]) \
             np.concatenate([ok for _, _, ok in parts]))
 
 
-def _pricing_run(config: ExperimentConfig, start: int, stop: int) -> list[tuple]:
-    """:func:`_pricing_chunk` over paths ``start..stop-1``, in chunks of
-    ``_PRICING_CHUNK`` counted from ``start``, in path order.  The process
-    allocates one chunk buffer for the run, sized for its longest chunk
-    (:func:`_chunk_values`), and every chunk works in it: the chunks' memory
-    is not freed and faulted in again from one chunk to the next."""
-    buffer = np.empty(_chunk_values(config, min(_PRICING_CHUNK, stop - start)))
-    return [_pricing_chunk(config, lo, min(lo + _PRICING_CHUNK, stop), buffer)
-            for lo in range(start, stop, _PRICING_CHUNK)]
-
-
 def _pricing_features(config: ExperimentConfig) \
         -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
     """Each scheme's joint row, realized statistics and the mask of paths
@@ -934,16 +932,14 @@ def _pricing_features(config: ExperimentConfig) \
     family's row is its columns of its scheme's joint row
     (:func:`_family_columns`).
 
-    The paths are split into contiguous runs, one per process
-    (:func:`_on_processes`): the caller prices the first run and forked
-    workers the others, each through :func:`_pricing_run`, so every
-    process has one chunk in flight.  The chunks' rows, statistics and
-    masks are joined once, in path order, so no bit and no key order
+    The paths are priced in chunks of ``_PRICING_CHUNK`` by
+    :func:`_pricing_chunk`, on the processes of :func:`_on_processes`, so
+    every process has one chunk in flight.  The chunks' rows, statistics
+    and masks are joined once, in path order, so no bit and no key order
     depends on the processes.
     """
     total = config.n_train + config.n_test + config.n_mc
-    runs = _on_processes(_pricing_run, (config,), total, _PRICING_CHUNK)
-    return _joined([chunk for run in runs for chunk in run])
+    return _joined(_on_processes(_pricing_chunk, (config,), total, _PRICING_CHUNK))
 
 
 def run_pricing(config: ExperimentConfig) -> dict:

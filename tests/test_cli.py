@@ -549,9 +549,13 @@ def test_sigdump_bad_gamma(tmp_path, capsys):
 def _cli_in_subprocess(command: str, cfg: str, address_space: int | None = None):
     """``gammasig <command> --config <cfg>`` in a fresh interpreter that
     imports this checkout's package, with its own soft address-space limit
-    (``RLIMIT_AS``) of ``address_space`` bytes if given."""
+    (``RLIMIT_AS``) of ``address_space`` bytes if given.  The child leads a
+    new session, and a child that runs past the timeout is killed with its
+    whole process group, its forked workers included, before
+    ``TimeoutExpired`` is raised."""
     import os
     import resource
+    import signal
     import subprocess
     import sys
 
@@ -564,9 +568,17 @@ def _cli_in_subprocess(command: str, cfg: str, address_space: int | None = None)
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         resource.setrlimit(resource.RLIMIT_AS, (address_space, hard))
 
-    return subprocess.run([sys.executable, "-m", "gammasig.cli", command, "--config", cfg],
-                          capture_output=True, text=True, env=env, timeout=120,
-                          preexec_fn=None if address_space is None else limit)
+    with subprocess.Popen([sys.executable, "-m", "gammasig.cli", command, "--config", cfg],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                          start_new_session=True,
+                          preexec_fn=None if address_space is None else limit) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import signal
 import threading
 import time
 import tracemalloc
@@ -31,7 +32,11 @@ from gammasig import (
     run_pricing,
 )
 from gammasig.experiments import GAMMAS, SCHEMES
-from gammasig.models import simulate_cantor_sde_batch, simulate_heston2_batch
+from gammasig.models import (
+    simulate_cantor_sde_batch,
+    simulate_heston2_batch,
+    simulation_values,
+)
 from gammasig.signature import bracket_columns
 from conftest import assert_no_child_left
 
@@ -505,8 +510,10 @@ def test_pricing_features_are_subsets_of_two_joint_passes(monkeypatch, trunc_lev
 
 @pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
 def test_calibration_builds_one_driver_batch_per_test_chunk(monkeypatch, experiment):
-    # three test chunks, one driver block each, written into the same tail
-    # of the process's buffer: every scheme reads its leading columns, the
+    # three test chunks, two full ones and a short last one, each simulated
+    # into the head of the process's one buffer, with its driver block
+    # right after the simulator's values, so that the short chunk's block
+    # lies at another offset: every scheme reads its leading columns, the
     # prefix that its driver names take of the widest driver's.  The block
     # holds the bits of each path's own driver, built from the allocating
     # simulator's arrays.  One process, so that every block is read where it
@@ -528,13 +535,27 @@ def test_calibration_builds_one_driver_batch_per_test_chunk(monkeypatch, experim
         blocks.append((scheme, values.__array_interface__["data"][0], values.copy()))
         return real(values, gamma, ells)
 
+    name = ("simulate_heston_batch" if experiment == "heston-calib"
+            else "simulate_cantor_sde_batch")
+    simulate = getattr(experiments, name)
+    buffers = []
+
+    def simulating(params, grid, indices, **kwargs):
+        if "out" in kwargs:
+            buffers.append(kwargs["out"].__array_interface__["data"][0])
+        return simulate(params, grid, indices, **kwargs)
+
     monkeypatch.setattr(experiments, "functional_paths", recording)
+    monkeypatch.setattr(experiments, name, simulating)
     run_calibration(config)
     sizes = [experiments._TEST_CHUNK] * 2 + [1]
     assert [(scheme, values.shape) for scheme, _, values in blocks] == [
         (scheme, (size, grid.n + 1, len(names[scheme])))
         for size in sizes for scheme in SCHEMES]
-    assert len({address for _, address, _ in blocks}) == 1
+    assert len(buffers) == len(sizes) and len(set(buffers)) == 1
+    assert [address for _, address, _ in blocks] == [
+        buffers[0] + 8 * simulation_values(config.model, grid.n, size)
+        for size in sizes for _ in SCHEMES]
     starts = np.repeat(np.cumsum([0] + sizes[:-1]), len(SCHEMES))
     for (scheme, _, values), start in zip(blocks, starts):
         for b, path in enumerate(values, start):
@@ -543,25 +564,28 @@ def test_calibration_builds_one_driver_batch_per_test_chunk(monkeypatch, experim
                 (scheme, b)
 
 
-@pytest.mark.parametrize("experiment, bound", [("heston-calib", 4.5), ("cantor-calib", 4.0)])
+@pytest.mark.parametrize("experiment, bound", [("heston-calib", 2.6), ("cantor-calib", 2.2)])
 def test_calibration_test_run_peak_memory(monkeypatch, experiment, bound):
     # one process scores all 1000 test paths of 101 points, 10 chunks: the
     # tracemalloc peak of its run, in units of one float64 series per test
-    # path.  The run's buffer holds 2 series for heston-calib (prices and
-    # variances) or about 2 for cantor-calib (the increments of W_C and the
-    # prices) and a driver block of 0.3; the rest is one chunk's pairing.
-    # Simulating every column of the run at once, and building each chunk's
+    # path.  The run's one chunk buffer holds 0.5: 100 paths of the
+    # simulator's 2 series (prices and variances, or the increments of W_C
+    # and the prices) and the driver block's 3; the rest is one chunk's
+    # pairing.  It reads 2.37 and 1.93, and the bounds leave about 0.25 over
+    # that.  A buffer for all of the run's test paths, with one driver block
+    # reused by every chunk, read 4.29 and 3.83 (bounds 4.5 and 4.0), and
+    # simulating every column of the run at once, and building each chunk's
     # drivers from them, read 9.11 and 5.00
     peaks = []
 
-    def measured(task, args, total, chunk):
+    def measured(step, args, total, chunk):
         tracemalloc.start()
         try:
-            result = task(*args, 0, total)
+            results = experiments._chunked(step, args, chunk, None, 0, total)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        return [result]
+        return results
 
     monkeypatch.setattr(experiments, "_on_processes", measured)
     config = default_config(experiment, grid_n=200, n_test=1000)
@@ -573,9 +597,10 @@ def test_calibration_test_run_peak_memory(monkeypatch, experiment, bound):
 
 def _fanned_out_calibration(monkeypatch, record) -> ExperimentConfig:
     """A cantor-calib config whose 5 test paths are 3 chunks of 2, on 2
-    processes: the caller scores paths 1-2 and a forked worker paths 3-5.
-    Every test-path simulation, in either process, first calls
-    ``record(indices)``; each is a simulation into its process's buffer."""
+    processes: the caller scores paths 1-2 and a forked worker paths 3-4,
+    then 5.  Every test-path simulation, in either process, first calls
+    ``record(indices)``; each is one chunk's simulation into its process's
+    buffer."""
     monkeypatch.setattr(experiments, "_TEST_CHUNK", 2)
     monkeypatch.setattr(experiments, "_workers", lambda: 2)
     real = experiments.simulate_cantor_sde_batch
@@ -615,8 +640,8 @@ def test_calibration_worker_runs_in_the_callers_context(monkeypatch, tmp_path):
         run_calibration(config)
     assert expected != np.geterr()
     records = sorted(_logged(log), key=lambda record: record[1])
-    assert [indices for _, indices, _ in records] == [[1, 2], [3, 4, 5]]
-    assert records[0][0] == os.getpid() != records[1][0]
+    assert [indices for _, indices, _ in records] == [[1, 2], [3, 4], [5]]
+    assert records[0][0] == os.getpid() != records[1][0] == records[2][0]
     assert all(state == expected for _, _, state in records)
     assert_no_child_left()
 
@@ -655,7 +680,7 @@ def test_calibration_with_other_threads_runs_in_one_process(monkeypatch, tmp_pat
         other.join(timeout=10)
     assert not other.is_alive()
     assert [(pid, indices) for pid, indices, _ in _logged(log)] == [
-        (os.getpid(), [1, 2, 3, 4, 5])]
+        (os.getpid(), indices) for indices in ([1, 2], [3, 4], [5])]
 
 
 def test_pricing_builds_one_driver_batch_per_chunk(monkeypatch):
@@ -688,6 +713,20 @@ def test_pricing_builds_one_driver_batch_per_chunk(monkeypatch):
                                   driver[:, :, :letters].view(np.uint64)), chunk
 
 
+class _PoisonedNumpy:
+    """numpy, but every ``np.empty`` is filled with NaN, so that a value
+    that no chunk writes into its buffer shows as a non-finite result."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        array = np.empty(*args, **kwargs)
+        array.fill(np.nan)
+        return array
+
+
 def test_pricing_chunks_equal_their_paths_priced_alone(monkeypatch):
     # one process walks 25 paths in chunks of 7, 7, 7 and a short last 4,
     # many of them rejected for a non-positive price: every chunk's rows,
@@ -695,17 +734,7 @@ def test_pricing_chunks_equal_their_paths_priced_alone(monkeypatch):
     # of their own, so no chunk reads a value that an earlier one left.
     # Every np.empty of the experiments module is filled with NaN, so that a
     # value no chunk writes shows as a non-finite row
-    class PoisonedNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def empty(*args, **kwargs):
-            array = np.empty(*args, **kwargs)
-            array.fill(np.nan)
-            return array
-
-    monkeypatch.setattr(experiments, "np", PoisonedNumpy())
+    monkeypatch.setattr(experiments, "np", _PoisonedNumpy())
     monkeypatch.setattr(experiments, "_PRICING_CHUNK", 7)
     monkeypatch.setattr(experiments, "_workers", lambda: 1)
     config = default_config("cantor2-pricing", grid_n=4, n_train=10, n_test=6, n_mc=9,
@@ -718,13 +747,49 @@ def test_pricing_chunks_equal_their_paths_priced_alone(monkeypatch):
     assert not ok[:7].all() and ok.any()
     assert all(np.isfinite(rows).all() for rows in feats.values())
     for lo, hi in bounds:
-        [(alone_feats, alone_stats, alone_ok)] = experiments._pricing_run(config, lo, hi)
+        [(alone_feats, alone_stats, alone_ok)] = experiments._chunked(
+            experiments._pricing_chunk, (config,), 7, None, lo, hi)
         assert np.array_equal(ok[lo:hi], alone_ok), lo
         for got, want in ((feats, alone_feats), (stats, alone_stats)):
             assert sorted(want) == sorted(got)
             for key in want:
                 assert np.array_equal(got[key][lo:hi].view(np.uint64),
                                       want[key].view(np.uint64)), (lo, key)
+
+
+@pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
+def test_calibration_chunks_equal_their_paths_scored_alone(monkeypatch, experiment):
+    # one process walks 7 test paths in chunks of 3, 3 and a short last 1,
+    # whose driver block lies at another offset of the buffer, right after
+    # its smaller simulation: every chunk's per-path MSEs, and the first
+    # chunk's trajectory columns, keep the bits of its paths scored alone in
+    # a run of their own, so no chunk reads a value that an earlier one
+    # left.  Every np.empty of the experiments module is filled with NaN, so
+    # that a value no chunk writes shows as a non-finite MSE
+    monkeypatch.setattr(experiments, "np", _PoisonedNumpy())
+    monkeypatch.setattr(experiments, "_TEST_CHUNK", 3)
+    monkeypatch.setattr(experiments, "_workers", lambda: 1)
+    real = experiments._on_processes
+    calls = []
+
+    def capturing(step, args, total, chunk):
+        calls.append((args, real(step, args, total, chunk)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiments, "_on_processes", capturing)
+    run_calibration(default_config(experiment, grid_n=20, n_test=7))
+    [(args, chunks)] = calls
+    bounds = [(0, 3), (3, 6), (6, 7)]
+    assert len(chunks) == len(bounds)
+    for (lo, hi), (mses, trajectory) in zip(bounds, chunks):
+        [(alone, alone_trajectory)] = experiments._chunked(
+            experiments._score_chunk, args, 3, None, lo, hi)
+        assert trajectory == alone_trajectory and bool(trajectory) == (lo == 0)
+        assert list(mses) == list(alone) == list(SCHEMES)
+        for scheme in SCHEMES:
+            assert mses[scheme].shape == (hi - lo,) and np.isfinite(mses[scheme]).all()
+            assert np.array_equal(mses[scheme].view(np.uint64),
+                                  alone[scheme].view(np.uint64)), (lo, scheme)
 
 
 def test_pricing_brackets_once_per_chunk(monkeypatch):
@@ -934,15 +999,16 @@ def test_worker_result_that_cannot_be_pickled_raises_and_leaves_no_child(monkeyp
     # pickled is an error that says so, raised in path order after the
     # caller's own run, and the worker is reaped
     monkeypatch.setattr(experiments, "_workers", lambda: 2)
+    config = default_config("cantor2-pricing", grid_n=2, n_train=5, n_test=2, n_mc=3)
     ran = []
 
-    def task(start, stop):
-        ran.append(start)
-        return (lambda: stop) if start else list(range(start, stop))
+    def step(config, lo, hi, buffer):
+        ran.append(lo)
+        return (lambda: hi) if lo else list(range(lo, hi))
 
     with pytest.raises(RuntimeError, match=r"^the worker process of paths 5\.\.9 cannot "
                                            r"send its result: "):
-        experiments._on_processes(task, (), 10, 5)
+        experiments._on_processes(step, (config,), 10, 5)
     assert ran == [0]
     assert_no_child_left()
 
@@ -988,6 +1054,71 @@ def test_fanned_out_runs_import_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert proc.stdout.split("\n")[-2] == "[] 1 False"
+
+
+def _ended(pid: int) -> bool:
+    """Whether the process ``pid`` has ended: it is gone, or it is a zombie
+    (state Z in ``/proc/<pid>/stat``) that its new parent has not reaped
+    yet."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_worker_ends_when_its_caller_is_killed(tmp_path):
+    # a fresh interpreter runs 40 one-path chunks on two processes, each
+    # chunk writing its process's pid and sleeping 0.2 s, so each run takes
+    # 4 s.  Once the forked worker has started, the interpreter is killed
+    # with SIGKILL: the worker, whose parent is then another process, ends
+    # within 2 s, before its next chunk, where it used to run out its whole
+    # run.  Each step sleeps 0.2 s per path, so that a fan-out that hands a
+    # worker its whole run in one call sleeps as long
+    import subprocess
+    import sys
+
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("reading a process's state needs /proc")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    pids = tmp_path / "pids"
+    script = (
+        "import os, time\n"
+        "from gammasig import experiments as e\n"
+        "e._workers = lambda: 2\n"
+        "def step(config, lo, hi, *buffer):\n"
+        f"    with open({str(pids)!r}, 'a', encoding='utf-8') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "    time.sleep(0.2 * (hi - lo))\n"
+        "config = e.default_config('cantor2-pricing', grid_n=2, n_train=20, n_test=10,"
+        " n_mc=10)\n"
+        "e._on_processes(step, (config,), 40, 1)\n")
+    with open(tmp_path / "stderr", "w", encoding="utf-8") as stderr:
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.DEVNULL, stderr=stderr)
+    worker = None
+    try:
+        deadline = time.monotonic() + 60
+        while worker is None:
+            assert proc.poll() is None and time.monotonic() < deadline, \
+                (tmp_path / "stderr").read_text()
+            time.sleep(0.05)
+            lines = pids.read_text().splitlines(keepends=True) if pids.exists() else []
+            worker = next((int(line) for line in lines
+                           if line.endswith("\n") and int(line) != proc.pid), None)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    try:
+        deadline = time.monotonic() + 2
+        while not _ended(worker):
+            assert time.monotonic() < deadline, f"worker {worker} outlived its killed caller"
+            time.sleep(0.05)
+    finally:
+        if not _ended(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 def test_pricing_stats_order_independent_of_finishing_order(monkeypatch):

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -202,26 +203,39 @@ def test_golden_calibration_outputs_independent_of_workers(tmp_path, capsys, mon
                                                            workers):
     # in chunks of 2, the 3 test paths of each calibration golden are two
     # runs on 2 workers, split at path 3 * 1 // 2, not on a chunk boundary:
-    # the caller scores path 1 and a forked worker paths 2-3, each
-    # simulating only its own paths into its own buffer, and no worker
-    # outlives the run
+    # the caller scores path 1 and a forked worker paths 2-3.  Every
+    # simulation, in either process, covers one chunk's paths, into its
+    # process's buffer, and no worker outlives the run
     monkeypatch.setattr(experiments, "_TEST_CHUNK", 2)
     monkeypatch.setattr(experiments, "_workers", lambda: workers)
-    simulated = []  # in this process only: (indices, into a buffer)
+    log = tmp_path / "simulated.jsonl"  # (pid, indices, into a buffer) per line
 
     def recording(real):
         def simulate(params, grid, indices, **kwargs):
-            simulated.append((list(indices), "out" in kwargs))
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([os.getpid(), list(indices), "out" in kwargs]) + "\n")
             return real(params, grid, indices, **kwargs)
         return simulate
 
+    def simulated() -> list:
+        """(in the caller, indices, into a buffer) of every simulation
+        logged since the last call, in path order."""
+        with open(log, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        log.unlink()
+        return sorted(((pid == os.getpid(), indices, out) for pid, indices, out in records),
+                      key=lambda record: record[1])
+
     for name in ("simulate_cantor_sde_batch", "simulate_heston_batch"):
         monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
+    test_chunks = ([(True, [1, 2], True), (True, [3], True)] if workers == 1 else
+                   [(True, [1], True), (False, [2, 3], True)])
     assert _stamped_digests(tmp_path / "calibrate", "calibrate",
                             CALIBRATE_CONFIG, seed=1) == CALIBRATE_SHA256
+    assert simulated() == [(True, [0], False)] + test_chunks
     assert _stamped_digests(tmp_path / "heston", "calibrate",
                             HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
-    assert simulated == [([0], False), ([1, 2, 3] if workers == 1 else [1], True)] * 2
+    assert simulated() == [(True, [0], False)] + test_chunks
     assert_no_child_left()
     capsys.readouterr()
 
