@@ -394,29 +394,23 @@ def default_config(experiment: str, master_seed: int = 0, **overrides) -> Experi
 # Calibration
 # ---------------------------------------------------------------------------
 
-#: Simulated calibration columns: name -> (B, n+1) array, or (n+1,) for a
-#: column shared by every path (the Cantor clock "C").
-_Columns = dict[str, np.ndarray]
-
-
 @dataclass(frozen=True)
 class _SchemePlan:
-    """How one scheme turns row b of the simulated columns into regression
-    features: ``driver(times, columns, b)`` builds the path whose signature
-    is paired with the functionals.  Its column names ("t", a simulated
-    column, or the shared clock "C") are the leading columns that the
-    scheme reads of each test chunk's driver block.
-    The scheme's gamma is ``GAMMAS[scheme]`` and its signature level the
-    functionals' ``trunc_level``."""
+    """How one scheme turns a row of a driver block of
+    :func:`_calibration_paths` into regression features: ``driver(times,
+    row)`` builds the training path whose signature is paired with the
+    functionals, from the row's leading columns, as many as the
+    functionals' alphabet has letters.  The test chunks read those columns
+    of their blocks directly.  The scheme's gamma is ``GAMMAS[scheme]`` and
+    its signature level the functionals' ``trunc_level``."""
 
-    driver: Callable[[np.ndarray, _Columns, int], SamplePath]
+    driver: Callable[[np.ndarray, np.ndarray], SamplePath]
     functionals: tuple[TensorPoly, ...]
     labels: tuple[Word, ...]
 
 
-def _heston_driver(times: np.ndarray, cols: _Columns, b: int) -> SamplePath:
-    base = SamplePath(times, np.column_stack([cols["W_Q"][b], cols["B_Q"][b]]),
-                      Alphabet(2), ("W_Q", "B_Q"))
+def _heston_driver(times: np.ndarray, row: np.ndarray) -> SamplePath:
+    base = SamplePath(times, row[:, 1:3], Alphabet(2))
     return augment_path(base, 0.0, include_time=True, include_brackets=False)
 
 
@@ -459,18 +453,17 @@ def _calibration_plans(config: ExperimentConfig) -> dict[str, _SchemePlan]:
         strat_labels = enumerate_words(strat_alphabet, N)
         strat_fn = tuple(TensorPoly.basis(strat_alphabet, N, w) for w in strat_labels)
 
-        def strat_driver(times: np.ndarray, cols: _Columns, b: int) -> SamplePath:
-            base = SamplePath(times, cols["W_C"][b], Alphabet(1), ("W_C",))
+        def strat_driver(times: np.ndarray, row: np.ndarray) -> SamplePath:
+            base = SamplePath(times, row[:, 1], Alphabet(1))
             return augment_path(base, 0.5, include_time=True, include_brackets=False)
 
         ito_alphabet = Alphabet(1, has_time=True, has_brackets=True)
         ito_labels = enumerate_words(Alphabet(1, has_time=True, has_brackets=True), N - 1)
         ito_fn = tuple(TensorPoly.basis(ito_alphabet, N, I + (1,)) for I in ito_labels)
 
-        def ito_driver(times: np.ndarray, cols: _Columns, b: int) -> SamplePath:
+        def ito_driver(times: np.ndarray, row: np.ndarray) -> SamplePath:
             # bracket column is the exact clock C(t): [W_C]_t = C(t)
-            values = np.column_stack([times, cols["W_C"][b], cols["C"]])
-            return SamplePath(times, values, ito_alphabet, ("t", "W_C", "C"))
+            return SamplePath(times, row, ito_alphabet)
 
         return {
             "strat": _SchemePlan(strat_driver, strat_fn, strat_labels),
@@ -479,26 +472,43 @@ def _calibration_plans(config: ExperimentConfig) -> dict[str, _SchemePlan]:
     raise ValueError(f"{config.experiment!r} is not a calibration experiment")
 
 
-def _simulate_calibration_columns(config: ExperimentConfig, grid: SimGrid,
-                                  indices: Sequence[int]) -> _Columns:
-    """The prices "S" of the paths ``indices`` and the columns their
-    drivers read: W_Q and B_Q, recovered by :func:`heston_drivers`, or W_C,
-    summed from its increments by :func:`cumsum0`, and the clock C.  Prices
-    whose squares can overflow float64 when a fit sums them (their peak
-    is not at most sqrt(max / (n+1))) are a ``ValueError``, raised before
-    any driver is recovered."""
-    model, heston = config.model, config.experiment == "heston-calib"
+def _calibration_paths(config: ExperimentConfig, grid: SimGrid, start: int, stop: int,
+                       buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The prices S, (B, n+1), of the calibration paths ``start .. stop - 1``
+    of ``grid`` (path 0 is the training path, the others are test paths),
+    and their driver block, (B, n+1, 3), both views of ``buffer``, whose
+    leading :func:`_chunk_values` values they take.
+
+    The paths are simulated into the buffer's head through the simulator's
+    ``out``: Heston's prices and variances, or the Cantor-clock prices and
+    the increments of W_C.  Prices whose squares can overflow float64 when a
+    fit or a score sums them (their peak is not at most sqrt(max / (n+1)))
+    are a ``ValueError`` that names the training target or the test paths,
+    raised before any driver is recovered.  The driver block follows right
+    after the simulator's values, (n+1, 3, B) paths last: the time column,
+    then W_Q and B_Q, recovered by :func:`heston_drivers`, or W_C, summed
+    from its increments by :func:`cumsum0`, and the clock C."""
+    n, paths = grid.n, stop - start
+    heston = config.experiment == "heston-calib"
     simulate = simulate_heston_batch if heston else simulate_cantor_sde_batch
-    paths = simulate(model, grid, indices)
-    S = paths["S"] if heston else paths["S"][:, :, 0]
+    simulated = simulate(config.model, grid, range(start, stop), out=buffer)
+    S = simulated["S"] if heston else simulated["S"][:, :, 0]
     peak = float(np.max(np.abs(S)))
-    if not peak <= math.sqrt(sys.float_info.max / S.shape[1]):
-        raise ValueError(f"{config.experiment}: the training target reaches {peak:.3e}, "
+    if not peak <= math.sqrt(sys.float_info.max / (n + 1)):
+        what = ("the training target" if start == 0
+                else f"the target of test paths {start}..{stop - 1}")
+        raise ValueError(f"{config.experiment}: {what} reaches {peak:.3e}, "
                          "and the sum of its squares can overflow float64")
+    head = simulation_values(config.model, n, paths)
+    block = buffer[head:head + (n + 1) * 3 * paths].reshape(n + 1, 3, paths) \
+        .transpose(2, 0, 1)
+    block[:, :, 0] = grid.times
     if heston:
-        return {"S": S, **heston_drivers(S, paths["V"], model.sigma)}
-    return {"S": S, "W_C": cumsum0(paths["dW_C"][:, :, 0].T).T,
-            "C": cantor_function(grid.times, model.cantor_depth)}
+        heston_drivers(S, simulated["V"], config.model.sigma, out=block[:, :, 1:])
+    else:
+        cumsum0(simulated["dW_C"][:, :, 0].T, out=block[:, :, 1].T)
+        block[:, :, 2] = cantor_function(grid.times, config.model.cantor_depth)
+    return S, block
 
 
 #: Test paths per batched signature pass of a calibration.
@@ -511,9 +521,10 @@ def _fold(coeffs: np.ndarray, functionals: Sequence[TensorPoly]) -> TensorPoly:
     return sum((f.scale(float(c)) for c, f in zip(coeffs, functionals)), zero)
 
 
-#: A scheme's fit as the test chunks read it: its driver's column names, its
-#: intercept and its folded functional sum_j beta_j f_j.
-_Fits = dict[str, tuple[tuple[str, ...], float, TensorPoly]]
+#: A scheme's fit as the test chunks read it: its intercept and its folded
+#: functional sum_j beta_j f_j, whose letters are the driver block's
+#: leading columns that the scheme reads.
+_Fits = dict[str, tuple[float, TensorPoly]]
 
 
 def _score_chunk(config: ExperimentConfig, fits: _Fits, lo: int, hi: int,
@@ -523,37 +534,18 @@ def _score_chunk(config: ExperimentConfig, fits: _Fits, lo: int, hi: int,
     order, and, where ``lo`` is 0, the first test path's target and each
     scheme's prediction of it, as trajectory columns.
 
-    The chunk works in the leading :func:`_chunk_values` values of the
-    process's flat float64 ``buffer``.  It simulates its paths into the
-    buffer's head through the simulator's ``out``: Heston's prices and
-    variances, or the Cantor-clock prices and the increments of W_C.  Its
-    driver block follows right after them, (n+1, 3, B) paths last, viewed
-    as (B, n+1, 3): the time column, then W_Q and B_Q, recovered by
-    :func:`heston_drivers`, or W_C, summed from its increments by
-    :func:`cumsum0`, and the clock C.  Every scheme's driver names are a
-    prefix of those columns, so each scheme pairs its leading columns
-    through :func:`functional_paths` on its folded fit, and is scored by
-    one row-wise :func:`mse`."""
-    grid = config.test_grid()
-    n, paths = grid.n, hi - lo
-    heston = config.experiment == "heston-calib"
-    simulate = simulate_heston_batch if heston else simulate_cantor_sde_batch
-    test = simulate(config.model, grid, range(lo + 1, hi + 1), out=buffer)
-    S = test["S"] if heston else test["S"][:, :, 0]
-    simulated = simulation_values(config.model, n, paths)
-    values = buffer[simulated:simulated + (n + 1) * 3 * paths] \
-        .reshape(n + 1, 3, paths).transpose(2, 0, 1)
-    values[:, :, 0] = grid.times
-    if heston:
-        heston_drivers(S, test["V"], config.model.sigma, out=values[:, :, 1:])
-    else:
-        cumsum0(test["dW_C"][:, :, 0].T, out=values[:, :, 1].T)
-        values[:, :, 2] = cantor_function(grid.times, config.model.cantor_depth)
+    The chunk's paths go from the simulator to their driver block in the
+    process's flat float64 ``buffer`` by :func:`_calibration_paths`, on the
+    test grid.  Each scheme pairs the block's leading columns, one per
+    letter of its folded fit, through :func:`functional_paths`, and is
+    scored by one row-wise :func:`mse`."""
+    S, values = _calibration_paths(config, config.test_grid(), lo + 1, hi + 1, buffer)
     mses = {}
     trajectory = {"target": S[0].tolist()} if lo == 0 else {}
     for scheme in SCHEMES:
-        names, intercept, ell = fits[scheme]
-        pred = functional_paths(values[:, :, :len(names)], GAMMAS[scheme], [ell])[..., 0]
+        intercept, ell = fits[scheme]
+        letters = ell.alphabet.total_letters
+        pred = functional_paths(values[:, :, :letters], GAMMAS[scheme], [ell])[..., 0]
         pred += intercept
         mses[scheme] = mse(pred, S)
         if lo == 0:
@@ -561,16 +553,17 @@ def _score_chunk(config: ExperimentConfig, fits: _Fits, lo: int, hi: int,
     return mses, trajectory
 
 
-def _chunk_values(config: ExperimentConfig, paths: int) -> int:
+def _chunk_values(config: ExperimentConfig, paths: int, n: int | None = None) -> int:
     """The float64 values of the buffer of a chunk of ``paths`` paths.  A
-    calibration chunk's are the simulator's (:func:`simulation_values`, on
-    the m = n // 2 steps of the test grid) and its driver block, 3 x (m+1)
-    per path for the widest driver's three columns; a pricing chunk's are
-    its joint driver block, 6 x (n+1) per path, in which the simulator's
-    buffer (at most as many values) lies."""
+    calibration's are those of :func:`_calibration_paths` on a grid of
+    ``n`` steps (where None, the test grid's grid_n // 2): the simulator's
+    (:func:`simulation_values`) and the driver block's, 3 x (n+1) per path
+    for the widest driver's three columns; a pricing chunk's are its joint
+    driver block, 6 x (n+1) per path, in which the simulator's buffer (at
+    most as many values) lies."""
     if config.experiment in CALIBRATION_IDS:
-        m = config.grid_n // 2
-        return simulation_values(config.model, m, paths) + 3 * (m + 1) * paths
+        n = config.grid_n // 2 if n is None else n
+        return simulation_values(config.model, n, paths) + 3 * (n + 1) * paths
     return 6 * (config.grid_n + 1) * paths
 
 
@@ -733,18 +726,22 @@ def run_calibration(config: ExperimentConfig) -> dict:
     fresh out-of-sample paths over [0, T/2]; returns (and optionally writes)
     the MSE summary, fitted functionals, and a test-path trajectory table.
 
-    Both schemes are fitted first, from the training path alone: the
-    training design goes through :func:`gamma_signature` and
-    :func:`functional_matrix`, and the in-sample MSE is the lasso's own.  The
-    test paths are simulated after the fits, so that the training arrays are
+    Every path, the training path and each chunk of test paths, goes from
+    the simulator to its driver block by :func:`_calibration_paths`.  Both
+    schemes are fitted first, from the training path alone, in a buffer of
+    its own: the training design goes through :func:`gamma_signature` and
+    :func:`functional_matrix` of each scheme's driver, built from the
+    block's one row, and the in-sample MSE is the lasso's own.  The test
+    paths are simulated after the fits, so that the training arrays are
     freed first.  Each scheme's fit is folded into one functional, and the
     test paths are simulated and scored in chunks of ``_TEST_CHUNK`` by
     :func:`_score_chunk`, on the processes of :func:`_on_processes`; the
     per-path MSEs are reduced in path order, so the outputs do not depend
     on the chunks or the number of processes.
-    A training target whose squares can overflow float64 (before any fit), a
-    failed lasso and a non-finite MSE (naming the scheme) are ``ValueError``s
-    raised before any file is written.
+    A target whose squares can overflow float64 (the training target before
+    any fit, or a chunk's test paths before their drivers), a failed lasso
+    and a non-finite MSE (naming the scheme) are ``ValueError``s raised
+    before any file is written.
     """
     if config.experiment not in CALIBRATION_IDS:
         raise ValueError(f"{config.experiment!r} is not a calibration experiment")
@@ -753,13 +750,14 @@ def run_calibration(config: ExperimentConfig) -> dict:
           else config.model.s0[0])
 
     train_grid = config.grid()
-    train = _simulate_calibration_columns(config, train_grid, [0])
-    y_train = train["S"][0]
+    S, block = _calibration_paths(config, train_grid, 0, 1,
+                                  np.empty(_chunk_values(config, 1, train_grid.n)))
+    y_train = S[0]
 
     fits, folded = {}, {}
     for scheme in SCHEMES:
         plan = plans[scheme]
-        driver = plan.driver(train_grid.times, train, 0)
+        driver = plan.driver(train_grid.times, block[0])
         traj = gamma_signature(driver, GAMMAS[scheme], plan.functionals[0].trunc_level)
         X_train = functional_matrix(traj, plan.functionals)
         try:
@@ -772,8 +770,8 @@ def run_calibration(config: ExperimentConfig) -> dict:
                   f"after n_iter={fit.diagnostics['n_iter']} active-set steps",
                   file=sys.stderr)
         fits[scheme] = fit
-        folded[scheme] = driver.names, fit.intercept, _fold(fit.coeffs, plan.functionals)
-    del train, traj, X_train
+        folded[scheme] = fit.intercept, _fold(fit.coeffs, plan.functionals)
+    del S, y_train, block, driver, traj, X_train
 
     chunks = _on_processes(_score_chunk, (config, folded), config.n_test, _TEST_CHUNK)
     trajectory = {"t": list(config.test_grid().times), **chunks[0][1]}

@@ -140,14 +140,12 @@ class SamplePath:
     """A path sampled on a strictly increasing time grid.
 
     ``values`` has one row per grid point; columns follow the letter layout
-    of ``alphabet`` (time, base, brackets).  ``names`` optionally documents
-    column meaning.
+    of ``alphabet`` (time, base, brackets).
     """
 
     times: np.ndarray
     values: np.ndarray
     alphabet: Alphabet
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)
@@ -166,8 +164,6 @@ class SamplePath:
             raise ValueError(
                 f"value columns ({values.shape[1]}) must match alphabet letters "
                 f"({self.alphabet.total_letters})")
-        if self.names is not None and len(self.names) != values.shape[1]:
-            raise ValueError("names must match column count")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -186,8 +182,7 @@ class SamplePath:
         """Restriction to grid points k..m inclusive."""
         if not (0 <= k <= m <= self.n_steps):
             raise ValueError(f"invalid slice [{k}, {m}] for {self.n_steps} steps")
-        return SamplePath(self.times[k:m + 1], self.values[k:m + 1],
-                          self.alphabet, self.names)
+        return SamplePath(self.times[k:m + 1], self.values[k:m + 1], self.alphabet)
 
 
 def _batch_last(values: np.ndarray) -> np.ndarray:
@@ -262,13 +257,9 @@ def augment_path(path: SamplePath, gamma: float, include_time: bool,
     _check_gamma(gamma)
     d = path.alphabet.d
     cols: list[np.ndarray] = []
-    names: list[str] = []
     if include_time:
         cols.append(path.times[:, None])
-        names.append("t")
     cols.append(path.values)
-    names.extend(path.names if path.names is not None
-                 else tuple(f"x{i}" for i in range(1, d + 1)))
     if include_brackets:
         pairs = bracket_pairs(d)
         if gamma == 0.5 and not scaled_brackets:
@@ -278,10 +269,8 @@ def augment_path(path: SamplePath, gamma: float, include_time: bool,
             if scaled_brackets:
                 brackets = (1.0 - 2.0 * gamma) * brackets
         cols.append(brackets)
-        names.extend(f"[{i + 1},{j + 1}]" for i, j in pairs)
     alphabet = Alphabet(d, has_time=include_time, has_brackets=include_brackets)
-    return SamplePath(path.times, np.concatenate(cols, axis=1), alphabet,
-                      tuple(names))
+    return SamplePath(path.times, np.concatenate(cols, axis=1), alphabet)
 
 
 @dataclass(frozen=True, eq=False)

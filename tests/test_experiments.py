@@ -33,11 +33,14 @@ from gammasig import (
 )
 from gammasig.experiments import GAMMAS, SCHEMES
 from gammasig.models import (
+    cantor_function,
+    heston_drivers,
     simulate_cantor_sde_batch,
     simulate_heston2_batch,
+    simulate_heston_batch,
     simulation_values,
 )
-from gammasig.signature import bracket_columns
+from gammasig.signature import bracket_columns, cumsum0
 from conftest import assert_no_child_left
 
 ALL_IDS = ("heston-calib", "cantor-calib", "heston2-pricing",
@@ -187,6 +190,25 @@ def reduced_cantor_config(**overrides) -> ExperimentConfig:
     return default_config("cantor-calib", grid_n=120, n_test=3, **overrides)
 
 
+def _allocated_paths(config, grid, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The prices S, (B, n+1), of the calibration paths ``indices`` of
+    ``grid`` and their driver block (B, n+1, 3) of (t, W_Q, B_Q) or (t,
+    W_C, C), built on the allocating route: the simulator's own arrays,
+    then :func:`heston_drivers`, or :func:`cumsum0` and
+    :func:`cantor_function`, each into new arrays."""
+    if config.experiment == "heston-calib":
+        paths = simulate_heston_batch(config.model, grid, indices)
+        S = paths["S"]
+        drivers = heston_drivers(S, paths["V"], config.model.sigma)
+        columns = [drivers["W_Q"], drivers["B_Q"]]
+    else:
+        paths = simulate_cantor_sde_batch(config.model, grid, indices)
+        S = paths["S"][:, :, 0]
+        clock = cantor_function(grid.times, config.model.cantor_depth)
+        columns = [cumsum0(paths["dW_C"][:, :, 0].T).T, np.broadcast_to(clock, S.shape)]
+    return S, np.stack([np.broadcast_to(grid.times, S.shape), *columns], axis=2)
+
+
 def test_run_calibration_report_structure():
     report = run_calibration(reduced_cantor_config())
     assert report["experiment"] == "cantor-calib"
@@ -239,8 +261,7 @@ def test_run_calibration_batches_equal_per_path_loop(experiment):
     cfg = default_config(experiment, grid_n=40, n_test=experiments._TEST_CHUNK + 3)
     report = run_calibration(cfg)
     test_grid = cfg.test_grid()
-    test = experiments._simulate_calibration_columns(
-        cfg, test_grid, range(1, cfg.n_test + 1))
+    S, block = _allocated_paths(cfg, test_grid, range(1, cfg.n_test + 1))
     for scheme, plan in experiments._calibration_plans(cfg).items():
         stamped = report["schemes"][scheme]["fit"]
         fit = RegressionFit(plan.labels, stamped["coeffs"], stamped["intercept"],
@@ -248,15 +269,15 @@ def test_run_calibration_batches_equal_per_path_loop(experiment):
         ell = experiments._fold(fit.coeffs, plan.functionals)
         out_mses, design_mses = [], []
         for i in range(cfg.n_test):
-            driver = plan.driver(test_grid.times, test, i)
+            driver = plan.driver(test_grid.times, block[i])
             pred = fit.intercept + functional_paths(driver.values[None], GAMMAS[scheme],
                                                     [ell])[0, :, 0]
-            out_mses.append(mse(pred, test["S"][i]))
+            out_mses.append(mse(pred, S[i]))
             traj = gamma_signature(driver, GAMMAS[scheme],
                                    plan.functionals[0].trunc_level)
             design = predict(fit, functional_matrix(traj, plan.functionals))
             assert np.all(np.abs(pred - design) <= 1e-12 * np.maximum(1.0, np.abs(design)))
-            design_mses.append(mse(design, test["S"][i]))
+            design_mses.append(mse(design, S[i]))
             if i == 0:
                 assert report["trajectory"][f"pred_{scheme}"] == [float(v) for v in pred]
         out_mse = report["schemes"][scheme]["out_sample_mse"]
@@ -299,8 +320,7 @@ def test_run_calibration_selecting_no_word_predicts_the_intercept(monkeypatch, e
     cfg = default_config(experiment, grid_n=40, n_test=3, alpha=1e6)
     report, calls = _pairings_of_a_run(monkeypatch, cfg)
     s0 = cfg.model.s0 if experiment == "heston-calib" else cfg.model.s0[0]
-    S = experiments._simulate_calibration_columns(
-        cfg, cfg.test_grid(), range(1, cfg.n_test + 1))["S"]
+    S, _ = _allocated_paths(cfg, cfg.test_grid(), range(1, cfg.n_test + 1))
     for scheme in SCHEMES:
         entry = report["schemes"][scheme]
         assert not any(entry["fit"]["coeffs"]) and entry["fit"]["intercept"] == s0
@@ -331,20 +351,19 @@ def test_run_calibration_selecting_only_level_one_words(monkeypatch):
 @pytest.mark.parametrize("experiment", ["heston-calib", "cantor-calib"])
 def test_run_calibration_in_sample_mse_is_the_lasso_diagnostic(experiment):
     # the stamped in-sample MSE is the lasso's own, with the bits of scoring
-    # the training design again
+    # the training design again, built from the allocating route
     cfg = default_config(experiment, grid_n=40, n_test=3)
     report = run_calibration(cfg)
     grid = cfg.grid()
-    train = experiments._simulate_calibration_columns(cfg, grid, [0])
+    S, block = _allocated_paths(cfg, grid, [0])
     for scheme, plan in experiments._calibration_plans(cfg).items():
         stamped = report["schemes"][scheme]
         fit = RegressionFit(plan.labels, stamped["fit"]["coeffs"],
                             stamped["fit"]["intercept"], stamped["fit"]["alpha"],
                             stamped["fit"]["objective_kind"])
-        traj = gamma_signature(plan.driver(grid.times, train, 0), GAMMAS[scheme],
+        traj = gamma_signature(plan.driver(grid.times, block[0]), GAMMAS[scheme],
                                plan.functionals[0].trunc_level)
-        rescored = mse(predict(fit, functional_matrix(traj, plan.functionals)),
-                       train["S"][0])
+        rescored = mse(predict(fit, functional_matrix(traj, plan.functionals)), S[0])
         assert stamped["in_sample_mse"] == stamped["fit"]["diagnostics"]["in_sample_mse"]
         assert np.float64(stamped["in_sample_mse"]).view(np.uint64) == \
             np.float64(rescored).view(np.uint64)
@@ -365,6 +384,29 @@ def test_run_calibration_reports_unconverged_lasso(monkeypatch, capsys):
         assert report["schemes"][scheme]["fit"]["diagnostics"] == {
             **report["schemes"][scheme]["fit"]["diagnostics"],
             "n_iter": 1, "converged": False}
+
+
+def test_test_paths_whose_squares_overflow_are_named(monkeypatch, tmp_path):
+    # a test path whose prices overflow is caught by the check that every
+    # batch passes before its drivers are recovered: the run names the
+    # chunk's test paths and writes no file, and no numpy warning of the
+    # driver recovery escapes (the suite turns RuntimeWarnings into errors)
+    monkeypatch.setattr(experiments, "_workers", lambda: 1)
+    real = experiments.simulate_heston_batch
+
+    def overflowing(params, grid, indices, **kwargs):
+        paths = real(params, grid, indices, **kwargs)
+        if 2 in indices:
+            paths["S"][list(indices).index(2)] = np.inf  # in the run's buffer
+        return paths
+
+    monkeypatch.setattr(experiments, "simulate_heston_batch", overflowing)
+    cfg = default_config("heston-calib", grid_n=40, n_test=3, out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError) as raised:
+        run_calibration(cfg)
+    assert str(raised.value) == ("heston-calib: the target of test paths 1..3 reaches inf, "
+                                 "and the sum of its squares can overflow float64")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_calibration_rejects_wrong_experiment():
@@ -514,19 +556,17 @@ def test_calibration_builds_one_driver_batch_per_test_chunk(monkeypatch, experim
     # into the head of the process's one buffer, with its driver block
     # right after the simulator's values, so that the short chunk's block
     # lies at another offset: every scheme reads its leading columns, the
-    # prefix that its driver names take of the widest driver's.  The block
+    # columns of its driver, one per letter of its folded fit.  The block
     # holds the bits of each path's own driver, built from the allocating
-    # simulator's arrays.  One process, so that every block is read where it
-    # is counted
+    # simulator's arrays.  The training path goes into a buffer of its own
+    # first.  One process, so that every block is read where it is counted
     monkeypatch.setattr(experiments, "_workers", lambda: 1)
     config = default_config(experiment, grid_n=20, n_test=2 * experiments._TEST_CHUNK + 1)
     grid = config.test_grid()
-    test = experiments._simulate_calibration_columns(
-        config, grid, range(1, config.n_test + 1))
+    _, test = _allocated_paths(config, grid, range(1, config.n_test + 1))
     plans = experiments._calibration_plans(config)
-    names = {scheme: plan.driver(grid.times, test, 0).names for scheme, plan in plans.items()}
-    widest = max(names.values(), key=len)
-    assert len(widest) == 3 and all(widest[:len(n)] == n for n in names.values())
+    letters = {scheme: plan.driver(grid.times, test[0]).dim for scheme, plan in plans.items()}
+    assert max(letters.values()) == 3
     real = experiments.functional_paths
     blocks = []
 
@@ -550,16 +590,16 @@ def test_calibration_builds_one_driver_batch_per_test_chunk(monkeypatch, experim
     run_calibration(config)
     sizes = [experiments._TEST_CHUNK] * 2 + [1]
     assert [(scheme, values.shape) for scheme, _, values in blocks] == [
-        (scheme, (size, grid.n + 1, len(names[scheme])))
+        (scheme, (size, grid.n + 1, letters[scheme]))
         for size in sizes for scheme in SCHEMES]
-    assert len(buffers) == len(sizes) and len(set(buffers)) == 1
+    assert len(buffers) == 1 + len(sizes) and len(set(buffers[1:])) == 1
     assert [address for _, address, _ in blocks] == [
-        buffers[0] + 8 * simulation_values(config.model, grid.n, size)
+        buffers[1] + 8 * simulation_values(config.model, grid.n, size)
         for size in sizes for _ in SCHEMES]
     starts = np.repeat(np.cumsum([0] + sizes[:-1]), len(SCHEMES))
     for (scheme, _, values), start in zip(blocks, starts):
         for b, path in enumerate(values, start):
-            expected = plans[scheme].driver(grid.times, test, b).values
+            expected = plans[scheme].driver(grid.times, test[b]).values
             assert np.array_equal(path.view(np.uint64), expected.view(np.uint64)), \
                 (scheme, b)
 

@@ -205,7 +205,8 @@ def test_golden_calibration_outputs_independent_of_workers(tmp_path, capsys, mon
     # runs on 2 workers, split at path 3 * 1 // 2, not on a chunk boundary:
     # the caller scores path 1 and a forked worker paths 2-3.  Every
     # simulation, in either process, covers one chunk's paths, into its
-    # process's buffer, and no worker outlives the run
+    # process's buffer, and the caller's training path 0 goes into a buffer
+    # too; no worker outlives the run
     monkeypatch.setattr(experiments, "_TEST_CHUNK", 2)
     monkeypatch.setattr(experiments, "_workers", lambda: workers)
     log = tmp_path / "simulated.jsonl"  # (pid, indices, into a buffer) per line
@@ -232,10 +233,10 @@ def test_golden_calibration_outputs_independent_of_workers(tmp_path, capsys, mon
                    [(True, [1], True), (False, [2, 3], True)])
     assert _stamped_digests(tmp_path / "calibrate", "calibrate",
                             CALIBRATE_CONFIG, seed=1) == CALIBRATE_SHA256
-    assert simulated() == [(True, [0], False)] + test_chunks
+    assert simulated() == [(True, [0], True)] + test_chunks
     assert _stamped_digests(tmp_path / "heston", "calibrate",
                             HESTON_CALIBRATE_CONFIG, seed=0) == HESTON_CALIBRATE_SHA256
-    assert simulated() == [(True, [0], False)] + test_chunks
+    assert simulated() == [(True, [0], True)] + test_chunks
     assert_no_child_left()
     capsys.readouterr()
 
@@ -332,8 +333,9 @@ def _calibration_pairing_case(experiment: str, scheme: str, N: int) \
     config = experiments.default_config(experiment, trunc_level=N, grid_n=80, n_test=3)
     plan = experiments._calibration_plans(config)[scheme]
     grid = config.test_grid()
-    cols = experiments._simulate_calibration_columns(config, grid, range(1, 4))
-    values = np.stack([plan.driver(grid.times, cols, b).values for b in range(3)])
+    _, block = experiments._calibration_paths(
+        config, grid, 1, 4, np.empty(experiments._chunk_values(config, 3)))
+    values = np.stack([plan.driver(grid.times, row).values for row in block])
     coeffs = np.random.default_rng(N).normal(size=len(plan.functionals))
     coeffs[1::2] = 0.0
     return values, [experiments._fold(coeffs, plan.functionals)]

@@ -283,11 +283,12 @@ def _calibration_design(cfg, scheme):
     """Training design, target, alpha and intercept of a calibration."""
     plan = experiments._calibration_plans(cfg)[scheme]
     grid = cfg.grid()
-    cols = experiments._simulate_calibration_columns(cfg, grid, [0])
-    traj = gamma_signature(plan.driver(grid.times, cols, 0), experiments.GAMMAS[scheme],
+    S, block = experiments._calibration_paths(
+        cfg, grid, 0, 1, np.empty(experiments._chunk_values(cfg, 1, grid.n)))
+    traj = gamma_signature(plan.driver(grid.times, block[0]), experiments.GAMMAS[scheme],
                            plan.functionals[0].trunc_level)
     s0 = cfg.model.s0 if cfg.experiment == "heston-calib" else cfg.model.s0[0]
-    return functional_matrix(traj, plan.functionals), cols["S"][0], cfg.alpha, s0
+    return functional_matrix(traj, plan.functionals), S[0], cfg.alpha, s0
 
 
 @functools.cache

@@ -71,15 +71,13 @@ def test_sample_path_validation():
         SamplePath([0.0, 1.0], [[0.0], [1.0]], a)
     with pytest.raises(ValueError):
         SamplePath([], np.empty((0, 2)), a)
-    with pytest.raises(ValueError):
-        SamplePath([0.0, 1.0], [[0.0, 0.0], [1.0, 2.0]], a, names=("x",))
 
 
 def test_sample_path_accessors():
     a = Alphabet(2, has_time=True)
     times = np.array([0.0, 0.5, 1.0])
     values = np.column_stack([times, [0.0, 1.0, 3.0], [1.0, 1.0, 0.0]])
-    p = SamplePath(times, values, a, names=("t", "u", "v"))
+    p = SamplePath(times, values, a)
     assert np.array_equal(p.increments(), np.diff(values, axis=0))
     sub = p.sub_path(1, 2)
     assert sub.n_steps == 1 and sub.times[0] == 0.5
@@ -141,7 +139,6 @@ def test_augment_path_layout():
     p = make_random_path(rng, 10, 2)
     full = augment_path(p, 0.0, include_time=True, include_brackets=True)
     assert full.dim == 6
-    assert full.names == ("t", "x1", "x2", "[1,1]", "[1,2]", "[2,2]")
     assert full.alphabet == Alphabet(2, has_time=True, has_brackets=True)
     alphabet = full.alphabet
     assert np.array_equal(full.values[:, alphabet.index(0)], p.times)
